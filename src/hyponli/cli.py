@@ -3,11 +3,10 @@
 Subcommands: stats, train-eval, synth, audit-sample, split. Every run is
 deterministic under its --seed: all randomness flows from that one value
 through fixed per-component offsets (embeddings seed+1, model init seed+2,
-epoch shuffling seed+3, premise perturbation seed+4), so repeated
-invocations produce byte-identical artifacts. Outputs are written to a
-temp file and promoted atomically. A key=value config file can preset any
-flag of a subcommand; explicit flags win. HYPONLI_OUT_DIR sets the default
-output directory.
+epoch shuffling seed+3), so repeated invocations produce byte-identical
+artifacts. Outputs are written to a temp file and promoted atomically. A
+key=value config file can preset any flag of a subcommand; explicit flags
+win. HYPONLI_OUT_DIR sets the default output directory.
 """
 
 from __future__ import annotations
@@ -177,25 +176,17 @@ def cmd_train_eval(args) -> int:
         print(f"training aborted: {exc}; state dump at {dump}", file=sys.stderr)
         return 1
 
-    maj = corpus.majority_label(train_insts)
+    maj = corpus.majority_label([inst.label for inst in train_insts])
     reports = []
-    tokenized = {name: [text.tokenize(inst.hypothesis) for inst in insts]
-                 for name, insts in splits.items() if name != "train"}
     for name in ("dev", "test"):
-        if name not in tokenized:
+        if name not in splits:
             continue
-        preds = model.predict_batch(tokenized[name], best_params)
-        audit = evaluate.premise_invariance_audit(
-            best_params, corpus.Dataset(name, scheme, {name: splits[name]}),
-            perturbation_seed=args.seed + 4)
-        reports.append(evaluate.build_report(name, preds, splits[name], maj,
-                                             premise_invariant=audit))
+        sentences = [text.tokenize(inst.hypothesis) for inst in splits[name]]
+        preds = model.predict_batch(sentences, best_params)
+        reports.append(evaluate.build_report(name, preds, splits[name], maj))
 
     atomic_write_text(os.path.join(out, "train_log.csv"), state.log_csv())
-    ckpt = os.path.join(out, "model.ckpt")
-    tmp_ckpt = ckpt + ".tmp"
-    model.save_checkpoint(best_params, tmp_ckpt)
-    os.replace(tmp_ckpt, ckpt)
+    model.save_checkpoint(best_params, os.path.join(out, "model.ckpt"))
     atomic_write_text(os.path.join(out, "report.md"),
                       evaluate.report_markdown(reports, _config_lines(args)))
     atomic_write_text(os.path.join(out, "report.csv"), evaluate.report_csv(reports))
@@ -212,11 +203,7 @@ def cmd_synth(args) -> int:
     instances = dataset.split("train")
     bayes = synth.bayes_accuracy(spec)
     out = args.out_dir
-    corpus_path = os.path.join(out, "corpus.jsonl")
-    tmp = corpus_path + ".tmp"
-    os.makedirs(out, exist_ok=True)
-    corpus.write_jsonl(instances, tmp)
-    os.replace(tmp, corpus_path)
+    corpus.write_jsonl(instances, os.path.join(out, "corpus.jsonl"))
     meta = {"spec": synth.spec_to_dict(spec), "n": args.n, "bayes_accuracy": bayes}
     atomic_write_text(os.path.join(out, "corpus.meta.json"),
                       json.dumps(meta, indent=2) + "\n")
@@ -245,12 +232,8 @@ def cmd_split(args) -> int:
     instances, _, scheme = _read_instances(args.data, args, scheme)
     ratios = tuple(float(r) for r in args.ratios.split(","))
     dataset = corpus.random_split(instances, ratios=ratios, seed=args.seed, scheme=scheme)
-    os.makedirs(args.out_dir, exist_ok=True)
     for name in ("train", "dev", "test"):
-        path = os.path.join(args.out_dir, f"{name}.jsonl")
-        tmp = path + ".tmp"
-        corpus.write_jsonl(dataset.split(name), tmp)
-        os.replace(tmp, path)
+        corpus.write_jsonl(dataset.split(name), os.path.join(args.out_dir, f"{name}.jsonl"))
     sizes = ", ".join(f"{name}={len(dataset.split(name))}" for name in ("train", "dev", "test"))
     print(f"split: {sizes} -> {args.out_dir}")
     return 0

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .util import atomic_open
+
 
 class IngestError(ValueError):
     """A data line that cannot be parsed into an instance."""
@@ -265,8 +267,9 @@ def read_tsv(path, columns: ColumnSpec, scheme: LabelScheme):
 
 
 def write_jsonl(instances, path) -> None:
-    """Write instances using the native record keys (round-trips read_jsonl)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write instances atomically using the native record keys (round-trips
+    read_jsonl)."""
+    with atomic_open(path) as fh:
         for inst in instances:
             record = {
                 "premise": inst.premise,
@@ -278,7 +281,7 @@ def write_jsonl(instances, path) -> None:
             if inst.ordinal is not None:
                 record["ordinal"] = inst.ordinal
             record["id"] = inst.instance_id
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 JOCI_ORDINAL_TO_LABEL = {1: "contradiction", 2: "neutral", 3: "neutral",
@@ -299,14 +302,8 @@ def remap_joci_ordinal(instances) -> list[NLIInstance]:
     return out
 
 
-def _inferred_scheme(instances) -> LabelScheme:
-    seen = {inst.label.index: inst.label for inst in instances}
-    labels = tuple(seen[i] for i in sorted(seen))
-    return LabelScheme(labels, "inferred")
-
-
-def random_split(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0,
-                 scheme: LabelScheme | None = None) -> Dataset:
+def random_split(instances, scheme: LabelScheme, ratios=(0.8, 0.1, 0.1),
+                 seed: int = 0) -> Dataset:
     """Partition instances into train/dev/test at the given ratios.
 
     Sizes are floor-based with the remainder assigned to train; the split
@@ -324,8 +321,6 @@ def random_split(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0,
     n_train += n - (n_train + n_dev + n_test)
     order = np.random.default_rng(seed).permutation(n)
     pick = lambda idxs: [instances[i] for i in idxs]
-    if scheme is None:
-        scheme = _inferred_scheme(instances)
     return Dataset(
         name="split",
         scheme=scheme,
@@ -337,13 +332,13 @@ def random_split(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0,
     )
 
 
-def majority_label(train) -> Label:
-    """The most frequent training label; ties break to the lowest index."""
-    if not train:
-        raise ValueError("majority_label needs a nonempty training split")
+def majority_label(labels) -> Label:
+    """The most frequent of the given labels; ties break to the lowest index."""
+    if not labels:
+        raise ValueError("majority_label needs a nonempty label list")
     counts: dict[Label, int] = {}
-    for inst in train:
-        counts[inst.label] = counts.get(inst.label, 0) + 1
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
     best = None
     for label in sorted(counts, key=lambda lab: lab.index):
         if best is None or counts[label] > counts[best]:

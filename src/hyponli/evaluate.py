@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import decimal
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, Label
-from .model import ModelParameters, Prediction, predict
-from .text import tokenize
+from .corpus import Label, majority_label
+from .model import Prediction
 
 
 def fmt2(value: float | None) -> str:
@@ -69,17 +68,6 @@ def per_class_accuracy(predictions, gold) -> dict[Label, float]:
             for g in sorted(totals, key=lambda lab: lab.index)}
 
 
-def _majority_of(labels: list[Label]) -> Label:
-    counts: dict[Label, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    best = None
-    for lab in sorted(counts, key=lambda lab: lab.index):
-        if best is None or counts[lab] > counts[best]:
-            best = lab
-    return best
-
-
 def per_group_accuracy(predictions, gold, groups, mode: str = "within",
                        train_majority: Label | None = None):
     """Per-group (hyp_acc, maj_acc, pct_delta).
@@ -102,7 +90,7 @@ def per_group_accuracy(predictions, gold, groups, mode: str = "within",
         grp_gold = [gold[i] for i in idxs]
         grp_pred = [labels[i] for i in idxs]
         hyp = accuracy(grp_pred, grp_gold)
-        maj_label = _majority_of(grp_gold) if mode == "within" else train_majority
+        maj_label = majority_label(grp_gold) if mode == "within" else train_majority
         maj = 100.0 * sum(1 for g in grp_gold if g == maj_label) / len(grp_gold)
         _, pct = delta_report(hyp, maj)
         out[key] = (hyp, maj, pct)
@@ -115,30 +103,6 @@ def constant_prediction_check(predictions) -> bool:
     if not labels:
         raise ValueError("no predictions to check")
     return all(lab == labels[0] for lab in labels)
-
-
-def _random_sentence(rng) -> str:
-    words = []
-    for _ in range(int(rng.integers(3, 9))):
-        length = int(rng.integers(2, 8))
-        words.append("".join(chr(ord("a") + int(rng.integers(0, 26)))
-                             for _ in range(length)))
-    return " ".join(words)
-
-
-def premise_invariance_audit(params: ModelParameters, dataset: Dataset,
-                             perturbation_seed: int, tokenizer=tokenize) -> bool:
-    """True iff predictions are bit-identical after replacing every premise
-    with random text."""
-    rng = np.random.default_rng(perturbation_seed)
-    for split in dataset.splits.values():
-        for inst in split:
-            perturbed = replace(inst, premise=_random_sentence(rng))
-            a = predict(tokenizer(inst.hypothesis), params)
-            b = predict(tokenizer(perturbed.hypothesis), params)
-            if a.label != b.label or not np.array_equal(a.logits, b.logits):
-                return False
-    return True
 
 
 @dataclass
@@ -198,12 +162,11 @@ class EvalReport:
     per_group: dict[str, tuple[float, float, float | None]] | None = None
     maj_label: str = ""
     split_mode_acc: float | None = None  # eval split's own most-frequent-class rate
-    premise_invariant: bool | None = None
     notes: list[str] = field(default_factory=list)
 
 
-def build_report(split_name: str, predictions, instances, train_majority: Label,
-                 premise_invariant: bool | None = None) -> EvalReport:
+def build_report(split_name: str, predictions, instances,
+                 train_majority: Label) -> EvalReport:
     """Assemble the gap report for one split.
 
     MAJ defaults to the train-majority label scored on the split; when the
@@ -214,7 +177,7 @@ def build_report(split_name: str, predictions, instances, train_majority: Label,
     hyp = accuracy(predictions, gold)
     maj_hits = sum(1 for g in gold if g == train_majority)
     maj = 100.0 * maj_hits / len(gold)
-    split_mode = _majority_of(gold)
+    split_mode = majority_label(gold)
     split_mode_acc = 100.0 * sum(1 for g in gold if g == split_mode) / len(gold)
     abs_delta, pct_delta = delta_report(hyp, maj)
     class_hyp = per_class_accuracy(predictions, gold)
@@ -249,7 +212,6 @@ def build_report(split_name: str, predictions, instances, train_majority: Label,
         per_group=per_group,
         maj_label=train_majority.name,
         split_mode_acc=split_mode_acc,
-        premise_invariant=premise_invariant,
         notes=notes,
     )
 
@@ -270,9 +232,6 @@ def report_markdown(reports: list[EvalReport], config_lines: list[str] | None = 
         out.append("")
         out.append(f"- majority label: {rep.maj_label}")
         out.append(f"- constant prediction: {rep.constant_prediction}")
-        if rep.premise_invariant is not None:
-            out.append(f"- premise invariance audit: "
-                       f"{'passed' if rep.premise_invariant else 'FAILED'}")
         for note in rep.notes:
             out.append(f"- note: {note}")
         out.append("")

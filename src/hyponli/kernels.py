@@ -1,26 +1,16 @@
-"""Recurrent-cell kernels: the hot per-timestep loops of the encoder.
+"""Recurrent-cell kernels: the hot per-timestep loops of the encoder, in
+plain numpy.
 
-One source of truth for the math; the same functions run either jitted by
-numba or as plain numpy. Set HYPONLI_NO_NUMBA=1 to force the numpy path
-(the fallback also engages automatically when numba is not importable).
 Gate layout inside the stacked weight matrices is [input, forget,
 candidate, output].
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("HYPONLI_NO_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-def _lstm_forward(x, wx, wh, b):
+def lstm_forward(x, wx, wh, b):
     """Run the cell over x (T, d) with zero initial states.
 
     Returns h (T, H), c (T, H), gates (T, 4H) holding the activated
@@ -56,7 +46,7 @@ def _lstm_forward(x, wx, wh, b):
     return h, c, gates, tc
 
 
-def _lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
+def lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
     """Backpropagate dh_out (T, H) through the recurrence.
 
     Returns (gwx, gwh, gb, dx) where dx (T, d) is the gradient w.r.t. the
@@ -100,20 +90,3 @@ def _lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
         dc_next = dc * f
     return gwx, gwh, gb, dx
 
-
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-else:
-    njit = None
-
-if njit is not None:
-    BACKEND = "numba"
-    lstm_forward = njit(cache=True)(_lstm_forward)
-    lstm_backward = njit(cache=True)(_lstm_backward)
-else:
-    BACKEND = "numpy"
-    lstm_forward = _lstm_forward
-    lstm_backward = _lstm_backward

@@ -10,6 +10,7 @@ construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import kernels
 from .corpus import Label, LabelScheme
 from .text import EmbeddingTable, Vocabulary
+from .util import atomic_open
 
 ENCODER_KINDS = ("bag", "birnn-maxpool")
 
@@ -38,7 +40,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
-        if min(self.embedding_dim, self.hidden_dim, self.mlp_hidden) < 1:
+        dims = (self.embedding_dim, self.hidden_dim, self.mlp_hidden)
+        if not all(isinstance(v, (int, np.integer)) for v in (*dims, self.n_labels)):
+            raise ValueError("dimensions and n_labels must be integers")
+        if min(dims) < 1:
             raise ValueError("all dimensions must be >= 1")
         if self.n_labels not in (2, 3):
             raise ValueError("n_labels must be 2 or 3")
@@ -137,14 +142,8 @@ def token_rows(tokens: list[str], vocab: Vocabulary, oov_row: int) -> np.ndarray
     return np.array([vocab.get(tok, oov_row) for tok in tokens], dtype=np.int64)
 
 
-def encode_bag(tokens: list[str], embeddings: EmbeddingTable) -> np.ndarray:
-    """Arithmetic mean of the token vectors; empty sentences encode to zero."""
-    if not tokens:
-        return np.zeros(embeddings.dimension)
-    return np.mean([embeddings.vector(tok) for tok in tokens], axis=0)
-
-
 def _encode_bag_rows(rows: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of the embedding rows; empty sentences encode to zero."""
     if rows.size == 0:
         return np.zeros(emb.shape[1])
     return emb[rows].mean(axis=0)
@@ -296,10 +295,24 @@ def loss_and_gradients(batch, params: ModelParameters):
 
 
 CHECKPOINT_MAGIC = "hyponli-checkpoint"
+CHECKPOINT_VERSION = 1
+_HEADER_KEYS = frozenset({"format", "version", "config", "scheme", "vocab", "arrays"})
+
+
+def _array_shapes(config: ModelConfig, n_vocab: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter array, in checkpoint order."""
+    d, H, m, n = (config.embedding_dim, config.hidden_dim,
+                  config.mlp_hidden, config.n_labels)
+    shapes = [("emb", (n_vocab + 1, d))]
+    if config.encoder_kind == "birnn-maxpool":
+        lstm = [(4 * H, d), (4 * H, H), (4 * H,)]
+        shapes += list(zip(_LSTM_ARRAYS, lstm + lstm))
+    shapes += list(zip(_MLP_ARRAYS, [(m, config.encoding_dim), (m,), (n, m), (n,)]))
+    return shapes
 
 
 def save_checkpoint(params: ModelParameters, path) -> None:
-    """Write config + scheme + vocab + flat arrays.
+    """Write config + scheme + vocab + flat arrays, atomically.
 
     Layout: one UTF-8 JSON header line describing config, scheme, vocab,
     and an array manifest (name, shape), followed by each array's raw
@@ -309,13 +322,13 @@ def save_checkpoint(params: ModelParameters, path) -> None:
     names = params.array_names()
     header = {
         "format": CHECKPOINT_MAGIC,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "scheme": {"id": params.scheme.scheme_id, "labels": params.scheme.names},
         "vocab": params.vocab.tokens,
         "arrays": [{"name": n, "shape": list(params.array(n).shape)} for n in names],
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         fh.write(b"\n")
         for name in names:
@@ -323,21 +336,50 @@ def save_checkpoint(params: ModelParameters, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParameters:
+    """Read a save_checkpoint file.
+
+    Raises ValueError naming the path and the reason when the header is
+    not the expected object, the version is not 1, the manifest does not
+    match the shapes the config implies, an array is cut short, or bytes
+    follow the last array.
+    """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_MAGIC:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from exc
+        if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+            raise ValueError(f"{path}: checkpoint header is not an object with keys "
+                             f"{', '.join(sorted(_HEADER_KEYS))}")
+        if header["format"] != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} file")
-        config = ModelConfig(**header["config"])
-        labels = tuple(Label(name, i) for i, name in enumerate(header["scheme"]["labels"]))
-        scheme = LabelScheme(labels, header["scheme"]["id"])
-        vocab = Vocabulary()
-        for tok in header["vocab"]:
-            vocab.add(tok)
-        vocab.freeze()
+        if header["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: checkpoint version {header['version']!r} is not "
+                             f"{CHECKPOINT_VERSION}")
+        try:
+            config = ModelConfig(**header["config"])
+            labels = tuple(Label(name, i) for i, name in enumerate(header["scheme"]["labels"]))
+            scheme = LabelScheme(labels, header["scheme"]["id"])
+            vocab = Vocabulary()
+            for tok in header["vocab"]:
+                vocab.add(tok)
+            vocab.freeze()
+            expected = _array_shapes(config, len(vocab))
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+        if header["arrays"] != [{"name": n, "shape": list(s)} for n, s in expected]:
+            raise ValueError(f"{path}: array manifest does not match the model config")
         arrays = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return ModelParameters(config, scheme, vocab, arrays)
+        for name, shape in expected:
+            size = 8 * math.prod(shape)
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ValueError(f"{path}: array {name!r} is truncated "
+                                 f"({len(buf)} of {size} bytes)")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
+    try:
+        return ModelParameters(config, scheme, vocab, arrays)
+    except (ValueError, NumericalError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import THREE_WAY, Label, LabelScheme
+from .corpus import Label, LabelScheme
 from .text import tokenize
 
 
@@ -94,26 +94,12 @@ class LabelWordCounts:
         return out
 
 
-def count_corpus(instances, tokenizer=tokenize,
-                 scheme: LabelScheme | None = None) -> LabelWordCounts:
+def count_corpus(instances, scheme: LabelScheme) -> LabelWordCounts:
     """Accumulate counts over hypothesis tokens only; premises untouched."""
-    if scheme is None:
-        scheme = _scheme_of(instances) if instances else THREE_WAY
     counts = LabelWordCounts(scheme)
     for inst in instances:
-        counts.add_sentence(tokenizer(inst.hypothesis), inst.label)
+        counts.add_sentence(tokenize(inst.hypothesis), inst.label)
     return counts
-
-
-def _scheme_of(instances) -> LabelScheme:
-    seen = {inst.label.index: inst.label for inst in instances}
-    hi = max(seen)
-    labels = []
-    for i in range(hi + 1):
-        labels.append(seen.get(i, Label(f"label-{i}", i)))
-    if len(labels) < 2:
-        labels.append(Label("label-1", 1))
-    return LabelScheme(tuple(labels), "observed")
 
 
 def p_label_given_word(counts: LabelWordCounts, token: str, label: Label) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, NLIInstance, THREE_WAY, TWO_WAY
+from .corpus import ConfigError, Dataset, NLIInstance, THREE_WAY, TWO_WAY
 from .text import tokenize
 
 
@@ -125,15 +125,29 @@ def bayes_accuracy(spec: SynthSpec) -> float:
     return 100.0 * total
 
 
+_REQUIRED_SPEC_KEYS = ("n_labels", "label_prior", "vocab_size", "sentence_length", "seed")
+
+
 def spec_from_dict(data: dict) -> SynthSpec:
     """Build a spec from parsed JSON; label names in giveaways may be given
-    instead of indices."""
+    instead of indices. A missing key, a giveaway entry that is not
+    [token, label, rate] or an unknown label name raises ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError("synth spec must be a JSON object")
+    missing = [key for key in _REQUIRED_SPEC_KEYS if key not in data]
+    if missing:
+        raise ConfigError(f"synth spec lacks key(s): {', '.join(missing)}")
     n_labels = int(data["n_labels"])
     scheme = TWO_WAY if n_labels == 2 else THREE_WAY
     giveaway = []
     for entry in data.get("giveaway", []):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ConfigError(f"giveaway entry {entry!r} is not [token, label, rate]")
         token, target, rate = entry
         if isinstance(target, str):
+            if target not in scheme:
+                raise ConfigError(f"giveaway entry {entry!r}: label {target!r} is not "
+                                  f"one of {', '.join(scheme.names)}")
             target = scheme.by_name(target).index
         giveaway.append((str(token), int(target), float(rate)))
     return SynthSpec(

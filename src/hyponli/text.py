@@ -81,32 +81,15 @@ class Vocabulary:
         return self
 
     @classmethod
-    def from_texts(cls, texts, tokenizer=tokenize) -> "Vocabulary":
+    def from_texts(cls, texts) -> "Vocabulary":
         vocab = cls()
         for text in texts:
-            for tok in tokenizer(text):
-                vocab.add(tok)
-        return vocab.freeze()
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for idx, tok in enumerate(self._tokens):
-                fh.write(f"{idx}\t{tok}\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        vocab = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                _, tok = line.split("\t", 1)
+            for tok in tokenize(text):
                 vocab.add(tok)
         return vocab.freeze()
 
 
-def build_vocabulary(dataset, tokenizer=tokenize) -> Vocabulary:
+def build_vocabulary(dataset) -> Vocabulary:
     """Vocabulary over every hypothesis in every split (lookup only;
     labels contribute no signal to it)."""
     texts = []
@@ -116,7 +99,7 @@ def build_vocabulary(dataset, tokenizer=tokenize) -> Vocabulary:
     for name, split in dataset.splits.items():
         if name not in ("train", "dev", "test"):
             texts.extend(inst.hypothesis for inst in split)
-    return Vocabulary.from_texts(texts, tokenizer)
+    return Vocabulary.from_texts(texts)
 
 
 class EmbeddingTable:

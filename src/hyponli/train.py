@@ -103,8 +103,7 @@ def _default_dev_eval(dev_tokens, dev_labels):
     return evaluate
 
 
-def fit(train, dev, params: ModelParameters, config: TrainConfig,
-        tokenizer=tokenize, dev_eval=None):
+def fit(train, dev, params: ModelParameters, config: TrainConfig, dev_eval=None):
     """Train params on the train split, stopping per the schedule.
 
     dev_eval, when given, must be a callable(params) -> accuracy; it
@@ -114,9 +113,9 @@ def fit(train, dev, params: ModelParameters, config: TrainConfig,
     """
     if not train or not dev:
         raise ValueError("train and dev splits must both be nonempty")
-    tok_train = [(tokenizer(inst.hypothesis), inst.label) for inst in train]
+    tok_train = [(tokenize(inst.hypothesis), inst.label) for inst in train]
     if dev_eval is None:
-        dev_eval = _default_dev_eval([tokenizer(inst.hypothesis) for inst in dev],
+        dev_eval = _default_dev_eval([tokenize(inst.hypothesis) for inst in dev],
                                      [inst.label for inst in dev])
 
     state = TrainState()

@@ -3,7 +3,30 @@
 from __future__ import annotations
 
 import os
-import tempfile
+from contextlib import contextmanager
+
+
+@contextmanager
+def atomic_open(path):
+    """Binary handle on a temp file in the target directory.
+
+    The temp file replaces path when the block exits normally and is
+    removed when it raises, so readers never see a partial file. It is
+    created with mode 0o666 so the umask sets the permissions, as open()
+    does.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -12,14 +35,5 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(data)

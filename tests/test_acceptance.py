@@ -231,8 +231,7 @@ def test_criterion_5_schedule_trace():
 
 
 # --------------------------------------------------------------------------
-# Criterion 6: end-to-end synthetic recovery. One shared training run also
-# backs criterion 7.
+# Criterion 6: end-to-end synthetic recovery.
 # --------------------------------------------------------------------------
 
 RECOVERY_SPEC = synth.SynthSpec(
@@ -283,7 +282,7 @@ def test_criterion_6_synthetic_recovery(recovery_run):
         bayes = synth.bayes_accuracy(RECOVERY_SPEC)
         preds = model.predict_batch([text.tokenize(x.hypothesis) for x in te], best)
         acc = evaluate.accuracy(preds, [x.label for x in te])
-        maj = corpus.majority_label(tr)
+        maj = corpus.majority_label([x.label for x in tr])
         maj_acc = stats.majority_accuracy(te, maj)
         assert acc > maj_acc
         assert bayes - acc <= 2.0, (acc, bayes)
@@ -297,21 +296,54 @@ def test_criterion_6_synthetic_recovery(recovery_run):
         preds0 = model.predict_batch([text.tokenize(x.hypothesis) for x in te0], best0)
         assert evaluate.constant_prediction_check(preds0) is True
         acc0 = evaluate.accuracy(preds0, [x.label for x in te0])
-        maj0_acc = stats.majority_accuracy(te0, corpus.majority_label(tr0))
+        maj0_acc = stats.majority_accuracy(te0, corpus.majority_label([x.label for x in tr0]))
         assert abs(acc0 - maj0_acc) <= 1.5
 
 
 # --------------------------------------------------------------------------
-# Criterion 7: premise invariance of a trained model on 1,000 instances.
+# Criterion 7: premise invariance, end to end. train-eval on corpora whose
+# premises are replaced by random text writes the same bytes as on the
+# originals, with a 1,000-instance test split.
 # --------------------------------------------------------------------------
 
-def test_criterion_7_premise_invariance(recovery_run):
-    with criterion(7, "predictions bit-identical under premise replacement"):
-        _, _, te, best, _ = recovery_run
-        assert len(te) == 1000
-        dataset = corpus.Dataset("audit", RECOVERY_SPEC.scheme, {"test": te})
-        assert evaluate.premise_invariance_audit(best, dataset,
-                                                 perturbation_seed=77) is True
+def _random_sentence(rng) -> str:
+    """3-8 random lowercase words of 2-7 letters."""
+    lengths = rng.integers(2, 8, int(rng.integers(3, 9)))
+    return " ".join("".join(chr(ord("a") + int(c)) for c in rng.integers(0, 26, n))
+                    for n in lengths)
+
+
+def test_criterion_7_premise_invariance(tmp_path, monkeypatch):
+    with criterion(7, "train-eval artifacts byte-identical under premise replacement"):
+        spec = dataclasses.replace(RECOVERY_SPEC, seed=700)
+        splits = {}
+        for name, n, s in (("train", 2000, 700), ("dev", 400, 701), ("test", 1000, 702)):
+            splits[name] = synth.generate(dataclasses.replace(spec, seed=s), n).split("train")
+        assert len(splits["test"]) >= 1000
+        rng = np.random.default_rng(77)
+        perturbed = {name: [dataclasses.replace(inst, premise=_random_sentence(rng))
+                            for inst in insts]
+                     for name, insts in splits.items()}
+        assert all(a.premise != b.premise
+                   for name in splits for a, b in zip(splits[name], perturbed[name]))
+        artifacts = ("train_log.csv", "model.ckpt", "report.md", "report.csv")
+        contents = []
+        for run, data in (("original", splits), ("perturbed", perturbed)):
+            run_dir = tmp_path / run
+            for name, insts in data.items():
+                corpus.write_jsonl(insts, run_dir / f"{name}.jsonl")
+            monkeypatch.chdir(run_dir)
+            rc = cli.main([
+                "train-eval", "--train", "train.jsonl", "--dev", "dev.jsonl",
+                "--test", "test.jsonl", "--out-dir", "out", "--seed", "7",
+                "--encoder", "bag", "--embedding-dim", "16", "--mlp-hidden", "32",
+                "--max-epochs", "5", "--batch-size", "64", "--finetune-embeddings",
+            ])
+            assert rc == 0
+            contents.append({name: (run_dir / "out" / name).read_bytes()
+                             for name in artifacts})
+        for name in artifacts:
+            assert contents[0][name] == contents[1][name], name
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +399,7 @@ def test_criterion_9_snli_checks():
         train_insts, _ = corpus.read_jsonl(train_path, snli_map, scheme)
         dev_insts, _ = corpus.read_jsonl(dev_path, snli_map, scheme)
 
-        maj = corpus.majority_label(train_insts)
+        maj = corpus.majority_label([x.label for x in train_insts])
         maj_acc = stats.majority_accuracy(dev_insts, maj)
         assert abs(maj_acc - 33.82) <= 0.05
 

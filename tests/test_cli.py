@@ -71,6 +71,24 @@ class TestSynthCommand:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("change, named", [
+        ({"seed": None}, "seed"),
+        ({"giveaway": [["give0", "entail", 1.0]]}, "entail"),
+        ({"giveaway": [5]}, "5"),
+    ])
+    def test_spec_error_is_one_line(self, tmp_path, synth_spec_file, capsys, change, named):
+        with open(synth_spec_file, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec.update(change)
+        spec = {key: value for key, value in spec.items() if value is not None}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec), encoding="utf-8")
+        rc = main(["synth", "--spec-file", str(bad), "--n", "10",
+                   "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
     def test_rerun_byte_identical(self, tmp_path, synth_spec_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -163,7 +181,6 @@ class TestTrainEvalCommand:
             assert (out / name).exists()
         report = (out / "report.md").read_text()
         assert "Hyp-Only" in report and "MAJ" in report
-        assert "premise invariance audit: passed" in report
         assert "constant prediction" in report
         # fully separable corpus: hyp-only accuracy near 100 on dev
         csv_text = (out / "report.csv").read_text()

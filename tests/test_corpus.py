@@ -178,12 +178,12 @@ class TestRandomSplit:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            random_split([], seed=0)
+            random_split([], seed=0, scheme=THREE_WAY)
 
     def test_bad_ratios_rejected(self):
         instances = make_instances([("h", "neutral")])
         with pytest.raises(ValueError):
-            random_split(instances, ratios=(0.5, 0.2, 0.2), seed=0)
+            random_split(instances, ratios=(0.5, 0.2, 0.2), seed=0, scheme=THREE_WAY)
 
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
@@ -196,17 +196,21 @@ class TestRandomSplit:
         assert set(ids) == {f"i{i}" for i in range(n)}
 
 
+def labels_of(instances):
+    return [inst.label for inst in instances]
+
+
 class TestMajorityLabel:
     def test_simple(self):
         instances = make_instances([("a", "entailment"), ("b", "entailment"),
                                     ("c", "neutral")])
-        assert majority_label(instances).name == "entailment"
+        assert majority_label(labels_of(instances)).name == "entailment"
 
     def test_tie_takes_lowest_index(self):
         instances = make_instances([("a", "entailment"), ("b", "neutral")])
-        assert majority_label(instances).name == "entailment"
+        assert majority_label(labels_of(instances)).name == "entailment"
         instances = make_instances([("a", "contradiction"), ("b", "neutral")])
-        assert majority_label(instances).name == "neutral"
+        assert majority_label(labels_of(instances)).name == "neutral"
 
     def test_counted_on_generated_prior(self):
         rng = np.random.default_rng(42)
@@ -215,7 +219,7 @@ class TestMajorityLabel:
         instances = make_instances([(f"h{i}", names[d]) for i, d in enumerate(draws)])
         # independent count
         expected = max(range(3), key=lambda i: (np.sum(draws == i), -i))
-        assert majority_label(instances).index == expected
+        assert majority_label(labels_of(instances)).index == expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from hyponli import evaluate
-from hyponli.corpus import THREE_WAY, TWO_WAY, Dataset, NLIInstance, majority_label
+from hyponli.corpus import THREE_WAY, TWO_WAY, NLIInstance, majority_label
 from hyponli.evaluate import (
     accuracy, build_report, confusion_sample, constant_prediction_check,
     delta_report, fmt2, per_class_accuracy, per_group_accuracy,
-    premise_invariance_audit, report_csv, report_markdown,
+    report_csv, report_markdown,
 )
 from hyponli.model import ModelConfig, ModelParameters, predict
 from hyponli.text import Vocabulary, seeded_random_embeddings, tokenize
@@ -137,22 +137,8 @@ def trained_params(seed=0):
 
 
 class TestPremiseInvariance:
-    def test_any_model_is_invariant(self):
-        params = trained_params()
-        instances = make_instances([("alpha beta", "neutral"),
-                                    ("gamma", "entailment"),
-                                    ("delta epsilon alpha", "contradiction")])
-        ds = Dataset("d", THREE_WAY, {"dev": instances})
-        assert premise_invariance_audit(params, ds, perturbation_seed=1) is True
-
-    def test_empty_premises_replacement(self):
-        params = trained_params()
-        instances = [NLIInstance("", "alpha", THREE_WAY.by_index(0), "i0")]
-        ds = Dataset("d", THREE_WAY, {"dev": instances})
-        assert premise_invariance_audit(params, ds, perturbation_seed=2) is True
-
     def test_hypothesis_perturbation_changes_predictions(self):
-        # witness: the same audit applied to hypotheses is NOT invariant
+        # witness: changing the hypothesis does change the prediction
         params = trained_params()
         a = predict(tokenize("alpha beta"), params)
         b = predict(tokenize("gamma delta epsilon"), params)
@@ -216,7 +202,7 @@ class TestReports:
             ("d", "contradiction"),
         ])
         preds = [E, E, N, N]
-        maj = majority_label(instances)
+        maj = majority_label([inst.label for inst in instances])
         return build_report("dev", preds, instances, maj)
 
     def test_delta_invariant(self):

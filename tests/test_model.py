@@ -1,15 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyponli import kernels, model
+from hyponli import model
 from hyponli.corpus import THREE_WAY, TWO_WAY
 from hyponli.model import (
-    ModelConfig, ModelParameters, classify, encode_bag, encode_birnn_maxpool,
-    load_checkpoint, loss_and_gradients, predict, save_checkpoint,
+    ModelConfig, ModelParameters, _encode_bag_rows, classify, encode_birnn_maxpool,
+    load_checkpoint, loss_and_gradients, predict, save_checkpoint, token_rows,
 )
 from hyponli.text import EmbeddingTable, Vocabulary, seeded_random_embeddings
 
@@ -42,31 +43,38 @@ def random_batch(params, rng, size=4, max_len=6):
     return batch
 
 
+def bag_mean(tokens, vocab, table):
+    """The bag encoding of tokens through the model's row-index path."""
+    rows = token_rows(tokens, vocab, len(vocab))
+    return _encode_bag_rows(rows, table.matrix_for(vocab))
+
+
 class TestEncodeBag:
     def test_single_token_is_its_vector(self):
         vocab = small_vocab(3)
         table = seeded_random_embeddings(vocab, 5, seed=0)
-        assert np.array_equal(encode_bag(["t1"], table), table.vector("t1"))
+        assert np.array_equal(bag_mean(["t1"], vocab, table), table.vector("t1"))
 
     def test_permutation_invariant(self):
         vocab = small_vocab(4)
         table = seeded_random_embeddings(vocab, 5, seed=0)
-        a = encode_bag(["t0", "t1", "t2"], table)
-        b = encode_bag(["t2", "t0", "t1"], table)
+        a = bag_mean(["t0", "t1", "t2"], vocab, table)
+        b = bag_mean(["t2", "t0", "t1"], vocab, table)
         assert np.allclose(a, b)
 
     def test_hand_computed_mean(self):
+        vocab = Vocabulary.from_texts(["x y z"])
         table = EmbeddingTable(
             2,
             {"x": np.array([1.0, 4.0]), "y": np.array([2.0, -2.0]),
              "z": np.array([3.0, 1.0])},
             np.zeros(2), source="file")
-        assert np.array_equal(encode_bag(["x", "y", "z"], table), [2.0, 1.0])
+        assert np.array_equal(bag_mean(["x", "y", "z"], vocab, table), [2.0, 1.0])
 
     def test_empty_sentence_is_zero(self):
         vocab = small_vocab(1)
         table = seeded_random_embeddings(vocab, 7, seed=0)
-        assert np.array_equal(encode_bag([], table), np.zeros(7))
+        assert np.array_equal(bag_mean([], vocab, table), np.zeros(7))
 
 
 class TestEncodeBirnn:
@@ -149,32 +157,6 @@ class TestEncodeBirnn:
         expected = [max(cat[t][j] for t in range(len(tokens))) for j in range(2 * H)]
         enc = encode_birnn_maxpool(tokens, params)
         assert np.allclose(enc, expected, rtol=1e-12, atol=1e-14)
-
-
-class TestBackendConsistency:
-    def test_numba_and_numpy_forward_agree(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(6, 8))
-        wx = rng.normal(size=(16, 8)) * 0.3
-        wh = rng.normal(size=(16, 4)) * 0.3
-        b = rng.normal(size=16) * 0.1
-        active = kernels.lstm_forward(x, wx, wh, b)
-        reference = kernels._lstm_forward(x, wx, wh, b)
-        for a, r in zip(active, reference):
-            assert np.allclose(a, r, rtol=1e-12, atol=1e-15)
-
-    def test_numba_and_numpy_backward_agree(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(5, 8))
-        wx = rng.normal(size=(16, 8)) * 0.3
-        wh = rng.normal(size=(16, 4)) * 0.3
-        b = rng.normal(size=16) * 0.1
-        fwd = kernels._lstm_forward(x, wx, wh, b)
-        dh = rng.normal(size=(5, 4))
-        active = kernels.lstm_backward(x, wx, wh, *fwd, dh)
-        reference = kernels._lstm_backward(x, wx, wh, *fwd, dh)
-        for a, r in zip(active, reference):
-            assert np.allclose(a, r, rtol=1e-12, atol=1e-15)
 
 
 class TestClassify:
@@ -285,18 +267,6 @@ class TestPredict:
             assert pred.label == params.scheme.by_index(int(np.argmax(pred.logits)))
             assert abs(pred.probabilities.sum() - 1.0) < 1e-9
 
-    def test_bag_paths_agree(self):
-        # the model-internal matrix path equals the table-level operation
-        vocab = small_vocab(6)
-        table = seeded_random_embeddings(vocab, 5, seed=9)
-        cfg = ModelConfig("bag", embedding_dim=5, hidden_dim=2, mlp_hidden=4,
-                          n_labels=3, seed=9)
-        params = ModelParameters.init(cfg, table, vocab, THREE_WAY)
-        tokens = ["t0", "t3", "unseen-token"]
-        rows = model.token_rows(tokens, vocab, params.oov_row)
-        assert np.allclose(model._encode_bag_rows(rows, params.array("emb")),
-                           encode_bag(tokens, table))
-
 
 class TestDeterminism:
     def test_bit_identical_updates(self):
@@ -343,3 +313,80 @@ class TestCheckpoint:
         tokens = ["t2", "t9", "t1"]
         assert np.array_equal(predict(tokens, params).logits,
                               predict(tokens, back).logits)
+
+
+def valid_checkpoint(tmp_path, encoder="bag"):
+    """(path, header dict, array bytes) of a freshly saved checkpoint."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(make_params(encoder, seed=5), path)
+    head, _, body = path.read_bytes().partition(b"\n")
+    return path, json.loads(head), body
+
+
+def rewrite(path, header, body):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+class TestCheckpointValidation:
+    def expect_error(self, path, reason):
+        with pytest.raises(ValueError, match=reason) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_header_not_an_object(self, tmp_path):
+        path, header, body = valid_checkpoint(tmp_path)
+        rewrite(path, list(header), body)
+        self.expect_error(path, "not an object")
+
+    def test_header_missing_arrays(self, tmp_path):
+        path, header, body = valid_checkpoint(tmp_path)
+        del header["arrays"]
+        rewrite(path, header, body)
+        self.expect_error(path, "not an object with keys")
+
+    def test_unknown_version(self, tmp_path):
+        path, header, body = valid_checkpoint(tmp_path)
+        header["version"] = 99
+        rewrite(path, header, body)
+        self.expect_error(path, "version 99")
+
+    def test_renamed_arrays(self, tmp_path):
+        path, header, body = valid_checkpoint(tmp_path)
+        for spec in header["arrays"]:
+            spec["name"] = "x_" + spec["name"]
+        rewrite(path, header, body)
+        self.expect_error(path, "manifest does not match")
+
+    def test_shape_disagrees_with_config(self, tmp_path):
+        path, header, body = valid_checkpoint(tmp_path, "birnn-maxpool")
+        header["config"]["hidden_dim"] += 1
+        rewrite(path, header, body)
+        self.expect_error(path, "manifest does not match")
+
+    def test_truncated_array_is_named(self, tmp_path):
+        path, _, _ = valid_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes()[:-5])
+        self.expect_error(path, "array 'mlp_b2' is truncated")
+
+    def test_trailing_bytes(self, tmp_path):
+        path, _, _ = valid_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        self.expect_error(path, "trailing bytes")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_damaged_files_load_or_raise_value_error(self, tmp_path, data):
+        encoder = data.draw(st.sampled_from(["bag", "birnn-maxpool"]))
+        path, _, _ = valid_checkpoint(tmp_path, encoder)
+        blob = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        if data.draw(st.booleans()):
+            del blob[pos:]
+        else:
+            blob[pos] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            pass

@@ -77,13 +77,6 @@ class TestVocabulary:
         vocab = small_vocab(["a"])
         assert vocab.add("a") == 0
 
-    def test_dump_load_round_trip(self, tmp_path):
-        vocab = small_vocab(["alpha", "Beta", "gamma-3"])
-        path = tmp_path / "vocab.txt"
-        vocab.dump(path)
-        back = Vocabulary.load(path)
-        assert back.tokens == vocab.tokens
-
 
 class TestLoadEmbeddings:
     def write(self, tmp_path, lines):

@@ -1,0 +1,32 @@
+import os
+
+import pytest
+
+from hyponli.util import atomic_open, atomic_write_text
+
+
+def mode(path):
+    return os.stat(path).st_mode & 0o777
+
+
+class TestAtomicOpen:
+    def test_permissions_follow_umask(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x", encoding="utf-8")
+        atomic_write_text(tmp_path / "atomic.txt", "x")
+        assert mode(tmp_path / "atomic.txt") == mode(plain)
+
+    def test_failed_write_leaves_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_open(target) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert target.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["out.bin"]
+
+    def test_creates_missing_directory(self, tmp_path):
+        target = tmp_path / "a" / "b" / "out.txt"
+        atomic_write_text(target, "done\n")
+        assert target.read_text(encoding="utf-8") == "done\n"
