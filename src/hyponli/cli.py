@@ -12,6 +12,7 @@ win. HYPONLI_OUT_DIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,12 +30,18 @@ def _resolve_scheme(args) -> corpus.LabelScheme:
 
 
 def _parse_tsv_columns(spec: str) -> corpus.ColumnSpec:
+    roles = [f.name for f in dataclasses.fields(corpus.ColumnSpec)]
     kwargs = {}
-    for part in spec.split(","):
-        if not part.strip():
-            continue
-        key, _, value = part.partition("=")
-        kwargs[key.strip()] = int(value)
+    for part in filter(str.strip, spec.split(",")):
+        key, _, value = (s.strip() for s in part.partition("="))
+        if key not in roles or not value.isdecimal():  # int() takes every decimal digit
+            raise corpus.ConfigError(f"--tsv-columns: {part.strip()!r} is not role=column, "
+                                     f"with a role among {', '.join(roles)} and a "
+                                     f"non-negative integer column")
+        kwargs[key] = int(value)
+    missing = [role for role in ("premise", "hypothesis", "label") if role not in kwargs]
+    if missing:
+        raise corpus.ConfigError(f"--tsv-columns {spec!r}: no column for {', '.join(missing)}")
     return corpus.ColumnSpec(**kwargs)
 
 
@@ -159,8 +166,11 @@ def cmd_train_eval(args) -> int:
     splits = {"train": train_insts, "dev": dev_insts}
     if test_insts:
         splits["test"] = test_insts
-    dataset = corpus.Dataset("cli", scheme, splits)
-    vocab = text.build_vocabulary(dataset)
+    # one id array per hypothesis, train first, then dev, then test
+    vocab, ids = text.intern([inst.hypothesis for insts in splits.values() for inst in insts])
+    rows = iter(ids)
+    examples = {name: [(next(rows), inst.label) for inst in insts]
+                for name, insts in splits.items()}
     params = _build_model(args, scheme, vocab, args.seed)
     train_config = train.TrainConfig(
         lr0=args.lr0, decay=args.decay, divide_on_decline=args.divide_on_decline,
@@ -169,7 +179,8 @@ def cmd_train_eval(args) -> int:
     )
     out = args.out_dir
     try:
-        best_params, state = train.fit(train_insts, dev_insts, params, train_config)
+        best_params, state = train.fit(examples["train"], examples["dev"], params,
+                                       train_config)
     except train.TrainAbort as exc:
         dump = os.path.join(out, "train_abort.csv")
         atomic_write_text(dump, exc.state.log_csv())
@@ -181,8 +192,7 @@ def cmd_train_eval(args) -> int:
     for name in ("dev", "test"):
         if name not in splits:
             continue
-        sentences = [text.tokenize(inst.hypothesis) for inst in splits[name]]
-        preds = model.predict_batch(sentences, best_params)
+        preds = model.predict_batch([rows for rows, _ in examples[name]], best_params)
         reports.append(evaluate.build_report(name, preds, splits[name], maj))
 
     atomic_write_text(os.path.join(out, "train_log.csv"), state.log_csv())
@@ -214,7 +224,7 @@ def cmd_synth(args) -> int:
 def cmd_audit_sample(args) -> int:
     params = model.load_checkpoint(args.checkpoint)
     instances, _, _ = _read_instances(args.data, args, params.scheme)
-    sentences = [text.tokenize(inst.hypothesis) for inst in instances]
+    sentences = [params.vocab.encode(text.tokenize(inst.hypothesis)) for inst in instances]
     preds = model.predict_batch(sentences, params)
     gold = [inst.label for inst in instances]
     ids = [inst.instance_id for inst in instances]

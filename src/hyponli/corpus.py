@@ -169,6 +169,20 @@ def _build_instance(premise, hypothesis, label_name, scheme, group, ordinal, ins
     )
 
 
+def _numbered_lines(fh, path):
+    """(line number, line) pairs of a file opened as UTF-8 text. A byte
+    sequence that is not UTF-8 raises IngestError naming its line."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        # text files decode in chunks, so a second pass finds the line;
+        # surrogateescape turns each undecodable byte into U+DC80..U+DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape") as again:
+            lineno = next((n for n, line in enumerate(again, start=1)
+                           if any("\udc80" <= ch <= "\udcff" for ch in line)), "?")
+        raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+
+
 def read_jsonl(path, field_map: FieldMap, scheme: LabelScheme):
     """Read a JSONL corpus file.
 
@@ -180,13 +194,14 @@ def read_jsonl(path, field_map: FieldMap, scheme: LabelScheme):
     instances: list[NLIInstance] = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _numbered_lines(fh, path):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+                reason = getattr(exc, "msg", exc)
+                raise IngestError(f"{path}: line {lineno}: invalid JSON ({reason})") from exc
             if not isinstance(record, dict):
                 raise IngestError(f"{path}: line {lineno}: record is not an object")
             for role in ("premise", "hypothesis", "label"):
@@ -206,7 +221,7 @@ def read_jsonl(path, field_map: FieldMap, scheme: LabelScheme):
             if field_map.ordinal is not None and record.get(field_map.ordinal) is not None:
                 try:
                     ordinal = int(record[field_map.ordinal])
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise IngestError(f"{path}: line {lineno}: bad ordinal") from exc
             if field_map.id is not None and record.get(field_map.id) is not None:
                 instance_id = str(record[field_map.id])
@@ -233,7 +248,7 @@ def read_tsv(path, columns: ColumnSpec, scheme: LabelScheme):
     skipped = 0
     width = columns.required_width()
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _numbered_lines(fh, path):
             if not line.strip():
                 continue
             cells = line.rstrip("\n").split("\t")

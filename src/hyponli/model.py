@@ -117,10 +117,6 @@ class ModelParameters:
             names = ["emb"] + names
         return names
 
-    @property
-    def oov_row(self) -> int:
-        return len(self.vocab)
-
     def clone(self) -> "ModelParameters":
         arrays = {name: arr.copy() for name, arr in self._arrays.items()}
         return ModelParameters(self.config, self.scheme, self.vocab, arrays)
@@ -136,10 +132,6 @@ class Prediction:
     logits: np.ndarray
     label: Label
     probabilities: np.ndarray
-
-
-def token_rows(tokens: list[str], vocab: Vocabulary, oov_row: int) -> np.ndarray:
-    return np.array([vocab.get(tok, oov_row) for tok in tokens], dtype=np.int64)
 
 
 def _encode_bag_rows(rows: np.ndarray, emb: np.ndarray) -> np.ndarray:
@@ -166,10 +158,10 @@ def _birnn_states(rows: np.ndarray, params: ModelParameters):
     return x, fwd, bwd, h_cat
 
 
-def encode_birnn_maxpool(tokens: list[str], params: ModelParameters) -> np.ndarray:
+def encode_birnn_maxpool(rows: np.ndarray, params: ModelParameters) -> np.ndarray:
     """Elementwise max over timesteps of the concatenated [forward;
-    backward] hidden states; empty sentences encode to zero."""
-    rows = token_rows(tokens, params.vocab, params.oov_row)
+    backward] hidden states of the embedding rows (token ids); empty
+    sentences encode to zero."""
     if rows.size == 0:
         return np.zeros(params.config.encoding_dim)
     _, _, _, h_cat = _birnn_states(rows, params)
@@ -196,22 +188,21 @@ def classify(encoding: np.ndarray, params: ModelParameters) -> Prediction:
                       probabilities=probs)
 
 
-def predict(tokens: list[str], params: ModelParameters) -> Prediction:
-    """Classify one hypothesis from its tokens alone."""
+def predict(rows: np.ndarray, params: ModelParameters) -> Prediction:
+    """Classify one hypothesis from its token ids alone."""
     if params.config.encoder_kind == "bag":
-        rows = token_rows(tokens, params.vocab, params.oov_row)
         encoding = _encode_bag_rows(rows, params.array("emb"))
     else:
-        encoding = encode_birnn_maxpool(tokens, params)
+        encoding = encode_birnn_maxpool(rows, params)
     return classify(encoding, params)
 
 
 def predict_batch(sentences, params: ModelParameters) -> list[Prediction]:
-    return [predict(tokens, params) for tokens in sentences]
+    return [predict(rows, params) for rows in sentences]
 
 
 def loss_and_gradients(batch, params: ModelParameters):
-    """Mean negative log-likelihood over (tokens, Label) pairs, with
+    """Mean negative log-likelihood over (token ids, Label) pairs, with
     backpropagated gradients for every trainable array.
 
     Max-pool subgradients route to the argmax timestep (earliest on ties).
@@ -223,8 +214,7 @@ def loss_and_gradients(batch, params: ModelParameters):
     B = len(batch)
     enc = np.zeros((B, cfg.encoding_dim))
     caches = []
-    for k, (tokens, _) in enumerate(batch):
-        rows = token_rows(tokens, params.vocab, params.oov_row)
+    for k, (rows, _) in enumerate(batch):
         if cfg.encoder_kind == "bag":
             enc[k] = _encode_bag_rows(rows, emb)
             caches.append(rows)

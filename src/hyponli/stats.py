@@ -3,7 +3,9 @@
 Word/label counts give p(l|w) = count(w,l) / count(w); token-occurrence
 counts back the probabilities while sentence-level presence counts back
 the coverage curves (a sentence is covered when it contains at least one
-sufficiently label-specific word).
+sufficiently label-specific word). Every statistic is computed from one
+interned corpus: a vocabulary, the token ids of all hypotheses end to
+end, and each sentence's offset into them.
 """
 
 from __future__ import annotations
@@ -15,91 +17,77 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Label, LabelScheme
-from .text import tokenize
+from .text import Vocabulary, intern
 
 
 class LabelWordCounts:
-    """Co-occurrence counts between hypothesis tokens and labels.
+    """Co-occurrence counts between hypothesis tokens and labels, as arrays.
 
-    count_wl / count_w count token occurrences; count_l counts sentences
-    per label; presence_wl counts sentences of a label containing a token
-    at least once. Per-sentence unique-token sets are retained so coverage
-    can be recomputed at any threshold.
+    The corpus itself is kept in CSR form: sentence i has the token ids
+    ids[indptr[i]:indptr[i + 1]] and the label index sentence_labels[i].
+    occ[w, l] counts occurrences of token id w in sentences of label l,
+    presence[w, l] the sentences of label l that contain w at least once,
+    and label_sentences[l] the sentences of label l. Rows of occ and
+    presence follow vocab, which holds exactly the tokens of the corpus.
     """
 
-    def __init__(self, scheme: LabelScheme):
+    def __init__(self, scheme: LabelScheme, vocab: Vocabulary, indptr: np.ndarray,
+                 ids: np.ndarray, sentence_labels: np.ndarray):
         self.scheme = scheme
-        self._occ: dict[str, np.ndarray] = {}
-        self._presence: dict[str, np.ndarray] = {}
-        self._label_sentences = np.zeros(len(scheme), dtype=np.int64)
-        self._sentences: list[tuple[int, tuple[str, ...]]] = []
+        self.vocab = vocab
+        self.indptr = indptr
+        self.ids = ids
+        self.sentence_labels = sentence_labels
+        n_labels, n_vocab = len(scheme), len(vocab)
+        lengths = np.diff(indptr)
+        sentence_of_token = np.repeat(np.arange(len(sentence_labels)), lengths)
+        self.label_sentences = np.bincount(sentence_labels, minlength=n_labels)
+        self.occ = self._by_label(ids, sentence_labels[sentence_of_token])
+        # one (sentence, token) pair per distinct token of a sentence; a
+        # sort is much faster than np.unique, which hashes integer keys
+        pairs = np.sort(sentence_of_token * n_vocab + ids)
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        self.presence = self._by_label(pairs % n_vocab, sentence_labels[pairs // n_vocab])
+
+    def _by_label(self, ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """A (V, L) table counting each (id, label) pair."""
+        table = np.zeros((len(self.vocab), len(self.scheme)), dtype=np.int64)
+        for li in range(len(self.scheme)):
+            table[:, li] = np.bincount(ids[labels == li], minlength=len(self.vocab))
+        return table
 
     @property
     def n_sentences(self) -> int:
-        return len(self._sentences)
+        return len(self.sentence_labels)
 
-    def tokens(self):
-        return self._occ.keys()
+    def tokens(self) -> list[str]:
+        return self.vocab.tokens
 
     def count_wl(self, token: str, label: Label) -> int:
-        vec = self._occ.get(token)
-        return int(vec[label.index]) if vec is not None else 0
+        idx = self.vocab.get(token)
+        return int(self.occ[idx, label.index]) if idx is not None else 0
 
     def count_w(self, token: str) -> int:
-        vec = self._occ.get(token)
-        return int(vec.sum()) if vec is not None else 0
+        idx = self.vocab.get(token)
+        return int(self.occ[idx].sum()) if idx is not None else 0
 
     def count_l(self, label: Label) -> int:
-        return int(self._label_sentences[label.index])
+        return int(self.label_sentences[label.index])
 
     def presence_wl(self, token: str, label: Label) -> int:
-        vec = self._presence.get(token)
-        return int(vec[label.index]) if vec is not None else 0
-
-    def add_sentence(self, tokens: list[str], label: Label) -> None:
-        n = len(self.scheme)
-        for tok in tokens:
-            vec = self._occ.get(tok)
-            if vec is None:
-                vec = self._occ[tok] = np.zeros(n, dtype=np.int64)
-            vec[label.index] += 1
-        uniq = tuple(sorted(set(tokens)))
-        for tok in uniq:
-            vec = self._presence.get(tok)
-            if vec is None:
-                vec = self._presence[tok] = np.zeros(n, dtype=np.int64)
-            vec[label.index] += 1
-        self._label_sentences[label.index] += 1
-        self._sentences.append((label.index, uniq))
-
-    def merge(self, other: "LabelWordCounts") -> "LabelWordCounts":
-        """Elementwise-additive merge; merging shards equals sequential
-        counting exactly."""
-        if other.scheme is not self.scheme and other.scheme != self.scheme:
-            raise ValueError("cannot merge counts over different schemes")
-        out = LabelWordCounts(self.scheme)
-        for src in (self, other):
-            for tok, vec in src._occ.items():
-                if tok in out._occ:
-                    out._occ[tok] = out._occ[tok] + vec
-                else:
-                    out._occ[tok] = vec.copy()
-            for tok, vec in src._presence.items():
-                if tok in out._presence:
-                    out._presence[tok] = out._presence[tok] + vec
-                else:
-                    out._presence[tok] = vec.copy()
-        out._label_sentences = self._label_sentences + other._label_sentences
-        out._sentences = self._sentences + other._sentences
-        return out
+        idx = self.vocab.get(token)
+        return int(self.presence[idx, label.index]) if idx is not None else 0
 
 
 def count_corpus(instances, scheme: LabelScheme) -> LabelWordCounts:
-    """Accumulate counts over hypothesis tokens only; premises untouched."""
-    counts = LabelWordCounts(scheme)
-    for inst in instances:
-        counts.add_sentence(tokenize(inst.hypothesis), inst.label)
-    return counts
+    """Count over hypothesis tokens only; premises untouched. Takes a
+    sequence of instances."""
+    vocab, ids = intern([inst.hypothesis for inst in instances])
+    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+    labels = np.array([inst.label.index for inst in instances], dtype=np.int64)
+    return LabelWordCounts(scheme, vocab, indptr, flat, labels)
 
 
 def p_label_given_word(counts: LabelWordCounts, token: str, label: Label) -> float:
@@ -108,13 +96,6 @@ def p_label_given_word(counts: LabelWordCounts, token: str, label: Label) -> flo
     if cw == 0:
         raise KeyError(f"token {token!r} unseen in corpus")
     return counts.count_wl(token, label) / cw
-
-
-def _argmax_label_and_score(counts: LabelWordCounts, token: str) -> tuple[int, float]:
-    vec = counts._occ[token]
-    cw = int(vec.sum())
-    idx = int(np.argmax(vec))  # ties resolve to the lowest label index
-    return idx, int(vec[idx]) / cw
 
 
 @dataclass(frozen=True)
@@ -137,12 +118,12 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
     buckets: dict[int, list[GiveawayEntry]] = {i: [] for i in range(len(counts.scheme))}
-    for token in counts.tokens():
-        freq = counts.count_w(token)
-        if freq < min_freq:
-            continue
-        idx, score = _argmax_label_and_score(counts, token)
-        buckets[idx].append(GiveawayEntry(token, counts.scheme.by_index(idx), score, freq))
+    freq = counts.occ.sum(axis=1)
+    best = counts.occ.argmax(axis=1)  # ties resolve to the lowest label index
+    for w in np.flatnonzero(freq >= min_freq):
+        idx, cw = int(best[w]), int(freq[w])
+        buckets[idx].append(GiveawayEntry(counts.vocab.token(w), counts.scheme.by_index(idx),
+                                          int(counts.occ[w, idx]) / cw, cw))
     out: dict[Label, list[GiveawayEntry]] = {}
     for idx, entries in buckets.items():
         entries.sort(key=lambda e: (-e.frequency, -e.score, e.token))
@@ -176,24 +157,15 @@ def _sentence_maxima(counts: LabelWordCounts, label: Label, per_label: bool) -> 
     Score of a token is max_l p(l|w), or p(label|w) when per_label is set.
     Sentences with no tokens get 0.0 so they count only at threshold 0.
     """
-    score: dict[str, float] = {}
-    maxima = []
-    for li, toks in counts._sentences:
-        if li != label.index:
-            continue
-        best = 0.0
-        for tok in toks:
-            s = score.get(tok)
-            if s is None:
-                if per_label:
-                    s = p_label_given_word(counts, tok, label)
-                else:
-                    _, s = _argmax_label_and_score(counts, tok)
-                score[tok] = s
-            if s > best:
-                best = s
-        maxima.append(best)
-    return np.array(maxima, dtype=np.float64)
+    occ = counts.occ
+    score = (occ[:, label.index] if per_label else occ.max(axis=1)) / occ.sum(axis=1)
+    maxima = np.zeros(counts.n_sentences)
+    # reduceat over the starts of the non-empty sentences only: each then
+    # spans exactly its own tokens, as the empty ones between hold none
+    nonempty = np.flatnonzero(np.diff(counts.indptr))
+    if nonempty.size:
+        maxima[nonempty] = np.maximum.reduceat(score[counts.ids], counts.indptr[nonempty])
+    return maxima[counts.sentence_labels == label.index]
 
 
 def coverage_count(counts: LabelWordCounts, label: Label, x: float,
@@ -252,15 +224,13 @@ def curves_to_csv(curves: list[CoverageCurve]) -> str:
 
 def counts_summary_csv(counts: LabelWordCounts) -> str:
     """Per-label sentence and token-occurrence totals."""
-    occ_totals = np.zeros(len(counts.scheme), dtype=np.int64)
-    for vec in counts._occ.values():
-        occ_totals += vec
+    occ_totals = counts.occ.sum(axis=0)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "sentences", "token_occurrences", "distinct_tokens"])
     for label in counts.scheme.labels:
-        distinct = sum(1 for vec in counts._occ.values() if vec[label.index] > 0)
+        distinct = np.count_nonzero(counts.occ[:, label.index])
         writer.writerow([label.name, counts.count_l(label),
                          int(occ_totals[label.index]), distinct])
-    writer.writerow(["TOTAL", counts.n_sentences, int(occ_totals.sum()), len(counts._occ)])
+    writer.writerow(["TOTAL", counts.n_sentences, int(occ_totals.sum()), len(counts.vocab)])
     return buf.getvalue()

@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary construction, and embedding lookup."""
+"""Tokenization, integer interning of token streams, and embedding lookup."""
 
 from __future__ import annotations
 
@@ -80,26 +80,23 @@ class Vocabulary:
         self.frozen = True
         return self
 
-    @classmethod
-    def from_texts(cls, texts) -> "Vocabulary":
-        vocab = cls()
-        for text in texts:
-            for tok in tokenize(text):
-                vocab.add(tok)
-        return vocab.freeze()
+    def encode(self, tokens) -> np.ndarray:
+        """Ids of tokens, with len(self) (the OOV row) for unknown ones."""
+        oov = len(self._tokens)
+        return np.array([self._index.get(tok, oov) for tok in tokens], dtype=np.int64)
 
 
-def build_vocabulary(dataset) -> Vocabulary:
-    """Vocabulary over every hypothesis in every split (lookup only;
-    labels contribute no signal to it)."""
-    texts = []
-    for name in ("train", "dev", "test"):
-        if name in dataset.splits:
-            texts.extend(inst.hypothesis for inst in dataset.splits[name])
-    for name, split in dataset.splits.items():
-        if name not in ("train", "dev", "test"):
-            texts.extend(inst.hypothesis for inst in split)
-    return Vocabulary.from_texts(texts)
+def intern(texts) -> tuple[Vocabulary, list[np.ndarray]]:
+    """Tokenize each text once and give every token an integer id.
+
+    Ids are assigned in order of first occurrence, so the vocabulary of
+    train + dev + test texts, passed in that order, lists train tokens
+    first. Returns the frozen vocabulary and one int64 id array per text.
+    """
+    vocab = Vocabulary()
+    add = vocab.add
+    ids = [np.array([add(tok) for tok in tokenize(text)], dtype=np.int64) for text in texts]
+    return vocab.freeze(), ids
 
 
 class EmbeddingTable:

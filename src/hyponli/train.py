@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ModelParameters, NumericalError, loss_and_gradients, predict
-from .text import tokenize
 
 
 @dataclass
@@ -39,12 +39,16 @@ class TrainConfig:
     compare_to: str = "previous"  # or "best": decline relative to best-so-far
 
     def __post_init__(self):
+        # each check is "not (valid)", so that nan fails it too
+        if not 0.0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must lie in (0, 1]")
-        if self.divide_on_decline <= 1.0:
-            raise ValueError("divide_on_decline must be > 1")
-        if self.lr_floor <= 0.0:
-            raise ValueError("lr_floor must be positive")
+        if not 1.0 < self.divide_on_decline < math.inf:
+            raise ValueError(f"divide_on_decline must be > 1 and finite, "
+                             f"got {self.divide_on_decline}")
+        if not 0.0 < self.lr_floor < math.inf:
+            raise ValueError(f"lr_floor must be positive and finite, got {self.lr_floor}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size < 1:
@@ -95,41 +99,40 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
     return params
 
 
-def _default_dev_eval(dev_tokens, dev_labels):
+def _default_dev_eval(dev):
     def evaluate(params: ModelParameters) -> float:
-        hits = sum(1 for toks, lab in zip(dev_tokens, dev_labels)
-                   if predict(toks, params).label == lab)
-        return 100.0 * hits / len(dev_labels)
+        hits = sum(1 for ids, lab in dev if predict(ids, params).label == lab)
+        return 100.0 * hits / len(dev)
     return evaluate
 
 
 def fit(train, dev, params: ModelParameters, config: TrainConfig, dev_eval=None):
     """Train params on the train split, stopping per the schedule.
 
-    dev_eval, when given, must be a callable(params) -> accuracy; it
-    exists so tests can script dev accuracies. Returns (best_params,
-    state); the best parameters are the snapshot from the epoch with the
-    highest dev accuracy (ties keep the earliest epoch).
+    train and dev are lists of (token ids, Label) pairs, the examples
+    loss_and_gradients takes. dev_eval, when given, must be a
+    callable(params) -> accuracy; it exists so tests can script dev
+    accuracies. Returns (best_params, state); the best parameters are the
+    snapshot from the epoch with the highest dev accuracy (ties keep the
+    earliest epoch).
     """
     if not train or not dev:
         raise ValueError("train and dev splits must both be nonempty")
-    tok_train = [(tokenize(inst.hypothesis), inst.label) for inst in train]
     if dev_eval is None:
-        dev_eval = _default_dev_eval([tokenize(inst.hypothesis) for inst in dev],
-                                     [inst.label for inst in dev])
+        dev_eval = _default_dev_eval(dev)
 
     state = TrainState()
     state.lr = config.lr0
     state.baseline_dev_acc = dev_eval(params)
     state.last_dev_acc = state.baseline_dev_acc
     reference = state.baseline_dev_acc
-    n = len(tok_train)
+    n = len(train)
 
     for epoch in range(1, config.max_epochs + 1):
         order = np.random.default_rng(config.seed + epoch).permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
-            batch = [tok_train[i] for i in order[start:start + config.batch_size]]
+            batch = [train[i] for i in order[start:start + config.batch_size]]
             try:
                 loss, grads = loss_and_gradients(batch, params)
             except NumericalError as exc:

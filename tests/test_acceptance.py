@@ -172,7 +172,7 @@ def test_criterion_4_gradient_correctness():
                 batch = []
                 for _ in range(3):
                     n = int(rng.integers(1, 7))
-                    sent = [f"t{int(i)}" for i in rng.integers(0, 10, n)]
+                    sent = params.vocab.encode([f"t{int(i)}" for i in rng.integers(0, 10, n)])
                     batch.append((sent, corpus.THREE_WAY.by_index(int(rng.integers(0, 3)))))
                 _, grads = model.loss_and_gradients(batch, params)
                 for name in params.trainable_names():
@@ -195,6 +195,11 @@ def test_criterion_4_gradient_correctness():
 # Criterion 5: exact learning-rate trajectories from scripted dev accuracies.
 # --------------------------------------------------------------------------
 
+def _examples(instances, vocab):
+    """The (token ids, Label) pairs train.fit takes."""
+    return [(vocab.encode(text.tokenize(x.hypothesis)), x.label) for x in instances]
+
+
 def _scripted(values):
     it = iter(values)
     return lambda params: next(it)
@@ -202,9 +207,11 @@ def _scripted(values):
 
 def test_criterion_5_schedule_trace():
     with criterion(5, "scripted schedules give the exact lr trajectories"):
-        tr = make_instances([("a b", corpus.THREE_WAY.names[i % 3]) for i in range(12)])
-        dv = make_instances([("b a", corpus.THREE_WAY.names[i % 3]) for i in range(6)])
         params_proto = _desk_scale_params("bag", seed=0)
+        tr = _examples(make_instances([("a b", corpus.THREE_WAY.names[i % 3])
+                                       for i in range(12)]), params_proto.vocab)
+        dv = _examples(make_instances([("b a", corpus.THREE_WAY.names[i % 3])
+                                       for i in range(6)]), params_proto.vocab)
         config = train.TrainConfig(max_epochs=20, batch_size=4, seed=0)
 
         # strictly increasing: all 20 epochs, lr after epoch e = 0.1 * 0.99^e
@@ -249,14 +256,13 @@ def _generate_splits(spec):
 
 
 def _train_bag(tr, dv, scheme):
-    full = corpus.Dataset("synth", scheme, {"train": tr, "dev": dv})
-    vocab = text.build_vocabulary(full)
+    vocab, _ = text.intern([x.hypothesis for x in tr + dv])
     table = text.seeded_random_embeddings(vocab, 16, seed=7)
     cfg = model.ModelConfig("bag", embedding_dim=16, hidden_dim=4, mlp_hidden=64,
                             n_labels=3, seed=8, finetune_embeddings=True)
     params = model.ModelParameters.init(cfg, table, vocab, scheme)
     tcfg = train.TrainConfig(lr0=0.1, batch_size=64, seed=9)
-    best, state = train.fit(tr, dv, params, tcfg)
+    best, state = train.fit(_examples(tr, vocab), _examples(dv, vocab), params, tcfg)
     return best, state
 
 
@@ -280,7 +286,7 @@ def test_criterion_6_synthetic_recovery(recovery_run):
 
         # (b) test accuracy beats majority and is within 2.0 of the oracle
         bayes = synth.bayes_accuracy(RECOVERY_SPEC)
-        preds = model.predict_batch([text.tokenize(x.hypothesis) for x in te], best)
+        preds = model.predict_batch([rows for rows, _ in _examples(te, best.vocab)], best)
         acc = evaluate.accuracy(preds, [x.label for x in te])
         maj = corpus.majority_label([x.label for x in tr])
         maj_acc = stats.majority_accuracy(te, maj)
@@ -293,7 +299,8 @@ def test_criterion_6_synthetic_recovery(recovery_run):
             giveaway=tuple((t, lab, 0.0) for t, lab, _ in RECOVERY_SPEC.giveaway))
         tr0, dv0, te0 = _generate_splits(spec0)
         best0, _ = _train_bag(tr0, dv0, spec0.scheme)
-        preds0 = model.predict_batch([text.tokenize(x.hypothesis) for x in te0], best0)
+        preds0 = model.predict_batch([rows for rows, _ in _examples(te0, best0.vocab)],
+                                     best0)
         assert evaluate.constant_prediction_check(preds0) is True
         acc0 = evaluate.accuracy(preds0, [x.label for x in te0])
         maj0_acc = stats.majority_accuracy(te0, corpus.majority_label([x.label for x in tr0]))
@@ -412,17 +419,15 @@ def test_criterion_9_snli_checks():
             assert by_token[token].score >= 0.8
 
         subset = train_insts[:50_000]
-        dataset = corpus.Dataset("snli", scheme,
-                                 {"train": subset, "dev": dev_insts})
-        vocab = text.build_vocabulary(dataset)
+        vocab, _ = text.intern([x.hypothesis for x in subset + dev_insts])
         table = text.seeded_random_embeddings(vocab, 50, seed=1)
         cfg = model.ModelConfig("bag", embedding_dim=50, hidden_dim=4,
                                 mlp_hidden=64, n_labels=3, seed=2,
                                 finetune_embeddings=True)
         params = model.ModelParameters.init(cfg, table, vocab, scheme)
         tcfg = train.TrainConfig(batch_size=64, seed=3)
-        best, _ = train.fit(subset, dev_insts, params, tcfg)
-        preds = model.predict_batch(
-            [text.tokenize(x.hypothesis) for x in dev_insts], best)
+        dev_examples = _examples(dev_insts, vocab)
+        best, _ = train.fit(_examples(subset, vocab), dev_examples, params, tcfg)
+        preds = model.predict_batch([rows for rows, _ in dev_examples], best)
         acc = evaluate.accuracy(preds, [x.label for x in dev_insts])
         assert acc >= 55.0

@@ -3,12 +3,22 @@ import os
 
 import pytest
 
-from hyponli import corpus, stats, synth
+from hyponli import cli, corpus, stats, synth, text, train
 from hyponli.cli import main
 from hyponli.model import load_checkpoint
 from hyponli.text import tokenize
 
 from conftest import make_instances
+
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def one_error_line(capsys) -> str:
+    """The single stderr line of a failed command."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 def write_corpus(path, instances):
@@ -163,6 +173,37 @@ class TestStatsCommand:
         assert "TOTAL,2," in summary
 
 
+    @pytest.mark.parametrize("columns, named", [
+        ("premise=0,hyp=1,label=2", "hyp=1"),
+        ("premise=0,hypothesis=1", "label"),
+        ("premise=0,hypothesis=one,label=2", "hypothesis=one"),
+        ("premise=0,hypothesis=-1,label=2", "hypothesis=-1"),
+        ("premise=0,hypothesis=1,label=", "label="),
+    ])
+    def test_bad_tsv_columns_is_one_line(self, tmp_path, capsys, columns, named):
+        path = tmp_path / "d.tsv"
+        path.write_text("p1\tthe hyp\tneutral\n")
+        rc = main(["stats", "--data", str(path), "--format", "tsv",
+                   "--tsv-columns", columns, "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert named in one_error_line(capsys)
+
+    def test_golden_outputs(self, tmp_path, monkeypatch):
+        """Outputs on a fixed corpus, byte for byte. The corpus has a
+        whitespace-only and a punctuation-only hypothesis, and a skipped
+        line; the expected files were written by the string-token
+        implementation that preceded the interned one."""
+        golden = os.path.join(DATA_DIR, "stats_golden")
+        monkeypatch.chdir(DATA_DIR)  # the digest names the --data path
+        rc = main(["stats", "--data", "stats_golden/corpus.jsonl", "--out-dir", str(tmp_path),
+                   "--min-freq", "2", "--top-k", "5", "--grid-step", "0.05"])
+        assert rc == 0
+        for name in ("giveaways.csv", "coverage.csv", "counts_summary.csv",
+                     "stats_digest.md"):
+            with open(os.path.join(golden, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
+
+
 class TestTrainEvalCommand:
     def run_train(self, tmp_path, out, seed="0", extra=()):
         paths = synth_corpus_files(tmp_path)
@@ -195,7 +236,7 @@ class TestTrainEvalCommand:
         params = load_checkpoint(out / "model.ckpt")
         assert params.config.encoder_kind == "bag"
         from hyponli.model import predict
-        pred = predict(tokenize("give0 w001 w002"), params)
+        pred = predict(params.vocab.encode(tokenize("give0 w001 w002")), params)
         assert pred.label.name == "entailment"
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -228,6 +269,38 @@ class TestTrainEvalCommand:
         assert rc == 0
         log = (out / "train_log.csv").read_text().strip().splitlines()
         assert len(log) == 2  # header + 1 epoch
+
+    def test_tokenizes_each_hypothesis_once(self, tmp_path, monkeypatch):
+        paths = synth_corpus_files(tmp_path)
+        hypotheses = []
+        for name in ("train", "dev", "test"):
+            insts, _ = corpus.read_jsonl(paths[name], corpus.FIELD_MAP_PRESETS["native"],
+                                         corpus.THREE_WAY)
+            hypotheses += [inst.hypothesis for inst in insts]
+        calls = []
+        original = text.tokenize
+
+        def counted(sentence):
+            calls.append(sentence)
+            return original(sentence)
+
+        for module in (cli, stats, text, train):  # train-eval's own copies too
+            if hasattr(module, "tokenize"):
+                monkeypatch.setattr(module, "tokenize", counted)
+        assert self.run_train(tmp_path, tmp_path / "out", extra=["--max-epochs", "2"]) == 0
+        assert sorted(calls) == sorted(hypotheses)
+
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr0", "inf"), ("--lr0", "nan"), ("--lr0", "0"), ("--lr0", "-0.1"),
+        ("--divide-on-decline", "inf"), ("--divide-on-decline", "nan"),
+        ("--lr-floor", "inf"), ("--lr-floor", "nan"),
+    ])
+    def test_bad_training_setting_is_one_line(self, tmp_path, capsys, encoder, flag, value):
+        rc = self.run_train(tmp_path, tmp_path / "out",
+                            extra=["--encoder", encoder, "--max-epochs", "1", flag, value])
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in one_error_line(capsys)
 
     def test_unknown_config_key_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)
@@ -268,7 +341,8 @@ class TestAuditSampleCommand:
             inst = by_id[iid]
             assert inst.label.name == gold_name
             assert inst.hypothesis == hyp
-            assert predict(tokenize(inst.hypothesis), params).label.name == pred_name
+            rows = params.vocab.encode(tokenize(inst.hypothesis))
+            assert predict(rows, params).label.name == pred_name
 
     def test_deterministic(self, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,73 @@ class TestReadTsv:
         instances, skipped = read_tsv(path, ColumnSpec(0, 1, 2), THREE_WAY)
         assert len(instances) == 100 and skipped == 0
         assert [inst.hypothesis for inst in instances] == [f"h{i}" for i in range(100)]
+
+
+GOOD_RECORD = json.dumps({"premise": "p", "hypothesis": "h", "label": "neutral"})
+GOOD_ROW = "p\th\tneutral\t3"
+TSV_COLUMNS = ColumnSpec(0, 1, 2, ordinal=3)
+
+
+def read_either(path, kind):
+    if kind == "jsonl":
+        return read_jsonl(path, NATIVE, THREE_WAY)
+    return read_tsv(path, TSV_COLUMNS, THREE_WAY)
+
+
+class TestIngestErrors:
+    def test_overflowing_ordinal_is_ingest_error(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(GOOD_RECORD + "\n" + GOOD_RECORD[:-1] + ', "ordinal": 1e400}\n',
+                        encoding="utf-8")
+        with pytest.raises(IngestError, match=f"{path}: line 2: bad ordinal"):
+            read_jsonl(path, NATIVE, THREE_WAY)
+
+    @pytest.mark.parametrize("kind", ["jsonl", "tsv"])
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, kind):
+        # far more than one decoding chunk precedes the bad line
+        good = (GOOD_RECORD if kind == "jsonl" else GOOD_ROW).encode("utf-8") + b"\n"
+        path = tmp_path / f"d.{kind}"
+        path.write_bytes(good * 3000 + b"caf\xe9\n" + good)
+        with pytest.raises(IngestError, match=f"{path}: line 3001: not UTF-8"):
+            read_either(path, kind)
+
+    @given(data=st.binary(max_size=200), kind=st.sampled_from(["jsonl", "tsv"]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes_raise_only_ingest_or_config_errors(self, tmp_path_factory,
+                                                            data, kind):
+        path = tmp_path_factory.mktemp("fuzz") / f"d.{kind}"
+        path.write_bytes(data)
+        try:
+            read_either(path, kind)
+        except (IngestError, ConfigError):
+            pass
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6)
+    mandatory = {"premise": json_values, "hypothesis": json_values,
+                 "label": json_values | st.sampled_from(THREE_WAY.names)}
+    optional = {"group": json_values,
+                "ordinal": st.sampled_from([1, 3, 5, 6, 2.5, math.inf, -math.inf, math.nan])
+                | json_values,
+                "id": json_values}
+    # mostly records that carry every mandatory role, so that the optional
+    # fields are read too
+    records = (st.fixed_dictionaries(mandatory, optional=optional)
+               | st.fixed_dictionaries({}, optional={**mandatory, **optional}))
+
+    @given(records=st.lists(records, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_field_values_raise_only_ingest_or_config_errors(
+            self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("fuzz") / "d.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        try:
+            read_jsonl(path, NATIVE, THREE_WAY)
+        except (IngestError, ConfigError):
+            pass
 
 
 class TestJociRemap:

@@ -9,7 +9,7 @@ from hyponli.evaluate import (
     report_csv, report_markdown,
 )
 from hyponli.model import ModelConfig, ModelParameters, predict
-from hyponli.text import Vocabulary, seeded_random_embeddings, tokenize
+from hyponli.text import intern, seeded_random_embeddings, tokenize
 
 from conftest import make_instances
 
@@ -129,7 +129,7 @@ class TestConstantPrediction:
 
 
 def trained_params(seed=0):
-    vocab = Vocabulary.from_texts(["alpha beta gamma delta epsilon"])
+    vocab, _ = intern(["alpha beta gamma delta epsilon"])
     table = seeded_random_embeddings(vocab, 6, seed=seed)
     cfg = ModelConfig("bag", embedding_dim=6, hidden_dim=2, mlp_hidden=4,
                       n_labels=3, seed=seed)
@@ -140,8 +140,8 @@ class TestPremiseInvariance:
     def test_hypothesis_perturbation_changes_predictions(self):
         # witness: changing the hypothesis does change the prediction
         params = trained_params()
-        a = predict(tokenize("alpha beta"), params)
-        b = predict(tokenize("gamma delta epsilon"), params)
+        a = predict(params.vocab.encode(tokenize("alpha beta")), params)
+        b = predict(params.vocab.encode(tokenize("gamma delta epsilon")), params)
         assert not np.array_equal(a.logits, b.logits)
 
 

@@ -10,9 +10,9 @@ from hyponli import model
 from hyponli.corpus import THREE_WAY, TWO_WAY
 from hyponli.model import (
     ModelConfig, ModelParameters, _encode_bag_rows, classify, encode_birnn_maxpool,
-    load_checkpoint, loss_and_gradients, predict, save_checkpoint, token_rows,
+    load_checkpoint, loss_and_gradients, predict, save_checkpoint,
 )
-from hyponli.text import EmbeddingTable, Vocabulary, seeded_random_embeddings
+from hyponli.text import EmbeddingTable, Vocabulary, intern, seeded_random_embeddings
 
 
 def small_vocab(n=10):
@@ -39,13 +39,13 @@ def random_batch(params, rng, size=4, max_len=6):
         n = int(rng.integers(1, max_len + 1))
         sent = [toks[int(i)] for i in rng.integers(0, len(toks), n)]
         label = params.scheme.by_index(int(rng.integers(0, len(params.scheme))))
-        batch.append((sent, label))
+        batch.append((params.vocab.encode(sent), label))
     return batch
 
 
 def bag_mean(tokens, vocab, table):
     """The bag encoding of tokens through the model's row-index path."""
-    rows = token_rows(tokens, vocab, len(vocab))
+    rows = vocab.encode(tokens)
     return _encode_bag_rows(rows, table.matrix_for(vocab))
 
 
@@ -63,7 +63,7 @@ class TestEncodeBag:
         assert np.allclose(a, b)
 
     def test_hand_computed_mean(self):
-        vocab = Vocabulary.from_texts(["x y z"])
+        vocab = intern(["x y z"])[0]
         table = EmbeddingTable(
             2,
             {"x": np.array([1.0, 4.0]), "y": np.array([2.0, -2.0]),
@@ -81,36 +81,37 @@ class TestEncodeBirnn:
     def test_output_length_is_2h(self):
         params = make_params("birnn-maxpool", hidden=4)
         for length in (1, 2, 5, 9):
-            enc = encode_birnn_maxpool([f"t{i % 10}" for i in range(length)], params)
+            enc = encode_birnn_maxpool(
+                params.vocab.encode([f"t{i % 10}" for i in range(length)]), params)
             assert enc.shape == (8,)
 
     def test_length_one_equals_single_state(self):
         params = make_params("birnn-maxpool")
-        enc = encode_birnn_maxpool(["t3"], params)
-        rows = model.token_rows(["t3"], params.vocab, params.oov_row)
+        rows = params.vocab.encode(["t3"])
+        enc = encode_birnn_maxpool(rows, params)
         _, fwd, bwd, h_cat = model._birnn_states(rows, params)
         assert h_cat.shape == (1, 8)
         assert np.array_equal(enc, h_cat[0])
 
     def test_not_permutation_invariant_witness(self):
         params = make_params("birnn-maxpool")
-        a = encode_birnn_maxpool(["t0", "t1", "t2", "t3"], params)
-        b = encode_birnn_maxpool(["t3", "t2", "t1", "t0"], params)
+        a = encode_birnn_maxpool(params.vocab.encode(["t0", "t1", "t2", "t3"]), params)
+        b = encode_birnn_maxpool(params.vocab.encode(["t3", "t2", "t1", "t0"]), params)
         assert not np.allclose(a, b)
 
     def test_empty_sentence_is_zero(self):
         params = make_params("birnn-maxpool", hidden=4)
-        assert np.array_equal(encode_birnn_maxpool([], params),
+        assert np.array_equal(encode_birnn_maxpool(params.vocab.encode([]), params),
                               np.zeros(8))
 
     def test_regression_fixture_seed7(self):
         # validated against the step-by-step scalar recurrence below
-        vocab = Vocabulary.from_texts(["a b c d e f g h"])
+        vocab = intern(["a b c d e f g h"])[0]
         table = seeded_random_embeddings(vocab, 8, seed=7)
         cfg = ModelConfig("birnn-maxpool", embedding_dim=8, hidden_dim=4,
                           mlp_hidden=8, n_labels=3, seed=7)
         params = ModelParameters.init(cfg, table, vocab, THREE_WAY)
-        enc = encode_birnn_maxpool(["a", "b", "c", "d"], params)
+        enc = encode_birnn_maxpool(vocab.encode(["a", "b", "c", "d"]), params)
         frozen = [0.11353481818256901, 0.057677768133489946, 0.04989002135308302,
                   -0.10362806349718062, -0.05830379844380692, 0.19277986991794227,
                   0.1096879140550221, 0.08297201621042435]
@@ -146,7 +147,7 @@ class TestEncodeBirnn:
             return states
 
         emb = params.array("emb")
-        rows = model.token_rows(tokens, params.vocab, params.oov_row)
+        rows = params.vocab.encode(tokens)
         xs = [emb[r].tolist() for r in rows]
         fwd = scalar_lstm(xs, params.array("wf_x").tolist(),
                           params.array("wf_h").tolist(), params.array("wf_b").tolist())
@@ -155,7 +156,7 @@ class TestEncodeBirnn:
         bwd_aligned = bwd[::-1]
         cat = [fwd[t] + bwd_aligned[t] for t in range(len(tokens))]
         expected = [max(cat[t][j] for t in range(len(tokens))) for j in range(2 * H)]
-        enc = encode_birnn_maxpool(tokens, params)
+        enc = encode_birnn_maxpool(rows, params)
         assert np.allclose(enc, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -214,7 +215,8 @@ class TestLossAndGradients:
         params = make_params("bag")
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             params.array(name)[...] = 0.0
-        batch = [(["t0"], THREE_WAY.by_index(0)), (["t1"], THREE_WAY.by_index(2))]
+        batch = [(params.vocab.encode(["t0"]), THREE_WAY.by_index(0)),
+                 (params.vocab.encode(["t1"]), THREE_WAY.by_index(2))]
         loss, _ = loss_and_gradients(batch, params)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
@@ -263,7 +265,7 @@ class TestPredict:
     def test_prediction_consistency(self):
         for encoder in ("bag", "birnn-maxpool"):
             params = make_params(encoder)
-            pred = predict(["t0", "t5"], params)
+            pred = predict(params.vocab.encode(["t0", "t5"]), params)
             assert pred.label == params.scheme.by_index(int(np.argmax(pred.logits)))
             assert abs(pred.probabilities.sum() - 1.0) < 1e-9
 
@@ -310,7 +312,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         back = load_checkpoint(path)
-        tokens = ["t2", "t9", "t1"]
+        tokens = params.vocab.encode(["t2", "t9", "t1"])
         assert np.array_equal(predict(tokens, params).logits,
                               predict(tokens, back).logits)
 

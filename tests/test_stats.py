@@ -135,21 +135,6 @@ class TestCountCorpus:
                 assert a.count_wl(tok, lab) == b.count_wl(tok, lab)
                 assert a.presence_wl(tok, lab) == b.presence_wl(tok, lab)
 
-    def test_sharded_merge_equals_sequential(self):
-        rng = np.random.default_rng(7)
-        instances = random_corpus(rng, 40)
-        whole = count_corpus(instances, scheme=THREE_WAY)
-        merged = count_corpus(instances[:13], scheme=THREE_WAY).merge(
-            count_corpus(instances[13:], scheme=THREE_WAY))
-        assert merged.n_sentences == whole.n_sentences
-        assert set(merged.tokens()) == set(whole.tokens())
-        for tok in whole.tokens():
-            for lab in THREE_WAY.labels:
-                assert merged.count_wl(tok, lab) == whole.count_wl(tok, lab)
-                assert merged.presence_wl(tok, lab) == whole.presence_wl(tok, lab)
-        for lab in THREE_WAY.labels:
-            assert merged.count_l(lab) == whole.count_l(lab)
-
 
 class TestPLabelGivenWord:
     def test_degenerate_distribution(self):
@@ -253,6 +238,22 @@ class TestCoverageCurve:
         for label in THREE_WAY.labels:
             curve = coverage_curve(counts, label, grid_step=0.05)
             assert curve.y == brute_coverage(instances, THREE_WAY, label, curve.grid)
+
+    def test_empty_sentences_match_brute_force_rescan(self):
+        # sentences without tokens, of every label, between non-empty ones
+        rng = np.random.default_rng(6)
+        blanks = make_instances([("   ", name) for name in THREE_WAY.names])
+        instances = []
+        for k, inst in enumerate(random_corpus(rng, 24)):
+            instances += [inst, blanks[k % 3]] if k % 4 else [blanks[k % 3], inst]
+        counts = count_corpus(instances, scheme=THREE_WAY)
+        for label in THREE_WAY.labels:
+            curve = coverage_curve(counts, label, grid_step=0.05)
+            # an empty sentence scores 0.0: covered at threshold 0 only,
+            # where the oracle, which needs a token, does not count it
+            assert curve.y[0] == counts.count_l(label)
+            assert curve.y[1:] == brute_coverage(instances, THREE_WAY, label,
+                                                 curve.grid)[1:]
 
     def test_grid_ends_at_one(self):
         counts = count_corpus(make_instances([("a", "neutral")]), scheme=THREE_WAY)

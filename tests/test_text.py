@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyponli.text import (
-    EmbeddingFormatError, EmbeddingTable, Vocabulary, load_embeddings,
+    EmbeddingFormatError, EmbeddingTable, Vocabulary, intern, load_embeddings,
     seeded_random_embeddings, tokenize,
 )
 
@@ -76,6 +76,28 @@ class TestVocabulary:
     def test_add_existing_after_freeze_ok(self):
         vocab = small_vocab(["a"])
         assert vocab.add("a") == 0
+
+
+class TestIntern:
+    def test_first_occurrence_order(self):
+        vocab, ids = intern(["b a.", "", "a c b"])
+        assert vocab.tokens == ["b", "a", ".", "c"]
+        assert [row.tolist() for row in ids] == [[0, 1, 2], [], [1, 3, 0]]
+        assert all(row.dtype == np.int64 for row in ids)
+        assert vocab.frozen
+
+    @given(st.lists(st.lists(words, max_size=5), max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_ids_decode_to_tokens(self, sentences):
+        texts = [" ".join(s) for s in sentences]
+        vocab, ids = intern(texts)
+        for sentence, row in zip(texts, ids):
+            assert [vocab.token(i) for i in row] == tokenize(sentence)
+
+    def test_encode_maps_unknown_to_oov_row(self):
+        vocab = small_vocab(["a", "b"])
+        assert vocab.encode(["b", "zzz", "a"]).tolist() == [1, 2, 0]
+        assert vocab.encode([]).dtype == np.int64
 
 
 class TestLoadEmbeddings:

@@ -3,14 +3,17 @@ import pytest
 
 from hyponli.corpus import THREE_WAY
 from hyponli.model import ModelConfig, ModelParameters, loss_and_gradients
-from hyponli.text import Vocabulary, seeded_random_embeddings
+from hyponli.text import intern, seeded_random_embeddings, tokenize
 from hyponli.train import TrainConfig, TrainState, fit, sgd_step
 
 from conftest import make_instances
 
 
+TINY_VOCAB, _ = intern(["a b c d"])
+
+
 def tiny_params(seed=0):
-    vocab = Vocabulary.from_texts(["a b c d"])
+    vocab = TINY_VOCAB
     table = seeded_random_embeddings(vocab, 4, seed=seed)
     cfg = ModelConfig("bag", embedding_dim=4, hidden_dim=2, mlp_hidden=4,
                       n_labels=3, seed=seed)
@@ -21,7 +24,12 @@ def tiny_splits(n_train=12, n_dev=6):
     names = THREE_WAY.names
     train = make_instances([(f"a b c", names[i % 3]) for i in range(n_train)])
     dev = make_instances([(f"b d", names[i % 3]) for i in range(n_dev)])
-    return train, dev
+    return encoded(train), encoded(dev)
+
+
+def encoded(instances):
+    """The (token ids, Label) examples fit takes."""
+    return [(TINY_VOCAB.encode(tokenize(inst.hypothesis)), inst.label) for inst in instances]
 
 
 def scripted(values):
@@ -79,6 +87,9 @@ class TestConfigValidation:
         {"decay": 0.0}, {"decay": 1.5}, {"divide_on_decline": 1.0},
         {"lr_floor": 0.0}, {"max_epochs": 0}, {"batch_size": 0},
         {"compare_to": "median"},
+        {"lr0": 0.0}, {"lr0": float("inf")}, {"lr0": float("nan")},
+        {"divide_on_decline": float("inf")}, {"divide_on_decline": float("nan")},
+        {"lr_floor": float("inf")}, {"lr_floor": float("nan")},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -179,9 +190,7 @@ class TestBestParams:
         config = TrainConfig(max_epochs=6, batch_size=8, seed=4, lr0=0.2)
         best, state = fit(train, dev, tiny_params(seed=4), config)
         from hyponli.model import predict
-        from hyponli.text import tokenize
-        hits = sum(1 for inst in dev
-                   if predict(tokenize(inst.hypothesis), best).label == inst.label)
+        hits = sum(1 for ids, label in dev if predict(ids, best).label == label)
         acc = 100.0 * hits / len(dev)
         assert acc == max(a for _, _, _, a in state.history)
         assert acc == state.best_dev_acc
