@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import corpus, evaluate, model, stats, synth, text, train
 from .util import atomic_write_text
 
@@ -155,6 +157,10 @@ def _build_model(args, scheme, vocab, seed):
     return model.ModelParameters.init(config, table, vocab, scheme)
 
 
+def _label_indices(instances):
+    return np.array([inst.label.index for inst in instances], dtype=np.int64)
+
+
 def cmd_train_eval(args) -> int:
     scheme = _resolve_scheme(args)
     train_insts, _, scheme = _read_instances(args.train, args, scheme)
@@ -169,7 +175,7 @@ def cmd_train_eval(args) -> int:
     # one id array per hypothesis, train first, then dev, then test
     vocab, ids = text.intern([inst.hypothesis for insts in splits.values() for inst in insts])
     rows = iter(ids)
-    examples = {name: [(next(rows), inst.label) for inst in insts]
+    examples = {name: ([next(rows) for _ in insts], _label_indices(insts))
                 for name, insts in splits.items()}
     params = _build_model(args, scheme, vocab, args.seed)
     train_config = train.TrainConfig(
@@ -187,13 +193,13 @@ def cmd_train_eval(args) -> int:
         print(f"training aborted: {exc}; state dump at {dump}", file=sys.stderr)
         return 1
 
-    maj = corpus.majority_label([inst.label for inst in train_insts])
+    maj = corpus.majority_label([inst.label for inst in train_insts]).index
     reports = []
     for name in ("dev", "test"):
         if name not in splits:
             continue
-        preds = model.predict_batch([rows for rows, _ in examples[name]], best_params)
-        reports.append(evaluate.build_report(name, preds, splits[name], maj))
+        pred = model.predict_batch(examples[name][0], best_params)
+        reports.append(evaluate.build_report(name, pred, splits[name], scheme, maj))
 
     atomic_write_text(os.path.join(out, "train_log.csv"), state.log_csv())
     model.save_checkpoint(best_params, os.path.join(out, "model.ckpt"))
@@ -225,13 +231,13 @@ def cmd_audit_sample(args) -> int:
     params = model.load_checkpoint(args.checkpoint)
     instances, _, _ = _read_instances(args.data, args, params.scheme)
     sentences = [params.vocab.encode(text.tokenize(inst.hypothesis)) for inst in instances]
-    preds = model.predict_batch(sentences, params)
-    gold = [inst.label for inst in instances]
+    pred = model.predict_batch(sentences, params)
     ids = [inst.instance_id for inst in instances]
-    sample = evaluate.confusion_sample(preds, gold, ids, args.n_per_cell, args.seed)
+    sample = evaluate.confusion_sample(pred, _label_indices(instances), ids,
+                                       args.n_per_cell, args.seed)
     by_id = {inst.instance_id: inst for inst in instances}
     atomic_write_text(os.path.join(args.out_dir, "audit_sample.txt"),
-                      evaluate.confusion_sample_text(sample, by_id))
+                      evaluate.confusion_sample_text(sample, params.scheme, by_id))
     total = sum(len(v) for v in sample.cells.values())
     print(f"audit-sample: {total} rows across {len(sample.cells)} cells -> {args.out_dir}")
     return 0

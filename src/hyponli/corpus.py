@@ -321,14 +321,18 @@ def random_split(instances, scheme: LabelScheme, ratios=(0.8, 0.1, 0.1),
                  seed: int = 0) -> Dataset:
     """Partition instances into train/dev/test at the given ratios.
 
-    Sizes are floor-based with the remainder assigned to train; the split
-    is a deterministic function of the seed. For n=103 at 80:10:10 this
-    yields (83, 10, 10).
+    The ratios are three finite, non-negative numbers that sum to 1. Sizes
+    are floor-based with the remainder assigned to train; the split is a
+    deterministic function of the seed. For n=103 at 80:10:10 this yields
+    (83, 10, 10).
     """
     if not instances:
         raise ValueError("cannot split an empty instance list")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios {ratios} do not sum to 1")
+    # a comparison with nan is False, so nan fails; each ratio <= 1 also rules out inf
+    if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise ValueError(f"ratios {ratios} are not three non-negative train, dev "
+                         f"and test shares that sum to 1")
     n = len(instances)
     n_train = int(n * ratios[0])
     n_dev = int(n * ratios[1])

@@ -1,9 +1,10 @@
 """Accuracy metrics, gap reports, breakdowns, and audit sampling.
 
-Reported gaps follow the hyp-only-vs-majority convention: the absolute
-delta in percentage points and the relative delta as a percentage of the
-majority accuracy. Formatted values round half away from zero to two
-decimals.
+Predicted and gold labels are int arrays of label indices; Label objects
+appear only where a name is rendered. Reported gaps follow the
+hyp-only-vs-majority convention: the absolute delta in percentage points
+and the relative delta as a percentage of the majority accuracy. Formatted
+values round half away from zero to two decimals.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Label, majority_label
-from .model import Prediction
+from .corpus import Label, LabelScheme
 
 
 def fmt2(value: float | None) -> str:
@@ -28,19 +28,19 @@ def fmt2(value: float | None) -> str:
     return str(quantized)
 
 
-def _labels_of(predictions) -> list[Label]:
-    return [p.label if isinstance(p, Prediction) else p for p in predictions]
+def _aligned(*arrays) -> list[np.ndarray]:
+    out = [np.asarray(a) for a in arrays]
+    if len({len(a) for a in out}) != 1:
+        raise ValueError(f"inputs have different lengths {[len(a) for a in out]}")
+    return out
 
 
-def accuracy(predictions, gold) -> float:
-    """Percentage of predictions matching gold labels."""
-    if len(predictions) != len(gold):
-        raise ValueError("predictions and gold have different lengths")
-    if not gold:
+def accuracy(pred, gold) -> float:
+    """Percentage of predicted label indices matching gold."""
+    pred, gold = _aligned(pred, gold)
+    if not gold.size:
         raise ValueError("cannot score empty inputs")
-    labels = _labels_of(predictions)
-    hits = sum(1 for p, g in zip(labels, gold) if p == g)
-    return 100.0 * hits / len(gold)
+    return 100.0 * int(np.count_nonzero(pred == gold)) / gold.size
 
 
 def delta_report(hyp_acc: float, maj_acc: float):
@@ -53,100 +53,80 @@ def delta_report(hyp_acc: float, maj_acc: float):
     return abs_delta, pct_delta
 
 
-def per_class_accuracy(predictions, gold) -> dict[Label, float]:
-    """Accuracy restricted to each gold class; absent classes omitted."""
-    if len(predictions) != len(gold):
-        raise ValueError("predictions and gold have different lengths")
-    labels = _labels_of(predictions)
-    totals: dict[Label, int] = {}
-    hits: dict[Label, int] = {}
-    for p, g in zip(labels, gold):
-        totals[g] = totals.get(g, 0) + 1
-        if p == g:
-            hits[g] = hits.get(g, 0) + 1
-    return {g: 100.0 * hits.get(g, 0) / totals[g]
-            for g in sorted(totals, key=lambda lab: lab.index)}
+def per_class_accuracy(pred, gold) -> dict[int, float]:
+    """Accuracy restricted to each gold class index, in index order;
+    absent classes omitted."""
+    pred, gold = _aligned(pred, gold)
+    totals = np.bincount(gold)
+    hits = np.bincount(gold[pred == gold], minlength=totals.size)
+    return {int(c): 100.0 * int(hits[c]) / int(totals[c]) for c in np.flatnonzero(totals)}
 
 
-def per_group_accuracy(predictions, gold, groups, mode: str = "within",
-                       train_majority: Label | None = None):
-    """Per-group (hyp_acc, maj_acc, pct_delta).
-
-    The majority label defaults to each group's own gold mode ("within");
-    mode="global" scores the supplied train majority inside every group.
-    """
-    if mode not in ("within", "global"):
-        raise ValueError("mode must be 'within' or 'global'")
-    if mode == "global" and train_majority is None:
-        raise ValueError("global mode needs a train_majority label")
-    if not len(predictions) == len(gold) == len(groups):
-        raise ValueError("predictions, gold, and groups must align")
-    labels = _labels_of(predictions)
-    members: dict[str, list[int]] = {}
-    for i, key in enumerate(groups):
-        members.setdefault(key, []).append(i)
+def per_group_accuracy(pred, gold, groups) -> dict[str, tuple[float, float, float | None]]:
+    """Per-group (hyp_acc, maj_acc, pct_delta), where MAJ scores each
+    group's own most frequent gold class."""
+    pred, gold, groups = _aligned(pred, gold, groups)
     out = {}
-    for key, idxs in members.items():
-        grp_gold = [gold[i] for i in idxs]
-        grp_pred = [labels[i] for i in idxs]
-        hyp = accuracy(grp_pred, grp_gold)
-        maj_label = majority_label(grp_gold) if mode == "within" else train_majority
-        maj = 100.0 * sum(1 for g in grp_gold if g == maj_label) / len(grp_gold)
-        _, pct = delta_report(hyp, maj)
-        out[key] = (hyp, maj, pct)
+    for key in dict.fromkeys(groups.tolist()):
+        member = groups == key
+        hyp = accuracy(pred[member], gold[member])
+        maj = 100.0 * int(np.bincount(gold[member]).max()) / int(np.count_nonzero(member))
+        out[key] = (hyp, maj, delta_report(hyp, maj)[1])
     return out
 
 
-def constant_prediction_check(predictions) -> bool:
-    """True iff every predicted label is identical."""
-    labels = _labels_of(predictions)
-    if not labels:
+def constant_prediction_check(pred) -> bool:
+    """True iff every predicted label index is identical."""
+    pred = np.asarray(pred)
+    if not pred.size:
         raise ValueError("no predictions to check")
-    return all(lab == labels[0] for lab in labels)
+    return bool((pred == pred[0]).all())
 
 
 @dataclass
 class ConfusionSample:
-    """Stratified ids per (gold, predicted) cell, each cell capped at
-    n_per_cell and drawn without replacement."""
-    cells: dict[tuple[Label, Label], list[str]]
+    """Stratified ids per (gold, predicted) label-index cell, each cell
+    capped at n_per_cell and drawn without replacement."""
+    cells: dict[tuple[int, int], list[str]]
     n_per_cell: int
     seed: int
 
 
-def confusion_sample(predictions, gold, instance_ids, n_per_cell: int,
+def confusion_sample(pred, gold, instance_ids, n_per_cell: int,
                      seed: int) -> ConfusionSample:
     """Deterministic stratified sample for manual audits; with 2 labels and
-    n_per_cell=50 the total is at most 200."""
+    n_per_cell=50 the total is at most 200.
+
+    Cells are visited in (gold, predicted) index order and keep the input
+    order of their ids; each over-full cell takes one rng.choice draw.
+    """
     if n_per_cell < 1:
         raise ValueError("n_per_cell must be >= 1")
-    if not len(predictions) == len(gold) == len(instance_ids):
+    pred, gold = _aligned(pred, gold)
+    if len(instance_ids) != gold.size:
         raise ValueError("predictions, gold, and instance_ids must align")
-    labels = _labels_of(predictions)
-    members: dict[tuple[Label, Label], list[str]] = {}
-    for pred, g, iid in zip(labels, gold, instance_ids):
-        members.setdefault((g, pred), []).append(iid)
     rng = np.random.default_rng(seed)
     cells = {}
-    for key in sorted(members, key=lambda k: (k[0].index, k[1].index)):
-        ids = members[key]
-        if len(ids) > n_per_cell:
-            chosen = rng.choice(len(ids), size=n_per_cell, replace=False)
-            cells[key] = [ids[i] for i in sorted(chosen)]
-        else:
-            cells[key] = list(ids)
+    for g, p in sorted(set(zip(gold.tolist(), pred.tolist()))):
+        members = np.flatnonzero((gold == g) & (pred == p))
+        if members.size > n_per_cell:
+            members = members[np.sort(rng.choice(members.size, size=n_per_cell,
+                                                 replace=False))]
+        cells[g, p] = [instance_ids[i] for i in members]
     return ConfusionSample(cells=cells, n_per_cell=n_per_cell, seed=seed)
 
 
-def confusion_sample_text(sample: ConfusionSample, instances_by_id) -> str:
+def confusion_sample_text(sample: ConfusionSample, scheme: LabelScheme,
+                          instances_by_id) -> str:
     """One tab-separated row per sampled id (id, gold, predicted,
     hypothesis), grouped by cell, for manual annotation."""
     lines = []
     for (gold, pred), ids in sample.cells.items():
-        lines.append(f"# cell gold={gold.name} predicted={pred.name} n={len(ids)}")
+        gold_name, pred_name = scheme.by_index(gold).name, scheme.by_index(pred).name
+        lines.append(f"# cell gold={gold_name} predicted={pred_name} n={len(ids)}")
         for iid in ids:
             inst = instances_by_id[iid]
-            lines.append(f"{iid}\t{gold.name}\t{pred.name}\t{inst.hypothesis}")
+            lines.append(f"{iid}\t{gold_name}\t{pred_name}\t{inst.hypothesis}")
     return "\n".join(lines) + "\n"
 
 
@@ -165,41 +145,40 @@ class EvalReport:
     notes: list[str] = field(default_factory=list)
 
 
-def build_report(split_name: str, predictions, instances,
-                 train_majority: Label) -> EvalReport:
-    """Assemble the gap report for one split.
+def build_report(split_name: str, pred, instances, scheme: LabelScheme,
+                 train_majority: int) -> EvalReport:
+    """Assemble the gap report for one split from its predicted label
+    indices.
 
-    MAJ defaults to the train-majority label scored on the split; when the
-    split's own most frequent class differs, both rates are included and
-    the discrepancy is noted rather than resolved.
+    MAJ defaults to the train-majority label index scored on the split;
+    when the split's own most frequent class (lowest index on ties)
+    differs, both rates are included and the discrepancy is noted rather
+    than resolved.
     """
-    gold = [inst.label for inst in instances]
-    hyp = accuracy(predictions, gold)
-    maj_hits = sum(1 for g in gold if g == train_majority)
-    maj = 100.0 * maj_hits / len(gold)
-    split_mode = majority_label(gold)
-    split_mode_acc = 100.0 * sum(1 for g in gold if g == split_mode) / len(gold)
+    gold = np.array([inst.label.index for inst in instances], dtype=np.int64)
+    pred, gold = _aligned(pred, gold)
+    n = gold.size
+    totals = np.bincount(gold, minlength=len(scheme))
+    hyp = accuracy(pred, gold)
+    maj = 100.0 * int(totals[train_majority]) / n
+    split_mode = int(totals.argmax())
+    split_mode_acc = 100.0 * int(totals[split_mode]) / n
     abs_delta, pct_delta = delta_report(hyp, maj)
-    class_hyp = per_class_accuracy(predictions, gold)
-    totals: dict[Label, int] = {}
-    for g in gold:
-        totals[g] = totals.get(g, 0) + 1
-    per_class = {lab: (class_hyp[lab], 100.0 * totals[lab] / len(gold))
-                 for lab in class_hyp}
+    per_class = {scheme.by_index(c): (acc, 100.0 * int(totals[c]) / n)
+                 for c, acc in per_class_accuracy(pred, gold).items()}
     per_group = None
     groups = [inst.group_key for inst in instances]
-    if any(g is not None for g in groups):
-        keyed = [(p, g, k) for p, g, k in zip(_labels_of(predictions), gold, groups)
-                 if k is not None]
-        per_group = per_group_accuracy([p for p, _, _ in keyed],
-                                       [g for _, g, _ in keyed],
-                                       [k for _, _, k in keyed])
+    keyed = np.array([k is not None for k in groups], dtype=bool)
+    if keyed.any():
+        per_group = per_group_accuracy(pred[keyed], gold[keyed],
+                                       [k for k in groups if k is not None])
+    maj_name = scheme.by_index(train_majority).name
     notes = []
     if split_mode != train_majority:
         notes.append(
-            f"train-majority label {train_majority.name!r} is not the split's own "
-            f"most frequent class ({split_mode.name!r}, {fmt2(split_mode_acc)}); "
-            f"MAJ above uses the train majority"
+            f"train-majority label {maj_name!r} is not the split's own "
+            f"most frequent class ({scheme.by_index(split_mode).name!r}, "
+            f"{fmt2(split_mode_acc)}); MAJ above uses the train majority"
         )
     return EvalReport(
         split=split_name,
@@ -208,9 +187,9 @@ def build_report(split_name: str, predictions, instances,
         abs_delta=abs_delta,
         pct_delta=pct_delta,
         per_class=per_class,
-        constant_prediction=constant_prediction_check(predictions),
+        constant_prediction=constant_prediction_check(pred),
         per_group=per_group,
-        maj_label=train_majority.name,
+        maj_label=maj_name,
         split_mode_acc=split_mode_acc,
         notes=notes,
     )

@@ -10,8 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 
+@np.errstate(over="ignore")
 def lstm_forward(x, wx, wh, b):
     """Run the cell over x (T, d) with zero initial states.
+
+    The sigmoid 1/(1+exp(-z)) may overflow exp for very negative z; the
+    result, 0, is the exact limit, so that overflow is not reported.
 
     Returns h (T, H), c (T, H), gates (T, 4H) holding the activated
     i/f/g/o values, and tc (T, H) = tanh(c), all needed by the backward

@@ -4,7 +4,9 @@ Two sentence encoders feed one MLP head: a bag of embeddings (mean of the
 token vectors) and a bidirectional recurrent encoder whose per-timestep
 [forward; backward] states are max-pooled elementwise. The classification
 path takes only hypothesis tokens; premises are unreachable by
-construction.
+construction. Labels are label indices into the scheme: predict returns
+one, predict_batch an int64 array, and loss_and_gradients takes an array
+of them.
 """
 
 from __future__ import annotations
@@ -127,13 +129,6 @@ def zero_gradients(params: ModelParameters) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(params.array(name)) for name in params.trainable_names()}
 
 
-@dataclass
-class Prediction:
-    logits: np.ndarray
-    label: Label
-    probabilities: np.ndarray
-
-
 def _encode_bag_rows(rows: np.ndarray, emb: np.ndarray) -> np.ndarray:
     """Arithmetic mean of the embedding rows; empty sentences encode to zero."""
     if rows.size == 0:
@@ -168,44 +163,32 @@ def encode_birnn_maxpool(rows: np.ndarray, params: ModelParameters) -> np.ndarra
     return h_cat.max(axis=0)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def classify(encoding: np.ndarray, params: ModelParameters) -> Prediction:
-    """One tanh hidden layer, linear output, softmax probabilities."""
-    cfg = params.config
-    if encoding.shape != (cfg.encoding_dim,):
-        raise ValueError(
-            f"encoding shape {encoding.shape} does not match ({cfg.encoding_dim},)"
-        )
-    h1 = np.tanh(params.array("mlp_w1") @ encoding + params.array("mlp_b1"))
-    logits = params.array("mlp_w2") @ h1 + params.array("mlp_b2")
-    probs = _softmax(logits)
-    return Prediction(logits=logits, label=params.scheme.by_index(int(np.argmax(logits))),
-                      probabilities=probs)
-
-
-def predict(rows: np.ndarray, params: ModelParameters) -> Prediction:
-    """Classify one hypothesis from its token ids alone."""
+def predict(rows: np.ndarray, params: ModelParameters) -> int:
+    """Label index of one hypothesis from its token ids alone: the argmax
+    (lowest index on ties) of mlp_w2 @ tanh(mlp_w1 @ encoding + mlp_b1) +
+    mlp_b2."""
     if params.config.encoder_kind == "bag":
         encoding = _encode_bag_rows(rows, params.array("emb"))
     else:
         encoding = encode_birnn_maxpool(rows, params)
-    return classify(encoding, params)
+    h1 = np.tanh(params.array("mlp_w1") @ encoding + params.array("mlp_b1"))
+    logits = params.array("mlp_w2") @ h1 + params.array("mlp_b2")
+    return int(np.argmax(logits))
 
 
-def predict_batch(sentences, params: ModelParameters) -> list[Prediction]:
-    return [predict(rows, params) for rows in sentences]
+def predict_batch(sentences, params: ModelParameters) -> np.ndarray:
+    """Label indices (int64) of a sequence of token-id arrays."""
+    return np.array([predict(rows, params) for rows in sentences], dtype=np.int64)
 
 
-def loss_and_gradients(batch, params: ModelParameters):
-    """Mean negative log-likelihood over (token ids, Label) pairs, with
-    backpropagated gradients for every trainable array.
+def loss_and_gradients(batch, y, params: ModelParameters):
+    """Mean negative log-likelihood of the label indices y given the token-id
+    arrays of batch, with backpropagated gradients for every trainable
+    array.
 
-    Max-pool subgradients route to the argmax timestep (earliest on ties).
+    The loss is log(sum(exp(shifted))) - shifted[y] for the max-shifted
+    logits, finite whenever the logits are. Max-pool subgradients route to
+    the argmax timestep (earliest on ties).
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -214,7 +197,7 @@ def loss_and_gradients(batch, params: ModelParameters):
     B = len(batch)
     enc = np.zeros((B, cfg.encoding_dim))
     caches = []
-    for k, (rows, _) in enumerate(batch):
+    for k, rows in enumerate(batch):
         if cfg.encoder_kind == "bag":
             enc[k] = _encode_bag_rows(rows, emb)
             caches.append(rows)
@@ -230,10 +213,11 @@ def loss_and_gradients(batch, params: ModelParameters):
     w2, b2 = params.array("mlp_w2"), params.array("mlp_b2")
     h1 = np.tanh(enc @ w1.T + b1)
     logits = h1 @ w2.T + b2
-    probs = _softmax(logits)
-    y = np.array([label.index for _, label in batch], dtype=np.int64)
-    picked = probs[np.arange(B), y]
-    loss = float(-np.mean(np.log(picked)))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    probs = e / total
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(B), y]))
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
 

@@ -117,6 +117,8 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
     """
     if min_freq < 1:
         raise ValueError("min_freq must be >= 1")
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     buckets: dict[int, list[GiveawayEntry]] = {i: [] for i in range(len(counts.scheme))}
     freq = counts.occ.sum(axis=1)
     best = counts.occ.argmax(axis=1)  # ties resolve to the lowest label index

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParameters, NumericalError, loss_and_gradients, predict
+from .model import ModelParameters, NumericalError, loss_and_gradients, predict_batch
 
 
 @dataclass
@@ -78,7 +78,8 @@ class TrainState:
 
 
 class TrainAbort(RuntimeError):
-    """Training hit a non-finite loss; .state carries the trace so far."""
+    """Training hit a non-finite value or a floating-point overflow, invalid
+    operation or division by zero; .state carries the trace so far."""
 
     def __init__(self, message: str, state: TrainState):
         super().__init__(message)
@@ -100,23 +101,30 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
 
 
 def _default_dev_eval(dev):
+    rows, y = dev
+
     def evaluate(params: ModelParameters) -> float:
-        hits = sum(1 for ids, lab in dev if predict(ids, params).label == lab)
-        return 100.0 * hits / len(dev)
+        return 100.0 * int(np.count_nonzero(predict_batch(rows, params) == y)) / len(y)
     return evaluate
 
 
 def fit(train, dev, params: ModelParameters, config: TrainConfig, dev_eval=None):
     """Train params on the train split, stopping per the schedule.
 
-    train and dev are lists of (token ids, Label) pairs, the examples
-    loss_and_gradients takes. dev_eval, when given, must be a
-    callable(params) -> accuracy; it exists so tests can script dev
-    accuracies. Returns (best_params, state); the best parameters are the
-    snapshot from the epoch with the highest dev accuracy (ties keep the
-    earliest epoch).
+    train and dev are (rows, y) pairs: a list of token-id arrays and an
+    int64 array of their label indices, as loss_and_gradients takes them.
+    dev_eval, when given, must be a callable(params) -> accuracy; it exists
+    so tests can script dev accuracies. Returns (best_params, state); the
+    best parameters are the snapshot from the epoch with the highest dev
+    accuracy (ties keep the earliest epoch).
+
+    Each epoch, dev evaluation included, runs with numpy's overflow,
+    invalid-operation and divide-by-zero errors raised; these and
+    NumericalError end training in TrainAbort.
     """
-    if not train or not dev:
+    rows, y = train
+    n = len(y)
+    if not n or not len(dev[1]):
         raise ValueError("train and dev splits must both be nonempty")
     if dev_eval is None:
         dev_eval = _default_dev_eval(dev)
@@ -126,27 +134,27 @@ def fit(train, dev, params: ModelParameters, config: TrainConfig, dev_eval=None)
     state.baseline_dev_acc = dev_eval(params)
     state.last_dev_acc = state.baseline_dev_acc
     reference = state.baseline_dev_acc
-    n = len(train)
 
     for epoch in range(1, config.max_epochs + 1):
         order = np.random.default_rng(config.seed + epoch).permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = [train[i] for i in order[start:start + config.batch_size]]
-            try:
-                loss, grads = loss_and_gradients(batch, params)
-            except NumericalError as exc:
-                state.stop_reason = "non-finite-loss"
-                raise TrainAbort(f"epoch {epoch}: {exc}", state) from exc
-            sgd_step(params, grads, state.lr)
-            loss_sum += loss * len(batch)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for start in range(0, n, config.batch_size):
+                    idx = order[start:start + config.batch_size]
+                    loss, grads = loss_and_gradients([rows[i] for i in idx], y[idx], params)
+                    sgd_step(params, grads, state.lr)
+                    loss_sum += loss * len(idx)
+                dev_acc = dev_eval(params)
+                if dev_acc > state.best_dev_acc:
+                    state.best_dev_acc = dev_acc
+                    state.best_params = params.clone()
+        except (FloatingPointError, NumericalError) as exc:
+            state.stop_reason = "numerical-error"
+            raise TrainAbort(f"epoch {epoch}: {exc}", state) from exc
         train_loss = loss_sum / n
-        dev_acc = dev_eval(params)
         state.epoch = epoch
         state.history.append((epoch, state.lr, train_loss, dev_acc))
-        if dev_acc > state.best_dev_acc:
-            state.best_dev_acc = dev_acc
-            state.best_params = params.clone()
         state.lr *= config.decay
         if dev_acc < reference:
             state.lr /= config.divide_on_decline

@@ -169,21 +169,23 @@ def test_criterion_4_gradient_correctness():
             for draw in range(5):
                 params = _desk_scale_params(encoder, seed=1000 + draw)
                 rng = np.random.default_rng(500 + draw)
-                batch = []
+                rows, y = [], []
                 for _ in range(3):
                     n = int(rng.integers(1, 7))
-                    sent = params.vocab.encode([f"t{int(i)}" for i in rng.integers(0, 10, n)])
-                    batch.append((sent, corpus.THREE_WAY.by_index(int(rng.integers(0, 3)))))
-                _, grads = model.loss_and_gradients(batch, params)
+                    rows.append(params.vocab.encode([f"t{int(i)}"
+                                                     for i in rng.integers(0, 10, n)]))
+                    y.append(int(rng.integers(0, 3)))
+                y = np.array(y)
+                _, grads = model.loss_and_gradients(rows, y, params)
                 for name in params.trainable_names():
                     flat = params.array(name).reshape(-1)
                     gflat = grads[name].reshape(-1)
                     for i in range(flat.size):
                         orig = flat[i]
                         flat[i] = orig + step
-                        lp, _ = model.loss_and_gradients(batch, params)
+                        lp, _ = model.loss_and_gradients(rows, y, params)
                         flat[i] = orig - step
-                        lm, _ = model.loss_and_gradients(batch, params)
+                        lm, _ = model.loss_and_gradients(rows, y, params)
                         flat[i] = orig
                         fd = (lp - lm) / (2 * step)
                         denom = max(abs(fd), abs(gflat[i]), 1e-6)
@@ -196,8 +198,9 @@ def test_criterion_4_gradient_correctness():
 # --------------------------------------------------------------------------
 
 def _examples(instances, vocab):
-    """The (token ids, Label) pairs train.fit takes."""
-    return [(vocab.encode(text.tokenize(x.hypothesis)), x.label) for x in instances]
+    """The (token-id arrays, label indices) pair train.fit takes."""
+    return ([vocab.encode(text.tokenize(x.hypothesis)) for x in instances],
+            np.array([x.label.index for x in instances], dtype=np.int64))
 
 
 def _scripted(values):
@@ -286,8 +289,9 @@ def test_criterion_6_synthetic_recovery(recovery_run):
 
         # (b) test accuracy beats majority and is within 2.0 of the oracle
         bayes = synth.bayes_accuracy(RECOVERY_SPEC)
-        preds = model.predict_batch([rows for rows, _ in _examples(te, best.vocab)], best)
-        acc = evaluate.accuracy(preds, [x.label for x in te])
+        te_rows, te_y = _examples(te, best.vocab)
+        preds = model.predict_batch(te_rows, best)
+        acc = evaluate.accuracy(preds, te_y)
         maj = corpus.majority_label([x.label for x in tr])
         maj_acc = stats.majority_accuracy(te, maj)
         assert acc > maj_acc
@@ -299,10 +303,10 @@ def test_criterion_6_synthetic_recovery(recovery_run):
             giveaway=tuple((t, lab, 0.0) for t, lab, _ in RECOVERY_SPEC.giveaway))
         tr0, dv0, te0 = _generate_splits(spec0)
         best0, _ = _train_bag(tr0, dv0, spec0.scheme)
-        preds0 = model.predict_batch([rows for rows, _ in _examples(te0, best0.vocab)],
-                                     best0)
+        te0_rows, te0_y = _examples(te0, best0.vocab)
+        preds0 = model.predict_batch(te0_rows, best0)
         assert evaluate.constant_prediction_check(preds0) is True
-        acc0 = evaluate.accuracy(preds0, [x.label for x in te0])
+        acc0 = evaluate.accuracy(preds0, te0_y)
         maj0_acc = stats.majority_accuracy(te0, corpus.majority_label([x.label for x in tr0]))
         assert abs(acc0 - maj0_acc) <= 1.5
 
@@ -428,6 +432,6 @@ def test_criterion_9_snli_checks():
         tcfg = train.TrainConfig(batch_size=64, seed=3)
         dev_examples = _examples(dev_insts, vocab)
         best, _ = train.fit(_examples(subset, vocab), dev_examples, params, tcfg)
-        preds = model.predict_batch([rows for rows, _ in dev_examples], best)
-        acc = evaluate.accuracy(preds, [x.label for x in dev_insts])
+        preds = model.predict_batch(dev_examples[0], best)
+        acc = evaluate.accuracy(preds, dev_examples[1])
         assert acc >= 55.0

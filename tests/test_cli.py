@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -126,6 +127,17 @@ class TestSplitCommand:
         assert (sizes["train"], sizes["dev"], sizes["test"]) == (83, 10, 10)
         assert len(ids) == 103
 
+    @pytest.mark.parametrize("ratios", ["0.5,0.5", "0.5,0.5,0.5,-0.5", "1.2,-0.1,-0.1",
+                                        "0.8,0.1,nan"])
+    def test_bad_ratios_are_one_line(self, tmp_path, capsys, ratios):
+        data = write_corpus(tmp_path / "all.jsonl",
+                            make_instances([(f"hyp {i}", "neutral") for i in range(10)]))
+        out = tmp_path / "out"
+        rc = main(["split", "--data", data, "--out-dir", str(out), "--ratios", ratios])
+        assert rc == 1
+        one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestStatsCommand:
     def test_outputs_and_library_equivalence(self, tmp_path):
@@ -188,6 +200,14 @@ class TestStatsCommand:
         assert rc == 1
         assert named in one_error_line(capsys)
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_bad_top_k_is_one_line(self, tmp_path, capsys, top_k):
+        data = write_corpus(tmp_path / "d.jsonl", make_instances([("a b c", "neutral")] * 8))
+        rc = main(["stats", "--data", data, "--top-k", top_k,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "top_k" in one_error_line(capsys)
+
     def test_golden_outputs(self, tmp_path, monkeypatch):
         """Outputs on a fixed corpus, byte for byte. The corpus has a
         whitespace-only and a punctuation-only hypothesis, and a skipped
@@ -237,7 +257,7 @@ class TestTrainEvalCommand:
         assert params.config.encoder_kind == "bag"
         from hyponli.model import predict
         pred = predict(params.vocab.encode(tokenize("give0 w001 w002")), params)
-        assert pred.label.name == "entailment"
+        assert params.scheme.by_index(pred).name == "entailment"
 
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -302,6 +322,24 @@ class TestTrainEvalCommand:
         assert rc == 1
         assert flag[2:].replace("-", "_") in one_error_line(capsys)
 
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    @pytest.mark.parametrize("lr0, trains", [("100", True), ("1e300", False)])
+    def test_large_lr0_trains_or_aborts_in_one_line(self, tmp_path, capsys, encoder, lr0,
+                                                    trains):
+        """A large but finite rate either trains or ends in one stderr line;
+        numpy warnings are errors here, so none may be printed on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = self.run_train(tmp_path, tmp_path / "out",
+                                extra=["--encoder", encoder, "--max-epochs", "2",
+                                       "--lr0", lr0])
+        err = capsys.readouterr().err.splitlines()
+        if trains:
+            assert rc == 0 and err == []
+        else:
+            assert rc == 1
+            assert len(err) == 1 and err[0].startswith("training aborted: epoch 1: "), err
+
     def test_unknown_config_key_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -342,7 +380,7 @@ class TestAuditSampleCommand:
             assert inst.label.name == gold_name
             assert inst.hypothesis == hyp
             rows = params.vocab.encode(tokenize(inst.hypothesis))
-            assert predict(rows, params).label.name == pred_name
+            assert params.scheme.by_index(predict(rows, params)).name == pred_name
 
     def test_deterministic(self, tmp_path):
         out = tmp_path / "out"

@@ -1,19 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
-from hyponli import evaluate
-from hyponli.corpus import THREE_WAY, TWO_WAY, NLIInstance, majority_label
+from hyponli import corpus, evaluate
+from hyponli.corpus import THREE_WAY, NLIInstance, majority_label
 from hyponli.evaluate import (
-    accuracy, build_report, confusion_sample, constant_prediction_check,
-    delta_report, fmt2, per_class_accuracy, per_group_accuracy,
-    report_csv, report_markdown,
+    accuracy, build_report, confusion_sample, confusion_sample_text,
+    constant_prediction_check, delta_report, fmt2, per_class_accuracy,
+    per_group_accuracy, report_csv, report_markdown,
 )
-from hyponli.model import ModelConfig, ModelParameters, predict
+from hyponli.model import ModelConfig, ModelParameters, loss_and_gradients
 from hyponli.text import intern, seeded_random_embeddings, tokenize
 
 from conftest import make_instances
 
-E, N, C = THREE_WAY.labels
+E, N, C = 0, 1, 2  # label indices in THREE_WAY
 
 
 class TestAccuracy:
@@ -25,8 +27,8 @@ class TestAccuracy:
 
     def test_counting_oracle_on_1000(self):
         rng = np.random.default_rng(0)
-        gold = [THREE_WAY.by_index(int(i)) for i in rng.integers(0, 3, 1000)]
-        preds = [THREE_WAY.by_index(int(i)) for i in rng.integers(0, 3, 1000)]
+        gold = rng.integers(0, 3, 1000)
+        preds = rng.integers(0, 3, 1000)
         expected = 100.0 * sum(p == g for p, g in zip(preds, gold)) / 1000
         assert accuracy(preds, gold) == expected
 
@@ -73,8 +75,8 @@ class TestPerClass:
 
     def test_weighted_mean_equals_global(self):
         rng = np.random.default_rng(3)
-        gold = [THREE_WAY.by_index(int(i)) for i in rng.integers(0, 3, 200)]
-        preds = [THREE_WAY.by_index(int(i)) for i in rng.integers(0, 3, 200)]
+        gold = rng.integers(0, 3, 200)
+        preds = rng.integers(0, 3, 200)
         per = per_class_accuracy(preds, gold)
         weights = {lab: sum(1 for g in gold if g == lab) for lab in per}
         weighted = sum(per[lab] * weights[lab] for lab in per) / len(gold)
@@ -103,18 +105,6 @@ class TestPerGroup:
         assert hyp_b == pytest.approx(100.0 * 2 / 3)
         assert maj_b == pytest.approx(100.0 * 2 / 3)  # N majority in group b
 
-    def test_global_mode_uses_train_majority(self):
-        gold = [E, N, N]
-        preds = [E, N, N]
-        out = per_group_accuracy(preds, gold, ["g"] * 3, mode="global",
-                                 train_majority=E)
-        _, maj, _ = out["g"]
-        assert maj == pytest.approx(100.0 / 3)
-
-    def test_global_mode_requires_majority(self):
-        with pytest.raises(ValueError):
-            per_group_accuracy([E], [E], ["g"], mode="global")
-
 
 class TestConstantPrediction:
     def test_all_same(self):
@@ -139,17 +129,20 @@ def trained_params(seed=0):
 class TestPremiseInvariance:
     def test_hypothesis_perturbation_changes_predictions(self):
         # witness: changing the hypothesis does change the prediction
+        # (the loss of one example is a function of its logits)
         params = trained_params()
-        a = predict(params.vocab.encode(tokenize("alpha beta")), params)
-        b = predict(params.vocab.encode(tokenize("gamma delta epsilon")), params)
-        assert not np.array_equal(a.logits, b.logits)
+        y = np.array([0])
+        a, _ = loss_and_gradients([params.vocab.encode(tokenize("alpha beta"))], y, params)
+        b, _ = loss_and_gradients([params.vocab.encode(tokenize("gamma delta epsilon"))], y,
+                                  params)
+        assert a != b
 
 
 class TestConfusionSample:
     def big_inputs(self):
         rng = np.random.default_rng(7)
-        gold = [TWO_WAY.by_index(int(i)) for i in rng.integers(0, 2, 600)]
-        preds = [TWO_WAY.by_index(int(i)) for i in rng.integers(0, 2, 600)]
+        gold = rng.integers(0, 2, 600)
+        preds = rng.integers(0, 2, 600)
         ids = [f"x{i}" for i in range(600)]
         return preds, gold, ids
 
@@ -202,8 +195,8 @@ class TestReports:
             ("d", "contradiction"),
         ])
         preds = [E, E, N, N]
-        maj = majority_label([inst.label for inst in instances])
-        return build_report("dev", preds, instances, maj)
+        maj = majority_label([inst.label for inst in instances]).index
+        return build_report("dev", preds, instances, THREE_WAY, maj)
 
     def test_delta_invariant(self):
         rep = self.setup_report()
@@ -214,15 +207,16 @@ class TestReports:
 
     def test_per_class_contents(self):
         rep = self.setup_report()
-        assert rep.per_class[E] == (100.0, 50.0)
-        assert rep.per_class[N] == (100.0, 25.0)
-        assert rep.per_class[C] == (0.0, 25.0)
+        by = THREE_WAY.by_index
+        assert rep.per_class[by(E)] == (100.0, 50.0)
+        assert rep.per_class[by(N)] == (100.0, 25.0)
+        assert rep.per_class[by(C)] == (0.0, 25.0)
 
     def test_majority_mode_note_when_differs(self):
         # train majority differs from the split's own mode
         instances = make_instances([("a", "neutral"), ("b", "neutral"),
                                     ("c", "entailment")])
-        rep = build_report("dev", [N, N, E], instances, train_majority=E)
+        rep = build_report("dev", [N, N, E], instances, THREE_WAY, train_majority=E)
         assert rep.maj_acc == pytest.approx(100.0 / 3)
         assert rep.split_mode_acc == pytest.approx(200.0 / 3)
         assert rep.notes
@@ -237,15 +231,47 @@ class TestReports:
         assert "dev,overall,,75.00,50.00,25.00,50.00,false" in csv_text
 
     def test_group_report(self):
+        ent, neu = THREE_WAY.by_index(E), THREE_WAY.by_index(N)
         instances = [
-            NLIInstance("p", "h1", E, "1", group_key="aware"),
-            NLIInstance("p", "h2", E, "2", group_key="aware"),
-            NLIInstance("p", "h3", N, "3", group_key="moved"),
-            NLIInstance("p", "h4", N, "4", group_key="moved"),
+            NLIInstance("p", "h1", ent, "1", group_key="aware"),
+            NLIInstance("p", "h2", ent, "2", group_key="aware"),
+            NLIInstance("p", "h3", neu, "3", group_key="moved"),
+            NLIInstance("p", "h4", neu, "4", group_key="moved"),
         ]
-        rep = build_report("dev", [E, N, N, N], instances, train_majority=E)
+        rep = build_report("dev", [E, N, N, N], instances, THREE_WAY, train_majority=E)
         assert rep.per_group is not None
         hyp, maj, _ = rep.per_group["aware"]
         assert hyp == 50.0 and maj == 100.0
         hyp, maj, pct = rep.per_group["moved"]
         assert hyp == 100.0 and maj == 100.0 and pct == 0.0
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "report_golden")
+
+
+def test_report_golden():
+    """report.md, report.csv and the audit sample of 40 grouped instances
+    and fixed predictions, byte for byte. The expected files were written by
+    the Label-object implementation that preceded the label-index one. The
+    data has a split mode (neutral) unlike the train majority (entailment),
+    a class that is never predicted (contradiction), a tie inside a group
+    (theme), ungrouped instances, and cells both over and under
+    n_per_cell."""
+    instances, _ = corpus.read_jsonl(os.path.join(GOLDEN_DIR, "corpus.jsonl"),
+                                     corpus.FIELD_MAP_PRESETS["native"], THREE_WAY)
+    with open(os.path.join(GOLDEN_DIR, "predictions.txt"), encoding="utf-8") as fh:
+        pred = np.array([THREE_WAY.by_name(line.strip()).index for line in fh])
+    gold = np.array([inst.label.index for inst in instances])
+    rep = build_report("dev", pred, instances, THREE_WAY,
+                       THREE_WAY.by_name("entailment").index)
+    sample = confusion_sample(pred, gold, [inst.instance_id for inst in instances],
+                              n_per_cell=5, seed=3)
+    written = {
+        "report.md": report_markdown([rep], ["train_majority=entailment"]),
+        "report.csv": report_csv([rep]),
+        "audit_sample.txt": confusion_sample_text(
+            sample, THREE_WAY, {inst.instance_id: inst for inst in instances}),
+    }
+    for name, text_out in written.items():
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+            assert text_out.encode("utf-8") == fh.read(), name

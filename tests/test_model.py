@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hyponli import model
 from hyponli.corpus import THREE_WAY, TWO_WAY
 from hyponli.model import (
-    ModelConfig, ModelParameters, _encode_bag_rows, classify, encode_birnn_maxpool,
+    ModelConfig, ModelParameters, _encode_bag_rows, encode_birnn_maxpool,
     load_checkpoint, loss_and_gradients, predict, save_checkpoint,
 )
 from hyponli.text import EmbeddingTable, Vocabulary, intern, seeded_random_embeddings
@@ -33,14 +33,15 @@ def make_params(encoder, seed=3, finetune=False, dim=8, hidden=4, mlp=8,
 
 
 def random_batch(params, rng, size=4, max_len=6):
+    """(token-id arrays, label indices) of a random batch."""
     toks = params.vocab.tokens
-    batch = []
+    rows, y = [], []
     for _ in range(size):
         n = int(rng.integers(1, max_len + 1))
         sent = [toks[int(i)] for i in rng.integers(0, len(toks), n)]
-        label = params.scheme.by_index(int(rng.integers(0, len(params.scheme))))
-        batch.append((params.vocab.encode(sent), label))
-    return batch
+        y.append(int(rng.integers(0, len(params.scheme))))
+        rows.append(params.vocab.encode(sent))
+    return rows, np.array(y, dtype=np.int64)
 
 
 def bag_mean(tokens, vocab, table):
@@ -161,53 +162,62 @@ class TestEncodeBirnn:
 
 
 class TestClassify:
-    def zero_params(self, enc_dim=2, n_labels=3):
-        params = make_params("bag", dim=enc_dim, mlp=2, n_labels=n_labels)
+    def zero_params(self):
+        params = make_params("bag", dim=2, mlp=2)
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             params.array(name)[...] = 0.0
         return params
 
-    def test_zero_weights_uniform(self):
-        params = self.zero_params()
-        pred = classify(np.array([0.3, -0.4]), params)
-        assert np.allclose(pred.probabilities, [1 / 3] * 3)
-
-    def test_softmax_shift_invariance(self):
-        params = make_params("bag", dim=2, mlp=4)
-        pred = classify(np.array([0.5, -0.2]), params)
-        shifted = model._softmax(pred.logits + 17.0)
-        assert np.allclose(shifted, pred.probabilities)
-
-    def test_hand_computed_tiny_case(self):
+    def tiny_params(self):
         params = make_params("bag", dim=2, mlp=2, n_labels=2)
         params.array("mlp_w1")[...] = [[1.0, 0.0], [0.0, 1.0]]
         params.array("mlp_b1")[...] = 0.0
         params.array("mlp_w2")[...] = [[1.0, 0.0], [0.0, 1.0]]
         params.array("mlp_b2")[...] = 0.0
-        enc = np.array([0.5, -0.5])
-        pred = classify(enc, params)
-        l0, l1 = math.tanh(0.5), math.tanh(-0.5)
-        p0 = math.exp(l0) / (math.exp(l0) + math.exp(l1))
-        assert np.allclose(pred.logits, [l0, l1])
-        assert pred.probabilities[0] == pytest.approx(p0, abs=1e-12)
-        assert pred.label == TWO_WAY.by_index(0)
+        # token t0 embeds to (0.5, -0.5), so the logits are tanh(0.5), tanh(-0.5)
+        params.array("emb")[0] = [0.5, -0.5]
+        return params
 
-    def test_shape_mismatch_rejected(self):
-        params = make_params("bag", dim=4)
-        with pytest.raises(ValueError):
-            classify(np.zeros(5), params)
+    def test_zero_weights_uniform(self):
+        # d loss / d mlp_b2 of one example is softmax(logits) - onehot(y)
+        params = self.zero_params()
+        _, grads = loss_and_gradients([params.vocab.encode(["t3"])], np.array([1]), params)
+        assert np.allclose(grads["mlp_b2"], [1 / 3, 1 / 3 - 1, 1 / 3])
+
+    def test_softmax_shift_invariance(self):
+        params = make_params("bag", dim=2, mlp=4)
+        rows, y = [params.vocab.encode(["t0", "t4"])], np.array([2])
+        loss, grads = loss_and_gradients(rows, y, params)
+        params.array("mlp_b2")[...] += 17.0
+        shifted_loss, shifted_grads = loss_and_gradients(rows, y, params)
+        assert shifted_loss == pytest.approx(loss, abs=1e-12)
+        assert np.allclose(shifted_grads["mlp_b2"], grads["mlp_b2"])
+
+    def test_hand_computed_tiny_case(self):
+        params = self.tiny_params()
+        assert predict(params.vocab.encode(["t0"]), params) == 0
+
+    def test_hand_computed_tiny_loss(self):
+        params = self.tiny_params()
+        l0, l1 = math.tanh(0.5), math.tanh(-0.5)
+        loss, _ = loss_and_gradients([params.vocab.encode(["t0"])], np.array([0]), params)
+        assert loss == pytest.approx(math.log(math.exp(l0) + math.exp(l1)) - l0, abs=1e-12)
 
     def test_argmax_tie_takes_lowest_index(self):
         params = self.zero_params()
-        pred = classify(np.array([1.0, 1.0]), params)
-        assert pred.label.index == 0
+        assert predict(params.vocab.encode(["t0", "t1"]), params) == 0
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=1000, deadline=None)
     def test_softmax_sums_to_one(self, seed):
+        # softmax(logits) - onehot(y) sums to 0; logits up to ~1e3 stay finite
         rng = np.random.default_rng(seed)
-        probs = model._softmax(rng.normal(scale=10, size=3))
-        assert abs(probs.sum() - 1.0) < 1e-9
+        params = make_params("bag", dim=2, mlp=2)
+        params.array("mlp_b2")[...] = rng.normal(scale=10 ** rng.integers(0, 4), size=3)
+        loss, grads = loss_and_gradients([params.vocab.encode(["t1"])],
+                                         rng.integers(0, 3, 1), params)
+        assert np.isfinite(loss) and loss >= 0.0
+        assert abs(grads["mlp_b2"].sum()) < 1e-9
 
 
 class TestLossAndGradients:
@@ -215,30 +225,29 @@ class TestLossAndGradients:
         params = make_params("bag")
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             params.array(name)[...] = 0.0
-        batch = [(params.vocab.encode(["t0"]), THREE_WAY.by_index(0)),
-                 (params.vocab.encode(["t1"]), THREE_WAY.by_index(2))]
-        loss, _ = loss_and_gradients(batch, params)
+        rows = [params.vocab.encode(["t0"]), params.vocab.encode(["t1"])]
+        loss, _ = loss_and_gradients(rows, np.array([0, 2]), params)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
     def test_duplicated_batch_same_mean_loss(self):
         params = make_params("birnn-maxpool")
         rng = np.random.default_rng(5)
-        batch = random_batch(params, rng)
-        loss_once, _ = loss_and_gradients(batch, params)
-        loss_twice, _ = loss_and_gradients(batch + batch, params)
+        rows, y = random_batch(params, rng)
+        loss_once, _ = loss_and_gradients(rows, y, params)
+        loss_twice, _ = loss_and_gradients(rows + rows, np.concatenate([y, y]), params)
         assert loss_twice == pytest.approx(loss_once, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         params = make_params("bag")
         with pytest.raises(ValueError):
-            loss_and_gradients([], params)
+            loss_and_gradients([], np.array([], dtype=np.int64), params)
 
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_gradients_match_finite_differences(self, encoder):
         params = make_params(encoder, seed=21, finetune=True)
         rng = np.random.default_rng(21)
-        batch = random_batch(params, rng)
-        _, grads = loss_and_gradients(batch, params)
+        rows, y = random_batch(params, rng)
+        _, grads = loss_and_gradients(rows, y, params)
         step = 1e-4
         for name in params.trainable_names():
             flat = params.array(name).reshape(-1)
@@ -246,9 +255,9 @@ class TestLossAndGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                lp, _ = loss_and_gradients(batch, params)
+                lp, _ = loss_and_gradients(rows, y, params)
                 flat[i] = orig - step
-                lm, _ = loss_and_gradients(batch, params)
+                lm, _ = loss_and_gradients(rows, y, params)
                 flat[i] = orig
                 fd = (lp - lm) / (2 * step)
                 denom = max(abs(fd), abs(gflat[i]), 1e-6)
@@ -257,7 +266,7 @@ class TestLossAndGradients:
     def test_frozen_embeddings_have_no_gradient(self):
         params = make_params("bag", finetune=False)
         rng = np.random.default_rng(2)
-        _, grads = loss_and_gradients(random_batch(params, rng), params)
+        _, grads = loss_and_gradients(*random_batch(params, rng), params)
         assert "emb" not in grads
 
 
@@ -265,9 +274,19 @@ class TestPredict:
     def test_prediction_consistency(self):
         for encoder in ("bag", "birnn-maxpool"):
             params = make_params(encoder)
-            pred = predict(params.vocab.encode(["t0", "t5"]), params)
-            assert pred.label == params.scheme.by_index(int(np.argmax(pred.logits)))
-            assert abs(pred.probabilities.sum() - 1.0) < 1e-9
+            sentences = [params.vocab.encode(s) for s in (["t0", "t5"], ["t3"], [])]
+            expected = []
+            for rows in sentences:
+                if encoder == "bag":
+                    enc = _encode_bag_rows(rows, params.array("emb"))
+                else:
+                    enc = encode_birnn_maxpool(rows, params)
+                h1 = np.tanh(params.array("mlp_w1") @ enc + params.array("mlp_b1"))
+                expected.append(int(np.argmax(params.array("mlp_w2") @ h1
+                                              + params.array("mlp_b2"))))
+            assert [predict(rows, params) for rows in sentences] == expected
+            batch = model.predict_batch(sentences, params)
+            assert batch.dtype == np.int64 and batch.tolist() == expected
 
 
 class TestDeterminism:
@@ -278,8 +297,7 @@ class TestDeterminism:
             params = make_params("birnn-maxpool", seed=13, finetune=True)
             rng = np.random.default_rng(13)
             for _ in range(5):
-                batch = random_batch(params, rng)
-                _, grads = loss_and_gradients(batch, params)
+                _, grads = loss_and_gradients(*random_batch(params, rng), params)
                 sgd_step(params, grads, 0.05)
             return params
 
@@ -313,8 +331,9 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         back = load_checkpoint(path)
         tokens = params.vocab.encode(["t2", "t9", "t1"])
-        assert np.array_equal(predict(tokens, params).logits,
-                              predict(tokens, back).logits)
+        assert np.array_equal(model.encode_birnn_maxpool(tokens, params),
+                              model.encode_birnn_maxpool(tokens, back))
+        assert predict(tokens, params) == predict(tokens, back)
 
 
 def valid_checkpoint(tmp_path, encoder="bag"):

@@ -28,8 +28,9 @@ def tiny_splits(n_train=12, n_dev=6):
 
 
 def encoded(instances):
-    """The (token ids, Label) examples fit takes."""
-    return [(TINY_VOCAB.encode(tokenize(inst.hypothesis)), inst.label) for inst in instances]
+    """The (token-id arrays, label indices) pair fit takes."""
+    return ([TINY_VOCAB.encode(tokenize(inst.hypothesis)) for inst in instances],
+            np.array([inst.label.index for inst in instances], dtype=np.int64))
 
 
 def scripted(values):
@@ -190,8 +191,8 @@ class TestBestParams:
         config = TrainConfig(max_epochs=6, batch_size=8, seed=4, lr0=0.2)
         best, state = fit(train, dev, tiny_params(seed=4), config)
         from hyponli.model import predict
-        hits = sum(1 for ids, label in dev if predict(ids, best).label == label)
-        acc = 100.0 * hits / len(dev)
+        hits = sum(1 for ids, label in zip(*dev) if predict(ids, best) == label)
+        acc = 100.0 * hits / len(dev[1])
         assert acc == max(a for _, _, _, a in state.history)
         assert acc == state.best_dev_acc
 
@@ -210,10 +211,11 @@ class TestDeterminism:
 class TestValidationAndLog:
     def test_empty_splits_rejected(self):
         train, dev = tiny_splits()
+        empty = ([], np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            fit([], dev, tiny_params(), TrainConfig())
+            fit(empty, dev, tiny_params(), TrainConfig())
         with pytest.raises(ValueError):
-            fit(train, [], tiny_params(), TrainConfig())
+            fit(train, empty, tiny_params(), TrainConfig())
 
     def test_log_csv_shape(self):
         train, dev = tiny_splits()
