@@ -7,6 +7,25 @@ path takes only hypothesis tokens; premises are unreachable by
 construction. Labels are label indices into the scheme: predict returns
 one, predict_batch an int64 array, and loss_and_gradients takes an array
 of them.
+
+The bag encoder runs batched: one forward and backward pass per
+minibatch, and one forward pass over a whole split for prediction. Its
+sums are ordered so that every result is bitwise equal to the
+one-sentence-at-a-time computation. Each sentence's mean starts from 0.0
+and adds its embedding rows in token order, as numpy's axis-0 reduction in
+emb[rows].mean(axis=0) does (np.add.reduceat does not). With a single
+embedding column numpy sums pairwise instead, so there the two agree only
+to rounding.
+
+The embedding gradient of both encoders is a RowGradient: the rows the
+batch touched and their summed values, added token by token in batch
+order, exactly as np.add.at into a dense zero matrix adds them. SGD then
+writes only those rows.
+
+The BiLSTM still encodes one sentence at a time, and its predict_batch
+calls predict once per sentence. The benchmark's traced run checks
+kernels.lstm_forward.calls = 2 x (examples + model.predict.calls), so a
+batched BiLSTM comes together with a new form of that check.
 """
 
 from __future__ import annotations
@@ -124,16 +143,58 @@ class ModelParameters:
         return ModelParameters(self.config, self.scheme, self.vocab, arrays)
 
 
-def zero_gradients(params: ModelParameters) -> dict[str, np.ndarray]:
-    """A gradient accumulator shaped like the trainable parameters."""
-    return {name: np.zeros_like(params.array(name)) for name in params.trainable_names()}
+@dataclass(frozen=True)
+class RowGradient:
+    """Gradient of a matrix that is zero outside some rows: values[k] is
+    the gradient of row rows[k]. rows is strictly increasing."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.values.size
 
 
-def _encode_bag_rows(rows: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the embedding rows; empty sentences encode to zero."""
-    if rows.size == 0:
-        return np.zeros(emb.shape[1])
-    return emb[rows].mean(axis=0)
+def _row_gradient(ids: np.ndarray, per_token: np.ndarray) -> RowGradient:
+    """Sum the rows of per_token (N, d) into the embedding rows ids (N,),
+    adding in the order of ids, as np.add.at into dense zeros does."""
+    rows, inverse = np.unique(ids, return_inverse=True)
+    d = per_token.shape[1]
+    values = np.zeros((rows.size, d))
+    np.add.at(values.reshape(-1), (inverse[:, None] * d + np.arange(d)).reshape(-1),
+              per_token.reshape(-1))
+    return RowGradient(rows, values)
+
+
+def _flatten(sentences) -> tuple[np.ndarray, np.ndarray]:
+    """(concatenated token ids, int64 sentence lengths) of token-id arrays;
+    the empty head keeps an empty sequence legal."""
+    lengths = np.array([rows.size for rows in sentences], dtype=np.int64)
+    return np.concatenate([np.empty(0, np.int64), *sentences]), lengths
+
+
+def _encode_bag(ids: np.ndarray, lengths: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Mean embedding row of each sentence (B, d); empty sentences encode
+    to zero. Sentences are sorted longest first, and step t adds token t of
+    the leading ones still that long, so each sum runs from 0.0 in token
+    order, as emb[rows].mean(axis=0) sums."""
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    longer_than = lengths.size - np.cumsum(np.bincount(lengths))  # count with length > t
+    total = np.zeros((lengths.size, emb.shape[1]))
+    for t, n in enumerate(longer_than[:-1]):
+        total[:n] += emb[ids[starts[:n] + t]]
+    enc = np.empty_like(total)
+    enc[order] = total
+    enc /= np.maximum(lengths, 1)[:, None]
+    return enc
+
+
+def _mlp_head(enc: np.ndarray, params: ModelParameters):
+    """(hidden activations, logits) of the MLP on a batch of encodings."""
+    h1 = np.tanh(enc @ params.array("mlp_w1").T + params.array("mlp_b1"))
+    return h1, h1 @ params.array("mlp_w2").T + params.array("mlp_b2")
 
 
 def _birnn_states(rows: np.ndarray, params: ModelParameters):
@@ -168,23 +229,27 @@ def predict(rows: np.ndarray, params: ModelParameters) -> int:
     (lowest index on ties) of mlp_w2 @ tanh(mlp_w1 @ encoding + mlp_b1) +
     mlp_b2."""
     if params.config.encoder_kind == "bag":
-        encoding = _encode_bag_rows(rows, params.array("emb"))
-    else:
-        encoding = encode_birnn_maxpool(rows, params)
+        return int(predict_batch([rows], params)[0])
+    encoding = encode_birnn_maxpool(rows, params)
     h1 = np.tanh(params.array("mlp_w1") @ encoding + params.array("mlp_b1"))
     logits = params.array("mlp_w2") @ h1 + params.array("mlp_b2")
     return int(np.argmax(logits))
 
 
 def predict_batch(sentences, params: ModelParameters) -> np.ndarray:
-    """Label indices (int64) of a sequence of token-id arrays."""
-    return np.array([predict(rows, params) for rows in sentences], dtype=np.int64)
+    """Label indices (int64) of a sequence of token-id arrays: one forward
+    pass over all of them for the bag, one predict call per sentence for
+    the BiLSTM."""
+    if params.config.encoder_kind != "bag":
+        return np.array([predict(rows, params) for rows in sentences], dtype=np.int64)
+    enc = _encode_bag(*_flatten(sentences), params.array("emb"))
+    return np.argmax(_mlp_head(enc, params)[1], axis=1).astype(np.int64, copy=False)
 
 
 def loss_and_gradients(batch, y, params: ModelParameters):
     """Mean negative log-likelihood of the label indices y given the token-id
     arrays of batch, with backpropagated gradients for every trainable
-    array.
+    array; the embedding gradient is a RowGradient over the batch's ids.
 
     The loss is log(sum(exp(shifted))) - shifted[y] for the max-shifted
     logits, finite whenever the logits are. Max-pool subgradients route to
@@ -193,26 +258,25 @@ def loss_and_gradients(batch, y, params: ModelParameters):
     if not batch:
         raise ValueError("batch must be nonempty")
     cfg = params.config
-    emb = params.array("emb")
+    ids, lengths = _flatten(batch)
     B = len(batch)
-    enc = np.zeros((B, cfg.encoding_dim))
-    caches = []
-    for k, rows in enumerate(batch):
-        if cfg.encoder_kind == "bag":
-            enc[k] = _encode_bag_rows(rows, emb)
-            caches.append(rows)
-        else:
+    grads = {}
+    if cfg.encoder_kind == "bag":
+        enc = _encode_bag(ids, lengths, params.array("emb"))
+    else:
+        enc = np.zeros((B, cfg.encoding_dim))
+        caches = []
+        for k, rows in enumerate(batch):
             if rows.size == 0:
                 caches.append(None)
                 continue
             x, fwd, bwd, h_cat = _birnn_states(rows, params)
             enc[k] = h_cat.max(axis=0)
-            caches.append((rows, x, fwd, bwd, np.argmax(h_cat, axis=0)))
+            caches.append((x, fwd, bwd, np.argmax(h_cat, axis=0)))
+        for name in _LSTM_ARRAYS:
+            grads[name] = np.zeros_like(params.array(name))
 
-    w1, b1 = params.array("mlp_w1"), params.array("mlp_b1")
-    w2, b2 = params.array("mlp_w2"), params.array("mlp_b2")
-    h1 = np.tanh(enc @ w1.T + b1)
-    logits = h1 @ w2.T + b2
+    h1, logits = _mlp_head(enc, params)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
@@ -221,50 +285,51 @@ def loss_and_gradients(batch, y, params: ModelParameters):
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
 
-    grads = zero_gradients(params)
+    w1, w2 = params.array("mlp_w1"), params.array("mlp_w2")
     d_logits = probs.copy()
     d_logits[np.arange(B), y] -= 1.0
     d_logits /= B
-    grads["mlp_w2"][...] = d_logits.T @ h1
-    grads["mlp_b2"][...] = d_logits.sum(axis=0)
+    grads["mlp_w2"] = d_logits.T @ h1
+    grads["mlp_b2"] = d_logits.sum(axis=0)
     d_h1 = d_logits @ w2
     d_a1 = d_h1 * (1.0 - h1 * h1)
-    grads["mlp_w1"][...] = d_a1.T @ enc
-    grads["mlp_b1"][...] = d_a1.sum(axis=0)
+    grads["mlp_w1"] = d_a1.T @ enc
+    grads["mlp_b1"] = d_a1.sum(axis=0)
     d_enc = d_a1 @ w1
 
     finetune = cfg.finetune_embeddings
     if cfg.encoder_kind == "bag":
         if finetune:
-            for k in range(B):
-                rows = caches[k]
-                if rows.size:
-                    np.add.at(grads["emb"], rows, d_enc[k] / rows.size)
-    else:
-        H = cfg.hidden_dim
-        for k in range(B):
-            if caches[k] is None:
-                continue
-            rows, x, fwd, bwd, amax = caches[k]
-            T = rows.size
-            dh_f = np.zeros((T, H))
-            dh_b_rev = np.zeros((T, H))
-            cols = np.arange(H)
-            np.add.at(dh_f, (amax[:H], cols), d_enc[k, :H])
-            np.add.at(dh_b_rev, (T - 1 - amax[H:], cols), d_enc[k, H:])
-            gfx, gfh, gfb, dxf = kernels.lstm_backward(
-                x, params.array("wf_x"), params.array("wf_h"), *fwd, dh_f)
-            xr = np.ascontiguousarray(x[::-1])
-            gbx, gbh, gbb, dxb = kernels.lstm_backward(
-                xr, params.array("wb_x"), params.array("wb_h"), *bwd, dh_b_rev)
-            grads["wf_x"] += gfx
-            grads["wf_h"] += gfh
-            grads["wf_b"] += gfb
-            grads["wb_x"] += gbx
-            grads["wb_h"] += gbh
-            grads["wb_b"] += gbb
-            if finetune:
-                np.add.at(grads["emb"], rows, dxf + dxb[::-1])
+            scaled = d_enc / np.maximum(lengths, 1)[:, None]
+            grads["emb"] = _row_gradient(ids, np.repeat(scaled, lengths, axis=0))
+        return loss, grads
+    H = cfg.hidden_dim
+    d_x = [np.empty((0, cfg.embedding_dim))]
+    for k in range(B):
+        if caches[k] is None:
+            continue
+        x, fwd, bwd, amax = caches[k]
+        T = x.shape[0]
+        dh_f = np.zeros((T, H))
+        dh_b_rev = np.zeros((T, H))
+        cols = np.arange(H)
+        np.add.at(dh_f, (amax[:H], cols), d_enc[k, :H])
+        np.add.at(dh_b_rev, (T - 1 - amax[H:], cols), d_enc[k, H:])
+        gfx, gfh, gfb, dxf = kernels.lstm_backward(
+            x, params.array("wf_x"), params.array("wf_h"), *fwd, dh_f)
+        xr = np.ascontiguousarray(x[::-1])
+        gbx, gbh, gbb, dxb = kernels.lstm_backward(
+            xr, params.array("wb_x"), params.array("wb_h"), *bwd, dh_b_rev)
+        grads["wf_x"] += gfx
+        grads["wf_h"] += gfh
+        grads["wf_b"] += gfb
+        grads["wb_x"] += gbx
+        grads["wb_h"] += gbh
+        grads["wb_b"] += gbb
+        if finetune:
+            d_x.append(dxf + dxb[::-1])
+    if finetune:
+        grads["emb"] = _row_gradient(ids, np.concatenate(d_x))
     return loss, grads
 
 

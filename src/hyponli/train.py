@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParameters, NumericalError, loss_and_gradients, predict_batch
+from .model import (
+    ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch,
+)
 
 
 @dataclass
@@ -86,17 +88,27 @@ class TrainAbort(RuntimeError):
         self.state = state
 
 
-def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
-             lr: float) -> ModelParameters:
-    """In-place update: params <- params - lr * gradients, elementwise."""
+def sgd_step(params: ModelParameters, gradients: dict, lr: float) -> ModelParameters:
+    """In-place update params <- params - lr * gradient, array by array.
+
+    A dense gradient must have its array's shape. A RowGradient updates
+    only its rows, arr[rows] -= lr * values; its values must have one row
+    per entry of rows, and rows must be strictly increasing, since a
+    repeated row would keep only one of its updates. This equals the dense
+    update bit for bit: an untouched row would compute x - lr * 0.0 = x.
+    """
     if lr <= 0.0:
         raise ValueError("lr must be positive")
     for name, grad in gradients.items():
         arr = params.array(name)
-        if arr.shape != grad.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}: "
-                             f"{grad.shape} vs {arr.shape}")
-        arr -= lr * grad
+        rows, shape = Ellipsis, arr.shape
+        if isinstance(grad, RowGradient):
+            if not (np.diff(grad.rows) > 0).all():
+                raise ValueError(f"gradient rows for {name!r} are not strictly increasing")
+            rows, shape, grad = grad.rows, (grad.rows.size, *arr.shape[1:]), grad.values
+        if grad.shape != shape:
+            raise ValueError(f"gradient shape mismatch for {name!r}: {grad.shape} vs {shape}")
+        arr[rows] -= lr * grad
     return params
 
 

@@ -340,6 +340,20 @@ class TestTrainEvalCommand:
             assert rc == 1
             assert len(err) == 1 and err[0].startswith("training aborted: epoch 1: "), err
 
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_whitespace_only_dev_split_trains(self, tmp_path, capsys, encoder):
+        paths = synth_corpus_files(tmp_path)
+        dev = make_instances([(" " * (1 + i % 3), corpus.THREE_WAY.names[i % 3])
+                              for i in range(9)])
+        paths["dev"] = write_corpus(tmp_path / "blank_dev.jsonl", dev)
+        out = tmp_path / "out"
+        rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                   "--out-dir", str(out), "--encoder", encoder, "--embedding-dim", "8",
+                   "--mlp-hidden", "16", "--max-epochs", "2", "--finetune-embeddings"])
+        assert rc == 0 and capsys.readouterr().err == ""
+        log = (out / "train_log.csv").read_text().strip().splitlines()
+        assert len(log) == 3  # header + 2 epochs
+
     def test_unknown_config_key_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -397,6 +411,22 @@ class TestAuditSampleCommand:
                          "--out-dir", str(audit_out), "--seed", "4"]) == 0
             outs.append((audit_out / "audit_sample.txt").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_empty_data_file(self, tmp_path, capsys, encoder):
+        out = tmp_path / "out"
+        paths = synth_corpus_files(tmp_path)
+        assert main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                     "--out-dir", str(out), "--encoder", encoder,
+                     "--embedding-dim", "8", "--mlp-hidden", "16",
+                     "--max-epochs", "1"]) == 0
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        rc = main(["audit-sample", "--checkpoint", str(out / "model.ckpt"),
+                   "--data", str(empty), "--out-dir", str(tmp_path / "audit")])
+        assert rc == 0
+        assert "0 rows across 0 cells" in capsys.readouterr().out
 
     def test_missing_checkpoint_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from hyponli import model
 from hyponli.corpus import THREE_WAY, TWO_WAY
 from hyponli.model import (
-    ModelConfig, ModelParameters, _encode_bag_rows, encode_birnn_maxpool,
+    ModelConfig, ModelParameters, encode_birnn_maxpool,
     load_checkpoint, loss_and_gradients, predict, save_checkpoint,
 )
 from hyponli.text import EmbeddingTable, Vocabulary, intern, seeded_random_embeddings
+
+import reference
+from reference import dense, encode_bag_rows
 
 
 def small_vocab(n=10):
@@ -47,7 +50,7 @@ def random_batch(params, rng, size=4, max_len=6):
 def bag_mean(tokens, vocab, table):
     """The bag encoding of tokens through the model's row-index path."""
     rows = vocab.encode(tokens)
-    return _encode_bag_rows(rows, table.matrix_for(vocab))
+    return model._encode_bag(*model._flatten([rows]), table.matrix_for(vocab))[0]
 
 
 class TestEncodeBag:
@@ -251,7 +254,7 @@ class TestLossAndGradients:
         step = 1e-4
         for name in params.trainable_names():
             flat = params.array(name).reshape(-1)
-            gflat = grads[name].reshape(-1)
+            gflat = dense(grads[name], params.array(name)).reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
@@ -278,7 +281,7 @@ class TestPredict:
             expected = []
             for rows in sentences:
                 if encoder == "bag":
-                    enc = _encode_bag_rows(rows, params.array("emb"))
+                    enc = encode_bag_rows(rows, params.array("emb"))
                 else:
                     enc = encode_birnn_maxpool(rows, params)
                 h1 = np.tanh(params.array("mlp_w1") @ enc + params.array("mlp_b1"))
@@ -287,6 +290,114 @@ class TestPredict:
             assert [predict(rows, params) for rows in sentences] == expected
             batch = model.predict_batch(sentences, params)
             assert batch.dtype == np.int64 and batch.tolist() == expected
+
+
+def ragged_batches(params):
+    """Batches with empty sentences, ids repeated within and across
+    sentences, the OOV row, and a batch of only empty sentences."""
+    oov = len(params.vocab)
+    ids = lambda *values: np.array(values, dtype=np.int64)
+    return [
+        [ids(0, 3, 3, 0), ids(), ids(oov, 3), ids(5), ids(), ids(3, oov, oov, 9, 1, 0, 3)],
+        [ids(), ids(), ids()],
+        [ids(oov)],
+        [ids(2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2), ids(2)],
+    ]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes; unlike ==, this tells 0.0 from -0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_matches_reference(batch, y, params):
+    """Loss, every dense gradient and the scattered embedding gradient are
+    bitwise equal to the per-sentence reference."""
+    loss, grads = loss_and_gradients(batch, y, params)
+    ref_loss, ref_grads = reference.loss_and_gradients(batch, y, params)
+    assert same_bits(loss, ref_loss)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, grad in grads.items():
+        if name == "emb":
+            assert isinstance(grad, model.RowGradient)
+            assert (np.diff(grad.rows) > 0).all()
+            assert np.array_equal(grad.rows, np.unique(np.concatenate(batch)))
+            assert grad.size == grad.values.size == grad.rows.size * params.config.embedding_dim
+        assert same_bits(dense(grad, params.array(name)), ref_grads[name]), name
+
+
+@st.composite
+def ragged_batch(draw, n_ids):
+    """(token-id arrays, label indices) with lengths 0-7 over n_ids ids."""
+    sentences = draw(st.lists(st.lists(st.integers(0, n_ids - 1), max_size=7),
+                              min_size=1, max_size=8))
+    y = draw(st.lists(st.integers(0, 2), min_size=len(sentences), max_size=len(sentences)))
+    return ([np.array(s, dtype=np.int64) for s in sentences], np.array(y, dtype=np.int64))
+
+
+class TestBatchedMatchesReference:
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_ragged_batches(self, encoder):
+        params = make_params(encoder, seed=31, finetune=True)
+        rng = np.random.default_rng(31)
+        for batch in ragged_batches(params):
+            assert_matches_reference(batch, rng.integers(0, 3, len(batch)), params)
+
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_frozen_embeddings(self, encoder):
+        params = make_params(encoder, seed=32)
+        rng = np.random.default_rng(32)
+        for batch in ragged_batches(params):
+            assert_matches_reference(batch, rng.integers(0, 3, len(batch)), params)
+
+    @given(data=st.data(), seed=st.integers(0, 10**6),
+           encoder=st.sampled_from(["bag", "birnn-maxpool"]))
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, data, seed, encoder):
+        params = make_params(encoder, seed=seed, finetune=True)
+        batch, y = data.draw(ragged_batch(len(params.vocab) + 1))
+        assert_matches_reference(batch, y, params)
+
+    @pytest.mark.parametrize("negative_zeros", [False, True])
+    def test_bag_encoding_equals_per_sentence_mean(self, negative_zeros):
+        params = make_params("bag", seed=33, dim=50, finetune=True)
+        emb = params.array("emb")
+        if negative_zeros:  # numpy's mean sums from 0.0, so -0.0 alone gives 0.0
+            emb[[2, len(params.vocab)], ::2] = -0.0
+        rng = np.random.default_rng(33)
+        for batch in ragged_batches(params):
+            enc = model._encode_bag(*model._flatten(batch), emb)
+            for k, rows in enumerate(batch):
+                assert same_bits(enc[k], reference.encode_bag_rows(rows, emb))
+            assert_matches_reference(batch, rng.integers(0, 3, len(batch)), params)
+
+    def test_one_dimensional_embeddings_agree_to_rounding(self):
+        # With one column, emb[rows].mean(axis=0) reduces a contiguous axis,
+        # which numpy sums pairwise; the batched encoder always sums in
+        # token order. Equality is bitwise from two columns on.
+        params = make_params("bag", seed=34, dim=1)
+        emb = params.array("emb")
+        batch = ragged_batches(params)[0] + [np.arange(11).repeat(3)]
+        enc = model._encode_bag(*model._flatten(batch), emb)
+        for k, rows in enumerate(batch):
+            assert np.allclose(enc[k], reference.encode_bag_rows(rows, emb),
+                               rtol=1e-14, atol=0)
+
+
+class TestPredictBatch:
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_equals_per_sentence_predict(self, encoder):
+        params = make_params(encoder, seed=35)
+        for batch in ragged_batches(params):
+            got = model.predict_batch(batch, params)
+            assert got.dtype == np.int64
+            assert got.tolist() == [predict(rows, params) for rows in batch]
+
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_empty_split(self, encoder):
+        got = model.predict_batch([], make_params(encoder))
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 class TestDeterminism:

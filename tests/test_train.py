@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyponli.corpus import THREE_WAY
-from hyponli.model import ModelConfig, ModelParameters, loss_and_gradients
+from hyponli.model import ModelConfig, ModelParameters, RowGradient, loss_and_gradients
 from hyponli.text import intern, seeded_random_embeddings, tokenize
 from hyponli.train import TrainConfig, TrainState, fit, sgd_step
 
@@ -76,6 +76,46 @@ class TestSgdStep:
         params = tiny_params()
         with pytest.raises(ValueError):
             sgd_step(params, {}, 0.0)
+
+
+class TestSgdStepRowGradient:
+    def params_and_gradient(self, rows):
+        params = tiny_params(seed=4)
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(len(rows), params.array("emb").shape[1]))
+        return params, RowGradient(np.array(rows, dtype=np.int64), values)
+
+    def test_equals_dense_update_bitwise(self):
+        params, grad = self.params_and_gradient([0, 2, 4])
+        emb = params.array("emb")
+        dense = np.zeros_like(emb)
+        dense[grad.rows] = grad.values
+        expected = emb.copy()
+        expected -= 0.37 * dense
+        untouched = emb[[1, 3]].copy()
+        sgd_step(params, {"emb": grad}, 0.37)
+        assert np.array_equal(emb, expected)
+        assert np.array_equal(emb[[1, 3]], untouched)
+
+    def test_no_rows_is_no_update(self):
+        params, grad = self.params_and_gradient([])
+        before = params.array("emb").copy()
+        sgd_step(params, {"emb": grad}, 0.5)
+        assert np.array_equal(params.array("emb"), before)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 4), (3, 3), (3,), (3, 4, 1)])
+    def test_values_shape_mismatch_rejected(self, shape):
+        params, grad = self.params_and_gradient([0, 2, 4])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sgd_step(params, {"emb": RowGradient(grad.rows, np.zeros(shape))}, 0.1)
+
+    @pytest.mark.parametrize("rows", [[2, 2, 4], [4, 2, 0]])
+    def test_rows_not_strictly_increasing_rejected(self, rows):
+        params, grad = self.params_and_gradient(rows)
+        before = params.array("emb").copy()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sgd_step(params, {"emb": grad}, 0.1)
+        assert np.array_equal(params.array("emb"), before)
 
 
 class TestConfigValidation:
