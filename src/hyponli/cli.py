@@ -142,9 +142,9 @@ def cmd_stats(args) -> int:
 
 def _build_model(args, scheme, vocab, seed):
     if args.embeddings:
-        table = text.load_embeddings(args.embeddings, vocab, args.embedding_dim)
+        emb = text.load_embeddings(args.embeddings, vocab, args.embedding_dim)
     else:
-        table = text.seeded_random_embeddings(vocab, args.embedding_dim, seed + 1)
+        emb = text.seeded_random_embeddings(vocab, args.embedding_dim, seed + 1)
     config = model.ModelConfig(
         encoder_kind=args.encoder,
         embedding_dim=args.embedding_dim,
@@ -154,7 +154,7 @@ def _build_model(args, scheme, vocab, seed):
         seed=seed + 2,
         finetune_embeddings=args.finetune_embeddings,
     )
-    return model.ModelParameters.init(config, table, vocab, scheme)
+    return model.ModelParameters.init(config, emb, vocab, scheme)
 
 
 def _label_indices(instances):
@@ -322,6 +322,10 @@ def build_parser():
     return parser, by_name
 
 
+_BOOLEAN_WORDS = {"1": True, "0": False, "true": True, "false": False,
+                  "yes": True, "no": False, "on": True, "off": False}
+
+
 def _apply_config_file(parser, by_name, argv):
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
@@ -341,12 +345,16 @@ def _apply_config_file(parser, by_name, argv):
         action = actions.get(key)
         if action is None:
             raise corpus.ConfigError(f"{args.config}: unknown option {key!r}")
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            coerced[key] = value.lower() in ("1", "true", "yes", "on")
+        flag = isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction))
+        if flag:
+            value = value.lower()
         elif action.type is not None:
-            coerced[key] = action.type(value)
-        else:
-            coerced[key] = value
+            value = action.type(value)
+        choices = _BOOLEAN_WORDS if flag else action.choices
+        if choices is not None and value not in choices:
+            raise corpus.ConfigError(f"{args.config}: {key}={value!r} is not one of "
+                                     f"{', '.join(map(str, choices))}")
+        coerced[key] = _BOOLEAN_WORDS[value] if flag else value
     sub.set_defaults(**coerced)
     return parser.parse_args(argv)
 

@@ -169,6 +169,18 @@ def _build_instance(premise, hypothesis, label_name, scheme, group, ordinal, ins
     )
 
 
+def _parse_ordinal(value, path, lineno) -> int:
+    """An integer, integral float or integer string as an int; anything
+    else (4.7, true, "x") raises IngestError naming the line."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            if isinstance(value, str) or int(value) == value:
+                return int(value)
+        except (ValueError, OverflowError):  # "x", nan, inf
+            pass
+    raise IngestError(f"{path}: line {lineno}: bad ordinal {value!r}")
+
+
 def _numbered_lines(fh, path):
     """(line number, line) pairs of a file opened as UTF-8 text. A byte
     sequence that is not UTF-8 raises IngestError naming its line."""
@@ -219,10 +231,7 @@ def read_jsonl(path, field_map: FieldMap, scheme: LabelScheme):
                 group = str(record[field_map.group])
             ordinal = None
             if field_map.ordinal is not None and record.get(field_map.ordinal) is not None:
-                try:
-                    ordinal = int(record[field_map.ordinal])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise IngestError(f"{path}: line {lineno}: bad ordinal") from exc
+                ordinal = _parse_ordinal(record[field_map.ordinal], path, lineno)
             if field_map.id is not None and record.get(field_map.id) is not None:
                 instance_id = str(record[field_map.id])
             else:
@@ -263,10 +272,7 @@ def read_tsv(path, columns: ColumnSpec, scheme: LabelScheme):
             group = cells[columns.group] if columns.group is not None else None
             ordinal = None
             if columns.ordinal is not None:
-                try:
-                    ordinal = int(cells[columns.ordinal])
-                except ValueError as exc:
-                    raise IngestError(f"{path}: line {lineno}: bad ordinal") from exc
+                ordinal = _parse_ordinal(cells[columns.ordinal], path, lineno)
             if columns.id is not None:
                 instance_id = cells[columns.id]
             else:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import Label, LabelScheme
-from .text import EmbeddingTable, Vocabulary
+from .text import Vocabulary
 from .util import atomic_open
 
 ENCODER_KINDS = ("bag", "birnn-maxpool")
@@ -105,15 +105,17 @@ class ModelParameters:
                 raise NumericalError(f"parameter array {name!r} is not finite")
 
     @classmethod
-    def init(cls, config: ModelConfig, embeddings: EmbeddingTable,
+    def init(cls, config: ModelConfig, embeddings: np.ndarray,
              vocab: Vocabulary, scheme: LabelScheme) -> "ModelParameters":
-        """Seeded uniform initialization in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-        if embeddings.dimension != config.embedding_dim:
-            raise ValueError("embedding table dimension does not match config")
+        """Seeded uniform initialization in [-1/sqrt(fan_in), +1/sqrt(fan_in)];
+        the (len(vocab) + 1, embedding_dim) embeddings become "emb", uncopied."""
+        if embeddings.shape != (len(vocab) + 1, config.embedding_dim):
+            raise ValueError(f"embedding matrix shape {embeddings.shape} is not "
+                             f"({len(vocab) + 1}, {config.embedding_dim})")
         rng = np.random.default_rng(config.seed)
         d, H, m, n = (config.embedding_dim, config.hidden_dim,
                       config.mlp_hidden, config.n_labels)
-        arrays: dict[str, np.ndarray] = {"emb": embeddings.matrix_for(vocab)}
+        arrays: dict[str, np.ndarray] = {"emb": embeddings}
         if config.encoder_kind == "birnn-maxpool":
             for prefix in ("wf", "wb"):
                 arrays[f"{prefix}_x"] = _uniform_init(rng, (4 * H, d), d)
@@ -378,9 +380,9 @@ def load_checkpoint(path) -> ModelParameters:
     """Read a save_checkpoint file.
 
     Raises ValueError naming the path and the reason when the header is
-    not the expected object, the version is not 1, the manifest does not
-    match the shapes the config implies, an array is cut short, or bytes
-    follow the last array.
+    not the expected object, the version is not 1, a vocabulary token
+    repeats, the manifest does not match the shapes the config implies, an
+    array is cut short, or bytes follow the last array.
     """
     with open(path, "rb") as fh:
         try:
@@ -399,10 +401,7 @@ def load_checkpoint(path) -> ModelParameters:
             config = ModelConfig(**header["config"])
             labels = tuple(Label(name, i) for i, name in enumerate(header["scheme"]["labels"]))
             scheme = LabelScheme(labels, header["scheme"]["id"])
-            vocab = Vocabulary()
-            for tok in header["vocab"]:
-                vocab.add(tok)
-            vocab.freeze()
+            vocab = Vocabulary(header["vocab"])
             expected = _array_shapes(config, len(vocab))
         except (TypeError, ValueError, KeyError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc

@@ -130,17 +130,21 @@ _REQUIRED_SPEC_KEYS = ("n_labels", "label_prior", "vocab_size", "sentence_length
 
 def spec_from_dict(data: dict) -> SynthSpec:
     """Build a spec from parsed JSON; label names in giveaways may be given
-    instead of indices. A missing key, a giveaway entry that is not
-    [token, label, rate] or an unknown label name raises ConfigError."""
+    instead of indices. A missing key, a value of the wrong type, a
+    giveaway entry that is not [token, label, rate] or an unknown label
+    name raises ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError("synth spec must be a JSON object")
     missing = [key for key in _REQUIRED_SPEC_KEYS if key not in data]
     if missing:
         raise ConfigError(f"synth spec lacks key(s): {', '.join(missing)}")
-    n_labels = int(data["n_labels"])
+    n_labels = _convert(data, "n_labels")
     scheme = TWO_WAY if n_labels == 2 else THREE_WAY
+    entries = data.get("giveaway", [])
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"synth spec key 'giveaway': {entries!r} is not a list")
     giveaway = []
-    for entry in data.get("giveaway", []):
+    for entry in entries:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ConfigError(f"giveaway entry {entry!r} is not [token, label, rate]")
         token, target, rate = entry
@@ -149,15 +153,33 @@ def spec_from_dict(data: dict) -> SynthSpec:
                 raise ConfigError(f"giveaway entry {entry!r}: label {target!r} is not "
                                   f"one of {', '.join(scheme.names)}")
             target = scheme.by_name(target).index
-        giveaway.append((str(token), int(target), float(rate)))
+        try:
+            giveaway.append((str(token), int(target), float(rate)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"giveaway entry {entry!r} is not [token, label, rate] "
+                              f"({exc})") from exc
     return SynthSpec(
         n_labels=n_labels,
-        label_prior=tuple(float(p) for p in data["label_prior"]),
-        vocab_size=int(data["vocab_size"]),
-        sentence_length=tuple(int(v) for v in data["sentence_length"]),
+        label_prior=_convert(data, "label_prior", float, sequence=True),
+        vocab_size=_convert(data, "vocab_size"),
+        sentence_length=_convert(data, "sentence_length", sequence=True),
         giveaway=tuple(giveaway),
-        seed=int(data["seed"]),
+        seed=_convert(data, "seed"),
     )
+
+
+def _convert(data: dict, key: str, convert=int, sequence=False):
+    """convert(data[key]), or a tuple of convert over its items when
+    sequence; a value of the wrong type raises ConfigError naming key."""
+    value = data[key]
+    try:
+        if not sequence:
+            return convert(value)
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"{type(value).__name__} is not a list")
+        return tuple(convert(v) for v in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"synth spec key {key!r}: bad value {value!r} ({exc})") from exc
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:

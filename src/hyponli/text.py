@@ -1,17 +1,30 @@
-"""Tokenization, integer interning of token streams, and embedding lookup."""
+"""Tokenization, integer interning of token streams, and the embedding matrix.
+
+tokenize is one regular expression. intern tokenizes each text once and
+numbers its tokens in order of first occurrence; the Vocabulary it returns
+is immutable. The embedding matrix has one row per vocabulary id plus a
+final out-of-vocabulary row at index len(vocab): seeded_random_embeddings
+draws it in one call, and load_embeddings fills it from a word-vector file.
+"""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 
 class EmbeddingFormatError(ValueError):
-    """A word-vector file line that does not match the declared dimension."""
+    """A word-vector file line with the wrong number of values, or a value
+    that is not a finite number."""
 
 
 # Marks detached from the ends of whitespace chunks. Case is preserved;
 # word-internal marks (don't, U.S.) stay attached.
-_PUNCT = frozenset(".,!?;:\"'()")
+_PUNCT = ".,!?;:\"'()"
+_P = re.escape(_PUNCT)
+# one mark, or a run of non-space characters that starts and ends with a non-mark
+_TOKEN = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
 
 OOV_TOKEN = "<unk>"
 
@@ -22,49 +35,21 @@ def tokenize(text: str) -> list[str]:
     Deterministic and pure; never emits empty tokens. "Nobody is sleeping."
     tokenizes to [Nobody, is, sleeping, .].
     """
-    tokens: list[str] = []
-    for chunk in text.split():
-        prefix = []
-        while chunk and chunk[0] in _PUNCT:
-            prefix.append(chunk[0])
-            chunk = chunk[1:]
-        suffix = []
-        while chunk and chunk[-1] in _PUNCT:
-            suffix.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(prefix)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(suffix))
-    return tokens
+    return _TOKEN.findall(text)
 
 
 class Vocabulary:
-    """Bijective token/index map with contiguous indices from 0."""
+    """Immutable bijective token/index map with contiguous indices from 0."""
 
-    def __init__(self):
-        self._index: dict[str, int] = {}
-        self._tokens: list[str] = []
-        self.frozen = False
+    def __init__(self, tokens):
+        self._tokens = list(tokens)
+        self._index = {tok: i for i, tok in enumerate(self._tokens)}
+        if len(self._index) != len(self._tokens):
+            dup = next(tok for i, tok in enumerate(self._tokens) if self._index[tok] != i)
+            raise ValueError(f"vocabulary repeats token {dup!r}")
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def add(self, token: str) -> int:
-        if token in self._index:
-            return self._index[token]
-        if self.frozen:
-            raise ValueError(f"vocabulary is frozen; cannot add {token!r}")
-        idx = len(self._tokens)
-        self._index[token] = idx
-        self._tokens.append(token)
-        return idx
-
-    def index(self, token: str) -> int:
-        return self._index[token]
 
     def get(self, token: str, default: int | None = None) -> int | None:
         return self._index.get(token, default)
@@ -75,10 +60,6 @@ class Vocabulary:
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)
-
-    def freeze(self) -> "Vocabulary":
-        self.frozen = True
-        return self
 
     def encode(self, tokens) -> np.ndarray:
         """Ids of tokens, with len(self) (the OOV row) for unknown ones."""
@@ -91,55 +72,30 @@ def intern(texts) -> tuple[Vocabulary, list[np.ndarray]]:
 
     Ids are assigned in order of first occurrence, so the vocabulary of
     train + dev + test texts, passed in that order, lists train tokens
-    first. Returns the frozen vocabulary and one int64 id array per text.
+    first. Returns the vocabulary and one int64 id array per text.
     """
-    vocab = Vocabulary()
-    add = vocab.add
-    ids = [np.array([add(tok) for tok in tokenize(text)], dtype=np.int64) for text in texts]
-    return vocab.freeze(), ids
+    index: dict[str, int] = {}
+    assign = index.setdefault
+    ids = [np.array([assign(tok, len(index)) for tok in tokenize(text)], dtype=np.int64)
+           for text in texts]
+    tokens = list(index)
+    del index, assign  # so that peak memory holds one token map, not two
+    return Vocabulary(tokens), ids
 
 
-class EmbeddingTable:
-    """Token vectors of one dimension plus an out-of-vocabulary fallback."""
+def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
+    """The (len(vocab) + 1, dimension) embedding matrix from a word-vector
+    text file ("word v1 ... vd" per line).
 
-    def __init__(self, dimension: int, vectors: dict[str, np.ndarray],
-                 oov_vector: np.ndarray, source: str):
-        if oov_vector.shape != (dimension,):
-            raise ValueError("oov vector length does not match dimension")
-        for tok, vec in vectors.items():
-            if vec.shape != (dimension,):
-                raise ValueError(f"vector for {tok!r} does not match dimension")
-        self.dimension = dimension
-        self.vectors = vectors
-        self.oov_vector = oov_vector
-        self.source = source
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def vector(self, token: str) -> np.ndarray:
-        """Lookup never fails: unknown tokens get the OOV vector."""
-        return self.vectors.get(token, self.oov_vector)
-
-    def matrix_for(self, vocab: Vocabulary) -> np.ndarray:
-        """Rows aligned to vocab indices, with the OOV vector as a final
-        extra row (index len(vocab))."""
-        mat = np.empty((len(vocab) + 1, self.dimension), dtype=np.float64)
-        for idx in range(len(vocab)):
-            mat[idx] = self.vector(vocab.token(idx))
-        mat[len(vocab)] = self.oov_vector
-        return mat
-
-
-def load_embeddings(path, vocab: Vocabulary, dimension: int) -> EmbeddingTable:
-    """Load a word-vector text file ("word v1 ... vd" per line).
-
-    Only vocab words are retained. A row named "<unk>" is taken as the
-    designated OOV vector; otherwise the OOV vector is the mean of the
-    loaded vectors (zeros if nothing loaded). A line with the wrong number
-    of values raises EmbeddingFormatError with its line number.
+    Only vocab words are kept; a word given twice keeps its last vector.
+    The final row, and the row of every vocab word the file lacks, is the
+    OOV vector: the row named "<unk>" if there is one, else the mean of the
+    loaded vectors in first-seen file order, else zeros. A line with the
+    wrong number of values, or with a value that is not a finite number,
+    raises EmbeddingFormatError naming the path and line.
     """
-    vectors: dict[str, np.ndarray] = {}
+    matrix = np.zeros((len(vocab) + 1, dimension), dtype=np.float64)
+    loaded: dict[int, None] = {}  # vocab ids in first-seen file order
     designated_oov = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -157,25 +113,31 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> EmbeddingTable:
                 raise EmbeddingFormatError(
                     f"{path}: line {lineno}: non-numeric value"
                 ) from exc
+            if not np.isfinite(vec).all():
+                raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite value")
             if word == OOV_TOKEN:
                 designated_oov = vec
-            elif word in vocab:
-                vectors[word] = vec
+                continue
+            idx = vocab.get(word)
+            if idx is not None:
+                matrix[idx] = vec
+                loaded.setdefault(idx)
     if designated_oov is not None:
         oov = designated_oov
-    elif vectors:
-        oov = np.mean(np.stack(list(vectors.values())), axis=0)
+    elif loaded:
+        oov = matrix[list(loaded)].mean(axis=0)
     else:
         oov = np.zeros(dimension, dtype=np.float64)
-    return EmbeddingTable(dimension, vectors, oov, source="file")
+    missing = np.ones(len(matrix), dtype=bool)
+    missing[list(loaded)] = False
+    matrix[missing] = oov
+    return matrix
 
 
-def seeded_random_embeddings(vocab: Vocabulary, dimension: int, seed: int) -> EmbeddingTable:
-    """Deterministic uniform [-0.1, 0.1] vectors, a desk-scale substitute
-    for pretrained files."""
+def seeded_random_embeddings(vocab: Vocabulary, dimension: int, seed: int) -> np.ndarray:
+    """The (len(vocab) + 1, dimension) embedding matrix of deterministic
+    uniform [-0.1, 0.1] draws, a desk-scale substitute for pretrained files."""
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    vectors = {tok: rng.uniform(-0.1, 0.1, dimension) for tok in vocab.tokens}
-    oov = rng.uniform(-0.1, 0.1, dimension)
-    return EmbeddingTable(dimension, vectors, oov, source="seeded-random")
+    return rng.uniform(-0.1, 0.1, (len(vocab) + 1, dimension))

@@ -1,15 +1,44 @@
-"""Per-sentence reference for the batched model code.
+"""Reference implementations that the faster code must agree with.
 
 encode_bag_rows and loss_and_gradients are the one-sentence-at-a-time
 forward and backward passes the batched ones replaced: a per-sentence
 embedding mean, and an embedding gradient scattered with one np.add.at per
-example into a dense zero matrix. The batched code must agree with them
-bit for bit.
+example into a dense zero matrix. tokenize is the character loop the
+regular expression replaced, and seeded_random_rows draws the embedding
+matrix one vector at a time. The faster code must agree with them bit for
+bit.
 """
 
 import numpy as np
 
-from hyponli import kernels, model
+from hyponli import kernels, model, text
+
+
+def tokenize(s):
+    """Split on whitespace and peel marks off both ends of each chunk."""
+    tokens = []
+    for chunk in s.split():
+        prefix = []
+        while chunk and chunk[0] in text._PUNCT:
+            prefix.append(chunk[0])
+            chunk = chunk[1:]
+        suffix = []
+        while chunk and chunk[-1] in text._PUNCT:
+            suffix.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(prefix)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(suffix))
+    return tokens
+
+
+def seeded_random_rows(vocab, dimension, seed):
+    """One uniform [-0.1, 0.1] draw per vocabulary token, then one for the
+    OOV row, stacked."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.uniform(-0.1, 0.1, dimension) for _ in range(len(vocab) + 1)]
+    return np.stack(rows)
 
 
 def encode_bag_rows(rows, emb):

@@ -153,10 +153,7 @@ def test_criterion_3_coverage_invariants(corpora_100):
 # --------------------------------------------------------------------------
 
 def _desk_scale_params(encoder, seed):
-    vocab = text.Vocabulary()
-    for i in range(10):
-        vocab.add(f"t{i}")
-    vocab.freeze()
+    vocab = text.Vocabulary(f"t{i}" for i in range(10))
     table = text.seeded_random_embeddings(vocab, 8, seed=seed)
     cfg = model.ModelConfig(encoder, embedding_dim=8, hidden_dim=4, mlp_hidden=8,
                             n_labels=3, seed=seed, finetune_embeddings=True)

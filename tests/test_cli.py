@@ -15,6 +15,9 @@ from conftest import make_instances
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
+DROP = object()  # a spec change that deletes the key
+
+
 def one_error_line(capsys) -> str:
     """The single stderr line of a failed command."""
     err = capsys.readouterr().err.splitlines()
@@ -83,15 +86,19 @@ class TestSynthCommand:
         assert rc == 1
 
     @pytest.mark.parametrize("change, named", [
-        ({"seed": None}, "seed"),
+        ({"seed": DROP}, "seed"),
         ({"giveaway": [["give0", "entail", 1.0]]}, "entail"),
         ({"giveaway": [5]}, "5"),
+        ({"sentence_length": 5}, "sentence_length"),
+        ({"n_labels": None}, "n_labels"),
+        ({"giveaway": 5}, "giveaway"),
+        ({"giveaway": [["give0", 0, None]]}, "give0"),
     ])
     def test_spec_error_is_one_line(self, tmp_path, synth_spec_file, capsys, change, named):
         with open(synth_spec_file, encoding="utf-8") as fh:
             spec = json.load(fh)
         spec.update(change)
-        spec = {key: value for key, value in spec.items() if value is not None}
+        spec = {key: value for key, value in spec.items() if value is not DROP}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(spec), encoding="utf-8")
         rc = main(["synth", "--spec-file", str(bad), "--n", "10",
@@ -207,6 +214,30 @@ class TestStatsCommand:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "top_k" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("line, named", [
+        ("format = xml", "format='xml'"),
+        ("scheme = 4way", "scheme='4way'"),
+        ("per-label-threshold = maybe", "per_label_threshold='maybe'"),
+    ])
+    def test_bad_config_value_is_one_line(self, tmp_path, capsys, line, named):
+        data = write_corpus(tmp_path / "d.jsonl", make_instances([("a b c", "neutral")] * 8))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["stats", "--data", data, "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = one_error_line(capsys)
+        assert err.startswith(f"error: {cfg}: ") and named in err
+
+    @pytest.mark.parametrize("value, expected", [("Off", False), ("yes", True)])
+    def test_boolean_config_words(self, tmp_path, value, expected):
+        data = write_corpus(tmp_path / "d.jsonl", make_instances([("a b c", "neutral")] * 8))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"per-label-threshold = {value}\n")
+        out = tmp_path / "out"
+        assert main(["stats", "--data", data, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert f"per_label_threshold={expected}" in (out / "stats_digest.md").read_text()
 
     def test_golden_outputs(self, tmp_path, monkeypatch):
         """Outputs on a fixed corpus, byte for byte. The corpus has a
@@ -353,6 +384,14 @@ class TestTrainEvalCommand:
         assert rc == 0 and capsys.readouterr().err == ""
         log = (out / "train_log.csv").read_text().strip().splitlines()
         assert len(log) == 3  # header + 2 epochs
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+    def test_non_finite_embedding_is_one_line(self, tmp_path, capsys, value):
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("give0 " + " 0.5" * 8 + "\nw001 " + " 0.5" * 7 + f" {value}\n")
+        rc = self.run_train(tmp_path, tmp_path / "out", extra=["--embeddings", str(vecs)])
+        assert rc == 1
+        assert one_error_line(capsys) == f"error: {vecs}: line 2: non-finite value"
 
     def test_unknown_config_key_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)

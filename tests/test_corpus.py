@@ -151,6 +151,35 @@ class TestIngestErrors:
         with pytest.raises(IngestError, match=f"{path}: line 2: bad ordinal"):
             read_jsonl(path, NATIVE, THREE_WAY)
 
+    @pytest.mark.parametrize("value", [4.7, True, "4.0", "four", [4], {"n": 4}, 2.5])
+    def test_non_integer_ordinal_is_ingest_error(self, tmp_path, value):
+        path = tmp_path / "d.jsonl"
+        record = {"premise": "p", "hypothesis": "h", "label": "neutral", "ordinal": value}
+        path.write_text(GOOD_RECORD + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=f"{path}: line 2: bad ordinal"):
+            read_jsonl(path, NATIVE, THREE_WAY)
+
+    @pytest.mark.parametrize("value", ["4.7", "4.0", "true", "", "four"])
+    def test_non_integer_tsv_ordinal_is_ingest_error(self, tmp_path, value):
+        path = tmp_path / "d.tsv"
+        path.write_text(GOOD_ROW + "\n" + f"p\th\tneutral\t{value}\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=f"{path}: line 2: bad ordinal"):
+            read_tsv(path, TSV_COLUMNS, THREE_WAY)
+
+    @pytest.mark.parametrize("kind, value", [
+        ("jsonl", 4), ("jsonl", 4.0), ("jsonl", "4"), ("jsonl", " 4 "),
+        ("tsv", "4"), ("tsv", " 4"), ("tsv", "+4"),
+    ])
+    def test_integral_ordinals_are_read(self, tmp_path, kind, value):
+        path = tmp_path / f"d.{kind}"
+        if kind == "jsonl":
+            path.write_text(json.dumps({"premise": "p", "hypothesis": "h", "label": "neutral",
+                                        "ordinal": value}) + "\n", encoding="utf-8")
+        else:
+            path.write_text(f"p\th\tneutral\t{value}\n", encoding="utf-8")
+        (inst,), _ = read_either(path, kind)
+        assert inst.ordinal == 4 and type(inst.ordinal) is int
+
     @pytest.mark.parametrize("kind", ["jsonl", "tsv"])
     def test_invalid_utf8_names_path_and_line(self, tmp_path, kind):
         # far more than one decoding chunk precedes the bad line

@@ -12,17 +12,14 @@ from hyponli.model import (
     ModelConfig, ModelParameters, encode_birnn_maxpool,
     load_checkpoint, loss_and_gradients, predict, save_checkpoint,
 )
-from hyponli.text import EmbeddingTable, Vocabulary, intern, seeded_random_embeddings
+from hyponli.text import Vocabulary, intern, seeded_random_embeddings
 
 import reference
 from reference import dense, encode_bag_rows
 
 
 def small_vocab(n=10):
-    vocab = Vocabulary()
-    for i in range(n):
-        vocab.add(f"t{i}")
-    return vocab.freeze()
+    return Vocabulary(f"t{i}" for i in range(n))
 
 
 def make_params(encoder, seed=3, finetune=False, dim=8, hidden=4, mlp=8,
@@ -47,38 +44,34 @@ def random_batch(params, rng, size=4, max_len=6):
     return rows, np.array(y, dtype=np.int64)
 
 
-def bag_mean(tokens, vocab, table):
+def bag_mean(tokens, vocab, emb):
     """The bag encoding of tokens through the model's row-index path."""
     rows = vocab.encode(tokens)
-    return model._encode_bag(*model._flatten([rows]), table.matrix_for(vocab))[0]
+    return model._encode_bag(*model._flatten([rows]), emb)[0]
 
 
 class TestEncodeBag:
     def test_single_token_is_its_vector(self):
         vocab = small_vocab(3)
-        table = seeded_random_embeddings(vocab, 5, seed=0)
-        assert np.array_equal(bag_mean(["t1"], vocab, table), table.vector("t1"))
+        emb = seeded_random_embeddings(vocab, 5, seed=0)
+        assert np.array_equal(bag_mean(["t1"], vocab, emb), emb[vocab.get("t1")])
 
     def test_permutation_invariant(self):
         vocab = small_vocab(4)
-        table = seeded_random_embeddings(vocab, 5, seed=0)
-        a = bag_mean(["t0", "t1", "t2"], vocab, table)
-        b = bag_mean(["t2", "t0", "t1"], vocab, table)
+        emb = seeded_random_embeddings(vocab, 5, seed=0)
+        a = bag_mean(["t0", "t1", "t2"], vocab, emb)
+        b = bag_mean(["t2", "t0", "t1"], vocab, emb)
         assert np.allclose(a, b)
 
     def test_hand_computed_mean(self):
         vocab = intern(["x y z"])[0]
-        table = EmbeddingTable(
-            2,
-            {"x": np.array([1.0, 4.0]), "y": np.array([2.0, -2.0]),
-             "z": np.array([3.0, 1.0])},
-            np.zeros(2), source="file")
-        assert np.array_equal(bag_mean(["x", "y", "z"], vocab, table), [2.0, 1.0])
+        emb = np.array([[1.0, 4.0], [2.0, -2.0], [3.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(bag_mean(["x", "y", "z"], vocab, emb), [2.0, 1.0])
 
     def test_empty_sentence_is_zero(self):
         vocab = small_vocab(1)
-        table = seeded_random_embeddings(vocab, 7, seed=0)
-        assert np.array_equal(bag_mean([], vocab, table), np.zeros(7))
+        emb = seeded_random_embeddings(vocab, 7, seed=0)
+        assert np.array_equal(bag_mean([], vocab, emb), np.zeros(7))
 
 
 class TestEncodeBirnn:
@@ -499,6 +492,12 @@ class TestCheckpointValidation:
         path, _, _ = valid_checkpoint(tmp_path)
         path.write_bytes(path.read_bytes()[:-5])
         self.expect_error(path, "array 'mlp_b2' is truncated")
+
+    def test_repeated_vocabulary_token(self, tmp_path):
+        path, header, body = valid_checkpoint(tmp_path)
+        header["vocab"][3] = header["vocab"][1]
+        rewrite(path, header, body)
+        self.expect_error(path, r"^[^\n]*repeats token 't1'[^\n]*$")
 
     def test_trailing_bytes(self, tmp_path):
         path, _, _ = valid_checkpoint(tmp_path)
