@@ -25,14 +25,13 @@ from .util import atomic_write_text
 
 def _resolve_scheme(args) -> corpus.LabelScheme:
     if getattr(args, "labels", None):
-        names = [n.strip() for n in args.labels.split(",") if n.strip()]
-        labels = tuple(corpus.Label(name, i) for i, name in enumerate(names))
-        return corpus.LabelScheme(labels, "custom")
+        names = tuple(n.strip() for n in args.labels.split(",") if n.strip())
+        return corpus.LabelScheme(names, "custom")
     return corpus.SCHEME_PRESETS[args.scheme]
 
 
-def _parse_tsv_columns(spec: str) -> corpus.ColumnSpec:
-    roles = [f.name for f in dataclasses.fields(corpus.ColumnSpec)]
+def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
+    roles = [f.name for f in dataclasses.fields(corpus.RoleMap)]
     kwargs = {}
     for part in filter(str.strip, spec.split(",")):
         key, _, value = (s.strip() for s in part.partition("="))
@@ -44,7 +43,7 @@ def _parse_tsv_columns(spec: str) -> corpus.ColumnSpec:
     missing = [role for role in ("premise", "hypothesis", "label") if role not in kwargs]
     if missing:
         raise corpus.ConfigError(f"--tsv-columns {spec!r}: no column for {', '.join(missing)}")
-    return corpus.ColumnSpec(**kwargs)
+    return corpus.RoleMap(**kwargs)
 
 
 def _read_instances(path, args, scheme):
@@ -100,17 +99,18 @@ def cmd_stats(args) -> int:
     instances, skipped, scheme = _read_instances(args.data, args, scheme)
     counts = stats.count_corpus(instances, scheme=scheme)
     giveaways = stats.giveaway_words(counts, min_freq=args.min_freq, top_k=args.top_k)
+    labels = range(len(scheme))
     curves = [stats.coverage_curve(counts, label, grid_step=args.grid_step,
                                    per_label=args.per_label_threshold)
-              for label in scheme.labels]
+              for label in labels]
     digest = ["# Word statistics digest", ""]
     digest.append(f"- source: {args.data} (split label: {args.split_name})")
     digest.append(f"- sentences: {counts.n_sentences} (skipped at ingest: {skipped})")
-    for label in scheme.labels:
-        digest.append(f"- {label.name}: {counts.count_l(label)} sentences")
-    for label in scheme.labels:
+    for label in labels:
+        digest.append(f"- {scheme.names[label]}: {counts.count_l(label)} sentences")
+    for label in labels:
         digest.append("")
-        digest.append(f"## Top give-away words: {label.name}")
+        digest.append(f"## Top give-away words: {scheme.names[label]}")
         digest.append("")
         digest.append("| Word | Score | Freq |")
         digest.append("| --- | --- | --- |")
@@ -121,18 +121,19 @@ def cmd_stats(args) -> int:
     digest.append("")
     digest.append("| Label | y(0.5) | y(0.75) | y(1.0) |")
     digest.append("| --- | --- | --- | --- |")
-    for label in scheme.labels:
+    for label in labels:
         ys = [stats.coverage_count(counts, label, x, per_label=args.per_label_threshold)
               for x in (0.5, 0.75, 1.0)]
-        digest.append(f"| {label.name} | {ys[0]} | {ys[1]} | {ys[2]} |")
+        digest.append(f"| {scheme.names[label]} | {ys[0]} | {ys[1]} | {ys[2]} |")
     digest.append("")
     digest.append("## Run configuration")
     digest.append("")
     digest.extend(f"    {line}" for line in _config_lines(args))
 
     out = args.out_dir
-    atomic_write_text(os.path.join(out, "giveaways.csv"), stats.giveaways_to_csv(giveaways))
-    atomic_write_text(os.path.join(out, "coverage.csv"), stats.curves_to_csv(curves))
+    atomic_write_text(os.path.join(out, "giveaways.csv"),
+                      stats.giveaways_to_csv(giveaways, scheme))
+    atomic_write_text(os.path.join(out, "coverage.csv"), stats.curves_to_csv(curves, scheme))
     atomic_write_text(os.path.join(out, "counts_summary.csv"),
                       stats.counts_summary_csv(counts))
     atomic_write_text(os.path.join(out, "stats_digest.md"), "\n".join(digest) + "\n")
@@ -158,7 +159,7 @@ def _build_model(args, scheme, vocab, seed):
 
 
 def _label_indices(instances):
-    return np.array([inst.label.index for inst in instances], dtype=np.int64)
+    return np.array([inst.label for inst in instances], dtype=np.int64)
 
 
 def cmd_train_eval(args) -> int:
@@ -193,7 +194,7 @@ def cmd_train_eval(args) -> int:
         print(f"training aborted: {exc}; state dump at {dump}", file=sys.stderr)
         return 1
 
-    maj = corpus.majority_label([inst.label for inst in train_insts]).index
+    maj = corpus.majority_label(examples["train"][1])
     reports = []
     for name in ("dev", "test"):
         if name not in splits:
@@ -215,11 +216,10 @@ def cmd_train_eval(args) -> int:
 def cmd_synth(args) -> int:
     with open(args.spec_file, encoding="utf-8") as fh:
         spec = synth.spec_from_dict(json.load(fh))
-    dataset = synth.generate(spec, args.n)
-    instances = dataset.split("train")
+    instances = synth.generate(spec, args.n)
     bayes = synth.bayes_accuracy(spec)
     out = args.out_dir
-    corpus.write_jsonl(instances, os.path.join(out, "corpus.jsonl"))
+    corpus.write_jsonl(instances, os.path.join(out, "corpus.jsonl"), spec.scheme)
     meta = {"spec": synth.spec_to_dict(spec), "n": args.n, "bayes_accuracy": bayes}
     atomic_write_text(os.path.join(out, "corpus.meta.json"),
                       json.dumps(meta, indent=2) + "\n")
@@ -232,12 +232,12 @@ def cmd_audit_sample(args) -> int:
     instances, _, _ = _read_instances(args.data, args, params.scheme)
     sentences = [params.vocab.encode(text.tokenize(inst.hypothesis)) for inst in instances]
     pred = model.predict_batch(sentences, params)
-    ids = [inst.instance_id for inst in instances]
-    sample = evaluate.confusion_sample(pred, _label_indices(instances), ids,
-                                       args.n_per_cell, args.seed)
-    by_id = {inst.instance_id: inst for inst in instances}
-    atomic_write_text(os.path.join(args.out_dir, "audit_sample.txt"),
-                      evaluate.confusion_sample_text(sample, params.scheme, by_id))
+    sample = evaluate.confusion_sample(pred, _label_indices(instances), args.n_per_cell,
+                                       args.seed)
+    text_out = evaluate.confusion_sample_text(
+        sample, params.scheme, [inst.instance_id for inst in instances],
+        [inst.hypothesis for inst in instances])
+    atomic_write_text(os.path.join(args.out_dir, "audit_sample.txt"), text_out)
     total = sum(len(v) for v in sample.cells.values())
     print(f"audit-sample: {total} rows across {len(sample.cells)} cells -> {args.out_dir}")
     return 0
@@ -247,10 +247,11 @@ def cmd_split(args) -> int:
     scheme = _resolve_scheme(args)
     instances, _, scheme = _read_instances(args.data, args, scheme)
     ratios = tuple(float(r) for r in args.ratios.split(","))
-    dataset = corpus.random_split(instances, ratios=ratios, seed=args.seed, scheme=scheme)
-    for name in ("train", "dev", "test"):
-        corpus.write_jsonl(dataset.split(name), os.path.join(args.out_dir, f"{name}.jsonl"))
-    sizes = ", ".join(f"{name}={len(dataset.split(name))}" for name in ("train", "dev", "test"))
+    parts = dict(zip(("train", "dev", "test"),
+                     corpus.random_split(instances, ratios=ratios, seed=args.seed)))
+    for name, part in parts.items():
+        corpus.write_jsonl(part, os.path.join(args.out_dir, f"{name}.jsonl"), scheme)
+    sizes = ", ".join(f"{name}={len(part)}" for name, part in parts.items())
     print(f"split: {sizes} -> {args.out_dir}")
     return 0
 
@@ -261,7 +262,7 @@ def build_parser():
         description="Hypothesis-only diagnostics for NLI datasets",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    by_name = {}
+    subcommands = {}
 
     p = subparsers.add_parser("stats", help="give-away words, coverage curves, counts")
     _add_data_flags(p, ["data"])
@@ -273,7 +274,7 @@ def build_parser():
     p.add_argument("--per-label-threshold", action="store_true",
                    help="threshold p(label|w) instead of max over labels")
     p.set_defaults(func=cmd_stats)
-    by_name["stats"] = p
+    subcommands["stats"] = p
 
     p = subparsers.add_parser("train-eval", help="train a hypothesis-only model and report gaps")
     _add_data_flags(p, ["train", "dev"])
@@ -295,14 +296,14 @@ def build_parser():
     p.add_argument("--compare-to", choices=["previous", "best"], default="previous",
                    help="dev-decline reference for lr division")
     p.set_defaults(func=cmd_train_eval)
-    by_name["train-eval"] = p
+    subcommands["train-eval"] = p
 
     p = subparsers.add_parser("synth", help="generate a synthetic biased corpus")
     _add_common_flags(p)
     p.add_argument("--spec-file", required=True, metavar="PATH", help="JSON generator spec")
     p.add_argument("--n", type=int, required=True, help="number of instances")
     p.set_defaults(func=cmd_synth)
-    by_name["synth"] = p
+    subcommands["synth"] = p
 
     p = subparsers.add_parser("audit-sample", help="stratified confusion-cell sample")
     _add_data_flags(p, ["data"])
@@ -310,27 +311,27 @@ def build_parser():
     p.add_argument("--checkpoint", required=True, metavar="PATH")
     p.add_argument("--n-per-cell", type=int, default=50)
     p.set_defaults(func=cmd_audit_sample)
-    by_name["audit-sample"] = p
+    subcommands["audit-sample"] = p
 
     p = subparsers.add_parser("split", help="random 80:10:10 split of one corpus file")
     _add_data_flags(p, ["data"])
     _add_common_flags(p)
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,dev,test ratios")
     p.set_defaults(func=cmd_split)
-    by_name["split"] = p
+    subcommands["split"] = p
 
-    return parser, by_name
+    return parser, subcommands
 
 
 _BOOLEAN_WORDS = {"1": True, "0": False, "true": True, "false": False,
                   "yes": True, "no": False, "on": True, "off": False}
 
 
-def _apply_config_file(parser, by_name, argv):
+def _apply_config_file(parser, subcommands, argv):
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    sub = by_name[args.command]
+    sub = subcommands[args.command]
     defaults = {}
     with open(args.config, encoding="utf-8") as fh:
         for line in fh:
@@ -360,9 +361,9 @@ def _apply_config_file(parser, by_name, argv):
 
 
 def main(argv=None) -> int:
-    parser, by_name = build_parser()
+    parser, subcommands = build_parser()
     try:
-        args = _apply_config_file(parser, by_name, argv)
+        args = _apply_config_file(parser, subcommands, argv)
         return args.func(args)
     except (corpus.IngestError, corpus.ConfigError, text.EmbeddingFormatError,
             ValueError, OSError) as exc:

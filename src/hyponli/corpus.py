@@ -1,18 +1,22 @@
 """Corpus ingestion, label schemes, and split management for NLI-style data.
 
-Datasets arrive as JSONL (one record per line, UTF-8) or TSV (tab
-delimited, no quoting). Field maps translate whatever keys a file uses
-into the native roles premise / hypothesis / label / group / ordinal / id.
+A label is its index in a LabelScheme from the line it is read on; label
+names appear only in the files read and written. Datasets arrive as JSONL
+(one record per line, UTF-8) or TSV (tab delimited, no quoting). Both go
+through one reader: a RoleMap says where each native role (premise /
+hypothesis / label / group / ordinal / id) sits in a record, as a key of a
+JSONL object or a column of a TSV row, and each format adds only its own
+line parse.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .util import atomic_open
+from .util import as_integer, atomic_open
 
 
 class IngestError(ValueError):
@@ -20,68 +24,46 @@ class IngestError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A field map, column spec, or scheme that does not match the data."""
-
-
-@dataclass(frozen=True)
-class Label:
-    name: str
-    index: int
-
-    def __post_init__(self):
-        if not self.name:
-            raise ConfigError("label name must be nonempty")
-        if self.index < 0:
-            raise ConfigError("label index must be nonnegative")
+    """A role map or scheme that does not match the data."""
 
 
 @dataclass(frozen=True)
 class LabelScheme:
-    """An ordered set of 2 or 3 class labels."""
+    """An ordered set of 2 or 3 class label names; label i is names[i]."""
 
-    labels: tuple[Label, ...]
+    names: tuple[str, ...]
     scheme_id: str
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 2 <= len(self.labels) <= 3:
+        if not 2 <= len(self.names) <= 3:
             raise ConfigError(f"scheme {self.scheme_id!r} must have 2 or 3 labels")
-        names = [lab.name for lab in self.labels]
-        if len(set(names)) != len(names):
+        if not all(isinstance(name, str) and name for name in self.names):
+            raise ConfigError(f"scheme {self.scheme_id!r} label names must be nonempty")
+        if len(set(self.names)) != len(self.names):
             raise ConfigError(f"scheme {self.scheme_id!r} has duplicate label names")
-        if [lab.index for lab in self.labels] != list(range(len(self.labels))):
-            raise ConfigError(f"scheme {self.scheme_id!r} indices must be 0..n-1 in order")
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.names)})
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.names)
 
-    def __contains__(self, name: str) -> bool:
-        return any(lab.name == name for lab in self.labels)
-
-    def by_name(self, name: str) -> Label:
-        for lab in self.labels:
-            if lab.name == name:
-                return lab
-        raise KeyError(f"label {name!r} not in scheme {self.scheme_id!r}")
-
-    def by_index(self, index: int) -> Label:
-        return self.labels[index]
-
-    @property
-    def names(self) -> list[str]:
-        return [lab.name for lab in self.labels]
+    def index(self, name: str) -> int:
+        """The label index of name; KeyError when the scheme lacks it."""
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError(f"label {name!r} not in scheme {self.scheme_id!r}") from None
 
 
-THREE_WAY = LabelScheme(
-    (Label("entailment", 0), Label("neutral", 1), Label("contradiction", 2)), "3way"
-)
-TWO_WAY = LabelScheme((Label("entailed", 0), Label("not-entailed", 1)), "2way")
+THREE_WAY = LabelScheme(("entailment", "neutral", "contradiction"), "3way")
+TWO_WAY = LabelScheme(("entailed", "not-entailed"), "2way")
 
 SCHEME_PRESETS = {"3way": THREE_WAY, "2way": TWO_WAY}
 
 
 @dataclass(frozen=True)
 class NLIInstance:
-    """One premise/hypothesis/label record.
+    """One premise/hypothesis/label record; label is a label index.
 
     The premise may span multiple sentences (it is storage only; nothing
     downstream of ingestion reads it). group_key carries e.g. a proto-role
@@ -90,7 +72,7 @@ class NLIInstance:
 
     premise: str
     hypothesis: str
-    label: Label
+    label: int
     instance_id: str
     group_key: str | None = None
     ordinal: int | None = None
@@ -104,50 +86,23 @@ class NLIInstance:
             )
 
 
-@dataclass
-class Dataset:
-    """Named splits over one label scheme. Treat as immutable once built."""
-
-    name: str
-    scheme: LabelScheme
-    splits: dict[str, list[NLIInstance]]
-
-    def split(self, name: str) -> list[NLIInstance]:
-        return self.splits[name]
-
-
 @dataclass(frozen=True)
-class FieldMap:
-    """Record keys holding each role in a JSONL file."""
+class RoleMap:
+    """Where each role sits in a record: a key of a JSONL object or a
+    column of a TSV row. The last three roles are optional."""
 
-    premise: str
-    hypothesis: str
-    label: str
-    group: str | None = None
-    ordinal: str | None = None
-    id: str | None = None
-
-
-@dataclass(frozen=True)
-class ColumnSpec:
-    """Column indices holding each role in a TSV file."""
-
-    premise: int
-    hypothesis: int
-    label: int
-    group: int | None = None
-    ordinal: int | None = None
-    id: int | None = None
-
-    def required_width(self) -> int:
-        cols = [self.premise, self.hypothesis, self.label, self.group, self.ordinal, self.id]
-        return max(c for c in cols if c is not None) + 1
+    premise: str | int
+    hypothesis: str | int
+    label: str | int
+    group: str | int | None = None
+    ordinal: str | int | None = None
+    id: str | int | None = None
 
 
 FIELD_MAP_PRESETS = {
-    "native": FieldMap("premise", "hypothesis", "label",
-                       group="group", ordinal="ordinal", id="id"),
-    "snli": FieldMap("sentence1", "sentence2", "gold_label"),
+    "native": RoleMap("premise", "hypothesis", "label",
+                      group="group", ordinal="ordinal", id="id"),
+    "snli": RoleMap("sentence1", "sentence2", "gold_label"),
 }
 
 
@@ -156,29 +111,6 @@ def _join_premise(value) -> str:
     if isinstance(value, list):
         return " ".join(str(v) for v in value)
     return str(value)
-
-
-def _build_instance(premise, hypothesis, label_name, scheme, group, ordinal, instance_id):
-    return NLIInstance(
-        premise=premise,
-        hypothesis=hypothesis,
-        label=scheme.by_name(label_name),
-        instance_id=instance_id,
-        group_key=group,
-        ordinal=ordinal,
-    )
-
-
-def _parse_ordinal(value, path, lineno) -> int:
-    """An integer, integral float or integer string as an int; anything
-    else (4.7, true, "x") raises IngestError naming the line."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            if isinstance(value, str) or int(value) == value:
-                return int(value)
-        except (ValueError, OverflowError):  # "x", nan, inf
-            pass
-    raise IngestError(f"{path}: line {lineno}: bad ordinal {value!r}")
 
 
 def _numbered_lines(fh, path):
@@ -195,107 +127,99 @@ def _numbered_lines(fh, path):
         raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
 
 
-def read_jsonl(path, field_map: FieldMap, scheme: LabelScheme):
-    """Read a JSONL corpus file.
+def _read(path, roles: RoleMap, scheme: LabelScheme, parse):
+    """The reader behind read_jsonl and read_tsv. parse(line, roles, where)
+    turns one nonblank line into a mapping from the keys of roles to
+    values; an optional role whose value is None, or that roles leaves
+    unset, takes its default."""
+    instances: list[NLIInstance] = []
+    skipped = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in _numbered_lines(fh, path):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            record = parse(line, roles, where)
+            try:
+                label = scheme.index(str(record[roles.label]))
+            except KeyError:
+                skipped += 1
+                continue
+            # an unset role is None, which is never a key of a record
+            group, ordinal, instance_id = (record.get(roles.group), record.get(roles.ordinal),
+                                           record.get(roles.id))
+            if ordinal is not None:
+                try:
+                    ordinal = as_integer(ordinal)
+                except ValueError:
+                    raise IngestError(f"{where}: bad ordinal {ordinal!r}") from None
+            try:
+                instances.append(NLIInstance(
+                    premise=_join_premise(record[roles.premise]),
+                    hypothesis=str(record[roles.hypothesis]),
+                    label=label,
+                    instance_id=f"line-{lineno}" if instance_id is None else str(instance_id),
+                    group_key=None if group is None else str(group),
+                    ordinal=ordinal,
+                ))
+            except IngestError as exc:
+                raise IngestError(f"{where}: {exc}") from exc
+    return instances, skipped
+
+
+def _parse_json_line(line, roles, where):
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        reason = getattr(exc, "msg", exc)
+        raise IngestError(f"{where}: invalid JSON ({reason})") from exc
+    if not isinstance(record, dict):
+        raise IngestError(f"{where}: record is not an object")
+    for role in ("premise", "hypothesis", "label"):
+        key = getattr(roles, role)
+        if key not in record:
+            raise ConfigError(f"{where}: no field {key!r} for role {role!r}")
+    return record
+
+
+def _parse_tsv_line(line, roles, where):
+    cells = line.rstrip("\n").split("\t")
+    width = max(c for c in vars(roles).values() if c is not None) + 1
+    if len(cells) < width:
+        raise IngestError(f"{where}: {len(cells)} columns, need {width}")
+    return dict(enumerate(cells))
+
+
+def read_jsonl(path, roles: RoleMap, scheme: LabelScheme):
+    """Read a JSONL corpus file whose roles are record keys.
 
     Returns (instances, skipped) where skipped counts lines whose label is
     absent from the scheme (e.g. the "-" no-consensus marker). Malformed
     lines raise IngestError with the line number; a record missing a
     mandatory mapped key raises ConfigError.
     """
-    instances: list[NLIInstance] = []
-    skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in _numbered_lines(fh, path):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-                reason = getattr(exc, "msg", exc)
-                raise IngestError(f"{path}: line {lineno}: invalid JSON ({reason})") from exc
-            if not isinstance(record, dict):
-                raise IngestError(f"{path}: line {lineno}: record is not an object")
-            for role in ("premise", "hypothesis", "label"):
-                key = getattr(field_map, role)
-                if key not in record:
-                    raise ConfigError(
-                        f"{path}: line {lineno}: no field {key!r} for role {role!r}"
-                    )
-            label_name = str(record[field_map.label])
-            if label_name not in scheme:
-                skipped += 1
-                continue
-            group = None
-            if field_map.group is not None and record.get(field_map.group) is not None:
-                group = str(record[field_map.group])
-            ordinal = None
-            if field_map.ordinal is not None and record.get(field_map.ordinal) is not None:
-                ordinal = _parse_ordinal(record[field_map.ordinal], path, lineno)
-            if field_map.id is not None and record.get(field_map.id) is not None:
-                instance_id = str(record[field_map.id])
-            else:
-                instance_id = f"line-{lineno}"
-            try:
-                instances.append(_build_instance(
-                    _join_premise(record[field_map.premise]),
-                    str(record[field_map.hypothesis]),
-                    label_name, scheme, group, ordinal, instance_id,
-                ))
-            except IngestError as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-    return instances, skipped
+    return _read(path, roles, scheme, _parse_json_line)
 
 
-def read_tsv(path, columns: ColumnSpec, scheme: LabelScheme):
-    """Read a TSV corpus file. Tab is the only delimiter; no quoting.
+def read_tsv(path, roles: RoleMap, scheme: LabelScheme):
+    """Read a TSV corpus file whose roles are column indices. Tab is the
+    only delimiter; no quoting.
 
     Returns (instances, skipped) as read_jsonl. Rows narrower than the
-    column spec raise IngestError with the line number.
+    role map raise IngestError with the line number.
     """
-    instances: list[NLIInstance] = []
-    skipped = 0
-    width = columns.required_width()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in _numbered_lines(fh, path):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) < width:
-                raise IngestError(
-                    f"{path}: line {lineno}: {len(cells)} columns, need {width}"
-                )
-            label_name = cells[columns.label]
-            if label_name not in scheme:
-                skipped += 1
-                continue
-            group = cells[columns.group] if columns.group is not None else None
-            ordinal = None
-            if columns.ordinal is not None:
-                ordinal = _parse_ordinal(cells[columns.ordinal], path, lineno)
-            if columns.id is not None:
-                instance_id = cells[columns.id]
-            else:
-                instance_id = f"line-{lineno}"
-            try:
-                instances.append(_build_instance(
-                    cells[columns.premise], cells[columns.hypothesis],
-                    label_name, scheme, group, ordinal, instance_id,
-                ))
-            except IngestError as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-    return instances, skipped
+    return _read(path, roles, scheme, _parse_tsv_line)
 
 
-def write_jsonl(instances, path) -> None:
-    """Write instances atomically using the native record keys (round-trips
-    read_jsonl)."""
+def write_jsonl(instances, path, scheme: LabelScheme) -> None:
+    """Write instances atomically using the native record keys and the
+    scheme's label names (round-trips read_jsonl)."""
     with atomic_open(path) as fh:
         for inst in instances:
             record = {
                 "premise": inst.premise,
                 "hypothesis": inst.hypothesis,
-                "label": inst.label.name,
+                "label": scheme.names[inst.label],
             }
             if inst.group_key is not None:
                 record["group"] = inst.group_key
@@ -310,7 +234,7 @@ JOCI_ORDINAL_TO_LABEL = {1: "contradiction", 2: "neutral", 3: "neutral",
 
 
 def remap_joci_ordinal(instances) -> list[NLIInstance]:
-    """Map 1-5 ordinal ratings onto the 3-way scheme.
+    """Map 1-5 ordinal ratings onto THREE_WAY label indices.
 
     1 becomes contradiction, 2-4 neutral, 5 entailment. The ordinal is
     retained, so the operation is idempotent on its own output.
@@ -319,13 +243,12 @@ def remap_joci_ordinal(instances) -> list[NLIInstance]:
     for inst in instances:
         if inst.ordinal is None:
             raise IngestError(f"instance {inst.instance_id!r}: no ordinal to remap")
-        out.append(replace(inst, label=THREE_WAY.by_name(JOCI_ORDINAL_TO_LABEL[inst.ordinal])))
+        out.append(replace(inst, label=THREE_WAY.index(JOCI_ORDINAL_TO_LABEL[inst.ordinal])))
     return out
 
 
-def random_split(instances, scheme: LabelScheme, ratios=(0.8, 0.1, 0.1),
-                 seed: int = 0) -> Dataset:
-    """Partition instances into train/dev/test at the given ratios.
+def random_split(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0):
+    """Partition instances into (train, dev, test) lists at the given ratios.
 
     The ratios are three finite, non-negative numbers that sum to 1. Sizes
     are floor-based with the remainder assigned to train; the split is a
@@ -345,27 +268,13 @@ def random_split(instances, scheme: LabelScheme, ratios=(0.8, 0.1, 0.1),
     n_test = int(n * ratios[2])
     n_train += n - (n_train + n_dev + n_test)
     order = np.random.default_rng(seed).permutation(n)
-    pick = lambda idxs: [instances[i] for i in idxs]
-    return Dataset(
-        name="split",
-        scheme=scheme,
-        splits={
-            "train": pick(order[:n_train]),
-            "dev": pick(order[n_train:n_train + n_dev]),
-            "test": pick(order[n_train + n_dev:]),
-        },
-    )
+    parts = np.split(order, [n_train, n_train + n_dev])
+    return tuple([instances[i] for i in part] for part in parts)
 
 
-def majority_label(labels) -> Label:
-    """The most frequent of the given labels; ties break to the lowest index."""
-    if not labels:
+def majority_label(labels) -> int:
+    """The most frequent of the given label indices; ties break to the
+    lowest index."""
+    if not len(labels):
         raise ValueError("majority_label needs a nonempty label list")
-    counts: dict[Label, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    best = None
-    for label in sorted(counts, key=lambda lab: lab.index):
-        if best is None or counts[label] > counts[best]:
-            best = label
-    return best
+    return int(np.bincount(labels).argmax())

@@ -1,10 +1,11 @@
 """Accuracy metrics, gap reports, breakdowns, and audit sampling.
 
-Predicted and gold labels are int arrays of label indices; Label objects
-appear only where a name is rendered. Reported gaps follow the
-hyp-only-vs-majority convention: the absolute delta in percentage points
-and the relative delta as a percentage of the majority accuracy. Formatted
-values round half away from zero to two decimals.
+Predicted and gold labels are int arrays of label indices, and reports
+key their classes by index; label names are looked up in the scheme only
+where text is written. Reported gaps follow the hyp-only-vs-majority
+convention: the absolute delta in percentage points and the relative
+delta as a percentage of the majority accuracy. Formatted values round
+half away from zero to two decimals.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Label, LabelScheme
+from .corpus import LabelScheme
 
 
 def fmt2(value: float | None) -> str:
@@ -85,26 +86,23 @@ def constant_prediction_check(pred) -> bool:
 
 @dataclass
 class ConfusionSample:
-    """Stratified ids per (gold, predicted) label-index cell, each cell
-    capped at n_per_cell and drawn without replacement."""
-    cells: dict[tuple[int, int], list[str]]
+    """Stratified row positions per (gold, predicted) label-index cell,
+    each cell capped at n_per_cell and drawn without replacement."""
+    cells: dict[tuple[int, int], list[int]]
     n_per_cell: int
     seed: int
 
 
-def confusion_sample(pred, gold, instance_ids, n_per_cell: int,
-                     seed: int) -> ConfusionSample:
+def confusion_sample(pred, gold, n_per_cell: int, seed: int) -> ConfusionSample:
     """Deterministic stratified sample for manual audits; with 2 labels and
     n_per_cell=50 the total is at most 200.
 
     Cells are visited in (gold, predicted) index order and keep the input
-    order of their ids; each over-full cell takes one rng.choice draw.
+    order of their rows; each over-full cell takes one rng.choice draw.
     """
     if n_per_cell < 1:
         raise ValueError("n_per_cell must be >= 1")
     pred, gold = _aligned(pred, gold)
-    if len(instance_ids) != gold.size:
-        raise ValueError("predictions, gold, and instance_ids must align")
     rng = np.random.default_rng(seed)
     cells = {}
     for g, p in sorted(set(zip(gold.tolist(), pred.tolist()))):
@@ -112,35 +110,36 @@ def confusion_sample(pred, gold, instance_ids, n_per_cell: int,
         if members.size > n_per_cell:
             members = members[np.sort(rng.choice(members.size, size=n_per_cell,
                                                  replace=False))]
-        cells[g, p] = [instance_ids[i] for i in members]
+        cells[g, p] = members.tolist()
     return ConfusionSample(cells=cells, n_per_cell=n_per_cell, seed=seed)
 
 
 def confusion_sample_text(sample: ConfusionSample, scheme: LabelScheme,
-                          instances_by_id) -> str:
-    """One tab-separated row per sampled id (id, gold, predicted,
-    hypothesis), grouped by cell, for manual annotation."""
+                          instance_ids, hypotheses) -> str:
+    """One tab-separated row per sampled row (id, gold, predicted,
+    hypothesis), grouped by cell, for manual annotation; ids and
+    hypotheses are indexed by row position."""
     lines = []
-    for (gold, pred), ids in sample.cells.items():
-        gold_name, pred_name = scheme.by_index(gold).name, scheme.by_index(pred).name
-        lines.append(f"# cell gold={gold_name} predicted={pred_name} n={len(ids)}")
-        for iid in ids:
-            inst = instances_by_id[iid]
-            lines.append(f"{iid}\t{gold_name}\t{pred_name}\t{inst.hypothesis}")
+    for (gold, pred), rows in sample.cells.items():
+        gold_name, pred_name = scheme.names[gold], scheme.names[pred]
+        lines.append(f"# cell gold={gold_name} predicted={pred_name} n={len(rows)}")
+        for i in rows:
+            lines.append(f"{instance_ids[i]}\t{gold_name}\t{pred_name}\t{hypotheses[i]}")
     return "\n".join(lines) + "\n"
 
 
 @dataclass
 class EvalReport:
     split: str
+    scheme: LabelScheme
     hyp_only_acc: float
     maj_acc: float
     abs_delta: float
     pct_delta: float | None
-    per_class: dict[Label, tuple[float, float]]
+    per_class: dict[int, tuple[float, float]]  # label index -> (hyp-only, class share)
     constant_prediction: bool
+    maj_label: int  # the train-majority label index
     per_group: dict[str, tuple[float, float, float | None]] | None = None
-    maj_label: str = ""
     split_mode_acc: float | None = None  # eval split's own most-frequent-class rate
     notes: list[str] = field(default_factory=list)
 
@@ -155,7 +154,7 @@ def build_report(split_name: str, pred, instances, scheme: LabelScheme,
     differs, both rates are included and the discrepancy is noted rather
     than resolved.
     """
-    gold = np.array([inst.label.index for inst in instances], dtype=np.int64)
+    gold = np.array([inst.label for inst in instances], dtype=np.int64)
     pred, gold = _aligned(pred, gold)
     n = gold.size
     totals = np.bincount(gold, minlength=len(scheme))
@@ -164,7 +163,7 @@ def build_report(split_name: str, pred, instances, scheme: LabelScheme,
     split_mode = int(totals.argmax())
     split_mode_acc = 100.0 * int(totals[split_mode]) / n
     abs_delta, pct_delta = delta_report(hyp, maj)
-    per_class = {scheme.by_index(c): (acc, 100.0 * int(totals[c]) / n)
+    per_class = {c: (acc, 100.0 * int(totals[c]) / n)
                  for c, acc in per_class_accuracy(pred, gold).items()}
     per_group = None
     groups = [inst.group_key for inst in instances]
@@ -172,24 +171,24 @@ def build_report(split_name: str, pred, instances, scheme: LabelScheme,
     if keyed.any():
         per_group = per_group_accuracy(pred[keyed], gold[keyed],
                                        [k for k in groups if k is not None])
-    maj_name = scheme.by_index(train_majority).name
     notes = []
     if split_mode != train_majority:
         notes.append(
-            f"train-majority label {maj_name!r} is not the split's own "
-            f"most frequent class ({scheme.by_index(split_mode).name!r}, "
+            f"train-majority label {scheme.names[train_majority]!r} is not the split's own "
+            f"most frequent class ({scheme.names[split_mode]!r}, "
             f"{fmt2(split_mode_acc)}); MAJ above uses the train majority"
         )
     return EvalReport(
         split=split_name,
+        scheme=scheme,
         hyp_only_acc=hyp,
         maj_acc=maj,
         abs_delta=abs_delta,
         pct_delta=pct_delta,
         per_class=per_class,
         constant_prediction=constant_prediction_check(pred),
+        maj_label=train_majority,
         per_group=per_group,
-        maj_label=maj_name,
         split_mode_acc=split_mode_acc,
         notes=notes,
     )
@@ -209,15 +208,15 @@ def report_markdown(reports: list[EvalReport], config_lines: list[str] | None = 
         out.append("")
         out.append(f"## {rep.split}")
         out.append("")
-        out.append(f"- majority label: {rep.maj_label}")
+        out.append(f"- majority label: {rep.scheme.names[rep.maj_label]}")
         out.append(f"- constant prediction: {rep.constant_prediction}")
         for note in rep.notes:
             out.append(f"- note: {note}")
         out.append("")
         out.append("| Class | Hyp-Only | MAJ |")
         out.append("| --- | --- | --- |")
-        for lab, (h, m) in rep.per_class.items():
-            out.append(f"| {lab.name} | {fmt2(h)} | {fmt2(m)} |")
+        for label, (h, m) in rep.per_class.items():
+            out.append(f"| {rep.scheme.names[label]} | {fmt2(h)} | {fmt2(m)} |")
         if rep.per_group:
             out.append("")
             out.append("| Group | Hyp-Only | MAJ | pct delta |")
@@ -245,8 +244,9 @@ def report_csv(reports: list[EvalReport]) -> str:
         writer.writerow([rep.split, "overall", "", fmt2(rep.hyp_only_acc),
                          fmt2(rep.maj_acc), fmt2(rep.abs_delta),
                          fmt2(rep.pct_delta), str(rep.constant_prediction).lower()])
-        for lab, (h, m) in rep.per_class.items():
-            writer.writerow([rep.split, "class", lab.name, fmt2(h), fmt2(m), "", "", ""])
+        for label, (h, m) in rep.per_class.items():
+            writer.writerow([rep.split, "class", rep.scheme.names[label], fmt2(h), fmt2(m),
+                             "", "", ""])
         if rep.per_group:
             for key in sorted(rep.per_group):
                 h, m, pct = rep.per_group[key]

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .corpus import Label, LabelScheme
+from .corpus import LabelScheme
 from .text import Vocabulary
 from .util import atomic_open
 
@@ -399,8 +399,7 @@ def load_checkpoint(path) -> ModelParameters:
                              f"{CHECKPOINT_VERSION}")
         try:
             config = ModelConfig(**header["config"])
-            labels = tuple(Label(name, i) for i, name in enumerate(header["scheme"]["labels"]))
-            scheme = LabelScheme(labels, header["scheme"]["id"])
+            scheme = LabelScheme(tuple(header["scheme"]["labels"]), header["scheme"]["id"])
             vocab = Vocabulary(header["vocab"])
             expected = _array_shapes(config, len(vocab))
         except (TypeError, ValueError, KeyError) as exc:

@@ -5,7 +5,8 @@ counts back the probabilities while sentence-level presence counts back
 the coverage curves (a sentence is covered when it contains at least one
 sufficiently label-specific word). Every statistic is computed from one
 interned corpus: a vocabulary, the token ids of all hypotheses end to
-end, and each sentence's offset into them.
+end, and each sentence's offset into them. Labels are label indices in
+and out; the CSV writers alone look up their names in the scheme.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Label, LabelScheme
+from .corpus import LabelScheme
 from .text import Vocabulary, intern
 
 
@@ -63,20 +64,20 @@ class LabelWordCounts:
     def tokens(self) -> list[str]:
         return self.vocab.tokens
 
-    def count_wl(self, token: str, label: Label) -> int:
+    def count_wl(self, token: str, label: int) -> int:
         idx = self.vocab.get(token)
-        return int(self.occ[idx, label.index]) if idx is not None else 0
+        return int(self.occ[idx, label]) if idx is not None else 0
 
     def count_w(self, token: str) -> int:
         idx = self.vocab.get(token)
         return int(self.occ[idx].sum()) if idx is not None else 0
 
-    def count_l(self, label: Label) -> int:
-        return int(self.label_sentences[label.index])
+    def count_l(self, label: int) -> int:
+        return int(self.label_sentences[label])
 
-    def presence_wl(self, token: str, label: Label) -> int:
+    def presence_wl(self, token: str, label: int) -> int:
         idx = self.vocab.get(token)
-        return int(self.presence[idx, label.index]) if idx is not None else 0
+        return int(self.presence[idx, label]) if idx is not None else 0
 
 
 def count_corpus(instances, scheme: LabelScheme) -> LabelWordCounts:
@@ -86,11 +87,11 @@ def count_corpus(instances, scheme: LabelScheme) -> LabelWordCounts:
     lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
-    labels = np.array([inst.label.index for inst in instances], dtype=np.int64)
+    labels = np.array([inst.label for inst in instances], dtype=np.int64)
     return LabelWordCounts(scheme, vocab, indptr, flat, labels)
 
 
-def p_label_given_word(counts: LabelWordCounts, token: str, label: Label) -> float:
+def p_label_given_word(counts: LabelWordCounts, token: str, label: int) -> float:
     """count(w,l) / count(w); the caller must filter unseen tokens."""
     cw = counts.count_w(token)
     if cw == 0:
@@ -101,14 +102,14 @@ def p_label_given_word(counts: LabelWordCounts, token: str, label: Label) -> flo
 @dataclass(frozen=True)
 class GiveawayEntry:
     token: str
-    label: Label
+    label: int
     score: float
     frequency: int
 
 
 def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
-                   top_k: int = 10) -> dict[Label, list[GiveawayEntry]]:
-    """Most label-specific words per label.
+                   top_k: int = 10) -> dict[int, list[GiveawayEntry]]:
+    """Most label-specific words per label index.
 
     A token with count_w >= min_freq is a candidate for its argmax label
     only, scored by p(label|token). Each label's list is sorted by
@@ -124,18 +125,17 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
     best = counts.occ.argmax(axis=1)  # ties resolve to the lowest label index
     for w in np.flatnonzero(freq >= min_freq):
         idx, cw = int(best[w]), int(freq[w])
-        buckets[idx].append(GiveawayEntry(counts.vocab.token(w), counts.scheme.by_index(idx),
+        buckets[idx].append(GiveawayEntry(counts.vocab.token(w), idx,
                                           int(counts.occ[w, idx]) / cw, cw))
-    out: dict[Label, list[GiveawayEntry]] = {}
-    for idx, entries in buckets.items():
+    for entries in buckets.values():
         entries.sort(key=lambda e: (-e.frequency, -e.score, e.token))
-        out[counts.scheme.by_index(idx)] = entries[:top_k]
-    return out
+        del entries[top_k:]
+    return buckets
 
 
 @dataclass(frozen=True)
 class CoverageCurve:
-    label: Label
+    label: int
     grid: list[float]
     y: list[int]
 
@@ -153,31 +153,31 @@ def _threshold_grid(step: float) -> list[float]:
     return grid
 
 
-def _sentence_maxima(counts: LabelWordCounts, label: Label, per_label: bool) -> np.ndarray:
+def _sentence_maxima(counts: LabelWordCounts, label: int, per_label: bool) -> np.ndarray:
     """Per sentence of the given gold label, the best token score.
 
     Score of a token is max_l p(l|w), or p(label|w) when per_label is set.
     Sentences with no tokens get 0.0 so they count only at threshold 0.
     """
     occ = counts.occ
-    score = (occ[:, label.index] if per_label else occ.max(axis=1)) / occ.sum(axis=1)
+    score = (occ[:, label] if per_label else occ.max(axis=1)) / occ.sum(axis=1)
     maxima = np.zeros(counts.n_sentences)
     # reduceat over the starts of the non-empty sentences only: each then
     # spans exactly its own tokens, as the empty ones between hold none
     nonempty = np.flatnonzero(np.diff(counts.indptr))
     if nonempty.size:
         maxima[nonempty] = np.maximum.reduceat(score[counts.ids], counts.indptr[nonempty])
-    return maxima[counts.sentence_labels == label.index]
+    return maxima[counts.sentence_labels == label]
 
 
-def coverage_count(counts: LabelWordCounts, label: Label, x: float,
+def coverage_count(counts: LabelWordCounts, label: int, x: float,
                    per_label: bool = False) -> int:
     """Sentences of the gold label containing >= 1 token scoring >= x."""
     maxima = _sentence_maxima(counts, label, per_label)
     return int(np.count_nonzero(maxima >= x))
 
 
-def coverage_curve(counts: LabelWordCounts, label: Label, grid_step: float = 0.01,
+def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
                    per_label: bool = False) -> CoverageCurve:
     """Coverage per threshold on the grid {0, step, ..., 1}.
 
@@ -194,33 +194,34 @@ def coverage_curve(counts: LabelWordCounts, label: Label, grid_step: float = 0.0
     return CoverageCurve(label, grid, y)
 
 
-def majority_accuracy(eval_split, maj: Label) -> float:
-    """Accuracy (0-100) of always predicting maj on the split."""
+def majority_accuracy(eval_split, maj: int) -> float:
+    """Accuracy (0-100) of always predicting label index maj on the split."""
     if not eval_split:
         raise ValueError("cannot score an empty split")
     hits = sum(1 for inst in eval_split if inst.label == maj)
     return 100.0 * hits / len(eval_split)
 
 
-def giveaways_to_csv(giveaways: dict[Label, list[GiveawayEntry]]) -> str:
+def giveaways_to_csv(giveaways: dict[int, list[GiveawayEntry]], scheme: LabelScheme) -> str:
     """CSV rows (label, token, score, freq), labels in scheme order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "token", "score", "freq"])
-    for label in sorted(giveaways, key=lambda lab: lab.index):
+    for label in sorted(giveaways):
         for entry in giveaways[label]:
-            writer.writerow([label.name, entry.token, f"{entry.score:.6f}", entry.frequency])
+            writer.writerow([scheme.names[label], entry.token, f"{entry.score:.6f}",
+                             entry.frequency])
     return buf.getvalue()
 
 
-def curves_to_csv(curves: list[CoverageCurve]) -> str:
+def curves_to_csv(curves: list[CoverageCurve], scheme: LabelScheme) -> str:
     """CSV rows (label, x, y); the plot input for coverage figures."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "x", "y"])
     for curve in curves:
         for x, y in zip(curve.grid, curve.y):
-            writer.writerow([curve.label.name, f"{x:.4f}", y])
+            writer.writerow([scheme.names[curve.label], f"{x:.4f}", y])
     return buf.getvalue()
 
 
@@ -230,9 +231,8 @@ def counts_summary_csv(counts: LabelWordCounts) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "sentences", "token_occurrences", "distinct_tokens"])
-    for label in counts.scheme.labels:
-        distinct = np.count_nonzero(counts.occ[:, label.index])
-        writer.writerow([label.name, counts.count_l(label),
-                         int(occ_totals[label.index]), distinct])
+    for label, name in enumerate(counts.scheme.names):
+        distinct = np.count_nonzero(counts.occ[:, label])
+        writer.writerow([name, counts.count_l(label), int(occ_totals[label]), distinct])
     writer.writerow(["TOTAL", counts.n_sentences, int(occ_totals.sum()), len(counts.vocab)])
     return buf.getvalue()

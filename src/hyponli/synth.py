@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ConfigError, Dataset, NLIInstance, THREE_WAY, TWO_WAY
+from .corpus import ConfigError, NLIInstance, THREE_WAY, TWO_WAY
 from .text import tokenize
+from .util import as_integer
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,13 @@ def _background_vocab(size: int) -> list[str]:
     return [f"w{i:03d}" for i in range(size)]
 
 
-def generate(spec: SynthSpec, n: int) -> Dataset:
+def generate(spec: SynthSpec, n: int) -> list[NLIInstance]:
     """Draw n instances; deterministic given spec.seed.
 
     Each instance draws its label from the prior and a hypothesis of
     uniform background tokens; each giveaway targeting that label is
     inserted at a random position with its own rate. Premises are filler
-    text. All instances land in the "train" split; re-split with
-    corpus.random_split as needed.
+    text. Split the returned list with corpus.random_split as needed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -78,7 +78,6 @@ def generate(spec: SynthSpec, n: int) -> Dataset:
     background = _background_vocab(spec.vocab_size)
     prior = np.array(spec.label_prior)
     lo, hi = spec.sentence_length
-    scheme = spec.scheme
     instances = []
     for k in range(n):
         label_idx = int(rng.choice(spec.n_labels, p=prior))
@@ -91,10 +90,10 @@ def generate(spec: SynthSpec, n: int) -> Dataset:
         instances.append(NLIInstance(
             premise=f"filler premise {k}",
             hypothesis=" ".join(tokens),
-            label=scheme.by_index(label_idx),
+            label=label_idx,
             instance_id=f"synth-{k:06d}",
         ))
-    return Dataset(name="synth", scheme=scheme, splits={"train": instances})
+    return instances
 
 
 def bayes_accuracy(spec: SynthSpec) -> float:
@@ -131,8 +130,8 @@ _REQUIRED_SPEC_KEYS = ("n_labels", "label_prior", "vocab_size", "sentence_length
 def spec_from_dict(data: dict) -> SynthSpec:
     """Build a spec from parsed JSON; label names in giveaways may be given
     instead of indices. A missing key, a value of the wrong type, a
-    giveaway entry that is not [token, label, rate] or an unknown label
-    name raises ConfigError."""
+    non-integral count, seed or label index, a giveaway entry that is not
+    [token, label, rate] or an unknown label name raises ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError("synth spec must be a JSON object")
     missing = [key for key in _REQUIRED_SPEC_KEYS if key not in data]
@@ -148,13 +147,16 @@ def spec_from_dict(data: dict) -> SynthSpec:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ConfigError(f"giveaway entry {entry!r} is not [token, label, rate]")
         token, target, rate = entry
-        if isinstance(target, str):
-            if target not in scheme:
-                raise ConfigError(f"giveaway entry {entry!r}: label {target!r} is not "
-                                  f"one of {', '.join(scheme.names)}")
-            target = scheme.by_name(target).index
         try:
-            giveaway.append((str(token), int(target), float(rate)))
+            target = scheme.index(target) if isinstance(target, str) else as_integer(target)
+        except KeyError:
+            raise ConfigError(f"giveaway entry {entry!r}: label {target!r} is not "
+                              f"one of {', '.join(scheme.names)}") from None
+        except ValueError as exc:
+            raise ConfigError(f"synth spec key 'giveaway': entry {entry!r}: bad label "
+                              f"({exc})") from None
+        try:
+            giveaway.append((str(token), target, float(rate)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"giveaway entry {entry!r} is not [token, label, rate] "
                               f"({exc})") from exc
@@ -168,9 +170,10 @@ def spec_from_dict(data: dict) -> SynthSpec:
     )
 
 
-def _convert(data: dict, key: str, convert=int, sequence=False):
+def _convert(data: dict, key: str, convert=as_integer, sequence=False):
     """convert(data[key]), or a tuple of convert over its items when
-    sequence; a value of the wrong type raises ConfigError naming key."""
+    sequence; a value of the wrong type, or not integral where an integer
+    is expected, raises ConfigError naming key."""
     value = data[key]
     try:
         if not sequence:

@@ -6,6 +6,18 @@ import os
 from contextlib import contextmanager
 
 
+def as_integer(value) -> int:
+    """An int, an integral float or an integer string as an int; anything
+    else (4.7, True, "4.0", "x", nan, inf, [4]) raises ValueError."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            if isinstance(value, str) or int(value) == value:
+                return int(value)
+        except (ValueError, OverflowError):  # "x", nan, inf
+            pass
+    raise ValueError(f"{value!r} is not an integer")
+
+
 @contextmanager
 def atomic_open(path):
     """Binary handle on a temp file in the target directory.

@@ -17,7 +17,7 @@ def two_way():
 def make_instances(pairs, scheme=THREE_WAY, premise="p"):
     """Build instances from (hypothesis, label_name) pairs."""
     return [
-        NLIInstance(premise=premise, hypothesis=hyp, label=scheme.by_name(name),
+        NLIInstance(premise=premise, hypothesis=hyp, label=scheme.index(name),
                     instance_id=f"i{k}")
         for k, (hyp, name) in enumerate(pairs)
     ]
@@ -30,6 +30,6 @@ def random_corpus(rng, n_sentences, vocab_size=20, scheme=THREE_WAY, max_len=8):
     for _ in range(n_sentences):
         length = int(rng.integers(1, max_len + 1))
         sent = " ".join(words[int(i)] for i in rng.integers(0, vocab_size, length))
-        label = scheme.by_index(int(rng.integers(0, len(scheme)))).name
+        label = scheme.names[int(rng.integers(0, len(scheme)))]
         pairs.append((sent, label))
     return make_instances(pairs, scheme)

@@ -106,7 +106,7 @@ def _random_corpora():
         for _ in range(n_sentences):
             length = int(rng.integers(1, 9))
             sent = " ".join(words[int(i)] for i in rng.integers(0, vocab_size, length))
-            label = scheme.by_index(int(rng.integers(0, len(scheme)))).name
+            label = scheme.names[int(rng.integers(0, len(scheme)))]
             pairs.append((sent, label))
         corpora.append((make_instances(pairs, scheme), scheme))
     return corpora
@@ -123,15 +123,15 @@ def test_criterion_2_brute_force_equivalence(corpora_100):
             counts = stats.count_corpus(instances, scheme=scheme)
             occ, _, _ = brute_counts(instances)
             for tok in counts.tokens():
-                for label in scheme.labels:
-                    expected = brute_p(occ, tok, label.index, len(scheme))
+                for label in range(len(scheme)):
+                    expected = brute_p(occ, tok, label, len(scheme))
                     assert stats.p_label_given_word(counts, tok, label) == expected
             got = stats.giveaway_words(counts, min_freq=2, top_k=10)
             expected = brute_giveaways(instances, scheme, min_freq=2, top_k=10)
-            for label in scheme.labels:
+            for label in range(len(scheme)):
                 assert [(e.token, e.score, e.frequency) for e in got[label]] \
                     == expected[label]
-            for label in scheme.labels:
+            for label in range(len(scheme)):
                 curve = stats.coverage_curve(counts, label, grid_step=0.1)
                 assert curve.y == brute_coverage(instances, scheme, label, curve.grid)
 
@@ -140,7 +140,7 @@ def test_criterion_3_coverage_invariants(corpora_100):
     with criterion(3, "coverage curves: non-increasing, y(0)=count_l, 0 beyond 1"):
         for instances, scheme in corpora_100:
             counts = stats.count_corpus(instances, scheme=scheme)
-            for label in scheme.labels:
+            for label in range(len(scheme)):
                 curve = stats.coverage_curve(counts, label, grid_step=0.05)
                 assert all(a >= b for a, b in zip(curve.y, curve.y[1:]))
                 assert curve.y[0] == counts.count_l(label)
@@ -198,7 +198,7 @@ def test_criterion_4_gradient_correctness():
 def _examples(instances, vocab):
     """The (token-id arrays, label indices) pair train.fit takes."""
     return ([vocab.encode(text.tokenize(x.hypothesis)) for x in instances],
-            np.array([x.label.index for x in instances], dtype=np.int64))
+            np.array([x.label for x in instances], dtype=np.int64))
 
 
 def _scripted(values):
@@ -250,9 +250,9 @@ RECOVERY_SPEC = synth.SynthSpec(
 
 
 def _generate_splits(spec):
-    tr = synth.generate(spec, 10_000).split("train")
-    dv = synth.generate(dataclasses.replace(spec, seed=spec.seed + 1), 1_000).split("train")
-    te = synth.generate(dataclasses.replace(spec, seed=spec.seed + 2), 1_000).split("train")
+    tr = synth.generate(spec, 10_000)
+    dv = synth.generate(dataclasses.replace(spec, seed=spec.seed + 1), 1_000)
+    te = synth.generate(dataclasses.replace(spec, seed=spec.seed + 2), 1_000)
     return tr, dv, te
 
 
@@ -283,7 +283,7 @@ def test_criterion_6_synthetic_recovery(recovery_run):
         counts = stats.count_corpus(tr, scheme=scheme)
         lists = stats.giveaway_words(counts, min_freq=5, top_k=10)
         for i in range(3):
-            assert lists[scheme.by_index(i)][0].token == f"give{i}"
+            assert lists[i][0].token == f"give{i}"
 
         # (b) test accuracy beats majority and is within 2.0 of the oracle
         bayes = synth.bayes_accuracy(RECOVERY_SPEC)
@@ -327,7 +327,7 @@ def test_criterion_7_premise_invariance(tmp_path, monkeypatch):
         spec = dataclasses.replace(RECOVERY_SPEC, seed=700)
         splits = {}
         for name, n, s in (("train", 2000, 700), ("dev", 400, 701), ("test", 1000, 702)):
-            splits[name] = synth.generate(dataclasses.replace(spec, seed=s), n).split("train")
+            splits[name] = synth.generate(dataclasses.replace(spec, seed=s), n)
         assert len(splits["test"]) >= 1000
         rng = np.random.default_rng(77)
         perturbed = {name: [dataclasses.replace(inst, premise=_random_sentence(rng))
@@ -340,7 +340,7 @@ def test_criterion_7_premise_invariance(tmp_path, monkeypatch):
         for run, data in (("original", splits), ("perturbed", perturbed)):
             run_dir = tmp_path / run
             for name, insts in data.items():
-                corpus.write_jsonl(insts, run_dir / f"{name}.jsonl")
+                corpus.write_jsonl(insts, run_dir / f"{name}.jsonl", spec.scheme)
             monkeypatch.chdir(run_dir)
             rc = cli.main([
                 "train-eval", "--train", "train.jsonl", "--dev", "dev.jsonl",
@@ -364,9 +364,9 @@ def test_criterion_8_cli_determinism(tmp_path):
         spec = dataclasses.replace(RECOVERY_SPEC, seed=900)
         files = {}
         for name, n, s in (("train", 2000, 900), ("dev", 400, 901), ("test", 400, 902)):
-            ds = synth.generate(dataclasses.replace(spec, seed=s), n)
             path = tmp_path / f"{name}.jsonl"
-            corpus.write_jsonl(ds.split("train"), path)
+            corpus.write_jsonl(synth.generate(dataclasses.replace(spec, seed=s), n), path,
+                               spec.scheme)
             files[name] = str(path)
         artifacts = ("train_log.csv", "model.ckpt", "report.md", "report.csv")
         contents = []
@@ -413,7 +413,7 @@ def test_criterion_9_snli_checks():
         assert abs(maj_acc - 33.82) <= 0.05
 
         counts = stats.count_corpus(dev_insts, scheme=scheme)
-        contra = scheme.by_name("contradiction")
+        contra = scheme.index("contradiction")
         lists = stats.giveaway_words(counts, min_freq=5, top_k=50)
         by_token = {e.token: e for e in lists[contra]}
         for token in ("sleeping", "Nobody"):

@@ -25,8 +25,8 @@ def one_error_line(capsys) -> str:
     return err[0]
 
 
-def write_corpus(path, instances):
-    corpus.write_jsonl(instances, path)
+def write_corpus(path, instances, scheme=corpus.THREE_WAY):
+    corpus.write_jsonl(instances, path, scheme)
     return str(path)
 
 
@@ -55,8 +55,8 @@ def synth_corpus_files(tmp_path, n_train=300, n_dev=60, n_test=60, rate=1.0, see
     paths = {}
     for name, n, s in (("train", n_train, seed), ("dev", n_dev, seed + 1),
                        ("test", n_test, seed + 2)):
-        ds = synth.generate(dataclasses.replace(spec, seed=s), n)
-        paths[name] = write_corpus(tmp_path / f"{name}.jsonl", ds.split("train"))
+        paths[name] = write_corpus(tmp_path / f"{name}.jsonl",
+                                   synth.generate(dataclasses.replace(spec, seed=s), n))
     return paths
 
 
@@ -106,6 +106,28 @@ class TestSynthCommand:
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+    @pytest.mark.parametrize("change, named", [
+        ({"vocab_size": 12.9}, "'vocab_size'"),
+        ({"sentence_length": [True, 3.7]}, "'sentence_length'"),
+        ({"sentence_length": [3, 3.7]}, "'sentence_length'"),
+        ({"giveaway": [["give0", 0.9, 1.0]]}, "'giveaway'"),
+        ({"seed": 5.5}, "'seed'"),
+    ])
+    def test_non_integral_value_is_one_line(self, tmp_path, synth_spec_file, capsys,
+                                            change, named):
+        """A count, seed or label index that is not a whole number is an
+        error naming its key, not truncated."""
+        with open(synth_spec_file, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec.update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["synth", "--spec-file", str(bad), "--n", "10", "--out-dir", str(out)])
+        assert rc == 1
+        assert named in one_error_line(capsys)
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, synth_spec_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -163,7 +185,8 @@ class TestStatsCommand:
         instances, _ = corpus.read_jsonl(data, corpus.FIELD_MAP_PRESETS["native"],
                                          corpus.THREE_WAY)
         counts = stats.count_corpus(instances, scheme=corpus.THREE_WAY)
-        expected = stats.giveaways_to_csv(stats.giveaway_words(counts, min_freq=2))
+        expected = stats.giveaways_to_csv(stats.giveaway_words(counts, min_freq=2),
+                                          corpus.THREE_WAY)
         assert (out / "giveaways.csv").read_text() == expected
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -255,6 +278,30 @@ class TestStatsCommand:
                 assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
+    def test_golden_outputs_from_tsv(self, tmp_path, monkeypatch):
+        """The golden corpus rewritten as TSV gives the golden files; the
+        digest's run configuration differs only in naming the format."""
+        golden = os.path.join(DATA_DIR, "stats_golden")
+        (tmp_path / "stats_golden").mkdir()
+        with open(os.path.join(golden, "corpus.jsonl"), encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        # the same relative path as the golden run, so the digest names the same source
+        (tmp_path / "stats_golden" / "corpus.jsonl").write_text(
+            "".join(f"{r['premise']}\t{r['hypothesis']}\t{r['label']}\n" for r in records),
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["stats", "--data", "stats_golden/corpus.jsonl", "--format", "tsv",
+                   "--out-dir", "out", "--min-freq", "2", "--top-k", "5", "--grid-step", "0.05"])
+        assert rc == 0
+        for name in ("giveaways.csv", "coverage.csv", "counts_summary.csv",
+                     "stats_digest.md"):
+            with open(os.path.join(golden, name), "rb") as fh:
+                expected = fh.read()
+            if name == "stats_digest.md":
+                expected = expected.replace(b"\n    format=native\n", b"\n    format=tsv\n")
+            assert (tmp_path / "out" / name).read_bytes() == expected, name
+
+
 class TestTrainEvalCommand:
     def run_train(self, tmp_path, out, seed="0", extra=()):
         paths = synth_corpus_files(tmp_path)
@@ -288,7 +335,7 @@ class TestTrainEvalCommand:
         assert params.config.encoder_kind == "bag"
         from hyponli.model import predict
         pred = predict(params.vocab.encode(tokenize("give0 w001 w002")), params)
-        assert params.scheme.by_index(pred).name == "entailment"
+        assert params.scheme.names[pred] == "entailment"
 
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -430,10 +477,35 @@ class TestAuditSampleCommand:
         for row in rows:
             iid, gold_name, pred_name, hyp = row.split("\t")
             inst = by_id[iid]
-            assert inst.label.name == gold_name
+            assert params.scheme.names[inst.label] == gold_name
             assert inst.hypothesis == hyp
             rows = params.vocab.encode(tokenize(inst.hypothesis))
-            assert params.scheme.by_index(predict(rows, params)).name == pred_name
+            assert params.scheme.names[predict(rows, params)] == pred_name
+
+    def test_repeated_ids_keep_their_own_hypotheses(self, tmp_path):
+        out = tmp_path / "out"
+        paths = synth_corpus_files(tmp_path)
+        assert main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                     "--out-dir", str(out), "--encoder", "bag",
+                     "--embedding-dim", "8", "--mlp-hidden", "16",
+                     "--max-epochs", "2", "--batch-size", "16"]) == 0
+        data = tmp_path / "dup.jsonl"
+        data.write_text(
+            json.dumps({"premise": "p", "hypothesis": "FIRST give0 text",
+                        "label": "entailment", "id": "dup"}) + "\n"
+            + json.dumps({"premise": "p", "hypothesis": "SECOND give2 text",
+                          "label": "contradiction", "id": "dup"}) + "\n",
+            encoding="utf-8")
+        audit_out = tmp_path / "audit"
+        assert main(["audit-sample", "--checkpoint", str(out / "model.ckpt"),
+                     "--data", str(data), "--out-dir", str(audit_out)]) == 0
+        rows = [line.split("\t") for line in
+                (audit_out / "audit_sample.txt").read_text().splitlines()
+                if not line.startswith("#")]
+        assert sorted((iid, gold, hyp) for iid, gold, _, hyp in rows) == [
+            ("dup", "contradiction", "SECOND give2 text"),
+            ("dup", "entailment", "FIRST give0 text"),
+        ]
 
     def test_deterministic(self, tmp_path):
         out = tmp_path / "out"

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from hyponli import corpus
 from hyponli.corpus import (
-    THREE_WAY, TWO_WAY, ColumnSpec, ConfigError, FieldMap, IngestError,
-    Label, LabelScheme, NLIInstance, majority_label, random_split,
-    read_jsonl, read_tsv, remap_joci_ordinal, write_jsonl,
+    THREE_WAY, ConfigError, IngestError, LabelScheme, NLIInstance, RoleMap,
+    majority_label, random_split, read_jsonl, read_tsv, remap_joci_ordinal,
+    write_jsonl,
 )
 
 from conftest import make_instances
 
 NATIVE = corpus.FIELD_MAP_PRESETS["native"]
 SNLI = corpus.FIELD_MAP_PRESETS["snli"]
+MANDATORY_ONLY = RoleMap("premise", "hypothesis", "label")
 
 
 def write_lines(path, lines):
@@ -25,24 +26,28 @@ def write_lines(path, lines):
 
 class TestSchemes:
     def test_by_name_and_index(self):
-        assert THREE_WAY.by_name("neutral").index == 1
-        assert THREE_WAY.by_index(2).name == "contradiction"
+        assert THREE_WAY.index("neutral") == 1
+        assert THREE_WAY.names[2] == "contradiction"
+        with pytest.raises(KeyError, match="'-'"):
+            THREE_WAY.index("-")
 
     def test_size_bounds(self):
         with pytest.raises(ConfigError):
-            LabelScheme((Label("a", 0),), "one")
+            LabelScheme(("a",), "one")
         with pytest.raises(ConfigError):
-            LabelScheme(tuple(Label(f"l{i}", i) for i in range(4)), "four")
+            LabelScheme(tuple(f"l{i}" for i in range(4)), "four")
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigError):
-            LabelScheme((Label("a", 0), Label("a", 1)), "dup")
+            LabelScheme(("a", "a"), "dup")
+        with pytest.raises(ConfigError):
+            LabelScheme(("a", ""), "blank")
 
     def test_instance_validation(self):
         with pytest.raises(IngestError):
-            NLIInstance("p", "", THREE_WAY.by_index(0), "x")
+            NLIInstance("p", "", 0, "x")
         with pytest.raises(IngestError):
-            NLIInstance("p", "h", THREE_WAY.by_index(0), "x", ordinal=6)
+            NLIInstance("p", "h", 0, "x", ordinal=6)
 
 
 class TestReadJsonl:
@@ -55,7 +60,7 @@ class TestReadJsonl:
         assert len(instances) == 1
         assert instances[0].premise == "a"
         assert instances[0].hypothesis == "b"
-        assert instances[0].label == THREE_WAY.by_name("entailment")
+        assert instances[0].label == THREE_WAY.index("entailment") == 0
 
     def test_no_consensus_label_skipped(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -113,7 +118,7 @@ class TestReadTsv:
     def test_basic_row(self, tmp_path):
         path = tmp_path / "d.tsv"
         write_lines(path, ["a\tb\tentailment"])
-        instances, skipped = read_tsv(path, ColumnSpec(0, 1, 2), THREE_WAY)
+        instances, skipped = read_tsv(path, RoleMap(0, 1, 2), THREE_WAY)
         assert len(instances) == 1 and skipped == 0
         assert instances[0].hypothesis == "b"
 
@@ -121,20 +126,61 @@ class TestReadTsv:
         path = tmp_path / "d.tsv"
         write_lines(path, ["a\tb\tentailment", "a\tb"])
         with pytest.raises(IngestError, match="line 2"):
-            read_tsv(path, ColumnSpec(0, 1, 2), THREE_WAY)
+            read_tsv(path, RoleMap(0, 1, 2), THREE_WAY)
 
     def test_hundred_rows_order_preserved(self, tmp_path):
         path = tmp_path / "d.tsv"
         names = THREE_WAY.names
         write_lines(path, [f"p{i}\th{i}\t{names[i % 3]}" for i in range(100)])
-        instances, skipped = read_tsv(path, ColumnSpec(0, 1, 2), THREE_WAY)
+        instances, skipped = read_tsv(path, RoleMap(0, 1, 2), THREE_WAY)
         assert len(instances) == 100 and skipped == 0
         assert [inst.hypothesis for inst in instances] == [f"h{i}" for i in range(100)]
 
 
+class TestOneReader:
+    RECORDS = [
+        {"premise": "p0", "hypothesis": "h zero", "label": "neutral", "group": "aware",
+         "ordinal": 3, "id": "a"},
+        {"premise": "p1", "hypothesis": "h one", "label": "-", "group": "aware",
+         "ordinal": 1, "id": "b"},
+        {"premise": "p2", "hypothesis": "h two", "label": "contradiction", "group": "moved",
+         "ordinal": 1, "id": "c"},
+        {"premise": "p3", "hypothesis": "h three", "label": "entailment", "group": "theme",
+         "ordinal": 5, "id": "a"},
+    ]
+
+    def test_jsonl_and_tsv_give_equal_instances(self, tmp_path):
+        jsonl, tsv = tmp_path / "d.jsonl", tmp_path / "d.tsv"
+        write_lines(jsonl, [json.dumps(r) for r in self.RECORDS])
+        # columns in another order than the roles, as recast datasets have them
+        write_lines(tsv, ["\t".join(str(r[k]) for k in
+                                    ("id", "label", "ordinal", "hypothesis", "group", "premise"))
+                          for r in self.RECORDS])
+        columns = RoleMap(premise=5, hypothesis=3, label=1, group=4, ordinal=2, id=0)
+        from_jsonl = read_jsonl(jsonl, NATIVE, THREE_WAY)
+        from_tsv = read_tsv(tsv, columns, THREE_WAY)
+        assert from_jsonl == from_tsv
+        instances, skipped = from_tsv
+        assert skipped == 1
+        assert [inst.label for inst in instances] == [1, 2, 0]
+        assert [inst.instance_id for inst in instances] == ["a", "c", "a"]
+        assert [inst.ordinal for inst in instances] == [3, 1, 5]
+
+    def test_unset_optional_roles_take_defaults_in_both(self, tmp_path):
+        jsonl, tsv = tmp_path / "d.jsonl", tmp_path / "d.tsv"
+        write_lines(jsonl, [json.dumps(r) for r in self.RECORDS])
+        write_lines(tsv, ["\t".join((r["premise"], r["hypothesis"], r["label"]))
+                          for r in self.RECORDS])
+        from_jsonl = read_jsonl(jsonl, MANDATORY_ONLY, THREE_WAY)
+        from_tsv = read_tsv(tsv, RoleMap(0, 1, 2), THREE_WAY)
+        assert from_jsonl == from_tsv
+        assert [inst.instance_id for inst in from_tsv[0]] == ["line-1", "line-3", "line-4"]
+        assert all(inst.group_key is None and inst.ordinal is None for inst in from_tsv[0])
+
+
 GOOD_RECORD = json.dumps({"premise": "p", "hypothesis": "h", "label": "neutral"})
 GOOD_ROW = "p\th\tneutral\t3"
-TSV_COLUMNS = ColumnSpec(0, 1, 2, ordinal=3)
+TSV_COLUMNS = RoleMap(0, 1, 2, ordinal=3)
 
 
 def read_either(path, kind):
@@ -234,18 +280,18 @@ class TestJociRemap:
         (4, "neutral"), (5, "entailment"),
     ])
     def test_mapping(self, ordinal, expected):
-        inst = NLIInstance("p", "h", THREE_WAY.by_index(0), "x", ordinal=ordinal)
+        inst = NLIInstance("p", "h", 0, "x", ordinal=ordinal)
         (out,) = remap_joci_ordinal([inst])
-        assert out.label.name == expected
+        assert THREE_WAY.names[out.label] == expected
         assert out.ordinal == ordinal
 
     def test_missing_ordinal_names_instance(self):
-        inst = NLIInstance("p", "h", THREE_WAY.by_index(0), "missing-ord")
+        inst = NLIInstance("p", "h", 0, "missing-ord")
         with pytest.raises(IngestError, match="missing-ord"):
             remap_joci_ordinal([inst])
 
     def test_idempotent(self):
-        instances = [NLIInstance("p", "h", THREE_WAY.by_index(0), f"i{o}", ordinal=o)
+        instances = [NLIInstance("p", "h", 0, f"i{o}", ordinal=o)
                      for o in (1, 3, 5)]
         once = remap_joci_ordinal(instances)
         twice = remap_joci_ordinal(once)
@@ -255,40 +301,34 @@ class TestJociRemap:
 class TestRandomSplit:
     def test_exact_ratios(self):
         instances = make_instances([(f"h{i}", "neutral") for i in range(10)])
-        ds = random_split(instances, seed=0, scheme=THREE_WAY)
-        sizes = tuple(len(ds.split(s)) for s in ("train", "dev", "test"))
+        sizes = tuple(len(part) for part in random_split(instances, seed=0))
         assert sizes == (8, 1, 1)
 
     def test_n103_regression(self):
         # floor sizes (82, 10, 10), remainder 1 to train
         instances = make_instances([(f"h{i}", "neutral") for i in range(103)])
-        ds = random_split(instances, seed=1, scheme=THREE_WAY)
-        sizes = tuple(len(ds.split(s)) for s in ("train", "dev", "test"))
+        sizes = tuple(len(part) for part in random_split(instances, seed=1))
         assert sizes == (83, 10, 10)
 
     def test_same_seed_identical(self):
         instances = make_instances([(f"h{i}", "neutral") for i in range(37)])
-        a = random_split(instances, seed=9, scheme=THREE_WAY)
-        b = random_split(instances, seed=9, scheme=THREE_WAY)
-        for name in ("train", "dev", "test"):
-            assert a.split(name) == b.split(name)
+        assert random_split(instances, seed=9) == random_split(instances, seed=9)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            random_split([], seed=0, scheme=THREE_WAY)
+            random_split([], seed=0)
 
     def test_bad_ratios_rejected(self):
         instances = make_instances([("h", "neutral")])
         with pytest.raises(ValueError):
-            random_split(instances, ratios=(0.5, 0.2, 0.2), seed=0, scheme=THREE_WAY)
+            random_split(instances, ratios=(0.5, 0.2, 0.2), seed=0)
 
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_partition(self, n, seed):
         instances = make_instances([(f"h{i}", "neutral") for i in range(n)])
-        ds = random_split(instances, seed=seed, scheme=THREE_WAY)
-        ids = [inst.instance_id for name in ("train", "dev", "test")
-               for inst in ds.split(name)]
+        ids = [inst.instance_id for part in random_split(instances, seed=seed)
+               for inst in part]
         assert len(ids) == n
         assert set(ids) == {f"i{i}" for i in range(n)}
 
@@ -301,13 +341,13 @@ class TestMajorityLabel:
     def test_simple(self):
         instances = make_instances([("a", "entailment"), ("b", "entailment"),
                                     ("c", "neutral")])
-        assert majority_label(labels_of(instances)).name == "entailment"
+        assert majority_label(labels_of(instances)) == THREE_WAY.index("entailment")
 
     def test_tie_takes_lowest_index(self):
         instances = make_instances([("a", "entailment"), ("b", "neutral")])
-        assert majority_label(labels_of(instances)).name == "entailment"
+        assert majority_label(labels_of(instances)) == THREE_WAY.index("entailment")
         instances = make_instances([("a", "contradiction"), ("b", "neutral")])
-        assert majority_label(labels_of(instances)).name == "neutral"
+        assert majority_label(labels_of(instances)) == THREE_WAY.index("neutral")
 
     def test_counted_on_generated_prior(self):
         rng = np.random.default_rng(42)
@@ -316,7 +356,7 @@ class TestMajorityLabel:
         instances = make_instances([(f"h{i}", names[d]) for i, d in enumerate(draws)])
         # independent count
         expected = max(range(3), key=lambda i: (np.sum(draws == i), -i))
-        assert majority_label(labels_of(instances)).index == expected
+        assert majority_label(labels_of(instances)) == expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -326,12 +366,12 @@ class TestMajorityLabel:
 class TestRoundTrip:
     def test_jsonl_round_trip(self, tmp_path):
         instances = [
-            NLIInstance("p one", "h one", THREE_WAY.by_index(0), "a", group_key="g1"),
-            NLIInstance("p two", "h two", THREE_WAY.by_index(2), "b", ordinal=4),
-            NLIInstance("p", "h été", THREE_WAY.by_index(1), "c"),
+            NLIInstance("p one", "h one", 0, "a", group_key="g1"),
+            NLIInstance("p two", "h two", 2, "b", ordinal=4),
+            NLIInstance("p", "h été", 1, "c"),
         ]
         path = tmp_path / "rt.jsonl"
-        write_jsonl(instances, path)
+        write_jsonl(instances, path, THREE_WAY)
         back, skipped = read_jsonl(path, NATIVE, THREE_WAY)
         assert skipped == 0
         assert back == instances

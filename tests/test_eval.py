@@ -143,12 +143,11 @@ class TestConfusionSample:
         rng = np.random.default_rng(7)
         gold = rng.integers(0, 2, 600)
         preds = rng.integers(0, 2, 600)
-        ids = [f"x{i}" for i in range(600)]
-        return preds, gold, ids
+        return preds, gold
 
     def test_four_cells_times_fifty(self):
-        preds, gold, ids = self.big_inputs()
-        sample = confusion_sample(preds, gold, ids, n_per_cell=50, seed=1)
+        preds, gold = self.big_inputs()
+        sample = confusion_sample(preds, gold, n_per_cell=50, seed=1)
         assert len(sample.cells) == 4
         assert all(len(v) == 50 for v in sample.cells.values())
         total = sum(len(v) for v in sample.cells.values())
@@ -157,26 +156,24 @@ class TestConfusionSample:
     def test_small_cell_capped(self):
         gold = [E, E, E, N]
         preds = [E, E, N, N]
-        ids = ["a", "b", "c", "d"]
-        sample = confusion_sample(preds, gold, ids, n_per_cell=50, seed=0)
-        assert sample.cells[(E, E)] == ["a", "b"]
-        assert sample.cells[(E, N)] == ["c"]
-        assert sample.cells[(N, N)] == ["d"]
+        sample = confusion_sample(preds, gold, n_per_cell=50, seed=0)
+        assert sample.cells[(E, E)] == [0, 1]
+        assert sample.cells[(E, N)] == [2]
+        assert sample.cells[(N, N)] == [3]
 
     def test_deterministic(self):
-        preds, gold, ids = self.big_inputs()
-        a = confusion_sample(preds, gold, ids, n_per_cell=10, seed=9)
-        b = confusion_sample(preds, gold, ids, n_per_cell=10, seed=9)
+        preds, gold = self.big_inputs()
+        a = confusion_sample(preds, gold, n_per_cell=10, seed=9)
+        b = confusion_sample(preds, gold, n_per_cell=10, seed=9)
         assert a.cells == b.cells
 
     def test_cells_partition_correctly(self):
-        preds, gold, ids = self.big_inputs()
-        truth = {iid: (g, p) for iid, g, p in zip(ids, gold, preds)}
-        sample = confusion_sample(preds, gold, ids, n_per_cell=25, seed=3)
+        preds, gold = self.big_inputs()
+        sample = confusion_sample(preds, gold, n_per_cell=25, seed=3)
         for (g, p), members in sample.cells.items():
             assert len(set(members)) == len(members)  # without replacement
-            for iid in members:
-                assert truth[iid] == (g, p)
+            for i in members:
+                assert (gold[i], preds[i]) == (g, p)
 
 
 class TestFmt2:
@@ -195,7 +192,7 @@ class TestReports:
             ("d", "contradiction"),
         ])
         preds = [E, E, N, N]
-        maj = majority_label([inst.label for inst in instances]).index
+        maj = majority_label([inst.label for inst in instances])
         return build_report("dev", preds, instances, THREE_WAY, maj)
 
     def test_delta_invariant(self):
@@ -207,10 +204,9 @@ class TestReports:
 
     def test_per_class_contents(self):
         rep = self.setup_report()
-        by = THREE_WAY.by_index
-        assert rep.per_class[by(E)] == (100.0, 50.0)
-        assert rep.per_class[by(N)] == (100.0, 25.0)
-        assert rep.per_class[by(C)] == (0.0, 25.0)
+        assert rep.per_class[E] == (100.0, 50.0)
+        assert rep.per_class[N] == (100.0, 25.0)
+        assert rep.per_class[C] == (0.0, 25.0)
 
     def test_majority_mode_note_when_differs(self):
         # train majority differs from the split's own mode
@@ -231,12 +227,11 @@ class TestReports:
         assert "dev,overall,,75.00,50.00,25.00,50.00,false" in csv_text
 
     def test_group_report(self):
-        ent, neu = THREE_WAY.by_index(E), THREE_WAY.by_index(N)
         instances = [
-            NLIInstance("p", "h1", ent, "1", group_key="aware"),
-            NLIInstance("p", "h2", ent, "2", group_key="aware"),
-            NLIInstance("p", "h3", neu, "3", group_key="moved"),
-            NLIInstance("p", "h4", neu, "4", group_key="moved"),
+            NLIInstance("p", "h1", E, "1", group_key="aware"),
+            NLIInstance("p", "h2", E, "2", group_key="aware"),
+            NLIInstance("p", "h3", N, "3", group_key="moved"),
+            NLIInstance("p", "h4", N, "4", group_key="moved"),
         ]
         rep = build_report("dev", [E, N, N, N], instances, THREE_WAY, train_majority=E)
         assert rep.per_group is not None
@@ -260,17 +255,17 @@ def test_report_golden():
     instances, _ = corpus.read_jsonl(os.path.join(GOLDEN_DIR, "corpus.jsonl"),
                                      corpus.FIELD_MAP_PRESETS["native"], THREE_WAY)
     with open(os.path.join(GOLDEN_DIR, "predictions.txt"), encoding="utf-8") as fh:
-        pred = np.array([THREE_WAY.by_name(line.strip()).index for line in fh])
-    gold = np.array([inst.label.index for inst in instances])
+        pred = np.array([THREE_WAY.index(line.strip()) for line in fh])
+    gold = np.array([inst.label for inst in instances])
     rep = build_report("dev", pred, instances, THREE_WAY,
-                       THREE_WAY.by_name("entailment").index)
-    sample = confusion_sample(pred, gold, [inst.instance_id for inst in instances],
-                              n_per_cell=5, seed=3)
+                       THREE_WAY.index("entailment"))
+    sample = confusion_sample(pred, gold, n_per_cell=5, seed=3)
     written = {
         "report.md": report_markdown([rep], ["train_majority=entailment"]),
         "report.csv": report_csv([rep]),
         "audit_sample.txt": confusion_sample_text(
-            sample, THREE_WAY, {inst.instance_id: inst for inst in instances}),
+            sample, THREE_WAY, [inst.instance_id for inst in instances],
+            [inst.hypothesis for inst in instances]),
     }
     for name, text_out in written.items():
         with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:

@@ -25,7 +25,7 @@ def brute_counts(instances):
     label_sent = {}
     for inst in instances:
         toks = tokenize(inst.hypothesis)
-        li = inst.label.index
+        li = inst.label
         label_sent[li] = label_sent.get(li, 0) + 1
         for tok in toks:
             occ[(tok, li)] = occ.get((tok, li), 0) + 1
@@ -48,14 +48,14 @@ def brute_giveaways(instances, scheme, min_freq, top_k):
             if tok not in seen:
                 seen.add(tok)
                 tokens.append(tok)
-    result = {label: [] for label in scheme.labels}
+    result = {label: [] for label in range(len(scheme))}
     for tok in tokens:
         freq = sum(occ.get((tok, li), 0) for li in range(len(scheme)))
         if freq < min_freq:
             continue
         scores = [brute_p(occ, tok, li, len(scheme)) for li in range(len(scheme))]
         best = scores.index(max(scores))
-        result[scheme.by_index(best)].append((tok, scores[best], freq))
+        result[best].append((tok, scores[best], freq))
     out = {}
     for label, entries in result.items():
         entries.sort(key=lambda e: (-e[2], -e[1], e[0]))
@@ -88,7 +88,7 @@ class TestCountCorpus:
     def test_single_sentence_definitions(self):
         instances = make_instances([("a a b", "entailment")])
         counts = count_corpus(instances, scheme=THREE_WAY)
-        e = THREE_WAY.by_name("entailment")
+        e = THREE_WAY.index("entailment")
         assert counts.count_wl("a", e) == 2
         assert counts.presence_wl("a", e) == 1
         assert counts.count_wl("b", e) == 1
@@ -99,7 +99,7 @@ class TestCountCorpus:
     def test_empty_corpus(self):
         counts = count_corpus([], scheme=THREE_WAY)
         assert counts.n_sentences == 0
-        assert all(counts.count_l(lab) == 0 for lab in THREE_WAY.labels)
+        assert all(counts.count_l(lab) == 0 for lab in range(len(THREE_WAY)))
 
     def test_six_sentence_fixture_matches_tally(self):
         pairs = [
@@ -110,11 +110,11 @@ class TestCountCorpus:
         counts = count_corpus(instances, scheme=THREE_WAY)
         occ, presence, label_sent = brute_counts(instances)
         for (tok, li), n in occ.items():
-            assert counts.count_wl(tok, THREE_WAY.by_index(li)) == n
+            assert counts.count_wl(tok, li) == n
         for (tok, li), n in presence.items():
-            assert counts.presence_wl(tok, THREE_WAY.by_index(li)) == n
+            assert counts.presence_wl(tok, li) == n
         for li, n in label_sent.items():
-            assert counts.count_l(THREE_WAY.by_index(li)) == n
+            assert counts.count_l(li) == n
 
     def test_premises_untouched(self):
         instances = make_instances([("hyp only", "neutral")], premise="premise words here")
@@ -131,7 +131,7 @@ class TestCountCorpus:
         b = count_corpus(shuffled, scheme=THREE_WAY)
         assert set(a.tokens()) == set(b.tokens())
         for tok in a.tokens():
-            for lab in THREE_WAY.labels:
+            for lab in range(len(THREE_WAY)):
                 assert a.count_wl(tok, lab) == b.count_wl(tok, lab)
                 assert a.presence_wl(tok, lab) == b.presence_wl(tok, lab)
 
@@ -140,19 +140,19 @@ class TestPLabelGivenWord:
     def test_degenerate_distribution(self):
         instances = make_instances([("w", "contradiction")] * 4)
         counts = count_corpus(instances, scheme=THREE_WAY)
-        assert p_label_given_word(counts, "w", THREE_WAY.by_name("contradiction")) == 1.0
+        assert p_label_given_word(counts, "w", THREE_WAY.index("contradiction")) == 1.0
 
     def test_hand_arithmetic(self):
         pairs = [("w", "contradiction")] * 3 + [("w", "neutral")]
         counts = count_corpus(make_instances(pairs), scheme=THREE_WAY)
-        assert p_label_given_word(counts, "w", THREE_WAY.by_name("contradiction")) == 0.75
-        assert p_label_given_word(counts, "w", THREE_WAY.by_name("neutral")) == 0.25
-        assert p_label_given_word(counts, "w", THREE_WAY.by_name("entailment")) == 0.0
+        assert p_label_given_word(counts, "w", THREE_WAY.index("contradiction")) == 0.75
+        assert p_label_given_word(counts, "w", THREE_WAY.index("neutral")) == 0.25
+        assert p_label_given_word(counts, "w", THREE_WAY.index("entailment")) == 0.0
 
     def test_unseen_token_raises(self):
         counts = count_corpus(make_instances([("a", "neutral")]), scheme=THREE_WAY)
         with pytest.raises(KeyError):
-            p_label_given_word(counts, "zzz", THREE_WAY.by_index(0))
+            p_label_given_word(counts, "zzz", 0)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -161,7 +161,7 @@ class TestPLabelGivenWord:
         instances = random_corpus(rng, 15)
         counts = count_corpus(instances, scheme=THREE_WAY)
         for tok in counts.tokens():
-            ps = [p_label_given_word(counts, tok, lab) for lab in THREE_WAY.labels]
+            ps = [p_label_given_word(counts, tok, lab) for lab in range(len(THREE_WAY))]
             assert all(0.0 <= p <= 1.0 for p in ps)
             assert abs(sum(ps) - 1.0) < 1e-12
 
@@ -171,7 +171,7 @@ class TestGiveawayWords:
         pairs = [("sleep x", "contradiction")] * 9 + [("sleep x", "neutral")]
         counts = count_corpus(make_instances(pairs), scheme=THREE_WAY)
         result = giveaway_words(counts, min_freq=5, top_k=10)
-        contra = result[THREE_WAY.by_name("contradiction")]
+        contra = result[THREE_WAY.index("contradiction")]
         entry = next(e for e in contra if e.token == "sleep")
         assert entry.score == 0.9
         assert entry.frequency == 10
@@ -206,7 +206,7 @@ class TestGiveawayWords:
         counts = count_corpus(instances, scheme=THREE_WAY)
         got = giveaway_words(counts, min_freq=3, top_k=8)
         expected = brute_giveaways(instances, THREE_WAY, min_freq=3, top_k=8)
-        for label in THREE_WAY.labels:
+        for label in range(len(THREE_WAY)):
             assert [(e.token, e.score, e.frequency) for e in got[label]] == expected[label]
 
 
@@ -215,19 +215,19 @@ class TestCoverageCurve:
         rng = np.random.default_rng(2)
         instances = random_corpus(rng, 25)
         counts = count_corpus(instances, scheme=THREE_WAY)
-        for label in THREE_WAY.labels:
+        for label in range(len(THREE_WAY)):
             curve = coverage_curve(counts, label, grid_step=0.1)
             assert curve.grid[0] == 0.0
             assert curve.y[0] == counts.count_l(label)
 
     def test_zero_beyond_one(self):
         counts = count_corpus(make_instances([("a", "neutral")]), scheme=THREE_WAY)
-        assert coverage_count(counts, THREE_WAY.by_name("neutral"), 1.0 + 1e-9) == 0
+        assert coverage_count(counts, THREE_WAY.index("neutral"), 1.0 + 1e-9) == 0
 
     def test_non_increasing(self):
         rng = np.random.default_rng(3)
         counts = count_corpus(random_corpus(rng, 30), scheme=THREE_WAY)
-        for label in THREE_WAY.labels:
+        for label in range(len(THREE_WAY)):
             curve = coverage_curve(counts, label)
             assert all(a >= b for a, b in zip(curve.y, curve.y[1:]))
 
@@ -235,7 +235,7 @@ class TestCoverageCurve:
         rng = np.random.default_rng(4)
         instances = random_corpus(rng, 20)
         counts = count_corpus(instances, scheme=THREE_WAY)
-        for label in THREE_WAY.labels:
+        for label in range(len(THREE_WAY)):
             curve = coverage_curve(counts, label, grid_step=0.05)
             assert curve.y == brute_coverage(instances, THREE_WAY, label, curve.grid)
 
@@ -247,7 +247,7 @@ class TestCoverageCurve:
         for k, inst in enumerate(random_corpus(rng, 24)):
             instances += [inst, blanks[k % 3]] if k % 4 else [blanks[k % 3], inst]
         counts = count_corpus(instances, scheme=THREE_WAY)
-        for label in THREE_WAY.labels:
+        for label in range(len(THREE_WAY)):
             curve = coverage_curve(counts, label, grid_step=0.05)
             # an empty sentence scores 0.0: covered at threshold 0 only,
             # where the oracle, which needs a token, does not count it
@@ -257,20 +257,20 @@ class TestCoverageCurve:
 
     def test_grid_ends_at_one(self):
         counts = count_corpus(make_instances([("a", "neutral")]), scheme=THREE_WAY)
-        curve = coverage_curve(counts, THREE_WAY.by_name("neutral"), grid_step=0.3)
+        curve = coverage_curve(counts, THREE_WAY.index("neutral"), grid_step=0.3)
         assert curve.grid[-1] == 1.0
         assert curve.y[-1] == 1  # "a" occurs only under neutral, max p = 1.0
 
     def test_bad_step_rejected(self):
         counts = count_corpus(make_instances([("a", "neutral")]), scheme=THREE_WAY)
         with pytest.raises(ValueError):
-            coverage_curve(counts, THREE_WAY.by_index(0), grid_step=0.6)
+            coverage_curve(counts, 0, grid_step=0.6)
 
     def test_per_label_variant(self):
         # "a" always neutral; "b" is 2/3 neutral, 1/3 contradiction
         pairs = [("a b", "neutral"), ("b", "neutral"), ("b", "contradiction")]
         counts = count_corpus(make_instances(pairs), scheme=THREE_WAY)
-        contra = THREE_WAY.by_name("contradiction")
+        contra = THREE_WAY.index("contradiction")
         # max-over-labels: the contradiction sentence contains b with max p = 2/3
         assert coverage_count(counts, contra, 0.5) == 1
         # per-label threshold: p(contradiction|b) = 1/3 < 0.5
@@ -281,7 +281,7 @@ class TestMajorityAccuracy:
     def test_simple(self):
         instances = make_instances([("a", "entailment"), ("b", "entailment"),
                                     ("c", "neutral")])
-        acc = majority_accuracy(instances, THREE_WAY.by_name("entailment"))
+        acc = majority_accuracy(instances, THREE_WAY.index("entailment"))
         assert acc == pytest.approx(66.6667, abs=1e-3)
 
     def test_counted_on_synthetic_prior(self):
@@ -290,29 +290,29 @@ class TestMajorityAccuracy:
         names = ["entailed", "not-entailed"]
         instances = make_instances([(f"h{i}", names[d]) for i, d in enumerate(draws)],
                                    scheme=TWO_WAY)
-        maj = TWO_WAY.by_name("entailed")
+        maj = TWO_WAY.index("entailed")
         expected = 100.0 * int(np.sum(draws == 0)) / 10_000
         assert majority_accuracy(instances, maj) == expected
         assert abs(expected - 60.0) < 2.0  # sanity: near the prior
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            majority_accuracy([], THREE_WAY.by_index(0))
+            majority_accuracy([], 0)
 
 
 class TestSerialization:
     def test_giveaways_csv(self):
         pairs = [("sleep", "contradiction")] * 6
         counts = count_corpus(make_instances(pairs), scheme=THREE_WAY)
-        text = stats.giveaways_to_csv(giveaway_words(counts))
+        text = stats.giveaways_to_csv(giveaway_words(counts), THREE_WAY)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["label", "token", "score", "freq"]
         assert ["contradiction", "sleep", "1.000000", "6"] in rows
 
     def test_curves_csv(self):
         counts = count_corpus(make_instances([("a", "neutral")]), scheme=THREE_WAY)
-        curve = coverage_curve(counts, THREE_WAY.by_name("neutral"), grid_step=0.5)
-        text = stats.curves_to_csv([curve])
+        curve = coverage_curve(counts, THREE_WAY.index("neutral"), grid_step=0.5)
+        text = stats.curves_to_csv([curve], THREE_WAY)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["label", "x", "y"]
         assert rows[1] == ["neutral", "0.0000", "1"]

@@ -52,39 +52,37 @@ class TestSpecValidation:
 class TestGenerate:
     def test_rate_one_every_hypothesis_marked(self):
         spec = basic_spec(giveaway=(("g0", 0, 1.0), ("g1", 1, 1.0), ("g2", 2, 1.0)))
-        ds = generate(spec, 500)
-        for inst in ds.split("train"):
-            expected = f"g{inst.label.index}"
+        for inst in generate(spec, 500):
+            expected = f"g{inst.label}"
             assert expected in tokenize(inst.hypothesis)
 
     def test_rate_zero_never_appears(self):
         spec = basic_spec(giveaway=(("g0", 0, 0.0),))
-        ds = generate(spec, 500)
-        assert all("g0" not in tokenize(inst.hypothesis) for inst in ds.split("train"))
+        assert all("g0" not in tokenize(inst.hypothesis) for inst in generate(spec, 500))
 
     def test_injection_frequency_within_3_sigma(self):
         spec = basic_spec(n_labels=2, label_prior=(0.5, 0.5),
                           giveaway=(("g0", 0, 0.5),), seed=5)
-        ds = generate(spec, 10_000)
-        label0 = [inst for inst in ds.split("train") if inst.label.index == 0]
+        label0 = [inst for inst in generate(spec, 10_000) if inst.label == 0]
         injected = sum(1 for inst in label0 if "g0" in tokenize(inst.hypothesis))
         n = len(label0)
         mean, sigma = 0.5 * n, np.sqrt(n * 0.25)
         assert abs(injected - mean) <= 3 * sigma
 
     def test_deterministic(self):
-        a = generate(basic_spec(), 50).split("train")
-        b = generate(basic_spec(), 50).split("train")
+        a = generate(basic_spec(), 50)
+        b = generate(basic_spec(), 50)
         assert a == b
 
     def test_round_trip_through_corpus_io(self, tmp_path):
-        ds = generate(basic_spec(), 40)
+        spec = basic_spec()
+        instances = generate(spec, 40)
         path = tmp_path / "synth.jsonl"
-        corpus.write_jsonl(ds.split("train"), path)
+        corpus.write_jsonl(instances, path, spec.scheme)
         back, skipped = corpus.read_jsonl(path, corpus.FIELD_MAP_PRESETS["native"],
-                                          ds.scheme)
+                                          spec.scheme)
         assert skipped == 0
-        assert back == ds.split("train")
+        assert back == instances
 
 
 class TestBayesAccuracy:
@@ -137,12 +135,10 @@ class TestGiveawayRecovery:
     def test_rate_one_tokens_rank_first_with_score_one(self):
         spec = basic_spec(giveaway=(("g0", 0, 1.0), ("g1", 1, 1.0), ("g2", 2, 1.0)),
                           seed=9)
-        ds = generate(spec, 2000)
-        counts = stats.count_corpus(ds.split("train"), scheme=ds.scheme)
+        counts = stats.count_corpus(generate(spec, 2000), scheme=spec.scheme)
         lists = stats.giveaway_words(counts, min_freq=5, top_k=10)
         for i in range(3):
-            label = ds.scheme.by_index(i)
-            top = lists[label][0]
+            top = lists[i][0]
             assert top.token == f"g{i}"
             assert top.score == 1.0
 

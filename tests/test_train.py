@@ -30,7 +30,7 @@ def tiny_splits(n_train=12, n_dev=6):
 def encoded(instances):
     """The (token-id arrays, label indices) pair fit takes."""
     return ([TINY_VOCAB.encode(tokenize(inst.hypothesis)) for inst in instances],
-            np.array([inst.label.index for inst in instances], dtype=np.int64))
+            np.array([inst.label for inst in instances], dtype=np.int64))
 
 
 def scripted(values):
