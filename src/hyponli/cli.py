@@ -4,9 +4,14 @@ Subcommands: stats, train-eval, synth, audit-sample, split. Every run is
 deterministic under its --seed: all randomness flows from that one value
 through fixed per-component offsets (embeddings seed+1, model init seed+2,
 epoch shuffling seed+3), so repeated invocations produce byte-identical
-artifacts. Outputs are written to a temp file and promoted atomically. A
-key=value config file can preset any flag of a subcommand; explicit flags
-win. HYPONLI_OUT_DIR sets the default output directory.
+artifacts. Each input file is read once into a corpus.Corpus, and each
+command passes on only the columns it uses: hypotheses and labels to the
+statistics and the model, ids to the audit sample, groups to the report;
+premises are only ever written back out (synth, split). Outputs are
+written to a temp file and promoted atomically. A key=value config file
+can preset any flag of a subcommand; explicit flags win. HYPONLI_OUT_DIR
+sets the default output directory. audit-sample takes its label scheme
+from the checkpoint.
 """
 
 from __future__ import annotations
@@ -17,14 +22,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import corpus, evaluate, model, stats, synth, text, train
 from .util import atomic_write_text
 
 
 def _resolve_scheme(args) -> corpus.LabelScheme:
-    if getattr(args, "labels", None):
+    if args.labels:
         names = tuple(n.strip() for n in args.labels.split(",") if n.strip())
         return corpus.LabelScheme(names, "custom")
     return corpus.SCHEME_PRESETS[args.scheme]
@@ -46,17 +49,17 @@ def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
     return corpus.RoleMap(**kwargs)
 
 
-def _read_instances(path, args, scheme):
+def _read_corpus(path, args, scheme):
     if args.format == "tsv":
         columns = _parse_tsv_columns(args.tsv_columns)
-        instances, skipped = corpus.read_tsv(path, columns, scheme)
+        data, skipped = corpus.read_tsv(path, columns, scheme)
     else:
         field_map = corpus.FIELD_MAP_PRESETS[args.format]
-        instances, skipped = corpus.read_jsonl(path, field_map, scheme)
-    if getattr(args, "remap_ordinal", False):
-        instances = corpus.remap_joci_ordinal(instances)
+        data, skipped = corpus.read_jsonl(path, field_map, scheme)
+    if args.remap_ordinal:
+        data = corpus.remap_joci_ordinal(data)
         scheme = corpus.THREE_WAY
-    return instances, skipped, scheme
+    return data, skipped, scheme
 
 
 def _config_lines(args) -> list[str]:
@@ -70,7 +73,7 @@ def _config_lines(args) -> list[str]:
     return lines
 
 
-def _add_data_flags(parser, roles):
+def _add_data_flags(parser, roles, scheme_flags=True):
     for role in roles:
         parser.add_argument(f"--{role}", required=True, metavar="PATH",
                             help=f"{role} corpus file")
@@ -78,10 +81,11 @@ def _add_data_flags(parser, roles):
                         help="input format preset")
     parser.add_argument("--tsv-columns", default="premise=0,hypothesis=1,label=2",
                         help="role=column pairs for --format tsv")
-    parser.add_argument("--scheme", choices=sorted(corpus.SCHEME_PRESETS), default="3way",
-                        help="label scheme preset")
-    parser.add_argument("--labels", default=None,
-                        help="comma-separated label names overriding --scheme")
+    if scheme_flags:
+        parser.add_argument("--scheme", choices=sorted(corpus.SCHEME_PRESETS),
+                            default="3way", help="label scheme preset")
+        parser.add_argument("--labels", default=None,
+                            help="comma-separated label names overriding --scheme")
     parser.add_argument("--remap-ordinal", action="store_true",
                         help="map 1-5 ordinal ratings onto the 3-way scheme")
 
@@ -95,9 +99,8 @@ def _add_common_flags(parser):
 
 
 def cmd_stats(args) -> int:
-    scheme = _resolve_scheme(args)
-    instances, skipped, scheme = _read_instances(args.data, args, scheme)
-    counts = stats.count_corpus(instances, scheme=scheme)
+    data, skipped, scheme = _read_corpus(args.data, args, _resolve_scheme(args))
+    counts = stats.count_corpus(data.hypotheses, data.labels, scheme)
     giveaways = stats.giveaway_words(counts, min_freq=args.min_freq, top_k=args.top_k)
     labels = range(len(scheme))
     curves = [stats.coverage_curve(counts, label, grid_step=args.grid_step,
@@ -158,26 +161,19 @@ def _build_model(args, scheme, vocab, seed):
     return model.ModelParameters.init(config, emb, vocab, scheme)
 
 
-def _label_indices(instances):
-    return np.array([inst.label for inst in instances], dtype=np.int64)
-
-
 def cmd_train_eval(args) -> int:
-    scheme = _resolve_scheme(args)
-    train_insts, _, scheme = _read_instances(args.train, args, scheme)
-    dev_insts, _, _ = _read_instances(args.dev, args, scheme)
-    test_insts = None
+    splits = {}
+    splits["train"], _, scheme = _read_corpus(args.train, args, _resolve_scheme(args))
+    splits["dev"], _, _ = _read_corpus(args.dev, args, scheme)
     if args.test:
-        test_insts, _, _ = _read_instances(args.test, args, scheme)
-
-    splits = {"train": train_insts, "dev": dev_insts}
-    if test_insts:
-        splits["test"] = test_insts
+        test, _, _ = _read_corpus(args.test, args, scheme)
+        if len(test):
+            splits["test"] = test
     # one id array per hypothesis, train first, then dev, then test
-    vocab, ids = text.intern([inst.hypothesis for insts in splits.values() for inst in insts])
+    vocab, ids = text.intern([h for data in splits.values() for h in data.hypotheses])
     rows = iter(ids)
-    examples = {name: ([next(rows) for _ in insts], _label_indices(insts))
-                for name, insts in splits.items()}
+    examples = {name: ([next(rows) for _ in range(len(data))], data.labels)
+                for name, data in splits.items()}
     params = _build_model(args, scheme, vocab, args.seed)
     train_config = train.TrainConfig(
         lr0=args.lr0, decay=args.decay, divide_on_decline=args.divide_on_decline,
@@ -200,7 +196,8 @@ def cmd_train_eval(args) -> int:
         if name not in splits:
             continue
         pred = model.predict_batch(examples[name][0], best_params)
-        reports.append(evaluate.build_report(name, pred, splits[name], scheme, maj))
+        reports.append(evaluate.build_report(name, pred, splits[name].labels,
+                                             splits[name].groups, scheme, maj))
 
     atomic_write_text(os.path.join(out, "train_log.csv"), state.log_csv())
     model.save_checkpoint(best_params, os.path.join(out, "model.ckpt"))
@@ -216,10 +213,10 @@ def cmd_train_eval(args) -> int:
 def cmd_synth(args) -> int:
     with open(args.spec_file, encoding="utf-8") as fh:
         spec = synth.spec_from_dict(json.load(fh))
-    instances = synth.generate(spec, args.n)
+    data = synth.generate(spec, args.n)
     bayes = synth.bayes_accuracy(spec)
     out = args.out_dir
-    corpus.write_jsonl(instances, os.path.join(out, "corpus.jsonl"), spec.scheme)
+    corpus.write_jsonl(data, os.path.join(out, "corpus.jsonl"), spec.scheme)
     meta = {"spec": synth.spec_to_dict(spec), "n": args.n, "bayes_accuracy": bayes}
     atomic_write_text(os.path.join(out, "corpus.meta.json"),
                       json.dumps(meta, indent=2) + "\n")
@@ -229,14 +226,16 @@ def cmd_synth(args) -> int:
 
 def cmd_audit_sample(args) -> int:
     params = model.load_checkpoint(args.checkpoint)
-    instances, _, _ = _read_instances(args.data, args, params.scheme)
-    sentences = [params.vocab.encode(text.tokenize(inst.hypothesis)) for inst in instances]
+    if args.remap_ordinal and params.scheme.names != corpus.THREE_WAY.names:
+        raise corpus.ConfigError(f"--remap-ordinal needs a checkpoint with the 3-way labels "
+                                 f"{', '.join(corpus.THREE_WAY.names)}; {args.checkpoint} "
+                                 f"has {', '.join(params.scheme.names)}")
+    data, _, _ = _read_corpus(args.data, args, params.scheme)
+    sentences = [params.vocab.encode(text.tokenize(h)) for h in data.hypotheses]
     pred = model.predict_batch(sentences, params)
-    sample = evaluate.confusion_sample(pred, _label_indices(instances), args.n_per_cell,
-                                       args.seed)
-    text_out = evaluate.confusion_sample_text(
-        sample, params.scheme, [inst.instance_id for inst in instances],
-        [inst.hypothesis for inst in instances])
+    sample = evaluate.confusion_sample(pred, data.labels, args.n_per_cell, args.seed)
+    text_out = evaluate.confusion_sample_text(sample, params.scheme, data.ids,
+                                              data.hypotheses)
     atomic_write_text(os.path.join(args.out_dir, "audit_sample.txt"), text_out)
     total = sum(len(v) for v in sample.cells.values())
     print(f"audit-sample: {total} rows across {len(sample.cells)} cells -> {args.out_dir}")
@@ -244,11 +243,10 @@ def cmd_audit_sample(args) -> int:
 
 
 def cmd_split(args) -> int:
-    scheme = _resolve_scheme(args)
-    instances, _, scheme = _read_instances(args.data, args, scheme)
+    data, _, scheme = _read_corpus(args.data, args, _resolve_scheme(args))
     ratios = tuple(float(r) for r in args.ratios.split(","))
     parts = dict(zip(("train", "dev", "test"),
-                     corpus.random_split(instances, ratios=ratios, seed=args.seed)))
+                     corpus.random_split(data, ratios=ratios, seed=args.seed)))
     for name, part in parts.items():
         corpus.write_jsonl(part, os.path.join(args.out_dir, f"{name}.jsonl"), scheme)
     sizes = ", ".join(f"{name}={len(part)}" for name, part in parts.items())
@@ -306,7 +304,7 @@ def build_parser():
     subcommands["synth"] = p
 
     p = subparsers.add_parser("audit-sample", help="stratified confusion-cell sample")
-    _add_data_flags(p, ["data"])
+    _add_data_flags(p, ["data"], scheme_flags=False)
     _add_common_flags(p)
     p.add_argument("--checkpoint", required=True, metavar="PATH")
     p.add_argument("--n-per-cell", type=int, default=50)

@@ -1,12 +1,15 @@
 """Corpus ingestion, label schemes, and split management for NLI-style data.
 
-A label is its index in a LabelScheme from the line it is read on; label
-names appear only in the files read and written. Datasets arrive as JSONL
-(one record per line, UTF-8) or TSV (tab delimited, no quoting). Both go
-through one reader: a RoleMap says where each native role (premise /
-hypothesis / label / group / ordinal / id) sits in a record, as a key of a
-JSONL object or a column of a TSV row, and each format adds only its own
-line parse.
+A corpus is a Corpus of parallel columns, one row per record: premises,
+hypotheses, labels (an int64 array of label indices), ids, groups and
+ordinals. A label is its index in a LabelScheme from the line it is read
+on; label names appear only in the files read and written. Datasets
+arrive as JSONL (one record per line, UTF-8) or TSV (tab delimited, no
+quoting). Both go through one reader, which appends each record straight
+to the columns: a RoleMap says where each native role (premise /
+hypothesis / label / group / ordinal / id) sits in a record, as a key of
+a JSONL object or a column of a TSV row, and each format adds only its
+own line parse.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .util import as_integer, atomic_open
 
 
 class IngestError(ValueError):
-    """A data line that cannot be parsed into an instance."""
+    """A data line that cannot be parsed into a corpus row."""
 
 
 class ConfigError(ValueError):
@@ -61,29 +64,36 @@ TWO_WAY = LabelScheme(("entailed", "not-entailed"), "2way")
 SCHEME_PRESETS = {"3way": THREE_WAY, "2way": TWO_WAY}
 
 
-@dataclass(frozen=True)
-class NLIInstance:
-    """One premise/hypothesis/label record; label is a label index.
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Parallel columns with one row per record; labels holds label indices.
 
     The premise may span multiple sentences (it is storage only; nothing
-    downstream of ingestion reads it). group_key carries e.g. a proto-role
-    property name; ordinal carries a 1-5 likelihood rating when present.
+    downstream of ingestion reads it). A group carries e.g. a proto-role
+    property name and an ordinal a 1-5 likelihood rating; either is None
+    where a record has none.
     """
 
-    premise: str
-    hypothesis: str
-    label: int
-    instance_id: str
-    group_key: str | None = None
-    ordinal: int | None = None
+    premises: list[str]
+    hypotheses: list[str]
+    labels: np.ndarray
+    ids: list[str]
+    groups: list[str | None]
+    ordinals: list[int | None]
 
-    def __post_init__(self):
-        if not self.hypothesis:
-            raise IngestError(f"instance {self.instance_id!r}: empty hypothesis")
-        if self.ordinal is not None and not 1 <= self.ordinal <= 5:
-            raise IngestError(
-                f"instance {self.instance_id!r}: ordinal {self.ordinal} outside [1, 5]"
-            )
+    def __len__(self) -> int:
+        return len(self.hypotheses)
+
+    def take(self, rows) -> Corpus:
+        """The given row positions, in the given order, as a new Corpus."""
+        rows = np.asarray(rows, dtype=np.int64)
+        positions = rows.tolist()
+
+        def pick(column):
+            return [column[i] for i in positions]
+
+        return Corpus(pick(self.premises), pick(self.hypotheses), self.labels[rows],
+                      pick(self.ids), pick(self.groups), pick(self.ordinals))
 
 
 @dataclass(frozen=True)
@@ -132,7 +142,7 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse):
     turns one nonblank line into a mapping from the keys of roles to
     values; an optional role whose value is None, or that roles leaves
     unset, takes its default."""
-    instances: list[NLIInstance] = []
+    premises, hypotheses, labels, ids, groups, ordinals = [], [], [], [], [], []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in _numbered_lines(fh, path):
@@ -153,18 +163,21 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse):
                     ordinal = as_integer(ordinal)
                 except ValueError:
                     raise IngestError(f"{where}: bad ordinal {ordinal!r}") from None
-            try:
-                instances.append(NLIInstance(
-                    premise=_join_premise(record[roles.premise]),
-                    hypothesis=str(record[roles.hypothesis]),
-                    label=label,
-                    instance_id=f"line-{lineno}" if instance_id is None else str(instance_id),
-                    group_key=None if group is None else str(group),
-                    ordinal=ordinal,
-                ))
-            except IngestError as exc:
-                raise IngestError(f"{where}: {exc}") from exc
-    return instances, skipped
+            instance_id = f"line-{lineno}" if instance_id is None else str(instance_id)
+            hypothesis = str(record[roles.hypothesis])
+            if not hypothesis:
+                raise IngestError(f"{where}: instance {instance_id!r}: empty hypothesis")
+            if ordinal is not None and not 1 <= ordinal <= 5:
+                raise IngestError(f"{where}: instance {instance_id!r}: ordinal {ordinal} "
+                                  f"outside [1, 5]")
+            premises.append(_join_premise(record[roles.premise]))
+            hypotheses.append(hypothesis)
+            labels.append(label)
+            ids.append(instance_id)
+            groups.append(None if group is None else str(group))
+            ordinals.append(ordinal)
+    return Corpus(premises, hypotheses, np.array(labels, dtype=np.int64), ids, groups,
+                  ordinals), skipped
 
 
 def _parse_json_line(line, roles, where):
@@ -193,7 +206,7 @@ def _parse_tsv_line(line, roles, where):
 def read_jsonl(path, roles: RoleMap, scheme: LabelScheme):
     """Read a JSONL corpus file whose roles are record keys.
 
-    Returns (instances, skipped) where skipped counts lines whose label is
+    Returns (corpus, skipped) where skipped counts lines whose label is
     absent from the scheme (e.g. the "-" no-consensus marker). Malformed
     lines raise IngestError with the line number; a record missing a
     mandatory mapped key raises ConfigError.
@@ -205,27 +218,26 @@ def read_tsv(path, roles: RoleMap, scheme: LabelScheme):
     """Read a TSV corpus file whose roles are column indices. Tab is the
     only delimiter; no quoting.
 
-    Returns (instances, skipped) as read_jsonl. Rows narrower than the
-    role map raise IngestError with the line number.
+    Returns (corpus, skipped) as read_jsonl. Rows narrower than the role
+    map raise IngestError with the line number.
     """
     return _read(path, roles, scheme, _parse_tsv_line)
 
 
-def write_jsonl(instances, path, scheme: LabelScheme) -> None:
-    """Write instances atomically using the native record keys and the
+def write_jsonl(data: Corpus, path, scheme: LabelScheme) -> None:
+    """Write a corpus atomically using the native record keys and the
     scheme's label names (round-trips read_jsonl)."""
     with atomic_open(path) as fh:
-        for inst in instances:
-            record = {
-                "premise": inst.premise,
-                "hypothesis": inst.hypothesis,
-                "label": scheme.names[inst.label],
-            }
-            if inst.group_key is not None:
-                record["group"] = inst.group_key
-            if inst.ordinal is not None:
-                record["ordinal"] = inst.ordinal
-            record["id"] = inst.instance_id
+        for premise, hypothesis, label, instance_id, group, ordinal in zip(
+                data.premises, data.hypotheses, data.labels.tolist(), data.ids, data.groups,
+                data.ordinals):
+            record = {"premise": premise, "hypothesis": hypothesis,
+                      "label": scheme.names[label]}
+            if group is not None:
+                record["group"] = group
+            if ordinal is not None:
+                record["ordinal"] = ordinal
+            record["id"] = instance_id
             fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
@@ -233,43 +245,42 @@ JOCI_ORDINAL_TO_LABEL = {1: "contradiction", 2: "neutral", 3: "neutral",
                          4: "neutral", 5: "entailment"}
 
 
-def remap_joci_ordinal(instances) -> list[NLIInstance]:
+def remap_joci_ordinal(data: Corpus) -> Corpus:
     """Map 1-5 ordinal ratings onto THREE_WAY label indices.
 
-    1 becomes contradiction, 2-4 neutral, 5 entailment. The ordinal is
+    1 becomes contradiction, 2-4 neutral, 5 entailment. The ordinals are
     retained, so the operation is idempotent on its own output.
     """
-    out = []
-    for inst in instances:
-        if inst.ordinal is None:
-            raise IngestError(f"instance {inst.instance_id!r}: no ordinal to remap")
-        out.append(replace(inst, label=THREE_WAY.index(JOCI_ORDINAL_TO_LABEL[inst.ordinal])))
-    return out
+    for instance_id, ordinal in zip(data.ids, data.ordinals):
+        if ordinal is None:
+            raise IngestError(f"instance {instance_id!r}: no ordinal to remap")
+    labels = [THREE_WAY.index(JOCI_ORDINAL_TO_LABEL[o]) for o in data.ordinals]
+    return replace(data, labels=np.array(labels, dtype=np.int64))
 
 
-def random_split(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0):
-    """Partition instances into (train, dev, test) lists at the given ratios.
+def random_split(data: Corpus, ratios=(0.8, 0.1, 0.1), seed: int = 0):
+    """Partition a corpus into (train, dev, test) corpora at the given ratios.
 
     The ratios are three finite, non-negative numbers that sum to 1. Sizes
     are floor-based with the remainder assigned to train; the split is a
     deterministic function of the seed. For n=103 at 80:10:10 this yields
     (83, 10, 10).
     """
-    if not instances:
-        raise ValueError("cannot split an empty instance list")
+    if not len(data):
+        raise ValueError("cannot split an empty corpus")
     # a comparison with nan is False, so nan fails; each ratio <= 1 also rules out inf
     if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios)
             or abs(sum(ratios) - 1.0) > 1e-9):
         raise ValueError(f"ratios {ratios} are not three non-negative train, dev "
                          f"and test shares that sum to 1")
-    n = len(instances)
+    n = len(data)
     n_train = int(n * ratios[0])
     n_dev = int(n * ratios[1])
     n_test = int(n * ratios[2])
     n_train += n - (n_train + n_dev + n_test)
     order = np.random.default_rng(seed).permutation(n)
     parts = np.split(order, [n_train, n_train + n_dev])
-    return tuple([instances[i] for i in part] for part in parts)
+    return tuple(data.take(part) for part in parts)
 
 
 def majority_label(labels) -> int:

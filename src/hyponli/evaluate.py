@@ -1,7 +1,8 @@
 """Accuracy metrics, gap reports, breakdowns, and audit sampling.
 
-Predicted and gold labels are int arrays of label indices, and reports
-key their classes by index; label names are looked up in the scheme only
+Predicted and gold labels are int arrays of label indices (gold is a
+corpus's label column, and groups its group column), and reports key
+their classes by index; label names are looked up in the scheme only
 where text is written. Reported gaps follow the hyp-only-vs-majority
 convention: the absolute delta in percentage points and the relative
 delta as a percentage of the majority accuracy. Formatted values round
@@ -144,18 +145,17 @@ class EvalReport:
     notes: list[str] = field(default_factory=list)
 
 
-def build_report(split_name: str, pred, instances, scheme: LabelScheme,
+def build_report(split_name: str, pred, gold, groups, scheme: LabelScheme,
                  train_majority: int) -> EvalReport:
-    """Assemble the gap report for one split from its predicted label
-    indices.
+    """Assemble the gap report for one split from its predicted and gold
+    label indices and its group column (None where a row has no group).
 
     MAJ defaults to the train-majority label index scored on the split;
     when the split's own most frequent class (lowest index on ties)
     differs, both rates are included and the discrepancy is noted rather
     than resolved.
     """
-    gold = np.array([inst.label for inst in instances], dtype=np.int64)
-    pred, gold = _aligned(pred, gold)
+    pred, gold, groups = _aligned(pred, gold, groups)
     n = gold.size
     totals = np.bincount(gold, minlength=len(scheme))
     hyp = accuracy(pred, gold)
@@ -166,11 +166,9 @@ def build_report(split_name: str, pred, instances, scheme: LabelScheme,
     per_class = {c: (acc, 100.0 * int(totals[c]) / n)
                  for c, acc in per_class_accuracy(pred, gold).items()}
     per_group = None
-    groups = [inst.group_key for inst in instances]
     keyed = np.array([k is not None for k in groups], dtype=bool)
     if keyed.any():
-        per_group = per_group_accuracy(pred[keyed], gold[keyed],
-                                       [k for k in groups if k is not None])
+        per_group = per_group_accuracy(pred[keyed], gold[keyed], groups[keyed])
     notes = []
     if split_mode != train_majority:
         notes.append(

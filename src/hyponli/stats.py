@@ -3,10 +3,11 @@
 Word/label counts give p(l|w) = count(w,l) / count(w); token-occurrence
 counts back the probabilities while sentence-level presence counts back
 the coverage curves (a sentence is covered when it contains at least one
-sufficiently label-specific word). Every statistic is computed from one
-interned corpus: a vocabulary, the token ids of all hypotheses end to
-end, and each sentence's offset into them. Labels are label indices in
-and out; the CSV writers alone look up their names in the scheme.
+sufficiently label-specific word). Every statistic is computed from two
+columns of a corpus, its hypotheses and its label array, interned once:
+a vocabulary, the token ids of all hypotheses end to end, and each
+sentence's offset into them. Labels are label indices in and out; the
+CSV writers alone look up their names in the scheme.
 """
 
 from __future__ import annotations
@@ -61,42 +62,18 @@ class LabelWordCounts:
     def n_sentences(self) -> int:
         return len(self.sentence_labels)
 
-    def tokens(self) -> list[str]:
-        return self.vocab.tokens
-
-    def count_wl(self, token: str, label: int) -> int:
-        idx = self.vocab.get(token)
-        return int(self.occ[idx, label]) if idx is not None else 0
-
-    def count_w(self, token: str) -> int:
-        idx = self.vocab.get(token)
-        return int(self.occ[idx].sum()) if idx is not None else 0
-
     def count_l(self, label: int) -> int:
         return int(self.label_sentences[label])
 
-    def presence_wl(self, token: str, label: int) -> int:
-        idx = self.vocab.get(token)
-        return int(self.presence[idx, label]) if idx is not None else 0
 
-
-def count_corpus(instances, scheme: LabelScheme) -> LabelWordCounts:
-    """Count over hypothesis tokens only; premises untouched. Takes a
-    sequence of instances."""
-    vocab, ids = intern([inst.hypothesis for inst in instances])
+def count_corpus(hypotheses, labels, scheme: LabelScheme) -> LabelWordCounts:
+    """Count over hypothesis tokens only: hypotheses is a sequence of
+    strings and labels their label indices."""
+    vocab, ids = intern(hypotheses)
     lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
-    labels = np.array([inst.label for inst in instances], dtype=np.int64)
-    return LabelWordCounts(scheme, vocab, indptr, flat, labels)
-
-
-def p_label_given_word(counts: LabelWordCounts, token: str, label: int) -> float:
-    """count(w,l) / count(w); the caller must filter unseen tokens."""
-    cw = counts.count_w(token)
-    if cw == 0:
-        raise KeyError(f"token {token!r} unseen in corpus")
-    return counts.count_wl(token, label) / cw
+    return LabelWordCounts(scheme, vocab, indptr, flat, np.asarray(labels, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -192,14 +169,6 @@ def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
     n = maxima.size
     y = [int(n - np.searchsorted(maxima, x, side="left")) for x in grid]
     return CoverageCurve(label, grid, y)
-
-
-def majority_accuracy(eval_split, maj: int) -> float:
-    """Accuracy (0-100) of always predicting label index maj on the split."""
-    if not eval_split:
-        raise ValueError("cannot score an empty split")
-    hits = sum(1 for inst in eval_split if inst.label == maj)
-    return 100.0 * hits / len(eval_split)
 
 
 def giveaways_to_csv(giveaways: dict[int, list[GiveawayEntry]], scheme: LabelScheme) -> str:

@@ -3,7 +3,8 @@
 Background tokens are drawn independently of the label, so the injected
 give-away tokens are the only signal and the optimal hypothesis-only
 accuracy has a closed, exactly enumerable form. That makes generated
-corpora ground-truth oracles for the diagnostics and the trainers.
+corpora ground-truth oracles for the diagnostics and the trainers. A
+generated corpus is a corpus.Corpus whose labels are label indices.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ConfigError, NLIInstance, THREE_WAY, TWO_WAY
+from .corpus import THREE_WAY, TWO_WAY, ConfigError, Corpus
 from .text import tokenize
 from .util import as_integer
 
@@ -64,13 +65,14 @@ def _background_vocab(size: int) -> list[str]:
     return [f"w{i:03d}" for i in range(size)]
 
 
-def generate(spec: SynthSpec, n: int) -> list[NLIInstance]:
-    """Draw n instances; deterministic given spec.seed.
+def generate(spec: SynthSpec, n: int) -> Corpus:
+    """Draw an n-row corpus; deterministic given spec.seed.
 
-    Each instance draws its label from the prior and a hypothesis of
-    uniform background tokens; each giveaway targeting that label is
-    inserted at a random position with its own rate. Premises are filler
-    text. Split the returned list with corpus.random_split as needed.
+    Each row draws its label from the prior and a hypothesis of uniform
+    background tokens; each giveaway targeting that label is inserted at a
+    random position with its own rate. Premises are filler text; rows have
+    no group or ordinal. Split the corpus with corpus.random_split as
+    needed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -78,8 +80,8 @@ def generate(spec: SynthSpec, n: int) -> list[NLIInstance]:
     background = _background_vocab(spec.vocab_size)
     prior = np.array(spec.label_prior)
     lo, hi = spec.sentence_length
-    instances = []
-    for k in range(n):
+    hypotheses, labels = [], []
+    for _ in range(n):
         label_idx = int(rng.choice(spec.n_labels, p=prior))
         length = int(rng.integers(lo, hi + 1))
         tokens = [background[int(i)] for i in rng.integers(0, spec.vocab_size, length)]
@@ -87,13 +89,12 @@ def generate(spec: SynthSpec, n: int) -> list[NLIInstance]:
             if target == label_idx and rng.random() < rate:
                 pos = int(rng.integers(0, len(tokens) + 1))
                 tokens.insert(pos, token)
-        instances.append(NLIInstance(
-            premise=f"filler premise {k}",
-            hypothesis=" ".join(tokens),
-            label=label_idx,
-            instance_id=f"synth-{k:06d}",
-        ))
-    return instances
+        hypotheses.append(" ".join(tokens))
+        labels.append(label_idx)
+    return Corpus(premises=[f"filler premise {k}" for k in range(n)], hypotheses=hypotheses,
+                  labels=np.array(labels, dtype=np.int64),
+                  ids=[f"synth-{k:06d}" for k in range(n)], groups=[None] * n,
+                  ordinals=[None] * n)
 
 
 def bayes_accuracy(spec: SynthSpec) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyponli.corpus import THREE_WAY, TWO_WAY, NLIInstance
+from hyponli.corpus import THREE_WAY, TWO_WAY, Corpus
 
 
 @pytest.fixture
@@ -14,13 +14,19 @@ def two_way():
     return TWO_WAY
 
 
-def make_instances(pairs, scheme=THREE_WAY, premise="p"):
-    """Build instances from (hypothesis, label_name) pairs."""
-    return [
-        NLIInstance(premise=premise, hypothesis=hyp, label=scheme.index(name),
-                    instance_id=f"i{k}")
-        for k, (hyp, name) in enumerate(pairs)
-    ]
+def make_corpus(pairs, scheme=THREE_WAY, premise="p", groups=None, ordinals=None):
+    """Build a corpus from (hypothesis, label_name) pairs; row k has id ik."""
+    n = len(pairs)
+    return Corpus(premises=[premise] * n, hypotheses=[hyp for hyp, _ in pairs],
+                  labels=np.array([scheme.index(name) for _, name in pairs], dtype=np.int64),
+                  ids=[f"i{k}" for k in range(n)], groups=groups or [None] * n,
+                  ordinals=ordinals or [None] * n)
+
+
+def columns(data):
+    """The six columns of a corpus as lists, for comparing corpora."""
+    return (data.premises, data.hypotheses, data.labels.tolist(), data.ids, data.groups,
+            data.ordinals)
 
 
 def random_corpus(rng, n_sentences, vocab_size=20, scheme=THREE_WAY, max_len=8):
@@ -32,4 +38,4 @@ def random_corpus(rng, n_sentences, vocab_size=20, scheme=THREE_WAY, max_len=8):
         sent = " ".join(words[int(i)] for i in rng.integers(0, vocab_size, length))
         label = scheme.names[int(rng.integers(0, len(scheme)))]
         pairs.append((sent, label))
-    return make_instances(pairs, scheme)
+    return make_corpus(pairs, scheme)

@@ -17,9 +17,9 @@ import pytest
 
 from hyponli import cli, corpus, evaluate, kernels, model, stats, synth, text, train
 
-from conftest import make_instances
+from conftest import make_corpus
 from reference import dense
-from test_stats import brute_coverage, brute_giveaways, brute_p, brute_counts
+from test_stats import brute_coverage, brute_giveaways, brute_p, brute_counts, count_corpus
 
 
 @contextmanager
@@ -108,7 +108,7 @@ def _random_corpora():
             sent = " ".join(words[int(i)] for i in rng.integers(0, vocab_size, length))
             label = scheme.names[int(rng.integers(0, len(scheme)))]
             pairs.append((sent, label))
-        corpora.append((make_instances(pairs, scheme), scheme))
+        corpora.append((make_corpus(pairs, scheme), scheme))
     return corpora
 
 
@@ -119,27 +119,28 @@ def corpora_100():
 
 def test_criterion_2_brute_force_equivalence(corpora_100):
     with criterion(2, "p(l|w), give-aways, and coverage match brute force exactly"):
-        for instances, scheme in corpora_100:
-            counts = stats.count_corpus(instances, scheme=scheme)
-            occ, _, _ = brute_counts(instances)
-            for tok in counts.tokens():
+        for data, scheme in corpora_100:
+            counts = count_corpus(data, scheme)
+            occ, _, _ = brute_counts(data)
+            for tok in counts.vocab.tokens:
+                row = counts.occ[counts.vocab.get(tok)]
                 for label in range(len(scheme)):
                     expected = brute_p(occ, tok, label, len(scheme))
-                    assert stats.p_label_given_word(counts, tok, label) == expected
+                    assert int(row[label]) / int(row.sum()) == expected
             got = stats.giveaway_words(counts, min_freq=2, top_k=10)
-            expected = brute_giveaways(instances, scheme, min_freq=2, top_k=10)
+            expected = brute_giveaways(data, scheme, min_freq=2, top_k=10)
             for label in range(len(scheme)):
                 assert [(e.token, e.score, e.frequency) for e in got[label]] \
                     == expected[label]
             for label in range(len(scheme)):
                 curve = stats.coverage_curve(counts, label, grid_step=0.1)
-                assert curve.y == brute_coverage(instances, scheme, label, curve.grid)
+                assert curve.y == brute_coverage(data, scheme, label, curve.grid)
 
 
 def test_criterion_3_coverage_invariants(corpora_100):
     with criterion(3, "coverage curves: non-increasing, y(0)=count_l, 0 beyond 1"):
-        for instances, scheme in corpora_100:
-            counts = stats.count_corpus(instances, scheme=scheme)
+        for data, scheme in corpora_100:
+            counts = count_corpus(data, scheme)
             for label in range(len(scheme)):
                 curve = stats.coverage_curve(counts, label, grid_step=0.05)
                 assert all(a >= b for a, b in zip(curve.y, curve.y[1:]))
@@ -195,10 +196,9 @@ def test_criterion_4_gradient_correctness():
 # Criterion 5: exact learning-rate trajectories from scripted dev accuracies.
 # --------------------------------------------------------------------------
 
-def _examples(instances, vocab):
+def _examples(data, vocab):
     """The (token-id arrays, label indices) pair train.fit takes."""
-    return ([vocab.encode(text.tokenize(x.hypothesis)) for x in instances],
-            np.array([x.label for x in instances], dtype=np.int64))
+    return [vocab.encode(text.tokenize(h)) for h in data.hypotheses], data.labels
 
 
 def _scripted(values):
@@ -209,10 +209,10 @@ def _scripted(values):
 def test_criterion_5_schedule_trace():
     with criterion(5, "scripted schedules give the exact lr trajectories"):
         params_proto = _desk_scale_params("bag", seed=0)
-        tr = _examples(make_instances([("a b", corpus.THREE_WAY.names[i % 3])
-                                       for i in range(12)]), params_proto.vocab)
-        dv = _examples(make_instances([("b a", corpus.THREE_WAY.names[i % 3])
-                                       for i in range(6)]), params_proto.vocab)
+        tr = _examples(make_corpus([("a b", corpus.THREE_WAY.names[i % 3])
+                                    for i in range(12)]), params_proto.vocab)
+        dv = _examples(make_corpus([("b a", corpus.THREE_WAY.names[i % 3])
+                                    for i in range(6)]), params_proto.vocab)
         config = train.TrainConfig(max_epochs=20, batch_size=4, seed=0)
 
         # strictly increasing: all 20 epochs, lr after epoch e = 0.1 * 0.99^e
@@ -257,7 +257,7 @@ def _generate_splits(spec):
 
 
 def _train_bag(tr, dv, scheme):
-    vocab, _ = text.intern([x.hypothesis for x in tr + dv])
+    vocab, _ = text.intern(tr.hypotheses + dv.hypotheses)
     table = text.seeded_random_embeddings(vocab, 16, seed=7)
     cfg = model.ModelConfig("bag", embedding_dim=16, hidden_dim=4, mlp_hidden=64,
                             n_labels=3, seed=8, finetune_embeddings=True)
@@ -280,7 +280,7 @@ def test_criterion_6_synthetic_recovery(recovery_run):
         scheme = RECOVERY_SPEC.scheme
 
         # (a) each injected token ranks first in its target label's list
-        counts = stats.count_corpus(tr, scheme=scheme)
+        counts = count_corpus(tr, scheme)
         lists = stats.giveaway_words(counts, min_freq=5, top_k=10)
         for i in range(3):
             assert lists[i][0].token == f"give{i}"
@@ -290,8 +290,9 @@ def test_criterion_6_synthetic_recovery(recovery_run):
         te_rows, te_y = _examples(te, best.vocab)
         preds = model.predict_batch(te_rows, best)
         acc = evaluate.accuracy(preds, te_y)
-        maj = corpus.majority_label([x.label for x in tr])
-        maj_acc = stats.majority_accuracy(te, maj)
+        maj = corpus.majority_label(tr.labels)
+        maj_acc = evaluate.build_report("test", preds, te.labels, te.groups, scheme,
+                                        maj).maj_acc
         assert acc > maj_acc
         assert bayes - acc <= 2.0, (acc, bayes)
 
@@ -305,7 +306,8 @@ def test_criterion_6_synthetic_recovery(recovery_run):
         preds0 = model.predict_batch(te0_rows, best0)
         assert evaluate.constant_prediction_check(preds0) is True
         acc0 = evaluate.accuracy(preds0, te0_y)
-        maj0_acc = stats.majority_accuracy(te0, corpus.majority_label([x.label for x in tr0]))
+        maj0_acc = evaluate.build_report("test", preds0, te0.labels, te0.groups, spec0.scheme,
+                                         corpus.majority_label(tr0.labels)).maj_acc
         assert abs(acc0 - maj0_acc) <= 1.5
 
 
@@ -330,17 +332,17 @@ def test_criterion_7_premise_invariance(tmp_path, monkeypatch):
             splits[name] = synth.generate(dataclasses.replace(spec, seed=s), n)
         assert len(splits["test"]) >= 1000
         rng = np.random.default_rng(77)
-        perturbed = {name: [dataclasses.replace(inst, premise=_random_sentence(rng))
-                            for inst in insts]
-                     for name, insts in splits.items()}
-        assert all(a.premise != b.premise
-                   for name in splits for a, b in zip(splits[name], perturbed[name]))
+        perturbed = {name: dataclasses.replace(
+                         data, premises=[_random_sentence(rng) for _ in data.premises])
+                     for name, data in splits.items()}
+        assert all(a != b for name in splits
+                   for a, b in zip(splits[name].premises, perturbed[name].premises))
         artifacts = ("train_log.csv", "model.ckpt", "report.md", "report.csv")
         contents = []
-        for run, data in (("original", splits), ("perturbed", perturbed)):
+        for run, corpora in (("original", splits), ("perturbed", perturbed)):
             run_dir = tmp_path / run
-            for name, insts in data.items():
-                corpus.write_jsonl(insts, run_dir / f"{name}.jsonl", spec.scheme)
+            for name, data in corpora.items():
+                corpus.write_jsonl(data, run_dir / f"{name}.jsonl", spec.scheme)
             monkeypatch.chdir(run_dir)
             rc = cli.main([
                 "train-eval", "--train", "train.jsonl", "--dev", "dev.jsonl",
@@ -405,14 +407,15 @@ def test_criterion_9_snli_checks():
     with criterion(9, "SNLI dev majority, hypothesis-only accuracy, give-aways"):
         scheme = corpus.THREE_WAY
         snli_map = corpus.FIELD_MAP_PRESETS["snli"]
-        train_insts, _ = corpus.read_jsonl(train_path, snli_map, scheme)
-        dev_insts, _ = corpus.read_jsonl(dev_path, snli_map, scheme)
+        train_data, _ = corpus.read_jsonl(train_path, snli_map, scheme)
+        dev_data, _ = corpus.read_jsonl(dev_path, snli_map, scheme)
 
-        maj = corpus.majority_label([x.label for x in train_insts])
-        maj_acc = stats.majority_accuracy(dev_insts, maj)
+        maj = corpus.majority_label(train_data.labels)
+        maj_acc = evaluate.build_report("dev", dev_data.labels, dev_data.labels,
+                                        dev_data.groups, scheme, maj).maj_acc
         assert abs(maj_acc - 33.82) <= 0.05
 
-        counts = stats.count_corpus(dev_insts, scheme=scheme)
+        counts = count_corpus(dev_data, scheme)
         contra = scheme.index("contradiction")
         lists = stats.giveaway_words(counts, min_freq=5, top_k=50)
         by_token = {e.token: e for e in lists[contra]}
@@ -420,15 +423,15 @@ def test_criterion_9_snli_checks():
             assert token in by_token, token
             assert by_token[token].score >= 0.8
 
-        subset = train_insts[:50_000]
-        vocab, _ = text.intern([x.hypothesis for x in subset + dev_insts])
+        subset = train_data.take(np.arange(min(50_000, len(train_data))))
+        vocab, _ = text.intern(subset.hypotheses + dev_data.hypotheses)
         table = text.seeded_random_embeddings(vocab, 50, seed=1)
         cfg = model.ModelConfig("bag", embedding_dim=50, hidden_dim=4,
                                 mlp_hidden=64, n_labels=3, seed=2,
                                 finetune_embeddings=True)
         params = model.ModelParameters.init(cfg, table, vocab, scheme)
         tcfg = train.TrainConfig(batch_size=64, seed=3)
-        dev_examples = _examples(dev_insts, vocab)
+        dev_examples = _examples(dev_data, vocab)
         best, _ = train.fit(_examples(subset, vocab), dev_examples, params, tcfg)
         preds = model.predict_batch(dev_examples[0], best)
         acc = evaluate.accuracy(preds, dev_examples[1])

@@ -3,7 +3,10 @@
 The traced benchmark wraps each hyponli function its LAYERS table names and
 skips names that do not resolve, so a rename would silently drop a layer;
 the untraced benchmark times setup up to the first corpus.read_jsonl call,
-so a command that stopped calling it would fail every operation.
+so a command that stopped calling it would fail every operation. The
+benchmark's commands (stats, and train-eval with a test split) and
+audit-sample read every input file through that module attribute, once
+each, in argument order.
 """
 
 import importlib
@@ -43,10 +46,16 @@ def test_only_the_known_stale_layers_do_not_resolve(layers):
     assert unresolved == STALE
 
 
-def test_stats_calls_the_patched_read_jsonl(tmp_path, monkeypatch):
-    data = tmp_path / "d.jsonl"
-    data.write_text(json.dumps({"premise": "p", "hypothesis": "a b",
-                                "label": "neutral"}) + "\n", encoding="utf-8")
+def write_records(path, labels):
+    path.write_text("".join(json.dumps({"premise": "p", "hypothesis": f"a b{i % 3}",
+                                        "label": label}) + "\n"
+                            for i, label in enumerate(labels)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def read_calls(monkeypatch):
+    """The path of each call into the patched corpus.read_jsonl, in order."""
     calls = []
     original = corpus.read_jsonl
 
@@ -55,5 +64,25 @@ def test_stats_calls_the_patched_read_jsonl(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(corpus, "read_jsonl", stamped)
-    assert cli.main(["stats", "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == [str(data)]
+    return calls
+
+
+def test_stats_calls_the_patched_read_jsonl(tmp_path, read_calls):
+    data = write_records(tmp_path / "d.jsonl", ["neutral"])
+    assert cli.main(["stats", "--data", data, "--out-dir", str(tmp_path / "out")]) == 0
+    assert read_calls == [data]
+
+
+def test_train_eval_and_audit_sample_call_it_once_per_file_in_order(tmp_path, read_calls):
+    names = ("entailment", "neutral", "contradiction")
+    files = {split: write_records(tmp_path / f"{split}.jsonl", [names[i % 3] for i in range(9)])
+             for split in ("train", "dev", "test")}
+    out = tmp_path / "out"
+    assert cli.main(["train-eval", "--train", files["train"], "--dev", files["dev"],
+                     "--test", files["test"], "--out-dir", str(out), "--max-epochs", "1",
+                     "--embedding-dim", "4", "--mlp-hidden", "4"]) == 0
+    assert read_calls == [files["train"], files["dev"], files["test"]]
+    del read_calls[:]
+    assert cli.main(["audit-sample", "--checkpoint", str(out / "model.ckpt"),
+                     "--data", files["dev"], "--out-dir", str(tmp_path / "audit")]) == 0
+    assert read_calls == [files["dev"]]

@@ -9,7 +9,7 @@ from hyponli.cli import main
 from hyponli.model import load_checkpoint
 from hyponli.text import tokenize
 
-from conftest import make_instances
+from conftest import make_corpus
 
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -25,8 +25,8 @@ def one_error_line(capsys) -> str:
     return err[0]
 
 
-def write_corpus(path, instances, scheme=corpus.THREE_WAY):
-    corpus.write_jsonl(instances, path, scheme)
+def write_corpus(path, data, scheme=corpus.THREE_WAY):
+    corpus.write_jsonl(data, path, scheme)
     return str(path)
 
 
@@ -68,9 +68,9 @@ class TestSynthCommand:
         assert rc == 0
         corpus_path = out / "corpus.jsonl"
         meta = json.loads((out / "corpus.meta.json").read_text())
-        instances, skipped = corpus.read_jsonl(
+        data, skipped = corpus.read_jsonl(
             corpus_path, corpus.FIELD_MAP_PRESETS["native"], corpus.THREE_WAY)
-        assert skipped == 0 and len(instances) == 50
+        assert skipped == 0 and len(data) == 50
         # sidecar bayes matches a direct library call
         spec = synth.spec_from_dict(meta["spec"])
         assert meta["bayes_accuracy"] == synth.bayes_accuracy(spec)
@@ -140,19 +140,19 @@ class TestSynthCommand:
 
 class TestSplitCommand:
     def test_split_sizes_and_partition(self, tmp_path):
-        instances = make_instances([(f"hyp {i}", "neutral") for i in range(103)])
-        data = write_corpus(tmp_path / "all.jsonl", instances)
+        data = write_corpus(tmp_path / "all.jsonl",
+                            make_corpus([(f"hyp {i}", "neutral") for i in range(103)]))
         out = tmp_path / "out"
         rc = main(["split", "--data", data, "--out-dir", str(out), "--seed", "3"])
         assert rc == 0
         sizes = {}
         ids = set()
         for name in ("train", "dev", "test"):
-            insts, _ = corpus.read_jsonl(out / f"{name}.jsonl",
-                                         corpus.FIELD_MAP_PRESETS["native"],
-                                         corpus.THREE_WAY)
-            sizes[name] = len(insts)
-            ids.update(i.instance_id for i in insts)
+            part, _ = corpus.read_jsonl(out / f"{name}.jsonl",
+                                        corpus.FIELD_MAP_PRESETS["native"],
+                                        corpus.THREE_WAY)
+            sizes[name] = len(part)
+            ids.update(part.ids)
         assert (sizes["train"], sizes["dev"], sizes["test"]) == (83, 10, 10)
         assert len(ids) == 103
 
@@ -160,7 +160,7 @@ class TestSplitCommand:
                                         "0.8,0.1,nan"])
     def test_bad_ratios_are_one_line(self, tmp_path, capsys, ratios):
         data = write_corpus(tmp_path / "all.jsonl",
-                            make_instances([(f"hyp {i}", "neutral") for i in range(10)]))
+                            make_corpus([(f"hyp {i}", "neutral") for i in range(10)]))
         out = tmp_path / "out"
         rc = main(["split", "--data", data, "--out-dir", str(out), "--ratios", ratios])
         assert rc == 1
@@ -175,23 +175,23 @@ class TestStatsCommand:
             + [("a tall person", "neutral")] * 5
             + [("some words", "entailment")] * 4
         )
-        data = write_corpus(tmp_path / "d.jsonl", make_instances(pairs))
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus(pairs))
         out = tmp_path / "out"
         rc = main(["stats", "--data", data, "--out-dir", str(out), "--min-freq", "2"])
         assert rc == 0
         for name in ("giveaways.csv", "coverage.csv", "counts_summary.csv",
                      "stats_digest.md"):
             assert (out / name).exists()
-        instances, _ = corpus.read_jsonl(data, corpus.FIELD_MAP_PRESETS["native"],
-                                         corpus.THREE_WAY)
-        counts = stats.count_corpus(instances, scheme=corpus.THREE_WAY)
+        read, _ = corpus.read_jsonl(data, corpus.FIELD_MAP_PRESETS["native"],
+                                    corpus.THREE_WAY)
+        counts = stats.count_corpus(read.hypotheses, read.labels, corpus.THREE_WAY)
         expected = stats.giveaways_to_csv(stats.giveaway_words(counts, min_freq=2),
                                           corpus.THREE_WAY)
         assert (out / "giveaways.csv").read_text() == expected
 
     def test_rerun_byte_identical(self, tmp_path):
         data = write_corpus(tmp_path / "d.jsonl",
-                            make_instances([("a b c", "neutral")] * 8))
+                            make_corpus([("a b c", "neutral")] * 8))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             assert main(["stats", "--data", data, "--out-dir", str(out)]) == 0
@@ -232,7 +232,7 @@ class TestStatsCommand:
 
     @pytest.mark.parametrize("top_k", ["0", "-1"])
     def test_bad_top_k_is_one_line(self, tmp_path, capsys, top_k):
-        data = write_corpus(tmp_path / "d.jsonl", make_instances([("a b c", "neutral")] * 8))
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
         rc = main(["stats", "--data", data, "--top-k", top_k,
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
@@ -244,7 +244,7 @@ class TestStatsCommand:
         ("per-label-threshold = maybe", "per_label_threshold='maybe'"),
     ])
     def test_bad_config_value_is_one_line(self, tmp_path, capsys, line, named):
-        data = write_corpus(tmp_path / "d.jsonl", make_instances([("a b c", "neutral")] * 8))
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         rc = main(["stats", "--data", data, "--config", str(cfg),
@@ -255,7 +255,7 @@ class TestStatsCommand:
 
     @pytest.mark.parametrize("value, expected", [("Off", False), ("yes", True)])
     def test_boolean_config_words(self, tmp_path, value, expected):
-        data = write_corpus(tmp_path / "d.jsonl", make_instances([("a b c", "neutral")] * 8))
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"per-label-threshold = {value}\n")
         out = tmp_path / "out"
@@ -372,9 +372,9 @@ class TestTrainEvalCommand:
         paths = synth_corpus_files(tmp_path)
         hypotheses = []
         for name in ("train", "dev", "test"):
-            insts, _ = corpus.read_jsonl(paths[name], corpus.FIELD_MAP_PRESETS["native"],
-                                         corpus.THREE_WAY)
-            hypotheses += [inst.hypothesis for inst in insts]
+            data, _ = corpus.read_jsonl(paths[name], corpus.FIELD_MAP_PRESETS["native"],
+                                        corpus.THREE_WAY)
+            hypotheses += data.hypotheses
         calls = []
         original = text.tokenize
 
@@ -421,8 +421,8 @@ class TestTrainEvalCommand:
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_whitespace_only_dev_split_trains(self, tmp_path, capsys, encoder):
         paths = synth_corpus_files(tmp_path)
-        dev = make_instances([(" " * (1 + i % 3), corpus.THREE_WAY.names[i % 3])
-                              for i in range(9)])
+        dev = make_corpus([(" " * (1 + i % 3), corpus.THREE_WAY.names[i % 3])
+                           for i in range(9)])
         paths["dev"] = write_corpus(tmp_path / "blank_dev.jsonl", dev)
         out = tmp_path / "out"
         rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
@@ -468,18 +468,17 @@ class TestAuditSampleCommand:
         # recheck every row's cell key against a fresh prediction
         from hyponli.model import predict
         params = load_checkpoint(out / "model.ckpt")
-        instances, _ = corpus.read_jsonl(paths["dev"],
-                                         corpus.FIELD_MAP_PRESETS["native"],
-                                         params.scheme)
-        by_id = {i.instance_id: i for i in instances}
+        data, _ = corpus.read_jsonl(paths["dev"], corpus.FIELD_MAP_PRESETS["native"],
+                                    params.scheme)
+        by_id = {iid: k for k, iid in enumerate(data.ids)}
         rows = [line for line in text_out.splitlines() if line and not line.startswith("#")]
         assert rows
         for row in rows:
             iid, gold_name, pred_name, hyp = row.split("\t")
-            inst = by_id[iid]
-            assert params.scheme.names[inst.label] == gold_name
-            assert inst.hypothesis == hyp
-            rows = params.vocab.encode(tokenize(inst.hypothesis))
+            k = by_id[iid]
+            assert params.scheme.names[data.labels[k]] == gold_name
+            assert data.hypotheses[k] == hyp
+            rows = params.vocab.encode(tokenize(data.hypotheses[k]))
             assert params.scheme.names[predict(rows, params)] == pred_name
 
     def test_repeated_ids_keep_their_own_hypotheses(self, tmp_path):
@@ -538,6 +537,52 @@ class TestAuditSampleCommand:
                    "--data", str(empty), "--out-dir", str(tmp_path / "audit")])
         assert rc == 0
         assert "0 rows across 0 cells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--scheme", "2way"), ("--labels", "a,b")])
+    def test_scheme_flags_are_refused(self, tmp_path, capsys, flag, value):
+        paths = synth_corpus_files(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["audit-sample", "--checkpoint", str(tmp_path / "model.ckpt"),
+                  "--data", paths["dev"], "--out-dir", str(tmp_path / "audit"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @staticmethod
+    def ordinal_corpus(tmp_path, scheme):
+        pairs = [(f"w{i % 4} x", scheme.names[i % len(scheme)]) for i in range(30)]
+        data = make_corpus(pairs, scheme, ordinals=[1 + i % 5 for i in range(30)])
+        return write_corpus(tmp_path / f"{scheme.scheme_id}.jsonl", data, scheme)
+
+    def train_small(self, data, out, *flags):
+        assert main(["train-eval", "--train", data, "--dev", data, "--out-dir", str(out),
+                     "--embedding-dim", "4", "--mlp-hidden", "4", "--max-epochs", "1",
+                     *flags]) == 0
+
+    def test_remap_ordinal_needs_a_three_way_checkpoint(self, tmp_path, capsys):
+        data = self.ordinal_corpus(tmp_path, corpus.TWO_WAY)
+        self.train_small(data, tmp_path / "out", "--scheme", "2way")
+        capsys.readouterr()
+        ckpt, audit_out = tmp_path / "out" / "model.ckpt", tmp_path / "audit"
+        rc = main(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
+                   "--remap-ordinal", "--out-dir", str(audit_out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: --remap-ordinal needs a checkpoint with the 3-way labels entailment, "
+            f"neutral, contradiction; {ckpt} has entailed, not-entailed")
+        assert not audit_out.exists()
+
+    def test_remap_ordinal_gold_follows_the_ordinals(self, tmp_path):
+        data = self.ordinal_corpus(tmp_path, corpus.THREE_WAY)
+        self.train_small(data, tmp_path / "out", "--remap-ordinal")
+        audit_out = tmp_path / "audit"
+        assert main(["audit-sample", "--checkpoint", str(tmp_path / "out" / "model.ckpt"),
+                     "--data", data, "--remap-ordinal", "--out-dir", str(audit_out)]) == 0
+        rows = [line.split("\t") for line in
+                (audit_out / "audit_sample.txt").read_text().splitlines()
+                if not line.startswith("#")]
+        assert sorted(iid for iid, _, _, _ in rows) == sorted(f"i{k}" for k in range(30))
+        for iid, gold, _, _ in rows:
+            assert gold == corpus.JOCI_ORDINAL_TO_LABEL[1 + int(iid[1:]) % 5]
 
     def test_missing_checkpoint_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from hyponli import corpus
 from hyponli.corpus import (
-    THREE_WAY, ConfigError, IngestError, LabelScheme, NLIInstance, RoleMap,
+    THREE_WAY, ConfigError, Corpus, IngestError, LabelScheme, RoleMap,
     majority_label, random_split, read_jsonl, read_tsv, remap_joci_ordinal,
     write_jsonl,
 )
 
-from conftest import make_instances
+from conftest import columns, make_corpus
 
 NATIVE = corpus.FIELD_MAP_PRESETS["native"]
 SNLI = corpus.FIELD_MAP_PRESETS["snli"]
@@ -43,11 +43,19 @@ class TestSchemes:
         with pytest.raises(ConfigError):
             LabelScheme(("a", ""), "blank")
 
-    def test_instance_validation(self):
-        with pytest.raises(IngestError):
-            NLIInstance("p", "", 0, "x")
-        with pytest.raises(IngestError):
-            NLIInstance("p", "h", 0, "x", ordinal=6)
+    def test_instance_validation(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [GOOD_RECORD,
+                           json.dumps({"premise": "p", "hypothesis": "", "label": "neutral",
+                                       "id": "x"})])
+        with pytest.raises(IngestError) as err:
+            read_jsonl(path, NATIVE, THREE_WAY)
+        assert str(err.value) == f"{path}: line 2: instance 'x': empty hypothesis"
+        path = tmp_path / "d.tsv"
+        write_lines(path, [GOOD_ROW, "p\th\tneutral\t6"])
+        with pytest.raises(IngestError) as err:
+            read_tsv(path, TSV_COLUMNS, THREE_WAY)
+        assert str(err.value) == f"{path}: line 2: instance 'line-2': ordinal 6 outside [1, 5]"
 
 
 class TestReadJsonl:
@@ -55,19 +63,21 @@ class TestReadJsonl:
         path = tmp_path / "d.jsonl"
         write_lines(path, [json.dumps({"premise": "a", "hypothesis": "b",
                                        "label": "entailment"})])
-        instances, skipped = read_jsonl(path, NATIVE, THREE_WAY)
+        data, skipped = read_jsonl(path, NATIVE, THREE_WAY)
         assert skipped == 0
-        assert len(instances) == 1
-        assert instances[0].premise == "a"
-        assert instances[0].hypothesis == "b"
-        assert instances[0].label == THREE_WAY.index("entailment") == 0
+        assert len(data) == 1
+        assert data.premises == ["a"]
+        assert data.hypotheses == ["b"]
+        assert data.labels.dtype == np.int64
+        assert data.labels.tolist() == [THREE_WAY.index("entailment")] == [0]
 
     def test_no_consensus_label_skipped(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_lines(path, [json.dumps({"sentence1": "a", "sentence2": "b",
                                        "gold_label": "-"})])
-        instances, skipped = read_jsonl(path, SNLI, THREE_WAY)
-        assert instances == []
+        data, skipped = read_jsonl(path, SNLI, THREE_WAY)
+        assert columns(data) == ([], [], [], [], [], [])
+        assert data.labels.dtype == np.int64
         assert skipped == 1
 
     def test_three_lines_one_skipped(self, tmp_path):
@@ -78,8 +88,8 @@ class TestReadJsonl:
             {"sentence1": "p3", "sentence2": "h3", "gold_label": "neutral"},
         ]
         write_lines(path, [json.dumps(r) for r in rows])
-        instances, skipped = read_jsonl(path, SNLI, THREE_WAY)
-        assert len(instances) == 2
+        data, skipped = read_jsonl(path, SNLI, THREE_WAY)
+        assert len(data) == 2
         assert skipped == 1
 
     def test_malformed_line_names_line_number(self, tmp_path):
@@ -100,27 +110,26 @@ class TestReadJsonl:
         write_lines(path, [json.dumps({"premise": "a", "hypothesis": "b",
                                        "label": "neutral", "group": "aware",
                                        "ordinal": 3, "id": "ex-1"})])
-        instances, _ = read_jsonl(path, NATIVE, THREE_WAY)
-        inst = instances[0]
-        assert inst.group_key == "aware"
-        assert inst.ordinal == 3
-        assert inst.instance_id == "ex-1"
+        data, _ = read_jsonl(path, NATIVE, THREE_WAY)
+        assert data.groups == ["aware"]
+        assert data.ordinals == [3]
+        assert data.ids == ["ex-1"]
 
     def test_list_premise_joined_by_space(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_lines(path, [json.dumps({"premise": ["c1", "c2", "c3", "c4"],
                                        "hypothesis": "h", "label": "neutral"})])
-        instances, _ = read_jsonl(path, NATIVE, THREE_WAY)
-        assert instances[0].premise == "c1 c2 c3 c4"
+        data, _ = read_jsonl(path, NATIVE, THREE_WAY)
+        assert data.premises == ["c1 c2 c3 c4"]
 
 
 class TestReadTsv:
     def test_basic_row(self, tmp_path):
         path = tmp_path / "d.tsv"
         write_lines(path, ["a\tb\tentailment"])
-        instances, skipped = read_tsv(path, RoleMap(0, 1, 2), THREE_WAY)
-        assert len(instances) == 1 and skipped == 0
-        assert instances[0].hypothesis == "b"
+        data, skipped = read_tsv(path, RoleMap(0, 1, 2), THREE_WAY)
+        assert len(data) == 1 and skipped == 0
+        assert data.hypotheses == ["b"]
 
     def test_short_row_names_line(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -132,9 +141,9 @@ class TestReadTsv:
         path = tmp_path / "d.tsv"
         names = THREE_WAY.names
         write_lines(path, [f"p{i}\th{i}\t{names[i % 3]}" for i in range(100)])
-        instances, skipped = read_tsv(path, RoleMap(0, 1, 2), THREE_WAY)
-        assert len(instances) == 100 and skipped == 0
-        assert [inst.hypothesis for inst in instances] == [f"h{i}" for i in range(100)]
+        data, skipped = read_tsv(path, RoleMap(0, 1, 2), THREE_WAY)
+        assert len(data) == 100 and skipped == 0
+        assert data.hypotheses == [f"h{i}" for i in range(100)]
 
 
 class TestOneReader:
@@ -156,26 +165,25 @@ class TestOneReader:
         write_lines(tsv, ["\t".join(str(r[k]) for k in
                                     ("id", "label", "ordinal", "hypothesis", "group", "premise"))
                           for r in self.RECORDS])
-        columns = RoleMap(premise=5, hypothesis=3, label=1, group=4, ordinal=2, id=0)
-        from_jsonl = read_jsonl(jsonl, NATIVE, THREE_WAY)
-        from_tsv = read_tsv(tsv, columns, THREE_WAY)
-        assert from_jsonl == from_tsv
-        instances, skipped = from_tsv
+        roles = RoleMap(premise=5, hypothesis=3, label=1, group=4, ordinal=2, id=0)
+        from_jsonl, jsonl_skipped = read_jsonl(jsonl, NATIVE, THREE_WAY)
+        data, skipped = read_tsv(tsv, roles, THREE_WAY)
+        assert (columns(from_jsonl), jsonl_skipped) == (columns(data), skipped)
         assert skipped == 1
-        assert [inst.label for inst in instances] == [1, 2, 0]
-        assert [inst.instance_id for inst in instances] == ["a", "c", "a"]
-        assert [inst.ordinal for inst in instances] == [3, 1, 5]
+        assert data.labels.tolist() == [1, 2, 0]
+        assert data.ids == ["a", "c", "a"]
+        assert data.ordinals == [3, 1, 5]
 
     def test_unset_optional_roles_take_defaults_in_both(self, tmp_path):
         jsonl, tsv = tmp_path / "d.jsonl", tmp_path / "d.tsv"
         write_lines(jsonl, [json.dumps(r) for r in self.RECORDS])
         write_lines(tsv, ["\t".join((r["premise"], r["hypothesis"], r["label"]))
                           for r in self.RECORDS])
-        from_jsonl = read_jsonl(jsonl, MANDATORY_ONLY, THREE_WAY)
-        from_tsv = read_tsv(tsv, RoleMap(0, 1, 2), THREE_WAY)
-        assert from_jsonl == from_tsv
-        assert [inst.instance_id for inst in from_tsv[0]] == ["line-1", "line-3", "line-4"]
-        assert all(inst.group_key is None and inst.ordinal is None for inst in from_tsv[0])
+        from_jsonl, jsonl_skipped = read_jsonl(jsonl, MANDATORY_ONLY, THREE_WAY)
+        data, skipped = read_tsv(tsv, RoleMap(0, 1, 2), THREE_WAY)
+        assert (columns(from_jsonl), jsonl_skipped) == (columns(data), skipped)
+        assert data.ids == ["line-1", "line-3", "line-4"]
+        assert data.groups == data.ordinals == [None] * 3
 
 
 GOOD_RECORD = json.dumps({"premise": "p", "hypothesis": "h", "label": "neutral"})
@@ -223,8 +231,9 @@ class TestIngestErrors:
                                         "ordinal": value}) + "\n", encoding="utf-8")
         else:
             path.write_text(f"p\th\tneutral\t{value}\n", encoding="utf-8")
-        (inst,), _ = read_either(path, kind)
-        assert inst.ordinal == 4 and type(inst.ordinal) is int
+        data, _ = read_either(path, kind)
+        (ordinal,) = data.ordinals
+        assert ordinal == 4 and type(ordinal) is int
 
     @pytest.mark.parametrize("kind", ["jsonl", "tsv"])
     def test_invalid_utf8_names_path_and_line(self, tmp_path, kind):
@@ -280,83 +289,104 @@ class TestJociRemap:
         (4, "neutral"), (5, "entailment"),
     ])
     def test_mapping(self, ordinal, expected):
-        inst = NLIInstance("p", "h", 0, "x", ordinal=ordinal)
-        (out,) = remap_joci_ordinal([inst])
-        assert THREE_WAY.names[out.label] == expected
-        assert out.ordinal == ordinal
+        out = remap_joci_ordinal(make_corpus([("h", "entailment")], ordinals=[ordinal]))
+        assert out.labels.dtype == np.int64
+        assert [THREE_WAY.names[label] for label in out.labels] == [expected]
+        assert out.ordinals == [ordinal]
 
     def test_missing_ordinal_names_instance(self):
-        inst = NLIInstance("p", "h", 0, "missing-ord")
-        with pytest.raises(IngestError, match="missing-ord"):
-            remap_joci_ordinal([inst])
+        data = make_corpus([("h", "entailment")] * 2, ordinals=[3, None])
+        with pytest.raises(IngestError, match="'i1': no ordinal"):
+            remap_joci_ordinal(data)
 
     def test_idempotent(self):
-        instances = [NLIInstance("p", "h", 0, f"i{o}", ordinal=o)
-                     for o in (1, 3, 5)]
-        once = remap_joci_ordinal(instances)
+        data = make_corpus([("h", "entailment")] * 3, ordinals=[1, 3, 5])
+        once = remap_joci_ordinal(data)
         twice = remap_joci_ordinal(once)
-        assert once == twice
+        assert columns(once) == columns(twice)
+        assert once.labels.tolist() == [2, 1, 0]
 
 
 class TestRandomSplit:
     def test_exact_ratios(self):
-        instances = make_instances([(f"h{i}", "neutral") for i in range(10)])
-        sizes = tuple(len(part) for part in random_split(instances, seed=0))
+        data = make_corpus([(f"h{i}", "neutral") for i in range(10)])
+        sizes = tuple(len(part) for part in random_split(data, seed=0))
         assert sizes == (8, 1, 1)
 
     def test_n103_regression(self):
         # floor sizes (82, 10, 10), remainder 1 to train
-        instances = make_instances([(f"h{i}", "neutral") for i in range(103)])
-        sizes = tuple(len(part) for part in random_split(instances, seed=1))
+        data = make_corpus([(f"h{i}", "neutral") for i in range(103)])
+        sizes = tuple(len(part) for part in random_split(data, seed=1))
         assert sizes == (83, 10, 10)
 
     def test_same_seed_identical(self):
-        instances = make_instances([(f"h{i}", "neutral") for i in range(37)])
-        assert random_split(instances, seed=9) == random_split(instances, seed=9)
+        data = make_corpus([(f"h{i}", "neutral") for i in range(37)])
+        assert ([columns(part) for part in random_split(data, seed=9)]
+                == [columns(part) for part in random_split(data, seed=9)])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            random_split([], seed=0)
+            random_split(make_corpus([]), seed=0)
 
     def test_bad_ratios_rejected(self):
-        instances = make_instances([("h", "neutral")])
+        data = make_corpus([("h", "neutral")])
         with pytest.raises(ValueError):
-            random_split(instances, ratios=(0.5, 0.2, 0.2), seed=0)
+            random_split(data, ratios=(0.5, 0.2, 0.2), seed=0)
 
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_partition(self, n, seed):
-        instances = make_instances([(f"h{i}", "neutral") for i in range(n)])
-        ids = [inst.instance_id for part in random_split(instances, seed=seed)
-               for inst in part]
+        data = make_corpus([(f"h{i}", "neutral") for i in range(n)])
+        ids = [i for part in random_split(data, seed=seed) for i in part.ids]
         assert len(ids) == n
         assert set(ids) == {f"i{i}" for i in range(n)}
 
+    @given(rows=st.lists(st.tuples(st.text(min_size=1, max_size=4), st.integers(0, 2),
+                                   st.none() | st.text(max_size=3),
+                                   st.none() | st.integers(1, 5)),
+                         min_size=1, max_size=60),
+           ratios=st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.3, 0.2), (1.0, 0.0, 0.0),
+                                   (0.0, 0.0, 1.0), (0.25, 0.5, 0.25)]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_keep_their_fields_and_parts_partition(self, rows, ratios, seed):
+        n = len(rows)
+        hypotheses, labels, groups, ordinals = (list(col) for col in zip(*rows))
+        data = Corpus([f"p{k}" for k in range(n)], hypotheses, np.array(labels, dtype=np.int64),
+                      [f"i{k}" for k in range(n)], groups, ordinals)
+        parts = random_split(data, ratios=ratios, seed=seed)
+        positions = [int(i[1:]) for part in parts for i in part.ids]
+        assert sorted(positions) == list(range(n))
+        for part in parts:
+            assert part.labels.dtype == np.int64
+            for premise, hyp, label, instance_id, group, ordinal in zip(*columns(part)):
+                k = int(instance_id[1:])
+                assert (premise, hyp, label, group, ordinal) == (f"p{k}", *rows[k])
 
-def labels_of(instances):
-    return [inst.label for inst in instances]
 
+def labels_of(data):
+    return data.labels
 
 class TestMajorityLabel:
     def test_simple(self):
-        instances = make_instances([("a", "entailment"), ("b", "entailment"),
+        data = make_corpus([("a", "entailment"), ("b", "entailment"),
                                     ("c", "neutral")])
-        assert majority_label(labels_of(instances)) == THREE_WAY.index("entailment")
+        assert majority_label(labels_of(data)) == THREE_WAY.index("entailment")
 
     def test_tie_takes_lowest_index(self):
-        instances = make_instances([("a", "entailment"), ("b", "neutral")])
-        assert majority_label(labels_of(instances)) == THREE_WAY.index("entailment")
-        instances = make_instances([("a", "contradiction"), ("b", "neutral")])
-        assert majority_label(labels_of(instances)) == THREE_WAY.index("neutral")
+        data = make_corpus([("a", "entailment"), ("b", "neutral")])
+        assert majority_label(labels_of(data)) == THREE_WAY.index("entailment")
+        data = make_corpus([("a", "contradiction"), ("b", "neutral")])
+        assert majority_label(labels_of(data)) == THREE_WAY.index("neutral")
 
     def test_counted_on_generated_prior(self):
         rng = np.random.default_rng(42)
         names = THREE_WAY.names
         draws = rng.choice(3, size=10_000, p=[0.5, 0.3, 0.2])
-        instances = make_instances([(f"h{i}", names[d]) for i, d in enumerate(draws)])
+        data = make_corpus([(f"h{i}", names[d]) for i, d in enumerate(draws)])
         # independent count
         expected = max(range(3), key=lambda i: (np.sum(draws == i), -i))
-        assert majority_label(labels_of(instances)) == expected
+        assert majority_label(labels_of(data)) == expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -365,13 +395,32 @@ class TestMajorityLabel:
 
 class TestRoundTrip:
     def test_jsonl_round_trip(self, tmp_path):
-        instances = [
-            NLIInstance("p one", "h one", 0, "a", group_key="g1"),
-            NLIInstance("p two", "h two", 2, "b", ordinal=4),
-            NLIInstance("p", "h été", 1, "c"),
-        ]
+        data = Corpus(["p one", "p two", "p"], ["h one", "h two", "h été"],
+                      np.array([0, 2, 1], dtype=np.int64), ["a", "b", "c"],
+                      ["g1", None, None], [None, 4, None])
         path = tmp_path / "rt.jsonl"
-        write_jsonl(instances, path, THREE_WAY)
+        write_jsonl(data, path, THREE_WAY)
         back, skipped = read_jsonl(path, NATIVE, THREE_WAY)
         assert skipped == 0
-        assert back == instances
+        assert columns(back) == columns(data)
+
+    # JSON keeps any text, but a hypothesis must be nonempty, and ingest
+    # reads a whitespace-only premise or group as itself
+    texts = st.text(min_size=1, max_size=6)
+
+    @given(rows=st.lists(st.tuples(st.text(max_size=6), texts, st.integers(0, 2), texts,
+                                   st.none() | st.text(max_size=6),
+                                   st.none() | st.integers(1, 5)),
+                         max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_column_for_column(self, tmp_path_factory, rows):
+        premises, hypotheses, labels, ids, groups, ordinals = (
+            list(col) for col in zip(*rows)) if rows else ([],) * 6
+        data = Corpus(premises, hypotheses, np.array(labels, dtype=np.int64), ids, groups,
+                      ordinals)
+        path = tmp_path_factory.mktemp("rt") / "rt.jsonl"
+        write_jsonl(data, path, THREE_WAY)
+        back, skipped = read_jsonl(path, NATIVE, THREE_WAY)
+        assert skipped == 0
+        assert back.labels.dtype == np.int64
+        assert columns(back) == columns(data)

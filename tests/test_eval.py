@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyponli import corpus, evaluate
-from hyponli.corpus import THREE_WAY, NLIInstance, majority_label
+from hyponli.corpus import THREE_WAY, majority_label
 from hyponli.evaluate import (
     accuracy, build_report, confusion_sample, confusion_sample_text,
     constant_prediction_check, delta_report, fmt2, per_class_accuracy,
@@ -13,7 +13,7 @@ from hyponli.evaluate import (
 from hyponli.model import ModelConfig, ModelParameters, loss_and_gradients
 from hyponli.text import intern, seeded_random_embeddings, tokenize
 
-from conftest import make_instances
+from conftest import make_corpus
 
 E, N, C = 0, 1, 2  # label indices in THREE_WAY
 
@@ -187,13 +187,13 @@ class TestFmt2:
 
 class TestReports:
     def setup_report(self):
-        instances = make_instances([
+        data = make_corpus([
             ("a", "entailment"), ("b", "entailment"), ("c", "neutral"),
             ("d", "contradiction"),
         ])
         preds = [E, E, N, N]
-        maj = majority_label([inst.label for inst in instances])
-        return build_report("dev", preds, instances, THREE_WAY, maj)
+        maj = majority_label(data.labels)
+        return build_report("dev", preds, data.labels, data.groups, THREE_WAY, maj)
 
     def test_delta_invariant(self):
         rep = self.setup_report()
@@ -210,9 +210,9 @@ class TestReports:
 
     def test_majority_mode_note_when_differs(self):
         # train majority differs from the split's own mode
-        instances = make_instances([("a", "neutral"), ("b", "neutral"),
-                                    ("c", "entailment")])
-        rep = build_report("dev", [N, N, E], instances, THREE_WAY, train_majority=E)
+        data = make_corpus([("a", "neutral"), ("b", "neutral"), ("c", "entailment")])
+        rep = build_report("dev", [N, N, E], data.labels, data.groups, THREE_WAY,
+                           train_majority=E)
         assert rep.maj_acc == pytest.approx(100.0 / 3)
         assert rep.split_mode_acc == pytest.approx(200.0 / 3)
         assert rep.notes
@@ -227,13 +227,9 @@ class TestReports:
         assert "dev,overall,,75.00,50.00,25.00,50.00,false" in csv_text
 
     def test_group_report(self):
-        instances = [
-            NLIInstance("p", "h1", E, "1", group_key="aware"),
-            NLIInstance("p", "h2", E, "2", group_key="aware"),
-            NLIInstance("p", "h3", N, "3", group_key="moved"),
-            NLIInstance("p", "h4", N, "4", group_key="moved"),
-        ]
-        rep = build_report("dev", [E, N, N, N], instances, THREE_WAY, train_majority=E)
+        gold = np.array([E, E, N, N], dtype=np.int64)
+        groups = ["aware", "aware", "moved", "moved"]
+        rep = build_report("dev", [E, N, N, N], gold, groups, THREE_WAY, train_majority=E)
         assert rep.per_group is not None
         hyp, maj, _ = rep.per_group["aware"]
         assert hyp == 50.0 and maj == 100.0
@@ -252,20 +248,18 @@ def test_report_golden():
     a class that is never predicted (contradiction), a tie inside a group
     (theme), ungrouped instances, and cells both over and under
     n_per_cell."""
-    instances, _ = corpus.read_jsonl(os.path.join(GOLDEN_DIR, "corpus.jsonl"),
-                                     corpus.FIELD_MAP_PRESETS["native"], THREE_WAY)
+    data, _ = corpus.read_jsonl(os.path.join(GOLDEN_DIR, "corpus.jsonl"),
+                                corpus.FIELD_MAP_PRESETS["native"], THREE_WAY)
     with open(os.path.join(GOLDEN_DIR, "predictions.txt"), encoding="utf-8") as fh:
         pred = np.array([THREE_WAY.index(line.strip()) for line in fh])
-    gold = np.array([inst.label for inst in instances])
-    rep = build_report("dev", pred, instances, THREE_WAY,
+    rep = build_report("dev", pred, data.labels, data.groups, THREE_WAY,
                        THREE_WAY.index("entailment"))
-    sample = confusion_sample(pred, gold, n_per_cell=5, seed=3)
+    sample = confusion_sample(pred, data.labels, n_per_cell=5, seed=3)
     written = {
         "report.md": report_markdown([rep], ["train_majority=entailment"]),
         "report.csv": report_csv([rep]),
-        "audit_sample.txt": confusion_sample_text(
-            sample, THREE_WAY, [inst.instance_id for inst in instances],
-            [inst.hypothesis for inst in instances]),
+        "audit_sample.txt": confusion_sample_text(sample, THREE_WAY, data.ids,
+                                                  data.hypotheses),
     }
     for name, text_out in written.items():
         with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:

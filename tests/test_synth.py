@@ -7,6 +7,8 @@ from hyponli import corpus, stats
 from hyponli.synth import SynthSpec, bayes_accuracy, generate, spec_from_dict, spec_to_dict
 from hyponli.text import tokenize
 
+from conftest import columns
+
 
 def basic_spec(**overrides):
     kwargs = dict(
@@ -52,19 +54,20 @@ class TestSpecValidation:
 class TestGenerate:
     def test_rate_one_every_hypothesis_marked(self):
         spec = basic_spec(giveaway=(("g0", 0, 1.0), ("g1", 1, 1.0), ("g2", 2, 1.0)))
-        for inst in generate(spec, 500):
-            expected = f"g{inst.label}"
-            assert expected in tokenize(inst.hypothesis)
+        data = generate(spec, 500)
+        for hypothesis, label in zip(data.hypotheses, data.labels):
+            assert f"g{label}" in tokenize(hypothesis)
 
     def test_rate_zero_never_appears(self):
         spec = basic_spec(giveaway=(("g0", 0, 0.0),))
-        assert all("g0" not in tokenize(inst.hypothesis) for inst in generate(spec, 500))
+        assert all("g0" not in tokenize(h) for h in generate(spec, 500).hypotheses)
 
     def test_injection_frequency_within_3_sigma(self):
         spec = basic_spec(n_labels=2, label_prior=(0.5, 0.5),
                           giveaway=(("g0", 0, 0.5),), seed=5)
-        label0 = [inst for inst in generate(spec, 10_000) if inst.label == 0]
-        injected = sum(1 for inst in label0 if "g0" in tokenize(inst.hypothesis))
+        data = generate(spec, 10_000)
+        label0 = data.take(np.flatnonzero(data.labels == 0)).hypotheses
+        injected = sum(1 for h in label0 if "g0" in tokenize(h))
         n = len(label0)
         mean, sigma = 0.5 * n, np.sqrt(n * 0.25)
         assert abs(injected - mean) <= 3 * sigma
@@ -72,17 +75,17 @@ class TestGenerate:
     def test_deterministic(self):
         a = generate(basic_spec(), 50)
         b = generate(basic_spec(), 50)
-        assert a == b
+        assert columns(a) == columns(b)
 
     def test_round_trip_through_corpus_io(self, tmp_path):
         spec = basic_spec()
-        instances = generate(spec, 40)
+        data = generate(spec, 40)
         path = tmp_path / "synth.jsonl"
-        corpus.write_jsonl(instances, path, spec.scheme)
+        corpus.write_jsonl(data, path, spec.scheme)
         back, skipped = corpus.read_jsonl(path, corpus.FIELD_MAP_PRESETS["native"],
                                           spec.scheme)
         assert skipped == 0
-        assert back == instances
+        assert columns(back) == columns(data)
 
 
 class TestBayesAccuracy:
@@ -135,7 +138,8 @@ class TestGiveawayRecovery:
     def test_rate_one_tokens_rank_first_with_score_one(self):
         spec = basic_spec(giveaway=(("g0", 0, 1.0), ("g1", 1, 1.0), ("g2", 2, 1.0)),
                           seed=9)
-        counts = stats.count_corpus(generate(spec, 2000), scheme=spec.scheme)
+        data = generate(spec, 2000)
+        counts = stats.count_corpus(data.hypotheses, data.labels, spec.scheme)
         lists = stats.giveaway_words(counts, min_freq=5, top_k=10)
         for i in range(3):
             top = lists[i][0]

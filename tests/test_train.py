@@ -6,7 +6,7 @@ from hyponli.model import ModelConfig, ModelParameters, RowGradient, loss_and_gr
 from hyponli.text import intern, seeded_random_embeddings, tokenize
 from hyponli.train import TrainConfig, TrainState, fit, sgd_step
 
-from conftest import make_instances
+from conftest import make_corpus
 
 
 TINY_VOCAB, _ = intern(["a b c d"])
@@ -22,15 +22,14 @@ def tiny_params(seed=0):
 
 def tiny_splits(n_train=12, n_dev=6):
     names = THREE_WAY.names
-    train = make_instances([(f"a b c", names[i % 3]) for i in range(n_train)])
-    dev = make_instances([(f"b d", names[i % 3]) for i in range(n_dev)])
+    train = make_corpus([(f"a b c", names[i % 3]) for i in range(n_train)])
+    dev = make_corpus([(f"b d", names[i % 3]) for i in range(n_dev)])
     return encoded(train), encoded(dev)
 
 
-def encoded(instances):
+def encoded(data):
     """The (token-id arrays, label indices) pair fit takes."""
-    return ([TINY_VOCAB.encode(tokenize(inst.hypothesis)) for inst in instances],
-            np.array([inst.label for inst in instances], dtype=np.int64))
+    return [TINY_VOCAB.encode(tokenize(h)) for h in data.hypotheses], data.labels
 
 
 def scripted(values):
