@@ -7,7 +7,10 @@ epoch shuffling seed+3), so repeated invocations produce byte-identical
 artifacts. Each input file is read once into a corpus.Corpus, and each
 command passes on only the columns it uses: hypotheses and labels to the
 statistics and the model, ids to the audit sample, groups to the report;
-premises are only ever written back out (synth, split). Outputs are
+premises are only ever written back out (synth, split). train-eval
+interns all its hypotheses once into one CSR token corpus, each split a
+range of its rows from training to prediction; audit-sample encodes into
+the same form with the checkpoint vocabulary. Outputs are
 written to a temp file and promoted atomically. A key=value config file
 can preset any flag of a subcommand; explicit flags win. HYPONLI_OUT_DIR
 sets the default output directory. audit-sample takes its label scheme
@@ -21,6 +24,8 @@ import dataclasses
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import corpus, evaluate, model, stats, synth, text, train
 from .util import atomic_write_text
@@ -50,27 +55,21 @@ def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
 
 
 def _read_corpus(path, args, scheme):
+    if args.remap_ordinal:
+        scheme = corpus.THREE_WAY
     if args.format == "tsv":
         columns = _parse_tsv_columns(args.tsv_columns)
-        data, skipped = corpus.read_tsv(path, columns, scheme)
+        data, skipped = corpus.read_tsv(path, columns, scheme, args.remap_ordinal)
     else:
         field_map = corpus.FIELD_MAP_PRESETS[args.format]
-        data, skipped = corpus.read_jsonl(path, field_map, scheme)
-    if args.remap_ordinal:
-        data = corpus.remap_joci_ordinal(data)
-        scheme = corpus.THREE_WAY
+        data, skipped = corpus.read_jsonl(path, field_map, scheme, args.remap_ordinal)
     return data, skipped, scheme
 
 
 def _config_lines(args) -> list[str]:
     # out_dir excluded so artifacts do not depend on where they are written
     skip = {"func", "config", "out_dir"}
-    lines = []
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        lines.append(f"{key}={getattr(args, key)}")
-    return lines
+    return [f"{key}={getattr(args, key)}" for key in sorted(vars(args)) if key not in skip]
 
 
 def _add_data_flags(parser, roles, scheme_flags=True):
@@ -166,23 +165,26 @@ def cmd_train_eval(args) -> int:
     splits["train"], _, scheme = _read_corpus(args.train, args, _resolve_scheme(args))
     splits["dev"], _, _ = _read_corpus(args.dev, args, scheme)
     if args.test:
-        test, _, _ = _read_corpus(args.test, args, scheme)
-        if len(test):
-            splits["test"] = test
-    # one id array per hypothesis, train first, then dev, then test
-    vocab, ids = text.intern([h for data in splits.values() for h in data.hypotheses])
-    rows = iter(ids)
-    examples = {name: ([next(rows) for _ in range(len(data))], data.labels)
-                for name, data in splits.items()}
+        splits["test"], skipped, _ = _read_corpus(args.test, args, scheme)
+        if not len(splits["test"]):
+            raise corpus.IngestError(f"{args.test}: the test split is empty "
+                                     f"({skipped} records skipped at ingest)")
+    # one CSR token corpus of every hypothesis, train first, then dev, then
+    # test; each split is its range of rows
+    vocab, ids, indptr = text.intern([h for data in splits.values() for h in data.hypotheses])
+    tokens = (ids, indptr)
+    ends = np.cumsum([len(data) for data in splits.values()])
+    examples = {name: (np.arange(end - len(data), end), data.labels)
+                for (name, data), end in zip(splits.items(), ends)}
     params = _build_model(args, scheme, vocab, args.seed)
     train_config = train.TrainConfig(
         lr0=args.lr0, decay=args.decay, divide_on_decline=args.divide_on_decline,
         lr_floor=args.lr_floor, max_epochs=args.max_epochs,
-        batch_size=args.batch_size, seed=args.seed + 3, compare_to=args.compare_to,
+        batch_size=args.batch_size, seed=args.seed + 3,
     )
     out = args.out_dir
     try:
-        best_params, state = train.fit(examples["train"], examples["dev"], params,
+        best_params, state = train.fit(examples["train"], examples["dev"], tokens, params,
                                        train_config)
     except train.TrainAbort as exc:
         dump = os.path.join(out, "train_abort.csv")
@@ -192,10 +194,8 @@ def cmd_train_eval(args) -> int:
 
     maj = corpus.majority_label(examples["train"][1])
     reports = []
-    for name in ("dev", "test"):
-        if name not in splits:
-            continue
-        pred = model.predict_batch(examples[name][0], best_params)
+    for name in list(splits)[1:]:  # dev, then test if given
+        pred = model.predict_batch(examples[name][0], tokens, best_params)
         reports.append(evaluate.build_report(name, pred, splits[name].labels,
                                              splits[name].groups, scheme, maj))
 
@@ -231,8 +231,8 @@ def cmd_audit_sample(args) -> int:
                                  f"{', '.join(corpus.THREE_WAY.names)}; {args.checkpoint} "
                                  f"has {', '.join(params.scheme.names)}")
     data, _, _ = _read_corpus(args.data, args, params.scheme)
-    sentences = [params.vocab.encode(text.tokenize(h)) for h in data.hypotheses]
-    pred = model.predict_batch(sentences, params)
+    pred = model.predict_batch(np.arange(len(data)), params.vocab.encode(data.hypotheses),
+                               params)
     sample = evaluate.confusion_sample(pred, data.labels, args.n_per_cell, args.seed)
     text_out = evaluate.confusion_sample_text(sample, params.scheme, data.ids,
                                               data.hypotheses)
@@ -260,7 +260,6 @@ def build_parser():
         description="Hypothesis-only diagnostics for NLI datasets",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subcommands = {}
 
     p = subparsers.add_parser("stats", help="give-away words, coverage curves, counts")
     _add_data_flags(p, ["data"])
@@ -272,7 +271,6 @@ def build_parser():
     p.add_argument("--per-label-threshold", action="store_true",
                    help="threshold p(label|w) instead of max over labels")
     p.set_defaults(func=cmd_stats)
-    subcommands["stats"] = p
 
     p = subparsers.add_parser("train-eval", help="train a hypothesis-only model and report gaps")
     _add_data_flags(p, ["train", "dev"])
@@ -291,17 +289,13 @@ def build_parser():
     p.add_argument("--lr-floor", type=float, default=1e-5)
     p.add_argument("--max-epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--compare-to", choices=["previous", "best"], default="previous",
-                   help="dev-decline reference for lr division")
     p.set_defaults(func=cmd_train_eval)
-    subcommands["train-eval"] = p
 
     p = subparsers.add_parser("synth", help="generate a synthetic biased corpus")
     _add_common_flags(p)
     p.add_argument("--spec-file", required=True, metavar="PATH", help="JSON generator spec")
     p.add_argument("--n", type=int, required=True, help="number of instances")
     p.set_defaults(func=cmd_synth)
-    subcommands["synth"] = p
 
     p = subparsers.add_parser("audit-sample", help="stratified confusion-cell sample")
     _add_data_flags(p, ["data"], scheme_flags=False)
@@ -309,16 +303,14 @@ def build_parser():
     p.add_argument("--checkpoint", required=True, metavar="PATH")
     p.add_argument("--n-per-cell", type=int, default=50)
     p.set_defaults(func=cmd_audit_sample)
-    subcommands["audit-sample"] = p
 
     p = subparsers.add_parser("split", help="random 80:10:10 split of one corpus file")
     _add_data_flags(p, ["data"])
     _add_common_flags(p)
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,dev,test ratios")
     p.set_defaults(func=cmd_split)
-    subcommands["split"] = p
 
-    return parser, subcommands
+    return parser, subparsers.choices
 
 
 _BOOLEAN_WORDS = {"1": True, "0": False, "true": True, "false": False,

@@ -9,13 +9,14 @@ quoting). Both go through one reader, which appends each record straight
 to the columns: a RoleMap says where each native role (premise /
 hypothesis / label / group / ordinal / id) sits in a record, as a key of
 a JSONL object or a column of a TSV row, and each format adds only its
-own line parse.
+own line parse. The reader alone decides which records are kept, by
+their label field or, with remap_ordinal, by their 1-5 ordinal.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +63,10 @@ THREE_WAY = LabelScheme(("entailment", "neutral", "contradiction"), "3way")
 TWO_WAY = LabelScheme(("entailed", "not-entailed"), "2way")
 
 SCHEME_PRESETS = {"3way": THREE_WAY, "2way": TWO_WAY}
+
+# JOCI's 1-5 likelihood ratings on the THREE_WAY names
+JOCI_ORDINAL_TO_LABEL = {1: "contradiction", 2: "neutral", 3: "neutral",
+                         4: "neutral", 5: "entailment"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +142,7 @@ def _numbered_lines(fh, path):
         raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
 
 
-def _read(path, roles: RoleMap, scheme: LabelScheme, parse):
+def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool):
     """The reader behind read_jsonl and read_tsv. parse(line, roles, where)
     turns one nonblank line into a mapping from the keys of roles to
     values; an optional role whose value is None, or that roles leaves
@@ -150,14 +155,14 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse):
                 continue
             where = f"{path}: line {lineno}"
             record = parse(line, roles, where)
-            try:
-                label = scheme.index(str(record[roles.label]))
-            except KeyError:
-                skipped += 1
-                continue
             # an unset role is None, which is never a key of a record
             group, ordinal, instance_id = (record.get(roles.group), record.get(roles.ordinal),
                                            record.get(roles.id))
+            label_field = str(record[roles.label])
+            # the label source: the ordinal with remap_ordinal, else the label field
+            if (ordinal is None) if remap_ordinal else (label_field not in scheme.names):
+                skipped += 1
+                continue
             if ordinal is not None:
                 try:
                     ordinal = as_integer(ordinal)
@@ -170,9 +175,10 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse):
             if ordinal is not None and not 1 <= ordinal <= 5:
                 raise IngestError(f"{where}: instance {instance_id!r}: ordinal {ordinal} "
                                   f"outside [1, 5]")
+            name = JOCI_ORDINAL_TO_LABEL[ordinal] if remap_ordinal else label_field
             premises.append(_join_premise(record[roles.premise]))
             hypotheses.append(hypothesis)
-            labels.append(label)
+            labels.append(scheme.index(name))
             ids.append(instance_id)
             groups.append(None if group is None else str(group))
             ordinals.append(ordinal)
@@ -203,25 +209,27 @@ def _parse_tsv_line(line, roles, where):
     return dict(enumerate(cells))
 
 
-def read_jsonl(path, roles: RoleMap, scheme: LabelScheme):
+def read_jsonl(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = False):
     """Read a JSONL corpus file whose roles are record keys.
 
     Returns (corpus, skipped) where skipped counts lines whose label is
-    absent from the scheme (e.g. the "-" no-consensus marker). Malformed
-    lines raise IngestError with the line number; a record missing a
-    mandatory mapped key raises ConfigError.
+    absent from the scheme (e.g. the "-" no-consensus marker). With
+    remap_ordinal the label is the 1-5 ordinal by JOCI_ORDINAL_TO_LABEL,
+    whatever the label field says, and lines without one are skipped.
+    Malformed lines raise IngestError with the line number; a record
+    missing a mandatory mapped key raises ConfigError.
     """
-    return _read(path, roles, scheme, _parse_json_line)
+    return _read(path, roles, scheme, _parse_json_line, remap_ordinal)
 
 
-def read_tsv(path, roles: RoleMap, scheme: LabelScheme):
+def read_tsv(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = False):
     """Read a TSV corpus file whose roles are column indices. Tab is the
     only delimiter; no quoting.
 
     Returns (corpus, skipped) as read_jsonl. Rows narrower than the role
     map raise IngestError with the line number.
     """
-    return _read(path, roles, scheme, _parse_tsv_line)
+    return _read(path, roles, scheme, _parse_tsv_line, remap_ordinal)
 
 
 def write_jsonl(data: Corpus, path, scheme: LabelScheme) -> None:
@@ -239,23 +247,6 @@ def write_jsonl(data: Corpus, path, scheme: LabelScheme) -> None:
                 record["ordinal"] = ordinal
             record["id"] = instance_id
             fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
-
-
-JOCI_ORDINAL_TO_LABEL = {1: "contradiction", 2: "neutral", 3: "neutral",
-                         4: "neutral", 5: "entailment"}
-
-
-def remap_joci_ordinal(data: Corpus) -> Corpus:
-    """Map 1-5 ordinal ratings onto THREE_WAY label indices.
-
-    1 becomes contradiction, 2-4 neutral, 5 entailment. The ordinals are
-    retained, so the operation is idempotent on its own output.
-    """
-    for instance_id, ordinal in zip(data.ids, data.ordinals):
-        if ordinal is None:
-            raise IngestError(f"instance {instance_id!r}: no ordinal to remap")
-    labels = [THREE_WAY.index(JOCI_ORDINAL_TO_LABEL[o]) for o in data.ordinals]
-    return replace(data, labels=np.array(labels, dtype=np.int64))
 
 
 def random_split(data: Corpus, ratios=(0.8, 0.1, 0.1), seed: int = 0):

@@ -8,6 +8,11 @@ construction. Labels are label indices into the scheme: predict returns
 one, predict_batch an int64 array, and loss_and_gradients takes an array
 of them.
 
+Sentences come as a CSR token corpus tokens = (ids, indptr) from
+text.intern or Vocabulary.encode: sentence r is ids[indptr[r]:indptr[r+1]].
+A batch, or a split to predict, is an int64 array of row indices into
+it, in any order; predict alone takes one sentence's token ids.
+
 The bag encoder runs batched: one forward and backward pass per
 minibatch, and one forward pass over a whole split for prediction. Its
 sums are ordered so that every result is bitwise equal to the
@@ -169,11 +174,14 @@ def _row_gradient(ids: np.ndarray, per_token: np.ndarray) -> RowGradient:
     return RowGradient(rows, values)
 
 
-def _flatten(sentences) -> tuple[np.ndarray, np.ndarray]:
-    """(concatenated token ids, int64 sentence lengths) of token-id arrays;
-    the empty head keeps an empty sequence legal."""
-    lengths = np.array([rows.size for rows in sentences], dtype=np.int64)
-    return np.concatenate([np.empty(0, np.int64), *sentences]), lengths
+def _gather(rows: np.ndarray, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """(token ids of the given rows end to end, their int64 lengths)."""
+    ids, indptr = tokens
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    # a token's index in ids is its output index plus its sentence's shift
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return ids[np.arange(shift.size) + shift], lengths
 
 
 def _encode_bag(ids: np.ndarray, lengths: np.ndarray, emb: np.ndarray) -> np.ndarray:
@@ -231,48 +239,51 @@ def predict(rows: np.ndarray, params: ModelParameters) -> int:
     (lowest index on ties) of mlp_w2 @ tanh(mlp_w1 @ encoding + mlp_b1) +
     mlp_b2."""
     if params.config.encoder_kind == "bag":
-        return int(predict_batch([rows], params)[0])
+        return int(predict_batch(np.zeros(1, np.int64), (rows, np.array([0, rows.size])),
+                                 params)[0])
     encoding = encode_birnn_maxpool(rows, params)
     h1 = np.tanh(params.array("mlp_w1") @ encoding + params.array("mlp_b1"))
     logits = params.array("mlp_w2") @ h1 + params.array("mlp_b2")
     return int(np.argmax(logits))
 
 
-def predict_batch(sentences, params: ModelParameters) -> np.ndarray:
-    """Label indices (int64) of a sequence of token-id arrays: one forward
-    pass over all of them for the bag, one predict call per sentence for
-    the BiLSTM."""
+def predict_batch(rows: np.ndarray, tokens, params: ModelParameters) -> np.ndarray:
+    """Label indices (int64) of the given rows of the token corpus: one
+    forward pass over all of them for the bag, one predict call per
+    sentence for the BiLSTM."""
     if params.config.encoder_kind != "bag":
-        return np.array([predict(rows, params) for rows in sentences], dtype=np.int64)
-    enc = _encode_bag(*_flatten(sentences), params.array("emb"))
+        ids, indptr = tokens
+        return np.array([predict(ids[indptr[r]:indptr[r + 1]], params) for r in rows.tolist()],
+                        dtype=np.int64)
+    enc = _encode_bag(*_gather(rows, tokens), params.array("emb"))
     return np.argmax(_mlp_head(enc, params)[1], axis=1).astype(np.int64, copy=False)
 
 
-def loss_and_gradients(batch, y, params: ModelParameters):
-    """Mean negative log-likelihood of the label indices y given the token-id
-    arrays of batch, with backpropagated gradients for every trainable
+def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
+    """Mean negative log-likelihood of the label indices y given the rows
+    of the token corpus, with backpropagated gradients for every trainable
     array; the embedding gradient is a RowGradient over the batch's ids.
 
     The loss is log(sum(exp(shifted))) - shifted[y] for the max-shifted
     logits, finite whenever the logits are. Max-pool subgradients route to
     the argmax timestep (earliest on ties).
     """
-    if not batch:
+    if not len(rows):
         raise ValueError("batch must be nonempty")
     cfg = params.config
-    ids, lengths = _flatten(batch)
-    B = len(batch)
+    ids, lengths = _gather(rows, tokens)
+    B = len(rows)
     grads = {}
     if cfg.encoder_kind == "bag":
         enc = _encode_bag(ids, lengths, params.array("emb"))
     else:
         enc = np.zeros((B, cfg.encoding_dim))
         caches = []
-        for k, rows in enumerate(batch):
-            if rows.size == 0:
+        for k, sentence in enumerate(np.split(ids, np.cumsum(lengths)[:-1])):
+            if sentence.size == 0:
                 caches.append(None)
                 continue
-            x, fwd, bwd, h_cat = _birnn_states(rows, params)
+            x, fwd, bwd, h_cat = _birnn_states(sentence, params)
             enc[k] = h_cat.max(axis=0)
             caches.append((x, fwd, bwd, np.argmax(h_cat, axis=0)))
         for name in _LSTM_ARRAYS:
@@ -322,12 +333,8 @@ def loss_and_gradients(batch, y, params: ModelParameters):
         xr = np.ascontiguousarray(x[::-1])
         gbx, gbh, gbb, dxb = kernels.lstm_backward(
             xr, params.array("wb_x"), params.array("wb_h"), *bwd, dh_b_rev)
-        grads["wf_x"] += gfx
-        grads["wf_h"] += gfh
-        grads["wf_b"] += gfb
-        grads["wb_x"] += gbx
-        grads["wb_h"] += gbh
-        grads["wb_b"] += gbb
+        for name, grad in zip(_LSTM_ARRAYS, (gfx, gfh, gfb, gbx, gbh, gbb)):
+            grads[name] += grad
         if finetune:
             d_x.append(dxf + dxb[::-1])
     if finetune:

@@ -4,10 +4,11 @@ Word/label counts give p(l|w) = count(w,l) / count(w); token-occurrence
 counts back the probabilities while sentence-level presence counts back
 the coverage curves (a sentence is covered when it contains at least one
 sufficiently label-specific word). Every statistic is computed from two
-columns of a corpus, its hypotheses and its label array, interned once:
-a vocabulary, the token ids of all hypotheses end to end, and each
-sentence's offset into them. Labels are label indices in and out; the
-CSV writers alone look up their names in the scheme.
+columns of a corpus, its hypotheses and its label array, interned once
+into text.intern's vocabulary and CSR token corpus: the token ids of all
+hypotheses end to end, and each sentence's offset into them. Labels are
+label indices in and out; the CSV writers alone look up their names in
+the scheme.
 """
 
 from __future__ import annotations
@@ -69,11 +70,8 @@ class LabelWordCounts:
 def count_corpus(hypotheses, labels, scheme: LabelScheme) -> LabelWordCounts:
     """Count over hypothesis tokens only: hypotheses is a sequence of
     strings and labels their label indices."""
-    vocab, ids = intern(hypotheses)
-    lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
-    return LabelWordCounts(scheme, vocab, indptr, flat, np.asarray(labels, dtype=np.int64))
+    vocab, ids, indptr = intern(hypotheses)
+    return LabelWordCounts(scheme, vocab, indptr, ids, np.asarray(labels, dtype=np.int64))
 
 
 @dataclass(frozen=True)

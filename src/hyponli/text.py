@@ -1,10 +1,13 @@
 """Tokenization, integer interning of token streams, and the embedding matrix.
 
 tokenize is one regular expression. intern tokenizes each text once and
-numbers its tokens in order of first occurrence; the Vocabulary it returns
-is immutable. The embedding matrix has one row per vocabulary id plus a
-final out-of-vocabulary row at index len(vocab): seeded_random_embeddings
-draws it in one call, and load_embeddings fills it from a word-vector file.
+numbers its tokens in order of first occurrence, into an immutable
+Vocabulary and a CSR token corpus (ids, indptr): the ids of all texts end
+to end, text i at ids[indptr[i]:indptr[i + 1]]. Vocabulary.encode gives
+new texts the same form. The embedding matrix has one row per vocabulary
+id plus a final out-of-vocabulary row at index len(vocab):
+seeded_random_embeddings draws it in one call, and load_embeddings fills
+it from a word-vector file.
 """
 
 from __future__ import annotations
@@ -61,26 +64,35 @@ class Vocabulary:
     def tokens(self) -> list[str]:
         return list(self._tokens)
 
-    def encode(self, tokens) -> np.ndarray:
-        """Ids of tokens, with len(self) (the OOV row) for unknown ones."""
+    def encode(self, texts) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR token corpus (ids, indptr) of texts, as intern gives it,
+        with len(self) (the OOV row) for tokens outside the vocabulary."""
+        local, ids, indptr = intern(texts)
         oov = len(self._tokens)
-        return np.array([self._index.get(tok, oov) for tok in tokens], dtype=np.int64)
+        known = np.array([self._index.get(tok, oov) for tok in local._tokens], dtype=np.int64)
+        return known[ids], indptr
 
 
-def intern(texts) -> tuple[Vocabulary, list[np.ndarray]]:
+def intern(texts) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     """Tokenize each text once and give every token an integer id.
 
     Ids are assigned in order of first occurrence, so the vocabulary of
     train + dev + test texts, passed in that order, lists train tokens
-    first. Returns the vocabulary and one int64 id array per text.
+    first. Returns the vocabulary and the CSR token corpus: int64 ids
+    and int64 offsets indptr, text i having ids[indptr[i]:indptr[i + 1]].
     """
     index: dict[str, int] = {}
     assign = index.setdefault
-    ids = [np.array([assign(tok, len(index)) for tok in tokenize(text)], dtype=np.int64)
-           for text in texts]
+    ids: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        words = tokenize(text)
+        lengths.append(len(words))
+        ids += [assign(tok, len(index)) for tok in words]
     tokens = list(index)
     del index, assign  # so that peak memory holds one token map, not two
-    return Vocabulary(tokens), ids
+    return (Vocabulary(tokens), np.array(ids, dtype=np.int64),
+            np.cumsum([0, *lengths], dtype=np.int64))
 
 
 def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:

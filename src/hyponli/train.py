@@ -13,6 +13,9 @@ and serves as the first comparison reference, so a first-epoch decline
 already triggers a division. With every epoch declining, the rate after
 epoch e is lr0 * (decay / divide_on_decline)^e and drops below the 1e-5
 floor at epoch 6.
+
+Both splits are row indices into one CSR token corpus, so a minibatch
+is a slice of the shuffled train rows, handed to the model as it is.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ class TrainConfig:
     max_epochs: int = 20
     batch_size: int = 64
     seed: int = 0
-    compare_to: str = "previous"  # or "best": decline relative to best-so-far
 
     def __post_init__(self):
         # each check is "not (valid)", so that nan fails it too
@@ -55,8 +57,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.compare_to not in ("previous", "best"):
-            raise ValueError("compare_to must be 'previous' or 'best'")
 
 
 @dataclass
@@ -112,21 +112,22 @@ def sgd_step(params: ModelParameters, gradients: dict, lr: float) -> ModelParame
     return params
 
 
-def _default_dev_eval(dev):
+def _default_dev_eval(dev, tokens):
     rows, y = dev
 
     def evaluate(params: ModelParameters) -> float:
-        return 100.0 * int(np.count_nonzero(predict_batch(rows, params) == y)) / len(y)
+        return 100.0 * int(np.count_nonzero(predict_batch(rows, tokens, params) == y)) / len(y)
     return evaluate
 
 
-def fit(train, dev, params: ModelParameters, config: TrainConfig, dev_eval=None):
+def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_eval=None):
     """Train params on the train split, stopping per the schedule.
 
-    train and dev are (rows, y) pairs: a list of token-id arrays and an
-    int64 array of their label indices, as loss_and_gradients takes them.
-    dev_eval, when given, must be a callable(params) -> accuracy; it exists
-    so tests can script dev accuracies. Returns (best_params, state); the
+    train and dev are (rows, y) pairs: int64 row indices into the CSR
+    token corpus tokens = (ids, indptr) and their int64 label indices, as
+    loss_and_gradients takes them. dev_eval, when given, must be a
+    callable(params) -> accuracy; it exists so tests can script dev
+    accuracies. Returns (best_params, state); the
     best parameters are the snapshot from the epoch with the highest dev
     accuracy (ties keep the earliest epoch).
 
@@ -139,13 +140,12 @@ def fit(train, dev, params: ModelParameters, config: TrainConfig, dev_eval=None)
     if not n or not len(dev[1]):
         raise ValueError("train and dev splits must both be nonempty")
     if dev_eval is None:
-        dev_eval = _default_dev_eval(dev)
+        dev_eval = _default_dev_eval(dev, tokens)
 
     state = TrainState()
     state.lr = config.lr0
     state.baseline_dev_acc = dev_eval(params)
     state.last_dev_acc = state.baseline_dev_acc
-    reference = state.baseline_dev_acc
 
     for epoch in range(1, config.max_epochs + 1):
         order = np.random.default_rng(config.seed + epoch).permutation(n)
@@ -154,7 +154,7 @@ def fit(train, dev, params: ModelParameters, config: TrainConfig, dev_eval=None)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for start in range(0, n, config.batch_size):
                     idx = order[start:start + config.batch_size]
-                    loss, grads = loss_and_gradients([rows[i] for i in idx], y[idx], params)
+                    loss, grads = loss_and_gradients(rows[idx], tokens, y[idx], params)
                     sgd_step(params, grads, state.lr)
                     loss_sum += loss * len(idx)
                 dev_acc = dev_eval(params)
@@ -168,9 +168,8 @@ def fit(train, dev, params: ModelParameters, config: TrainConfig, dev_eval=None)
         state.epoch = epoch
         state.history.append((epoch, state.lr, train_loss, dev_acc))
         state.lr *= config.decay
-        if dev_acc < reference:
+        if dev_acc < state.last_dev_acc:
             state.lr /= config.divide_on_decline
-        reference = dev_acc if config.compare_to == "previous" else state.best_dev_acc
         state.last_dev_acc = dev_acc
         if state.lr < config.lr_floor:
             state.stop_reason = "lr_floor"

@@ -39,3 +39,12 @@ def random_corpus(rng, n_sentences, vocab_size=20, scheme=THREE_WAY, max_len=8):
         label = scheme.names[int(rng.integers(0, len(scheme)))]
         pairs.append((sent, label))
     return make_corpus(pairs, scheme)
+
+
+def as_csr(sentences):
+    """(rows, tokens) of a list of token-id arrays: the CSR token corpus
+    (ids, indptr) that holds them end to end, and its rows 0..n-1 in order."""
+    indptr = np.zeros(len(sentences) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in sentences], out=indptr[1:])
+    ids = np.concatenate([np.empty(0, np.int64), *sentences]).astype(np.int64)
+    return np.arange(len(sentences)), (ids, indptr)

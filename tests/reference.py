@@ -4,8 +4,9 @@ encode_bag_rows and loss_and_gradients are the one-sentence-at-a-time
 forward and backward passes the batched ones replaced: a per-sentence
 embedding mean, and an embedding gradient scattered with one np.add.at per
 example into a dense zero matrix. tokenize is the character loop the
-regular expression replaced, and seeded_random_rows draws the embedding
-matrix one vector at a time. The faster code must agree with them bit for
+regular expression replaced, lookup encodes a token list one dict lookup
+at a time, sentences slices a CSR token corpus one row at a time, and
+seeded_random_rows draws the embedding matrix one vector at a time. The faster code must agree with them bit for
 bit.
 """
 
@@ -31,6 +32,20 @@ def tokenize(s):
             tokens.append(chunk)
         tokens.extend(reversed(suffix))
     return tokens
+
+
+def lookup(vocab, tokens):
+    """Ids of a token list, one dict lookup per token, with len(vocab) (the
+    OOV row) for unknown ones."""
+    oov = len(vocab)
+    return np.array([vocab.get(tok, oov) for tok in tokens], dtype=np.int64)
+
+
+def sentences(rows, tokens):
+    """The token-id array of each row of a CSR token corpus, sliced one at
+    a time."""
+    ids, indptr = tokens
+    return [ids[indptr[r]:indptr[r + 1]] for r in rows]
 
 
 def seeded_random_rows(vocab, dimension, seed):

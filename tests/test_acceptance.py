@@ -17,8 +17,8 @@ import pytest
 
 from hyponli import cli, corpus, evaluate, kernels, model, stats, synth, text, train
 
-from conftest import make_corpus
-from reference import dense
+from conftest import as_csr, make_corpus
+from reference import dense, lookup
 from test_stats import brute_coverage, brute_giveaways, brute_p, brute_counts, count_corpus
 
 
@@ -168,23 +168,24 @@ def test_criterion_4_gradient_correctness():
             for draw in range(5):
                 params = _desk_scale_params(encoder, seed=1000 + draw)
                 rng = np.random.default_rng(500 + draw)
-                rows, y = [], []
+                sentences, y = [], []
                 for _ in range(3):
                     n = int(rng.integers(1, 7))
-                    rows.append(params.vocab.encode([f"t{int(i)}"
-                                                     for i in rng.integers(0, 10, n)]))
+                    sentences.append(lookup(params.vocab, [f"t{int(i)}"
+                                                           for i in rng.integers(0, 10, n)]))
                     y.append(int(rng.integers(0, 3)))
+                rows, tokens = as_csr(sentences)
                 y = np.array(y)
-                _, grads = model.loss_and_gradients(rows, y, params)
+                _, grads = model.loss_and_gradients(rows, tokens, y, params)
                 for name in params.trainable_names():
                     flat = params.array(name).reshape(-1)
                     gflat = dense(grads[name], params.array(name)).reshape(-1)
                     for i in range(flat.size):
                         orig = flat[i]
                         flat[i] = orig + step
-                        lp, _ = model.loss_and_gradients(rows, y, params)
+                        lp, _ = model.loss_and_gradients(rows, tokens, y, params)
                         flat[i] = orig - step
-                        lm, _ = model.loss_and_gradients(rows, y, params)
+                        lm, _ = model.loss_and_gradients(rows, tokens, y, params)
                         flat[i] = orig
                         fd = (lp - lm) / (2 * step)
                         denom = max(abs(fd), abs(gflat[i]), 1e-6)
@@ -196,9 +197,14 @@ def test_criterion_4_gradient_correctness():
 # Criterion 5: exact learning-rate trajectories from scripted dev accuracies.
 # --------------------------------------------------------------------------
 
-def _examples(data, vocab):
-    """The (token-id arrays, label indices) pair train.fit takes."""
-    return [vocab.encode(text.tokenize(h)) for h in data.hypotheses], data.labels
+def _examples(vocab, *splits):
+    """The CSR token corpus of the splits' hypotheses, encoded with vocab,
+    and the (rows, label indices) pair of each split, as train.fit takes
+    them."""
+    tokens = vocab.encode([h for data in splits for h in data.hypotheses])
+    ends = np.cumsum([len(data) for data in splits])
+    return tokens, [(np.arange(end - len(data), end), data.labels)
+                    for data, end in zip(splits, ends)]
 
 
 def _scripted(values):
@@ -209,14 +215,14 @@ def _scripted(values):
 def test_criterion_5_schedule_trace():
     with criterion(5, "scripted schedules give the exact lr trajectories"):
         params_proto = _desk_scale_params("bag", seed=0)
-        tr = _examples(make_corpus([("a b", corpus.THREE_WAY.names[i % 3])
-                                    for i in range(12)]), params_proto.vocab)
-        dv = _examples(make_corpus([("b a", corpus.THREE_WAY.names[i % 3])
-                                    for i in range(6)]), params_proto.vocab)
+        tokens, (tr, dv) = _examples(
+            params_proto.vocab,
+            make_corpus([("a b", corpus.THREE_WAY.names[i % 3]) for i in range(12)]),
+            make_corpus([("b a", corpus.THREE_WAY.names[i % 3]) for i in range(6)]))
         config = train.TrainConfig(max_epochs=20, batch_size=4, seed=0)
 
         # strictly increasing: all 20 epochs, lr after epoch e = 0.1 * 0.99^e
-        _, state = train.fit(tr, dv, params_proto.clone(), config,
+        _, state = train.fit(tr, dv, tokens, params_proto.clone(), config,
                              dev_eval=_scripted([float(i) for i in range(21)]))
         assert state.epoch == 20
         assert state.stop_reason == "max_epochs"
@@ -227,7 +233,7 @@ def test_criterion_5_schedule_trace():
         assert state.lr == lr
 
         # strictly decreasing: stops at epoch 6 with lr < 1e-5
-        _, state = train.fit(tr, dv, params_proto.clone(), config,
+        _, state = train.fit(tr, dv, tokens, params_proto.clone(), config,
                              dev_eval=_scripted([float(100 - i) for i in range(21)]))
         assert state.epoch == 6
         assert state.stop_reason == "lr_floor"
@@ -257,13 +263,14 @@ def _generate_splits(spec):
 
 
 def _train_bag(tr, dv, scheme):
-    vocab, _ = text.intern(tr.hypotheses + dv.hypotheses)
+    vocab = text.intern(tr.hypotheses + dv.hypotheses)[0]
     table = text.seeded_random_embeddings(vocab, 16, seed=7)
     cfg = model.ModelConfig("bag", embedding_dim=16, hidden_dim=4, mlp_hidden=64,
                             n_labels=3, seed=8, finetune_embeddings=True)
     params = model.ModelParameters.init(cfg, table, vocab, scheme)
     tcfg = train.TrainConfig(lr0=0.1, batch_size=64, seed=9)
-    best, state = train.fit(_examples(tr, vocab), _examples(dv, vocab), params, tcfg)
+    tokens, (tr_examples, dv_examples) = _examples(vocab, tr, dv)
+    best, state = train.fit(tr_examples, dv_examples, tokens, params, tcfg)
     return best, state
 
 
@@ -287,8 +294,8 @@ def test_criterion_6_synthetic_recovery(recovery_run):
 
         # (b) test accuracy beats majority and is within 2.0 of the oracle
         bayes = synth.bayes_accuracy(RECOVERY_SPEC)
-        te_rows, te_y = _examples(te, best.vocab)
-        preds = model.predict_batch(te_rows, best)
+        tokens, [(te_rows, te_y)] = _examples(best.vocab, te)
+        preds = model.predict_batch(te_rows, tokens, best)
         acc = evaluate.accuracy(preds, te_y)
         maj = corpus.majority_label(tr.labels)
         maj_acc = evaluate.build_report("test", preds, te.labels, te.groups, scheme,
@@ -302,8 +309,8 @@ def test_criterion_6_synthetic_recovery(recovery_run):
             giveaway=tuple((t, lab, 0.0) for t, lab, _ in RECOVERY_SPEC.giveaway))
         tr0, dv0, te0 = _generate_splits(spec0)
         best0, _ = _train_bag(tr0, dv0, spec0.scheme)
-        te0_rows, te0_y = _examples(te0, best0.vocab)
-        preds0 = model.predict_batch(te0_rows, best0)
+        tokens0, [(te0_rows, te0_y)] = _examples(best0.vocab, te0)
+        preds0 = model.predict_batch(te0_rows, tokens0, best0)
         assert evaluate.constant_prediction_check(preds0) is True
         acc0 = evaluate.accuracy(preds0, te0_y)
         maj0_acc = evaluate.build_report("test", preds0, te0.labels, te0.groups, spec0.scheme,
@@ -424,15 +431,15 @@ def test_criterion_9_snli_checks():
             assert by_token[token].score >= 0.8
 
         subset = train_data.take(np.arange(min(50_000, len(train_data))))
-        vocab, _ = text.intern(subset.hypotheses + dev_data.hypotheses)
+        vocab = text.intern(subset.hypotheses + dev_data.hypotheses)[0]
         table = text.seeded_random_embeddings(vocab, 50, seed=1)
         cfg = model.ModelConfig("bag", embedding_dim=50, hidden_dim=4,
                                 mlp_hidden=64, n_labels=3, seed=2,
                                 finetune_embeddings=True)
         params = model.ModelParameters.init(cfg, table, vocab, scheme)
         tcfg = train.TrainConfig(batch_size=64, seed=3)
-        dev_examples = _examples(dev_data, vocab)
-        best, _ = train.fit(_examples(subset, vocab), dev_examples, params, tcfg)
-        preds = model.predict_batch(dev_examples[0], best)
+        tokens, (train_examples, dev_examples) = _examples(vocab, subset, dev_data)
+        best, _ = train.fit(train_examples, dev_examples, tokens, params, tcfg)
+        preds = model.predict_batch(dev_examples[0], tokens, best)
         acc = evaluate.accuracy(preds, dev_examples[1])
         assert acc >= 55.0

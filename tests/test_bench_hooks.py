@@ -6,19 +6,23 @@ the untraced benchmark times setup up to the first corpus.read_jsonl call,
 so a command that stopped calling it would fail every operation. The
 benchmark's commands (stats, and train-eval with a test split) and
 audit-sample read every input file through that module attribute, once
-each, in argument order.
+each, in argument order. A traced BiLSTM run must keep the count rules
+bench/run.py checks.
 """
 
 import importlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from hyponli import cli, corpus
 
-LAUNCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "launch.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAUNCH = os.path.join(ROOT, "bench", "launch.py")
 
 # entries naming functions that hyponli no longer has
 STALE = {("text", "build_vocabulary"), ("text", "EmbeddingTable.matrix_for"),
@@ -86,3 +90,34 @@ def test_train_eval_and_audit_sample_call_it_once_per_file_in_order(tmp_path, re
     assert cli.main(["audit-sample", "--checkpoint", str(out / "model.ckpt"),
                      "--data", files["dev"], "--out-dir", str(tmp_path / "audit")]) == 0
     assert read_calls == [files["dev"]]
+
+
+def test_traced_birnn_run_keeps_the_benchmark_count_rules(tmp_path):
+    """bench/run.py counts examples as len(args[0]) of loss_and_gradients
+    and checks kernels.lstm_forward.calls = 2 x (examples +
+    model.predict.calls), so the batch's rows must come first and the
+    BiLSTM must predict through model.predict, once per sentence. The run
+    is a subprocess because tracing rebinds module globals."""
+    names = ("entailment", "neutral", "contradiction")
+    sizes = {"train": 10, "dev": 6, "test": 5}
+    files = {split: write_records(tmp_path / f"{split}.jsonl",
+                                  [names[i % 3] for i in range(n)])
+             for split, n in sizes.items()}
+    stamp, out = tmp_path / "stamp.json", tmp_path / "out"
+    argv = ["train-eval", "--train", files["train"], "--dev", files["dev"],
+            "--test", files["test"], "--out-dir", str(out), "--encoder", "birnn-maxpool",
+            "--embedding-dim", "4", "--hidden-dim", "3", "--mlp-hidden", "4",
+            "--max-epochs", "2", "--batch-size", "4", "--finetune-embeddings"]
+    subprocess.run([sys.executable, LAUNCH, str(stamp), "1", "--", *argv], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                   capture_output=True, timeout=120)
+    layers = json.loads(stamp.read_text(encoding="utf-8"))["layers"]
+    calls = lambda layer: layers.get(layer, [0, 0, 0, 0])[2]
+    epochs = len((out / "train_log.csv").read_text().splitlines()) - 1
+    examples = epochs * sizes["train"]
+    assert layers["model.loss_and_gradients"][3] == examples
+    # dev before training and after each epoch, then dev and test for the report
+    predicted = (epochs + 2) * sizes["dev"] + sizes["test"]
+    assert calls("model.predict") == predicted
+    assert calls("kernels.lstm_forward") == 2 * (examples + predicted)
+    assert calls("kernels.lstm_backward") == 2 * examples

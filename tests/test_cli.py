@@ -7,7 +7,6 @@ import pytest
 from hyponli import cli, corpus, stats, synth, text, train
 from hyponli.cli import main
 from hyponli.model import load_checkpoint
-from hyponli.text import tokenize
 
 from conftest import make_corpus
 
@@ -334,7 +333,7 @@ class TestTrainEvalCommand:
         params = load_checkpoint(out / "model.ckpt")
         assert params.config.encoder_kind == "bag"
         from hyponli.model import predict
-        pred = predict(params.vocab.encode(tokenize("give0 w001 w002")), params)
+        pred = predict(params.vocab.encode(["give0 w001 w002"])[0], params)
         assert params.scheme.names[pred] == "entailment"
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -440,6 +439,30 @@ class TestTrainEvalCommand:
         assert rc == 1
         assert one_error_line(capsys) == f"error: {vecs}: line 2: non-finite value"
 
+    def test_all_skipped_test_file_is_one_line(self, tmp_path, capsys):
+        paths = synth_corpus_files(tmp_path)
+        test = tmp_path / "dash_test.jsonl"
+        test.write_text("".join(json.dumps({"premise": "p", "hypothesis": f"w00{i % 9}",
+                                            "label": "-"}) + "\n" for i in range(20)),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                   "--test", str(test), "--out-dir", str(out), "--embedding-dim", "4",
+                   "--mlp-hidden", "4", "--max-epochs", "1"])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: {test}: the test split is empty (20 records skipped at ingest)")
+        assert not out.exists()
+
+    def test_compare_to_is_an_unknown_config_option(self, tmp_path, capsys):
+        paths = synth_corpus_files(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("compare-to = previous\n")
+        rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                   "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 1
+        assert one_error_line(capsys) == f"error: {cfg}: unknown option 'compare_to'"
+
     def test_unknown_config_key_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -478,7 +501,7 @@ class TestAuditSampleCommand:
             k = by_id[iid]
             assert params.scheme.names[data.labels[k]] == gold_name
             assert data.hypotheses[k] == hyp
-            rows = params.vocab.encode(tokenize(data.hypotheses[k]))
+            rows, _ = params.vocab.encode([data.hypotheses[k]])
             assert params.scheme.names[predict(rows, params)] == pred_name
 
     def test_repeated_ids_keep_their_own_hypotheses(self, tmp_path):
@@ -589,3 +612,90 @@ class TestAuditSampleCommand:
         rc = main(["audit-sample", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--data", paths["dev"], "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+
+class TestRemapOrdinal:
+    """With --remap-ordinal every command takes its labels from the 1-5
+    ordinals: a record labelled "-" is kept when it carries one, and a
+    record without one is skipped and counted."""
+
+    N = 30  # records; every third is labelled "-", has the word "dash" and ordinal 5
+
+    @classmethod
+    def dash_corpus(cls, tmp_path, n_missing=0):
+        """The N records, the last n_missing of them without an ordinal."""
+        lines = []
+        for i in range(cls.N):
+            dash = i % 3 == 0
+            record = {"premise": "p", "hypothesis": f"w{i % 4} x{i % 7}" + " dash" * dash,
+                      "label": "-" if dash else corpus.THREE_WAY.names[i % 3],
+                      "id": f"r{i}"}
+            if i < cls.N - n_missing:
+                record["ordinal"] = cls.ordinal(i)
+            lines.append(json.dumps(record) + "\n")
+        path = tmp_path / "dash.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def ordinal(i):
+        return 5 if i % 3 == 0 else 1 + i % 4
+
+    @classmethod
+    def gold(cls, instance_id):
+        return corpus.JOCI_ORDINAL_TO_LABEL[cls.ordinal(int(instance_id[1:]))]
+
+    @pytest.mark.parametrize("n_missing", [0, 1])
+    def test_stats(self, tmp_path, n_missing):
+        data, out = self.dash_corpus(tmp_path, n_missing), tmp_path / "out"
+        assert main(["stats", "--data", data, "--remap-ordinal", "--out-dir", str(out)]) == 0
+        digest = (out / "stats_digest.md").read_text()
+        n = self.N - n_missing
+        assert f"- sentences: {n} (skipped at ingest: {n_missing})" in digest
+        expected = [self.gold(f"r{i}") for i in range(n)]
+        for name in corpus.THREE_WAY.names:
+            assert f"- {name}: {expected.count(name)} sentences" in digest
+
+    def test_train_eval(self, tmp_path):
+        data, out = self.dash_corpus(tmp_path), tmp_path / "out"
+        assert main(["train-eval", "--train", data, "--dev", data, "--test", data,
+                     "--remap-ordinal", "--out-dir", str(out), "--embedding-dim", "4",
+                     "--mlp-hidden", "4", "--max-epochs", "1"]) == 0
+        # MAJ is the share of the most frequent ordinal label
+        gold = [self.gold(f"r{i}") for i in range(self.N)]
+        maj_acc = max(gold.count(name) for name in corpus.THREE_WAY.names) / len(gold)
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+        assert {row[0]: row[4] for row in rows if row[1] == "overall"} == {
+            "dev": f"{100 * maj_acc:.2f}", "test": f"{100 * maj_acc:.2f}"}
+        assert "dash" in load_checkpoint(out / "model.ckpt").vocab.tokens
+
+    def test_split(self, tmp_path):
+        data, out = self.dash_corpus(tmp_path), tmp_path / "out"
+        assert main(["split", "--data", data, "--remap-ordinal", "--out-dir", str(out)]) == 0
+        kept = []
+        for name in ("train", "dev", "test"):
+            part, skipped = corpus.read_jsonl(out / f"{name}.jsonl",
+                                              corpus.FIELD_MAP_PRESETS["native"],
+                                              corpus.THREE_WAY)
+            assert skipped == 0
+            kept += [(iid, corpus.THREE_WAY.names[label])
+                     for iid, label in zip(part.ids, part.labels.tolist())]
+        assert sorted(kept) == sorted((f"r{i}", self.gold(f"r{i}")) for i in range(self.N))
+
+    def test_audit_sample(self, tmp_path):
+        data = self.dash_corpus(tmp_path)
+        clean = make_corpus([(f"w{i % 4} x", corpus.THREE_WAY.names[i % 3]) for i in range(30)],
+                            ordinals=[1 + i % 5 for i in range(30)])
+        train_path = write_corpus(tmp_path / "clean.jsonl", clean)
+        assert main(["train-eval", "--train", train_path, "--dev", train_path,
+                     "--out-dir", str(tmp_path / "out"), "--embedding-dim", "4",
+                     "--mlp-hidden", "4", "--max-epochs", "1"]) == 0
+        audit_out = tmp_path / "audit"
+        assert main(["audit-sample", "--checkpoint", str(tmp_path / "out" / "model.ckpt"),
+                     "--data", data, "--remap-ordinal", "--out-dir", str(audit_out)]) == 0
+        rows = [line.split("\t") for line in
+                (audit_out / "audit_sample.txt").read_text().splitlines()
+                if not line.startswith("#")]
+        assert sorted(iid for iid, _, _, _ in rows) == sorted(f"r{i}" for i in range(self.N))
+        for iid, gold, _, _ in rows:
+            assert gold == self.gold(iid)

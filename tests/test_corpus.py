@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hyponli import corpus
 from hyponli.corpus import (
     THREE_WAY, ConfigError, Corpus, IngestError, LabelScheme, RoleMap,
-    majority_label, random_split, read_jsonl, read_tsv, remap_joci_ordinal,
-    write_jsonl,
+    majority_label, random_split, read_jsonl, read_tsv, write_jsonl,
 )
 
 from conftest import columns, make_corpus
@@ -284,25 +283,53 @@ class TestIngestErrors:
 
 
 class TestJociRemap:
+    """With remap_ordinal, ingest takes every label from the 1-5 ordinal."""
+
     @pytest.mark.parametrize("ordinal,expected", [
         (1, "contradiction"), (2, "neutral"), (3, "neutral"),
         (4, "neutral"), (5, "entailment"),
     ])
-    def test_mapping(self, ordinal, expected):
-        out = remap_joci_ordinal(make_corpus([("h", "entailment")], ordinals=[ordinal]))
-        assert out.labels.dtype == np.int64
-        assert [THREE_WAY.names[label] for label in out.labels] == [expected]
-        assert out.ordinals == [ordinal]
+    def test_mapping(self, tmp_path, ordinal, expected):
+        # the label field says "-", which the scheme lacks: the ordinal decides
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [json.dumps({"premise": "p", "hypothesis": "h", "label": "-",
+                                       "ordinal": ordinal})])
+        tsv = tmp_path / "d.tsv"
+        write_lines(tsv, [f"p\th\t-\t{ordinal}"])
+        for data, skipped in (read_jsonl(path, NATIVE, THREE_WAY, remap_ordinal=True),
+                              read_tsv(tsv, TSV_COLUMNS, THREE_WAY, remap_ordinal=True)):
+            assert skipped == 0
+            assert data.labels.dtype == np.int64
+            assert [THREE_WAY.names[label] for label in data.labels] == [expected]
+            assert data.ordinals == [ordinal]
 
-    def test_missing_ordinal_names_instance(self):
-        data = make_corpus([("h", "entailment")] * 2, ordinals=[3, None])
-        with pytest.raises(IngestError, match="'i1': no ordinal"):
-            remap_joci_ordinal(data)
+    def test_missing_ordinal_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        records = [{"label": "entailment", "ordinal": 3, "id": "a"},
+                   {"label": "entailment", "id": "b"},
+                   {"label": "neutral", "ordinal": None, "id": "c"},
+                   {"label": "-", "ordinal": 5, "id": "d"}]
+        write_lines(path, [json.dumps({"premise": "p", "hypothesis": "h", **record})
+                           for record in records])
+        data, skipped = read_jsonl(path, NATIVE, THREE_WAY, remap_ordinal=True)
+        assert skipped == 2
+        assert data.ids == ["a", "d"] and data.labels.tolist() == [1, 0]
+        data, skipped = read_jsonl(path, NATIVE, THREE_WAY)
+        assert skipped == 1 and data.ids == ["a", "b", "c"]
 
-    def test_idempotent(self):
+    def test_bad_ordinal_still_raises(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [json.dumps({"premise": "p", "hypothesis": "h", "label": "-",
+                                       "ordinal": 6})])
+        with pytest.raises(IngestError, match="ordinal 6 outside"):
+            read_jsonl(path, NATIVE, THREE_WAY, remap_ordinal=True)
+
+    def test_idempotent(self, tmp_path):
         data = make_corpus([("h", "entailment")] * 3, ordinals=[1, 3, 5])
-        once = remap_joci_ordinal(data)
-        twice = remap_joci_ordinal(once)
+        write_jsonl(data, tmp_path / "a.jsonl", THREE_WAY)
+        once, _ = read_jsonl(tmp_path / "a.jsonl", NATIVE, THREE_WAY, remap_ordinal=True)
+        write_jsonl(once, tmp_path / "b.jsonl", THREE_WAY)
+        twice, _ = read_jsonl(tmp_path / "b.jsonl", NATIVE, THREE_WAY, remap_ordinal=True)
         assert columns(once) == columns(twice)
         assert once.labels.tolist() == [2, 1, 0]
 

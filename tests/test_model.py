@@ -15,7 +15,8 @@ from hyponli.model import (
 from hyponli.text import Vocabulary, intern, seeded_random_embeddings
 
 import reference
-from reference import dense, encode_bag_rows
+from conftest import as_csr
+from reference import dense, encode_bag_rows, lookup
 
 
 def small_vocab(n=10):
@@ -33,21 +34,20 @@ def make_params(encoder, seed=3, finetune=False, dim=8, hidden=4, mlp=8,
 
 
 def random_batch(params, rng, size=4, max_len=6):
-    """(token-id arrays, label indices) of a random batch."""
+    """(rows, tokens, label indices) of a random batch."""
     toks = params.vocab.tokens
-    rows, y = [], []
+    sentences, y = [], []
     for _ in range(size):
         n = int(rng.integers(1, max_len + 1))
         sent = [toks[int(i)] for i in rng.integers(0, len(toks), n)]
         y.append(int(rng.integers(0, len(params.scheme))))
-        rows.append(params.vocab.encode(sent))
-    return rows, np.array(y, dtype=np.int64)
+        sentences.append(lookup(params.vocab, sent))
+    return (*as_csr(sentences), np.array(y, dtype=np.int64))
 
 
 def bag_mean(tokens, vocab, emb):
     """The bag encoding of tokens through the model's row-index path."""
-    rows = vocab.encode(tokens)
-    return model._encode_bag(*model._flatten([rows]), emb)[0]
+    return model._encode_bag(*model._gather(*as_csr([lookup(vocab, tokens)])), emb)[0]
 
 
 class TestEncodeBag:
@@ -79,12 +79,12 @@ class TestEncodeBirnn:
         params = make_params("birnn-maxpool", hidden=4)
         for length in (1, 2, 5, 9):
             enc = encode_birnn_maxpool(
-                params.vocab.encode([f"t{i % 10}" for i in range(length)]), params)
+                lookup(params.vocab, [f"t{i % 10}" for i in range(length)]), params)
             assert enc.shape == (8,)
 
     def test_length_one_equals_single_state(self):
         params = make_params("birnn-maxpool")
-        rows = params.vocab.encode(["t3"])
+        rows = lookup(params.vocab, ["t3"])
         enc = encode_birnn_maxpool(rows, params)
         _, fwd, bwd, h_cat = model._birnn_states(rows, params)
         assert h_cat.shape == (1, 8)
@@ -92,13 +92,13 @@ class TestEncodeBirnn:
 
     def test_not_permutation_invariant_witness(self):
         params = make_params("birnn-maxpool")
-        a = encode_birnn_maxpool(params.vocab.encode(["t0", "t1", "t2", "t3"]), params)
-        b = encode_birnn_maxpool(params.vocab.encode(["t3", "t2", "t1", "t0"]), params)
+        a = encode_birnn_maxpool(lookup(params.vocab, ["t0", "t1", "t2", "t3"]), params)
+        b = encode_birnn_maxpool(lookup(params.vocab, ["t3", "t2", "t1", "t0"]), params)
         assert not np.allclose(a, b)
 
     def test_empty_sentence_is_zero(self):
         params = make_params("birnn-maxpool", hidden=4)
-        assert np.array_equal(encode_birnn_maxpool(params.vocab.encode([]), params),
+        assert np.array_equal(encode_birnn_maxpool(lookup(params.vocab, []), params),
                               np.zeros(8))
 
     def test_regression_fixture_seed7(self):
@@ -108,7 +108,7 @@ class TestEncodeBirnn:
         cfg = ModelConfig("birnn-maxpool", embedding_dim=8, hidden_dim=4,
                           mlp_hidden=8, n_labels=3, seed=7)
         params = ModelParameters.init(cfg, table, vocab, THREE_WAY)
-        enc = encode_birnn_maxpool(vocab.encode(["a", "b", "c", "d"]), params)
+        enc = encode_birnn_maxpool(lookup(vocab, ["a", "b", "c", "d"]), params)
         frozen = [0.11353481818256901, 0.057677768133489946, 0.04989002135308302,
                   -0.10362806349718062, -0.05830379844380692, 0.19277986991794227,
                   0.1096879140550221, 0.08297201621042435]
@@ -144,7 +144,7 @@ class TestEncodeBirnn:
             return states
 
         emb = params.array("emb")
-        rows = params.vocab.encode(tokens)
+        rows = lookup(params.vocab, tokens)
         xs = [emb[r].tolist() for r in rows]
         fwd = scalar_lstm(xs, params.array("wf_x").tolist(),
                           params.array("wf_h").tolist(), params.array("wf_b").tolist())
@@ -177,31 +177,33 @@ class TestClassify:
     def test_zero_weights_uniform(self):
         # d loss / d mlp_b2 of one example is softmax(logits) - onehot(y)
         params = self.zero_params()
-        _, grads = loss_and_gradients([params.vocab.encode(["t3"])], np.array([1]), params)
+        _, grads = loss_and_gradients(*as_csr([lookup(params.vocab, ["t3"])]), np.array([1]),
+                                      params)
         assert np.allclose(grads["mlp_b2"], [1 / 3, 1 / 3 - 1, 1 / 3])
 
     def test_softmax_shift_invariance(self):
         params = make_params("bag", dim=2, mlp=4)
-        rows, y = [params.vocab.encode(["t0", "t4"])], np.array([2])
-        loss, grads = loss_and_gradients(rows, y, params)
+        (rows, tokens), y = as_csr([lookup(params.vocab, ["t0", "t4"])]), np.array([2])
+        loss, grads = loss_and_gradients(rows, tokens, y, params)
         params.array("mlp_b2")[...] += 17.0
-        shifted_loss, shifted_grads = loss_and_gradients(rows, y, params)
+        shifted_loss, shifted_grads = loss_and_gradients(rows, tokens, y, params)
         assert shifted_loss == pytest.approx(loss, abs=1e-12)
         assert np.allclose(shifted_grads["mlp_b2"], grads["mlp_b2"])
 
     def test_hand_computed_tiny_case(self):
         params = self.tiny_params()
-        assert predict(params.vocab.encode(["t0"]), params) == 0
+        assert predict(lookup(params.vocab, ["t0"]), params) == 0
 
     def test_hand_computed_tiny_loss(self):
         params = self.tiny_params()
         l0, l1 = math.tanh(0.5), math.tanh(-0.5)
-        loss, _ = loss_and_gradients([params.vocab.encode(["t0"])], np.array([0]), params)
+        loss, _ = loss_and_gradients(*as_csr([lookup(params.vocab, ["t0"])]), np.array([0]),
+                                     params)
         assert loss == pytest.approx(math.log(math.exp(l0) + math.exp(l1)) - l0, abs=1e-12)
 
     def test_argmax_tie_takes_lowest_index(self):
         params = self.zero_params()
-        assert predict(params.vocab.encode(["t0", "t1"]), params) == 0
+        assert predict(lookup(params.vocab, ["t0", "t1"]), params) == 0
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=1000, deadline=None)
@@ -210,7 +212,7 @@ class TestClassify:
         rng = np.random.default_rng(seed)
         params = make_params("bag", dim=2, mlp=2)
         params.array("mlp_b2")[...] = rng.normal(scale=10 ** rng.integers(0, 4), size=3)
-        loss, grads = loss_and_gradients([params.vocab.encode(["t1"])],
+        loss, grads = loss_and_gradients(*as_csr([lookup(params.vocab, ["t1"])]),
                                          rng.integers(0, 3, 1), params)
         assert np.isfinite(loss) and loss >= 0.0
         assert abs(grads["mlp_b2"].sum()) < 1e-9
@@ -221,29 +223,30 @@ class TestLossAndGradients:
         params = make_params("bag")
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
             params.array(name)[...] = 0.0
-        rows = [params.vocab.encode(["t0"]), params.vocab.encode(["t1"])]
-        loss, _ = loss_and_gradients(rows, np.array([0, 2]), params)
+        rows, tokens = as_csr([lookup(params.vocab, ["t0"]), lookup(params.vocab, ["t1"])])
+        loss, _ = loss_and_gradients(rows, tokens, np.array([0, 2]), params)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
     def test_duplicated_batch_same_mean_loss(self):
         params = make_params("birnn-maxpool")
         rng = np.random.default_rng(5)
-        rows, y = random_batch(params, rng)
-        loss_once, _ = loss_and_gradients(rows, y, params)
-        loss_twice, _ = loss_and_gradients(rows + rows, np.concatenate([y, y]), params)
+        rows, tokens, y = random_batch(params, rng)
+        loss_once, _ = loss_and_gradients(rows, tokens, y, params)
+        loss_twice, _ = loss_and_gradients(np.concatenate([rows, rows]), tokens,
+                                           np.concatenate([y, y]), params)
         assert loss_twice == pytest.approx(loss_once, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         params = make_params("bag")
         with pytest.raises(ValueError):
-            loss_and_gradients([], np.array([], dtype=np.int64), params)
+            loss_and_gradients(*as_csr([]), np.array([], dtype=np.int64), params)
 
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_gradients_match_finite_differences(self, encoder):
         params = make_params(encoder, seed=21, finetune=True)
         rng = np.random.default_rng(21)
-        rows, y = random_batch(params, rng)
-        _, grads = loss_and_gradients(rows, y, params)
+        rows, tokens, y = random_batch(params, rng)
+        _, grads = loss_and_gradients(rows, tokens, y, params)
         step = 1e-4
         for name in params.trainable_names():
             flat = params.array(name).reshape(-1)
@@ -251,9 +254,9 @@ class TestLossAndGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                lp, _ = loss_and_gradients(rows, y, params)
+                lp, _ = loss_and_gradients(rows, tokens, y, params)
                 flat[i] = orig - step
-                lm, _ = loss_and_gradients(rows, y, params)
+                lm, _ = loss_and_gradients(rows, tokens, y, params)
                 flat[i] = orig
                 fd = (lp - lm) / (2 * step)
                 denom = max(abs(fd), abs(gflat[i]), 1e-6)
@@ -270,7 +273,7 @@ class TestPredict:
     def test_prediction_consistency(self):
         for encoder in ("bag", "birnn-maxpool"):
             params = make_params(encoder)
-            sentences = [params.vocab.encode(s) for s in (["t0", "t5"], ["t3"], [])]
+            sentences = [lookup(params.vocab, s) for s in (["t0", "t5"], ["t3"], [])]
             expected = []
             for rows in sentences:
                 if encoder == "bag":
@@ -281,7 +284,7 @@ class TestPredict:
                 expected.append(int(np.argmax(params.array("mlp_w2") @ h1
                                               + params.array("mlp_b2"))))
             assert [predict(rows, params) for rows in sentences] == expected
-            batch = model.predict_batch(sentences, params)
+            batch = model.predict_batch(*as_csr(sentences), params)
             assert batch.dtype == np.int64 and batch.tolist() == expected
 
 
@@ -304,10 +307,11 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def assert_matches_reference(batch, y, params):
+def assert_matches_reference(rows, tokens, y, params):
     """Loss, every dense gradient and the scattered embedding gradient are
     bitwise equal to the per-sentence reference."""
-    loss, grads = loss_and_gradients(batch, y, params)
+    batch = reference.sentences(rows, tokens)
+    loss, grads = loss_and_gradients(rows, tokens, y, params)
     ref_loss, ref_grads = reference.loss_and_gradients(batch, y, params)
     assert same_bits(loss, ref_loss)
     assert sorted(grads) == sorted(ref_grads)
@@ -321,12 +325,17 @@ def assert_matches_reference(batch, y, params):
 
 
 @st.composite
-def ragged_batch(draw, n_ids):
-    """(token-id arrays, label indices) with lengths 0-7 over n_ids ids."""
+def ragged_corpus(draw, n_ids):
+    """(rows, tokens, label indices): a CSR token corpus of 1-8 sentences
+    of lengths 0-7 over n_ids ids, and 1-10 rows of it in any order, with
+    repeats, as a strided (non-contiguous) array."""
     sentences = draw(st.lists(st.lists(st.integers(0, n_ids - 1), max_size=7),
                               min_size=1, max_size=8))
-    y = draw(st.lists(st.integers(0, 2), min_size=len(sentences), max_size=len(sentences)))
-    return ([np.array(s, dtype=np.int64) for s in sentences], np.array(y, dtype=np.int64))
+    _, tokens = as_csr([np.array(s, dtype=np.int64) for s in sentences])
+    picked = draw(st.lists(st.integers(0, len(sentences) - 1), min_size=1, max_size=10))
+    rows = np.repeat(np.array(picked, dtype=np.int64), 2)[::2]
+    y = draw(st.lists(st.integers(0, 2), min_size=rows.size, max_size=rows.size))
+    return rows, tokens, np.array(y, dtype=np.int64)
 
 
 class TestBatchedMatchesReference:
@@ -335,22 +344,30 @@ class TestBatchedMatchesReference:
         params = make_params(encoder, seed=31, finetune=True)
         rng = np.random.default_rng(31)
         for batch in ragged_batches(params):
-            assert_matches_reference(batch, rng.integers(0, 3, len(batch)), params)
+            assert_matches_reference(*as_csr(batch), rng.integers(0, 3, len(batch)), params)
 
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_frozen_embeddings(self, encoder):
         params = make_params(encoder, seed=32)
         rng = np.random.default_rng(32)
         for batch in ragged_batches(params):
-            assert_matches_reference(batch, rng.integers(0, 3, len(batch)), params)
+            assert_matches_reference(*as_csr(batch), rng.integers(0, 3, len(batch)), params)
 
     @given(data=st.data(), seed=st.integers(0, 10**6),
            encoder=st.sampled_from(["bag", "birnn-maxpool"]))
     @settings(max_examples=200, deadline=None)
     def test_property(self, data, seed, encoder):
         params = make_params(encoder, seed=seed, finetune=True)
-        batch, y = data.draw(ragged_batch(len(params.vocab) + 1))
-        assert_matches_reference(batch, y, params)
+        assert_matches_reference(*data.draw(ragged_corpus(len(params.vocab) + 1)), params)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_gather_equals_slices(self, data):
+        rows, tokens, _ = data.draw(ragged_corpus(12))
+        batch = reference.sentences(rows, tokens)
+        ids, lengths = model._gather(rows, tokens)
+        assert same_bits(ids, np.concatenate([np.empty(0, np.int64), *batch]))
+        assert same_bits(lengths, np.array([s.size for s in batch], dtype=np.int64))
 
     @pytest.mark.parametrize("negative_zeros", [False, True])
     def test_bag_encoding_equals_per_sentence_mean(self, negative_zeros):
@@ -360,10 +377,10 @@ class TestBatchedMatchesReference:
             emb[[2, len(params.vocab)], ::2] = -0.0
         rng = np.random.default_rng(33)
         for batch in ragged_batches(params):
-            enc = model._encode_bag(*model._flatten(batch), emb)
+            enc = model._encode_bag(*model._gather(*as_csr(batch)), emb)
             for k, rows in enumerate(batch):
                 assert same_bits(enc[k], reference.encode_bag_rows(rows, emb))
-            assert_matches_reference(batch, rng.integers(0, 3, len(batch)), params)
+            assert_matches_reference(*as_csr(batch), rng.integers(0, 3, len(batch)), params)
 
     def test_one_dimensional_embeddings_agree_to_rounding(self):
         # With one column, emb[rows].mean(axis=0) reduces a contiguous axis,
@@ -372,7 +389,7 @@ class TestBatchedMatchesReference:
         params = make_params("bag", seed=34, dim=1)
         emb = params.array("emb")
         batch = ragged_batches(params)[0] + [np.arange(11).repeat(3)]
-        enc = model._encode_bag(*model._flatten(batch), emb)
+        enc = model._encode_bag(*model._gather(*as_csr(batch)), emb)
         for k, rows in enumerate(batch):
             assert np.allclose(enc[k], reference.encode_bag_rows(rows, emb),
                                rtol=1e-14, atol=0)
@@ -383,13 +400,31 @@ class TestPredictBatch:
     def test_equals_per_sentence_predict(self, encoder):
         params = make_params(encoder, seed=35)
         for batch in ragged_batches(params):
-            got = model.predict_batch(batch, params)
+            got = model.predict_batch(*as_csr(batch), params)
             assert got.dtype == np.int64
             assert got.tolist() == [predict(rows, params) for rows in batch]
 
+    @given(data=st.data(), seed=st.integers(0, 10**6),
+           encoder=st.sampled_from(["bag", "birnn-maxpool"]))
+    @settings(max_examples=100, deadline=None)
+    def test_property(self, data, seed, encoder):
+        """Labels of any rows equal the per-sentence reference: per-sentence
+        predict for the BiLSTM, and for the bag the head over the stacked
+        per-sentence means (the batched head's rows depend, in the last
+        bits, on the batch size)."""
+        params = make_params(encoder, seed=seed)
+        rows, tokens, _ = data.draw(ragged_corpus(len(params.vocab) + 1))
+        batch = reference.sentences(rows, tokens)
+        if encoder == "bag":
+            enc = np.stack([encode_bag_rows(s, params.array("emb")) for s in batch])
+            expected = np.argmax(model._mlp_head(enc, params)[1], axis=1).tolist()
+        else:
+            expected = [predict(s, params) for s in batch]
+        assert model.predict_batch(rows, tokens, params).tolist() == expected
+
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_empty_split(self, encoder):
-        got = model.predict_batch([], make_params(encoder))
+        got = model.predict_batch(*as_csr([]), make_params(encoder))
         assert got.dtype == np.int64 and got.shape == (0,)
 
 
@@ -434,7 +469,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         back = load_checkpoint(path)
-        tokens = params.vocab.encode(["t2", "t9", "t1"])
+        tokens = lookup(params.vocab, ["t2", "t9", "t1"])
         assert np.array_equal(model.encode_birnn_maxpool(tokens, params),
                               model.encode_birnn_maxpool(tokens, back))
         assert predict(tokens, params) == predict(tokens, back)

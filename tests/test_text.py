@@ -89,23 +89,45 @@ class TestVocabulary:
 
 class TestIntern:
     def test_first_occurrence_order(self):
-        vocab, ids = intern(["b a.", "", "a c b"])
+        vocab, ids, indptr = intern(["b a.", "", "a c b"])
         assert vocab.tokens == ["b", "a", ".", "c"]
-        assert [row.tolist() for row in ids] == [[0, 1, 2], [], [1, 3, 0]]
-        assert all(row.dtype == np.int64 for row in ids)
+        assert ids.tolist() == [0, 1, 2, 1, 3, 0]
+        assert indptr.tolist() == [0, 3, 3, 6]
+        assert ids.dtype == indptr.dtype == np.int64
+
+    def test_no_texts(self):
+        vocab, ids, indptr = intern([])
+        assert len(vocab) == 0 and ids.size == 0 and indptr.tolist() == [0]
+        assert ids.dtype == indptr.dtype == np.int64
 
     @given(st.lists(st.lists(words, max_size=5), max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_ids_decode_to_tokens(self, sentences):
         texts = [" ".join(s) for s in sentences]
-        vocab, ids = intern(texts)
-        for sentence, row in zip(texts, ids):
+        vocab, ids, indptr = intern(texts)
+        assert len(indptr) == len(texts) + 1 and indptr[-1] == ids.size
+        for sentence, row in zip(texts, reference.sentences(range(len(texts)), (ids, indptr))):
             assert [vocab.token(i) for i in row] == tokenize(sentence)
 
     def test_encode_maps_unknown_to_oov_row(self):
         vocab = Vocabulary(["a", "b"])
-        assert vocab.encode(["b", "zzz", "a"]).tolist() == [1, 2, 0]
-        assert vocab.encode([]).dtype == np.int64
+        ids, indptr = vocab.encode(["b zzz a", "", "zzz"])
+        assert ids.tolist() == [1, 2, 0, 2] and indptr.tolist() == [0, 3, 3, 4]
+        ids, indptr = vocab.encode([])
+        assert ids.dtype == indptr.dtype == np.int64 and indptr.tolist() == [0]
+
+    @given(st.lists(st.text(alphabet=st.sampled_from("abX.,'! \t"), max_size=12), max_size=6),
+           st.lists(st.text(alphabet=st.sampled_from("abX.,"), min_size=1, max_size=3),
+                    max_size=8, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_equals_per_token_lookup(self, texts, known):
+        vocab = Vocabulary(known)
+        ids, indptr = vocab.encode(texts)
+        assert ids.dtype == indptr.dtype == np.int64
+        assert len(indptr) == len(texts) + 1 and indptr[-1] == ids.size
+        got = reference.sentences(range(len(texts)), (ids, indptr))
+        for row, text in zip(got, texts):
+            assert row.tolist() == reference.lookup(vocab, tokenize(text)).tolist()
 
 
 class TestLoadEmbeddings:
@@ -156,7 +178,7 @@ class TestLoadEmbeddings:
         emb = load_embeddings(path, vocab, 2)
         # "<unk>" names the OOV vector, even when it is also a vocabulary token
         assert np.array_equal(emb, [[1, 1], [9, 9], [9, 9], [9, 9]])
-        assert np.array_equal(emb[vocab.encode(["never-seen"])], [[9, 9]])
+        assert np.array_equal(emb[vocab.encode(["never-seen"])[0]], [[9, 9]])
 
     def test_empty_file_zero_oov(self, tmp_path):
         path = self.write(tmp_path, [])
@@ -189,7 +211,8 @@ class TestLookupNeverFails:
     def test_every_token_maps(self, tokens):
         vocab = Vocabulary(["known"])
         emb = seeded_random_embeddings(vocab, 6, seed=1)
-        assert emb[vocab.encode(tokens)].shape == (len(tokens), 6)
+        ids, _ = vocab.encode([" ".join(tokens)])
+        assert emb[ids].shape == (len(tokens), 6)
 
     def test_matrix_rows_align_with_vocab(self):
         # row i holds the i-th vector of the seeded stream and the last row

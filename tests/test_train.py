@@ -3,13 +3,14 @@ import pytest
 
 from hyponli.corpus import THREE_WAY
 from hyponli.model import ModelConfig, ModelParameters, RowGradient, loss_and_gradients
-from hyponli.text import intern, seeded_random_embeddings, tokenize
+from hyponli.text import intern, seeded_random_embeddings
 from hyponli.train import TrainConfig, TrainState, fit, sgd_step
 
+import reference
 from conftest import make_corpus
 
 
-TINY_VOCAB, _ = intern(["a b c d"])
+TINY_VOCAB = intern(["a b c d"])[0]
 
 
 def tiny_params(seed=0):
@@ -24,12 +25,9 @@ def tiny_splits(n_train=12, n_dev=6):
     names = THREE_WAY.names
     train = make_corpus([(f"a b c", names[i % 3]) for i in range(n_train)])
     dev = make_corpus([(f"b d", names[i % 3]) for i in range(n_dev)])
-    return encoded(train), encoded(dev)
-
-
-def encoded(data):
-    """The (token-id arrays, label indices) pair fit takes."""
-    return [TINY_VOCAB.encode(tokenize(h)) for h in data.hypotheses], data.labels
+    tokens = TINY_VOCAB.encode(train.hypotheses + dev.hypotheses)
+    return ((np.arange(n_train), train.labels),
+            (np.arange(n_train, n_train + n_dev), dev.labels), tokens)
 
 
 def scripted(values):
@@ -126,7 +124,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"decay": 0.0}, {"decay": 1.5}, {"divide_on_decline": 1.0},
         {"lr_floor": 0.0}, {"max_epochs": 0}, {"batch_size": 0},
-        {"compare_to": "median"},
+        {"decay": float("nan")},
         {"lr0": 0.0}, {"lr0": float("inf")}, {"lr0": float("nan")},
         {"divide_on_decline": float("inf")}, {"divide_on_decline": float("nan")},
         {"lr_floor": float("inf")}, {"lr_floor": float("nan")},
@@ -138,11 +136,11 @@ class TestConfigValidation:
 
 class TestSchedule:
     def test_increasing_accuracies_run_all_epochs(self):
-        train, dev = tiny_splits()
+        train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=20, batch_size=4, seed=1)
         # epoch 0 baseline plus 20 epoch evaluations, strictly increasing
         accs = [10.0 + e for e in range(21)]
-        _, state = fit(train, dev, tiny_params(), config, dev_eval=scripted(accs))
+        _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
         assert state.epoch == 20
         assert state.stop_reason == "max_epochs"
         # lr used during epoch e is lr0 * decay^(e-1); after epoch e it is lr0 * decay^e
@@ -153,10 +151,10 @@ class TestSchedule:
         assert state.lr == expected
 
     def test_decreasing_accuracies_stop_at_epoch_6(self):
-        train, dev = tiny_splits()
+        train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=20, batch_size=4, seed=1)
         accs = [90.0 - 2 * e for e in range(21)]
-        _, state = fit(train, dev, tiny_params(), config, dev_eval=scripted(accs))
+        _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
         assert state.epoch == 6
         assert state.stop_reason == "lr_floor"
         assert state.lr < 1e-5
@@ -170,25 +168,25 @@ class TestSchedule:
         assert state.lr == trace[-1]
 
     def test_max_epochs_one(self):
-        train, dev = tiny_splits()
+        train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=1, batch_size=4, seed=1)
-        _, state = fit(train, dev, tiny_params(), config,
+        _, state = fit(train, dev, tokens, tiny_params(), config,
                        dev_eval=scripted([50.0, 10.0]))
         assert state.epoch == 1
         assert len(state.history) == 1
 
     def test_constant_accuracy_never_divides(self):
-        train, dev = tiny_splits()
+        train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=5, batch_size=4, seed=1)
-        _, state = fit(train, dev, tiny_params(), config,
+        _, state = fit(train, dev, tokens, tiny_params(), config,
                        dev_eval=scripted([50.0] * 6))
         assert state.epoch == 5
         assert state.lr == pytest.approx(0.1 * 0.99**5, rel=0, abs=0)
 
     def test_single_decline_divides_once(self):
-        train, dev = tiny_splits()
+        train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=3, batch_size=4, seed=1)
-        _, state = fit(train, dev, tiny_params(), config,
+        _, state = fit(train, dev, tokens, tiny_params(), config,
                        dev_eval=scripted([50.0, 60.0, 55.0, 70.0]))
         # declines only at epoch 2
         lr = 0.1 * 0.99            # after epoch 1
@@ -196,22 +194,22 @@ class TestSchedule:
         lr = lr * 0.99             # after epoch 3
         assert state.lr == lr
 
-    def test_best_so_far_mode(self):
-        train, dev = tiny_splits()
-        config = TrainConfig(max_epochs=3, batch_size=4, seed=1, compare_to="best")
-        # epoch 3 (62) beats previous epoch (55) but not best (70): divides
-        _, state = fit(train, dev, tiny_params(), config,
+    def test_decline_is_against_the_previous_epoch(self):
+        train, dev, tokens = tiny_splits()
+        config = TrainConfig(max_epochs=3, batch_size=4, seed=1)
+        # epoch 3 (62) is below the best (70) but above epoch 2 (55): no division
+        _, state = fit(train, dev, tokens, tiny_params(), config,
                        dev_eval=scripted([50.0, 70.0, 55.0, 62.0]))
         lr = 0.1 * 0.99
         lr = lr * 0.99 / 5.0
-        lr = lr * 0.99 / 5.0
+        lr = lr * 0.99
         assert state.lr == lr
 
     def test_lr_positive_and_non_increasing(self):
-        train, dev = tiny_splits()
+        train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=10, batch_size=4, seed=2)
         accs = [50.0, 60.0, 55.0, 58.0, 40.0, 39.0, 70.0, 71.0, 20.0, 30.0, 31.0]
-        _, state = fit(train, dev, tiny_params(), config, dev_eval=scripted(accs))
+        _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
         lrs = [lr for _, lr, _, _ in state.history]
         assert all(lr > 0 for lr in lrs)
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
@@ -219,18 +217,19 @@ class TestSchedule:
 
 class TestBestParams:
     def test_best_dev_acc_is_history_max(self):
-        train, dev = tiny_splits()
+        train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=4, batch_size=4, seed=3)
         accs = [10.0, 50.0, 80.0, 30.0, 40.0]
-        _, state = fit(train, dev, tiny_params(), config, dev_eval=scripted(accs))
+        _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
         assert state.best_dev_acc == max(acc for _, _, _, acc in state.history)
 
     def test_returned_params_achieve_history_max(self):
-        train, dev = tiny_splits(n_train=30, n_dev=12)
+        train, dev, tokens = tiny_splits(n_train=30, n_dev=12)
         config = TrainConfig(max_epochs=6, batch_size=8, seed=4, lr0=0.2)
-        best, state = fit(train, dev, tiny_params(seed=4), config)
+        best, state = fit(train, dev, tokens, tiny_params(seed=4), config)
         from hyponli.model import predict
-        hits = sum(1 for ids, label in zip(*dev) if predict(ids, best) == label)
+        sentences = reference.sentences(dev[0], tokens)
+        hits = sum(1 for ids, label in zip(sentences, dev[1]) if predict(ids, best) == label)
         acc = 100.0 * hits / len(dev[1])
         assert acc == max(a for _, _, _, a in state.history)
         assert acc == state.best_dev_acc
@@ -238,10 +237,10 @@ class TestBestParams:
 
 class TestDeterminism:
     def test_identical_runs_bit_identical(self):
-        train, dev = tiny_splits(n_train=24, n_dev=9)
+        train, dev, tokens = tiny_splits(n_train=24, n_dev=9)
         config = TrainConfig(max_epochs=4, batch_size=8, seed=5)
-        best_a, state_a = fit(train, dev, tiny_params(seed=5), config)
-        best_b, state_b = fit(train, dev, tiny_params(seed=5), config)
+        best_a, state_a = fit(train, dev, tokens, tiny_params(seed=5), config)
+        best_b, state_b = fit(train, dev, tokens, tiny_params(seed=5), config)
         assert state_a.history == state_b.history
         for name in best_a.array_names():
             assert np.array_equal(best_a.array(name), best_b.array(name))
@@ -249,17 +248,17 @@ class TestDeterminism:
 
 class TestValidationAndLog:
     def test_empty_splits_rejected(self):
-        train, dev = tiny_splits()
-        empty = ([], np.zeros(0, dtype=np.int64))
+        train, dev, tokens = tiny_splits()
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            fit(empty, dev, tiny_params(), TrainConfig())
+            fit(empty, dev, tokens, tiny_params(), TrainConfig())
         with pytest.raises(ValueError):
-            fit(train, empty, tiny_params(), TrainConfig())
+            fit(train, empty, tokens, tiny_params(), TrainConfig())
 
     def test_log_csv_shape(self):
-        train, dev = tiny_splits()
+        train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=2, batch_size=4, seed=6)
-        _, state = fit(train, dev, tiny_params(), config)
+        _, state = fit(train, dev, tokens, tiny_params(), config)
         lines = state.log_csv().strip().split("\n")
         assert lines[0] == "epoch,lr,train_loss,dev_acc"
         assert len(lines) == 3
