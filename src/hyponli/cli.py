@@ -161,13 +161,13 @@ def _build_model(args, scheme, vocab, seed):
 
 
 def cmd_train_eval(args) -> int:
-    splits = {}
-    splits["train"], _, scheme = _read_corpus(args.train, args, _resolve_scheme(args))
-    splits["dev"], _, _ = _read_corpus(args.dev, args, scheme)
-    if args.test:
-        splits["test"], skipped, _ = _read_corpus(args.test, args, scheme)
-        if not len(splits["test"]):
-            raise corpus.IngestError(f"{args.test}: the test split is empty "
+    splits, scheme = {}, _resolve_scheme(args)
+    for name, path in (("train", args.train), ("dev", args.dev), ("test", args.test)):
+        if not path:  # only --test is optional
+            continue
+        splits[name], skipped, scheme = _read_corpus(path, args, scheme)
+        if not len(splits[name]):
+            raise corpus.IngestError(f"{path}: the {name} split is empty "
                                      f"({skipped} records skipped at ingest)")
     # one CSR token corpus of every hypothesis, train first, then dev, then
     # test; each split is its range of rows
@@ -233,12 +233,11 @@ def cmd_audit_sample(args) -> int:
     data, _, _ = _read_corpus(args.data, args, params.scheme)
     pred = model.predict_batch(np.arange(len(data)), params.vocab.encode(data.hypotheses),
                                params)
-    sample = evaluate.confusion_sample(pred, data.labels, args.n_per_cell, args.seed)
-    text_out = evaluate.confusion_sample_text(sample, params.scheme, data.ids,
-                                              data.hypotheses)
+    cells = evaluate.confusion_sample(pred, data.labels, args.n_per_cell, args.seed)
+    text_out = evaluate.confusion_sample_text(cells, params.scheme, data.ids, data.hypotheses)
     atomic_write_text(os.path.join(args.out_dir, "audit_sample.txt"), text_out)
-    total = sum(len(v) for v in sample.cells.values())
-    print(f"audit-sample: {total} rows across {len(sample.cells)} cells -> {args.out_dir}")
+    total = sum(len(v) for v in cells.values())
+    print(f"audit-sample: {total} rows across {len(cells)} cells -> {args.out_dir}")
     return 0
 
 

@@ -146,8 +146,11 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
     """The reader behind read_jsonl and read_tsv. parse(line, roles, where)
     turns one nonblank line into a mapping from the keys of roles to
     values; an optional role whose value is None, or that roles leaves
-    unset, takes its default."""
+    unset, takes its default. A record that lacks a mandatory role (the
+    premise, the hypothesis, and the label unless remap_ordinal is set)
+    raises ConfigError."""
     premises, hypotheses, labels, ids, groups, ordinals = [], [], [], [], [], []
+    mandatory = ("premise", "hypothesis") + (() if remap_ordinal else ("label",))
     skipped = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in _numbered_lines(fh, path):
@@ -155,10 +158,14 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
                 continue
             where = f"{path}: line {lineno}"
             record = parse(line, roles, where)
+            for role in mandatory:
+                key = getattr(roles, role)
+                if key not in record:
+                    raise ConfigError(f"{where}: no field {key!r} for role {role!r}")
             # an unset role is None, which is never a key of a record
             group, ordinal, instance_id = (record.get(roles.group), record.get(roles.ordinal),
                                            record.get(roles.id))
-            label_field = str(record[roles.label])
+            label_field = None if remap_ordinal else str(record[roles.label])
             # the label source: the ordinal with remap_ordinal, else the label field
             if (ordinal is None) if remap_ordinal else (label_field not in scheme.names):
                 skipped += 1
@@ -194,10 +201,6 @@ def _parse_json_line(line, roles, where):
         raise IngestError(f"{where}: invalid JSON ({reason})") from exc
     if not isinstance(record, dict):
         raise IngestError(f"{where}: record is not an object")
-    for role in ("premise", "hypothesis", "label"):
-        key = getattr(roles, role)
-        if key not in record:
-            raise ConfigError(f"{where}: no field {key!r} for role {role!r}")
     return record
 
 
@@ -215,9 +218,10 @@ def read_jsonl(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = 
     Returns (corpus, skipped) where skipped counts lines whose label is
     absent from the scheme (e.g. the "-" no-consensus marker). With
     remap_ordinal the label is the 1-5 ordinal by JOCI_ORDINAL_TO_LABEL,
-    whatever the label field says, and lines without one are skipped.
-    Malformed lines raise IngestError with the line number; a record
-    missing a mandatory mapped key raises ConfigError.
+    whatever the label field says or whether there is one, and lines
+    without an ordinal are skipped. Malformed lines raise IngestError with
+    the line number; a record missing a mandatory mapped key raises
+    ConfigError.
     """
     return _read(path, roles, scheme, _parse_json_line, remap_ordinal)
 

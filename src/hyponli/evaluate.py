@@ -3,10 +3,13 @@
 Predicted and gold labels are int arrays of label indices (gold is a
 corpus's label column, and groups its group column), and reports key
 their classes by index; label names are looked up in the scheme only
-where text is written. Reported gaps follow the hyp-only-vs-majority
-convention: the absolute delta in percentage points and the relative
-delta as a percentage of the majority accuracy. Formatted values round
-half away from zero to two decimals.
+where text is written. Every breakdown of a report (per class, per
+group, the split's mode, whether the predictions are constant) is read
+off a (gold, predicted) confusion table counted by one np.bincount.
+Reported gaps follow the hyp-only-vs-majority convention: the absolute
+delta in percentage points and the relative delta as a percentage of the
+majority accuracy. Formatted values round half away from zero to two
+decimals.
 """
 
 from __future__ import annotations
@@ -55,47 +58,11 @@ def delta_report(hyp_acc: float, maj_acc: float):
     return abs_delta, pct_delta
 
 
-def per_class_accuracy(pred, gold) -> dict[int, float]:
-    """Accuracy restricted to each gold class index, in index order;
-    absent classes omitted."""
-    pred, gold = _aligned(pred, gold)
-    totals = np.bincount(gold)
-    hits = np.bincount(gold[pred == gold], minlength=totals.size)
-    return {int(c): 100.0 * int(hits[c]) / int(totals[c]) for c in np.flatnonzero(totals)}
-
-
-def per_group_accuracy(pred, gold, groups) -> dict[str, tuple[float, float, float | None]]:
-    """Per-group (hyp_acc, maj_acc, pct_delta), where MAJ scores each
-    group's own most frequent gold class."""
-    pred, gold, groups = _aligned(pred, gold, groups)
-    out = {}
-    for key in dict.fromkeys(groups.tolist()):
-        member = groups == key
-        hyp = accuracy(pred[member], gold[member])
-        maj = 100.0 * int(np.bincount(gold[member]).max()) / int(np.count_nonzero(member))
-        out[key] = (hyp, maj, delta_report(hyp, maj)[1])
-    return out
-
-
-def constant_prediction_check(pred) -> bool:
-    """True iff every predicted label index is identical."""
-    pred = np.asarray(pred)
-    if not pred.size:
-        raise ValueError("no predictions to check")
-    return bool((pred == pred[0]).all())
-
-
-@dataclass
-class ConfusionSample:
-    """Stratified row positions per (gold, predicted) label-index cell,
-    each cell capped at n_per_cell and drawn without replacement."""
-    cells: dict[tuple[int, int], list[int]]
-    n_per_cell: int
-    seed: int
-
-
-def confusion_sample(pred, gold, n_per_cell: int, seed: int) -> ConfusionSample:
-    """Deterministic stratified sample for manual audits; with 2 labels and
+def confusion_sample(pred, gold, n_per_cell: int,
+                     seed: int) -> dict[tuple[int, int], list[int]]:
+    """Deterministic stratified sample for manual audits: the row positions
+    of each (gold, predicted) label-index cell, each cell capped at
+    n_per_cell and drawn without replacement. With 2 labels and
     n_per_cell=50 the total is at most 200.
 
     Cells are visited in (gold, predicted) index order and keep the input
@@ -112,16 +79,16 @@ def confusion_sample(pred, gold, n_per_cell: int, seed: int) -> ConfusionSample:
             members = members[np.sort(rng.choice(members.size, size=n_per_cell,
                                                  replace=False))]
         cells[g, p] = members.tolist()
-    return ConfusionSample(cells=cells, n_per_cell=n_per_cell, seed=seed)
+    return cells
 
 
-def confusion_sample_text(sample: ConfusionSample, scheme: LabelScheme,
+def confusion_sample_text(cells: dict[tuple[int, int], list[int]], scheme: LabelScheme,
                           instance_ids, hypotheses) -> str:
     """One tab-separated row per sampled row (id, gold, predicted,
     hypothesis), grouped by cell, for manual annotation; ids and
     hypotheses are indexed by row position."""
     lines = []
-    for (gold, pred), rows in sample.cells.items():
+    for (gold, pred), rows in cells.items():
         gold_name, pred_name = scheme.names[gold], scheme.names[pred]
         lines.append(f"# cell gold={gold_name} predicted={pred_name} n={len(rows)}")
         for i in rows:
@@ -150,25 +117,40 @@ def build_report(split_name: str, pred, gold, groups, scheme: LabelScheme,
     """Assemble the gap report for one split from its predicted and gold
     label indices and its group column (None where a row has no group).
 
-    MAJ defaults to the train-majority label index scored on the split;
-    when the split's own most frequent class (lowest index on ties)
-    differs, both rates are included and the discrepancy is noted rather
-    than resolved.
+    Every rate is read off (gold, predicted) confusion tables: one for the
+    split, and one per group from a single np.bincount over (group, gold,
+    predicted) keys. MAJ defaults to the train-majority label index scored
+    on the split; when the split's own most frequent class (lowest index
+    on ties) differs, both rates are included and the discrepancy is noted
+    rather than resolved. A group's MAJ scores the group's own most
+    frequent gold class.
     """
     pred, gold, groups = _aligned(pred, gold, groups)
-    n = gold.size
-    totals = np.bincount(gold, minlength=len(scheme))
-    hyp = accuracy(pred, gold)
+    hyp = accuracy(pred, gold)  # rejects an empty split
+    n, n_labels = gold.size, len(scheme)
+    if min(pred.min(), gold.min()) < 0 or max(pred.max(), gold.max()) >= n_labels:
+        raise ValueError(f"label indices outside the {n_labels} labels of the scheme")
+    table = np.bincount(gold * n_labels + pred,
+                        minlength=n_labels * n_labels).reshape(n_labels, n_labels)
+    totals = table.sum(axis=1)
     maj = 100.0 * int(totals[train_majority]) / n
     split_mode = int(totals.argmax())
     split_mode_acc = 100.0 * int(totals[split_mode]) / n
     abs_delta, pct_delta = delta_report(hyp, maj)
-    per_class = {c: (acc, 100.0 * int(totals[c]) / n)
-                 for c, acc in per_class_accuracy(pred, gold).items()}
+    per_class = {c: (100.0 * int(table[c, c]) / int(totals[c]), 100.0 * int(totals[c]) / n)
+                 for c in np.flatnonzero(totals).tolist()}
     per_group = None
     keyed = np.array([k is not None for k in groups], dtype=bool)
     if keyed.any():
-        per_group = per_group_accuracy(pred[keyed], gold[keyed], groups[keyed])
+        keys, member = np.unique(groups[keyed], return_inverse=True)
+        tables = np.bincount((member * n_labels + gold[keyed]) * n_labels + pred[keyed],
+                             minlength=keys.size * n_labels * n_labels)
+        per_group = {}
+        for key, t in zip(keys.tolist(), tables.reshape(keys.size, n_labels, n_labels)):
+            size = int(t.sum())
+            group_hyp = 100.0 * int(np.trace(t)) / size
+            group_maj = 100.0 * int(t.sum(axis=1).max()) / size
+            per_group[key] = (group_hyp, group_maj, delta_report(group_hyp, group_maj)[1])
     notes = []
     if split_mode != train_majority:
         notes.append(
@@ -184,7 +166,7 @@ def build_report(split_name: str, pred, gold, groups, scheme: LabelScheme,
         abs_delta=abs_delta,
         pct_delta=pct_delta,
         per_class=per_class,
-        constant_prediction=constant_prediction_check(pred),
+        constant_prediction=bool(np.count_nonzero(table.sum(axis=0)) == 1),
         maj_label=train_majority,
         per_group=per_group,
         split_mode_acc=split_mode_acc,

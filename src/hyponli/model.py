@@ -118,19 +118,11 @@ class ModelParameters:
             raise ValueError(f"embedding matrix shape {embeddings.shape} is not "
                              f"({len(vocab) + 1}, {config.embedding_dim})")
         rng = np.random.default_rng(config.seed)
-        d, H, m, n = (config.embedding_dim, config.hidden_dim,
-                      config.mlp_hidden, config.n_labels)
         arrays: dict[str, np.ndarray] = {"emb": embeddings}
-        if config.encoder_kind == "birnn-maxpool":
-            for prefix in ("wf", "wb"):
-                arrays[f"{prefix}_x"] = _uniform_init(rng, (4 * H, d), d)
-                arrays[f"{prefix}_h"] = _uniform_init(rng, (4 * H, H), H)
-                arrays[f"{prefix}_b"] = _uniform_init(rng, 4 * H, H)
-        enc = config.encoding_dim
-        arrays["mlp_w1"] = _uniform_init(rng, (m, enc), enc)
-        arrays["mlp_b1"] = _uniform_init(rng, m, enc)
-        arrays["mlp_w2"] = _uniform_init(rng, (n, m), m)
-        arrays["mlp_b2"] = _uniform_init(rng, n, m)
+        for name, shape in _array_shapes(config, len(vocab))[1:]:
+            if len(shape) == 2:  # a bias takes the fan-in of the matrix before it
+                fan_in = shape[1]
+            arrays[name] = _uniform_init(rng, shape, fan_in)
         return cls(config, scheme, vocab, arrays)
 
     def array(self, name: str) -> np.ndarray:

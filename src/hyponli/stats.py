@@ -1,11 +1,13 @@
 """Label-conditional word statistics over hypotheses.
 
-Word/label counts give p(l|w) = count(w,l) / count(w); token-occurrence
-counts back the probabilities while sentence-level presence counts back
-the coverage curves (a sentence is covered when it contains at least one
-sufficiently label-specific word). Every statistic is computed from two
-columns of a corpus, its hypotheses and its label array, interned once
-into text.intern's vocabulary and CSR token corpus: the token ids of all
+Every statistic reads one (word, label) table of token occurrences,
+counted with a single np.bincount over the joint key word * L + label.
+It gives p(l|w) = count(w,l) / count(w), the give-away words, and the
+coverage curves: a sentence is covered at threshold x when its best
+token score reaches x, that is, when it contains at least one
+sufficiently label-specific word. The table is computed from two columns
+of a corpus, its hypotheses and its label array, interned once into
+text.intern's vocabulary and CSR token corpus: the token ids of all
 hypotheses end to end, and each sentence's offset into them. Labels are
 label indices in and out; the CSV writers alone look up their names in
 the scheme.
@@ -29,9 +31,8 @@ class LabelWordCounts:
     The corpus itself is kept in CSR form: sentence i has the token ids
     ids[indptr[i]:indptr[i + 1]] and the label index sentence_labels[i].
     occ[w, l] counts occurrences of token id w in sentences of label l,
-    presence[w, l] the sentences of label l that contain w at least once,
-    and label_sentences[l] the sentences of label l. Rows of occ and
-    presence follow vocab, which holds exactly the tokens of the corpus.
+    and label_sentences[l] the sentences of label l. Rows of occ follow
+    vocab, which holds exactly the tokens of the corpus.
     """
 
     def __init__(self, scheme: LabelScheme, vocab: Vocabulary, indptr: np.ndarray,
@@ -42,22 +43,10 @@ class LabelWordCounts:
         self.ids = ids
         self.sentence_labels = sentence_labels
         n_labels, n_vocab = len(scheme), len(vocab)
-        lengths = np.diff(indptr)
-        sentence_of_token = np.repeat(np.arange(len(sentence_labels)), lengths)
         self.label_sentences = np.bincount(sentence_labels, minlength=n_labels)
-        self.occ = self._by_label(ids, sentence_labels[sentence_of_token])
-        # one (sentence, token) pair per distinct token of a sentence; a
-        # sort is much faster than np.unique, which hashes integer keys
-        pairs = np.sort(sentence_of_token * n_vocab + ids)
-        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-        self.presence = self._by_label(pairs % n_vocab, sentence_labels[pairs // n_vocab])
-
-    def _by_label(self, ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """A (V, L) table counting each (id, label) pair."""
-        table = np.zeros((len(self.vocab), len(self.scheme)), dtype=np.int64)
-        for li in range(len(self.scheme)):
-            table[:, li] = np.bincount(ids[labels == li], minlength=len(self.vocab))
-        return table
+        token_labels = np.repeat(sentence_labels, np.diff(indptr))
+        self.occ = np.bincount(ids * n_labels + token_labels,
+                               minlength=n_vocab * n_labels).reshape(n_vocab, n_labels)
 
     @property
     def n_sentences(self) -> int:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluate import accuracy
 from .model import (
     ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch,
 )
@@ -114,10 +115,7 @@ def sgd_step(params: ModelParameters, gradients: dict, lr: float) -> ModelParame
 
 def _default_dev_eval(dev, tokens):
     rows, y = dev
-
-    def evaluate(params: ModelParameters) -> float:
-        return 100.0 * int(np.count_nonzero(predict_batch(rows, tokens, params) == y)) / len(y)
-    return evaluate
+    return lambda params: accuracy(predict_batch(rows, tokens, params), y)
 
 
 def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_eval=None):

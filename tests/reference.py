@@ -6,8 +6,9 @@ embedding mean, and an embedding gradient scattered with one np.add.at per
 example into a dense zero matrix. tokenize is the character loop the
 regular expression replaced, lookup encodes a token list one dict lookup
 at a time, sentences slices a CSR token corpus one row at a time, and
-seeded_random_rows draws the embedding matrix one vector at a time. The faster code must agree with them bit for
-bit.
+seeded_random_rows draws the embedding matrix one vector at a time, and
+report_tally counts evaluate.build_report's fields row by row in dicts.
+The faster code must agree with them bit for bit.
 """
 
 import numpy as np
@@ -145,3 +146,44 @@ def loss_and_gradients(batch, y, params):
         if finetune:
             np.add.at(grads["emb"], rows, dxf + dxb[::-1])
     return loss, grads
+
+
+def _rates(pairs):
+    """(hyp-only, MAJ) of (gold, predicted) pairs: the share predicted
+    right and the share of the most frequent gold class."""
+    rows = {}
+    for g, _ in pairs:
+        rows[g] = rows.get(g, 0) + 1
+    hits = sum(1 for g, p in pairs if g == p)
+    return 100.0 * hits / len(pairs), 100.0 * max(rows.values()) / len(pairs)
+
+
+def report_tally(pred, gold, groups, train_majority):
+    """The fields of evaluate.build_report, counted one row at a time;
+    per_class is a list of (class, (hyp-only, share)) in class order."""
+    n = len(gold)
+    rows, hits, by_group = {}, {}, {}
+    for p, g, key in zip(pred, gold, groups):
+        rows[g] = rows.get(g, 0) + 1
+        hits[g] = hits.get(g, 0) + (p == g)
+        if key is not None:
+            by_group.setdefault(key, []).append((g, p))
+    hyp, maj = _rates(list(zip(gold, pred)))[0], 100.0 * rows.get(train_majority, 0) / n
+    mode = min(rows, key=lambda c: (-rows[c], c))
+    per_group = {}
+    for key, pairs in by_group.items():
+        group_hyp, group_maj = _rates(pairs)
+        per_group[key] = (group_hyp, group_maj, 100.0 * (group_hyp - group_maj) / group_maj)
+    return {
+        "hyp_only_acc": hyp,
+        "maj_acc": maj,
+        "abs_delta": hyp - maj,
+        "pct_delta": 100.0 * (hyp - maj) / maj if maj > 0 else None,
+        "per_class": [(c, (100.0 * hits[c] / rows[c], 100.0 * rows[c] / n))
+                      for c in sorted(rows)],
+        "constant_prediction": len(set(pred)) == 1,
+        "maj_label": train_majority,
+        "per_group": per_group or None,
+        "split_mode_acc": 100.0 * rows[mode] / n,
+        "notes": int(mode != train_majority),
+    }

@@ -454,6 +454,23 @@ class TestTrainEvalCommand:
             f"error: {test}: the test split is empty (20 records skipped at ingest)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_all_skipped_train_or_dev_file_is_one_line(self, tmp_path, capsys, split):
+        paths = synth_corpus_files(tmp_path)
+        dashes = tmp_path / f"dash_{split}.jsonl"
+        dashes.write_text("".join(json.dumps({"premise": "p", "hypothesis": f"w00{i % 9}",
+                                              "label": "-"}) + "\n" for i in range(7)),
+                          encoding="utf-8")
+        paths[split] = str(dashes)
+        out = tmp_path / "out"
+        rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                   "--out-dir", str(out), "--embedding-dim", "4", "--mlp-hidden", "4",
+                   "--max-epochs", "1"])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: {dashes}: the {split} split is empty (7 records skipped at ingest)")
+        assert not out.exists()
+
     def test_compare_to_is_an_unknown_config_option(self, tmp_path, capsys):
         paths = synth_corpus_files(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -655,6 +672,19 @@ class TestRemapOrdinal:
         expected = [self.gold(f"r{i}") for i in range(n)]
         for name in corpus.THREE_WAY.names:
             assert f"- {name}: {expected.count(name)} sentences" in digest
+
+    def test_records_need_no_label_field(self, tmp_path):
+        path = tmp_path / "unlabelled.jsonl"
+        records = [{"premise": "p", "hypothesis": "a b", "ordinal": 1},
+                   {"premise": "p", "hypothesis": "b c", "ordinal": 5}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["stats", "--data", str(path), "--remap-ordinal",
+                     "--out-dir", str(out)]) == 0
+        digest = (out / "stats_digest.md").read_text()
+        assert "- sentences: 2 (skipped at ingest: 0)" in digest
+        assert "- entailment: 1 sentences" in digest
+        assert "- contradiction: 1 sentences" in digest
 
     def test_train_eval(self, tmp_path):
         data, out = self.dash_corpus(tmp_path), tmp_path / "out"

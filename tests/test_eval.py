@@ -3,19 +3,34 @@ import os
 import numpy as np
 import pytest
 
-from hyponli import corpus, evaluate
-from hyponli.corpus import THREE_WAY, majority_label
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyponli import corpus
+from hyponli.corpus import THREE_WAY, TWO_WAY, majority_label
 from hyponli.evaluate import (
-    accuracy, build_report, confusion_sample, confusion_sample_text,
-    constant_prediction_check, delta_report, fmt2, per_class_accuracy,
-    per_group_accuracy, report_csv, report_markdown,
+    accuracy, build_report, confusion_sample, confusion_sample_text, delta_report, fmt2,
+    report_csv, report_markdown,
 )
 from hyponli.model import ModelConfig, ModelParameters, loss_and_gradients
 from hyponli.text import intern, seeded_random_embeddings
 
 from conftest import make_corpus
+from reference import report_tally
 
 E, N, C = 0, 1, 2  # label indices in THREE_WAY
+
+
+def report(pred, gold, groups=None, train_majority=E):
+    """build_report on a dev split, every row ungrouped unless groups is given."""
+    if groups is None:
+        groups = [None] * len(gold)
+    return build_report("dev", pred, np.asarray(gold, dtype=np.int64), groups, THREE_WAY,
+                        train_majority)
+
+
+def per_class_accuracy(pred, gold):
+    return {c: hyp for c, (hyp, _) in report(pred, gold).per_class.items()}
 
 
 class TestAccuracy:
@@ -87,8 +102,7 @@ class TestPerGroup:
     def test_single_group_matches_global(self):
         gold = [E, N, E, C]
         preds = [E, N, N, C]
-        out = per_group_accuracy(preds, gold, ["g"] * 4)
-        hyp, maj, pct = out["g"]
+        hyp, maj, pct = report(preds, gold, ["g"] * 4).per_group["g"]
         assert hyp == accuracy(preds, gold)
         assert maj == 50.0  # E is the within-group majority (tie with lower index)
 
@@ -96,7 +110,7 @@ class TestPerGroup:
         gold = [E, E, N, N, N, E]
         preds = [E, N, N, N, E, E]
         groups = ["a", "a", "a", "b", "b", "b"]
-        out = per_group_accuracy(preds, gold, groups)
+        out = report(preds, gold, groups).per_group
         hyp_a, maj_a, pct_a = out["a"]
         assert hyp_a == pytest.approx(100.0 * 2 / 3)
         assert maj_a == pytest.approx(100.0 * 2 / 3)  # E majority in group a
@@ -108,14 +122,41 @@ class TestPerGroup:
 
 class TestConstantPrediction:
     def test_all_same(self):
-        assert constant_prediction_check([E, E, E]) is True
+        assert report([E, E, E], [E, N, C]).constant_prediction is True
 
     def test_mixed(self):
-        assert constant_prediction_check([E, N]) is False
+        assert report([E, N], [E, E]).constant_prediction is False
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            constant_prediction_check([])
+            report([], [])
+
+
+class TestReportTally:
+    """Every build_report field equals a per-row tally of the same rows."""
+
+    @given(data=st.data(), n_labels=st.sampled_from([2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_tally(self, data, n_labels):
+        n = data.draw(st.integers(1, 40))
+        label = st.integers(0, n_labels - 1)
+        gold = data.draw(st.lists(label, min_size=n, max_size=n))
+        pred = data.draw(st.lists(label, min_size=n, max_size=n))
+        groups = data.draw(st.lists(st.sampled_from([None, "a", "b", "c"]),
+                                    min_size=n, max_size=n))
+        train_majority = data.draw(label)
+        scheme = THREE_WAY if n_labels == 3 else TWO_WAY
+        rep = build_report("dev", pred, np.array(gold, dtype=np.int64), groups, scheme,
+                           train_majority)
+        expected = report_tally(pred, gold, groups, train_majority)
+        fields = {name: getattr(rep, name) for name in expected}
+        fields["per_class"] = list(rep.per_class.items())
+        fields["notes"] = len(rep.notes)
+        assert fields == expected
+
+    def test_label_outside_scheme_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            report([E, 3], [E, N])
 
 
 def trained_params(seed=0):
@@ -147,30 +188,30 @@ class TestConfusionSample:
 
     def test_four_cells_times_fifty(self):
         preds, gold = self.big_inputs()
-        sample = confusion_sample(preds, gold, n_per_cell=50, seed=1)
-        assert len(sample.cells) == 4
-        assert all(len(v) == 50 for v in sample.cells.values())
-        total = sum(len(v) for v in sample.cells.values())
+        cells = confusion_sample(preds, gold, n_per_cell=50, seed=1)
+        assert len(cells) == 4
+        assert all(len(v) == 50 for v in cells.values())
+        total = sum(len(v) for v in cells.values())
         assert total == 200
 
     def test_small_cell_capped(self):
         gold = [E, E, E, N]
         preds = [E, E, N, N]
-        sample = confusion_sample(preds, gold, n_per_cell=50, seed=0)
-        assert sample.cells[(E, E)] == [0, 1]
-        assert sample.cells[(E, N)] == [2]
-        assert sample.cells[(N, N)] == [3]
+        cells = confusion_sample(preds, gold, n_per_cell=50, seed=0)
+        assert cells[(E, E)] == [0, 1]
+        assert cells[(E, N)] == [2]
+        assert cells[(N, N)] == [3]
 
     def test_deterministic(self):
         preds, gold = self.big_inputs()
         a = confusion_sample(preds, gold, n_per_cell=10, seed=9)
         b = confusion_sample(preds, gold, n_per_cell=10, seed=9)
-        assert a.cells == b.cells
+        assert a == b
 
     def test_cells_partition_correctly(self):
         preds, gold = self.big_inputs()
-        sample = confusion_sample(preds, gold, n_per_cell=25, seed=3)
-        for (g, p), members in sample.cells.items():
+        cells = confusion_sample(preds, gold, n_per_cell=25, seed=3)
+        for (g, p), members in cells.items():
             assert len(set(members)) == len(members)  # without replacement
             for i in members:
                 assert (gold[i], preds[i]) == (g, p)
@@ -254,11 +295,11 @@ def test_report_golden():
         pred = np.array([THREE_WAY.index(line.strip()) for line in fh])
     rep = build_report("dev", pred, data.labels, data.groups, THREE_WAY,
                        THREE_WAY.index("entailment"))
-    sample = confusion_sample(pred, data.labels, n_per_cell=5, seed=3)
+    cells = confusion_sample(pred, data.labels, n_per_cell=5, seed=3)
     written = {
         "report.md": report_markdown([rep], ["train_majority=entailment"]),
         "report.csv": report_csv([rep]),
-        "audit_sample.txt": confusion_sample_text(sample, THREE_WAY, data.ids,
+        "audit_sample.txt": confusion_sample_text(cells, THREE_WAY, data.ids,
                                                   data.hypotheses),
     }
     for name, text_out in written.items():

@@ -23,10 +23,6 @@ def occ_wl(counts, token, label):
     return int(counts.occ[counts.vocab.get(token), label])
 
 
-def presence_wl(counts, token, label):
-    return int(counts.presence[counts.vocab.get(token), label])
-
-
 def p_label_given_word(counts, token, label):
     row = counts.occ[counts.vocab.get(token)]
     return int(row[label]) / int(row.sum())
@@ -40,16 +36,12 @@ def rows_of(data):
 
 def brute_counts(data):
     occ = {}
-    presence = {}
     label_sent = {}
     for hypothesis, li in rows_of(data):
-        toks = tokenize(hypothesis)
         label_sent[li] = label_sent.get(li, 0) + 1
-        for tok in toks:
+        for tok in tokenize(hypothesis):
             occ[(tok, li)] = occ.get((tok, li), 0) + 1
-        for tok in set(toks):
-            presence[(tok, li)] = presence.get((tok, li), 0) + 1
-    return occ, presence, label_sent
+    return occ, label_sent
 
 
 def brute_p(occ, token, label_index, n_labels):
@@ -58,7 +50,7 @@ def brute_p(occ, token, label_index, n_labels):
 
 
 def brute_giveaways(data, scheme, min_freq, top_k):
-    occ, _, _ = brute_counts(data)
+    occ, _ = brute_counts(data)
     tokens = []
     seen = set()
     for hypothesis in data.hypotheses:
@@ -83,7 +75,7 @@ def brute_giveaways(data, scheme, min_freq, top_k):
 
 def brute_coverage(data, scheme, label, grid):
     """Rescan every sentence at every threshold."""
-    occ, _, _ = brute_counts(data)
+    occ, _ = brute_counts(data)
     n_labels = len(scheme)
     ys = []
     for x in grid:
@@ -107,7 +99,6 @@ class TestCountCorpus:
         counts = count_corpus(make_corpus([("a a b", "entailment")]))
         e = THREE_WAY.index("entailment")
         assert occ_wl(counts, "a", e) == 2
-        assert presence_wl(counts, "a", e) == 1
         assert occ_wl(counts, "b", e) == 1
         assert counts.occ[counts.vocab.get("a")].sum() == 2
         assert counts.count_l(e) == 1
@@ -125,11 +116,9 @@ class TestCountCorpus:
         ]
         data = make_corpus(pairs)
         counts = count_corpus(data)
-        occ, presence, label_sent = brute_counts(data)
+        occ, label_sent = brute_counts(data)
         for (tok, li), n in occ.items():
             assert occ_wl(counts, tok, li) == n
-        for (tok, li), n in presence.items():
-            assert presence_wl(counts, tok, li) == n
         for li, n in label_sent.items():
             assert counts.count_l(li) == n
 
@@ -148,7 +137,6 @@ class TestCountCorpus:
         for tok in a.vocab.tokens:
             for lab in range(len(THREE_WAY)):
                 assert occ_wl(a, tok, lab) == occ_wl(b, tok, lab)
-                assert presence_wl(a, tok, lab) == presence_wl(b, tok, lab)
 
 
 class TestPLabelGivenWord:
@@ -166,7 +154,7 @@ class TestPLabelGivenWord:
     def test_unseen_token_has_no_row(self):
         counts = count_corpus(make_corpus([("a", "neutral")]))
         assert counts.vocab.get("zzz") is None
-        assert counts.occ.shape == counts.presence.shape == (1, len(THREE_WAY))
+        assert counts.occ.shape == (1, len(THREE_WAY))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
