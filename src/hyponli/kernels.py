@@ -1,5 +1,10 @@
-"""Recurrent-cell kernels: the hot per-timestep loops of the encoder, in
-plain numpy.
+"""Recurrent-cell kernels of the encoder, in plain numpy.
+
+Only the recurrence runs step by step. The forward pass projects every
+input at once (x @ wx.T + b) and each step adds wh @ h[t-1] and activates
+the gates in place; the backward loop only fills the pre-activation
+gradients dz, and every weight gradient and dx is then one matmul over
+the sentence.
 
 Gate layout inside the stacked weight matrices is [input, forget,
 candidate, output].
@@ -10,12 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 
-@np.errstate(over="ignore")
+def _sigmoid(z):
+    """1/(1+exp(-z)) in place. exp may overflow for very negative z; the
+    result, 0, is the exact limit, so that overflow alone is not reported."""
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+
+
 def lstm_forward(x, wx, wh, b):
     """Run the cell over x (T, d) with zero initial states.
-
-    The sigmoid 1/(1+exp(-z)) may overflow exp for very negative z; the
-    result, 0, is the exact limit, so that overflow is not reported.
 
     Returns h (T, H), c (T, H), gates (T, 4H) holding the activated
     i/f/g/o values, and tc (T, H) = tanh(c), all needed by the backward
@@ -23,30 +33,20 @@ def lstm_forward(x, wx, wh, b):
     """
     T = x.shape[0]
     H = wh.shape[1]
-    h = np.zeros((T, H))
-    c = np.zeros((T, H))
-    gates = np.zeros((T, 4 * H))
-    tc = np.zeros((T, H))
-    h_prev = np.zeros(H)
-    c_prev = np.zeros(H)
+    gates = x @ wx.T + b
+    h = np.empty((T, H))
+    c = np.empty((T, H))
+    tc = np.empty((T, H))
+    h_prev = c_prev = np.zeros(H)
     for t in range(T):
-        z = np.dot(wx, x[t]) + np.dot(wh, h_prev) + b
-        i = 1.0 / (1.0 + np.exp(-z[0:H]))
-        f = 1.0 / (1.0 + np.exp(-z[H:2 * H]))
+        z = gates[t]
+        z += wh @ h_prev
         g = np.tanh(z[2 * H:3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[3 * H:4 * H]))
-        c_t = f * c_prev + i * g
-        tc_t = np.tanh(c_t)
-        h_t = o * tc_t
-        gates[t, 0:H] = i
-        gates[t, H:2 * H] = f
-        gates[t, 2 * H:3 * H] = g
-        gates[t, 3 * H:4 * H] = o
-        c[t] = c_t
-        tc[t] = tc_t
-        h[t] = h_t
-        h_prev = h_t
-        c_prev = c_t
+        _sigmoid(z)
+        z[2 * H:3 * H] = g
+        c_prev = c[t] = z[H:2 * H] * c_prev + z[0:H] * g
+        np.tanh(c_prev, out=tc[t])
+        h_prev = h[t] = z[3 * H:4 * H] * tc[t]
     return h, c, gates, tc
 
 
@@ -56,41 +56,22 @@ def lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
     Returns (gwx, gwh, gb, dx) where dx (T, d) is the gradient w.r.t. the
     input vectors.
     """
-    T = x.shape[0]
-    d = x.shape[1]
-    H = wh.shape[1]
-    gwx = np.zeros((4 * H, d))
-    gwh = np.zeros((4 * H, H))
-    gb = np.zeros(4 * H)
-    dx = np.zeros((T, d))
-    wxT = np.ascontiguousarray(wx.T)
-    whT = np.ascontiguousarray(wh.T)
-    zeros_h = np.zeros(H)
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    dz = np.empty(4 * H)
+    T, H = h.shape
+    i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
+    c_prev = np.zeros_like(c)
+    c_prev[1:] = c[:-1]
+    # dc/dz of the i, f and g pre-activations and dh/dz of o's, per step
+    local = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g),
+                      tc * o * (1.0 - o)], axis=1)
+    dc_from_dh = o * (1.0 - tc * tc)  # dh/dc through tanh(c)
+    dz = np.empty((T, 4, H))
+    dh_next = dc_next = np.zeros(H)
     for t in range(T - 1, -1, -1):
-        i = gates[t, 0:H]
-        f = gates[t, H:2 * H]
-        g = gates[t, 2 * H:3 * H]
-        o = gates[t, 3 * H:4 * H]
-        c_prev = c[t - 1] if t > 0 else zeros_h
-        h_prev = h[t - 1] if t > 0 else zeros_h
         dh = dh_out[t] + dh_next
-        do = dh * tc[t]
-        dc = dh * o * (1.0 - tc[t] * tc[t]) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz[0:H] = di * i * (1.0 - i)
-        dz[H:2 * H] = df * f * (1.0 - f)
-        dz[2 * H:3 * H] = dg * (1.0 - g * g)
-        dz[3 * H:4 * H] = do * o * (1.0 - o)
-        gb += dz
-        gwx += dz.reshape(4 * H, 1) * x[t].reshape(1, d)
-        gwh += dz.reshape(4 * H, 1) * h_prev.reshape(1, H)
-        dx[t] = np.dot(wxT, dz)
-        dh_next = np.dot(whT, dz)
-        dc_next = dc * f
-    return gwx, gwh, gb, dx
-
+        dc = dh * dc_from_dh[t] + dc_next
+        np.multiply(dc, local[t, 0:3], out=dz[t, 0:3])
+        np.multiply(dh, local[t, 3], out=dz[t, 3])
+        dh_next = dz[t].reshape(-1) @ wh
+        dc_next = dc * f[t]
+    dz = dz.reshape(T, 4 * H)
+    return dz.T @ x, dz[1:].T @ h[:-1], dz.sum(axis=0), dz @ wx

@@ -1,4 +1,4 @@
-"""SGD training loop with per-epoch decay and dev-driven lr halving-by-5.
+"""SGD training loop with per-epoch decay and a dev-driven lr division.
 
 Per epoch: shuffle the training split deterministically from seed+epoch,
 apply SGD updates at the current learning rate, evaluate dev accuracy,

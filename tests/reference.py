@@ -9,11 +9,17 @@ at a time, sentences slices a CSR token corpus one row at a time, and
 seeded_random_rows draws the embedding matrix one vector at a time, and
 report_tally counts evaluate.build_report's fields row by row in dicts.
 The faster code must agree with them bit for bit.
+
+lstm_forward and lstm_backward are the recurrent-cell kernels with all
+their work inside the time loop: one matrix-vector product per step for
+each input projection, and per-step outer products for the weight
+gradients. The hoisted kernels sum in another order, so they, and the
+BiLSTM half of loss_and_gradients, agree with these to rounding.
 """
 
 import numpy as np
 
-from hyponli import kernels, model, text
+from hyponli import model, text
 
 
 def tokenize(s):
@@ -74,6 +80,101 @@ def dense(grad, like):
     return out
 
 
+@np.errstate(over="ignore")
+def lstm_forward(x, wx, wh, b):
+    """Run the cell over x (T, d) with zero initial states.
+
+    The sigmoid 1/(1+exp(-z)) may overflow exp for very negative z; the
+    result, 0, is the exact limit, so that overflow is not reported.
+
+    Returns h (T, H), c (T, H), gates (T, 4H) holding the activated
+    i/f/g/o values, and tc (T, H) = tanh(c), all needed by the backward
+    pass.
+    """
+    T = x.shape[0]
+    H = wh.shape[1]
+    h = np.zeros((T, H))
+    c = np.zeros((T, H))
+    gates = np.zeros((T, 4 * H))
+    tc = np.zeros((T, H))
+    h_prev = np.zeros(H)
+    c_prev = np.zeros(H)
+    for t in range(T):
+        z = np.dot(wx, x[t]) + np.dot(wh, h_prev) + b
+        i = 1.0 / (1.0 + np.exp(-z[0:H]))
+        f = 1.0 / (1.0 + np.exp(-z[H:2 * H]))
+        g = np.tanh(z[2 * H:3 * H])
+        o = 1.0 / (1.0 + np.exp(-z[3 * H:4 * H]))
+        c_t = f * c_prev + i * g
+        tc_t = np.tanh(c_t)
+        h_t = o * tc_t
+        gates[t, 0:H] = i
+        gates[t, H:2 * H] = f
+        gates[t, 2 * H:3 * H] = g
+        gates[t, 3 * H:4 * H] = o
+        c[t] = c_t
+        tc[t] = tc_t
+        h[t] = h_t
+        h_prev = h_t
+        c_prev = c_t
+    return h, c, gates, tc
+
+
+def lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
+    """Backpropagate dh_out (T, H) through the recurrence.
+
+    Returns (gwx, gwh, gb, dx) where dx (T, d) is the gradient w.r.t. the
+    input vectors.
+    """
+    T = x.shape[0]
+    d = x.shape[1]
+    H = wh.shape[1]
+    gwx = np.zeros((4 * H, d))
+    gwh = np.zeros((4 * H, H))
+    gb = np.zeros(4 * H)
+    dx = np.zeros((T, d))
+    wxT = np.ascontiguousarray(wx.T)
+    whT = np.ascontiguousarray(wh.T)
+    zeros_h = np.zeros(H)
+    dh_next = np.zeros(H)
+    dc_next = np.zeros(H)
+    dz = np.empty(4 * H)
+    for t in range(T - 1, -1, -1):
+        i = gates[t, 0:H]
+        f = gates[t, H:2 * H]
+        g = gates[t, 2 * H:3 * H]
+        o = gates[t, 3 * H:4 * H]
+        c_prev = c[t - 1] if t > 0 else zeros_h
+        h_prev = h[t - 1] if t > 0 else zeros_h
+        dh = dh_out[t] + dh_next
+        do = dh * tc[t]
+        dc = dh * o * (1.0 - tc[t] * tc[t]) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dz[0:H] = di * i * (1.0 - i)
+        dz[H:2 * H] = df * f * (1.0 - f)
+        dz[2 * H:3 * H] = dg * (1.0 - g * g)
+        dz[3 * H:4 * H] = do * o * (1.0 - o)
+        gb += dz
+        gwx += dz.reshape(4 * H, 1) * x[t].reshape(1, d)
+        gwh += dz.reshape(4 * H, 1) * h_prev.reshape(1, H)
+        dx[t] = np.dot(wxT, dz)
+        dh_next = np.dot(whT, dz)
+        dc_next = dc * f
+    return gwx, gwh, gb, dx
+
+
+def birnn_states(rows, params):
+    """(x, forward pass, backward pass, per-timestep [forward; backward]
+    states (T, 2H)) of one nonempty sentence's embedding rows."""
+    x = params.array("emb")[rows]
+    fwd = lstm_forward(x, params.array("wf_x"), params.array("wf_h"), params.array("wf_b"))
+    bwd = lstm_forward(x[::-1], params.array("wb_x"), params.array("wb_h"),
+                       params.array("wb_b"))
+    return x, fwd, bwd, np.concatenate([fwd[0], bwd[0][::-1]], axis=1)
+
+
 def loss_and_gradients(batch, y, params):
     """(loss, dense gradients) of model.loss_and_gradients, one sentence at
     a time."""
@@ -90,7 +191,7 @@ def loss_and_gradients(batch, y, params):
             if rows.size == 0:
                 caches.append(None)
                 continue
-            x, fwd, bwd, h_cat = model._birnn_states(rows, params)
+            x, fwd, bwd, h_cat = birnn_states(rows, params)
             enc[k] = h_cat.max(axis=0)
             caches.append((rows, x, fwd, bwd, np.argmax(h_cat, axis=0)))
 
@@ -135,11 +236,10 @@ def loss_and_gradients(batch, y, params):
         cols = np.arange(H)
         np.add.at(dh_f, (amax[:H], cols), d_enc[k, :H])
         np.add.at(dh_b_rev, (T - 1 - amax[H:], cols), d_enc[k, H:])
-        gfx, gfh, gfb, dxf = kernels.lstm_backward(
+        gfx, gfh, gfb, dxf = lstm_backward(
             x, params.array("wf_x"), params.array("wf_h"), *fwd, dh_f)
-        xr = np.ascontiguousarray(x[::-1])
-        gbx, gbh, gbb, dxb = kernels.lstm_backward(
-            xr, params.array("wb_x"), params.array("wb_h"), *bwd, dh_b_rev)
+        gbx, gbh, gbb, dxb = lstm_backward(
+            x[::-1], params.array("wb_x"), params.array("wb_h"), *bwd, dh_b_rev)
         for name, g in zip(("wf_x", "wf_h", "wf_b", "wb_x", "wb_h", "wb_b"),
                            (gfx, gfh, gfb, gbx, gbh, gbb)):
             grads[name] += g

@@ -308,12 +308,19 @@ def same_bits(a, b) -> bool:
 
 
 def assert_matches_reference(rows, tokens, y, params):
-    """Loss, every dense gradient and the scattered embedding gradient are
-    bitwise equal to the per-sentence reference."""
+    """Loss, every dense gradient and the scattered embedding gradient
+    equal the per-sentence reference: bitwise for the bag, and to rtol
+    1e-12 for the BiLSTM, whose kernels sum in another order than the
+    reference's per-step ones. A BiLSTM gradient element that cancels to
+    near zero is held to 1e-12 of its array's largest magnitude instead."""
     batch = reference.sentences(rows, tokens)
     loss, grads = loss_and_gradients(rows, tokens, y, params)
     ref_loss, ref_grads = reference.loss_and_gradients(batch, y, params)
-    assert same_bits(loss, ref_loss)
+    if params.config.encoder_kind == "bag":
+        same = same_bits
+    else:
+        same = lambda a, b: np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    assert same(loss, ref_loss)
     assert sorted(grads) == sorted(ref_grads)
     for name, grad in grads.items():
         if name == "emb":
@@ -321,7 +328,7 @@ def assert_matches_reference(rows, tokens, y, params):
             assert (np.diff(grad.rows) > 0).all()
             assert np.array_equal(grad.rows, np.unique(np.concatenate(batch)))
             assert grad.size == grad.values.size == grad.rows.size * params.config.embedding_dim
-        assert same_bits(dense(grad, params.array(name)), ref_grads[name]), name
+        assert same(dense(grad, params.array(name)), ref_grads[name]), name
 
 
 @st.composite
