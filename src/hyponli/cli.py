@@ -54,7 +54,9 @@ def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
     return corpus.RoleMap(**kwargs)
 
 
-def _read_corpus(path, args, scheme):
+def _read_corpus(path, args, scheme, split=None):
+    """(corpus, records skipped, scheme) of one file; naming the split
+    makes an empty one an error."""
     if args.remap_ordinal:
         scheme = corpus.THREE_WAY
     if args.format == "tsv":
@@ -63,6 +65,9 @@ def _read_corpus(path, args, scheme):
     else:
         field_map = corpus.FIELD_MAP_PRESETS[args.format]
         data, skipped = corpus.read_jsonl(path, field_map, scheme, args.remap_ordinal)
+    if split and not len(data):
+        raise corpus.IngestError(f"{path}: the {split} split is empty "
+                                 f"({skipped} records skipped at ingest)")
     return data, skipped, scheme
 
 
@@ -98,7 +103,7 @@ def _add_common_flags(parser):
 
 
 def cmd_stats(args) -> int:
-    data, skipped, scheme = _read_corpus(args.data, args, _resolve_scheme(args))
+    data, skipped, scheme = _read_corpus(args.data, args, _resolve_scheme(args), "data")
     counts = stats.count_corpus(data.hypotheses, data.labels, scheme)
     giveaways = stats.giveaway_words(counts, min_freq=args.min_freq, top_k=args.top_k)
     labels = range(len(scheme))
@@ -165,10 +170,7 @@ def cmd_train_eval(args) -> int:
     for name, path in (("train", args.train), ("dev", args.dev), ("test", args.test)):
         if not path:  # only --test is optional
             continue
-        splits[name], skipped, scheme = _read_corpus(path, args, scheme)
-        if not len(splits[name]):
-            raise corpus.IngestError(f"{path}: the {name} split is empty "
-                                     f"({skipped} records skipped at ingest)")
+        splits[name], skipped, scheme = _read_corpus(path, args, scheme, name)
     # one CSR token corpus of every hypothesis, train first, then dev, then
     # test; each split is its range of rows
     vocab, ids, indptr = text.intern([h for data in splits.values() for h in data.hypotheses])

@@ -1,8 +1,8 @@
 """Hypothesis-only classifiers with exact gradients.
 
 Two sentence encoders feed one MLP head: a bag of embeddings (mean of the
-token vectors) and a bidirectional recurrent encoder whose per-timestep
-[forward; backward] states are max-pooled elementwise. The classification
+token vectors) and a bidirectional LSTM whose forward and backward states
+are each max-pooled over time into [forward; backward]. The classification
 path takes only hypothesis tokens; premises are unreachable by
 construction. Labels are label indices into the scheme: predict returns
 one, predict_batch an int64 array, and loss_and_gradients takes an array
@@ -27,12 +27,18 @@ batch touched and their summed values, added token by token in batch
 order, exactly as np.add.at into a dense zero matrix adds them. SGD then
 writes only those rows.
 
-The BiLSTM still encodes one sentence at a time, and its predict_batch
-calls predict once per sentence. Within a sentence, kernels.lstm_forward
-and lstm_backward step only the recurrence: the input projection and the
-weight gradients are one matmul each. The benchmark's traced run checks
-kernels.lstm_forward.calls = 2 x (examples + model.predict.calls), so a
-batched BiLSTM comes together with a new form of that check.
+Each encoder sits behind one pair of functions: _encode gives a batch's
+encodings and a cache, and _encode_backward turns the encodings' gradient
+into a per-token embedding gradient. So loss_and_gradients runs one path
+for both encoders, and predict is the head's argmax on one _encode.
+
+The BiLSTM encodes one sentence at a time inside _encode, and its
+predict_batch calls predict once per sentence. Within a sentence,
+kernels.lstm_forward and lstm_backward step only the recurrence: the input
+projection and the weight gradients are one matmul each. The benchmark's
+traced run checks kernels.lstm_forward.calls = 2 x (examples +
+model.predict.calls), so a batched BiLSTM comes together with a new form
+of that check.
 """
 
 from __future__ import annotations
@@ -201,38 +207,70 @@ def _mlp_head(enc: np.ndarray, params: ModelParameters):
     return h1, h1 @ params.array("mlp_w2").T + params.array("mlp_b2")
 
 
-def _birnn_states(rows: np.ndarray, params: ModelParameters):
-    """Forward/backward recurrent passes plus the aligned concatenated
-    per-timestep states (T, 2H)."""
-    x = params.array("emb")[rows]
-    fwd = kernels.lstm_forward(x, params.array("wf_x"), params.array("wf_h"),
-                               params.array("wf_b"))
-    bwd = kernels.lstm_forward(x[::-1], params.array("wb_x"), params.array("wb_h"),
-                               params.array("wb_b"))
-    h_cat = np.concatenate([fwd[0], bwd[0][::-1]], axis=1)
-    if not np.isfinite(h_cat).all():
-        bad = int(np.argwhere(~np.isfinite(h_cat).all(axis=1))[0][0])
-        raise NumericalError(f"non-finite hidden state at token index {bad}")
-    return x, fwd, bwd, h_cat
+def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
+    """(encodings (B, D), cache for _encode_backward) of the sentences that
+    lengths cuts ids into; an empty sentence encodes to zero.
+
+    The BiLSTM runs each non-empty sentence through kernels.lstm_forward
+    once per direction and max-pools each direction by itself over time,
+    ties going to the earliest step in token order (for the backward
+    direction, the latest step of its own order)."""
+    emb = params.array("emb")
+    if params.config.encoder_kind == "bag":
+        return _encode_bag(ids, lengths, emb), lengths
+    H = params.config.hidden_dim
+    enc = np.zeros((lengths.size, 2 * H))
+    cache = []
+    for k, sentence in enumerate(np.split(ids, np.cumsum(lengths)[:-1])):
+        if sentence.size == 0:
+            continue
+        x = emb[sentence]
+        fwd = kernels.lstm_forward(x, *map(params.array, _LSTM_ARRAYS[:3]))
+        bwd = kernels.lstm_forward(x[::-1], *map(params.array, _LSTM_ARRAYS[3:]))
+        steps = []
+        for j, h in enumerate((fwd[0], bwd[0][::-1])):  # both in token order
+            finite = np.isfinite(h).all(axis=1)
+            if not finite.all():
+                raise NumericalError("non-finite hidden state at token index "
+                                     f"{int(np.argmin(finite))}")
+            steps.append(np.argmax(h, axis=0))
+            enc[k, j * H:(j + 1) * H] = h.max(axis=0)
+        cache.append((k, x, fwd, bwd, *steps))
+    return enc, cache
 
 
-def encode_birnn_maxpool(rows: np.ndarray, params: ModelParameters) -> np.ndarray:
-    """Elementwise max over timesteps of the concatenated [forward;
-    backward] hidden states of the embedding rows (token ids); empty
-    sentences encode to zero."""
-    if rows.size == 0:
-        return np.zeros(params.config.encoding_dim)
-    _, _, _, h_cat = _birnn_states(rows, params)
-    return h_cat.max(axis=0)
+def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
+                     grads: dict) -> np.ndarray:
+    """Per-token gradient (N, d) of the embedding rows _encode read, from
+    the encodings' gradient d_enc (B, D); the BiLSTM also puts its six
+    weight gradients into grads. Max-pooling picks exactly one step per
+    hidden unit, so d_enc is routed to it by assignment."""
+    if params.config.encoder_kind == "bag":
+        lengths = cache
+        return np.repeat(d_enc / np.maximum(lengths, 1)[:, None], lengths, axis=0)
+    H = params.config.hidden_dim
+    for name in _LSTM_ARRAYS:
+        grads[name] = np.zeros_like(params.array(name))
+    cols = np.arange(H)
+    d_x = [np.empty((0, params.config.embedding_dim))]
+    for k, x, fwd, bwd, step_f, step_b in cache:
+        T = x.shape[0]
+        dh_f, dh_b = np.zeros((T, H)), np.zeros((T, H))  # each in its direction's order
+        dh_f[step_f, cols] = d_enc[k, :H]
+        dh_b[T - 1 - step_b, cols] = d_enc[k, H:]
+        gf = kernels.lstm_backward(x, *map(params.array, _LSTM_ARRAYS[:2]), *fwd, dh_f)
+        gb = kernels.lstm_backward(x[::-1], *map(params.array, _LSTM_ARRAYS[3:5]), *bwd, dh_b)
+        for name, grad in zip(_LSTM_ARRAYS, gf[:3] + gb[:3]):
+            grads[name] += grad
+        d_x.append(gf[3] + gb[3][::-1])
+    return np.concatenate(d_x)
 
 
 def predict(rows: np.ndarray, params: ModelParameters) -> int:
     """Label index of one hypothesis from its token ids alone: the argmax
     (lowest index on ties) of the MLP head's logits on its encoding."""
-    if params.config.encoder_kind == "bag":
-        return int(predict_batch(np.zeros(1, np.int64), (rows, np.array([0, rows.size])),
-                                 params)[0])
-    return int(np.argmax(_mlp_head(encode_birnn_maxpool(rows, params)[None], params)[1]))
+    enc = _encode(rows, np.array([rows.size]), params)[0]
+    return int(np.argmax(_mlp_head(enc, params)[1]))
 
 
 def predict_batch(rows: np.ndarray, tokens, params: ModelParameters) -> np.ndarray:
@@ -240,10 +278,12 @@ def predict_batch(rows: np.ndarray, tokens, params: ModelParameters) -> np.ndarr
     forward pass over all of them for the bag, one predict call per
     sentence for the BiLSTM."""
     if params.config.encoder_kind != "bag":
+        # bench/run.py:194-202 (check_trace_counts) expects
+        # kernels.lstm_forward.calls = 2 x (examples + model.predict.calls)
         ids, indptr = tokens
         return np.array([predict(ids[indptr[r]:indptr[r + 1]], params) for r in rows.tolist()],
                         dtype=np.int64)
-    enc = _encode_bag(*_gather(rows, tokens), params.array("emb"))
+    enc = _encode(*_gather(rows, tokens), params)[0]
     return np.argmax(_mlp_head(enc, params)[1], axis=1).astype(np.int64, copy=False)
 
 
@@ -253,79 +293,31 @@ def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
     array; the embedding gradient is a RowGradient over the batch's ids.
 
     The loss is log(sum(exp(shifted))) - shifted[y] for the max-shifted
-    logits, finite whenever the logits are. Max-pool subgradients route to
-    the argmax timestep (earliest on ties).
+    logits, finite whenever the logits are.
     """
     if not len(rows):
         raise ValueError("batch must be nonempty")
-    cfg = params.config
     ids, lengths = _gather(rows, tokens)
-    B = len(rows)
-    grads = {}
-    if cfg.encoder_kind == "bag":
-        enc = _encode_bag(ids, lengths, params.array("emb"))
-    else:
-        enc = np.zeros((B, cfg.encoding_dim))
-        caches = []
-        for k, sentence in enumerate(np.split(ids, np.cumsum(lengths)[:-1])):
-            if sentence.size == 0:
-                caches.append(None)
-                continue
-            x, fwd, bwd, h_cat = _birnn_states(sentence, params)
-            enc[k] = h_cat.max(axis=0)
-            caches.append((x, fwd, bwd, np.argmax(h_cat, axis=0)))
-        for name in _LSTM_ARRAYS:
-            grads[name] = np.zeros_like(params.array(name))
-
+    enc, cache = _encode(ids, lengths, params)
     h1, logits = _mlp_head(enc, params)
+    B = len(rows)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    probs = e / total
     loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(B), y]))
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
 
-    w1, w2 = params.array("mlp_w1"), params.array("mlp_w2")
-    d_logits = probs.copy()
+    d_logits = e / total
     d_logits[np.arange(B), y] -= 1.0
     d_logits /= B
-    grads["mlp_w2"] = d_logits.T @ h1
-    grads["mlp_b2"] = d_logits.sum(axis=0)
-    d_h1 = d_logits @ w2
-    d_a1 = d_h1 * (1.0 - h1 * h1)
+    grads = {"mlp_w2": d_logits.T @ h1, "mlp_b2": d_logits.sum(axis=0)}
+    d_a1 = (d_logits @ params.array("mlp_w2")) * (1.0 - h1 * h1)
     grads["mlp_w1"] = d_a1.T @ enc
     grads["mlp_b1"] = d_a1.sum(axis=0)
-    d_enc = d_a1 @ w1
-
-    finetune = cfg.finetune_embeddings
-    if cfg.encoder_kind == "bag":
-        if finetune:
-            scaled = d_enc / np.maximum(lengths, 1)[:, None]
-            grads["emb"] = _row_gradient(ids, np.repeat(scaled, lengths, axis=0))
-        return loss, grads
-    H = cfg.hidden_dim
-    d_x = [np.empty((0, cfg.embedding_dim))]
-    for k in range(B):
-        if caches[k] is None:
-            continue
-        x, fwd, bwd, amax = caches[k]
-        T = x.shape[0]
-        dh_f = np.zeros((T, H))
-        dh_b_rev = np.zeros((T, H))
-        cols = np.arange(H)
-        np.add.at(dh_f, (amax[:H], cols), d_enc[k, :H])
-        np.add.at(dh_b_rev, (T - 1 - amax[H:], cols), d_enc[k, H:])
-        gfx, gfh, gfb, dxf = kernels.lstm_backward(
-            x, params.array("wf_x"), params.array("wf_h"), *fwd, dh_f)
-        gbx, gbh, gbb, dxb = kernels.lstm_backward(
-            x[::-1], params.array("wb_x"), params.array("wb_h"), *bwd, dh_b_rev)
-        for name, grad in zip(_LSTM_ARRAYS, (gfx, gfh, gfb, gbx, gbh, gbb)):
-            grads[name] += grad
-        if finetune:
-            d_x.append(dxf + dxb[::-1])
-    if finetune:
-        grads["emb"] = _row_gradient(ids, np.concatenate(d_x))
+    d_x = _encode_backward(cache, d_a1 @ params.array("mlp_w1"), params, grads)
+    if params.config.finetune_embeddings:
+        grads["emb"] = _row_gradient(ids, d_x)
     return loss, grads
 
 

@@ -149,8 +149,8 @@ def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
     max_l p(l|w) >= x (or p(label|w) >= x with per_label). y(0) equals the
     label's sentence count and y is non-increasing in x.
     """
-    if not 0.0 < grid_step <= 0.5:
-        raise ValueError("grid_step must lie in (0, 0.5]")
+    if not 1e-4 <= grid_step <= 0.5:  # 1e-4: the resolution of curves_to_csv's x column
+        raise ValueError(f"grid_step must lie in [0.0001, 0.5], got {grid_step}")
     grid = _threshold_grid(grid_step)
     maxima = np.sort(_sentence_maxima(counts, label, per_label))
     n = maxima.size

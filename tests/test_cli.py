@@ -237,6 +237,18 @@ class TestStatsCommand:
         assert rc == 1
         assert "top_k" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("step", ["0", "0.6", "nan", "1e-7"])
+    def test_bad_grid_step_is_one_line(self, tmp_path, capsys, step):
+        # steps below 0.0001, the resolution of coverage.csv's x column, are
+        # refused before a grid of 1/step points is built
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
+        out = tmp_path / "out"
+        rc = main(["stats", "--data", data, "--grid-step", step, "--out-dir", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: grid_step must lie in [0.0001, 0.5], got {float(step)}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, named", [
         ("format = xml", "format='xml'"),
         ("scheme = 4way", "scheme='4way'"),
@@ -469,6 +481,17 @@ class TestTrainEvalCommand:
         assert rc == 1
         assert one_error_line(capsys) == (
             f"error: {dashes}: the {split} split is empty (7 records skipped at ingest)")
+        assert not out.exists()
+
+    def test_all_skipped_stats_file_is_one_line(self, tmp_path, capsys):
+        # 3-way labels read under the 2-way scheme are all skipped
+        data = write_corpus(tmp_path / "d.jsonl",
+                            make_corpus([("a b", "neutral"), ("c", "entailment")] * 3))
+        out = tmp_path / "out"
+        rc = main(["stats", "--data", data, "--scheme", "2way", "--out-dir", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: {data}: the data split is empty (6 records skipped at ingest)")
         assert not out.exists()
 
     def test_compare_to_is_an_unknown_config_option(self, tmp_path, capsys):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hyponli import model
 from hyponli.corpus import THREE_WAY, TWO_WAY
 from hyponli.model import (
-    ModelConfig, ModelParameters, encode_birnn_maxpool,
-    load_checkpoint, loss_and_gradients, predict, save_checkpoint,
+    ModelConfig, ModelParameters, load_checkpoint, loss_and_gradients, predict, save_checkpoint,
 )
 from hyponli.text import Vocabulary, intern, seeded_random_embeddings
 
@@ -50,6 +49,11 @@ def bag_mean(tokens, vocab, emb):
     return model._encode_bag(*model._gather(*as_csr([lookup(vocab, tokens)])), emb)[0]
 
 
+def encode_birnn_maxpool(rows, params):
+    """The encoding of one sentence's token ids, as predict computes it."""
+    return model._encode(rows, np.array([rows.size]), params)[0][0]
+
+
 class TestEncodeBag:
     def test_single_token_is_its_vector(self):
         vocab = small_vocab(3)
@@ -85,10 +89,9 @@ class TestEncodeBirnn:
     def test_length_one_equals_single_state(self):
         params = make_params("birnn-maxpool")
         rows = lookup(params.vocab, ["t3"])
-        enc = encode_birnn_maxpool(rows, params)
-        _, fwd, bwd, h_cat = model._birnn_states(rows, params)
-        assert h_cat.shape == (1, 8)
-        assert np.array_equal(enc, h_cat[0])
+        enc, [(_, _, fwd, bwd, *_)] = model._encode(rows, np.array([1]), params)
+        assert enc.shape == (1, 8)
+        assert np.array_equal(enc[0], np.concatenate([fwd[0][0], bwd[0][0]]))
 
     def test_not_permutation_invariant_witness(self):
         params = make_params("birnn-maxpool")
@@ -269,6 +272,37 @@ class TestLossAndGradients:
         assert "emb" not in grads
 
 
+class TestNonFiniteHiddenState:
+    """A NaN embedding row turns the forward states from its token on, and
+    the backward states up to it, into NaN; the error names that token."""
+
+    def params_with_nan(self):
+        params = make_params("birnn-maxpool", seed=9, finetune=True)
+        params.array("emb")[params.vocab.get("t4")] = np.nan
+        return params
+
+    def test_loss_and_predict_name_the_first_bad_token(self):
+        params = self.params_with_nan()
+        rows = lookup(params.vocab, ["t1", "t2", "t4", "t3", "t4"])
+        message = r"^non-finite hidden state at token index 2$"
+        with pytest.raises(model.NumericalError, match=message):
+            loss_and_gradients(*as_csr([lookup(params.vocab, ["t0"]), rows]),
+                               np.array([0, 1]), params)
+        with pytest.raises(model.NumericalError, match=message):
+            predict(rows, params)
+
+    def test_fit_turns_it_into_train_abort(self):
+        from hyponli.train import TrainAbort, TrainConfig, fit
+
+        params = self.params_with_nan()
+        sentences = [lookup(params.vocab, s) for s in (["t0", "t4"], ["t1"], ["t2"], ["t3"])]
+        rows, tokens = as_csr(sentences)
+        train, dev = (rows[:2], np.array([0, 1])), (rows[2:], np.array([1, 2]))
+        with pytest.raises(TrainAbort,
+                           match=r"^epoch 1: non-finite hidden state at token index 1$"):
+            fit(train, dev, tokens, params, TrainConfig(max_epochs=1, batch_size=4))
+
+
 class TestPredict:
     def test_prediction_consistency(self):
         for encoder in ("bag", "birnn-maxpool"):
@@ -349,9 +383,19 @@ class TestBatchedMatchesReference:
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_ragged_batches(self, encoder):
         params = make_params(encoder, seed=31, finetune=True)
+        cases = [params]
+        if encoder == "birnn-maxpool":
+            # zero LSTM weights make every hidden state exactly 0, so every
+            # unit ties at every step: the pool must pick the earliest step
+            # in token order, as the reference's np.add.at routing does
+            ties = params.clone()
+            for name in model._LSTM_ARRAYS:
+                ties.array(name)[...] = 0.0
+            cases.append(ties)
         rng = np.random.default_rng(31)
-        for batch in ragged_batches(params):
-            assert_matches_reference(*as_csr(batch), rng.integers(0, 3, len(batch)), params)
+        for case in cases:
+            for batch in ragged_batches(case):
+                assert_matches_reference(*as_csr(batch), rng.integers(0, 3, len(batch)), case)
 
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_frozen_embeddings(self, encoder):
@@ -477,8 +521,8 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         back = load_checkpoint(path)
         tokens = lookup(params.vocab, ["t2", "t9", "t1"])
-        assert np.array_equal(model.encode_birnn_maxpool(tokens, params),
-                              model.encode_birnn_maxpool(tokens, back))
+        assert np.array_equal(encode_birnn_maxpool(tokens, params),
+                              encode_birnn_maxpool(tokens, back))
         assert predict(tokens, params) == predict(tokens, back)
 
 
