@@ -4,7 +4,8 @@ Subcommands: stats, train-eval, synth, audit-sample, split. Every run is
 deterministic under its --seed: all randomness flows from that one value
 through fixed per-component offsets (embeddings seed+1, model init seed+2,
 epoch shuffling seed+3), so repeated invocations produce byte-identical
-artifacts. Each input file is read once into a corpus.Corpus, and each
+artifacts; synth has no --seed, as it takes its seed from the spec file.
+Each input file is read once into a corpus.Corpus, and each
 command passes on only the columns it uses: hypotheses and labels to the
 statistics and the model, ids to the audit sample, groups to the report;
 premises are only ever written back out (synth, split). train-eval
@@ -28,7 +29,7 @@ import sys
 import numpy as np
 
 from . import corpus, evaluate, model, stats, synth, text, train
-from .util import atomic_write_text
+from .util import atomic_write_text, config_block, markdown_table
 
 
 def _resolve_scheme(args) -> corpus.LabelScheme:
@@ -94,8 +95,9 @@ def _add_data_flags(parser, roles, scheme_flags=True):
                         help="map 1-5 ordinal ratings onto the 3-way scheme")
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--seed", type=int, default=0, help="global seed")
+def _add_common_flags(parser, seed=True):
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="global seed")
     parser.add_argument("--out-dir", default=os.environ.get("HYPONLI_OUT_DIR", "."),
                         help="output directory (env HYPONLI_OUT_DIR)")
     parser.add_argument("--config", default=None, metavar="PATH",
@@ -110,32 +112,22 @@ def cmd_stats(args) -> int:
     curves = [stats.coverage_curve(counts, label, grid_step=args.grid_step,
                                    per_label=args.per_label_threshold)
               for label in labels]
-    digest = ["# Word statistics digest", ""]
-    digest.append(f"- source: {args.data} (split label: {args.split_name})")
-    digest.append(f"- sentences: {counts.n_sentences} (skipped at ingest: {skipped})")
+    digest = ["# Word statistics digest", "",
+              f"- source: {args.data} (split label: {args.split_name})",
+              f"- sentences: {counts.n_sentences} (skipped at ingest: {skipped})"]
+    digest += [f"- {scheme.names[label]}: {counts.count_l(label)} sentences" for label in labels]
     for label in labels:
-        digest.append(f"- {scheme.names[label]}: {counts.count_l(label)} sentences")
-    for label in labels:
-        digest.append("")
-        digest.append(f"## Top give-away words: {scheme.names[label]}")
-        digest.append("")
-        digest.append("| Word | Score | Freq |")
-        digest.append("| --- | --- | --- |")
-        for entry in giveaways[label]:
-            digest.append(f"| {entry.token} | {entry.score:.2f} | {entry.frequency} |")
-    digest.append("")
-    digest.append("## Coverage at selected thresholds")
-    digest.append("")
-    digest.append("| Label | y(0.5) | y(0.75) | y(1.0) |")
-    digest.append("| --- | --- | --- | --- |")
-    for label in labels:
-        ys = [stats.coverage_count(counts, label, x, per_label=args.per_label_threshold)
-              for x in (0.5, 0.75, 1.0)]
-        digest.append(f"| {scheme.names[label]} | {ys[0]} | {ys[1]} | {ys[2]} |")
-    digest.append("")
-    digest.append("## Run configuration")
-    digest.append("")
-    digest.extend(f"    {line}" for line in _config_lines(args))
+        digest += ["", f"## Top give-away words: {scheme.names[label]}", ""]
+        digest += markdown_table(["Word", "Score", "Freq"],
+                                 ([entry.token, f"{entry.score:.2f}", entry.frequency]
+                                  for entry in giveaways[label]))
+    digest += ["", "## Coverage at selected thresholds", ""]
+    thresholds = (0.5, 0.75, 1.0)
+    digest += markdown_table(
+        ["Label", *(f"y({x})" for x in thresholds)],
+        ([scheme.names[label], *(stats.coverage_count(counts, label, x, args.per_label_threshold)
+                                 for x in thresholds)] for label in labels))
+    digest += ["", *config_block(_config_lines(args))]
 
     out = args.out_dir
     atomic_write_text(os.path.join(out, "giveaways.csv"),
@@ -293,7 +285,7 @@ def build_parser():
     p.set_defaults(func=cmd_train_eval)
 
     p = subparsers.add_parser("synth", help="generate a synthetic biased corpus")
-    _add_common_flags(p)
+    _add_common_flags(p, seed=False)  # the spec's "seed" governs
     p.add_argument("--spec-file", required=True, metavar="PATH", help="JSON generator spec")
     p.add_argument("--n", type=int, required=True, help="number of instances")
     p.set_defaults(func=cmd_synth)
@@ -356,8 +348,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(parser, subcommands, argv)
         return args.func(args)
-    except (corpus.IngestError, corpus.ConfigError, text.EmbeddingFormatError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ingest, config and embedding errors included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

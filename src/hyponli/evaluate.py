@@ -14,14 +14,13 @@ decimals.
 
 from __future__ import annotations
 
-import csv
 import decimal
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import LabelScheme
+from .util import config_block, csv_text, markdown_table
 
 
 def fmt2(value: float | None) -> str:
@@ -177,59 +176,40 @@ def build_report(split_name: str, pred, gold, groups, scheme: LabelScheme,
 def report_markdown(reports: list[EvalReport], config_lines: list[str] | None = None) -> str:
     """Human-readable report shaped like the accuracy table."""
     out = ["# Hypothesis-only evaluation", ""]
-    out.append("| Split | Hyp-Only | MAJ | abs delta | pct delta |")
-    out.append("| --- | --- | --- | --- | --- |")
+    out += markdown_table(["Split", "Hyp-Only", "MAJ", "abs delta", "pct delta"],
+                          ([rep.split, *map(fmt2, (rep.hyp_only_acc, rep.maj_acc,
+                                                   rep.abs_delta, rep.pct_delta))]
+                           for rep in reports))
     for rep in reports:
-        out.append(
-            f"| {rep.split} | {fmt2(rep.hyp_only_acc)} | {fmt2(rep.maj_acc)} "
-            f"| {fmt2(rep.abs_delta)} | {fmt2(rep.pct_delta)} |"
-        )
-    for rep in reports:
-        out.append("")
-        out.append(f"## {rep.split}")
-        out.append("")
-        out.append(f"- majority label: {rep.scheme.names[rep.maj_label]}")
-        out.append(f"- constant prediction: {rep.constant_prediction}")
-        for note in rep.notes:
-            out.append(f"- note: {note}")
-        out.append("")
-        out.append("| Class | Hyp-Only | MAJ |")
-        out.append("| --- | --- | --- |")
-        for label, (h, m) in rep.per_class.items():
-            out.append(f"| {rep.scheme.names[label]} | {fmt2(h)} | {fmt2(m)} |")
+        names = rep.scheme.names
+        out += ["", f"## {rep.split}", "",
+                f"- majority label: {names[rep.maj_label]}",
+                f"- constant prediction: {rep.constant_prediction}"]
+        out += [f"- note: {note}" for note in rep.notes]
+        out += ["", *markdown_table(["Class", "Hyp-Only", "MAJ"],
+                                    ([names[label], fmt2(h), fmt2(m)]
+                                     for label, (h, m) in rep.per_class.items()))]
         if rep.per_group:
-            out.append("")
-            out.append("| Group | Hyp-Only | MAJ | pct delta |")
-            out.append("| --- | --- | --- | --- |")
             rows = sorted(rep.per_group.items(),
-                          key=lambda kv: (kv[1][2] is None,
-                                          -(kv[1][2] or 0.0), kv[0]))
-            for key, (h, m, pct) in rows:
-                out.append(f"| {key} | {fmt2(h)} | {fmt2(m)} | {fmt2(pct)} |")
+                          key=lambda kv: (kv[1][2] is None, -(kv[1][2] or 0.0), kv[0]))
+            out += ["", *markdown_table(["Group", "Hyp-Only", "MAJ", "pct delta"],
+                                        ([key, *map(fmt2, values)] for key, values in rows))]
     if config_lines:
-        out.append("")
-        out.append("## Run configuration")
-        out.append("")
-        out.extend(f"    {line}" for line in config_lines)
+        out += ["", *config_block(config_lines)]
     return "\n".join(out) + "\n"
 
 
 def report_csv(reports: list[EvalReport]) -> str:
     """Machine-readable rows: one per split plus one per class and group."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["split", "scope", "key", "hyp_only", "maj", "abs_delta",
-                     "pct_delta", "constant_prediction"])
+    rows = []
     for rep in reports:
-        writer.writerow([rep.split, "overall", "", fmt2(rep.hyp_only_acc),
-                         fmt2(rep.maj_acc), fmt2(rep.abs_delta),
-                         fmt2(rep.pct_delta), str(rep.constant_prediction).lower()])
-        for label, (h, m) in rep.per_class.items():
-            writer.writerow([rep.split, "class", rep.scheme.names[label], fmt2(h), fmt2(m),
-                             "", "", ""])
-        if rep.per_group:
-            for key in sorted(rep.per_group):
-                h, m, pct = rep.per_group[key]
-                writer.writerow([rep.split, "group", key, fmt2(h), fmt2(m), "",
-                                 fmt2(pct), ""])
-    return buf.getvalue()
+        rows.append([rep.split, "overall", "", fmt2(rep.hyp_only_acc), fmt2(rep.maj_acc),
+                     fmt2(rep.abs_delta), fmt2(rep.pct_delta),
+                     str(rep.constant_prediction).lower()])
+        rows += [[rep.split, "class", rep.scheme.names[label], fmt2(h), fmt2(m), "", "", ""]
+                 for label, (h, m) in rep.per_class.items()]
+        for key in sorted(rep.per_group or ()):
+            h, m, pct = rep.per_group[key]
+            rows.append([rep.split, "group", key, fmt2(h), fmt2(m), "", fmt2(pct), ""])
+    return csv_text(["split", "scope", "key", "hyp_only", "maj", "abs_delta", "pct_delta",
+                     "constant_prediction"], rows)

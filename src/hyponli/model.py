@@ -366,9 +366,10 @@ def load_checkpoint(path) -> ModelParameters:
     """Read a save_checkpoint file.
 
     Raises ValueError naming the path and the reason when the header is
-    not the expected object, the version is not 1, a vocabulary token
-    repeats, the manifest does not match the shapes the config implies, an
-    array is cut short, or bytes follow the last array.
+    not the expected object, the version is not 1, the labels or the vocab
+    are not a list of strings, a vocabulary token repeats, the manifest
+    does not match the shapes the config implies, an array is cut short,
+    or bytes follow the last array.
     """
     with open(path, "rb") as fh:
         try:
@@ -384,9 +385,13 @@ def load_checkpoint(path) -> ModelParameters:
             raise ValueError(f"{path}: checkpoint version {header['version']!r} is not "
                              f"{CHECKPOINT_VERSION}")
         try:
+            labels, tokens = header["scheme"]["labels"], header["vocab"]
+            if not all(isinstance(strings, list) and all(isinstance(s, str) for s in strings)
+                       for strings in (labels, tokens)):
+                raise ValueError("the labels and the vocab must be lists of strings")
             config = ModelConfig(**header["config"])
-            scheme = LabelScheme(tuple(header["scheme"]["labels"]), header["scheme"]["id"])
-            vocab = Vocabulary(header["vocab"])
+            scheme = LabelScheme(tuple(labels), header["scheme"]["id"])
+            vocab = Vocabulary(tokens)
             expected = _array_shapes(config, len(vocab))
         except (TypeError, ValueError, KeyError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc

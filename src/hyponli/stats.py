@@ -15,14 +15,13 @@ the scheme.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import LabelScheme
 from .text import Vocabulary, intern
+from .util import csv_text
 
 
 class LabelWordCounts:
@@ -160,35 +159,23 @@ def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
 
 def giveaways_to_csv(giveaways: dict[int, list[GiveawayEntry]], scheme: LabelScheme) -> str:
     """CSV rows (label, token, score, freq), labels in scheme order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "token", "score", "freq"])
-    for label in sorted(giveaways):
-        for entry in giveaways[label]:
-            writer.writerow([scheme.names[label], entry.token, f"{entry.score:.6f}",
-                             entry.frequency])
-    return buf.getvalue()
+    return csv_text(["label", "token", "score", "freq"],
+                    ([scheme.names[label], entry.token, f"{entry.score:.6f}", entry.frequency]
+                     for label in sorted(giveaways) for entry in giveaways[label]))
 
 
 def curves_to_csv(curves: list[CoverageCurve], scheme: LabelScheme) -> str:
     """CSV rows (label, x, y); the plot input for coverage figures."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "x", "y"])
-    for curve in curves:
-        for x, y in zip(curve.grid, curve.y):
-            writer.writerow([scheme.names[curve.label], f"{x:.4f}", y])
-    return buf.getvalue()
+    return csv_text(["label", "x", "y"],
+                    ([scheme.names[curve.label], f"{x:.4f}", y]
+                     for curve in curves for x, y in zip(curve.grid, curve.y)))
 
 
 def counts_summary_csv(counts: LabelWordCounts) -> str:
     """Per-label sentence and token-occurrence totals."""
     occ_totals = counts.occ.sum(axis=0)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "sentences", "token_occurrences", "distinct_tokens"])
-    for label, name in enumerate(counts.scheme.names):
-        distinct = np.count_nonzero(counts.occ[:, label])
-        writer.writerow([name, counts.count_l(label), int(occ_totals[label]), distinct])
-    writer.writerow(["TOTAL", counts.n_sentences, int(occ_totals.sum()), len(counts.vocab)])
-    return buf.getvalue()
+    rows = [[name, counts.count_l(label), int(occ_totals[label]),
+             np.count_nonzero(counts.occ[:, label])]
+            for label, name in enumerate(counts.scheme.names)]
+    rows.append(["TOTAL", counts.n_sentences, int(occ_totals.sum()), len(counts.vocab)])
+    return csv_text(["label", "sentences", "token_occurrences", "distinct_tokens"], rows)

@@ -104,7 +104,8 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
     OOV vector: the row named "<unk>" if there is one, else the mean of the
     loaded vectors in first-seen file order, else zeros. A line with the
     wrong number of values, or with a value that is not a finite number,
-    raises EmbeddingFormatError naming the path and line.
+    raises EmbeddingFormatError naming the path and line; so does a mean
+    that overflows, naming the path.
     """
     matrix = np.zeros((len(vocab) + 1, dimension), dtype=np.float64)
     loaded: dict[int, None] = {}  # vocab ids in first-seen file order
@@ -137,7 +138,11 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
     if designated_oov is not None:
         oov = designated_oov
     elif loaded:
-        oov = matrix[list(loaded)].mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            oov = matrix[list(loaded)].mean(axis=0)
+        if not np.isfinite(oov).all():
+            raise EmbeddingFormatError(f"{path}: the mean of the loaded vectors, the default "
+                                       f"OOV vector, is not finite; add a {OOV_TOKEN!r} line")
     else:
         oov = np.zeros(dimension, dtype=np.float64)
     missing = np.ones(len(matrix), dtype=bool)

@@ -20,8 +20,6 @@ is a slice of the shuffled train rows, handed to the model as it is.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +29,7 @@ from .evaluate import accuracy
 from .model import (
     ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch,
 )
+from .util import csv_text
 
 
 @dataclass
@@ -72,12 +71,9 @@ class TrainState:
     stop_reason: str = ""
 
     def log_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["epoch", "lr", "train_loss", "dev_acc"])
-        for epoch, lr, loss, acc in self.history:
-            writer.writerow([epoch, f"{lr:.10g}", f"{loss:.8f}", f"{acc:.6f}"])
-        return buf.getvalue()
+        return csv_text(["epoch", "lr", "train_loss", "dev_acc"],
+                        ([epoch, f"{lr:.10g}", f"{loss:.8f}", f"{acc:.6f}"]
+                         for epoch, lr, loss, acc in self.history))
 
 
 class TrainAbort(RuntimeError):
@@ -129,9 +125,9 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
     best parameters are the snapshot from the epoch with the highest dev
     accuracy (ties keep the earliest epoch).
 
-    Each epoch, dev evaluation included, runs with numpy's overflow,
-    invalid-operation and divide-by-zero errors raised; these and
-    NumericalError end training in TrainAbort.
+    The untrained model's dev evaluation (epoch 0) and every epoch run
+    with numpy's overflow, invalid-operation and divide-by-zero errors
+    raised; these and NumericalError end training in TrainAbort.
     """
     rows, y = train
     n = len(y)
@@ -142,14 +138,13 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
 
     state = TrainState()
     state.lr = config.lr0
-    state.baseline_dev_acc = dev_eval(params)
-    state.last_dev_acc = state.baseline_dev_acc
-
-    for epoch in range(1, config.max_epochs + 1):
-        order = np.random.default_rng(config.seed + epoch).permutation(n)
-        loss_sum = 0.0
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
+    epoch = 0  # the untrained model's dev evaluation
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            state.baseline_dev_acc = state.last_dev_acc = dev_eval(params)
+            for epoch in range(1, config.max_epochs + 1):
+                order = np.random.default_rng(config.seed + epoch).permutation(n)
+                loss_sum = 0.0
                 for start in range(0, n, config.batch_size):
                     idx = order[start:start + config.batch_size]
                     loss, grads = loss_and_gradients(rows[idx], tokens, y[idx], params)
@@ -159,19 +154,18 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
                 if dev_acc > state.best_dev_acc:
                     state.best_dev_acc = dev_acc
                     state.best_params = params.clone()
-        except (FloatingPointError, NumericalError) as exc:
-            state.stop_reason = "numerical-error"
-            raise TrainAbort(f"epoch {epoch}: {exc}", state) from exc
-        train_loss = loss_sum / n
-        state.epoch = epoch
-        state.history.append((epoch, state.lr, train_loss, dev_acc))
-        state.lr *= config.decay
-        if dev_acc < state.last_dev_acc:
-            state.lr /= config.divide_on_decline
-        state.last_dev_acc = dev_acc
-        if state.lr < config.lr_floor:
-            state.stop_reason = "lr_floor"
-            break
-    else:
-        state.stop_reason = "max_epochs"
+                state.epoch = epoch
+                state.history.append((epoch, state.lr, loss_sum / n, dev_acc))
+                state.lr *= config.decay
+                if dev_acc < state.last_dev_acc:
+                    state.lr /= config.divide_on_decline
+                state.last_dev_acc = dev_acc
+                if state.lr < config.lr_floor:
+                    state.stop_reason = "lr_floor"
+                    break
+            else:
+                state.stop_reason = "max_epochs"
+    except (FloatingPointError, NumericalError) as exc:
+        state.stop_reason = "numerical-error"
+        raise TrainAbort(f"epoch {epoch}: {exc}", state) from exc
     return state.best_params, state

@@ -1,7 +1,16 @@
-"""Small shared helpers."""
+"""Small shared helpers: integer parsing, atomic file writes, and the one
+table format every output uses.
+
+csv_text holds the CSV dialect of every .csv file (the csv module's
+default quoting, each line ending in a bare newline); markdown_table the
+pipe-table layout, and config_block the indented "## Run configuration"
+section, of every .md file.
+"""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from contextlib import contextmanager
 
@@ -16,6 +25,27 @@ def as_integer(value) -> int:
         except (ValueError, OverflowError):  # "x", nan, inf
             pass
     raise ValueError(f"{value!r} is not an integer")
+
+
+def csv_text(header, rows) -> str:
+    """The header and each row as CSV lines, fields quoted as needed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def markdown_table(header, rows) -> list[str]:
+    """Lines of a pipe table: the header, the | --- | rule, one per row."""
+    return [f"| {' | '.join(map(str, row))} |"
+            for row in (header, ["---"] * len(header), *rows)]
+
+
+def config_block(config_lines) -> list[str]:
+    """Lines of the "## Run configuration" section, each setting indented
+    as a code block."""
+    return ["## Run configuration", "", *(f"    {line}" for line in config_lines)]
 
 
 @contextmanager

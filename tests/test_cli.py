@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import warnings
@@ -127,6 +128,15 @@ class TestSynthCommand:
         assert rc == 1
         assert named in one_error_line(capsys)
         assert not out.exists()
+
+    def test_seed_flag_is_rejected(self, tmp_path, synth_spec_file, capsys):
+        """The spec's seed governs synth, so the parser refuses --seed."""
+        with pytest.raises(SystemExit) as info:
+            main(["synth", "--spec-file", synth_spec_file, "--n", "10", "--seed", "1",
+                  "--out-dir", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_byte_identical(self, tmp_path, synth_spec_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -451,6 +461,29 @@ class TestTrainEvalCommand:
         assert rc == 1
         assert one_error_line(capsys) == f"error: {vecs}: line 2: non-finite value"
 
+    def test_overflowing_oov_mean_is_one_line(self, tmp_path, capsys):
+        """Without an <unk> line the OOV vector is the mean of the loaded
+        vectors; a mean that overflows is a file error, with no warning."""
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("give0" + " 1.7e308" * 8 + "\nw001" + " 1.7e308" * 8 + "\n")
+        rc = self.run_train(tmp_path, tmp_path / "out", extra=["--embeddings", str(vecs)])
+        assert rc == 1
+        line = one_error_line(capsys)
+        assert line.startswith(f"error: {vecs}: ") and "'<unk>'" in line
+
+    def test_untrained_model_overflow_is_one_line(self, tmp_path, capsys):
+        """An overflow in the untrained model's dev evaluation aborts at
+        epoch 0 in one stderr line, with a header-only state dump."""
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("<unk>" + " 0" * 8 + "\n" + "".join(
+            f"w{i:03d}" + " 1.7e308" * 8 + "\n" for i in range(1, 13)))
+        out = tmp_path / "out"
+        rc = self.run_train(tmp_path, out, extra=["--embeddings", str(vecs)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("training aborted: epoch 0: "), err
+        assert (out / "train_abort.csv").read_text() == "epoch,lr,train_loss,dev_acc\n"
+
     def test_all_skipped_test_file_is_one_line(self, tmp_path, capsys):
         paths = synth_corpus_files(tmp_path)
         test = tmp_path / "dash_test.jsonl"
@@ -752,3 +785,31 @@ class TestRemapOrdinal:
         assert sorted(iid for iid, _, _, _ in rows) == sorted(f"r{i}" for i in range(self.N))
         for iid, gold, _, _ in rows:
             assert gold == self.gold(iid)
+
+
+class TestCsvQuoting:
+    KEY = 'x,"y'  # tokenize keeps it one token: the comma and quote are inside it
+
+    def test_inner_comma_and_quote_round_trip(self, tmp_path):
+        """A give-away token and a group key holding the CSV delimiter and
+        quote read back whole from giveaways.csv and report.csv."""
+        names = corpus.THREE_WAY.names
+        data = make_corpus([(f"{self.KEY} a", names[0])] * 6
+                           + [("b", names[1])] * 6 + [("c", names[2])] * 6,
+                           groups=[self.KEY] * 18)
+        path = write_corpus(tmp_path / "data.jsonl", data)
+        out = tmp_path / "out"
+        assert main(["stats", "--data", path, "--out-dir", str(out)]) == 0
+        assert main(["train-eval", "--train", path, "--dev", path, "--out-dir", str(out),
+                     "--embedding-dim", "4", "--mlp-hidden", "4", "--max-epochs", "1"]) == 0
+
+        def rows(name):
+            with open(out / name, encoding="utf-8", newline="") as fh:
+                return list(csv.reader(fh))
+
+        giveaways = rows("giveaways.csv")
+        assert all(len(row) == 4 for row in giveaways)
+        assert [names[0], self.KEY, "1.000000", "6"] in giveaways
+        report = rows("report.csv")
+        assert all(len(row) == 8 for row in report)
+        assert [row[2] for row in report if row[1] == "group"] == [self.KEY]

@@ -585,6 +585,21 @@ class TestCheckpointValidation:
         rewrite(path, header, body)
         self.expect_error(path, r"^[^\n]*repeats token 't1'[^\n]*$")
 
+    @pytest.mark.parametrize("field, value", [
+        ("vocab", lambda vocab: "".join(chr(ord("a") + i) for i in range(len(vocab)))),
+        ("vocab", lambda vocab: list(range(len(vocab)))),
+        ("labels", lambda labels: "xyz"),
+    ], ids=["vocab-string", "vocab-integers", "labels-string"])
+    def test_labels_and_vocab_must_be_lists_of_strings(self, tmp_path, field, value):
+        """A string would be split into characters and integer tokens would
+        map every real token to the OOV row; both keep the shapes, so only
+        the type check stops them."""
+        path, header, body = valid_checkpoint(tmp_path)
+        owner = header if field == "vocab" else header["scheme"]
+        owner[field] = value(owner[field])
+        rewrite(path, header, body)
+        self.expect_error(path, "lists of strings")
+
     def test_trailing_bytes(self, tmp_path):
         path, _, _ = valid_checkpoint(tmp_path)
         path.write_bytes(path.read_bytes() + b"junk")

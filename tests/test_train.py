@@ -4,7 +4,7 @@ import pytest
 from hyponli.corpus import THREE_WAY
 from hyponli.model import ModelConfig, ModelParameters, RowGradient, loss_and_gradients
 from hyponli.text import intern, seeded_random_embeddings
-from hyponli.train import TrainConfig, TrainState, fit, sgd_step
+from hyponli.train import TrainAbort, TrainConfig, TrainState, fit, sgd_step
 
 import reference
 from conftest import make_corpus
@@ -262,3 +262,15 @@ class TestValidationAndLog:
         lines = state.log_csv().strip().split("\n")
         assert lines[0] == "epoch,lr,train_loss,dev_acc"
         assert len(lines) == 3
+
+    def test_untrained_model_overflow_aborts_at_epoch_0(self):
+        """The untrained model's dev evaluation runs under the same raised
+        numpy errors as the epochs: an overflow there aborts with no
+        warning printed and an empty history."""
+        train, dev, tokens = tiny_splits()
+        params = tiny_params()
+        params.array("emb")[[TINY_VOCAB.get("b"), TINY_VOCAB.get("d")]] = 1.7e308  # dev: "b d"
+        with pytest.raises(TrainAbort, match=r"^epoch 0: overflow") as info:
+            fit(train, dev, tokens, params, TrainConfig(max_epochs=2))
+        assert info.value.state.stop_reason == "numerical-error"
+        assert info.value.state.log_csv() == "epoch,lr,train_loss,dev_acc\n"

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from hyponli.util import atomic_open, atomic_write_text
+from hyponli.util import atomic_open, atomic_write_text, config_block, csv_text, markdown_table
 
 
 def mode(path):
@@ -30,3 +30,18 @@ class TestAtomicOpen:
         target = tmp_path / "a" / "b" / "out.txt"
         atomic_write_text(target, "done\n")
         assert target.read_text(encoding="utf-8") == "done\n"
+
+
+class TestTables:
+    def test_csv_text_quotes_fields_and_ends_lines_with_newline(self):
+        rows = ([key, n] for key, n in (('x,"y', 1), ("", 2.5)))
+        assert csv_text(["a", "b"], rows) == 'a,b\n"x,""y",1\n,2.5\n'
+
+    def test_markdown_table_layout(self):
+        assert markdown_table(["Word", "Freq"], [["a", 3], ["b", 1]]) == [
+            "| Word | Freq |", "| --- | --- |", "| a | 3 |", "| b | 1 |"]
+        assert markdown_table(["A", "B", "C"], []) == ["| A | B | C |", "| --- | --- | --- |"]
+
+    def test_config_block_indents_each_line(self):
+        assert config_block(["seed=0", "top_k=5"]) == [
+            "## Run configuration", "", "    seed=0", "    top_k=5"]
