@@ -333,7 +333,11 @@ def _apply_config_file(parser, subcommands, argv):
         if flag:
             value = value.lower()
         elif action.type is not None:
-            value = action.type(value)
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise corpus.ConfigError(f"{args.config}: {key}={value!r} is not "
+                                         f"of type {action.type.__name__}") from None
         choices = _BOOLEAN_WORDS if flag else action.choices
         if choices is not None and value not in choices:
             raise corpus.ConfigError(f"{args.config}: {key}={value!r} is not one of "

@@ -1,10 +1,10 @@
 """Recurrent-cell kernels of the encoder, in plain numpy.
 
-Only the recurrence runs step by step. The forward pass projects every
-input at once (x @ wx.T + b) and each step adds wh @ h[t-1] and activates
-the gates in place; the backward loop only fills the pre-activation
-gradients dz, and every weight gradient and dx is then one matmul over
-the sentence.
+Only the recurrence runs here one sentence at a time. model.py does the
+rest once per direction per batch: the input projection z = x @ wx.T + b
+before lstm_forward, the per-token local derivatives (local_derivatives,
+over all of a batch's rows at once) before lstm_backward, and every
+weight gradient and dx from the dz that lstm_backward returns.
 
 Gate layout inside the stacked weight matrices is [input, forget,
 candidate, output].
@@ -24,46 +24,56 @@ def _sigmoid(z):
     np.divide(1.0, z, out=z)
 
 
-def lstm_forward(x, wx, wh, b):
-    """Run the cell over x (T, d) with zero initial states.
+def lstm_forward(z, wh):
+    """Run the cell over one sentence's input projections z (T, 4H) =
+    x @ wx.T + b, with zero initial states, activating z in place.
 
-    Returns h (T, H), c (T, H), gates (T, 4H) holding the activated
-    i/f/g/o values, and tc (T, H) = tanh(c), all needed by the backward
+    Returns h (T, H), c (T, H), gates (z itself, now holding the activated
+    i/f/g/o values) and tc (T, H) = tanh(c), all needed by the backward
     pass.
     """
-    T = x.shape[0]
+    T = z.shape[0]
     H = wh.shape[1]
-    gates = x @ wx.T + b
     h = np.empty((T, H))
     c = np.empty((T, H))
     tc = np.empty((T, H))
-    h_prev = c_prev = np.zeros(H)
+    c_prev = np.zeros(H)
     for t in range(T):
-        z = gates[t]
-        z += wh @ h_prev
-        g = np.tanh(z[2 * H:3 * H])
-        _sigmoid(z)
-        z[2 * H:3 * H] = g
-        c_prev = c[t] = z[H:2 * H] * c_prev + z[0:H] * g
+        zt = z[t]
+        if t:  # the initial state is zero, so step 0 adds nothing
+            zt += wh @ h_prev
+        g = np.tanh(zt[2 * H:3 * H])
+        _sigmoid(zt)
+        zt[2 * H:3 * H] = g
+        c_prev = c[t] = zt[H:2 * H] * c_prev + zt[0:H] * g
         np.tanh(c_prev, out=tc[t])
-        h_prev = h[t] = z[3 * H:4 * H] * tc[t]
-    return h, c, gates, tc
+        h_prev = h[t] = zt[3 * H:4 * H] * tc[t]
+    return h, c, z, tc
 
 
-def lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
-    """Backpropagate dh_out (T, H) through the recurrence.
+def local_derivatives(gates, c_prev, tc):
+    """The step-local derivatives of any number of rows (N) of the cell.
 
-    Returns (gwx, gwh, gb, dx) where dx (T, d) is the gradient w.r.t. the
-    input vectors.
+    c_prev (N, H) is each row's previous cell state, zero at a sentence's
+    first step. Returns local (N, 4, H), holding dc/dz of the i, f and g
+    pre-activations and dh/dz of o's, and dc_from_dh (N, H), dh/dc
+    through tanh(c).
     """
-    T, H = h.shape
+    H = tc.shape[1]
     i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
-    c_prev = np.zeros_like(c)
-    c_prev[1:] = c[:-1]
-    # dc/dz of the i, f and g pre-activations and dh/dz of o's, per step
     local = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g),
                       tc * o * (1.0 - o)], axis=1)
-    dc_from_dh = o * (1.0 - tc * tc)  # dh/dc through tanh(c)
+    return local, o * (1.0 - tc * tc)
+
+
+def lstm_backward(wh, f, local, dc_from_dh, dh_out):
+    """Backpropagate dh_out (T, H) through one sentence's recurrence.
+
+    f (T, H) holds its forget gates, and local and dc_from_dh its rows of
+    local_derivatives. Returns dz (T, 4H), the gradient of the
+    pre-activations z.
+    """
+    T, H = dh_out.shape
     dz = np.empty((T, 4, H))
     dh_next = dc_next = np.zeros(H)
     for t in range(T - 1, -1, -1):
@@ -71,7 +81,7 @@ def lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
         dc = dh * dc_from_dh[t] + dc_next
         np.multiply(dc, local[t, 0:3], out=dz[t, 0:3])
         np.multiply(dh, local[t, 3], out=dz[t, 3])
-        dh_next = dz[t].reshape(-1) @ wh
-        dc_next = dc * f[t]
-    dz = dz.reshape(T, 4 * H)
-    return dz.T @ x, dz[1:].T @ h[:-1], dz.sum(axis=0), dz @ wx
+        if t:  # step 0 has no previous state to pass a gradient to
+            dh_next = dz[t].reshape(-1) @ wh
+            dc_next = dc * f[t]
+    return dz.reshape(T, 4 * H)

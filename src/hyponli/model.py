@@ -32,13 +32,16 @@ encodings and a cache, and _encode_backward turns the encodings' gradient
 into a per-token embedding gradient. So loss_and_gradients runs one path
 for both encoders, and predict is the head's argmax on one _encode.
 
-The BiLSTM encodes one sentence at a time inside _encode, and its
-predict_batch calls predict once per sentence. Within a sentence,
-kernels.lstm_forward and lstm_backward step only the recurrence: the input
-projection and the weight gradients are one matmul each. The benchmark's
-traced run checks kernels.lstm_forward.calls = 2 x (examples +
-model.predict.calls), so a batched BiLSTM comes together with a new form
-of that check.
+The BiLSTM runs everything but its recurrence once per direction per
+batch: the input projection, the states' finiteness check, the
+max-pooling, the routing of d_enc, the local derivatives, and every weight
+gradient and dx. Only kernels.lstm_forward and lstm_backward run one
+sentence at a time, and its predict_batch calls predict once per
+sentence. The benchmark's traced run checks kernels.lstm_forward.calls =
+2 x (examples + model.predict.calls), so a time-major recurrence over
+the whole batch comes together with a new form of that check. Batched
+products round differently from per-sentence ones, so BiLSTM results
+depend on which sentences share a batch, in their last bits.
 """
 
 from __future__ import annotations
@@ -139,12 +142,6 @@ class ModelParameters:
     def array_names(self) -> list[str]:
         return list(self._arrays.keys())
 
-    def trainable_names(self) -> list[str]:
-        names = [n for n in self._arrays if n != "emb"]
-        if self.config.finetune_embeddings:
-            names = ["emb"] + names
-        return names
-
     def clone(self) -> "ModelParameters":
         arrays = {name: arr.copy() for name, arr in self._arrays.items()}
         return ModelParameters(self.config, self.scheme, self.vocab, arrays)
@@ -211,59 +208,85 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
     """(encodings (B, D), cache for _encode_backward) of the sentences that
     lengths cuts ids into; an empty sentence encodes to zero.
 
-    The BiLSTM runs each non-empty sentence through kernels.lstm_forward
-    once per direction and max-pools each direction by itself over time,
-    ties going to the earliest step in token order (for the backward
-    direction, the latest step of its own order)."""
+    The BiLSTM holds each direction's tokens in its own step order: token
+    order for the forward direction, and for the backward one an index
+    array that reverses every sentence in place. Each direction projects
+    all of its tokens with one x @ wx.T + b, runs each non-empty
+    sentence's recurrence through kernels.lstm_forward, checks its states
+    (the forward direction's first) and max-pools them over each
+    sentence."""
     emb = params.array("emb")
     if params.config.encoder_kind == "bag":
         return _encode_bag(ids, lengths, emb), lengths
     H = params.config.hidden_dim
     enc = np.zeros((lengths.size, 2 * H))
-    cache = []
-    for k, sentence in enumerate(np.split(ids, np.cumsum(lengths)[:-1])):
-        if sentence.size == 0:
-            continue
-        x = emb[sentence]
-        fwd = kernels.lstm_forward(x, *map(params.array, _LSTM_ARRAYS[:3]))
-        bwd = kernels.lstm_forward(x[::-1], *map(params.array, _LSTM_ARRAYS[3:]))
-        steps = []
-        for j, h in enumerate((fwd[0], bwd[0][::-1])):  # both in token order
-            finite = np.isfinite(h).all(axis=1)
-            if not finite.all():
-                raise NumericalError("non-finite hidden state at token index "
-                                     f"{int(np.argmin(finite))}")
-            steps.append(np.argmax(h, axis=0))
-            enc[k, j * H:(j + 1) * H] = h.max(axis=0)
-        cache.append((k, x, fwd, bwd, *steps))
-    return enc, cache
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    nonempty = lengths > 0
+    firsts = starts[nonempty]
+    spans = list(zip(firsts.tolist(), ends[nonempty].tolist()))
+    # step row r of the backward direction holds token row rev[r], and vice versa
+    rev = np.repeat(starts + ends - 1, lengths) - np.arange(ids.size)
+    directions = []
+    for j, order in enumerate((np.arange(ids.size), rev)):
+        wx, wh, b = map(params.array, _LSTM_ARRAYS[3 * j:3 * j + 3])
+        x = emb[ids[order]]
+        z = x @ wx.T + b
+        states = [kernels.lstm_forward(z[s:e], wh) for s, e in spans]
+        h = np.concatenate([np.empty((0, H)), *(state[0] for state in states)])
+        finite = np.isfinite(h).all(axis=1)
+        if not finite.all():
+            p = int(np.argmin(finite[order]))  # the first such token in token order
+            k = p - int(starts[np.searchsorted(ends, p, side="right")])
+            raise NumericalError(f"non-finite hidden state at token index {k}")
+        pooled = np.maximum.reduceat(h, firsts, axis=0)
+        enc[nonempty, j * H:(j + 1) * H] = pooled
+        directions.append((order, x, z, h, pooled, states))
+    return enc, (lengths, firsts, spans, directions)
 
 
 def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
                      grads: dict) -> np.ndarray:
     """Per-token gradient (N, d) of the embedding rows _encode read, from
     the encodings' gradient d_enc (B, D); the BiLSTM also puts its six
-    weight gradients into grads. Max-pooling picks exactly one step per
-    hidden unit, so d_enc is routed to it by assignment."""
+    weight gradients into grads.
+
+    Max-pooling picks exactly one step per sentence and hidden unit, the
+    earliest at-max step in token order, so d_enc is routed to it by
+    assignment. Each direction then runs each sentence's reverse loop
+    through kernels.lstm_backward, and forms its weight gradients and dx
+    with one matmul or sum each over all of its steps."""
     if params.config.encoder_kind == "bag":
         lengths = cache
         return np.repeat(d_enc / np.maximum(lengths, 1)[:, None], lengths, axis=0)
+    lengths, firsts, spans, directions = cache
     H = params.config.hidden_dim
-    for name in _LSTM_ARRAYS:
-        grads[name] = np.zeros_like(params.array(name))
-    cols = np.arange(H)
-    d_x = [np.empty((0, params.config.embedding_dim))]
-    for k, x, fwd, bwd, step_f, step_b in cache:
-        T = x.shape[0]
-        dh_f, dh_b = np.zeros((T, H)), np.zeros((T, H))  # each in its direction's order
-        dh_f[step_f, cols] = d_enc[k, :H]
-        dh_b[T - 1 - step_b, cols] = d_enc[k, H:]
-        gf = kernels.lstm_backward(x, *map(params.array, _LSTM_ARRAYS[:2]), *fwd, dh_f)
-        gb = kernels.lstm_backward(x[::-1], *map(params.array, _LSTM_ARRAYS[3:5]), *bwd, dh_b)
-        for name, grad in zip(_LSTM_ARRAYS, gf[:3] + gb[:3]):
-            grads[name] += grad
-        d_x.append(gf[3] + gb[3][::-1])
-    return np.concatenate(d_x)
+    nonempty = lengths > 0
+    counts, d_enc = lengths[nonempty], d_enc[nonempty]
+    N = int(counts.sum())
+    later = np.setdiff1d(np.arange(N), firsts)  # the steps that have a previous step
+    d_x = []
+    for j, (order, x, gates, h, pooled, states) in enumerate(directions):
+        name_x, name_h, name_b = _LSTM_ARRAYS[3 * j:3 * j + 3]
+        wx, wh = params.array(name_x), params.array(name_h)
+        at_max = np.where(h == np.repeat(pooled, counts, axis=0), order[:, None], N)
+        first = np.minimum.reduceat(at_max, firsts, axis=0)  # token rows (S, H)
+        dh = np.zeros((N, H))
+        dh[order[first], np.arange(H)] = d_enc[:, j * H:(j + 1) * H]
+        c, tc = (np.concatenate([np.empty((0, H)), *(state[k] for state in states)])
+                 for k in (1, 3))
+        c_prev = np.zeros((N, H))
+        c_prev[later] = c[later - 1]
+        local, dc_from_dh = kernels.local_derivatives(gates, c_prev, tc)
+        f = gates[:, H:2 * H]
+        dz = np.concatenate([np.empty((0, 4 * H))] + [
+            kernels.lstm_backward(wh, f[s:e], local[s:e], dc_from_dh[s:e], dh[s:e])
+            for s, e in spans])
+        grads[name_x] = dz.T @ x
+        grads[name_h] = dz[later].T @ h[later - 1]
+        grads[name_b] = dz.sum(axis=0)
+        d_x.append((dz @ wx)[order])
+    return d_x[0] + d_x[1]
 
 
 def predict(rows: np.ndarray, params: ModelParameters) -> int:
@@ -278,7 +301,7 @@ def predict_batch(rows: np.ndarray, tokens, params: ModelParameters) -> np.ndarr
     forward pass over all of them for the bag, one predict call per
     sentence for the BiLSTM."""
     if params.config.encoder_kind != "bag":
-        # bench/run.py:194-202 (check_trace_counts) expects
+        # the benchmark's count check expects
         # kernels.lstm_forward.calls = 2 x (examples + model.predict.calls)
         ids, indptr = tokens
         return np.array([predict(ids[indptr[r]:indptr[r + 1]], params) for r in rows.tolist()],

@@ -165,6 +165,15 @@ def lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
     return gwx, gwh, gb, dx
 
 
+def trainable_names(params):
+    """Names of the arrays SGD updates: "emb" first when the embeddings
+    are fine-tuned, then every other array in checkpoint order."""
+    names = [n for n in params.array_names() if n != "emb"]
+    if params.config.finetune_embeddings:
+        names = ["emb"] + names
+    return names
+
+
 def birnn_states(rows, params):
     """(x, forward pass, backward pass, per-timestep [forward; backward]
     states (T, 2H)) of one nonempty sentence's embedding rows."""
@@ -205,7 +214,7 @@ def loss_and_gradients(batch, y, params):
     probs = e / total
     loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(B), y]))
 
-    grads = {name: np.zeros_like(params.array(name)) for name in params.trainable_names()}
+    grads = {name: np.zeros_like(params.array(name)) for name in trainable_names(params)}
     d_logits = probs.copy()
     d_logits[np.arange(B), y] -= 1.0
     d_logits /= B

@@ -18,7 +18,7 @@ import pytest
 from hyponli import cli, corpus, evaluate, kernels, model, stats, synth, text, train
 
 from conftest import as_csr, make_corpus
-from reference import dense, lookup
+from reference import dense, lookup, trainable_names
 from test_stats import brute_coverage, brute_giveaways, brute_p, brute_counts, count_corpus
 
 
@@ -177,7 +177,7 @@ def test_criterion_4_gradient_correctness():
                 rows, tokens = as_csr(sentences)
                 y = np.array(y)
                 _, grads = model.loss_and_gradients(rows, tokens, y, params)
-                for name in params.trainable_names():
+                for name in trainable_names(params):
                     flat = params.array(name).reshape(-1)
                     gflat = dense(grads[name], params.array(name)).reshape(-1)
                     for i in range(flat.size):

@@ -6,8 +6,9 @@ the untraced benchmark times setup up to the first corpus.read_jsonl call,
 so a command that stopped calling it would fail every operation. The
 benchmark's commands (stats, and train-eval with a test split) and
 audit-sample read every input file through that module attribute, once
-each, in argument order. A traced BiLSTM run must keep the count rules
-bench/run.py checks.
+each, in argument order. Every command line bench/run.py builds must
+parse, so each flag it passes (--seed to stats included) must stay. A
+traced BiLSTM run must keep the count rules bench/run.py checks.
 """
 
 import importlib
@@ -16,13 +17,15 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 from hyponli import cli, corpus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAUNCH = os.path.join(ROOT, "bench", "launch.py")
+BENCH = os.path.join(ROOT, "bench")
+LAUNCH = os.path.join(BENCH, "launch.py")
 
 # entries naming functions that hyponli no longer has
 STALE = {("text", "build_vocabulary"), ("text", "EmbeddingTable.matrix_for"),
@@ -48,6 +51,22 @@ def test_only_the_known_stale_layers_do_not_resolve(layers):
     unresolved = {(module, attr) for _, module, attr, _ in layers
                   if not resolves(module, attr)}
     assert unresolved == STALE
+
+
+def test_every_benchmark_command_line_parses(monkeypatch):
+    """Bench.argv, run on each workload of bench/run.py's WORKLOADS with
+    stand-in input paths, gives a command line cli's parser accepts."""
+    monkeypatch.syspath_prepend(BENCH)  # run.py imports its sibling modules by name
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(BENCH, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    parser, _ = cli.build_parser()
+    for name, workload in run.WORKLOADS.items():
+        bench = types.SimpleNamespace(spec=workload, seed=7,
+                                      paths={split: f"{split}.jsonl" for split in workload.sizes})
+        args = parser.parse_args(run.Bench.argv(bench, "out"))
+        assert (args.command, args.seed, args.out_dir) == (workload.command, 7, "out"), name
 
 
 def write_records(path, labels):

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -263,6 +265,7 @@ class TestStatsCommand:
         ("format = xml", "format='xml'"),
         ("scheme = 4way", "scheme='4way'"),
         ("per-label-threshold = maybe", "per_label_threshold='maybe'"),
+        ("top-k = 2.5", "top_k='2.5'"),
     ])
     def test_bad_config_value_is_one_line(self, tmp_path, capsys, line, named):
         data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
@@ -535,6 +538,42 @@ class TestTrainEvalCommand:
                    "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
         assert rc == 1
         assert one_error_line(capsys) == f"error: {cfg}: unknown option 'compare_to'"
+
+    @pytest.mark.parametrize("encoder, dims", [
+        ("bag", ["--embedding-dim", "128", "--mlp-hidden", "128", "--batch-size", "64"]),
+        ("birnn-maxpool", ["--embedding-dim", "50", "--hidden-dim", "64", "--batch-size", "16"]),
+    ])
+    def test_blas_thread_count_does_not_change_the_checkpoint(self, tmp_path, encoder, dims):
+        """One OpenBLAS thread and the default pool give the same bytes. The
+        sizes (about 70 tokens x 50 x 256 for the BiLSTM's batch products,
+        64 x 128 x 128 for the bag's) are above the size from which
+        OpenBLAS splits a product across threads on a multi-core machine."""
+        paths = synth_corpus_files(tmp_path)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        checkpoints = []
+        for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+            out = tmp_path / f"out{len(checkpoints)}"
+            subprocess.run([sys.executable, "-m", "hyponli.cli", "train-eval",
+                            "--train", paths["train"], "--dev", paths["dev"],
+                            "--out-dir", str(out), "--encoder", encoder, *dims,
+                            "--max-epochs", "1", "--finetune-embeddings"],
+                           env={**env, **threads}, check=True, capture_output=True,
+                           timeout=120)
+            checkpoints.append((out / "model.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
+    def test_config_value_of_the_wrong_type_names_the_key(self, tmp_path, capsys):
+        paths = synth_corpus_files(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-epochs = abc\n")
+        rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                   "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: {cfg}: max_epochs='abc' is not of type int")
 
     def test_unknown_config_key_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)

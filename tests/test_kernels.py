@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyponli import kernels
+from hyponli import kernels, model
 
 import reference
+from conftest import as_csr
+from test_model import make_params
 
 
 def close(a, b):
@@ -22,12 +24,23 @@ def cell(rng, T, d, H, scale=1.0):
             rng.normal(size=(T, H)))
 
 
+def run_kernels(x, wx, wh, b, dh_out):
+    """The forward and backward pass of one sentence as model.py composes
+    the kernels: ((h, c, gates, tc), (gwx, gwh, gb, dx))."""
+    fwd = h, c, gates, tc = kernels.lstm_forward(x @ wx.T + b, wh)
+    c_prev = np.zeros_like(c)
+    c_prev[1:] = c[:-1]
+    local, dc_from_dh = kernels.local_derivatives(gates, c_prev, tc)
+    H = wh.shape[1]
+    dz = kernels.lstm_backward(wh, gates[:, H:2 * H], local, dc_from_dh, dh_out)
+    return fwd, (dz.T @ x, dz[1:].T @ h[:-1], dz.sum(axis=0), dz @ wx)
+
+
 def assert_kernels_match_reference(x, wx, wh, b, dh_out):
-    fwd = kernels.lstm_forward(x, wx, wh, b)
+    fwd, bwd = run_kernels(x, wx, wh, b, dh_out)
     ref_fwd = reference.lstm_forward(x, wx, wh, b)
     for name, got, want in zip(("h", "c", "gates", "tc"), fwd, ref_fwd):
         assert close(got, want), name
-    bwd = kernels.lstm_backward(x, wx, wh, *fwd, dh_out)
     ref_bwd = reference.lstm_backward(x, wx, wh, *ref_fwd, dh_out)
     for name, got, want in zip(("gwx", "gwh", "gb", "dx"), bwd, ref_bwd):
         assert close(got, want), name
@@ -53,17 +66,18 @@ def test_property_matches_per_step_reference(T, d, H, scale, seed):
 
 
 def test_projection_overflow_raises():
-    x = np.full((2, 3), 1e200)
-    wx = np.full((8, 3), 1e200)
+    params = make_params("birnn-maxpool")
+    params.array("emb")[...] = 1e200
+    params.array("wf_x")[...] = 1e200
+    rows, tokens = as_csr([np.array([0, 1])])
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        kernels.lstm_forward(x, wx, np.zeros((8, 2)), np.zeros(8))
+        model.loss_and_gradients(rows, tokens, np.array([0]), params)
 
 
 def test_saturated_gate_is_exact_and_silent():
     x, wx, wh, b, dh_out = cell(np.random.default_rng(0), 3, 4, 2)
     b[0:2] = -800.0  # exp(800) overflows inside the input gate's sigmoid
     with np.errstate(all="raise"):
-        h, c, gates, tc = kernels.lstm_forward(x, wx, wh, b)
-        kernels.lstm_backward(x, wx, wh, h, c, gates, tc, dh_out)
+        (h, c, gates, tc), _ = run_kernels(x, wx, wh, b, dh_out)
     assert np.array_equal(gates[:, 0:2], np.zeros((3, 2)))
     assert np.array_equal(c, np.zeros((3, 2)))

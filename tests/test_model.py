@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyponli import model
+from hyponli import kernels, model
 from hyponli.corpus import THREE_WAY, TWO_WAY
 from hyponli.model import (
     ModelConfig, ModelParameters, load_checkpoint, loss_and_gradients, predict, save_checkpoint,
@@ -15,7 +15,7 @@ from hyponli.text import Vocabulary, intern, seeded_random_embeddings
 
 import reference
 from conftest import as_csr
-from reference import dense, encode_bag_rows, lookup
+from reference import dense, encode_bag_rows, lookup, trainable_names
 
 
 def small_vocab(n=10):
@@ -89,9 +89,11 @@ class TestEncodeBirnn:
     def test_length_one_equals_single_state(self):
         params = make_params("birnn-maxpool")
         rows = lookup(params.vocab, ["t3"])
-        enc, [(_, _, fwd, bwd, *_)] = model._encode(rows, np.array([1]), params)
-        assert enc.shape == (1, 8)
-        assert np.array_equal(enc[0], np.concatenate([fwd[0][0], bwd[0][0]]))
+        x = params.array("emb")[rows]
+        states = [kernels.lstm_forward(x @ params.array(wx).T + params.array(b),
+                                       params.array(wh))[0][0]
+                  for wx, wh, b in (("wf_x", "wf_h", "wf_b"), ("wb_x", "wb_h", "wb_b"))]
+        assert np.array_equal(encode_birnn_maxpool(rows, params), np.concatenate(states))
 
     def test_not_permutation_invariant_witness(self):
         params = make_params("birnn-maxpool")
@@ -251,7 +253,7 @@ class TestLossAndGradients:
         rows, tokens, y = random_batch(params, rng)
         _, grads = loss_and_gradients(rows, tokens, y, params)
         step = 1e-4
-        for name in params.trainable_names():
+        for name in trainable_names(params):
             flat = params.array(name).reshape(-1)
             gflat = dense(grads[name], params.array(name)).reshape(-1)
             for i in range(flat.size):
