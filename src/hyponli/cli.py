@@ -347,10 +347,22 @@ def _apply_config_file(parser, subcommands, argv):
     return parser.parse_args(argv)
 
 
+def _check_out_dir(path) -> None:
+    """Raise ConfigError unless path is a directory or could be made one:
+    its nearest existing ancestor, itself included, must be a directory.
+    Nothing is created, so a run that fails later leaves no directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise corpus.ConfigError(f"--out-dir {path}: {probe} is not a directory")
+
+
 def main(argv=None) -> int:
     parser, subcommands = build_parser()
     try:
         args = _apply_config_file(parser, subcommands, argv)
+        _check_out_dir(args.out_dir)  # before any input is read
         return args.func(args)
     except (ValueError, OSError) as exc:  # ingest, config and embedding errors included
         print(f"error: {exc}", file=sys.stderr)

@@ -2,53 +2,80 @@
 
 Only the recurrence runs here one sentence at a time. model.py does the
 rest once per direction per batch: the input projection z = x @ wx.T + b
-before lstm_forward, the per-token local derivatives (local_derivatives,
-over all of a batch's rows at once) before lstm_backward, and every
-weight gradient and dx from the dz that lstm_backward returns.
+and its halving (halve_ifo) before lstm_forward, the per-token local
+derivatives (local_derivatives, over all of a batch's rows at once)
+before lstm_backward, and every weight gradient and dx from the dz that
+lstm_backward writes.
 
 Gate layout inside the stacked weight matrices is [input, forget,
 candidate, output].
+
+The sigmoid gates take the tanh form sigmoid(v) = 1/2 + 1/2 tanh(v/2).
+Each step runs one np.tanh over its whole 4H pre-activation row, then
+scales it by [1/2, 1/2, 1, 1/2] and shifts it by [1/2, 1/2, 0, 1/2], one
+value per gate. So the i, f and o pre-activations must arrive halved:
+halve_ifo halves those columns of z and those rows of wh once per batch,
+exactly, since the factor is a power of two. tanh cannot overflow, so the
+kernels leave the floating-point error state alone; the projection, the
+one place an overflow can arise, is computed in model.py under the
+caller's error state.
+
+The kernels write into arrays their caller allocates once per direction
+per batch and slices per sentence: lstm_forward into h, c and tc, and
+lstm_backward into dz, adding each step's gradient of the previous hidden
+state into dh_out in place.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
-def _sigmoid(z):
-    """1/(1+exp(-z)) in place. exp may overflow for very negative z; the
-    result, 0, is the exact limit, so that overflow alone is not reported."""
-    with np.errstate(over="ignore"):
-        np.exp(np.negative(z, out=z), out=z)
-    z += 1.0
-    np.divide(1.0, z, out=z)
+@functools.cache
+def _tanh_form(H):
+    """(scale, shift) of the tanh form, each (4H,) and read-only: the
+    per-gate factors [1/2, 1/2, 1, 1/2] and 1 - scale = [1/2, 1/2, 0, 1/2]."""
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+    shift = 1.0 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
-def lstm_forward(z, wh):
-    """Run the cell over one sentence's input projections z (T, 4H) =
-    x @ wx.T + b, with zero initial states, activating z in place.
+def halve_ifo(z, wh):
+    """Halve the i, f and o columns of the projections z (N, 4H) in place,
+    and return a copy of wh (4H, H) with its i, f and o rows halved: the
+    operands lstm_forward takes."""
+    H = wh.shape[1]
+    z *= _tanh_form(H)[0]
+    half = wh * 0.5
+    half[2 * H:3 * H] = wh[2 * H:3 * H]
+    return half
 
-    Returns h (T, H), c (T, H), gates (z itself, now holding the activated
-    i/f/g/o values) and tc (T, H) = tanh(c), all needed by the backward
+
+def lstm_forward(z, wh, h, c, tc):
+    """Run the cell over one sentence's halved projections z (T, 4H), with
+    zero initial states and the halved recurrent weights wh (halve_ifo).
+
+    Activates z in place, leaving the i/f/g/o gate values in it, and
+    writes h, c and tc = tanh(c), each (T, H), all needed by the backward
     pass.
     """
-    T = z.shape[0]
     H = wh.shape[1]
-    h = np.empty((T, H))
-    c = np.empty((T, H))
-    tc = np.empty((T, H))
+    scale, shift = _tanh_form(H)
     c_prev = np.zeros(H)
-    for t in range(T):
+    for t in range(z.shape[0]):
         zt = z[t]
         if t:  # the initial state is zero, so step 0 adds nothing
             zt += wh @ h_prev
-        g = np.tanh(zt[2 * H:3 * H])
-        _sigmoid(zt)
-        zt[2 * H:3 * H] = g
-        c_prev = c[t] = zt[H:2 * H] * c_prev + zt[0:H] * g
+        np.tanh(zt, out=zt)
+        zt *= scale
+        zt += shift
+        c_prev = np.multiply(zt[H:2 * H], c_prev, out=c[t])
+        c_prev += zt[0:H] * zt[2 * H:3 * H]
         np.tanh(c_prev, out=tc[t])
-        h_prev = h[t] = zt[3 * H:4 * H] * tc[t]
-    return h, c, z, tc
+        h_prev = np.multiply(zt[3 * H:4 * H], tc[t], out=h[t])
 
 
 def local_derivatives(gates, c_prev, tc):
@@ -66,22 +93,24 @@ def local_derivatives(gates, c_prev, tc):
     return local, o * (1.0 - tc * tc)
 
 
-def lstm_backward(wh, f, local, dc_from_dh, dh_out):
-    """Backpropagate dh_out (T, H) through one sentence's recurrence.
+def lstm_backward(wh, f, local, dc_from_dh, dh_out, dz):
+    """Backpropagate dh_out (T, H) through one sentence's recurrence,
+    writing dz (T, 4, H), the gradient of the pre-activations z.
 
     f (T, H) holds its forget gates, and local and dc_from_dh its rows of
-    local_derivatives. Returns dz (T, 4H), the gradient of the
-    pre-activations z.
+    local_derivatives. Each step adds its gradient of the previous hidden
+    state into dh_out in place, so dh_out[t] ends as the whole gradient of
+    h[t].
     """
     T, H = dh_out.shape
-    dz = np.empty((T, 4, H))
-    dh_next = dc_next = np.zeros(H)
+    flat = dz.reshape(T, 4 * H)
+    dc_next = np.zeros(H)
     for t in range(T - 1, -1, -1):
-        dh = dh_out[t] + dh_next
-        dc = dh * dc_from_dh[t] + dc_next
+        dh = dh_out[t]
+        dc = dh * dc_from_dh[t]
+        dc += dc_next
         np.multiply(dc, local[t, 0:3], out=dz[t, 0:3])
         np.multiply(dh, local[t, 3], out=dz[t, 3])
         if t:  # step 0 has no previous state to pass a gradient to
-            dh_next = dz[t].reshape(-1) @ wh
+            dh_out[t - 1] += flat[t] @ wh
             dc_next = dc * f[t]
-    return dz.reshape(T, 4 * H)

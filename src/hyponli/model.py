@@ -33,15 +33,20 @@ into a per-token embedding gradient. So loss_and_gradients runs one path
 for both encoders, and predict is the head's argmax on one _encode.
 
 The BiLSTM runs everything but its recurrence once per direction per
-batch: the input projection, the states' finiteness check, the
-max-pooling, the routing of d_enc, the local derivatives, and every weight
-gradient and dx. Only kernels.lstm_forward and lstm_backward run one
-sentence at a time, and its predict_batch calls predict once per
-sentence. The benchmark's traced run checks kernels.lstm_forward.calls =
-2 x (examples + model.predict.calls), so a time-major recurrence over
-the whole batch comes together with a new form of that check. Batched
-products round differently from per-sentence ones, so BiLSTM results
-depend on which sentences share a batch, in their last bits.
+batch: the input projection and its halving for the kernels' tanh-form
+gates, the routing of d_enc, the local derivatives, and every weight
+gradient and dx; the states' finiteness check and the max-pooling run
+once for both directions. Only kernels.lstm_forward and lstm_backward run
+one sentence at a time, writing into slices of the batch's h, c, tc and
+dz arrays, so no per-sentence result is concatenated; the kernels leave
+the floating-point error state alone, and the projection, computed here,
+is the one place an overflow can arise. Its predict_batch calls predict
+once per sentence. The benchmark's traced run checks
+kernels.lstm_forward.calls = 2 x (examples + model.predict.calls), so a
+time-major recurrence over the whole batch comes together with a new form
+of that check. Batched products round differently from per-sentence ones,
+so BiLSTM results depend on which sentences share a batch, in their last
+bits.
 """
 
 from __future__ import annotations
@@ -210,39 +215,49 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
 
     The BiLSTM holds each direction's tokens in its own step order: token
     order for the forward direction, and for the backward one an index
-    array that reverses every sentence in place. Each direction projects
-    all of its tokens with one x @ wx.T + b, runs each non-empty
-    sentence's recurrence through kernels.lstm_forward, checks its states
-    (the forward direction's first) and max-pools them over each
-    sentence."""
+    array that reverses every sentence in place, so both directions cut
+    their steps into sentences at the same rows. Each direction projects
+    all of its tokens with one x @ wx.T + b, halves it for the kernels'
+    tanh form (kernels.halve_ifo) and runs each non-empty sentence's
+    recurrence through kernels.lstm_forward, which writes into that
+    direction's half of the (2, N, H) arrays h, c and tc. One check then
+    covers both directions' states (the forward direction's first), and
+    one max-pooling pools them over each sentence."""
     emb = params.array("emb")
     if params.config.encoder_kind == "bag":
         return _encode_bag(ids, lengths, emb), lengths
     H = params.config.hidden_dim
-    enc = np.zeros((lengths.size, 2 * H))
+    N = ids.size
     ends = np.cumsum(lengths)
     starts = ends - lengths
     nonempty = lengths > 0
     firsts = starts[nonempty]
     spans = list(zip(firsts.tolist(), ends[nonempty].tolist()))
-    # step row r of the backward direction holds token row rev[r], and vice versa
-    rev = np.repeat(starts + ends - 1, lengths) - np.arange(ids.size)
-    directions = []
-    for j, order in enumerate((np.arange(ids.size), rev)):
+    # step row r of direction j holds token row orders[j][r]; the backward
+    # direction's order is its own inverse
+    orders = (np.arange(N), np.repeat(starts + ends - 1, lengths) - np.arange(N))
+    h, c, tc = np.empty((3, 2, N, H))
+    xs, gates = [], []
+    for j, order in enumerate(orders):
         wx, wh, b = map(params.array, _LSTM_ARRAYS[3 * j:3 * j + 3])
         x = emb[ids[order]]
-        z = x @ wx.T + b
-        states = [kernels.lstm_forward(z[s:e], wh) for s, e in spans]
-        h = np.concatenate([np.empty((0, H)), *(state[0] for state in states)])
-        finite = np.isfinite(h).all(axis=1)
-        if not finite.all():
-            p = int(np.argmin(finite[order]))  # the first such token in token order
-            k = p - int(starts[np.searchsorted(ends, p, side="right")])
-            raise NumericalError(f"non-finite hidden state at token index {k}")
-        pooled = np.maximum.reduceat(h, firsts, axis=0)
-        enc[nonempty, j * H:(j + 1) * H] = pooled
-        directions.append((order, x, z, h, pooled, states))
-    return enc, (lengths, firsts, spans, directions)
+        z = x @ wx.T
+        z += b
+        wh = kernels.halve_ifo(z, wh)
+        for s, e in spans:
+            kernels.lstm_forward(z[s:e], wh, h[j, s:e], c[j, s:e], tc[j, s:e])
+        xs.append(x)
+        gates.append(z)
+    if not np.isfinite(h).all():
+        finite = np.isfinite(h).all(axis=2)
+        j = int(finite[0].all())
+        p = int(np.argmin(finite[j, orders[j]]))  # the first such token in token order
+        k = p - int(starts[np.searchsorted(ends, p, side="right")])
+        raise NumericalError(f"non-finite hidden state at token index {k}")
+    pooled = np.maximum.reduceat(h, firsts, axis=1)  # (2, S, H)
+    enc = np.zeros((lengths.size, 2, H))
+    enc[nonempty] = pooled.swapaxes(0, 1)
+    return enc.reshape(-1, 2 * H), (lengths, firsts, spans, orders, xs, gates, h, c, tc, pooled)
 
 
 def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
@@ -254,36 +269,38 @@ def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
     Max-pooling picks exactly one step per sentence and hidden unit, the
     earliest at-max step in token order, so d_enc is routed to it by
     assignment. Each direction then runs each sentence's reverse loop
-    through kernels.lstm_backward, and forms its weight gradients and dx
-    with one matmul or sum each over all of its steps."""
+    through kernels.lstm_backward into a slice of its dz, and forms its
+    weight gradients and dx with one matmul or sum each over all of its
+    steps."""
     if params.config.encoder_kind == "bag":
         lengths = cache
         return np.repeat(d_enc / np.maximum(lengths, 1)[:, None], lengths, axis=0)
-    lengths, firsts, spans, directions = cache
+    lengths, firsts, spans, orders, xs, gates, h, c, tc, pooled = cache
     H = params.config.hidden_dim
     nonempty = lengths > 0
     counts, d_enc = lengths[nonempty], d_enc[nonempty]
     N = int(counts.sum())
-    later = np.setdiff1d(np.arange(N), firsts)  # the steps that have a previous step
+    has_prev = np.ones(N, dtype=bool)
+    has_prev[firsts] = False
+    later = np.flatnonzero(has_prev)  # the steps that have a previous step
     d_x = []
-    for j, (order, x, gates, h, pooled, states) in enumerate(directions):
+    for j, order in enumerate(orders):
         name_x, name_h, name_b = _LSTM_ARRAYS[3 * j:3 * j + 3]
         wx, wh = params.array(name_x), params.array(name_h)
-        at_max = np.where(h == np.repeat(pooled, counts, axis=0), order[:, None], N)
+        at_max = np.where(h[j] == np.repeat(pooled[j], counts, axis=0), order[:, None], N)
         first = np.minimum.reduceat(at_max, firsts, axis=0)  # token rows (S, H)
         dh = np.zeros((N, H))
         dh[order[first], np.arange(H)] = d_enc[:, j * H:(j + 1) * H]
-        c, tc = (np.concatenate([np.empty((0, H)), *(state[k] for state in states)])
-                 for k in (1, 3))
         c_prev = np.zeros((N, H))
-        c_prev[later] = c[later - 1]
-        local, dc_from_dh = kernels.local_derivatives(gates, c_prev, tc)
-        f = gates[:, H:2 * H]
-        dz = np.concatenate([np.empty((0, 4 * H))] + [
-            kernels.lstm_backward(wh, f[s:e], local[s:e], dc_from_dh[s:e], dh[s:e])
-            for s, e in spans])
-        grads[name_x] = dz.T @ x
-        grads[name_h] = dz[later].T @ h[later - 1]
+        c_prev[later] = c[j, later - 1]
+        local, dc_from_dh = kernels.local_derivatives(gates[j], c_prev, tc[j])
+        f = gates[j][:, H:2 * H]
+        dz = np.empty((N, 4, H))
+        for s, e in spans:
+            kernels.lstm_backward(wh, f[s:e], local[s:e], dc_from_dh[s:e], dh[s:e], dz[s:e])
+        dz = dz.reshape(N, 4 * H)
+        grads[name_x] = dz.T @ xs[j]
+        grads[name_h] = dz[later].T @ h[j, later - 1]
         grads[name_b] = dz.sum(axis=0)
         d_x.append((dz @ wx)[order])
     return d_x[0] + d_x[1]

@@ -8,7 +8,8 @@ benchmark's commands (stats, and train-eval with a test split) and
 audit-sample read every input file through that module attribute, once
 each, in argument order. Every command line bench/run.py builds must
 parse, so each flag it passes (--seed to stats included) must stay. A
-traced BiLSTM run must keep the count rules bench/run.py checks.
+traced BiLSTM run must keep the count rules bench/run.py checks, and the
+step count launch.py reads from lstm_forward's first argument.
 """
 
 import importlib
@@ -140,3 +141,6 @@ def test_traced_birnn_run_keeps_the_benchmark_count_rules(tmp_path):
     assert calls("model.predict") == predicted
     assert calls("kernels.lstm_forward") == 2 * (examples + predicted)
     assert calls("kernels.lstm_backward") == 2 * examples
+    # launch.py counts a call's steps as len(args[0]), so z must stay the
+    # first argument; each hypothesis "a b{i}" is 2 tokens
+    assert layers["kernels.lstm_forward"][3] == 2 * 2 * (examples + predicted)

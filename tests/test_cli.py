@@ -32,6 +32,22 @@ def write_corpus(path, data, scheme=corpus.THREE_WAY):
     return str(path)
 
 
+@pytest.mark.parametrize("command", ["stats", "train-eval"])
+def test_out_dir_under_a_file_fails_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                              command):
+    data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = str(blocker / "sub")
+    reads = []
+    monkeypatch.setattr(corpus, "read_jsonl", lambda *a, **k: reads.append(a))
+    inputs = (["--data", data] if command == "stats"
+              else ["--train", data, "--dev", data, "--test", data])
+    assert main([command, *inputs, "--out-dir", out]) == 1
+    assert one_error_line(capsys) == f"error: --out-dir {out}: {blocker} is not a directory"
+    assert reads == []
+
+
 @pytest.fixture
 def synth_spec_file(tmp_path):
     spec = {

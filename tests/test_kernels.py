@@ -26,14 +26,30 @@ def cell(rng, T, d, H, scale=1.0):
 
 def run_kernels(x, wx, wh, b, dh_out):
     """The forward and backward pass of one sentence as model.py composes
-    the kernels: ((h, c, gates, tc), (gwx, gwh, gb, dx))."""
-    fwd = h, c, gates, tc = kernels.lstm_forward(x @ wx.T + b, wh)
+    the kernels: ((h, c, gates, tc), (gwx, gwh, gb, dx)). dh_out is left
+    as it was."""
+    T, H = dh_out.shape
+    gates = x @ wx.T + b
+    half_wh = kernels.halve_ifo(gates, wh)
+    h, c, tc = np.empty((3, T, H))
+    kernels.lstm_forward(gates, half_wh, h, c, tc)
     c_prev = np.zeros_like(c)
     c_prev[1:] = c[:-1]
     local, dc_from_dh = kernels.local_derivatives(gates, c_prev, tc)
-    H = wh.shape[1]
-    dz = kernels.lstm_backward(wh, gates[:, H:2 * H], local, dc_from_dh, dh_out)
-    return fwd, (dz.T @ x, dz[1:].T @ h[:-1], dz.sum(axis=0), dz @ wx)
+    dz = np.empty((T, 4, H))
+    kernels.lstm_backward(wh, gates[:, H:2 * H], local, dc_from_dh, dh_out.copy(), dz)
+    dz = dz.reshape(T, 4 * H)
+    return (h, c, gates, tc), (dz.T @ x, dz[1:].T @ h[:-1], dz.sum(axis=0), dz @ wx)
+
+
+def activated_gates(v):
+    """The gates lstm_forward leaves in z when every pre-activation of row
+    t is v[t] (T, H), with no recurrent input."""
+    T, H = v.shape
+    z = np.tile(v, 4)
+    h, c, tc = np.empty((3, T, H))
+    kernels.lstm_forward(z, kernels.halve_ifo(z, np.zeros((4 * H, H))), h, c, tc)
+    return z
 
 
 def assert_kernels_match_reference(x, wx, wh, b, dh_out):
@@ -74,10 +90,28 @@ def test_projection_overflow_raises():
         model.loss_and_gradients(rows, tokens, np.array([0]), params)
 
 
+def test_sigmoid_gates_match_the_exp_form():
+    # the tanh form agrees with 1/(1+exp(-v)) to within 2^-51 absolute, and
+    # the candidate gate is tanh(v) itself
+    v = np.linspace(-50.0, 50.0, 100 * 64).reshape(100, 64)
+    gates = activated_gates(v)
+    sigmoid = 1.0 / (1.0 + np.exp(-v))
+    for k in (0, 1, 3):
+        assert np.abs(gates[:, k * 64:(k + 1) * 64] - sigmoid).max() <= 2.0 ** -51
+    assert np.array_equal(gates[:, 128:192], np.tanh(v))
+
+
+def test_sigmoid_of_zero_is_one_half():
+    gates = activated_gates(np.zeros((2, 3)))
+    assert np.array_equal(gates, np.tile([[0.5] * 3 + [0.5] * 3 + [0.0] * 3 + [0.5] * 3], (2, 1)))
+
+
 def test_saturated_gate_is_exact_and_silent():
-    x, wx, wh, b, dh_out = cell(np.random.default_rng(0), 3, 4, 2)
-    b[0:2] = -800.0  # exp(800) overflows inside the input gate's sigmoid
-    with np.errstate(all="raise"):
-        (h, c, gates, tc), _ = run_kernels(x, wx, wh, b, dh_out)
-    assert np.array_equal(gates[:, 0:2], np.zeros((3, 2)))
-    assert np.array_equal(c, np.zeros((3, 2)))
+    for bias, gate in ((-800.0, 0.0), (800.0, 1.0)):
+        x, wx, wh, b, dh_out = cell(np.random.default_rng(0), 3, 4, 2)
+        b[0:2] = bias  # far beyond where the input gate's sigmoid rounds to its limit
+        with np.errstate(all="raise"):
+            (h, c, gates, tc), _ = run_kernels(x, wx, wh, b, dh_out)
+        assert np.array_equal(gates[:, 0:2], np.full((3, 2), gate))
+        if gate == 0.0:
+            assert np.array_equal(c, np.zeros((3, 2)))
