@@ -121,11 +121,13 @@ FIELD_MAP_PRESETS = {
 }
 
 
-def _join_premise(value) -> str:
-    # Multi-caption premises (lists) are stored joined by single spaces.
-    if isinstance(value, list):
-        return " ".join(str(v) for v in value)
-    return str(value)
+def _join_premise(value, where) -> str:
+    # Multi-caption premises (lists of strings) are stored joined by single spaces.
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return " ".join(value)
+    if not isinstance(value, str):
+        raise IngestError(f"{where}: premise is not a string or a list of strings")
+    return value
 
 
 def _numbered_lines(fh, path):
@@ -176,14 +178,16 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
                 except ValueError:
                     raise IngestError(f"{where}: bad ordinal {ordinal!r}") from None
             instance_id = f"line-{lineno}" if instance_id is None else str(instance_id)
-            hypothesis = str(record[roles.hypothesis])
+            where += f": instance {instance_id!r}"
+            hypothesis = record[roles.hypothesis]
+            if not isinstance(hypothesis, str):  # a TSV cell always is one
+                raise IngestError(f"{where}: hypothesis is not a string")
             if not hypothesis:
-                raise IngestError(f"{where}: instance {instance_id!r}: empty hypothesis")
+                raise IngestError(f"{where}: empty hypothesis")
             if ordinal is not None and not 1 <= ordinal <= 5:
-                raise IngestError(f"{where}: instance {instance_id!r}: ordinal {ordinal} "
-                                  f"outside [1, 5]")
+                raise IngestError(f"{where}: ordinal {ordinal} outside [1, 5]")
             name = JOCI_ORDINAL_TO_LABEL[ordinal] if remap_ordinal else label_field
-            premises.append(_join_premise(record[roles.premise]))
+            premises.append(_join_premise(record[roles.premise], where))
             hypotheses.append(hypothesis)
             labels.append(scheme.index(name))
             ids.append(instance_id)
@@ -220,7 +224,9 @@ def read_jsonl(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = 
     remap_ordinal the label is the 1-5 ordinal by JOCI_ORDINAL_TO_LABEL,
     whatever the label field says or whether there is one, and lines
     without an ordinal are skipped. Malformed lines raise IngestError with
-    the line number; a record missing a mandatory mapped key raises
+    the line number, as does a kept record whose hypothesis is not a string
+    or whose premise is neither a string nor a list of strings (joined by
+    single spaces); a record missing a mandatory mapped key raises
     ConfigError.
     """
     return _read(path, roles, scheme, _parse_json_line, remap_ordinal)

@@ -35,10 +35,14 @@ for both encoders, and predict is the head's argmax on one _encode.
 The BiLSTM runs everything but its recurrence once per direction per
 batch: the input projection and its halving for the kernels' tanh-form
 gates, the routing of d_enc, the local derivatives, and every weight
-gradient and dx; the states' finiteness check and the max-pooling run
-once for both directions. Only kernels.lstm_forward and lstm_backward run
-one sentence at a time, writing into slices of the batch's h, c, tc and
-dz arrays, so no per-sentence result is concatenated; the kernels leave
+gradient and dx; the embedding gather, the states' finiteness check and
+the max-pooling run once for both directions. Only kernels.lstm_forward
+and lstm_backward run one sentence at a time, writing into slices of the
+batch's h, c, tc and dz arrays, so no per-sentence result is
+concatenated. Both directions keep every array in token order: the
+backward direction hands the kernels reversed views ([::-1]) of each
+sentence's slices, so it steps through each sentence from the last
+token, and row r is token r in both directions. The kernels leave
 the floating-point error state alone, and the projection, computed here,
 is the one place an overflow can arise. Its predict_batch calls predict
 once per sentence. The benchmark's traced run checks
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -83,8 +88,12 @@ class ModelConfig:
         if self.encoder_kind not in ENCODER_KINDS:
             raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
         dims = (self.embedding_dim, self.hidden_dim, self.mlp_hidden)
-        if not all(isinstance(v, (int, np.integer)) for v in (*dims, self.n_labels)):
-            raise ValueError("dimensions and n_labels must be integers")
+        # bool is a subclass of int, so True would pass for the integer 1
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (*dims, self.n_labels, self.seed)):
+            raise ValueError("dimensions, n_labels and seed must be integers")
+        if not isinstance(self.finetune_embeddings, bool):
+            raise ValueError("finetune_embeddings must be true or false")
         if min(dims) < 1:
             raise ValueError("all dimensions must be >= 1")
         if self.n_labels not in (2, 3):
@@ -191,14 +200,14 @@ def _encode_bag(ids: np.ndarray, lengths: np.ndarray, emb: np.ndarray) -> np.nda
     to zero. Sentences are sorted longest first, and step t adds token t of
     the leading ones still that long, so each sum runs from 0.0 in token
     order, as emb[rows].mean(axis=0) sums."""
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
+    longest_first = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[longest_first]
     longer_than = lengths.size - np.cumsum(np.bincount(lengths))  # count with length > t
     total = np.zeros((lengths.size, emb.shape[1]))
     for t, n in enumerate(longer_than[:-1]):
         total[:n] += emb[ids[starts[:n] + t]]
     enc = np.empty_like(total)
-    enc[order] = total
+    enc[longest_first] = total
     enc /= np.maximum(lengths, 1)[:, None]
     return enc
 
@@ -213,51 +222,48 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
     """(encodings (B, D), cache for _encode_backward) of the sentences that
     lengths cuts ids into; an empty sentence encodes to zero.
 
-    The BiLSTM holds each direction's tokens in its own step order: token
-    order for the forward direction, and for the backward one an index
-    array that reverses every sentence in place, so both directions cut
-    their steps into sentences at the same rows. Each direction projects
-    all of its tokens with one x @ wx.T + b, halves it for the kernels'
-    tanh form (kernels.halve_ifo) and runs each non-empty sentence's
-    recurrence through kernels.lstm_forward, which writes into that
-    direction's half of the (2, N, H) arrays h, c and tc. One check then
-    covers both directions' states (the forward direction's first), and
-    one max-pooling pools them over each sentence."""
+    The BiLSTM keeps both directions' rows in token order: row r of x, of
+    each direction's projections and of h, c and tc belongs to token r. One
+    embedding gather x = emb[ids] serves both directions. Each projects all
+    tokens with one x @ wx.T + b and halves it for the kernels' tanh form
+    (kernels.halve_ifo); each non-empty sentence's recurrence then runs
+    through kernels.lstm_forward, which writes into that direction's half
+    of the (2, N, H) arrays h, c and tc. The backward direction passes the
+    kernel reversed views ([::-1]) of the sentence's slices, so it steps
+    from the sentence's last token to its first. One check then covers
+    both directions' states (the forward direction's first), and one
+    max-pooling pools them over each sentence."""
     emb = params.array("emb")
     if params.config.encoder_kind == "bag":
         return _encode_bag(ids, lengths, emb), lengths
     H = params.config.hidden_dim
-    N = ids.size
     ends = np.cumsum(lengths)
     starts = ends - lengths
     nonempty = lengths > 0
     firsts = starts[nonempty]
-    spans = list(zip(firsts.tolist(), ends[nonempty].tolist()))
-    # step row r of direction j holds token row orders[j][r]; the backward
-    # direction's order is its own inverse
-    orders = (np.arange(N), np.repeat(starts + ends - 1, lengths) - np.arange(N))
-    h, c, tc = np.empty((3, 2, N, H))
-    xs, gates = [], []
-    for j, order in enumerate(orders):
+    spans = [slice(s, e) for s, e in zip(firsts.tolist(), ends[nonempty].tolist())]
+    x = emb[ids]
+    h, c, tc = np.empty((3, 2, ids.size, H))
+    gates = []
+    for j, step in enumerate((1, -1)):  # step -1: each sentence runs from its last token
         wx, wh, b = map(params.array, _LSTM_ARRAYS[3 * j:3 * j + 3])
-        x = emb[ids[order]]
         z = x @ wx.T
         z += b
         wh = kernels.halve_ifo(z, wh)
-        for s, e in spans:
-            kernels.lstm_forward(z[s:e], wh, h[j, s:e], c[j, s:e], tc[j, s:e])
-        xs.append(x)
+        for s in spans:
+            kernels.lstm_forward(z[s][::step], wh, h[j, s][::step], c[j, s][::step],
+                                 tc[j, s][::step])
         gates.append(z)
     if not np.isfinite(h).all():
         finite = np.isfinite(h).all(axis=2)
         j = int(finite[0].all())
-        p = int(np.argmin(finite[j, orders[j]]))  # the first such token in token order
+        p = int(np.argmin(finite[j]))  # the first such token
         k = p - int(starts[np.searchsorted(ends, p, side="right")])
         raise NumericalError(f"non-finite hidden state at token index {k}")
     pooled = np.maximum.reduceat(h, firsts, axis=1)  # (2, S, H)
     enc = np.zeros((lengths.size, 2, H))
     enc[nonempty] = pooled.swapaxes(0, 1)
-    return enc.reshape(-1, 2 * H), (lengths, firsts, spans, orders, xs, gates, h, c, tc, pooled)
+    return enc.reshape(-1, 2 * H), (lengths, firsts, spans, x, gates, h, c, tc, pooled)
 
 
 def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
@@ -266,43 +272,44 @@ def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
     the encodings' gradient d_enc (B, D); the BiLSTM also puts its six
     weight gradients into grads.
 
-    Max-pooling picks exactly one step per sentence and hidden unit, the
-    earliest at-max step in token order, so d_enc is routed to it by
-    assignment. Each direction then runs each sentence's reverse loop
-    through kernels.lstm_backward into a slice of its dz, and forms its
-    weight gradients and dx with one matmul or sum each over all of its
-    steps."""
+    Max-pooling picks exactly one token per sentence, direction and hidden
+    unit, the earliest at-max one, so d_enc is routed to it by assignment.
+    Every array stays in token order: token r's previous step is r - 1 in
+    the forward direction and r + 1 in the backward one, which runs each
+    sentence's reverse loop through kernels.lstm_backward on the same
+    reversed views as _encode. Each direction forms its weight gradients
+    and its share of dx with one matmul or sum each over all tokens."""
     if params.config.encoder_kind == "bag":
         lengths = cache
         return np.repeat(d_enc / np.maximum(lengths, 1)[:, None], lengths, axis=0)
-    lengths, firsts, spans, orders, xs, gates, h, c, tc, pooled = cache
-    H = params.config.hidden_dim
+    lengths, firsts, spans, x, gates, h, c, tc, pooled = cache
+    N, H = h.shape[1:]
     nonempty = lengths > 0
-    counts, d_enc = lengths[nonempty], d_enc[nonempty]
-    N = int(counts.sum())
-    has_prev = np.ones(N, dtype=bool)
-    has_prev[firsts] = False
-    later = np.flatnonzero(has_prev)  # the steps that have a previous step
+    counts, d_enc = lengths[nonempty], d_enc[nonempty].reshape(-1, 2, H)
+    rows = np.arange(N)
+    at_max = np.where(h == np.repeat(pooled, counts, axis=1), rows[:, None], N)
+    first = np.minimum.reduceat(at_max, firsts, axis=1)  # token rows (2, S, H)
     d_x = []
-    for j, order in enumerate(orders):
+    # each direction's step, and the token each sentence's recurrence starts at
+    for j, (step, origin) in enumerate(((1, firsts), (-1, firsts + counts - 1))):
         name_x, name_h, name_b = _LSTM_ARRAYS[3 * j:3 * j + 3]
         wx, wh = params.array(name_x), params.array(name_h)
-        at_max = np.where(h[j] == np.repeat(pooled[j], counts, axis=0), order[:, None], N)
-        first = np.minimum.reduceat(at_max, firsts, axis=0)  # token rows (S, H)
         dh = np.zeros((N, H))
-        dh[order[first], np.arange(H)] = d_enc[:, j * H:(j + 1) * H]
+        dh[first[j], np.arange(H)] = d_enc[:, j]
+        later = np.flatnonzero(rows != np.repeat(origin, counts))  # the tokens with a previous step
         c_prev = np.zeros((N, H))
-        c_prev[later] = c[j, later - 1]
+        c_prev[later] = c[j, later - step]
         local, dc_from_dh = kernels.local_derivatives(gates[j], c_prev, tc[j])
         f = gates[j][:, H:2 * H]
         dz = np.empty((N, 4, H))
-        for s, e in spans:
-            kernels.lstm_backward(wh, f[s:e], local[s:e], dc_from_dh[s:e], dh[s:e], dz[s:e])
+        for s in spans:
+            kernels.lstm_backward(wh, f[s][::step], local[s][::step], dc_from_dh[s][::step],
+                                  dh[s][::step], dz[s][::step])
         dz = dz.reshape(N, 4 * H)
-        grads[name_x] = dz.T @ xs[j]
-        grads[name_h] = dz[later].T @ h[j, later - 1]
+        grads[name_x] = dz.T @ x
+        grads[name_h] = dz[later].T @ h[j, later - step]
         grads[name_b] = dz.sum(axis=0)
-        d_x.append((dz @ wx)[order])
+        d_x.append(dz @ wx)
     return d_x[0] + d_x[1]
 
 
@@ -440,7 +447,8 @@ def load_checkpoint(path) -> ModelParameters:
         arrays = {}
         for name, shape in expected:
             size = 8 * math.prod(shape)
-            buf = fh.read(size)
+            # read no more than the file holds: a read allocates all it asks for
+            buf = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
             if len(buf) != size:
                 raise ValueError(f"{path}: array {name!r} is truncated "
                                  f"({len(buf)} of {size} bytes)")

@@ -257,6 +257,19 @@ class TestStatsCommand:
         assert rc == 1
         assert named in one_error_line(capsys)
 
+    def test_non_string_hypothesis_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"premise": "p", "hypothesis": "a b",
+                                    "label": "neutral", "id": "ok"}) + "\n"
+                        + json.dumps({"premise": "p", "hypothesis": ["a", "b"],
+                                      "label": "neutral", "id": "bad"}) + "\n")
+        out = tmp_path / "out"
+        rc = main(["stats", "--data", str(path), "--out-dir", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: {path}: line 2: instance 'bad': hypothesis is not a string")
+        assert not out.exists()
+
     @pytest.mark.parametrize("top_k", ["0", "-1"])
     def test_bad_top_k_is_one_line(self, tmp_path, capsys, top_k):
         data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
@@ -734,6 +747,53 @@ class TestAuditSampleCommand:
         assert sorted(iid for iid, _, _, _ in rows) == sorted(f"i{k}" for k in range(30))
         for iid, gold, _, _ in rows:
             assert gold == corpus.JOCI_ORDINAL_TO_LABEL[1 + int(iid[1:]) % 5]
+
+    @staticmethod
+    def damaged_checkpoint(tmp_path, damage):
+        """(checkpoint, data) after a small bag train-eval; damage(header)
+        edits the checkpoint's header in place."""
+        paths = synth_corpus_files(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                     "--out-dir", str(out), "--encoder", "bag", "--embedding-dim", "4",
+                     "--mlp-hidden", "4", "--max-epochs", "1"]) == 0
+        ckpt = out / "model.ckpt"
+        head, _, body = ckpt.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        damage(header)
+        ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        return ckpt, paths["dev"]
+
+    def test_wrongly_typed_config_is_one_line(self, tmp_path, capsys):
+        # a bag model has no hidden layer to shape, so this loaded silently
+        ckpt, data = self.damaged_checkpoint(
+            tmp_path, lambda header: header["config"].update(hidden_dim=True))
+        capsys.readouterr()
+        audit_out = tmp_path / "audit"
+        rc = main(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
+                   "--out-dir", str(audit_out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: {ckpt}: malformed checkpoint header (ValueError('dimensions, "
+            f"n_labels and seed must be integers'))")
+        assert not audit_out.exists()
+
+    def test_manifest_larger_than_the_file_is_one_line(self, tmp_path, capsys):
+        """An embedding dimension of 10**14 asks for 8.8e15 bytes; it is
+        refused before any read asks for them."""
+        def damage(header):
+            header["config"]["embedding_dim"] = 10 ** 14
+            for spec in header["arrays"]:
+                if spec["name"] in ("emb", "mlp_w1"):
+                    spec["shape"][1] = 10 ** 14
+
+        ckpt, data = self.damaged_checkpoint(tmp_path, damage)
+        capsys.readouterr()
+        rc = main(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
+                   "--out-dir", str(tmp_path / "audit")])
+        assert rc == 1
+        assert one_error_line(capsys).startswith(
+            f"error: {ckpt}: array 'emb' is truncated (")
 
     def test_missing_checkpoint_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)

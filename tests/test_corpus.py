@@ -234,6 +234,31 @@ class TestIngestErrors:
         (ordinal,) = data.ordinals
         assert ordinal == 4 and type(ordinal) is int
 
+    @pytest.mark.parametrize("role, value", [
+        ("hypothesis", None), ("hypothesis", 5), ("hypothesis", True), ("hypothesis", ["a"]),
+        ("hypothesis", {"x": 1}),
+        ("premise", None), ("premise", 5), ("premise", {"k": 1}), ("premise", ["a", 1]),
+    ], ids=["hypothesis-null", "hypothesis-5", "hypothesis-true", "hypothesis-list",
+            "hypothesis-object", "premise-null", "premise-5", "premise-object",
+            "premise-mixed-list"])
+    def test_non_string_text_is_ingest_error(self, tmp_path, role, value):
+        # str() would have made these the texts 'None', "['a']", "{'x': 1}", ...
+        path = tmp_path / "d.jsonl"
+        record = {"premise": "p", "hypothesis": "h", "label": "neutral", "id": "x7"}
+        record[role] = value
+        path.write_text(GOOD_RECORD + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        kinds = "a string" if role == "hypothesis" else "a string or a list of strings"
+        with pytest.raises(IngestError, match=rf"^{path}: line 2: instance 'x7': {role} "
+                                              rf"is not {kinds}$"):
+            read_jsonl(path, NATIVE, THREE_WAY)
+
+    def test_non_string_text_of_a_skipped_record_is_not_read(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"premise": None, "hypothesis": None, "label": "-"}) + "\n"
+                        + GOOD_RECORD + "\n", encoding="utf-8")
+        data, skipped = read_jsonl(path, NATIVE, THREE_WAY)
+        assert (len(data), skipped) == (1, 1)
+
     @pytest.mark.parametrize("kind", ["jsonl", "tsv"])
     def test_invalid_utf8_names_path_and_line(self, tmp_path, kind):
         # far more than one decoding chunk precedes the bad line

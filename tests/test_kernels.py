@@ -7,7 +7,7 @@ from hyponli import kernels, model
 
 import reference
 from conftest import as_csr
-from test_model import make_params
+from test_model import make_params, same_bits
 
 
 def close(a, b):
@@ -79,6 +79,48 @@ def test_property_matches_per_step_reference(T, d, H, scale, seed):
     # array's largest magnitude, where both summation orders are off the
     # exact value by the same few ulps of the larger terms.
     assert_kernels_match_reference(*cell(np.random.default_rng(seed), T, d, H, scale))
+
+
+@pytest.mark.parametrize("s", [slice(0, 4), slice(2, 7), slice(4, 5), slice(6, 9)],
+                         ids=["first", "middle", "one-token", "last"])
+def test_reversed_views_of_batch_slices_match_reversed_copies(s):
+    """model._encode_backward and the backward direction of _encode pass
+    the kernels [::-1] views of one sentence's slices of (N, ...) batch
+    arrays. The kernels must write through those views, dz.reshape
+    included, bit for bit as into contiguous reversed copies, and nowhere
+    outside them. Every output starts as NaN in the batch and as zero in
+    the copies, so a write into a temporary shows."""
+    rng = np.random.default_rng(s.start)
+    N, H = 9, 3
+    T = s.stop - s.start
+    x, wx, wh, b, _ = cell(rng, N, 4, H)
+    z = x @ wx.T + b
+    half_wh = kernels.halve_ifo(z, wh)
+    h, c, tc = np.full((3, N, H), np.nan)
+    views = [a[s][::-1] for a in (z, h, c, tc)]
+    copies = [views[0].copy(), *np.zeros((3, T, H))]
+    kernels.lstm_forward(views[0], half_wh, *views[1:])
+    kernels.lstm_forward(copies[0], half_wh, *copies[1:])
+    for view, copy in zip(views, copies):
+        assert same_bits(view, copy)
+    outside = np.ones(N, dtype=bool)
+    outside[s] = False
+    assert np.isnan(np.stack([h, c, tc])[:, outside]).all()
+
+    f, dc_from_dh, dh_out = rng.normal(size=(3, N, H))
+    local = rng.normal(size=(N, 4, H))
+    dz = np.full((N, 4, H), np.nan)
+    given_dh = dh_out.copy()
+    views = [a[s][::-1] for a in (f, local, dc_from_dh, dh_out, dz)]
+    copies = [view.copy() for view in views[:4]] + [np.zeros((T, 4, H))]
+    kernels.lstm_backward(wh, *views)
+    kernels.lstm_backward(wh, *copies)
+    for view, copy in zip(views[3:], copies[3:]):
+        assert same_bits(view, copy)
+    assert np.isnan(dz[outside]).all()
+    assert same_bits(dh_out[outside], given_dh[outside])
+    # every step but the sentence's first passes a gradient to its previous state
+    assert (dh_out[s] != given_dh[s]).any(axis=1).sum() == T - 1
 
 
 def test_projection_overflow_raises():

@@ -605,6 +605,46 @@ class TestCheckpointValidation:
         rewrite(path, header, body)
         self.expect_error(path, "lists of strings")
 
+    @pytest.mark.parametrize("encoder, key, value", [
+        ("bag", "embedding_dim", True),
+        ("birnn-maxpool", "embedding_dim", True),
+        ("birnn-maxpool", "hidden_dim", True),
+        ("bag", "hidden_dim", True),
+        ("bag", "mlp_hidden", True),
+        ("bag", "seed", True),
+        ("bag", "seed", [1]),
+        ("bag", "finetune_embeddings", "no"),
+        ("bag", "finetune_embeddings", 0),
+    ], ids=["bag-embedding_dim-true", "birnn-embedding_dim-true", "birnn-hidden_dim-true",
+            "bag-hidden_dim-true", "bag-mlp_hidden-true", "bag-seed-true", "bag-seed-list",
+            "bag-finetune-string", "bag-finetune-int"])
+    def test_config_values_must_have_their_types(self, tmp_path, encoder, key, value):
+        """Every dimension is 1 and the seed is 1, so True (an int to
+        Python) would pass where 1 does: the manifest check compares
+        [11, True] == [11, 1] as true."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(make_params(encoder, seed=1, dim=1, hidden=1, mlp=1), path)
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["config"][key] = value
+        rewrite(path, header, body)
+        self.expect_error(path, r"^[^\n]*malformed checkpoint header[^\n]*"
+                                r"(must be integers|must be true or false)[^\n]*$")
+
+    def test_manifest_larger_than_the_file_is_truncation(self, tmp_path):
+        """The emb array's 8.8e15 bytes are refused before any read asks
+        for them."""
+        path, header, body = valid_checkpoint(tmp_path)
+        dim = 10 ** 14
+        header["config"]["embedding_dim"] = dim
+        for spec in header["arrays"]:
+            if spec["name"] in ("emb", "mlp_w1"):
+                spec["shape"][1] = dim
+        rewrite(path, header, body)
+        n_rows = len(header["vocab"]) + 1
+        self.expect_error(path, rf"array 'emb' is truncated \({len(body)} of "
+                                rf"{8 * n_rows * dim} bytes\)")
+
     def test_trailing_bytes(self, tmp_path):
         path, _, _ = valid_checkpoint(tmp_path)
         path.write_bytes(path.read_bytes() + b"junk")
