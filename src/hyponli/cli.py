@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import corpus, evaluate, model, stats, synth, text, train
-from .util import atomic_write_text, config_block, markdown_table
+from .util import atomic_write_text, config_block, markdown_table, numbered_lines, parse_json
 
 
 def _resolve_scheme(args) -> corpus.LabelScheme:
@@ -49,9 +49,6 @@ def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
                                      f"with a role among {', '.join(roles)} and a "
                                      f"non-negative integer column")
         kwargs[key] = int(value)
-    missing = [role for role in ("premise", "hypothesis", "label") if role not in kwargs]
-    if missing:
-        raise corpus.ConfigError(f"--tsv-columns {spec!r}: no column for {', '.join(missing)}")
     return corpus.RoleMap(**kwargs)
 
 
@@ -205,8 +202,8 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec_file, encoding="utf-8") as fh:
-        spec = synth.spec_from_dict(json.load(fh))
+    spec_text = "".join(line for _, line in numbered_lines(args.spec_file))
+    spec = synth.spec_from_dict(parse_json(spec_text, args.spec_file))
     data = synth.generate(spec, args.n)
     bayes = synth.bayes_accuracy(spec)
     out = args.out_dir
@@ -316,13 +313,12 @@ def _apply_config_file(parser, subcommands, argv):
         return args
     sub = subcommands[args.command]
     defaults = {}
-    with open(args.config, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = value.strip()
+    for _, line in numbered_lines(args.config):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        defaults[key.strip().replace("-", "_")] = value.strip()
     actions = {action.dest: action for action in sub._actions}
     coerced = {}
     for key, value in defaults.items():

@@ -9,8 +9,10 @@ quoting). Both go through one reader, which appends each record straight
 to the columns: a RoleMap says where each native role (premise /
 hypothesis / label / group / ordinal / id) sits in a record, as a key of
 a JSONL object or a column of a TSV row, and each format adds only its
-own line parse. The reader alone decides which records are kept, by
-their label field or, with remap_ordinal, by their 1-5 ordinal.
+own line parse. The reader alone decides which roles a file must map
+and which records are kept, by their label field or, with remap_ordinal,
+by their 1-5 ordinal. Lines come from util.numbered_lines and JSONL
+records from util.parse_json.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import as_integer, atomic_open
-
-
-class IngestError(ValueError):
-    """A data line that cannot be parsed into a corpus row."""
+from .util import IngestError, as_integer, atomic_open, numbered_lines, parse_json
 
 
 class ConfigError(ValueError):
@@ -104,11 +102,12 @@ class Corpus:
 @dataclass(frozen=True)
 class RoleMap:
     """Where each role sits in a record: a key of a JSONL object or a
-    column of a TSV row. The last three roles are optional."""
+    column of a TSV row, or None where unset; the reader refuses a map that
+    leaves a mandatory role unset."""
 
-    premise: str | int
-    hypothesis: str | int
-    label: str | int
+    premise: str | int | None = None
+    hypothesis: str | int | None = None
+    label: str | int | None = None
     group: str | int | None = None
     ordinal: str | int | None = None
     id: str | int | None = None
@@ -130,90 +129,75 @@ def _join_premise(value, where) -> str:
     return value
 
 
-def _numbered_lines(fh, path):
-    """(line number, line) pairs of a file opened as UTF-8 text. A byte
-    sequence that is not UTF-8 raises IngestError naming its line."""
-    try:
-        yield from enumerate(fh, start=1)
-    except UnicodeDecodeError as exc:
-        # text files decode in chunks, so a second pass finds the line;
-        # surrogateescape turns each undecodable byte into U+DC80..U+DCFF
-        with open(path, encoding="utf-8", errors="surrogateescape") as again:
-            lineno = next((n for n, line in enumerate(again, start=1)
-                           if any("\udc80" <= ch <= "\udcff" for ch in line)), "?")
-        raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+def _key_text(value, role, where) -> str:
+    # str() of a list, an object, a bool or a float would invent a key
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise IngestError(f"{where}: {role} is not a string or an integer")
+    return str(value)
 
 
 def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool):
-    """The reader behind read_jsonl and read_tsv. parse(line, roles, where)
-    turns one nonblank line into a mapping from the keys of roles to
-    values; an optional role whose value is None, or that roles leaves
-    unset, takes its default. A record that lacks a mandatory role (the
-    premise, the hypothesis, and the label unless remap_ordinal is set)
-    raises ConfigError."""
+    """The reader behind read_jsonl and read_tsv. parse(line, where) turns
+    one nonblank line into a mapping from the keys of roles to values; an
+    optional role whose value is None, or that roles leaves unset, takes
+    its default. A role map that leaves a mandatory role (the premise, the
+    hypothesis, and the label unless remap_ordinal is set) unset, or a
+    record that lacks one, raises ConfigError."""
     premises, hypotheses, labels, ids, groups, ordinals = [], [], [], [], [], []
     mandatory = ("premise", "hypothesis") + (() if remap_ordinal else ("label",))
+    unset = [role for role in mandatory if getattr(roles, role) is None]
+    if unset:
+        raise ConfigError(f"{path}: the role map has no field or column for "
+                          f"{', '.join(unset)}")
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in _numbered_lines(fh, path):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            record = parse(line, roles, where)
-            for role in mandatory:
-                key = getattr(roles, role)
-                if key not in record:
-                    raise ConfigError(f"{where}: no field {key!r} for role {role!r}")
-            # an unset role is None, which is never a key of a record
-            group, ordinal, instance_id = (record.get(roles.group), record.get(roles.ordinal),
-                                           record.get(roles.id))
-            label_field = None if remap_ordinal else str(record[roles.label])
-            # the label source: the ordinal with remap_ordinal, else the label field
-            if (ordinal is None) if remap_ordinal else (label_field not in scheme.names):
-                skipped += 1
-                continue
-            if ordinal is not None:
-                try:
-                    ordinal = as_integer(ordinal)
-                except ValueError:
-                    raise IngestError(f"{where}: bad ordinal {ordinal!r}") from None
-            instance_id = f"line-{lineno}" if instance_id is None else str(instance_id)
-            where += f": instance {instance_id!r}"
-            hypothesis = record[roles.hypothesis]
-            if not isinstance(hypothesis, str):  # a TSV cell always is one
-                raise IngestError(f"{where}: hypothesis is not a string")
-            if not hypothesis:
-                raise IngestError(f"{where}: empty hypothesis")
-            if ordinal is not None and not 1 <= ordinal <= 5:
-                raise IngestError(f"{where}: ordinal {ordinal} outside [1, 5]")
-            name = JOCI_ORDINAL_TO_LABEL[ordinal] if remap_ordinal else label_field
-            premises.append(_join_premise(record[roles.premise], where))
-            hypotheses.append(hypothesis)
-            labels.append(scheme.index(name))
-            ids.append(instance_id)
-            groups.append(None if group is None else str(group))
-            ordinals.append(ordinal)
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        record = parse(line, where)
+        for role in mandatory:
+            key = getattr(roles, role)
+            if key not in record:
+                raise ConfigError(f"{where}: no field {key!r} for role {role!r}")
+        # an unset role is None, which is never a key of a record
+        group, ordinal, instance_id = (record.get(roles.group), record.get(roles.ordinal),
+                                       record.get(roles.id))
+        label_field = None if remap_ordinal else str(record[roles.label])
+        # the label source: the ordinal with remap_ordinal, else the label field
+        if (ordinal is None) if remap_ordinal else (label_field not in scheme.names):
+            skipped += 1
+            continue
+        if ordinal is not None:
+            try:
+                ordinal = as_integer(ordinal)
+            except ValueError:
+                raise IngestError(f"{where}: bad ordinal {ordinal!r}") from None
+        instance_id = (f"line-{lineno}" if instance_id is None
+                       else _key_text(instance_id, "id", where))
+        where += f": instance {instance_id!r}"
+        hypothesis = record[roles.hypothesis]
+        if not isinstance(hypothesis, str):  # a TSV cell always is one
+            raise IngestError(f"{where}: hypothesis is not a string")
+        if not hypothesis:
+            raise IngestError(f"{where}: empty hypothesis")
+        if ordinal is not None and not 1 <= ordinal <= 5:
+            raise IngestError(f"{where}: ordinal {ordinal} outside [1, 5]")
+        name = JOCI_ORDINAL_TO_LABEL[ordinal] if remap_ordinal else label_field
+        premises.append(_join_premise(record[roles.premise], where))
+        hypotheses.append(hypothesis)
+        labels.append(scheme.index(name))
+        ids.append(instance_id)
+        groups.append(None if group is None else _key_text(group, "group", where))
+        ordinals.append(ordinal)
     return Corpus(premises, hypotheses, np.array(labels, dtype=np.int64), ids, groups,
                   ordinals), skipped
 
 
-def _parse_json_line(line, roles, where):
-    try:
-        record = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        reason = getattr(exc, "msg", exc)
-        raise IngestError(f"{where}: invalid JSON ({reason})") from exc
+def _parse_json_line(line, where):
+    record = parse_json(line, where)
     if not isinstance(record, dict):
         raise IngestError(f"{where}: record is not an object")
     return record
-
-
-def _parse_tsv_line(line, roles, where):
-    cells = line.rstrip("\n").split("\t")
-    width = max(c for c in vars(roles).values() if c is not None) + 1
-    if len(cells) < width:
-        raise IngestError(f"{where}: {len(cells)} columns, need {width}")
-    return dict(enumerate(cells))
 
 
 def read_jsonl(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = False):
@@ -224,10 +208,10 @@ def read_jsonl(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = 
     remap_ordinal the label is the 1-5 ordinal by JOCI_ORDINAL_TO_LABEL,
     whatever the label field says or whether there is one, and lines
     without an ordinal are skipped. Malformed lines raise IngestError with
-    the line number, as does a kept record whose hypothesis is not a string
-    or whose premise is neither a string nor a list of strings (joined by
-    single spaces); a record missing a mandatory mapped key raises
-    ConfigError.
+    the line number, as does a kept record whose hypothesis is not a
+    string, whose premise is neither a string nor a list of strings (joined
+    by single spaces), or whose group or id is neither a string nor an
+    integer; a record missing a mandatory mapped key raises ConfigError.
     """
     return _read(path, roles, scheme, _parse_json_line, remap_ordinal)
 
@@ -239,7 +223,15 @@ def read_tsv(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = Fa
     Returns (corpus, skipped) as read_jsonl. Rows narrower than the role
     map raise IngestError with the line number.
     """
-    return _read(path, roles, scheme, _parse_tsv_line, remap_ordinal)
+    width = 1 + max((c for c in vars(roles).values() if c is not None), default=-1)
+
+    def parse(line, where):
+        cells = line.rstrip("\n").split("\t")
+        if len(cells) < width:
+            raise IngestError(f"{where}: {len(cells)} columns, need {width}")
+        return dict(enumerate(cells))
+
+    return _read(path, roles, scheme, parse, remap_ordinal)
 
 
 def write_jsonl(data: Corpus, path, scheme: LabelScheme) -> None:

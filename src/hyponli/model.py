@@ -65,7 +65,7 @@ import numpy as np
 from . import kernels
 from .corpus import LabelScheme
 from .text import Vocabulary
-from .util import atomic_open
+from .util import atomic_open, parse_json
 
 ENCODER_KINDS = ("bag", "birnn-maxpool")
 
@@ -412,17 +412,14 @@ def save_checkpoint(params: ModelParameters, path) -> None:
 def load_checkpoint(path) -> ModelParameters:
     """Read a save_checkpoint file.
 
-    Raises ValueError naming the path and the reason when the header is
-    not the expected object, the version is not 1, the labels or the vocab
-    are not a list of strings, a vocabulary token repeats, the manifest
-    does not match the shapes the config implies, an array is cut short,
-    or bytes follow the last array.
+    Raises ValueError naming the path and the reason when the header line
+    is not UTF-8 JSON (util.parse_json) or not the expected object, the
+    version is not 1, the labels or the vocab are not a list of strings, a
+    vocabulary token repeats, the manifest does not match the shapes the
+    config implies, an array is cut short, or bytes follow the last array.
     """
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from exc
+        header = parse_json(fh.readline(), f"{path}: checkpoint header")
         if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
             raise ValueError(f"{path}: checkpoint header is not an object with keys "
                              f"{', '.join(sorted(_HEADER_KEYS))}")

@@ -7,7 +7,7 @@ to end, text i at ids[indptr[i]:indptr[i + 1]]. Vocabulary.encode gives
 new texts the same form. The embedding matrix has one row per vocabulary
 id plus a final out-of-vocabulary row at index len(vocab):
 seeded_random_embeddings draws it in one call, and load_embeddings fills
-it from a word-vector file.
+it from a word-vector file read through util.numbered_lines.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 
 import numpy as np
+
+from .util import numbered_lines
 
 
 class EmbeddingFormatError(ValueError):
@@ -105,36 +107,36 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
     loaded vectors in first-seen file order, else zeros. A line with the
     wrong number of values, or with a value that is not a finite number,
     raises EmbeddingFormatError naming the path and line; so does a mean
-    that overflows, naming the path.
+    that overflows, naming the path. A file that is not UTF-8 raises
+    util.IngestError naming the path and line.
     """
     matrix = np.zeros((len(vocab) + 1, dimension), dtype=np.float64)
     loaded: dict[int, None] = {}  # vocab ids in first-seen file order
     designated_oov = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if len(values) != dimension:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: expected {dimension} values, got {len(values)}"
-                )
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: non-numeric value"
-                ) from exc
-            if not np.isfinite(vec).all():
-                raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite value")
-            if word == OOV_TOKEN:
-                designated_oov = vec
-                continue
-            idx = vocab.get(word)
-            if idx is not None:
-                matrix[idx] = vec
-                loaded.setdefault(idx)
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        word, values = parts[0], parts[1:]
+        if len(values) != dimension:
+            raise EmbeddingFormatError(
+                f"{path}: line {lineno}: expected {dimension} values, got {len(values)}"
+            )
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingFormatError(
+                f"{path}: line {lineno}: non-numeric value"
+            ) from exc
+        if not np.isfinite(vec).all():
+            raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite value")
+        if word == OOV_TOKEN:
+            designated_oov = vec
+            continue
+        idx = vocab.get(word)
+        if idx is not None:
+            matrix[idx] = vec
+            loaded.setdefault(idx)
     if designated_oov is not None:
         oov = designated_oov
     elif loaded:

@@ -1,7 +1,10 @@
-"""Small shared helpers: integer parsing, atomic file writes, and the one
-table format every output uses.
+"""Small shared helpers: the one input reader, integer parsing, atomic
+file writes, and the one table format every output uses.
 
-csv_text holds the CSV dialect of every .csv file (the csv module's
+numbered_lines reads every text input (a corpus, a word-vector file, a
+--config file, a synth spec) and parse_json every JSON text (a corpus
+line, a spec, a checkpoint header); both raise IngestError naming the
+file. csv_text holds the CSV dialect of every .csv file (the csv module's
 default quoting, each line ending in a bare newline); markdown_table the
 pipe-table layout, and config_block the indented "## Run configuration"
 section, of every .md file.
@@ -11,8 +14,38 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 from contextlib import contextmanager
+
+
+class IngestError(ValueError):
+    """A line or record of an input file that cannot be read."""
+
+
+def numbered_lines(path):
+    """(line number, line) pairs of a UTF-8 text file, numbered from 1. A
+    byte sequence that is not UTF-8 raises IngestError naming its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            # text files decode in chunks, so a second pass finds the line;
+            # surrogateescape turns each undecodable byte into U+DC80..U+DCFF
+            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                lineno = next((n for n, line in enumerate(again, start=1)
+                               if any("\udc80" <= ch <= "\udcff" for ch in line)), "?")
+            raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+
+
+def parse_json(text, where):
+    """The value of one JSON text, given as a str or as UTF-8 bytes. Text
+    that is not JSON, bytes that are not UTF-8 and nesting too deep to
+    parse raise IngestError prefixed by where."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise IngestError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
 
 
 def as_integer(value) -> int:

@@ -48,6 +48,30 @@ def test_out_dir_under_a_file_fails_before_any_input_is_read(tmp_path, capsys, m
     assert reads == []
 
 
+NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("synth", "--spec-file", NESTED),
+    ("audit-sample", "--checkpoint", NESTED + b"\n"),
+    ("synth", "--spec-file", b"n_labels = 3\n"),
+    ("synth", "--spec-file", b'{"seed": "\xff"}'),
+    ("train-eval", "--embeddings", b"a 0.5\n\xff 0.5\n"),
+    ("stats", "--config", b"top-k = 3\n\xff\n"),
+], ids=["deep-spec", "deep-checkpoint-header", "spec-not-json", "spec-not-utf8",
+        "vectors-not-utf8", "config-not-utf8"])
+def test_malformed_input_is_one_line_naming_it(tmp_path, capsys, command, flag, content):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    data = write_corpus(tmp_path / "d.jsonl",
+                        make_corpus([("a b", "neutral"), ("b c", "entailment")]))
+    inputs = {"synth": ["--n", "5"], "audit-sample": ["--data", data],
+              "train-eval": ["--train", data, "--dev", data, "--embedding-dim", "1"],
+              "stats": ["--data", data]}[command]
+    assert main([command, flag, str(bad), *inputs, "--out-dir", str(tmp_path / "out")]) == 1
+    assert one_error_line(capsys).startswith(f"error: {bad}: ")
+
+
 @pytest.fixture
 def synth_spec_file(tmp_path):
     spec = {
@@ -856,6 +880,18 @@ class TestRemapOrdinal:
         assert "- sentences: 2 (skipped at ingest: 0)" in digest
         assert "- entailment: 1 sentences" in digest
         assert "- contradiction: 1 sentences" in digest
+
+    def test_tsv_columns_need_no_label(self, tmp_path):
+        path = tmp_path / "ordinals.tsv"
+        path.write_text("p\ta b\t1\np\tb c\t5\np\tc d\t3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["stats", "--data", str(path), "--format", "tsv",
+                     "--tsv-columns", "premise=0,hypothesis=1,ordinal=2", "--remap-ordinal",
+                     "--out-dir", str(out)]) == 0
+        digest = (out / "stats_digest.md").read_text()
+        assert "- sentences: 3 (skipped at ingest: 0)" in digest
+        for name in corpus.THREE_WAY.names:
+            assert f"- {name}: 1 sentences" in digest
 
     def test_train_eval(self, tmp_path):
         data, out = self.dash_corpus(tmp_path), tmp_path / "out"

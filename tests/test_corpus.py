@@ -252,6 +252,49 @@ class TestIngestErrors:
                                               rf"is not {kinds}$"):
             read_jsonl(path, NATIVE, THREE_WAY)
 
+    @pytest.mark.parametrize("role, value", [
+        ("group", ["x", "y"]), ("group", {"k": 1}), ("group", True), ("group", 2.0),
+        ("id", ["x"]), ("id", {"k": 1}), ("id", False), ("id", 7.5),
+    ])
+    def test_group_or_id_that_is_not_a_key_is_ingest_error(self, tmp_path, role, value):
+        # str() would have made these the keys "['x', 'y']", "{'k': 1}", 'True', ...
+        path = tmp_path / "d.jsonl"
+        record = {"premise": "p", "hypothesis": "h", "label": "neutral", "id": "x7"}
+        record[role] = value
+        path.write_text(GOOD_RECORD + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(IngestError) as err:
+            read_jsonl(path, NATIVE, THREE_WAY)
+        where = f"{path}: line 2" + (": instance 'x7'" if role == "group" else "")
+        assert str(err.value) == f"{where}: {role} is not a string or an integer"
+
+    def test_integer_null_and_skipped_groups_and_ids(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        records = [{"group": 3, "id": 7}, {"group": None, "id": None},
+                   {"label": "-", "group": ["x"], "id": {"k": 1}}]
+        write_lines(path, [json.dumps({"premise": "p", "hypothesis": "h", "label": "neutral",
+                                       **record}) for record in records])
+        data, skipped = read_jsonl(path, NATIVE, THREE_WAY)
+        assert (data.groups, data.ids, skipped) == (["3", None], ["7", "line-2"], 1)
+
+    @pytest.mark.parametrize("roles, remap, unset", [
+        (RoleMap(0, 1), False, "label"),
+        (RoleMap(0, ordinal=2), True, "hypothesis"),
+        (RoleMap(label=2), False, "premise, hypothesis"),
+    ])
+    def test_unset_mandatory_role_is_config_error_before_any_line(self, tmp_path, roles,
+                                                                   remap, unset):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"\xff not even UTF-8\n")
+        with pytest.raises(ConfigError) as err:
+            read_tsv(path, roles, THREE_WAY, remap_ordinal=remap)
+        assert str(err.value) == f"{path}: the role map has no field or column for {unset}"
+
+    def test_remap_ordinal_needs_no_label_column(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        write_lines(path, ["p\ta\t1", "p\tb\t5"])
+        data, skipped = read_tsv(path, RoleMap(0, 1, ordinal=2), THREE_WAY, remap_ordinal=True)
+        assert skipped == 0 and data.labels.tolist() == [2, 0]
+
     def test_non_string_text_of_a_skipped_record_is_not_read(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"premise": None, "hypothesis": None, "label": "-"}) + "\n"

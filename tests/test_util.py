@@ -1,8 +1,16 @@
+import inspect
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from hyponli.util import atomic_open, atomic_write_text, config_block, csv_text, markdown_table
+import hyponli
+from hyponli import model
+from hyponli.util import (
+    IngestError, atomic_open, atomic_write_text, config_block, csv_text, markdown_table,
+    numbered_lines, parse_json,
+)
 
 
 def mode(path):
@@ -45,3 +53,33 @@ class TestTables:
     def test_config_block_indents_each_line(self):
         assert config_block(["seed=0", "top_k=5"]) == [
             "## Run configuration", "", "    seed=0", "    top_k=5"]
+
+
+def test_parse_json_errors_name_where():
+    assert parse_json(b'{"a": [1]}', "x") == parse_json('{"a": [1]}', "x") == {"a": [1]}
+    for text, reason in (("{broken", "Expecting property name enclosed in double quotes"),
+                         (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
+                         ("[" * 100_000, "maximum recursion depth exceeded")):
+        with pytest.raises(IngestError, match=rf"^f: line 3: invalid JSON \({reason}"):
+            parse_json(text, "f: line 3")
+
+
+def test_numbered_lines_counts_from_one(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("a\n\ncafé".encode("utf-8"))
+    assert list(numbered_lines(path)) == [(1, "a\n"), (2, "\n"), (3, "café")]
+
+
+def test_text_inputs_are_opened_and_parsed_only_in_util():
+    """Every text input goes through util.numbered_lines and util.parse_json:
+    outside util.py no module parses JSON, and the one bare open() is
+    load_checkpoint's binary read of the arrays after the header line."""
+    bare_open, json_parse = re.compile(r"(?<![\w.])open\("), re.compile(r"\bjson\.loads?\(")
+    found = {}
+    for path in sorted(Path(hyponli.__file__).parent.glob("*.py")):
+        if path.name != "util.py":
+            source = path.read_text(encoding="utf-8")
+            found[path.name] = (len(bare_open.findall(source)), len(json_parse.findall(source)))
+    # (bare open() calls, json.load/loads calls) of each other module
+    assert {name: n for name, n in found.items() if n != (0, 0)} == {"model.py": (1, 0)}
+    assert 'open(path, "rb")' in inspect.getsource(model.load_checkpoint)
