@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import corpus, evaluate, model, stats, synth, text, train
-from .util import atomic_write_text, config_block, markdown_table, numbered_lines, parse_json
+from .util import atomic_write_text, config_block, markdown_table, numbered_lines
 
 
 def _resolve_scheme(args) -> corpus.LabelScheme:
@@ -202,13 +202,12 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec_text = "".join(line for _, line in numbered_lines(args.spec_file))
-    spec = synth.spec_from_dict(parse_json(spec_text, args.spec_file))
+    spec = synth.read_spec(args.spec_file)
     data = synth.generate(spec, args.n)
     bayes = synth.bayes_accuracy(spec)
     out = args.out_dir
     corpus.write_jsonl(data, os.path.join(out, "corpus.jsonl"), spec.scheme)
-    meta = {"spec": synth.spec_to_dict(spec), "n": args.n, "bayes_accuracy": bayes}
+    meta = {"spec": dataclasses.asdict(spec), "n": args.n, "bayes_accuracy": bayes}
     atomic_write_text(os.path.join(out, "corpus.meta.json"),
                       json.dumps(meta, indent=2) + "\n")
     print(f"synth: {args.n} instances, bayes accuracy {bayes:.2f} -> {out}")
@@ -233,8 +232,12 @@ def cmd_audit_sample(args) -> int:
 
 
 def cmd_split(args) -> int:
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:
+        raise corpus.ConfigError(f"--ratios {args.ratios!r} is not a comma-separated "
+                                 f"list of numbers") from None
     data, _, scheme = _read_corpus(args.data, args, _resolve_scheme(args))
-    ratios = tuple(float(r) for r in args.ratios.split(","))
     parts = dict(zip(("train", "dev", "test"),
                      corpus.random_split(data, ratios=ratios, seed=args.seed)))
     for name, part in parts.items():

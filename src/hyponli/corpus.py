@@ -142,10 +142,12 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
     optional role whose value is None, or that roles leaves unset, takes
     its default. A role map that leaves a mandatory role (the premise, the
     hypothesis, and the label unless remap_ordinal is set) unset, or a
-    record that lacks one, raises ConfigError."""
+    record that lacks one, raises ConfigError, as does a map without an
+    ordinal under remap_ordinal."""
     premises, hypotheses, labels, ids, groups, ordinals = [], [], [], [], [], []
     mandatory = ("premise", "hypothesis") + (() if remap_ordinal else ("label",))
-    unset = [role for role in mandatory if getattr(roles, role) is None]
+    unset = [role for role in mandatory + (("ordinal",) if remap_ordinal else ())
+             if getattr(roles, role) is None]
     if unset:
         raise ConfigError(f"{path}: the role map has no field or column for "
                           f"{', '.join(unset)}")

@@ -1,68 +1,119 @@
 """Synthetic NLI-like corpora with controllable give-away bias.
 
-Background tokens are drawn independently of the label, so the injected
-give-away tokens are the only signal and the optimal hypothesis-only
-accuracy has a closed, exactly enumerable form. That makes generated
-corpora ground-truth oracles for the diagnostics and the trainers. A
-generated corpus is a corpus.Corpus whose labels are label indices.
+Background tokens w000, w001, ... are drawn independently of the label,
+so the injected give-away tokens are the only signal and the optimal
+hypothesis-only accuracy has a closed, exactly enumerable form. That
+makes generated corpora ground-truth oracles for the diagnostics and the
+trainers. A generated corpus is a corpus.Corpus whose labels are label
+indices; SynthSpec checks a spec, and read_spec reads one from a file.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+import re
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .corpus import THREE_WAY, TWO_WAY, ConfigError, Corpus
 from .text import tokenize
-from .util import as_integer
+from .util import as_integer, numbered_lines, parse_json
+
+
+def _finite(value) -> float:
+    """float(value) if finite; a bool, or what float() refuses, raises ValueError."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError, OverflowError):  # None, "x", 10**400
+        pass
+    raise ValueError(f"{value!r} is not a finite number")
+
+
+def _items(value, convert, length=None) -> tuple:
+    """convert over the items of a list (of length items, when given)."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise ValueError(f"{value!r} is not a list" + (f" of {length}" if length else ""))
+    return tuple(map(convert, value))
 
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """A generator spec, each value converted and checked here: a bad one
+    raises ValueError naming its key. A give-away label may be its index
+    (util.as_integer, as are the counts and seed) or its name."""
+
     n_labels: int
     label_prior: tuple[float, ...]
     vocab_size: int
     sentence_length: tuple[int, int]
-    giveaway: tuple[tuple[str, int, float], ...]  # (token, target label index, rate)
+    # (token, target label index, rate) triples
+    giveaway: tuple[tuple[str, int, float], ...] = field(default=(), kw_only=True)
     seed: int
 
     def __post_init__(self):
-        if self.n_labels not in (2, 3):
-            raise ValueError("n_labels must be 2 or 3")
-        if len(self.label_prior) != self.n_labels:
-            raise ValueError("label_prior length must equal n_labels")
-        if abs(sum(self.label_prior) - 1.0) > 1e-9:
-            raise ValueError("label_prior must sum to 1")
-        if any(p < 0 for p in self.label_prior):
-            raise ValueError("label_prior entries must be nonnegative")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
-        lo, hi = self.sentence_length
+        def fail(key, why):
+            raise ValueError(f"synth spec key {key!r}: {why}")
+
+        def converted(key, convert):
+            try:
+                object.__setattr__(self, key, convert(getattr(self, key)))  # frozen
+            except ValueError as exc:
+                fail(key, exc)
+            return getattr(self, key)
+
+        if converted("n_labels", as_integer) not in (2, 3):
+            fail("n_labels", f"{self.n_labels} is not 2 or 3")
+        prior = converted("label_prior", lambda value: _items(value, _finite))
+        if len(prior) != self.n_labels:
+            fail("label_prior", f"has {len(prior)} entries for {self.n_labels} labels")
+        if any(p < 0 for p in prior) or abs(sum(prior) - 1.0) > 1e-9:
+            fail("label_prior", "entries must be nonnegative and sum to 1")
+        if converted("vocab_size", as_integer) < 1:
+            fail("vocab_size", f"{self.vocab_size} is below 1")
+        lo, hi = converted("sentence_length", lambda value: _items(value, as_integer, 2))
         if not 1 <= lo <= hi:
-            raise ValueError("sentence_length must satisfy 1 <= min <= max")
-        tokens = [g[0] for g in self.giveaway]
-        if len(set(tokens)) != len(tokens):
-            raise ValueError("giveaway tokens must be pairwise distinct")
-        background = set(_background_vocab(self.vocab_size))
-        for token, target, rate in self.giveaway:
-            if token in background:
-                raise ValueError(f"giveaway token {token!r} collides with background vocabulary")
-            if tokenize(token) != [token]:
-                raise ValueError(f"giveaway token {token!r} does not survive tokenization")
-            if not 0 <= target < self.n_labels:
-                raise ValueError(f"giveaway target {target} outside label range")
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("giveaway rates must lie in [0, 1]")
+            fail("sentence_length", "must satisfy 1 <= min <= max")
+        giveaway = converted("giveaway", lambda value: _items(value, self._giveaway_entry))
+        if len({token for token, _, _ in giveaway}) != len(giveaway):
+            fail("giveaway", "tokens must be pairwise distinct")
+        if converted("seed", as_integer) < 0:
+            fail("seed", f"{self.seed} is negative")
+
+    def _giveaway_entry(self, entry) -> tuple[str, int, float]:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValueError(f"entry {entry!r} is not [token, label, rate]")
+        token, target, rate = entry
+        names = self.scheme.names
+        try:
+            if not isinstance(token, str) or tokenize(token) != [token]:
+                raise ValueError(f"token {token!r} is not a string that survives tokenization")
+            if _is_background(token, self.vocab_size):
+                raise ValueError(f"token {token!r} collides with background vocabulary")
+            if isinstance(target, str) and target not in names:
+                raise ValueError(f"label {target!r} is not one of {', '.join(names)}")
+            index = self.scheme.index(target) if isinstance(target, str) else as_integer(target)
+            if not 0 <= index < self.n_labels:
+                raise ValueError(f"label {target!r} outside label range")
+            if not 0.0 <= (rate := _finite(rate)) <= 1.0:
+                raise ValueError(f"rate {rate!r} outside [0, 1]")
+        except ValueError as exc:
+            raise ValueError(f"entry {entry!r}: {exc}") from None
+        return token, index, rate
 
     @property
     def scheme(self):
         return TWO_WAY if self.n_labels == 2 else THREE_WAY
 
 
-def _background_vocab(size: int) -> list[str]:
-    return [f"w{i:03d}" for i in range(size)]
+def _is_background(token: str, vocab_size: int) -> bool:
+    """Whether generate can draw token, one of w000 .. w{vocab_size - 1:03d};
+    none has more digits than f"{vocab_size:03d}", and none is built."""
+    digits = re.fullmatch(r"w([0-9]+)", token)
+    return (digits is not None and len(digits[1]) <= len(f"{vocab_size:03d}")
+            and int(digits[1]) < vocab_size and token == f"w{int(digits[1]):03d}")
 
 
 def generate(spec: SynthSpec, n: int) -> Corpus:
@@ -77,14 +128,13 @@ def generate(spec: SynthSpec, n: int) -> Corpus:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(spec.seed)
-    background = _background_vocab(spec.vocab_size)
     prior = np.array(spec.label_prior)
     lo, hi = spec.sentence_length
     hypotheses, labels = [], []
     for _ in range(n):
         label_idx = int(rng.choice(spec.n_labels, p=prior))
         length = int(rng.integers(lo, hi + 1))
-        tokens = [background[int(i)] for i in rng.integers(0, spec.vocab_size, length)]
+        tokens = [f"w{i:03d}" for i in rng.integers(0, spec.vocab_size, length).tolist()]
         for token, target, rate in spec.giveaway:
             if target == label_idx and rng.random() < rate:
                 pos = int(rng.integers(0, len(tokens) + 1))
@@ -125,73 +175,19 @@ def bayes_accuracy(spec: SynthSpec) -> float:
     return 100.0 * total
 
 
-_REQUIRED_SPEC_KEYS = ("n_labels", "label_prior", "vocab_size", "sentence_length", "seed")
-
-
-def spec_from_dict(data: dict) -> SynthSpec:
-    """Build a spec from parsed JSON; label names in giveaways may be given
-    instead of indices. A missing key, a value of the wrong type, a
-    non-integral count, seed or label index, a giveaway entry that is not
-    [token, label, rate] or an unknown label name raises ConfigError."""
-    if not isinstance(data, dict):
-        raise ConfigError("synth spec must be a JSON object")
-    missing = [key for key in _REQUIRED_SPEC_KEYS if key not in data]
-    if missing:
-        raise ConfigError(f"synth spec lacks key(s): {', '.join(missing)}")
-    n_labels = _convert(data, "n_labels")
-    scheme = TWO_WAY if n_labels == 2 else THREE_WAY
-    entries = data.get("giveaway", [])
-    if not isinstance(entries, (list, tuple)):
-        raise ConfigError(f"synth spec key 'giveaway': {entries!r} is not a list")
-    giveaway = []
-    for entry in entries:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ConfigError(f"giveaway entry {entry!r} is not [token, label, rate]")
-        token, target, rate = entry
-        try:
-            target = scheme.index(target) if isinstance(target, str) else as_integer(target)
-        except KeyError:
-            raise ConfigError(f"giveaway entry {entry!r}: label {target!r} is not "
-                              f"one of {', '.join(scheme.names)}") from None
-        except ValueError as exc:
-            raise ConfigError(f"synth spec key 'giveaway': entry {entry!r}: bad label "
-                              f"({exc})") from None
-        try:
-            giveaway.append((str(token), target, float(rate)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"giveaway entry {entry!r} is not [token, label, rate] "
-                              f"({exc})") from exc
-    return SynthSpec(
-        n_labels=n_labels,
-        label_prior=_convert(data, "label_prior", float, sequence=True),
-        vocab_size=_convert(data, "vocab_size"),
-        sentence_length=_convert(data, "sentence_length", sequence=True),
-        giveaway=tuple(giveaway),
-        seed=_convert(data, "seed"),
-    )
-
-
-def _convert(data: dict, key: str, convert=as_integer, sequence=False):
-    """convert(data[key]), or a tuple of convert over its items when
-    sequence; a value of the wrong type, or not integral where an integer
-    is expected, raises ConfigError naming key."""
-    value = data[key]
+def read_spec(path) -> SynthSpec:
+    """The spec in the JSON file at path, an object with one key per
+    SynthSpec field ("giveaway" may be left out). Each error names path:
+    IngestError for a file that is not UTF-8 JSON, else ConfigError."""
+    data = parse_json("".join(line for _, line in numbered_lines(path)), path)
     try:
-        if not sequence:
-            return convert(value)
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"{type(value).__name__} is not a list")
-        return tuple(convert(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"synth spec key {key!r}: bad value {value!r} ({exc})") from exc
-
-
-def spec_to_dict(spec: SynthSpec) -> dict:
-    return {
-        "n_labels": spec.n_labels,
-        "label_prior": list(spec.label_prior),
-        "vocab_size": spec.vocab_size,
-        "sentence_length": list(spec.sentence_length),
-        "giveaway": [[t, target, rate] for t, target, rate in spec.giveaway],
-        "seed": spec.seed,
-    }
+        if not isinstance(data, dict):
+            raise ValueError("synth spec must be a JSON object")
+        required = {f.name: f.default is MISSING for f in fields(SynthSpec)}
+        if unknown := [repr(key) for key in data if key not in required]:
+            raise ValueError(f"unknown synth spec key(s): {', '.join(unknown)}")
+        if missing := [key for key in required if required[key] and key not in data]:
+            raise ValueError(f"synth spec lacks key(s): {', '.join(missing)}")
+        return SynthSpec(**data)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -113,8 +113,11 @@ class TestSynthCommand:
         data, skipped = corpus.read_jsonl(
             corpus_path, corpus.FIELD_MAP_PRESETS["native"], corpus.THREE_WAY)
         assert skipped == 0 and len(data) == 50
-        # sidecar bayes matches a direct library call
-        spec = synth.spec_from_dict(meta["spec"])
+        # the sidecar's spec reads back, and its bayes matches a direct library call
+        spec_path = tmp_path / "spec_back.json"
+        spec_path.write_text(json.dumps(meta["spec"]), encoding="utf-8")
+        spec = synth.read_spec(spec_path)
+        assert spec == synth.read_spec(synth_spec_file)
         assert meta["bayes_accuracy"] == synth.bayes_accuracy(spec)
         assert meta["bayes_accuracy"] == 100.0  # r=1, unique giveaways
 
@@ -135,6 +138,12 @@ class TestSynthCommand:
         ({"n_labels": None}, "n_labels"),
         ({"giveaway": 5}, "giveaway"),
         ({"giveaway": [["give0", 0, None]]}, "give0"),
+        ({"giveaways": [["give0", 0, 1.0]]}, "'giveaways'"),
+        ({"giveaway": [[["x"], 0, 1.0]]}, "'giveaway'"),
+        ({"label_prior": [float("nan"), 0.5, 0.5]}, "'label_prior'"),
+        ({"label_prior": [10**400, 0, 0]}, "'label_prior'"),
+        ({"sentence_length": [3, 4, 5]}, "'sentence_length'"),
+        ({"seed": -1}, "'seed'"),
     ])
     def test_spec_error_is_one_line(self, tmp_path, synth_spec_file, capsys, change, named):
         with open(synth_spec_file, encoding="utf-8") as fh:
@@ -147,7 +156,7 @@ class TestSynthCommand:
                    "--out-dir", str(tmp_path / "o")])
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
-        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ") and named in err[0]
 
     @pytest.mark.parametrize("change, named", [
         ({"vocab_size": 12.9}, "'vocab_size'"),
@@ -217,6 +226,14 @@ class TestSplitCommand:
         assert rc == 1
         one_error_line(capsys)
         assert not out.exists()
+
+    def test_ratios_that_are_not_numbers_are_one_line(self, tmp_path, capsys):
+        """--ratios is parsed before the corpus is read; the data file is absent."""
+        rc = main(["split", "--data", str(tmp_path / "absent.jsonl"), "--ratios", "a,b,c",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert one_error_line(capsys) == ("error: --ratios 'a,b,c' is not a comma-separated "
+                                          "list of numbers")
 
 
 class TestStatsCommand:
@@ -892,6 +909,19 @@ class TestRemapOrdinal:
         assert "- sentences: 3 (skipped at ingest: 0)" in digest
         for name in corpus.THREE_WAY.names:
             assert f"- {name}: 1 sentences" in digest
+
+    @pytest.mark.parametrize("fmt, line", [("tsv", "p\ta b\t1\n"),
+                                           ("snli", '{"sentence1": "p", "sentence2": "a b", '
+                                                    '"gold_label": "-", "ordinal": 1}\n')])
+    def test_role_map_without_an_ordinal_is_one_line(self, tmp_path, capsys, fmt, line):
+        """The default --tsv-columns and --format snli map no ordinal, so they
+        are refused before any line is read."""
+        path = tmp_path / f"ordinals.{fmt}"
+        path.write_text(line, encoding="utf-8")
+        assert main(["stats", "--data", str(path), "--format", fmt, "--remap-ordinal",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert one_error_line(capsys) == (f"error: {path}: the role map has no field or "
+                                          f"column for ordinal")
 
     def test_train_eval(self, tmp_path):
         data, out = self.dash_corpus(tmp_path), tmp_path / "out"

@@ -280,6 +280,7 @@ class TestIngestErrors:
         (RoleMap(0, 1), False, "label"),
         (RoleMap(0, ordinal=2), True, "hypothesis"),
         (RoleMap(label=2), False, "premise, hypothesis"),
+        (RoleMap(0, 1, 2), True, "ordinal"),
     ])
     def test_unset_mandatory_role_is_config_error_before_any_line(self, tmp_path, roles,
                                                                    remap, unset):

@@ -1,10 +1,12 @@
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hyponli import corpus, stats
-from hyponli.synth import SynthSpec, bayes_accuracy, generate, spec_from_dict, spec_to_dict
+from hyponli.synth import SynthSpec, bayes_accuracy, generate, read_spec
 from hyponli.text import tokenize
 
 from conftest import columns
@@ -49,6 +51,31 @@ class TestSpecValidation:
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
             basic_spec(giveaway=(("g", 0, 1.5),))
+
+    @pytest.mark.parametrize("vocab_size, token, collides", [
+        (10, "w009", True), (10, "w010", False), (10, "w0010", False),
+        (1001, "w1000", True),
+    ])
+    def test_background_collision_at_the_edges(self, vocab_size, token, collides):
+        """A token collides exactly when it is one of w000 .. w{vocab_size - 1:03d}."""
+        def build():
+            return basic_spec(vocab_size=vocab_size, giveaway=((token, 0, 0.5),))
+
+        if collides:
+            with pytest.raises(ValueError, match="collides with background"):
+                build()
+        else:
+            assert build().giveaway == ((token, 0, 0.5),)
+
+    def test_large_vocabulary_is_not_built(self):
+        """Checking a spec does not materialise its background vocabulary."""
+        tracemalloc.start()
+        try:
+            basic_spec(vocab_size=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestGenerate:
@@ -147,14 +174,24 @@ class TestGiveawayRecovery:
             assert top.score == 1.0
 
 
-class TestSpecSerialization:
-    def test_dict_round_trip(self):
-        spec = basic_spec()
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+def write_spec(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
 
-    def test_label_names_accepted(self):
-        data = spec_to_dict(basic_spec(n_labels=2, label_prior=(0.6, 0.4),
-                                       giveaway=(("g0", 0, 0.5),)))
+
+class TestSpecSerialization:
+    def test_dict_round_trip(self, tmp_path):
+        spec = basic_spec()
+        assert read_spec(write_spec(tmp_path / "s.json", dataclasses.asdict(spec))) == spec
+
+    def test_label_names_accepted(self, tmp_path):
+        data = dataclasses.asdict(basic_spec(n_labels=2, label_prior=(0.6, 0.4),
+                                             giveaway=(("g0", 0, 0.5),)))
         data["giveaway"] = [["g0", "entailed", 0.5]]
-        spec = spec_from_dict(data)
+        spec = read_spec(write_spec(tmp_path / "s.json", data))
         assert spec.giveaway == (("g0", 0, 0.5),)
+
+    def test_giveaway_key_is_optional(self, tmp_path):
+        data = dataclasses.asdict(basic_spec())
+        del data["giveaway"]
+        assert read_spec(write_spec(tmp_path / "s.json", data)) == basic_spec(giveaway=())
