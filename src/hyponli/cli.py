@@ -202,6 +202,8 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.n < 1:
+        raise corpus.ConfigError(f"--n {args.n} is below 1")
     spec = synth.read_spec(args.spec_file)
     data = synth.generate(spec, args.n)
     bayes = synth.bayes_accuracy(spec)

@@ -1,8 +1,13 @@
 """Recurrent-cell kernels of the encoder, in plain numpy.
 
-Only the recurrence runs here one sentence at a time. model.py does the
-rest once per direction per batch: the input projection z = x @ wx.T + b
-and its halving (halve_ifo) before lstm_forward, the per-token local
+Only the recurrence runs here. lstm_forward_packed runs it over a whole
+batch time-major, one step of every sentence still running per loop
+iteration; prediction uses it. lstm_forward and lstm_backward run it one
+sentence at a time; training uses them, because the benchmark's traced
+run checks their call counts against the examples trained, until that
+check is rewritten in terms of tokens. model.py does the rest once per
+direction per batch: the input projection z = x @ wx.T + b and its
+halving (halve_ifo) before either forward kernel, the per-token local
 derivatives (local_derivatives, over all of a batch's rows at once)
 before lstm_backward, and every weight gradient and dx from the dz that
 lstm_backward writes.
@@ -21,9 +26,10 @@ one place an overflow can arise, is computed in model.py under the
 caller's error state.
 
 The kernels write into arrays their caller allocates once per direction
-per batch and slices per sentence: lstm_forward into h, c and tc, and
-lstm_backward into dz, adding each step's gradient of the previous hidden
-state into dh_out in place.
+per batch: lstm_forward into per-sentence slices of h, c and tc,
+lstm_forward_packed into the whole of them, and lstm_backward into
+per-sentence slices of dz, adding each step's gradient of the previous
+hidden state into dh_out in place.
 """
 
 from __future__ import annotations
@@ -76,6 +82,35 @@ def lstm_forward(z, wh, h, c, tc):
         c_prev += zt[0:H] * zt[2 * H:3 * H]
         np.tanh(c_prev, out=tc[t])
         h_prev = np.multiply(zt[3 * H:4 * H], tc[t], out=h[t])
+
+
+def lstm_forward_packed(z, wh, h, c, tc, batch_sizes):
+    """Run the cell over a batch of sentences at once, time-major, with the
+    arguments of lstm_forward in packed order: the first batch_sizes[0]
+    rows of z, h, c and tc are step 0 of each sentence, the next
+    batch_sizes[1] rows step 1, and so on. The sentences are sorted longest
+    first, so those still running at step t are the leading batch_sizes[t]
+    of step t - 1, and each step is one (n_t, H) @ (H, 4H) product and the
+    elementwise step of lstm_forward over n_t rows. batch_sizes is a list
+    of ints, one per step.
+    """
+    H = wh.shape[1]
+    scale, shift = _tanh_form(H)
+    c_prev = np.zeros((batch_sizes[0] if batch_sizes else 0, H))
+    start = 0
+    for t, n in enumerate(batch_sizes):
+        rows = slice(start, start + n)
+        zt = z[rows]
+        if t:  # the initial state is zero, so step 0 adds nothing
+            zt += h_prev[:n] @ wh.T
+        np.tanh(zt, out=zt)
+        zt *= scale
+        zt += shift
+        c_prev = np.multiply(zt[:, H:2 * H], c_prev[:n], out=c[rows])
+        c_prev += zt[:, 0:H] * zt[:, 2 * H:3 * H]
+        np.tanh(c_prev, out=tc[rows])
+        h_prev = np.multiply(zt[:, 3 * H:4 * H], tc[rows], out=h[rows])
+        start += n
 
 
 def local_derivatives(gates, c_prev, tc):

@@ -4,14 +4,13 @@ Two sentence encoders feed one MLP head: a bag of embeddings (mean of the
 token vectors) and a bidirectional LSTM whose forward and backward states
 are each max-pooled over time into [forward; backward]. The classification
 path takes only hypothesis tokens; premises are unreachable by
-construction. Labels are label indices into the scheme: predict returns
-one, predict_batch an int64 array, and loss_and_gradients takes an array
-of them.
+construction. Labels are label indices into the scheme: predict_batch
+returns an int64 array of them, and loss_and_gradients takes one.
 
 Sentences come as a CSR token corpus tokens = (ids, indptr) from
 text.intern or Vocabulary.encode: sentence r is ids[indptr[r]:indptr[r+1]].
 A batch, or a split to predict, is an int64 array of row indices into
-it, in any order; predict alone takes one sentence's token ids.
+it, in any order.
 
 The bag encoder runs batched: one forward and backward pass per
 minibatch, and one forward pass over a whole split for prediction. Its
@@ -30,27 +29,34 @@ writes only those rows.
 Each encoder sits behind one pair of functions: _encode gives a batch's
 encodings and a cache, and _encode_backward turns the encodings' gradient
 into a per-token embedding gradient. So loss_and_gradients runs one path
-for both encoders, and predict is the head's argmax on one _encode.
+for both encoders, and predict_batch is the head's argmax over the
+encodings of one _encode call for the bag, or of one per PREDICT_CHUNK
+rows for the BiLSTM.
 
 The BiLSTM runs everything but its recurrence once per direction per
 batch: the input projection and its halving for the kernels' tanh-form
 gates, the routing of d_enc, the local derivatives, and every weight
 gradient and dx; the embedding gather, the states' finiteness check and
-the max-pooling run once for both directions. Only kernels.lstm_forward
-and lstm_backward run one sentence at a time, writing into slices of the
-batch's h, c, tc and dz arrays, so no per-sentence result is
-concatenated. Both directions keep every array in token order: the
-backward direction hands the kernels reversed views ([::-1]) of each
-sentence's slices, so it steps through each sentence from the last
-token, and row r is token r in both directions. The kernels leave
-the floating-point error state alone, and the projection, computed here,
-is the one place an overflow can arise. Its predict_batch calls predict
-once per sentence. The benchmark's traced run checks
-kernels.lstm_forward.calls = 2 x (examples + model.predict.calls), so a
-time-major recurrence over the whole batch comes together with a new form
-of that check. Batched products round differently from per-sentence ones,
-so BiLSTM results depend on which sentences share a batch, in their last
-bits.
+the max-pooling run once for both directions. Every array is in token
+order in both directions: row r is token r. The recurrence has two forms,
+which leave the same h, c, tc and gates to rounding:
+
+- prediction runs it time-major (kernels.lstm_forward_packed): the
+  sentences sorted longest first, step t is one (n_t, H) @ (H, 4H)
+  product over the n_t sentences longer than t, one loop per direction;
+- training (loss_and_gradients) runs it one sentence at a time through
+  kernels.lstm_forward and lstm_backward, on slices of the batch's arrays
+  (reversed views, [::-1], for the backward direction). The benchmark's
+  traced run checks kernels.lstm_forward.calls = 2 x (examples +
+  model.predict.calls) and lstm_backward.calls = 2 x examples, so
+  training keeps these kernels until that rule is rewritten in terms of
+  tokens; then it moves onto the time-major loop as well.
+
+The kernels leave the floating-point error state alone, and the
+projection, computed here, is the one place an overflow can arise.
+Batched products round differently from per-sentence ones, so BiLSTM
+results depend on which sentences share a batch, and on the recurrence's
+form, in their last bits.
 """
 
 from __future__ import annotations
@@ -195,16 +201,22 @@ def _gather(rows: np.ndarray, tokens) -> tuple[np.ndarray, np.ndarray]:
     return ids[np.arange(shift.size) + shift], lengths
 
 
+def _longest_first(lengths: np.ndarray):
+    """(the sentences in order of length, longest first and stable; for
+    each step t below the longest length, how many are longer than t)."""
+    longer_than = lengths.size - np.cumsum(np.bincount(lengths))
+    return np.argsort(-lengths, kind="stable"), longer_than[:-1]
+
+
 def _encode_bag(ids: np.ndarray, lengths: np.ndarray, emb: np.ndarray) -> np.ndarray:
     """Mean embedding row of each sentence (B, d); empty sentences encode
     to zero. Sentences are sorted longest first, and step t adds token t of
     the leading ones still that long, so each sum runs from 0.0 in token
     order, as emb[rows].mean(axis=0) sums."""
-    longest_first = np.argsort(-lengths, kind="stable")
+    longest_first, longer_than = _longest_first(lengths)
     starts = (np.cumsum(lengths) - lengths)[longest_first]
-    longer_than = lengths.size - np.cumsum(np.bincount(lengths))  # count with length > t
     total = np.zeros((lengths.size, emb.shape[1]))
-    for t, n in enumerate(longer_than[:-1]):
+    for t, n in enumerate(longer_than):
         total[:n] += emb[ids[starts[:n] + t]]
     enc = np.empty_like(total)
     enc[longest_first] = total
@@ -218,7 +230,20 @@ def _mlp_head(enc: np.ndarray, params: ModelParameters):
     return h1, h1 @ params.array("mlp_w2").T + params.array("mlp_b2")
 
 
-def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
+def _packed_rows(lengths: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(forward rows, backward rows, batch_sizes) of the time-major packed
+    order: the sentences sorted longest first (stable), step t holds the
+    batch_sizes[t] of them longer than t, and its forward rows are their
+    token rows starts + t, its backward rows ends - 1 - t."""
+    longest_first, batch_sizes = _longest_first(lengths)
+    step = np.repeat(np.arange(batch_sizes.size), batch_sizes)
+    rank = np.arange(step.size) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
+    sentence = longest_first[rank]
+    return starts[sentence] + step, ends[sentence] - 1 - step, batch_sizes.tolist()
+
+
+def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters,
+            per_sentence: bool = False):
     """(encodings (B, D), cache for _encode_backward) of the sentences that
     lengths cuts ids into; an empty sentence encodes to zero.
 
@@ -226,12 +251,16 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
     each direction's projections and of h, c and tc belongs to token r. One
     embedding gather x = emb[ids] serves both directions. Each projects all
     tokens with one x @ wx.T + b and halves it for the kernels' tanh form
-    (kernels.halve_ifo); each non-empty sentence's recurrence then runs
-    through kernels.lstm_forward, which writes into that direction's half
-    of the (2, N, H) arrays h, c and tc. The backward direction passes the
-    kernel reversed views ([::-1]) of the sentence's slices, so it steps
-    from the sentence's last token to its first. One check then covers
-    both directions' states (the forward direction's first), and one
+    (kernels.halve_ifo), then runs its recurrence into its half of the
+    (2, N, H) arrays h, c and tc. By default that is one time-major loop
+    over the batch (kernels.lstm_forward_packed) on the rows gathered into
+    packed order (_packed_rows), written back to token order afterwards.
+    With per_sentence, which loss_and_gradients alone asks for, each
+    non-empty sentence runs through kernels.lstm_forward instead, on
+    slices of the token-order arrays; the backward direction passes it
+    reversed views ([::-1]), so it steps from the sentence's last token to
+    its first. Both leave the same arrays. One check then covers both
+    directions' states (the forward direction's first), and one
     max-pooling pools them over each sentence."""
     emb = params.array("emb")
     if params.config.encoder_kind == "bag":
@@ -241,7 +270,10 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
     starts = ends - lengths
     nonempty = lengths > 0
     firsts = starts[nonempty]
-    spans = [slice(s, e) for s, e in zip(firsts.tolist(), ends[nonempty].tolist())]
+    if per_sentence:
+        spans = [slice(s, e) for s, e in zip(firsts.tolist(), ends[nonempty].tolist())]
+    else:
+        *packed, batch_sizes = _packed_rows(lengths, starts, ends)
     x = emb[ids]
     h, c, tc = np.empty((3, 2, ids.size, H))
     gates = []
@@ -250,9 +282,16 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
         z = x @ wx.T
         z += b
         wh = kernels.halve_ifo(z, wh)
-        for s in spans:
-            kernels.lstm_forward(z[s][::step], wh, h[j, s][::step], c[j, s][::step],
-                                 tc[j, s][::step])
+        if per_sentence:
+            for s in spans:
+                kernels.lstm_forward(z[s][::step], wh, h[j, s][::step], c[j, s][::step],
+                                     tc[j, s][::step])
+        else:
+            order = packed[j]
+            zp = z[order]
+            hp, cp, tcp = np.empty((3, order.size, H))
+            kernels.lstm_forward_packed(zp, wh, hp, cp, tcp, batch_sizes)
+            z[order], h[j, order], c[j, order], tc[j, order] = zp, hp, cp, tcp
         gates.append(z)
     if not np.isfinite(h).all():
         finite = np.isfinite(h).all(axis=2)
@@ -263,7 +302,7 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters):
     pooled = np.maximum.reduceat(h, firsts, axis=1)  # (2, S, H)
     enc = np.zeros((lengths.size, 2, H))
     enc[nonempty] = pooled.swapaxes(0, 1)
-    return enc.reshape(-1, 2 * H), (lengths, firsts, spans, x, gates, h, c, tc, pooled)
+    return enc.reshape(-1, 2 * H), (lengths, firsts, x, gates, h, c, tc, pooled)
 
 
 def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
@@ -277,15 +316,17 @@ def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
     Every array stays in token order: token r's previous step is r - 1 in
     the forward direction and r + 1 in the backward one, which runs each
     sentence's reverse loop through kernels.lstm_backward on the same
-    reversed views as _encode. Each direction forms its weight gradients
-    and its share of dx with one matmul or sum each over all tokens."""
+    reversed views as _encode's per-sentence path. Each direction forms
+    its weight gradients and its share of dx with one matmul or sum each
+    over all tokens."""
     if params.config.encoder_kind == "bag":
         lengths = cache
         return np.repeat(d_enc / np.maximum(lengths, 1)[:, None], lengths, axis=0)
-    lengths, firsts, spans, x, gates, h, c, tc, pooled = cache
+    lengths, firsts, x, gates, h, c, tc, pooled = cache
     N, H = h.shape[1:]
     nonempty = lengths > 0
     counts, d_enc = lengths[nonempty], d_enc[nonempty].reshape(-1, 2, H)
+    spans = [slice(s, s + n) for s, n in zip(firsts.tolist(), counts.tolist())]
     rows = np.arange(N)
     at_max = np.where(h == np.repeat(pooled, counts, axis=1), rows[:, None], N)
     first = np.minimum.reduceat(at_max, firsts, axis=1)  # token rows (2, S, H)
@@ -313,24 +354,24 @@ def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
     return d_x[0] + d_x[1]
 
 
-def predict(rows: np.ndarray, params: ModelParameters) -> int:
-    """Label index of one hypothesis from its token ids alone: the argmax
-    (lowest index on ties) of the MLP head's logits on its encoding."""
-    enc = _encode(rows, np.array([rows.size]), params)[0]
-    return int(np.argmax(_mlp_head(enc, params)[1]))
+# Sentences per BiLSTM _encode call in predict_batch. It bounds the
+# memory of the (tokens, 4H) arrays on a large split, and it timed as fast
+# as any other size on 200-row and 2,000-row splits, with one BLAS thread
+# and with two.
+PREDICT_CHUNK = 64
 
 
 def predict_batch(rows: np.ndarray, tokens, params: ModelParameters) -> np.ndarray:
-    """Label indices (int64) of the given rows of the token corpus: one
-    forward pass over all of them for the bag, one predict call per
-    sentence for the BiLSTM."""
-    if params.config.encoder_kind != "bag":
-        # the benchmark's count check expects
-        # kernels.lstm_forward.calls = 2 x (examples + model.predict.calls)
-        ids, indptr = tokens
-        return np.array([predict(ids[indptr[r]:indptr[r + 1]], params) for r in rows.tolist()],
-                        dtype=np.int64)
-    enc = _encode(*_gather(rows, tokens), params)[0]
+    """Label indices (int64) of the given rows of the token corpus: the
+    argmax (lowest index on ties) of the MLP head's logits. The BiLSTM
+    encodes the rows PREDICT_CHUNK at a time through its time-major
+    recurrence. The bag, whose memory is that of its encodings, encodes
+    them in one pass: each chunk would add a loop over its time steps.
+    One head runs over all the encodings."""
+    size = max(len(rows), 1) if params.config.encoder_kind == "bag" else PREDICT_CHUNK
+    chunks = range(0, max(len(rows), 1), size)  # an empty split is one empty chunk
+    enc = np.concatenate([_encode(*_gather(rows[k:k + size], tokens), params)[0]
+                          for k in chunks])
     return np.argmax(_mlp_head(enc, params)[1], axis=1).astype(np.int64, copy=False)
 
 
@@ -345,7 +386,8 @@ def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
     if not len(rows):
         raise ValueError("batch must be nonempty")
     ids, lengths = _gather(rows, tokens)
-    enc, cache = _encode(ids, lengths, params)
+    # the per-sentence kernels: the benchmark's traced run counts their calls
+    enc, cache = _encode(ids, lengths, params, per_sentence=True)
     h1, logits = _mlp_head(enc, params)
     B = len(rows)
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -73,6 +73,8 @@ class SynthSpec:
             fail("label_prior", "entries must be nonnegative and sum to 1")
         if converted("vocab_size", as_integer) < 1:
             fail("vocab_size", f"{self.vocab_size} is below 1")
+        if self.vocab_size > np.iinfo(np.int64).max:  # generate draws int64 token indices
+            fail("vocab_size", f"{self.vocab_size} is above the int64 range")
         lo, hi = converted("sentence_length", lambda value: _items(value, as_integer, 2))
         if not 1 <= lo <= hi:
             fail("sentence_length", "must satisfy 1 <= min <= max")
@@ -117,7 +119,8 @@ def _is_background(token: str, vocab_size: int) -> bool:
 
 
 def generate(spec: SynthSpec, n: int) -> Corpus:
-    """Draw an n-row corpus; deterministic given spec.seed.
+    """Draw an n-row corpus (empty for n below 1); deterministic given
+    spec.seed.
 
     Each row draws its label from the prior and a hypothesis of uniform
     background tokens; each giveaway targeting that label is inserted at a
@@ -125,8 +128,6 @@ def generate(spec: SynthSpec, n: int) -> Corpus:
     no group or ordinal. Split the corpus with corpus.random_split as
     needed.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(spec.seed)
     prior = np.array(spec.label_prior)
     lo, hi = spec.sentence_length

@@ -8,6 +8,8 @@ regular expression replaced, lookup encodes a token list one dict lookup
 at a time, sentences slices a CSR token corpus one row at a time, and
 seeded_random_rows draws the embedding matrix one vector at a time, and
 report_tally counts evaluate.build_report's fields row by row in dicts.
+encode and logits give one sentence's encoding and head logits at a time,
+the per-step cell below for the BiLSTM.
 The faster code must agree with them bit for bit.
 
 lstm_forward and lstm_backward are the recurrent-cell kernels with all
@@ -182,6 +184,26 @@ def birnn_states(rows, params):
     bwd = lstm_forward(x[::-1], params.array("wb_x"), params.array("wb_h"),
                        params.array("wb_b"))
     return x, fwd, bwd, np.concatenate([fwd[0], bwd[0][::-1]], axis=1)
+
+
+def encode(rows, params):
+    """One sentence's encoding from its token ids alone: the bag mean, or
+    the max over its per-step [forward; backward] states (zero if empty)."""
+    if params.config.encoder_kind == "bag":
+        return encode_bag_rows(rows, params.array("emb"))
+    if rows.size == 0:
+        return np.zeros(params.config.encoding_dim)
+    return birnn_states(rows, params)[3].max(axis=0)
+
+
+def logits(batch, params):
+    """The MLP head's logits (B, n_labels) of each sentence, one
+    matrix-vector product at a time."""
+    out = np.empty((len(batch), params.config.n_labels))
+    for k, rows in enumerate(batch):
+        h1 = np.tanh(params.array("mlp_w1") @ encode(rows, params) + params.array("mlp_b1"))
+        out[k] = params.array("mlp_w2") @ h1 + params.array("mlp_b2")
+    return out
 
 
 def loss_and_gradients(batch, y, params):

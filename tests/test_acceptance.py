@@ -17,7 +17,7 @@ import pytest
 
 from hyponli import cli, corpus, evaluate, kernels, model, stats, synth, text, train
 
-from conftest import as_csr, make_corpus
+from helpers import as_csr, make_corpus
 from reference import dense, lookup, trainable_names
 from test_stats import brute_coverage, brute_giveaways, brute_p, brute_counts, count_corpus
 

@@ -30,7 +30,7 @@ LAUNCH = os.path.join(BENCH, "launch.py")
 
 # entries naming functions that hyponli no longer has
 STALE = {("text", "build_vocabulary"), ("text", "EmbeddingTable.matrix_for"),
-         ("evaluate", "premise_invariance_audit")}
+         ("evaluate", "premise_invariance_audit"), ("model", "predict")}
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +115,11 @@ def test_train_eval_and_audit_sample_call_it_once_per_file_in_order(tmp_path, re
 def test_traced_birnn_run_keeps_the_benchmark_count_rules(tmp_path):
     """bench/run.py counts examples as len(args[0]) of loss_and_gradients
     and checks kernels.lstm_forward.calls = 2 x (examples +
-    model.predict.calls), so the batch's rows must come first and the
-    BiLSTM must predict through model.predict, once per sentence. The run
-    is a subprocess because tracing rebinds module globals."""
+    model.predict.calls) and lstm_backward.calls = 2 x examples, so the
+    batch's rows must come first. model.predict is gone and prediction
+    runs the time-major recurrence, which calls neither kernel, so both
+    sides of the first rule count training alone. The run is a
+    subprocess because tracing rebinds module globals."""
     names = ("entailment", "neutral", "contradiction")
     sizes = {"train": 10, "dev": 6, "test": 5}
     files = {split: write_records(tmp_path / f"{split}.jsonl",
@@ -136,11 +138,11 @@ def test_traced_birnn_run_keeps_the_benchmark_count_rules(tmp_path):
     epochs = len((out / "train_log.csv").read_text().splitlines()) - 1
     examples = epochs * sizes["train"]
     assert layers["model.loss_and_gradients"][3] == examples
-    # dev before training and after each epoch, then dev and test for the report
-    predicted = (epochs + 2) * sizes["dev"] + sizes["test"]
-    assert calls("model.predict") == predicted
-    assert calls("kernels.lstm_forward") == 2 * (examples + predicted)
+    # the rule as bench/run.py writes it, then the exact counts
+    assert calls("kernels.lstm_forward") == 2 * (examples + calls("model.predict"))
+    assert calls("model.predict") == 0
+    assert calls("kernels.lstm_forward") == 2 * examples
     assert calls("kernels.lstm_backward") == 2 * examples
     # launch.py counts a call's steps as len(args[0]), so z must stay the
     # first argument; each hypothesis "a b{i}" is 2 tokens
-    assert layers["kernels.lstm_forward"][3] == 2 * 2 * (examples + predicted)
+    assert layers["kernels.lstm_forward"][3] == 2 * 2 * examples

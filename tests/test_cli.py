@@ -5,13 +5,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from hyponli import cli, corpus, stats, synth, text, train
 from hyponli.cli import main
-from hyponli.model import load_checkpoint
+from hyponli.model import load_checkpoint, predict_batch
 
-from conftest import make_corpus
+from helpers import make_corpus
 
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -178,6 +179,41 @@ class TestSynthCommand:
         rc = main(["synth", "--spec-file", str(bad), "--n", "10", "--out-dir", str(out)])
         assert rc == 1
         assert named in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vocab_size", [2**63, 10**20])
+    def test_vocab_size_above_int64_is_one_line_naming_it(self, tmp_path, synth_spec_file,
+                                                          capsys, vocab_size):
+        """generate draws token indices as int64, so a larger vocab_size
+        is refused by the spec check, not by numpy mid-generation."""
+        with open(synth_spec_file, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec["vocab_size"] = vocab_size
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["synth", "--spec-file", str(bad), "--n", "10", "--out-dir", str(out)])
+        assert rc == 1
+        line = one_error_line(capsys)
+        assert line.startswith(f"error: {bad}: ") and "'vocab_size'" in line
+        assert "int64" in line and not out.exists()
+
+    def test_largest_int64_vocab_size_generates(self, tmp_path, synth_spec_file):
+        with open(synth_spec_file, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec["vocab_size"] = 2**63 - 1
+        path = tmp_path / "largest.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["synth", "--spec-file", str(path), "--n", "3",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_n_below_one_is_one_line_naming_the_flag(self, tmp_path, synth_spec_file,
+                                                     capsys, n):
+        out = tmp_path / "o"
+        rc = main(["synth", "--spec-file", synth_spec_file, "--n", n, "--out-dir", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys) == f"error: --n {n} is below 1"
         assert not out.exists()
 
     def test_seed_flag_is_rejected(self, tmp_path, synth_spec_file, capsys):
@@ -427,9 +463,8 @@ class TestTrainEvalCommand:
         assert self.run_train(tmp_path, out) == 0
         params = load_checkpoint(out / "model.ckpt")
         assert params.config.encoder_kind == "bag"
-        from hyponli.model import predict
-        pred = predict(params.vocab.encode(["give0 w001 w002"])[0], params)
-        assert params.scheme.names[pred] == "entailment"
+        pred = predict_batch(np.arange(1), params.vocab.encode(["give0 w001 w002"]), params)
+        assert params.scheme.names[pred[0]] == "entailment"
 
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -671,10 +706,10 @@ class TestAuditSampleCommand:
         assert rc == 0
         text_out = (audit_out / "audit_sample.txt").read_text()
         # recheck every row's cell key against a fresh prediction
-        from hyponli.model import predict
         params = load_checkpoint(out / "model.ckpt")
         data, _ = corpus.read_jsonl(paths["dev"], corpus.FIELD_MAP_PRESETS["native"],
                                     params.scheme)
+        pred = predict_batch(np.arange(len(data)), params.vocab.encode(data.hypotheses), params)
         by_id = {iid: k for k, iid in enumerate(data.ids)}
         rows = [line for line in text_out.splitlines() if line and not line.startswith("#")]
         assert rows
@@ -683,8 +718,7 @@ class TestAuditSampleCommand:
             k = by_id[iid]
             assert params.scheme.names[data.labels[k]] == gold_name
             assert data.hypotheses[k] == hyp
-            rows, _ = params.vocab.encode([data.hypotheses[k]])
-            assert params.scheme.names[predict(rows, params)] == pred_name
+            assert params.scheme.names[pred[k]] == pred_name
 
     def test_repeated_ids_keep_their_own_hypotheses(self, tmp_path):
         out = tmp_path / "out"

@@ -12,7 +12,7 @@ from hyponli.corpus import (
     majority_label, random_split, read_jsonl, read_tsv, write_jsonl,
 )
 
-from conftest import columns, make_corpus
+from helpers import columns, make_corpus
 
 NATIVE = corpus.FIELD_MAP_PRESETS["native"]
 SNLI = corpus.FIELD_MAP_PRESETS["snli"]

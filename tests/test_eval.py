@@ -15,7 +15,7 @@ from hyponli.evaluate import (
 from hyponli.model import ModelConfig, ModelParameters, loss_and_gradients
 from hyponli.text import intern, seeded_random_embeddings
 
-from conftest import make_corpus
+from helpers import make_corpus
 from reference import report_tally
 
 E, N, C = 0, 1, 2  # label indices in THREE_WAY

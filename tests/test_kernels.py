@@ -6,15 +6,8 @@ from hypothesis import strategies as st
 from hyponli import kernels, model
 
 import reference
-from conftest import as_csr
+from helpers import as_csr, close
 from test_model import make_params, same_bits
-
-
-def close(a, b):
-    """Equal to rtol 1e-12, with elements that cancel to near zero held to
-    1e-12 of the array's largest magnitude."""
-    return a.shape == b.shape and np.allclose(a, b, rtol=1e-12,
-                                               atol=1e-12 * np.abs(b).max())
 
 
 def cell(rng, T, d, H, scale=1.0):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from hyponli import kernels, model
 from hyponli.corpus import THREE_WAY, TWO_WAY
 from hyponli.model import (
-    ModelConfig, ModelParameters, load_checkpoint, loss_and_gradients, predict, save_checkpoint,
+    ModelConfig, ModelParameters, load_checkpoint, loss_and_gradients, predict_batch,
+    save_checkpoint,
 )
 from hyponli.text import Vocabulary, intern, seeded_random_embeddings
 
 import reference
-from conftest import as_csr
+from helpers import as_csr, assert_labels_away_from_ties, close
 from reference import dense, encode_bag_rows, lookup, trainable_names
 
 
@@ -49,9 +50,16 @@ def bag_mean(tokens, vocab, emb):
     return model._encode_bag(*model._gather(*as_csr([lookup(vocab, tokens)])), emb)[0]
 
 
-def encode_birnn_maxpool(rows, params):
-    """The encoding of one sentence's token ids, as predict computes it."""
-    return model._encode(rows, np.array([rows.size]), params)[0][0]
+def encode_birnn_maxpool(rows, params, per_sentence=False):
+    """The encoding of one sentence's token ids, through the time-major
+    recurrence that predict_batch runs or the per-sentence one of
+    loss_and_gradients."""
+    return model._encode(rows, np.array([rows.size]), params, per_sentence)[0][0]
+
+
+def predict_one(rows, params):
+    """predict_batch's label of one sentence's token ids."""
+    return int(predict_batch(*as_csr([rows]), params)[0])
 
 
 class TestEncodeBag:
@@ -110,17 +118,19 @@ class TestEncodeBirnn:
                               np.zeros(8))
 
     def test_regression_fixture_seed7(self):
-        # validated against the step-by-step scalar recurrence below
+        # validated against the step-by-step scalar recurrence below; it
+        # holds through both forms of the recurrence
         vocab = intern(["a b c d e f g h"])[0]
         table = seeded_random_embeddings(vocab, 8, seed=7)
         cfg = ModelConfig("birnn-maxpool", embedding_dim=8, hidden_dim=4,
                           mlp_hidden=8, n_labels=3, seed=7)
         params = ModelParameters.init(cfg, table, vocab, THREE_WAY)
-        enc = encode_birnn_maxpool(lookup(vocab, ["a", "b", "c", "d"]), params)
         frozen = [0.11353481818256901, 0.057677768133489946, 0.04989002135308302,
                   -0.10362806349718062, -0.05830379844380692, 0.19277986991794227,
                   0.1096879140550221, 0.08297201621042435]
-        assert np.allclose(enc, frozen, rtol=0, atol=1e-15)
+        for per_sentence in (False, True):
+            enc = encode_birnn_maxpool(lookup(vocab, ["a", "b", "c", "d"]), params, per_sentence)
+            assert np.allclose(enc, frozen, rtol=0, atol=1e-15), per_sentence
 
     def test_matches_scalar_recurrence(self):
         """Independent recomputation: per-scalar loops with math.exp/tanh."""
@@ -200,7 +210,7 @@ class TestClassify:
 
     def test_hand_computed_tiny_case(self):
         params = self.tiny_params()
-        assert predict(lookup(params.vocab, ["t0"]), params) == 0
+        assert predict_one(lookup(params.vocab, ["t0"]), params) == 0
 
     def test_hand_computed_tiny_loss(self):
         params = self.tiny_params()
@@ -211,7 +221,7 @@ class TestClassify:
 
     def test_argmax_tie_takes_lowest_index(self):
         params = self.zero_params()
-        assert predict(lookup(params.vocab, ["t0", "t1"]), params) == 0
+        assert predict_one(lookup(params.vocab, ["t0", "t1"]), params) == 0
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=1000, deadline=None)
@@ -294,7 +304,7 @@ class TestNonFiniteHiddenState:
             loss_and_gradients(*as_csr([lookup(params.vocab, ["t0"]), rows]),
                                np.array([0, 1]), params)
         with pytest.raises(model.NumericalError, match=message):
-            predict(rows, params)
+            predict_batch(*as_csr([lookup(params.vocab, ["t0"]), rows]), params)
 
     def test_fit_turns_it_into_train_abort(self):
         from hyponli.train import TrainAbort, TrainConfig, fit
@@ -313,18 +323,10 @@ class TestPredict:
         for encoder in ("bag", "birnn-maxpool"):
             params = make_params(encoder)
             sentences = [lookup(params.vocab, s) for s in (["t0", "t5"], ["t3"], [])]
-            expected = []
-            for rows in sentences:
-                if encoder == "bag":
-                    enc = encode_bag_rows(rows, params.array("emb"))
-                else:
-                    enc = encode_birnn_maxpool(rows, params)
-                h1 = np.tanh(params.array("mlp_w1") @ enc + params.array("mlp_b1"))
-                expected.append(int(np.argmax(params.array("mlp_w2") @ h1
-                                              + params.array("mlp_b2"))))
-            assert [predict(rows, params) for rows in sentences] == expected
-            batch = model.predict_batch(*as_csr(sentences), params)
-            assert batch.dtype == np.int64 and batch.tolist() == expected
+            batch = predict_batch(*as_csr(sentences), params)
+            assert batch.dtype == np.int64
+            assert assert_labels_away_from_ties(
+                batch, reference.logits(sentences, params)) == len(sentences)
 
 
 def ragged_batches(params):
@@ -451,32 +453,109 @@ class TestBatchedMatchesReference:
                                rtol=1e-14, atol=0)
 
 
+def assert_recurrences_agree(rows, tokens, params):
+    """The time-major and the per-sentence recurrence of _encode give the
+    same encodings and token-order h, c, tc and gates of both directions,
+    to rounding: each step's recurrent product is one (n_t, H) @ (H, 4H)
+    in the first and a matrix-vector product in the second."""
+    ids, lengths = model._gather(rows, tokens)
+    enc, cache = model._encode(ids, lengths, params)
+    ref_enc, ref_cache = model._encode(ids, lengths, params, per_sentence=True)
+    assert close(enc, ref_enc)
+    for name, got, want in zip(("gates", "h", "c", "tc"), cache[3:7], ref_cache[3:7]):
+        assert close(np.asarray(got), np.asarray(want)), name
+
+
+class TestTimeMajorMatchesPerSentence:
+    def test_ragged_batches(self):
+        """Empty and length-1 sentences, repeats, the OOV row, an all-empty
+        batch, and zero LSTM weights, under which every state is 0 and
+        every unit ties at every step."""
+        params = make_params("birnn-maxpool", seed=37)
+        ties = params.clone()
+        for name in model._LSTM_ARRAYS:
+            ties.array(name)[...] = 0.0
+        for case in (params, ties):
+            for batch in ragged_batches(case) + [[np.array([3]), np.array([3, 3, 3])]]:
+                assert_recurrences_agree(*as_csr(batch), case)
+
+    @given(data=st.data(), seed=st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, data, seed):
+        params = make_params("birnn-maxpool", seed=seed)
+        rows, tokens, _ = data.draw(ragged_corpus(len(params.vocab) + 1))
+        assert_recurrences_agree(rows, tokens, params)
+
+    def test_packed_order(self):
+        """Sentences of lengths 2, 0, 3, 1 at token rows 0-1, 2-4 and 5:
+        step 0 holds the three non-empty ones longest first, step 1 the two
+        longer than 1, step 2 the one of length 3."""
+        lengths = np.array([2, 0, 3, 1])
+        ends = np.cumsum(lengths)
+        forward, backward, batch_sizes = model._packed_rows(lengths, ends - lengths, ends)
+        assert batch_sizes == [3, 2, 1]
+        assert forward.tolist() == [2, 0, 5, 3, 1, 4]
+        assert backward.tolist() == [4, 1, 5, 3, 0, 2]
+
+
+def bag_labels(batch, params) -> list[int]:
+    """The bag's labels of a batch, exactly: the head over the stacked
+    per-sentence means (the batched head's rows depend, in the last bits,
+    on the batch size)."""
+    enc = np.stack([encode_bag_rows(s, params.array("emb")) for s in batch])
+    return np.argmax(model._mlp_head(enc, params)[1], axis=1).tolist()
+
+
 class TestPredictBatch:
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_equals_per_sentence_predict(self, encoder):
+        """Labels equal those of the per-sentence reference: exactly for the
+        bag, and on every row for the BiLSTM, none of whose rows here lies
+        within the tie margin."""
         params = make_params(encoder, seed=35)
         for batch in ragged_batches(params):
-            got = model.predict_batch(*as_csr(batch), params)
+            got = predict_batch(*as_csr(batch), params)
             assert got.dtype == np.int64
-            assert got.tolist() == [predict(rows, params) for rows in batch]
+            if encoder == "bag":
+                assert got.tolist() == bag_labels(batch, params)
+            else:
+                assert assert_labels_away_from_ties(
+                    got, reference.logits(batch, params)) == len(batch)
 
     @given(data=st.data(), seed=st.integers(0, 10**6),
            encoder=st.sampled_from(["bag", "birnn-maxpool"]))
     @settings(max_examples=100, deadline=None)
     def test_property(self, data, seed, encoder):
-        """Labels of any rows equal the per-sentence reference: per-sentence
-        predict for the BiLSTM, and for the bag the head over the stacked
-        per-sentence means (the batched head's rows depend, in the last
-        bits, on the batch size)."""
+        """Labels of any rows equal the per-sentence reference: exactly for
+        the bag, and for the BiLSTM away from near-ties, which leave at
+        least one row checked."""
         params = make_params(encoder, seed=seed)
         rows, tokens, _ = data.draw(ragged_corpus(len(params.vocab) + 1))
         batch = reference.sentences(rows, tokens)
+        got = predict_batch(rows, tokens, params)
         if encoder == "bag":
-            enc = np.stack([encode_bag_rows(s, params.array("emb")) for s in batch])
-            expected = np.argmax(model._mlp_head(enc, params)[1], axis=1).tolist()
+            assert got.tolist() == bag_labels(batch, params)
         else:
-            expected = [predict(s, params) for s in batch]
-        assert model.predict_batch(rows, tokens, params).tolist() == expected
+            assert assert_labels_away_from_ties(got, reference.logits(batch, params)) > 0
+
+    def test_labels_do_not_depend_on_the_chunking(self, monkeypatch):
+        """A split's BiLSTM labels are those of chunkings of 1, 2, 7 and all
+        its rows, away from near-ties. The split is 90 rows in shuffled
+        order over 60 sentences of lengths 0-9, so rows repeat and empty
+        sentences and the OOV row occur; almost no row is a near-tie."""
+        params = make_params("birnn-maxpool", seed=36)
+        rng = np.random.default_rng(36)
+        sentences = [rng.integers(0, len(params.vocab) + 1, n) for n in rng.integers(0, 10, 60)]
+        _, tokens = as_csr(sentences)
+        rows = rng.permutation(np.repeat(np.arange(60), 2))[:90]
+        logits = reference.logits(reference.sentences(rows, tokens), params)
+        labels = predict_batch(rows, tokens, params)
+        assert assert_labels_away_from_ties(labels, logits) > 80
+        for chunk in (1, 2, 7, rows.size):
+            monkeypatch.setattr(model, "PREDICT_CHUNK", chunk)
+            chunked = predict_batch(rows, tokens, params)
+            assert chunked.dtype == np.int64
+            assert_labels_away_from_ties(chunked, logits)
 
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     def test_empty_split(self, encoder):
@@ -528,7 +607,7 @@ class TestCheckpoint:
         tokens = lookup(params.vocab, ["t2", "t9", "t1"])
         assert np.array_equal(encode_birnn_maxpool(tokens, params),
                               encode_birnn_maxpool(tokens, back))
-        assert predict(tokens, params) == predict(tokens, back)
+        assert predict_one(tokens, params) == predict_one(tokens, back)
 
 
 def valid_checkpoint(tmp_path, encoder="bag"):

@@ -12,7 +12,7 @@ from hyponli.evaluate import build_report
 from hyponli.stats import coverage_count, coverage_curve, giveaway_words
 from hyponli.text import tokenize
 
-from conftest import make_corpus, random_corpus
+from helpers import make_corpus, random_corpus
 
 
 def count_corpus(data, scheme=THREE_WAY):

@@ -9,7 +9,7 @@ from hyponli import corpus, stats
 from hyponli.synth import SynthSpec, bayes_accuracy, generate, read_spec
 from hyponli.text import tokenize
 
-from conftest import columns
+from helpers import columns
 
 
 def basic_spec(**overrides):

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from hyponli.corpus import THREE_WAY
-from hyponli.model import ModelConfig, ModelParameters, RowGradient, loss_and_gradients
+from hyponli.evaluate import accuracy
+from hyponli.model import (
+    ModelConfig, ModelParameters, RowGradient, loss_and_gradients, predict_batch,
+)
 from hyponli.text import intern, seeded_random_embeddings
 from hyponli.train import TrainAbort, TrainConfig, TrainState, fit, sgd_step
 
-import reference
 from reference import trainable_names
-from conftest import make_corpus
+from helpers import make_corpus
 
 
 TINY_VOCAB = intern(["a b c d"])[0]
@@ -228,10 +230,7 @@ class TestBestParams:
         train, dev, tokens = tiny_splits(n_train=30, n_dev=12)
         config = TrainConfig(max_epochs=6, batch_size=8, seed=4, lr0=0.2)
         best, state = fit(train, dev, tokens, tiny_params(seed=4), config)
-        from hyponli.model import predict
-        sentences = reference.sentences(dev[0], tokens)
-        hits = sum(1 for ids, label in zip(sentences, dev[1]) if predict(ids, best) == label)
-        acc = 100.0 * hits / len(dev[1])
+        acc = accuracy(predict_batch(dev[0], tokens, best), dev[1])
         assert acc == max(a for _, _, _, a in state.history)
         assert acc == state.best_dev_acc
 
