@@ -137,13 +137,20 @@ def _key_text(value, role, where) -> str:
 
 
 def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool):
-    """The reader behind read_jsonl and read_tsv. parse(line, where) turns
-    one nonblank line into a mapping from the keys of roles to values; an
-    optional role whose value is None, or that roles leaves unset, takes
-    its default. A role map that leaves a mandatory role (the premise, the
-    hypothesis, and the label unless remap_ordinal is set) unset, or a
-    record that lacks one, raises ConfigError, as does a map without an
-    ordinal under remap_ordinal."""
+    """The reader behind read_jsonl and read_tsv. parse(line) turns one
+    nonblank line into a mapping from the keys of roles to values, or
+    raises IngestError, which the reader prefixes with the path and line;
+    an optional role whose value is None, or that roles leaves unset,
+    takes its default. A role map that leaves a mandatory role (the
+    premise, the hypothesis, and the label unless remap_ordinal is set)
+    unset, or a record that lacks one, raises ConfigError, as does a map
+    without an ordinal under remap_ordinal.
+
+    The role keys and the label-name index are looked up once per file,
+    a str value skips _key_text and _join_premise, and an error location
+    is formatted only for its message. The checks run in a fixed order:
+    the parse, the mandatory keys, the skip, the ordinal's type, the id,
+    the hypothesis, the ordinal's range, the premise and the group."""
     premises, hypotheses, labels, ids, groups, ordinals = [], [], [], [], [], []
     mandatory = ("premise", "hypothesis") + (() if remap_ordinal else ("label",))
     unset = [role for role in mandatory + (("ordinal",) if remap_ordinal else ())
@@ -151,54 +158,76 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
     if unset:
         raise ConfigError(f"{path}: the role map has no field or column for "
                           f"{', '.join(unset)}")
+    required = [(role, getattr(roles, role)) for role in mandatory]
+    # an unset role is None, which is never a key of a record
+    premise_key, hypothesis_key, label_key = roles.premise, roles.hypothesis, roles.label
+    group_key, ordinal_key, id_key = roles.group, roles.ordinal, roles.id
+    label_index = scheme._index
+
+    def where(lineno, instance_id=None):
+        at = f"{path}: line {lineno}"
+        return at if instance_id is None else f"{at}: instance {instance_id!r}"
+
     skipped = 0
     for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
-        where = f"{path}: line {lineno}"
-        record = parse(line, where)
-        for role in mandatory:
-            key = getattr(roles, role)
+        try:
+            record = parse(line)
+        except IngestError as exc:
+            raise IngestError(f"{where(lineno)}: {exc}") from exc.__cause__
+        for role, key in required:
             if key not in record:
-                raise ConfigError(f"{where}: no field {key!r} for role {role!r}")
-        # an unset role is None, which is never a key of a record
-        group, ordinal, instance_id = (record.get(roles.group), record.get(roles.ordinal),
-                                       record.get(roles.id))
-        label_field = None if remap_ordinal else str(record[roles.label])
+                raise ConfigError(f"{where(lineno)}: no field {key!r} for role {role!r}")
         # the label source: the ordinal with remap_ordinal, else the label field
-        if (ordinal is None) if remap_ordinal else (label_field not in scheme.names):
-            skipped += 1
-            continue
+        ordinal = record.get(ordinal_key)
+        if remap_ordinal:
+            if ordinal is None:
+                skipped += 1
+                continue
+        else:
+            label_field = record[label_key]
+            label = label_index.get(label_field if type(label_field) is str
+                                    else str(label_field))
+            if label is None:
+                skipped += 1
+                continue
         if ordinal is not None:
             try:
                 ordinal = as_integer(ordinal)
             except ValueError:
-                raise IngestError(f"{where}: bad ordinal {ordinal!r}") from None
-        instance_id = (f"line-{lineno}" if instance_id is None
-                       else _key_text(instance_id, "id", where))
-        where += f": instance {instance_id!r}"
-        hypothesis = record[roles.hypothesis]
-        if not isinstance(hypothesis, str):  # a TSV cell always is one
-            raise IngestError(f"{where}: hypothesis is not a string")
+                raise IngestError(f"{where(lineno)}: bad ordinal {ordinal!r}") from None
+        instance_id = record.get(id_key)
+        if instance_id is None:
+            instance_id = f"line-{lineno}"
+        elif type(instance_id) is not str:
+            instance_id = _key_text(instance_id, "id", where(lineno))
+        hypothesis = record[hypothesis_key]
+        if type(hypothesis) is not str:  # a TSV cell always is one
+            raise IngestError(f"{where(lineno, instance_id)}: hypothesis is not a string")
         if not hypothesis:
-            raise IngestError(f"{where}: empty hypothesis")
+            raise IngestError(f"{where(lineno, instance_id)}: empty hypothesis")
         if ordinal is not None and not 1 <= ordinal <= 5:
-            raise IngestError(f"{where}: ordinal {ordinal} outside [1, 5]")
-        name = JOCI_ORDINAL_TO_LABEL[ordinal] if remap_ordinal else label_field
-        premises.append(_join_premise(record[roles.premise], where))
+            raise IngestError(f"{where(lineno, instance_id)}: ordinal {ordinal} outside [1, 5]")
+        premise = record[premise_key]
+        premises.append(premise if type(premise) is str
+                        else _join_premise(premise, where(lineno, instance_id)))
         hypotheses.append(hypothesis)
-        labels.append(scheme.index(name))
+        labels.append(scheme.index(JOCI_ORDINAL_TO_LABEL[ordinal]) if remap_ordinal
+                      else label)
         ids.append(instance_id)
-        groups.append(None if group is None else _key_text(group, "group", where))
+        group = record.get(group_key)
+        groups.append(group if group is None or type(group) is str
+                      else _key_text(group, "group", where(lineno, instance_id)))
         ordinals.append(ordinal)
     return Corpus(premises, hypotheses, np.array(labels, dtype=np.int64), ids, groups,
                   ordinals), skipped
 
 
-def _parse_json_line(line, where):
-    record = parse_json(line, where)
+def _parse_json_line(line):
+    record = parse_json(line)
     if not isinstance(record, dict):
-        raise IngestError(f"{where}: record is not an object")
+        raise IngestError("record is not an object")
     return record
 
 
@@ -227,10 +256,10 @@ def read_tsv(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = Fa
     """
     width = 1 + max((c for c in vars(roles).values() if c is not None), default=-1)
 
-    def parse(line, where):
+    def parse(line):
         cells = line.rstrip("\n").split("\t")
         if len(cells) < width:
-            raise IngestError(f"{where}: {len(cells)} columns, need {width}")
+            raise IngestError(f"{len(cells)} columns, need {width}")
         return dict(enumerate(cells))
 
     return _read(path, roles, scheme, parse, remap_ordinal)

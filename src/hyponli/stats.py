@@ -8,9 +8,14 @@ token score reaches x, that is, when it contains at least one
 sufficiently label-specific word. The table is computed from two columns
 of a corpus, its hypotheses and its label array, interned once into
 text.intern's vocabulary and CSR token corpus: the token ids of all
-hypotheses end to end, and each sentence's offset into them. Labels are
-label indices in and out; the CSV writers alone look up their names in
-the scheme.
+hypotheses end to end, and each sentence's offset into them. Each
+sentence's best token score is computed once per coverage mode, by one
+np.maximum.reduceat over all sentences (one per label with per-label
+thresholds), and kept on the counts sorted by gold label, so every curve
+and every coverage count is a binary search. The give-away words are
+picked with array operations; only the few candidates at a label's top_k
+cut are sorted in Python. Labels are label indices in and out; the CSV
+writers alone look up their names in the scheme.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ class LabelWordCounts:
     ids[indptr[i]:indptr[i + 1]] and the label index sentence_labels[i].
     occ[w, l] counts occurrences of token id w in sentences of label l,
     and label_sentences[l] the sentences of label l. Rows of occ follow
-    vocab, which holds exactly the tokens of the corpus.
+    vocab, which holds exactly the tokens of the corpus. sorted_maxima
+    keeps what it computes, one list of arrays per coverage mode.
     """
 
     def __init__(self, scheme: LabelScheme, vocab: Vocabulary, indptr: np.ndarray,
@@ -43,9 +49,12 @@ class LabelWordCounts:
         self.sentence_labels = sentence_labels
         n_labels, n_vocab = len(scheme), len(vocab)
         self.label_sentences = np.bincount(sentence_labels, minlength=n_labels)
-        token_labels = np.repeat(sentence_labels, np.diff(indptr))
-        self.occ = np.bincount(ids * n_labels + token_labels,
-                               minlength=n_vocab * n_labels).reshape(n_vocab, n_labels)
+        # the joint key word * L + label, with the labels repeated per token as
+        # bytes and added in place, so that counting holds one int64 copy of ids
+        key = ids * n_labels
+        key += np.repeat(sentence_labels.astype(np.uint8), np.diff(indptr))
+        self.occ = np.bincount(key, minlength=n_vocab * n_labels).reshape(n_vocab, n_labels)
+        self._sorted_maxima: dict[bool, list[np.ndarray]] = {}
 
     @property
     def n_sentences(self) -> int:
@@ -53,6 +62,42 @@ class LabelWordCounts:
 
     def count_l(self, label: int) -> int:
         return int(self.label_sentences[label])
+
+    def sorted_maxima(self, label: int, per_label: bool) -> np.ndarray:
+        """The best token score of each sentence of the gold label, ascending.
+
+        Score of a token is max_l p(l|w), or p(label|w) when per_label is set.
+        Sentences with no tokens get 0.0 so they count only at threshold 0.
+        The first call in each mode computes every label's array.
+        """
+        if not 0 <= label < len(self.scheme):
+            raise ValueError(f"label {label} is not a label index of {self.scheme.scheme_id!r}")
+        by_label = self._sorted_maxima.get(per_label)
+        if by_label is None:
+            occ, golds = self.occ, range(len(self.scheme))
+            freq = occ.sum(axis=1)
+            # reduceat over the starts of the non-empty sentences only: each
+            # then spans exactly its own tokens, as the empty ones between hold none
+            nonempty = np.flatnonzero(np.diff(self.indptr))
+            starts = self.indptr[nonempty]
+
+            def maxima(score):
+                out = np.zeros(self.n_sentences)
+                if nonempty.size:
+                    out[nonempty] = np.maximum.reduceat(score[self.ids], starts)
+                return out
+
+            if per_label:
+                by_label = [maxima(occ[:, gold] / freq)[self.sentence_labels == gold]
+                            for gold in golds]
+            else:
+                best = maxima(occ.max(axis=1) / freq)
+                by_label = [best[self.sentence_labels == gold] for gold in golds]
+            for gold_maxima in by_label:
+                gold_maxima.sort()
+                gold_maxima.flags.writeable = False  # shared by every later call
+            self._sorted_maxima[per_label] = by_label
+        return by_label[label]
 
 
 def count_corpus(hypotheses, labels, scheme: LabelScheme) -> LabelWordCounts:
@@ -83,16 +128,25 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
         raise ValueError("min_freq must be >= 1")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    buckets: dict[int, list[GiveawayEntry]] = {i: [] for i in range(len(counts.scheme))}
-    freq = counts.occ.sum(axis=1)
-    best = counts.occ.argmax(axis=1)  # ties resolve to the lowest label index
-    for w in np.flatnonzero(freq >= min_freq):
-        idx, cw = int(best[w]), int(freq[w])
-        buckets[idx].append(GiveawayEntry(counts.vocab.token(w), idx,
-                                          int(counts.occ[w, idx]) / cw, cw))
-    for entries in buckets.values():
+    occ = counts.occ
+    freq = occ.sum(axis=1)
+    candidates = np.flatnonzero(freq >= min_freq)
+    best = occ[candidates].argmax(axis=1)  # ties resolve to the lowest label index
+    freq = freq[candidates]
+    score = occ[candidates, best] / freq
+    buckets: dict[int, list[GiveawayEntry]] = {}
+    for label in range(len(counts.scheme)):
+        mine = np.flatnonzero(best == label)
+        if mine.size > top_k:
+            # keep each candidate whose (freq, score) ties or beats the top_k-th
+            order = np.lexsort((score[mine], freq[mine]))
+            cut = mine[order[-top_k]]
+            mine = mine[(freq[mine] > freq[cut])
+                        | ((freq[mine] == freq[cut]) & (score[mine] >= score[cut]))]
+        entries = [GiveawayEntry(counts.vocab.token(w), label, s, f) for w, s, f in
+                   zip(candidates[mine].tolist(), score[mine].tolist(), freq[mine].tolist())]
         entries.sort(key=lambda e: (-e.frequency, -e.score, e.token))
-        del entries[top_k:]
+        buckets[label] = entries[:top_k]
     return buckets
 
 
@@ -116,28 +170,11 @@ def _threshold_grid(step: float) -> list[float]:
     return grid
 
 
-def _sentence_maxima(counts: LabelWordCounts, label: int, per_label: bool) -> np.ndarray:
-    """Per sentence of the given gold label, the best token score.
-
-    Score of a token is max_l p(l|w), or p(label|w) when per_label is set.
-    Sentences with no tokens get 0.0 so they count only at threshold 0.
-    """
-    occ = counts.occ
-    score = (occ[:, label] if per_label else occ.max(axis=1)) / occ.sum(axis=1)
-    maxima = np.zeros(counts.n_sentences)
-    # reduceat over the starts of the non-empty sentences only: each then
-    # spans exactly its own tokens, as the empty ones between hold none
-    nonempty = np.flatnonzero(np.diff(counts.indptr))
-    if nonempty.size:
-        maxima[nonempty] = np.maximum.reduceat(score[counts.ids], counts.indptr[nonempty])
-    return maxima[counts.sentence_labels == label]
-
-
 def coverage_count(counts: LabelWordCounts, label: int, x: float,
                    per_label: bool = False) -> int:
     """Sentences of the gold label containing >= 1 token scoring >= x."""
-    maxima = _sentence_maxima(counts, label, per_label)
-    return int(np.count_nonzero(maxima >= x))
+    maxima = counts.sorted_maxima(label, per_label)
+    return int(maxima.size - np.searchsorted(maxima, x, side="left"))
 
 
 def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
@@ -151,10 +188,9 @@ def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
     if not 1e-4 <= grid_step <= 0.5:  # 1e-4: the resolution of curves_to_csv's x column
         raise ValueError(f"grid_step must lie in [0.0001, 0.5], got {grid_step}")
     grid = _threshold_grid(grid_step)
-    maxima = np.sort(_sentence_maxima(counts, label, per_label))
-    n = maxima.size
-    y = [int(n - np.searchsorted(maxima, x, side="left")) for x in grid]
-    return CoverageCurve(label, grid, y)
+    maxima = counts.sorted_maxima(label, per_label)
+    y = maxima.size - np.searchsorted(maxima, grid, side="left")
+    return CoverageCurve(label, grid, y.tolist())
 
 
 def giveaways_to_csv(giveaways: dict[int, list[GiveawayEntry]], scheme: LabelScheme) -> str:

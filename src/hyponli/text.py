@@ -3,16 +3,21 @@
 tokenize is one regular expression. intern tokenizes each text once and
 numbers its tokens in order of first occurrence, into an immutable
 Vocabulary and a CSR token corpus (ids, indptr): the ids of all texts end
-to end, text i at ids[indptr[i]:indptr[i + 1]]. Vocabulary.encode gives
-new texts the same form. The embedding matrix has one row per vocabulary
-id plus a final out-of-vocabulary row at index len(vocab):
-seeded_random_embeddings draws it in one call, and load_embeddings fills
-it from a word-vector file read through util.numbered_lines.
+to end, text i at ids[indptr[i]:indptr[i + 1]]. The numbering runs in C,
+through a counter-backed dict, and no Python int is kept per token.
+Vocabulary.encode gives new texts the same form. The embedding matrix has
+one row per vocabulary id plus a final out-of-vocabulary row at index
+len(vocab): seeded_random_embeddings draws it in one call, and
+load_embeddings fills it from a word-vector file read through
+util.numbered_lines.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from collections import defaultdict
+from itertools import count
 
 import numpy as np
 
@@ -82,19 +87,21 @@ def intern(texts) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     train + dev + test texts, passed in that order, lists train tokens
     first. Returns the vocabulary and the CSR token corpus: int64 ids
     and int64 offsets indptr, text i having ids[indptr[i]:indptr[i + 1]].
+    A token's first lookup in the index numbers it from a counter; the
+    ids accumulate in an array('q') of machine integers, which the
+    returned ids view without a copy.
     """
-    index: dict[str, int] = {}
-    assign = index.setdefault
-    ids: list[int] = []
-    lengths: list[int] = []
+    index = defaultdict(count().__next__)
+    ids = array("q")
+    lengths = array("q", [0])
     for text in texts:
         words = tokenize(text)
         lengths.append(len(words))
-        ids += [assign(tok, len(index)) for tok in words]
+        ids.extend(map(index.__getitem__, words))
     tokens = list(index)
-    del index, assign  # so that peak memory holds one token map, not two
-    return (Vocabulary(tokens), np.array(ids, dtype=np.int64),
-            np.cumsum([0, *lengths], dtype=np.int64))
+    del index  # so that peak memory holds one token map, not two
+    return (Vocabulary(tokens), np.frombuffer(ids, dtype=np.int64),
+            np.cumsum(lengths, dtype=np.int64))
 
 
 def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:

@@ -38,14 +38,31 @@ def numbered_lines(path):
             raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
 
 
-def parse_json(text, where):
+# json.loads's own scanner: one JSON value from a position in a str
+_scan_json = json.JSONDecoder().scan_once
+
+
+def parse_json(text, where=None):
     """The value of one JSON text, given as a str or as UTF-8 bytes. Text
     that is not JSON, bytes that are not UTF-8 and nesting too deep to
-    parse raise IngestError prefixed by where."""
+    parse raise IngestError, prefixed by where when it is given.
+
+    A str that is one value, then at most a newline (a corpus line), is
+    scanned without json.loads's wrapper; any other text, and every text
+    the scan refuses, goes through json.loads, so the value or the error
+    is always json.loads's."""
+    if type(text) is str:
+        try:
+            value, end = _scan_json(text, 0)
+        except (StopIteration, ValueError, RecursionError):  # json.loads gives the reason
+            end = None
+        if end == len(text) or end == len(text) - 1 and text[end] == "\n":
+            return value
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
-        raise IngestError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+        message = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+        raise IngestError(message if where is None else f"{where}: {message}") from exc
 
 
 def as_integer(value) -> int:

@@ -17,11 +17,19 @@ their work inside the time loop: one matrix-vector product per step for
 each input projection, and per-step outer products for the weight
 gradients. The hoisted kernels sum in another order, so they, and the
 BiLSTM half of loss_and_gradients, agree with these to rounding.
+
+The statistics and ingest oracles are the loops the array code replaced:
+giveaway_words builds an entry for every candidate before sorting,
+sentence_maxima runs one reduceat per call, and read_jsonl and read_tsv
+run the record loop that formatted every error location up front. The
+faster code must give the same values, and the same exception class and
+message.
 """
 
 import numpy as np
 
-from hyponli import model, text
+from hyponli import corpus, model, stats, text
+from hyponli.util import IngestError, as_integer, numbered_lines, parse_json
 
 
 def tokenize(s):
@@ -318,3 +326,104 @@ def report_tally(pred, gold, groups, train_majority):
         "split_mode_acc": 100.0 * rows[mode] / n,
         "notes": int(mode != train_majority),
     }
+
+
+def giveaway_words(counts, min_freq=5, top_k=10):
+    """stats.giveaway_words with one GiveawayEntry per candidate, each
+    label's whole list sorted, then cut."""
+    buckets = {i: [] for i in range(len(counts.scheme))}
+    freq = counts.occ.sum(axis=1)
+    best = counts.occ.argmax(axis=1)
+    for w in np.flatnonzero(freq >= min_freq):
+        idx, cw = int(best[w]), int(freq[w])
+        buckets[idx].append(stats.GiveawayEntry(counts.vocab.token(w), idx,
+                                                int(counts.occ[w, idx]) / cw, cw))
+    for entries in buckets.values():
+        entries.sort(key=lambda e: (-e.frequency, -e.score, e.token))
+        del entries[top_k:]
+    return buckets
+
+
+def sentence_maxima(counts, label, per_label):
+    """Per sentence of the gold label, in corpus order, the best token
+    score, from one reduceat over all sentences."""
+    occ = counts.occ
+    score = (occ[:, label] if per_label else occ.max(axis=1)) / occ.sum(axis=1)
+    maxima = np.zeros(counts.n_sentences)
+    nonempty = np.flatnonzero(np.diff(counts.indptr))
+    if nonempty.size:
+        maxima[nonempty] = np.maximum.reduceat(score[counts.ids], counts.indptr[nonempty])
+    return maxima[counts.sentence_labels == label]
+
+
+def _read(path, roles, scheme, parse, remap_ordinal):
+    """corpus._read with where formatted for every line and record."""
+    premises, hypotheses, labels, ids, groups, ordinals = [], [], [], [], [], []
+    mandatory = ("premise", "hypothesis") + (() if remap_ordinal else ("label",))
+    unset = [role for role in mandatory + (("ordinal",) if remap_ordinal else ())
+             if getattr(roles, role) is None]
+    if unset:
+        raise corpus.ConfigError(f"{path}: the role map has no field or column for "
+                                 f"{', '.join(unset)}")
+    skipped = 0
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        record = parse(line, where)
+        for role in mandatory:
+            key = getattr(roles, role)
+            if key not in record:
+                raise corpus.ConfigError(f"{where}: no field {key!r} for role {role!r}")
+        group, ordinal, instance_id = (record.get(roles.group), record.get(roles.ordinal),
+                                       record.get(roles.id))
+        label_field = None if remap_ordinal else str(record[roles.label])
+        if (ordinal is None) if remap_ordinal else (label_field not in scheme.names):
+            skipped += 1
+            continue
+        if ordinal is not None:
+            try:
+                ordinal = as_integer(ordinal)
+            except ValueError:
+                raise IngestError(f"{where}: bad ordinal {ordinal!r}") from None
+        instance_id = (f"line-{lineno}" if instance_id is None
+                       else corpus._key_text(instance_id, "id", where))
+        where += f": instance {instance_id!r}"
+        hypothesis = record[roles.hypothesis]
+        if not isinstance(hypothesis, str):
+            raise IngestError(f"{where}: hypothesis is not a string")
+        if not hypothesis:
+            raise IngestError(f"{where}: empty hypothesis")
+        if ordinal is not None and not 1 <= ordinal <= 5:
+            raise IngestError(f"{where}: ordinal {ordinal} outside [1, 5]")
+        name = corpus.JOCI_ORDINAL_TO_LABEL[ordinal] if remap_ordinal else label_field
+        premises.append(corpus._join_premise(record[roles.premise], where))
+        hypotheses.append(hypothesis)
+        labels.append(scheme.index(name))
+        ids.append(instance_id)
+        groups.append(None if group is None else corpus._key_text(group, "group", where))
+        ordinals.append(ordinal)
+    return corpus.Corpus(premises, hypotheses, np.array(labels, dtype=np.int64), ids,
+                         groups, ordinals), skipped
+
+
+def read_jsonl(path, roles, scheme, remap_ordinal=False):
+    def parse(line, where):
+        record = parse_json(line, where)
+        if not isinstance(record, dict):
+            raise IngestError(f"{where}: record is not an object")
+        return record
+
+    return _read(path, roles, scheme, parse, remap_ordinal)
+
+
+def read_tsv(path, roles, scheme, remap_ordinal=False):
+    width = 1 + max((c for c in vars(roles).values() if c is not None), default=-1)
+
+    def parse(line, where):
+        cells = line.rstrip("\n").split("\t")
+        if len(cells) < width:
+            raise IngestError(f"{where}: {len(cells)} columns, need {width}")
+        return dict(enumerate(cells))
+
+    return _read(path, roles, scheme, parse, remap_ordinal)

@@ -8,8 +8,9 @@ benchmark's commands (stats, and train-eval with a test split) and
 audit-sample read every input file through that module attribute, once
 each, in argument order. Every command line bench/run.py builds must
 parse, so each flag it passes (--seed to stats included) must stay. A
-traced BiLSTM run must keep the count rules bench/run.py checks, and the
-step count launch.py reads from lstm_forward's first argument.
+traced stats run, and a traced BiLSTM run, must keep the count rules
+bench/run.py checks, and the step count launch.py reads from
+lstm_forward's first argument.
 """
 
 import importlib
@@ -112,28 +113,50 @@ def test_train_eval_and_audit_sample_call_it_once_per_file_in_order(tmp_path, re
     assert read_calls == [files["dev"]]
 
 
+def traced_layers(tmp_path, argv):
+    """The layers bench/launch.py records for one traced run of argv, in a
+    subprocess because tracing rebinds module globals."""
+    stamp = tmp_path / "stamp.json"
+    subprocess.run([sys.executable, LAUNCH, str(stamp), "1", "--", *argv], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                   capture_output=True, timeout=120)
+    return json.loads(stamp.read_text(encoding="utf-8"))["layers"]
+
+
+def test_traced_stats_run_keeps_the_benchmark_count_rules(tmp_path):
+    """bench/run.py checks text.tokenize.calls = sentences and
+    stats.coverage.calls = 4 x labels (3 coverage_curve and 9
+    coverage_count calls over 3 labels), so tokenize must run once per
+    hypothesis through the module attribute, and cmd_stats must keep
+    calling both coverage functions through the stats module."""
+    names = ("entailment", "neutral", "contradiction")
+    data = write_records(tmp_path / "d.jsonl", [names[i % 3] for i in range(11)]
+                         + ["-"])  # a skipped record is never tokenized
+    layers = traced_layers(tmp_path, ["stats", "--data", data, "--out-dir",
+                                      str(tmp_path / "out"), "--min-freq", "1"])
+    assert layers["text.tokenize"][2] == 11
+    assert layers["stats.coverage"][2] == 4 * len(names)
+    assert layers["corpus.read_jsonl"][2] == layers["stats.count_corpus"][2] == 1
+
+
 def test_traced_birnn_run_keeps_the_benchmark_count_rules(tmp_path):
     """bench/run.py counts examples as len(args[0]) of loss_and_gradients
     and checks kernels.lstm_forward.calls = 2 x (examples +
     model.predict.calls) and lstm_backward.calls = 2 x examples, so the
     batch's rows must come first. model.predict is gone and prediction
     runs the time-major recurrence, which calls neither kernel, so both
-    sides of the first rule count training alone. The run is a
-    subprocess because tracing rebinds module globals."""
+    sides of the first rule count training alone."""
     names = ("entailment", "neutral", "contradiction")
     sizes = {"train": 10, "dev": 6, "test": 5}
     files = {split: write_records(tmp_path / f"{split}.jsonl",
                                   [names[i % 3] for i in range(n)])
              for split, n in sizes.items()}
-    stamp, out = tmp_path / "stamp.json", tmp_path / "out"
-    argv = ["train-eval", "--train", files["train"], "--dev", files["dev"],
-            "--test", files["test"], "--out-dir", str(out), "--encoder", "birnn-maxpool",
-            "--embedding-dim", "4", "--hidden-dim", "3", "--mlp-hidden", "4",
-            "--max-epochs", "2", "--batch-size", "4", "--finetune-embeddings"]
-    subprocess.run([sys.executable, LAUNCH, str(stamp), "1", "--", *argv], check=True,
-                   env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
-                   capture_output=True, timeout=120)
-    layers = json.loads(stamp.read_text(encoding="utf-8"))["layers"]
+    out = tmp_path / "out"
+    layers = traced_layers(tmp_path, [
+        "train-eval", "--train", files["train"], "--dev", files["dev"], "--test",
+        files["test"], "--out-dir", str(out), "--encoder", "birnn-maxpool", "--embedding-dim",
+        "4", "--hidden-dim", "3", "--mlp-hidden", "4", "--max-epochs", "2", "--batch-size",
+        "4", "--finetune-embeddings"])
     calls = lambda layer: layers.get(layer, [0, 0, 0, 0])[2]
     epochs = len((out / "train_log.csv").read_text().splitlines()) - 1
     examples = epochs * sizes["train"]

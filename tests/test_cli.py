@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,12 +9,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyponli import cli, corpus, stats, synth, text, train
 from hyponli.cli import main
 from hyponli.model import load_checkpoint, predict_batch
 
 from helpers import make_corpus
+from strategies import TSV_COLUMNS, jsonl_lines, tsv_lines
 
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -71,6 +76,31 @@ def test_malformed_input_is_one_line_naming_it(tmp_path, capsys, command, flag, 
               "stats": ["--data", data]}[command]
     assert main([command, flag, str(bad), *inputs, "--out-dir", str(tmp_path / "out")]) == 1
     assert one_error_line(capsys).startswith(f"error: {bad}: ")
+
+
+@given(kind=st.sampled_from(["native", "snli", "tsv"]), data=st.data(),
+       remap=st.booleans())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_mutated_corpus_is_read_or_one_line_naming_it(tmp_path_factory, kind, data, remap):
+    """stats on valid records and rows with fields dropped or replaced by
+    null, bools, containers, NaN, 2**63, "" and more, with blank and
+    malformed lines, under numpy warnings raised as errors: cli.main never
+    raises, and it returns 0, or 1 with one error line naming the file."""
+    lines = data.draw(tsv_lines if kind == "tsv" else jsonl_lines)
+    work = tmp_path_factory.mktemp("mutated")
+    path = work / f"d.{kind}"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    argv = ["stats", "--data", str(path), "--out-dir", str(work / "out"), "--format", kind,
+            "--min-freq", "1", *(["--tsv-columns", TSV_COLUMNS] if kind == "tsv" else []),
+            *(["--remap-ordinal"] if remap else [])]
+    err = io.StringIO()
+    with (warnings.catch_warnings(), np.errstate(all="raise"), contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("error")
+        code = main(argv)
+    errors = err.getvalue().splitlines()
+    assert code == 0 and errors == [] or (
+        code == 1 and len(errors) == 1 and errors[0].startswith(f"error: {path}:")), errors
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -12,7 +13,9 @@ from hyponli.corpus import (
     majority_label, random_split, read_jsonl, read_tsv, write_jsonl,
 )
 
+import reference
 from helpers import columns, make_corpus
+from strategies import jsonl_lines, tsv_lines
 
 NATIVE = corpus.FIELD_MAP_PRESETS["native"]
 SNLI = corpus.FIELD_MAP_PRESETS["snli"]
@@ -349,6 +352,66 @@ class TestIngestErrors:
             read_jsonl(path, NATIVE, THREE_WAY)
         except (IngestError, ConfigError):
             pass
+
+
+def outcome(read, path, roles, remap):
+    """A reader's columns and skip count, or its exception class and message."""
+    try:
+        data, skipped = read(path, roles, THREE_WAY, remap)
+    except Exception as exc:  # noqa: BLE001 - compared, class and message, with the oracle's
+        return type(exc), str(exc)
+    return columns(data), skipped
+
+
+class TestAgainstReference:
+    """_read against the record loop it replaced (tests/reference.py): the
+    same columns and skip count, or the same exception class and message,
+    on every record."""
+
+    @given(lines=jsonl_lines, roles=st.sampled_from([NATIVE, NATIVE, MANDATORY_ONLY, SNLI]),
+           remap=st.booleans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_jsonl(self, tmp_path_factory, lines, roles, remap):
+        path = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert (outcome(read_jsonl, path, roles, remap)
+                == outcome(reference.read_jsonl, path, roles, remap))
+
+    def test_every_mix_of_good_and_bad_fields(self, tmp_path):
+        """Check precedence: each role good, of a wrong type, out of range
+        or missing, in every combination, read as the one line of a file."""
+        path = tmp_path / "d.jsonl"
+        path.write_text("{}\n", encoding="utf-8")
+        missing = object()
+        options = {"premise": ["p", ["a", "b"], 5, missing],
+                   "hypothesis": ["a b", "", 5, missing],
+                   "label": ["neutral", "-", 7, missing],
+                   "group": ["g", 3, ["x"], missing],
+                   "ordinal": [3, "x", 9, missing],
+                   "id": ["x7", 8, {"k": 1}, missing]}
+
+        def read(path, roles, scheme, remap):
+            return corpus._read(path, roles, scheme, lambda line: record, remap)
+
+        def read_reference(path, roles, scheme, remap):
+            return reference._read(path, roles, scheme, lambda line, where: record, remap)
+
+        for values in itertools.product(*options.values()):
+            record = {key: v for key, v in zip(options, values) if v is not missing}
+            for remap in (False, True):
+                assert (outcome(read, path, NATIVE, remap)
+                        == outcome(read_reference, path, NATIVE, remap)), record
+
+    @given(lines=tsv_lines,
+           roles=st.sampled_from([RoleMap(0, 1, 2, group=3, ordinal=4, id=5), RoleMap(0, 1, 2),
+                                  RoleMap(0, 1, ordinal=4, id=2), RoleMap(1, 0, 2, group=5)]),
+           remap=st.booleans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_tsv(self, tmp_path_factory, lines, roles, remap):
+        path = tmp_path_factory.mktemp("tsv") / "d.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert (outcome(read_tsv, path, roles, remap)
+                == outcome(reference.read_tsv, path, roles, remap))
 
 
 class TestJociRemap:

@@ -12,6 +12,7 @@ from hyponli.evaluate import build_report
 from hyponli.stats import coverage_count, coverage_curve, giveaway_words
 from hyponli.text import tokenize
 
+import reference
 from helpers import make_corpus, random_corpus
 
 
@@ -278,6 +279,75 @@ class TestCoverageCurve:
         assert coverage_count(counts, contra, 0.5) == 1
         # per-label threshold: p(contradiction|b) = 1/3 < 0.5
         assert coverage_count(counts, contra, 0.5, per_label=True) == 0
+
+
+# Hypotheses over a few types, so that frequencies and scores tie often;
+# " " and "." tokenize to nothing and to one mark.
+hypotheses = st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "."]),
+                      max_size=5).map(" ".join) | st.sampled_from(["", " ", "."])
+
+
+@st.composite
+def labelled(draw, n_labels=3):
+    """(hypotheses, label indices), any label possibly absent."""
+    rows = draw(st.lists(st.tuples(hypotheses, st.integers(0, n_labels - 1)), max_size=30))
+    return [h for h, _ in rows], np.array([lab for _, lab in rows], dtype=np.int64)
+
+
+class TestAgainstReference:
+    """The array code against the loops it replaced, in tests/reference.py."""
+
+    @given(data=labelled(), min_freq=st.integers(1, 4), top_k=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_giveaway_lists(self, data, min_freq, top_k):
+        counts = stats.count_corpus(*data, THREE_WAY)
+        assert (giveaway_words(counts, min_freq, top_k)
+                == reference.giveaway_words(counts, min_freq, top_k))
+
+    def test_giveaway_ties_at_the_cut_and_an_empty_bucket(self):
+        # under entailment, b..g tie with a on frequency 2 and score 1.0, and
+        # "x y" ties x and y on frequency 3 and score 2/3; neutral gets nothing
+        pairs = ([("a", "entailment")] * 2 + [(w, "entailment") for w in "gfedcb" * 2]
+                 + [("x y", "entailment")] * 2 + [("x y", "contradiction")])
+        counts = count_corpus(make_corpus(pairs))
+        for min_freq in (1, 2, 3, 4):
+            for top_k in (1, 2, 3, 4, 8, 9):
+                got = giveaway_words(counts, min_freq, top_k)
+                assert got == reference.giveaway_words(counts, min_freq, top_k)
+                assert got[THREE_WAY.index("neutral")] == []
+        top = giveaway_words(counts, min_freq=2, top_k=3)[THREE_WAY.index("entailment")]
+        assert [e.token for e in top] == ["x", "y", "a"]
+
+    @given(data=labelled(), grid_step=st.sampled_from([0.3, 0.05, 0.5, 0.01]),
+           order=st.permutations([False, True]),
+           extra=st.lists(st.floats(-0.5, 1.5), max_size=4))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_every_curve_and_count(self, data, grid_step, order, extra):
+        """Both modes on one counts object, in either order, so that the
+        maxima kept for one mode never answer for the other; thresholds on
+        and off the grid (0.75 is off the 0.3 grid)."""
+        counts = stats.count_corpus(*data, THREE_WAY)
+        for per_label in order:
+            for label in range(len(THREE_WAY)):
+                maxima = reference.sentence_maxima(counts, label, per_label)
+                curve = coverage_curve(counts, label, grid_step, per_label)
+                assert curve.y == [int(np.count_nonzero(maxima >= x)) for x in curve.grid]
+                for x in [0.0, 0.5, 0.75, 1.0, 1.0 + 1e-9, *curve.grid[::7], *extra]:
+                    assert (coverage_count(counts, label, x, per_label)
+                            == np.count_nonzero(maxima >= x))
+
+    def test_maxima_are_kept_and_read_only(self):
+        counts = count_corpus(make_corpus([("a b", "neutral"), ("b", "entailment")]))
+        kept = counts.sorted_maxima(THREE_WAY.index("neutral"), per_label=True)
+        assert counts.sorted_maxima(THREE_WAY.index("neutral"), per_label=True) is kept
+        assert not kept.flags.writeable
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_a_label_outside_the_scheme_is_refused(self, label):
+        counts = count_corpus(make_corpus([("a", "neutral")]))
+        for per_label in (False, True):
+            with pytest.raises(ValueError, match="not a label index"):
+                coverage_count(counts, label, 0.5, per_label)
 
 
 def majority_accuracy(data, maj, scheme=THREE_WAY):

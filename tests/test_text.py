@@ -105,6 +105,7 @@ class TestIntern:
     def test_ids_decode_to_tokens(self, sentences):
         texts = [" ".join(s) for s in sentences]
         vocab, ids, indptr = intern(texts)
+        assert vocab.tokens == list(dict.fromkeys(tok for text in texts for tok in tokenize(text)))
         assert len(indptr) == len(texts) + 1 and indptr[-1] == ids.size
         for sentence, row in zip(texts, reference.sentences(range(len(texts)), (ids, indptr))):
             assert [vocab.token(i) for i in row] == tokenize(sentence)

@@ -1,9 +1,12 @@
 import inspect
+import json
 import os
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyponli
 from hyponli import model
@@ -62,6 +65,33 @@ def test_parse_json_errors_name_where():
                          ("[" * 100_000, "maximum recursion depth exceeded")):
         with pytest.raises(IngestError, match=rf"^f: line 3: invalid JSON \({reason}"):
             parse_json(text, "f: line 3")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5)
+edges = st.sampled_from(["", " ", "\n", "\n\n", "\r\n", "\t", "\x0b", "\xa0", "\ufeff", "x",
+                         "}", "]", ",", "1", '"', "\u2028"])
+
+
+@given(head=edges, value=json_values, tail=st.lists(edges, max_size=2).map("".join),
+       raw=st.booleans())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_parse_json_is_json_loads(head, value, tail, raw):
+    """The scan without json.loads's wrapper gives json.loads's value, or
+    its error, on any text: a value with text before or after it, and
+    truncated or bare text."""
+    text = head + (json.dumps(value)[:-1] if raw else json.dumps(value)) + tail
+    try:
+        expected = repr(json.loads(text))  # repr, as nan != nan
+    except ValueError as exc:
+        with pytest.raises(IngestError) as err:
+            parse_json(text, "w")
+        assert str(err.value) == f"w: invalid JSON ({exc.msg})"
+    else:
+        assert repr(parse_json(text, "w")) == expected
 
 
 def test_numbered_lines_counts_from_one(tmp_path):
