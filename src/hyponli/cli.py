@@ -14,8 +14,8 @@ range of its rows from training to prediction; audit-sample encodes into
 the same form with the checkpoint vocabulary. Outputs are
 written to a temp file and promoted atomically. A key=value config file
 can preset any flag of a subcommand; explicit flags win. HYPONLI_OUT_DIR
-sets the default output directory. audit-sample takes its label scheme
-from the checkpoint.
+sets the default output directory. --scheme (a preset or 2-3 label names)
+is the one label scheme flag; audit-sample takes the checkpoint's.
 """
 
 from __future__ import annotations
@@ -32,11 +32,17 @@ from . import corpus, evaluate, model, stats, synth, text, train
 from .util import atomic_write_text, config_block, markdown_table, numbered_lines
 
 
-def _resolve_scheme(args) -> corpus.LabelScheme:
-    if args.labels:
-        names = tuple(n.strip() for n in args.labels.split(",") if n.strip())
-        return corpus.LabelScheme(names, "custom")
-    return corpus.SCHEME_PRESETS[args.scheme]
+def _resolve_scheme(value: str) -> corpus.LabelScheme:
+    """The --scheme preset, or a scheme of the comma-separated names."""
+    if value in corpus.SCHEME_PRESETS:
+        return corpus.SCHEME_PRESETS[value]
+    return corpus.LabelScheme(tuple(n.strip() for n in value.split(",") if n.strip()), "custom")
+
+
+def label_scheme(value: str) -> str:
+    """--scheme's type: the value, once it names a scheme; ValueError if not."""
+    _resolve_scheme(value)
+    return value
 
 
 def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
@@ -48,25 +54,22 @@ def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
             raise corpus.ConfigError(f"--tsv-columns: {part.strip()!r} is not role=column, "
                                      f"with a role among {', '.join(roles)} and a "
                                      f"non-negative integer column")
+        if key in kwargs:
+            raise corpus.ConfigError(f"--tsv-columns: role {key!r} is given twice")
         kwargs[key] = int(value)
     return corpus.RoleMap(**kwargs)
 
 
 def _read_corpus(path, args, scheme, split=None):
-    """(corpus, records skipped, scheme) of one file; naming the split
-    makes an empty one an error."""
-    if args.remap_ordinal:
-        scheme = corpus.THREE_WAY
-    if args.format == "tsv":
-        columns = _parse_tsv_columns(args.tsv_columns)
-        data, skipped = corpus.read_tsv(path, columns, scheme, args.remap_ordinal)
-    else:
-        field_map = corpus.FIELD_MAP_PRESETS[args.format]
-        data, skipped = corpus.read_jsonl(path, field_map, scheme, args.remap_ordinal)
+    """(corpus, records skipped) of one file; naming the split makes an empty one an error."""
+    read, roles = ((corpus.read_tsv, _parse_tsv_columns(args.tsv_columns))
+                   if args.format == "tsv"
+                   else (corpus.read_jsonl, corpus.FIELD_MAP_PRESETS[args.format]))
+    data, skipped = read(path, roles, scheme, args.remap_ordinal)
     if split and not len(data):
         raise corpus.IngestError(f"{path}: the {split} split is empty "
                                  f"({skipped} records skipped at ingest)")
-    return data, skipped, scheme
+    return data, skipped
 
 
 def _config_lines(args) -> list[str]:
@@ -84,12 +87,10 @@ def _add_data_flags(parser, roles, scheme_flags=True):
     parser.add_argument("--tsv-columns", default="premise=0,hypothesis=1,label=2",
                         help="role=column pairs for --format tsv")
     if scheme_flags:
-        parser.add_argument("--scheme", choices=sorted(corpus.SCHEME_PRESETS),
-                            default="3way", help="label scheme preset")
-        parser.add_argument("--labels", default=None,
-                            help="comma-separated label names overriding --scheme")
+        parser.add_argument("--scheme", type=label_scheme, default="3way",
+                            help="3way, 2way or 2-3 comma-separated label names")
     parser.add_argument("--remap-ordinal", action="store_true",
-                        help="map 1-5 ordinal ratings onto the 3-way scheme")
+                        help="map 1-5 ordinal ratings onto the 3-way labels")
 
 
 def _add_common_flags(parser, seed=True):
@@ -102,7 +103,8 @@ def _add_common_flags(parser, seed=True):
 
 
 def cmd_stats(args) -> int:
-    data, skipped, scheme = _read_corpus(args.data, args, _resolve_scheme(args), "data")
+    scheme = _resolve_scheme(args.scheme)
+    data, skipped = _read_corpus(args.data, args, scheme, "data")
     counts = stats.count_corpus(data.hypotheses, data.labels, scheme)
     giveaways = stats.giveaway_words(counts, min_freq=args.min_freq, top_k=args.top_k)
     labels = range(len(scheme))
@@ -138,28 +140,23 @@ def cmd_stats(args) -> int:
 
 
 def _build_model(args, scheme, vocab, seed):
+    # the config first, so that a bad dimension is refused as its option
+    config = model.ModelConfig(
+        encoder_kind=args.encoder, embedding_dim=args.embedding_dim,
+        hidden_dim=args.hidden_dim, mlp_hidden=args.mlp_hidden, n_labels=len(scheme),
+        seed=seed + 2, finetune_embeddings=args.finetune_embeddings)
     if args.embeddings:
         emb = text.load_embeddings(args.embeddings, vocab, args.embedding_dim)
     else:
         emb = text.seeded_random_embeddings(vocab, args.embedding_dim, seed + 1)
-    config = model.ModelConfig(
-        encoder_kind=args.encoder,
-        embedding_dim=args.embedding_dim,
-        hidden_dim=args.hidden_dim,
-        mlp_hidden=args.mlp_hidden,
-        n_labels=len(scheme),
-        seed=seed + 2,
-        finetune_embeddings=args.finetune_embeddings,
-    )
     return model.ModelParameters.init(config, emb, vocab, scheme)
 
 
 def cmd_train_eval(args) -> int:
-    splits, scheme = {}, _resolve_scheme(args)
-    for name, path in (("train", args.train), ("dev", args.dev), ("test", args.test)):
-        if not path:  # only --test is optional
-            continue
-        splits[name], skipped, scheme = _read_corpus(path, args, scheme, name)
+    scheme = _resolve_scheme(args.scheme)
+    splits = {name: _read_corpus(path, args, scheme, name)[0]  # only --test is optional
+              for name, path in (("train", args.train), ("dev", args.dev), ("test", args.test))
+              if path}
     # one CSR token corpus of every hypothesis, train first, then dev, then
     # test; each split is its range of rows
     vocab, ids, indptr = text.intern([h for data in splits.values() for h in data.hypotheses])
@@ -170,9 +167,8 @@ def cmd_train_eval(args) -> int:
     params = _build_model(args, scheme, vocab, args.seed)
     train_config = train.TrainConfig(
         lr0=args.lr0, decay=args.decay, divide_on_decline=args.divide_on_decline,
-        lr_floor=args.lr_floor, max_epochs=args.max_epochs,
-        batch_size=args.batch_size, seed=args.seed + 3,
-    )
+        lr_floor=args.lr_floor, max_epochs=args.max_epochs, batch_size=args.batch_size,
+        seed=args.seed + 3)
     out = args.out_dir
     try:
         best_params, state = train.fit(examples["train"], examples["dev"], tokens, params,
@@ -218,13 +214,13 @@ def cmd_synth(args) -> int:
 
 def cmd_audit_sample(args) -> int:
     params = model.load_checkpoint(args.checkpoint)
-    if args.remap_ordinal and params.scheme.names != corpus.THREE_WAY.names:
-        raise corpus.ConfigError(f"--remap-ordinal needs a checkpoint with the 3-way labels "
-                                 f"{', '.join(corpus.THREE_WAY.names)}; {args.checkpoint} "
-                                 f"has {', '.join(params.scheme.names)}")
-    data, _, _ = _read_corpus(args.data, args, params.scheme)
-    pred = model.predict_batch(np.arange(len(data)), params.vocab.encode(data.hypotheses),
-                               params)
+    data, _ = _read_corpus(args.data, args, params.scheme)
+    try:  # finite weights can still overflow
+        with np.errstate(over="raise", invalid="raise"):
+            pred = model.predict_batch(np.arange(len(data)),
+                                       params.vocab.encode(data.hypotheses), params)
+    except FloatingPointError as exc:
+        raise ValueError(f"{args.checkpoint}: predicting {args.data} overflows ({exc})") from None
     cells = evaluate.confusion_sample(pred, data.labels, args.n_per_cell, args.seed)
     text_out = evaluate.confusion_sample_text(cells, params.scheme, data.ids, data.hypotheses)
     atomic_write_text(os.path.join(args.out_dir, "audit_sample.txt"), text_out)
@@ -239,7 +235,8 @@ def cmd_split(args) -> int:
     except ValueError:
         raise corpus.ConfigError(f"--ratios {args.ratios!r} is not a comma-separated "
                                  f"list of numbers") from None
-    data, _, scheme = _read_corpus(args.data, args, _resolve_scheme(args))
+    scheme = _resolve_scheme(args.scheme)
+    data, _ = _read_corpus(args.data, args, scheme)
     parts = dict(zip(("train", "dev", "test"),
                      corpus.random_split(data, ratios=ratios, seed=args.seed)))
     for name, part in parts.items():
@@ -313,20 +310,19 @@ _BOOLEAN_WORDS = {"1": True, "0": False, "true": True, "false": False,
 
 
 def _apply_config_file(parser, subcommands, argv):
+    """(args, the dests whose values came from the --config file)."""
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
-        return args
+        return args, ()
     sub = subcommands[args.command]
-    defaults = {}
+    actions = {action.dest: action for action in sub._actions}
+    coerced = {}
     for _, line in numbered_lines(args.config):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    actions = {action.dest: action for action in sub._actions}
-    coerced = {}
-    for key, value in defaults.items():
+        key, _, value = (part.strip() for part in line.partition("="))
+        key = key.replace("-", "_")
         action = actions.get(key)
         if action is None:
             raise corpus.ConfigError(f"{args.config}: unknown option {key!r}")
@@ -345,7 +341,9 @@ def _apply_config_file(parser, subcommands, argv):
                                      f"{', '.join(map(str, choices))}")
         coerced[key] = _BOOLEAN_WORDS[value] if flag else value
     sub.set_defaults(**coerced)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # a flag given on the command line replaces the config file's object
+    return args, [key for key, value in coerced.items() if getattr(args, key) is value]
 
 
 def _check_out_dir(path) -> None:
@@ -361,12 +359,17 @@ def _check_out_dir(path) -> None:
 
 def main(argv=None) -> int:
     parser, subcommands = build_parser()
+    preset = ()
     try:
-        args = _apply_config_file(parser, subcommands, argv)
+        args, preset = _apply_config_file(parser, subcommands, argv)
         _check_out_dir(args.out_dir)  # before any input is read
         return args.func(args)
     except (ValueError, OSError) as exc:  # ingest, config and embedding errors included
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        # a refused option's message starts with its dest or flag: name the file that set it
+        if any(message.startswith((f"{key} ", f"--{key.replace('_', '-')}")) for key in preset):
+            message = f"{args.config}: {message}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -26,7 +26,7 @@ from .util import IngestError, as_integer, atomic_open, numbered_lines, parse_js
 
 
 class ConfigError(ValueError):
-    """A role map or scheme that does not match the data."""
+    """A flag, --config line, role map, scheme or synth spec key that cannot be used."""
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
     an optional role whose value is None, or that roles leaves unset,
     takes its default. A role map that leaves a mandatory role (the
     premise, the hypothesis, and the label unless remap_ordinal is set)
-    unset, or a record that lacks one, raises ConfigError, as does a map
-    without an ordinal under remap_ordinal.
+    unset, or a record that lacks one, raises ConfigError, as do, under
+    remap_ordinal, a map without an ordinal and a non-THREE_WAY scheme.
 
     The role keys and the label-name index are looked up once per file,
     a str value skips _key_text and _join_premise, and an error location
@@ -158,6 +158,10 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
     if unset:
         raise ConfigError(f"{path}: the role map has no field or column for "
                           f"{', '.join(unset)}")
+    if remap_ordinal and scheme.names != THREE_WAY.names:
+        raise ConfigError(f"{path}: 1-5 ordinals remap onto the 3-way labels "
+                          f"{', '.join(THREE_WAY.names)}; scheme {scheme.scheme_id!r} has "
+                          f"{', '.join(scheme.names)}")
     required = [(role, getattr(roles, role)) for role in mandatory]
     # an unset role is None, which is never a key of a record
     premise_key, hypothesis_key, label_key = roles.premise, roles.hypothesis, roles.label
@@ -236,13 +240,14 @@ def read_jsonl(path, roles: RoleMap, scheme: LabelScheme, remap_ordinal: bool = 
 
     Returns (corpus, skipped) where skipped counts lines whose label is
     absent from the scheme (e.g. the "-" no-consensus marker). With
-    remap_ordinal the label is the 1-5 ordinal by JOCI_ORDINAL_TO_LABEL,
-    whatever the label field says or whether there is one, and lines
-    without an ordinal are skipped. Malformed lines raise IngestError with
-    the line number, as does a kept record whose hypothesis is not a
-    string, whose premise is neither a string nor a list of strings (joined
-    by single spaces), or whose group or id is neither a string nor an
-    integer; a record missing a mandatory mapped key raises ConfigError.
+    remap_ordinal the label is the 1-5 ordinal by JOCI_ORDINAL_TO_LABEL on
+    the THREE_WAY names, which the scheme must have, whatever the label
+    field says or whether there is one; lines without an ordinal are
+    skipped. Malformed lines raise IngestError with the line number, as
+    does a kept record whose hypothesis is not a string, whose premise is
+    neither a string nor a list of strings (joined by single spaces), or
+    whose group or id is neither a string nor an integer; a record missing
+    a mandatory mapped key raises ConfigError.
     """
     return _read(path, roles, scheme, _parse_json_line, remap_ordinal)
 

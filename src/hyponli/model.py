@@ -100,8 +100,9 @@ class ModelConfig:
             raise ValueError("dimensions, n_labels and seed must be integers")
         if not isinstance(self.finetune_embeddings, bool):
             raise ValueError("finetune_embeddings must be true or false")
-        if min(dims) < 1:
-            raise ValueError("all dimensions must be >= 1")
+        for name, dim in zip(("embedding_dim", "hidden_dim", "mlp_hidden"), dims):
+            if dim < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.n_labels not in (2, 3):
             raise ValueError("n_labels must be 2 or 3")
 

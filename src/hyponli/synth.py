@@ -76,8 +76,8 @@ class SynthSpec:
         if self.vocab_size > np.iinfo(np.int64).max:  # generate draws int64 token indices
             fail("vocab_size", f"{self.vocab_size} is above the int64 range")
         lo, hi = converted("sentence_length", lambda value: _items(value, as_integer, 2))
-        if not 1 <= lo <= hi:
-            fail("sentence_length", "must satisfy 1 <= min <= max")
+        if not 1 <= lo <= hi <= np.iinfo(np.int64).max:  # generate draws int64 lengths
+            fail("sentence_length", "must satisfy 1 <= min <= max < 2**63")
         giveaway = converted("giveaway", lambda value: _items(value, self._giveaway_entry))
         if len({token for token, _, _ in giveaway}) != len(giveaway):
             fail("giveaway", "tokens must be pairwise distinct")

@@ -21,12 +21,7 @@ from itertools import count
 
 import numpy as np
 
-from .util import numbered_lines
-
-
-class EmbeddingFormatError(ValueError):
-    """A word-vector file line with the wrong number of values, or a value
-    that is not a finite number."""
+from .util import IngestError, numbered_lines
 
 
 # Marks detached from the ends of whitespace chunks. Case is preserved;
@@ -113,9 +108,8 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
     OOV vector: the row named "<unk>" if there is one, else the mean of the
     loaded vectors in first-seen file order, else zeros. A line with the
     wrong number of values, or with a value that is not a finite number,
-    raises EmbeddingFormatError naming the path and line; so does a mean
-    that overflows, naming the path. A file that is not UTF-8 raises
-    util.IngestError naming the path and line.
+    raises util.IngestError naming the path and line, as does a byte that
+    is not UTF-8; so does a mean that overflows, naming the path.
     """
     matrix = np.zeros((len(vocab) + 1, dimension), dtype=np.float64)
     loaded: dict[int, None] = {}  # vocab ids in first-seen file order
@@ -126,17 +120,14 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
             continue
         word, values = parts[0], parts[1:]
         if len(values) != dimension:
-            raise EmbeddingFormatError(
-                f"{path}: line {lineno}: expected {dimension} values, got {len(values)}"
-            )
+            raise IngestError(
+                f"{path}: line {lineno}: expected {dimension} values, got {len(values)}")
         try:
             vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
-            raise EmbeddingFormatError(
-                f"{path}: line {lineno}: non-numeric value"
-            ) from exc
+            raise IngestError(f"{path}: line {lineno}: non-numeric value") from exc
         if not np.isfinite(vec).all():
-            raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite value")
+            raise IngestError(f"{path}: line {lineno}: non-finite value")
         if word == OOV_TOKEN:
             designated_oov = vec
             continue
@@ -150,8 +141,8 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             oov = matrix[list(loaded)].mean(axis=0)
         if not np.isfinite(oov).all():
-            raise EmbeddingFormatError(f"{path}: the mean of the loaded vectors, the default "
-                                       f"OOV vector, is not finite; add a {OOV_TOKEN!r} line")
+            raise IngestError(f"{path}: the mean of the loaded vectors, the default "
+                              f"OOV vector, is not finite; add a {OOV_TOKEN!r} line")
     else:
         oov = np.zeros(dimension, dtype=np.float64)
     missing = np.ones(len(matrix), dtype=bool)

@@ -1,10 +1,18 @@
-"""Hypothesis strategies for corpus files: valid JSONL records and TSV
-rows with up to two fields dropped or replaced by the values ingest
-treats differently, and now and then a blank or malformed line.
-jsonl_lines and tsv_lines each draw the lines of one file."""
+"""Hypothesis strategies for the files hyponli reads, each a valid file
+with a few parts dropped or replaced by the values its reader treats
+differently.
+
+jsonl_lines and tsv_lines each draw the lines of one corpus file: valid
+JSONL records and TSV rows with up to two fields dropped or replaced, and
+now and then a blank or malformed line. specs draws a synth spec object,
+config_lines the lines of a stats --config file, vector_lines the lines
+of a word-vector file, and checkpoint_damage an edit of a checkpoint's
+header and its array bytes.
+"""
 
 import json
 import math
+import struct
 
 from hypothesis import strategies as st
 
@@ -24,11 +32,11 @@ TSV_COLUMNS = ",".join(f"{role}={column}" for column, role in enumerate(KEYS))
 
 
 @st.composite
-def mutated(draw, valid, odd, drop):
-    """A valid record or row, keyed by role position, with up to two fields
-    dropped or replaced."""
+def mutated(draw, valid, odd, drop, keys=range(len(KEYS))):
+    """A valid record or row (by default keyed by role position), with up
+    to two of keys dropped or replaced."""
     record = draw(valid)
-    for key in draw(st.lists(st.sampled_from(range(len(KEYS))), max_size=2)):
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
         if draw(st.booleans()):
             drop(record, key)
         else:
@@ -71,3 +79,75 @@ tsv_lines = corpus_lines(
     mutated(valid_rows, odd_cells, drop_columns).map(
         lambda row: "\t".join(row[c] for c in sorted(row))),
     st.sampled_from(["", "   ", "p", "p\tq"]))
+
+# JSON values a spec or checkpoint reader treats differently
+odd_json = st.sampled_from([None, True, False, [], {}, "", "x", "3", 0, -1, 1, 2, 3, 2.5,
+                            1e308, math.nan, math.inf, 2 ** 63, 10 ** 20, [1], [0, 1], [3, 1],
+                            [1, 2 ** 63], [0.5, 0.5], [0.4, 0.35, 0.25], [1.5, -0.5, 0.0],
+                            ["a", "b"], [["w001", 0, 0.5]], [["give", 5, 0.5]],
+                            [["give", "neutral", 2.0]], [["a b", 0, 0.5]],
+                            [["give", 0, 0.5], ["give", 1, 0.5]], {"k": 1}])
+
+SPEC_KEYS = ("n_labels", "label_prior", "vocab_size", "sentence_length", "giveaway", "seed",
+             "extra")
+specs = mutated(
+    st.sampled_from([
+        {"n_labels": 3, "label_prior": [0.4, 0.35, 0.25], "vocab_size": 12,
+         "sentence_length": [3, 6], "giveaway": [["give0", 0, 0.9], ["give1", "neutral", 0.5]],
+         "seed": 4},
+        {"n_labels": 2, "label_prior": [0.5, 0.5], "vocab_size": 1000,
+         "sentence_length": [1, 2], "seed": 0}]).map(dict),
+    odd_json, drop_key, SPEC_KEYS)
+
+# stats options, a dashed and an unknown key, and the values their
+# conversions and checks treat differently, --scheme values among them
+CONFIG_KEYS = ("format", "tsv-columns", "scheme", "remap-ordinal", "seed", "split-name",
+               "min-freq", "top_k", "grid-step", "per-label-threshold", "compare-to", "")
+config_values = st.sampled_from([
+    "", "0", "1", "-1", "2.5", "0.3", "nan", "inf", "1e-7", "10" * 12, "yes", "Off", "maybe",
+    "native", "snli", "tsv", "xml", "3way", "2way", "4way", "a,b", "a", "a,a", "a,b,c,d", ",",
+    "entailment,neutral,contradiction", "premise=0,hypothesis=1,label=2", "hypothesis=x",
+    "premise=0,hypothesis=1,label=2,label=3", "= 3", "caf\u00e9"])
+config_lines = st.lists(
+    st.one_of(st.tuples(st.sampled_from(CONFIG_KEYS), config_values).map(
+                  lambda pair: f"{pair[0]} = {pair[1]}"),
+              st.sampled_from(["", "# a comment", "top-k", "=", "scheme"])),
+    max_size=4)
+
+# the lines of a 4-dimensional vector file over the words a, b and c; a
+# value may be one that float() reads or refuses, and a line may lose or
+# gain values
+vector_values = st.sampled_from(["0.5", "-1", "1e3", "1e308", "-1e308", "nan", "inf",
+                                 "1e400", "x", "0x1", "1_0", "\u0661", "+.5", "1e-400"])
+vector_lines = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "zz", "<unk>"]),
+              st.lists(vector_values, min_size=3, max_size=5)).map(
+                  lambda pair: " ".join([pair[0], *pair[1]])),
+    max_size=5).map(lambda lines: lines or [""])
+
+
+DROP = object()  # a change that deletes its field instead of setting it
+
+
+@st.composite
+def checkpoint_damage(draw):
+    """An edit of a checkpoint: (header path, value or DROP) pairs for up
+    to two header fields, up to two (offset, bytes) writes into the array
+    bytes, the offset a fraction of their length, and a length change of
+    -1, 0 or 1 bytes."""
+    paths = [("format",), ("version",), ("config",), ("scheme",), ("vocab",), ("arrays",),
+             *(("config", key) for key in ("encoder_kind", "embedding_dim", "hidden_dim",
+                                            "mlp_hidden", "n_labels", "seed",
+                                            "finetune_embeddings", "extra")),
+             ("scheme", "id"), ("scheme", "labels")]
+    fields = draw(st.lists(st.tuples(st.sampled_from(paths),
+                                     st.one_of(st.just(DROP), odd_json,
+                                               st.sampled_from(["birnn-maxpool", "bag"]))),
+                           max_size=2))
+    floats = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e150, 0.0, -0.0,
+                              5e-324]).map(lambda x: struct.pack("<d", x))
+    writes = draw(st.lists(st.tuples(st.floats(0, 1), floats | st.binary(min_size=1,
+                                                                         max_size=9)),
+                           max_size=2))
+    resize = draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return fields, writes, resize

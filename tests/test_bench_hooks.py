@@ -8,8 +8,8 @@ benchmark's commands (stats, and train-eval with a test split) and
 audit-sample read every input file through that module attribute, once
 each, in argument order. Every command line bench/run.py builds must
 parse, so each flag it passes (--seed to stats included) must stay. A
-traced stats run, and a traced BiLSTM run, must keep the count rules
-bench/run.py checks, and the step count launch.py reads from
+traced stats run, a traced bag run and a traced BiLSTM run must keep the
+count rules bench/run.py checks, and the step count launch.py reads from
 lstm_forward's first argument.
 """
 
@@ -137,6 +137,28 @@ def test_traced_stats_run_keeps_the_benchmark_count_rules(tmp_path):
     assert layers["text.tokenize"][2] == 11
     assert layers["stats.coverage"][2] == 4 * len(names)
     assert layers["corpus.read_jsonl"][2] == layers["stats.count_corpus"][2] == 1
+
+
+def test_traced_bag_run_keeps_the_benchmark_count_rules(tmp_path):
+    """bench/run.py checks model.loss_and_gradients examples = epochs x
+    train rows on bag-finetune, and the bag must never reach the LSTM
+    kernels, whose count rule holds for the BiLSTM alone."""
+    names = ("entailment", "neutral", "contradiction")
+    sizes = {"train": 10, "dev": 6, "test": 5}
+    files = {split: write_records(tmp_path / f"{split}.jsonl",
+                                  [names[i % 3] for i in range(n)])
+             for split, n in sizes.items()}
+    out = tmp_path / "out"
+    layers = traced_layers(tmp_path, [
+        "train-eval", "--train", files["train"], "--dev", files["dev"], "--test",
+        files["test"], "--out-dir", str(out), "--encoder", "bag", "--embedding-dim", "4",
+        "--mlp-hidden", "4", "--max-epochs", "2", "--batch-size", "4",
+        "--finetune-embeddings"])
+    epochs = len((out / "train_log.csv").read_text().splitlines()) - 1
+    assert layers["model.loss_and_gradients"][3] == epochs * sizes["train"]
+    calls = lambda layer: layers.get(layer, [0, 0, 0, 0])[2]
+    assert calls("model.loss_and_gradients") > 0
+    assert calls("kernels.lstm_forward") == calls("kernels.lstm_backward") == 0
 
 
 def test_traced_birnn_run_keeps_the_benchmark_count_rules(tmp_path):

@@ -12,18 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyponli import cli, corpus, stats, synth, text, train
+from hyponli import cli, corpus, model, stats, synth, text, train
 from hyponli.cli import main
-from hyponli.model import load_checkpoint, predict_batch
+from hyponli.model import load_checkpoint, predict_batch, save_checkpoint
 
 from helpers import make_corpus
-from strategies import TSV_COLUMNS, jsonl_lines, tsv_lines
+from strategies import (
+    DROP, TSV_COLUMNS, checkpoint_damage, config_lines, jsonl_lines, specs, tsv_lines,
+    vector_lines,
+)
 
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
-
-
-DROP = object()  # a spec change that deletes the key
 
 
 def one_error_line(capsys) -> str:
@@ -78,6 +78,27 @@ def test_malformed_input_is_one_line_naming_it(tmp_path, capsys, command, flag, 
     assert one_error_line(capsys).startswith(f"error: {bad}: ")
 
 
+def run_strictly(argv):
+    """cli.main's exit code and stderr lines, under numpy warnings raised
+    as errors; underflow, which numpy never reports by default, stays
+    ignored."""
+    err = io.StringIO()
+    with (warnings.catch_warnings(), np.errstate(all="raise", under="ignore"),
+          contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def assert_read_or_one_line(argv, *prefixes):
+    """cli.main(argv) does not raise, and it returns 0, or 1 with one
+    stderr line that starts with one of the prefixes."""
+    code, errors = run_strictly(argv)
+    assert code == 0 and errors == [] or (
+        code == 1 and len(errors) == 1 and errors[0].startswith(prefixes)), (code, errors)
+
+
 @given(kind=st.sampled_from(["native", "snli", "tsv"]), data=st.data(),
        remap=st.booleans())
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -90,17 +111,105 @@ def test_a_mutated_corpus_is_read_or_one_line_naming_it(tmp_path_factory, kind, 
     work = tmp_path_factory.mktemp("mutated")
     path = work / f"d.{kind}"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    argv = ["stats", "--data", str(path), "--out-dir", str(work / "out"), "--format", kind,
-            "--min-freq", "1", *(["--tsv-columns", TSV_COLUMNS] if kind == "tsv" else []),
-            *(["--remap-ordinal"] if remap else [])]
-    err = io.StringIO()
-    with (warnings.catch_warnings(), np.errstate(all="raise"), contextlib.redirect_stderr(err),
-          contextlib.redirect_stdout(io.StringIO())):
-        warnings.simplefilter("error")
-        code = main(argv)
-    errors = err.getvalue().splitlines()
-    assert code == 0 and errors == [] or (
-        code == 1 and len(errors) == 1 and errors[0].startswith(f"error: {path}:")), errors
+    assert_read_or_one_line(
+        ["stats", "--data", str(path), "--out-dir", str(work / "out"), "--format", kind,
+         "--min-freq", "1", *(["--tsv-columns", TSV_COLUMNS] if kind == "tsv" else []),
+         *(["--remap-ordinal"] if remap else [])],
+        f"error: {path}:")
+
+
+def small_corpus(path):
+    """Nine native records over the words a, b and c, with ordinals."""
+    pairs = [(" ".join("abc"[(i + k) % 3] for k in range(1 + i % 3)),
+              corpus.THREE_WAY.names[i % 3]) for i in range(9)]
+    return write_corpus(path, make_corpus(pairs, ordinals=[1 + i % 5 for i in range(9)]))
+
+
+@given(spec=specs)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_mutated_spec_is_read_or_one_line_naming_it(tmp_path_factory, spec):
+    work = tmp_path_factory.mktemp("spec")
+    path = work / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert_read_or_one_line(["synth", "--spec-file", str(path), "--n", "5",
+                             "--out-dir", str(work / "out")], f"error: {path}:")
+
+
+@given(lines=config_lines)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_a_mutated_config_is_read_or_one_line_naming_it(tmp_path_factory, lines):
+    """A --config value is refused naming the config file, or, when the
+    data cannot be read under it (another format, a scheme that skips
+    every record), naming the data file."""
+    work = tmp_path_factory.mktemp("config")
+    data, cfg = small_corpus(work / "d.jsonl"), work / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert_read_or_one_line(["stats", "--data", data, "--config", str(cfg),
+                             "--out-dir", str(work / "out")],
+                            f"error: {cfg}:", f"error: {data}:")
+
+
+@given(lines=vector_lines)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_mutated_vector_file_is_read_or_one_line_naming_it(tmp_path_factory, lines):
+    work = tmp_path_factory.mktemp("vectors")
+    data, vectors = small_corpus(work / "d.jsonl"), work / "vectors.txt"
+    vectors.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert_read_or_one_line(["train-eval", "--train", data, "--dev", data,
+                             "--embeddings", str(vectors), "--embedding-dim", "4",
+                             "--mlp-hidden", "4", "--max-epochs", "1", "--finetune-embeddings",
+                             "--out-dir", str(work / "out")],
+                            f"error: {vectors}:", "training aborted:")
+
+
+@pytest.fixture(scope="module")
+def small_checkpoints(tmp_path_factory):
+    """{encoder: checkpoint bytes} of one-epoch runs on small_corpus, and its path."""
+    work = tmp_path_factory.mktemp("checkpoints")
+    data, blobs = small_corpus(work / "d.jsonl"), {}
+    for encoder in model.ENCODER_KINDS:
+        out = work / encoder
+        assert main(["train-eval", "--train", data, "--dev", data, "--encoder", encoder,
+                     "--embedding-dim", "3", "--hidden-dim", "2", "--mlp-hidden", "3",
+                     "--max-epochs", "1", "--out-dir", str(out)]) == 0
+        blobs[encoder] = (out / "model.ckpt").read_bytes()
+    return blobs, data
+
+
+def damaged(blob, damage):
+    """blob with a checkpoint_damage edit made."""
+    fields, writes, resize = damage
+    head, _, body = blob.partition(b"\n")
+    header = json.loads(head)
+    for path, value in fields:
+        owner = header
+        for key in path[:-1]:
+            owner = owner.get(key) if isinstance(owner, dict) else None
+        if not isinstance(owner, dict):
+            continue  # an earlier edit replaced the field's parent
+        if value is DROP:
+            owner.pop(path[-1], None)
+        else:
+            owner[path[-1]] = value
+    body = bytearray(body)
+    for at, data in writes:
+        start = int(at * len(body))
+        body[start:start + len(data)] = data
+    body = body[:-1] if resize < 0 else body + b"\0" * resize
+    return json.dumps(header).encode("utf-8") + b"\n" + bytes(body)
+
+
+@given(encoder=st.sampled_from(model.ENCODER_KINDS), damage=checkpoint_damage())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_damaged_checkpoint_is_read_or_one_line_naming_it(tmp_path_factory,
+                                                           small_checkpoints, encoder,
+                                                           damage):
+    blobs, data = small_checkpoints
+    work = tmp_path_factory.mktemp("checkpoint")
+    ckpt = work / "model.ckpt"
+    ckpt.write_bytes(damaged(blobs[encoder], damage))
+    assert_read_or_one_line(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
+                             "--out-dir", str(work / "out")], f"error: {ckpt}:")
 
 
 @pytest.fixture
@@ -175,6 +284,8 @@ class TestSynthCommand:
         ({"label_prior": [10**400, 0, 0]}, "'label_prior'"),
         ({"sentence_length": [3, 4, 5]}, "'sentence_length'"),
         ({"seed": -1}, "'seed'"),
+        # found by the mutated-spec test: numpy's bare "high is out of bounds"
+        ({"sentence_length": [1, 2 ** 63]}, "'sentence_length': must satisfy 1 <= min <= max"),
     ])
     def test_spec_error_is_one_line(self, tmp_path, synth_spec_file, capsys, change, named):
         with open(synth_spec_file, encoding="utf-8") as fh:
@@ -355,6 +466,7 @@ class TestStatsCommand:
         ("premise=0,hypothesis=one,label=2", "hypothesis=one"),
         ("premise=0,hypothesis=-1,label=2", "hypothesis=-1"),
         ("premise=0,hypothesis=1,label=", "label="),
+        ("premise=0,hypothesis=1,label=2,label=3", "role 'label' is given twice"),
     ])
     def test_bad_tsv_columns_is_one_line(self, tmp_path, capsys, columns, named):
         path = tmp_path / "d.tsv"
@@ -396,6 +508,40 @@ class TestStatsCommand:
         assert one_error_line(capsys) == (
             f"error: grid_step must lie in [0.0001, 0.5], got {float(step)}")
         assert not out.exists()
+
+    # found by the mutated-config test: the command's own refusal of a
+    # value from the config file did not name the file
+    @pytest.mark.parametrize("lines, refused", [
+        (["top-k = 0"], "top_k must be >= 1, got 0"),
+        (["min-freq = -1"], "min_freq must be >= 1"),
+        (["grid-step = nan"], "grid_step must lie in [0.0001, 0.5], got nan"),
+        (["format = tsv", "tsv-columns = premise=x"], "--tsv-columns: 'premise=x'"),
+    ])
+    def test_a_config_value_the_command_refuses_names_the_file(self, tmp_path, capsys, lines,
+                                                              refused):
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        assert main(["stats", "--data", data, "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert one_error_line(capsys).startswith(f"error: {cfg}: {refused}")
+
+    def test_every_config_line_is_checked(self, tmp_path, capsys):
+        """A later line for the same option does not hide a bad earlier one."""
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("top-k = x\ntop-k = 3\n")
+        assert main(["stats", "--data", data, "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert one_error_line(capsys) == f"error: {cfg}: top_k='x' is not of type int"
+
+    def test_a_flag_the_command_refuses_does_not_name_the_config_file(self, tmp_path, capsys):
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("top-k = 3\n")
+        assert main(["stats", "--data", data, "--config", str(cfg), "--top-k", "0",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert one_error_line(capsys) == "error: top_k must be >= 1, got 0"
 
     @pytest.mark.parametrize("line, named", [
         ("format = xml", "format='xml'"),
@@ -654,6 +800,31 @@ class TestTrainEvalCommand:
             f"error: {dashes}: the {split} split is empty (7 records skipped at ingest)")
         assert not out.exists()
 
+    def test_scheme_of_label_names(self, tmp_path):
+        """--scheme takes 2-3 comma-separated label names as well as a preset."""
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps({"premise": "p", "hypothesis": f"w{i % 3}",
+                                            "label": "ab"[i % 2]}) + "\n" for i in range(7))
+                        + json.dumps({"premise": "p", "hypothesis": "x", "label": "neutral"})
+                        + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["stats", "--data", str(path), "--scheme", " a, b", "--out-dir",
+                     str(out)]) == 0
+        digest = (out / "stats_digest.md").read_text()
+        assert "- sentences: 7 (skipped at ingest: 1)" in digest
+        assert "- a: 4 sentences" in digest and "- b: 3 sentences" in digest
+        assert "    scheme= a, b" in digest and "labels=" not in digest
+
+    @pytest.mark.parametrize("value", ["4way", "a", "a,a", "a,b,c,d", ","])
+    def test_a_value_that_names_no_scheme_is_refused(self, tmp_path, capsys, value):
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--data", data, "--scheme", value,
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument --scheme: invalid label_scheme value: {value!r}" in \
+            capsys.readouterr().err
+
     def test_all_skipped_stats_file_is_one_line(self, tmp_path, capsys):
         # 3-way labels read under the 2-way scheme are all skipped
         data = write_corpus(tmp_path / "d.jsonl",
@@ -664,6 +835,20 @@ class TestTrainEvalCommand:
         assert one_error_line(capsys) == (
             f"error: {data}: the data split is empty (6 records skipped at ingest)")
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, refused", [
+        ("embedding-dim = 0", "embedding_dim must be >= 1"),
+        ("mlp-hidden = -1", "mlp_hidden must be >= 1"),
+        ("max-epochs = 0", "max_epochs must be >= 1"),
+    ])
+    def test_a_config_value_the_model_refuses_names_the_file(self, tmp_path, capsys, line,
+                                                            refused):
+        paths = synth_corpus_files(tmp_path, n_train=30, n_dev=10)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+        assert one_error_line(capsys) == f"error: {cfg}: {refused}"
 
     def test_compare_to_is_an_unknown_config_option(self, tmp_path, capsys):
         paths = synth_corpus_files(tmp_path)
@@ -807,7 +992,7 @@ class TestAuditSampleCommand:
         assert rc == 0
         assert "0 rows across 0 cells" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag, value", [("--scheme", "2way"), ("--labels", "a,b")])
+    @pytest.mark.parametrize("flag, value", [("--scheme", "2way"), ("--scheme", "a,b")])
     def test_scheme_flags_are_refused(self, tmp_path, capsys, flag, value):
         paths = synth_corpus_files(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -836,8 +1021,8 @@ class TestAuditSampleCommand:
                    "--remap-ordinal", "--out-dir", str(audit_out)])
         assert rc == 1
         assert one_error_line(capsys) == (
-            f"error: --remap-ordinal needs a checkpoint with the 3-way labels entailment, "
-            f"neutral, contradiction; {ckpt} has entailed, not-entailed")
+            f"error: {data}: 1-5 ordinals remap onto the 3-way labels entailment, "
+            f"neutral, contradiction; scheme '2way' has entailed, not-entailed")
         assert not audit_out.exists()
 
     def test_remap_ordinal_gold_follows_the_ordinals(self, tmp_path):
@@ -899,6 +1084,31 @@ class TestAuditSampleCommand:
         assert rc == 1
         assert one_error_line(capsys).startswith(
             f"error: {ckpt}: array 'emb' is truncated (")
+
+    def test_weights_that_overflow_are_one_line(self, tmp_path, capsys):
+        """Found by the damaged-checkpoint test: finite weights of 1e308
+        overflowed in the MLP head, a traceback under numpy warnings raised
+        as errors and a RuntimeWarning on stderr without."""
+        paths = synth_corpus_files(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                     "--out-dir", str(out), "--embedding-dim", "4", "--mlp-hidden", "4",
+                     "--max-epochs", "1"]) == 0
+        ckpt = out / "model.ckpt"
+        params = load_checkpoint(ckpt)
+        params.array("emb")[:] = 1.0
+        params.array("mlp_w1")[:] = 1e308
+        save_checkpoint(params, ckpt)
+        capsys.readouterr()
+        audit_out = tmp_path / "audit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["audit-sample", "--checkpoint", str(ckpt), "--data", paths["dev"],
+                       "--out-dir", str(audit_out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (f"error: {ckpt}: predicting {paths['dev']} overflows "
+                                          f"(overflow encountered in matmul)")
+        assert not audit_out.exists()
 
     def test_missing_checkpoint_errors(self, tmp_path):
         paths = synth_corpus_files(tmp_path)
@@ -986,6 +1196,34 @@ class TestRemapOrdinal:
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert one_error_line(capsys) == (f"error: {path}: the role map has no field or "
                                           f"column for ordinal")
+
+    @pytest.mark.parametrize("scheme", ["2way", "a,b"])
+    @pytest.mark.parametrize("command", ["stats", "train-eval", "split"])
+    def test_a_scheme_without_the_three_way_labels_is_one_line(self, tmp_path, capsys,
+                                                              command, scheme):
+        """--remap-ordinal no longer overrides --scheme: the reader refuses
+        the pair before any line is read, naming the file."""
+        path, out = tmp_path / "bad.jsonl", tmp_path / "out"
+        path.write_text("{\n", encoding="utf-8")  # any line read would fail as JSON
+        inputs = ["--train", str(path), "--dev", str(path)] if command == "train-eval" \
+            else ["--data", str(path)]
+        assert main([command, *inputs, "--remap-ordinal", "--scheme", scheme,
+                     "--out-dir", str(out)]) == 1
+        assert one_error_line(capsys).startswith(
+            f"error: {path}: 1-5 ordinals remap onto the 3-way labels entailment, neutral, "
+            f"contradiction; scheme ")
+        assert not out.exists()
+
+    def test_the_three_way_names_are_the_three_way_scheme(self, tmp_path):
+        data = self.dash_corpus(tmp_path)
+        digests = []
+        for flags in ([], ["--scheme", "entailment,neutral,contradiction"]):
+            out = tmp_path / f"out{len(digests)}"
+            assert main(["stats", "--data", data, "--remap-ordinal", *flags,
+                         "--out-dir", str(out)]) == 0
+            digest = (out / "stats_digest.md").read_text()
+            digests.append(digest.partition("## Run configuration")[0])
+        assert digests[0] == digests[1]
 
     def test_train_eval(self, tmp_path):
         data, out = self.dash_corpus(tmp_path), tmp_path / "out"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hyponli import corpus
 from hyponli.corpus import (
-    THREE_WAY, ConfigError, Corpus, IngestError, LabelScheme, RoleMap,
+    THREE_WAY, TWO_WAY, ConfigError, Corpus, IngestError, LabelScheme, RoleMap,
     majority_label, random_split, read_jsonl, read_tsv, write_jsonl,
 )
 
@@ -455,6 +455,16 @@ class TestJociRemap:
                                        "ordinal": 6})])
         with pytest.raises(IngestError, match="ordinal 6 outside"):
             read_jsonl(path, NATIVE, THREE_WAY, remap_ordinal=True)
+
+    @pytest.mark.parametrize("scheme", [TWO_WAY, LabelScheme(("a", "b", "c"), "custom")])
+    def test_needs_the_three_way_names_before_any_line_is_read(self, tmp_path, scheme):
+        """The ordinals map onto the THREE_WAY names; another scheme raised a
+        bare KeyError at the first kept record."""
+        path = tmp_path / "d.jsonl"
+        path.write_text("{\n", encoding="utf-8")  # any line read would fail as JSON
+        with pytest.raises(ConfigError, match=rf"^{path}: 1-5 ordinals remap onto the "
+                                              rf"3-way labels .*; scheme '{scheme.scheme_id}'"):
+            read_jsonl(path, NATIVE, scheme, remap_ordinal=True)
 
     def test_idempotent(self, tmp_path):
         data = make_corpus([("h", "entailment")] * 3, ordinals=[1, 3, 5])

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyponli.text import (
-    EmbeddingFormatError, Vocabulary, intern, load_embeddings, seeded_random_embeddings,
-    tokenize,
+    Vocabulary, intern, load_embeddings, seeded_random_embeddings, tokenize,
 )
+from hyponli.util import IngestError
 
 import reference
 
@@ -148,13 +148,13 @@ class TestLoadEmbeddings:
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = self.write(tmp_path, ["a 1 2 3", "b 1 2"])
-        with pytest.raises(EmbeddingFormatError, match="line 2"):
+        with pytest.raises(IngestError, match="line 2"):
             load_embeddings(path, Vocabulary(["a", "b"]), 3)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_value_names_line(self, tmp_path, value):
         path = self.write(tmp_path, ["a 1 2", f"zzz 1 {value}"])
-        with pytest.raises(EmbeddingFormatError, match=f"{path}: line 2: non-finite"):
+        with pytest.raises(IngestError, match=f"{path}: line 2: non-finite"):
             load_embeddings(path, Vocabulary(["a"]), 2)
 
     def test_mean_oov_hand_computed(self, tmp_path):
