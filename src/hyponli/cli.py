@@ -53,9 +53,9 @@ def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
         if key not in roles or not value.isdecimal():  # int() takes every decimal digit
             raise corpus.ConfigError(f"--tsv-columns: {part.strip()!r} is not role=column, "
                                      f"with a role among {', '.join(roles)} and a "
-                                     f"non-negative integer column")
+                                     f"non-negative integer column", "tsv_columns")
         if key in kwargs:
-            raise corpus.ConfigError(f"--tsv-columns: role {key!r} is given twice")
+            raise corpus.ConfigError(f"--tsv-columns: role {key!r} is given twice", "tsv_columns")
         kwargs[key] = int(value)
     return corpus.RoleMap(**kwargs)
 
@@ -142,9 +142,14 @@ def cmd_stats(args) -> int:
 def _build_model(args, scheme, vocab, seed):
     # the config first, so that a bad dimension is refused as its option
     config = model.ModelConfig(
-        encoder_kind=args.encoder, embedding_dim=args.embedding_dim,
-        hidden_dim=args.hidden_dim, mlp_hidden=args.mlp_hidden, n_labels=len(scheme),
-        seed=seed + 2, finetune_embeddings=args.finetune_embeddings)
+        encoder_kind=args.encoder,
+        embedding_dim=args.embedding_dim,
+        hidden_dim=args.hidden_dim,
+        mlp_hidden=args.mlp_hidden,
+        n_labels=len(scheme),
+        seed=seed + 2,
+        finetune_embeddings=args.finetune_embeddings,
+    )
     if args.embeddings:
         emb = text.load_embeddings(args.embeddings, vocab, args.embedding_dim)
     else:
@@ -167,8 +172,9 @@ def cmd_train_eval(args) -> int:
     params = _build_model(args, scheme, vocab, args.seed)
     train_config = train.TrainConfig(
         lr0=args.lr0, decay=args.decay, divide_on_decline=args.divide_on_decline,
-        lr_floor=args.lr_floor, max_epochs=args.max_epochs, batch_size=args.batch_size,
-        seed=args.seed + 3)
+        lr_floor=args.lr_floor, max_epochs=args.max_epochs,
+        batch_size=args.batch_size, seed=args.seed + 3,
+    )
     out = args.out_dir
     try:
         best_params, state = train.fit(examples["train"], examples["dev"], tokens, params,
@@ -234,7 +240,7 @@ def cmd_split(args) -> int:
         ratios = tuple(float(r) for r in args.ratios.split(","))
     except ValueError:
         raise corpus.ConfigError(f"--ratios {args.ratios!r} is not a comma-separated "
-                                 f"list of numbers") from None
+                                 f"list of numbers", "ratios") from None
     scheme = _resolve_scheme(args.scheme)
     data, _ = _read_corpus(args.data, args, scheme)
     parts = dict(zip(("train", "dev", "test"),
@@ -340,10 +346,13 @@ def _apply_config_file(parser, subcommands, argv):
             raise corpus.ConfigError(f"{args.config}: {key}={value!r} is not one of "
                                      f"{', '.join(map(str, choices))}")
         coerced[key] = _BOOLEAN_WORDS[value] if flag else value
-    sub.set_defaults(**coerced)
+    marker = object()  # each file option's default, until a command-line flag replaces it
+    sub.set_defaults(**dict.fromkeys(coerced, marker))
     args = parser.parse_args(argv)
-    # a flag given on the command line replaces the config file's object
-    return args, [key for key, value in coerced.items() if getattr(args, key) is value]
+    from_file = {key for key in coerced if getattr(args, key) is marker}
+    for key in from_file:
+        setattr(args, key, coerced[key])
+    return args, from_file
 
 
 def _check_out_dir(path) -> None:
@@ -354,22 +363,20 @@ def _check_out_dir(path) -> None:
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
-        raise corpus.ConfigError(f"--out-dir {path}: {probe} is not a directory")
+        raise corpus.ConfigError(f"--out-dir {path}: {probe} is not a directory", "out_dir")
 
 
 def main(argv=None) -> int:
     parser, subcommands = build_parser()
-    preset = ()
+    from_file = ()
     try:
-        args, preset = _apply_config_file(parser, subcommands, argv)
+        args, from_file = _apply_config_file(parser, subcommands, argv)
         _check_out_dir(args.out_dir)  # before any input is read
         return args.func(args)
     except (ValueError, OSError) as exc:  # ingest, config and embedding errors included
-        message = str(exc)
-        # a refused option's message starts with its dest or flag: name the file that set it
-        if any(message.startswith((f"{key} ", f"--{key.replace('_', '-')}")) for key in preset):
-            message = f"{args.config}: {message}"
-        print(f"error: {message}", file=sys.stderr)
+        # a refused value that the config file set is the file's error
+        where = f"{args.config}: " if getattr(exc, "option", None) in from_file else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

@@ -26,7 +26,12 @@ from .util import IngestError, as_integer, atomic_open, numbered_lines, parse_js
 
 
 class ConfigError(ValueError):
-    """A flag, --config line, role map, scheme or synth spec key that cannot be used."""
+    """A flag, --config line, role map, scheme, synth spec key or run parameter
+    that cannot be used; option names the parameter at fault as its flag's dest."""
+
+    def __init__(self, message: str, option: str | None = None):
+        super().__init__(message)
+        self.option = option
 
 
 @dataclass(frozen=True)
@@ -51,10 +56,7 @@ class LabelScheme:
 
     def index(self, name: str) -> int:
         """The label index of name; KeyError when the scheme lacks it."""
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"label {name!r} not in scheme {self.scheme_id!r}") from None
+        return self._index[name]
 
 
 THREE_WAY = LabelScheme(("entailment", "neutral", "contradiction"), "3way")
@@ -300,8 +302,8 @@ def random_split(data: Corpus, ratios=(0.8, 0.1, 0.1), seed: int = 0):
     # a comparison with nan is False, so nan fails; each ratio <= 1 also rules out inf
     if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios)
             or abs(sum(ratios) - 1.0) > 1e-9):
-        raise ValueError(f"ratios {ratios} are not three non-negative train, dev "
-                         f"and test shares that sum to 1")
+        raise ConfigError(f"ratios {ratios} are not three non-negative train, dev "
+                          f"and test shares that sum to 1", "ratios")
     n = len(data)
     n_train = int(n * ratios[0])
     n_dev = int(n * ratios[1])

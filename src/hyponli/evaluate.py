@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import LabelScheme
+from .corpus import ConfigError, LabelScheme
 from .util import config_block, csv_text, markdown_table
 
 
@@ -68,7 +68,7 @@ def confusion_sample(pred, gold, n_per_cell: int,
     order of their rows; each over-full cell takes one rng.choice draw.
     """
     if n_per_cell < 1:
-        raise ValueError("n_per_cell must be >= 1")
+        raise ConfigError("n_per_cell must be >= 1", "n_per_cell")
     pred, gold = _aligned(pred, gold)
     rng = np.random.default_rng(seed)
     cells = {}

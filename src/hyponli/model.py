@@ -69,7 +69,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .corpus import LabelScheme
+from .corpus import ConfigError, LabelScheme
 from .text import Vocabulary
 from .util import atomic_open, parse_json
 
@@ -102,7 +102,7 @@ class ModelConfig:
             raise ValueError("finetune_embeddings must be true or false")
         for name, dim in zip(("embedding_dim", "hidden_dim", "mlp_hidden"), dims):
             if dim < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1", name)
         if self.n_labels not in (2, 3):
             raise ValueError("n_labels must be 2 or 3")
 
@@ -115,11 +115,6 @@ class ModelConfig:
 
 _LSTM_ARRAYS = ("wf_x", "wf_h", "wf_b", "wb_x", "wb_h", "wb_b")
 _MLP_ARRAYS = ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")
-
-
-def _uniform_init(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
 
 
 class ModelParameters:
@@ -152,9 +147,9 @@ class ModelParameters:
         rng = np.random.default_rng(config.seed)
         arrays: dict[str, np.ndarray] = {"emb": embeddings}
         for name, shape in _array_shapes(config, len(vocab))[1:]:
-            if len(shape) == 2:  # a bias takes the fan-in of the matrix before it
-                fan_in = shape[1]
-            arrays[name] = _uniform_init(rng, shape, fan_in)
+            if len(shape) == 2:  # a bias takes the bound of the matrix before it
+                bound = 1.0 / np.sqrt(shape[1])
+            arrays[name] = rng.uniform(-bound, bound, shape)
         return cls(config, scheme, vocab, arrays)
 
     def array(self, name: str) -> np.ndarray:

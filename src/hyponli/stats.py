@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LabelScheme
+from .corpus import ConfigError, LabelScheme
 from .text import Vocabulary, intern
 from .util import csv_text
 
@@ -125,9 +125,9 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
     top_k.
     """
     if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
+        raise ConfigError("min_freq must be >= 1", "min_freq")
     if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+        raise ConfigError(f"top_k must be >= 1, got {top_k}", "top_k")
     occ = counts.occ
     freq = occ.sum(axis=1)
     candidates = np.flatnonzero(freq >= min_freq)
@@ -186,7 +186,7 @@ def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
     label's sentence count and y is non-increasing in x.
     """
     if not 1e-4 <= grid_step <= 0.5:  # 1e-4: the resolution of curves_to_csv's x column
-        raise ValueError(f"grid_step must lie in [0.0001, 0.5], got {grid_step}")
+        raise ConfigError(f"grid_step must lie in [0.0001, 0.5], got {grid_step}", "grid_step")
     grid = _threshold_grid(grid_step)
     maxima = counts.sorted_maxima(label, per_label)
     y = maxima.size - np.searchsorted(maxima, grid, side="left")

@@ -154,7 +154,5 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
 def seeded_random_embeddings(vocab: Vocabulary, dimension: int, seed: int) -> np.ndarray:
     """The (len(vocab) + 1, dimension) embedding matrix of deterministic
     uniform [-0.1, 0.1] draws, a desk-scale substitute for pretrained files."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
     return rng.uniform(-0.1, 0.1, (len(vocab) + 1, dimension))

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import ConfigError
 from .evaluate import accuracy
 from .model import (
     ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch,
@@ -45,18 +46,19 @@ class TrainConfig:
     def __post_init__(self):
         # each check is "not (valid)", so that nan fails it too
         if not 0.0 < self.lr0 < math.inf:
-            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
+            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}", "lr0")
         if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must lie in (0, 1]")
+            raise ConfigError("decay must lie in (0, 1]", "decay")
         if not 1.0 < self.divide_on_decline < math.inf:
-            raise ValueError(f"divide_on_decline must be > 1 and finite, "
-                             f"got {self.divide_on_decline}")
+            raise ConfigError(f"divide_on_decline must be > 1 and finite, "
+                              f"got {self.divide_on_decline}", "divide_on_decline")
         if not 0.0 < self.lr_floor < math.inf:
-            raise ValueError(f"lr_floor must be positive and finite, got {self.lr_floor}")
+            raise ConfigError(f"lr_floor must be positive and finite, got {self.lr_floor}",
+                              "lr_floor")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise ConfigError("max_epochs must be >= 1", "max_epochs")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1", "batch_size")
 
 
 @dataclass
@@ -109,11 +111,6 @@ def sgd_step(params: ModelParameters, gradients: dict, lr: float) -> ModelParame
     return params
 
 
-def _default_dev_eval(dev, tokens):
-    rows, y = dev
-    return lambda params: accuracy(predict_batch(rows, tokens, params), y)
-
-
 def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_eval=None):
     """Train params on the train split, stopping per the schedule.
 
@@ -134,7 +131,8 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
     if not n or not len(dev[1]):
         raise ValueError("train and dev splits must both be nonempty")
     if dev_eval is None:
-        dev_eval = _default_dev_eval(dev, tokens)
+        def dev_eval(params):
+            return accuracy(predict_batch(dev[0], tokens, params), dev[1])
 
     state = TrainState()
     state.lr = config.lr0

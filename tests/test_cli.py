@@ -79,11 +79,10 @@ def test_malformed_input_is_one_line_naming_it(tmp_path, capsys, command, flag, 
 
 
 def run_strictly(argv):
-    """cli.main's exit code and stderr lines, under numpy warnings raised
-    as errors; underflow, which numpy never reports by default, stays
-    ignored."""
+    """cli.main's exit code and stderr lines, under numpy warnings and
+    floating-point errors, underflow included, raised as errors."""
     err = io.StringIO()
-    with (warnings.catch_warnings(), np.errstate(all="raise", under="ignore"),
+    with (warnings.catch_warnings(), np.errstate(all="raise"),
           contextlib.redirect_stderr(err),
           contextlib.redirect_stdout(io.StringIO())):
         warnings.simplefilter("error")
@@ -535,10 +534,13 @@ class TestStatsCommand:
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert one_error_line(capsys) == f"error: {cfg}: top_k='x' is not of type int"
 
-    def test_a_flag_the_command_refuses_does_not_name_the_config_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["top-k = 3", "top-k = 0"])
+    def test_a_flag_the_command_refuses_does_not_name_the_config_file(self, tmp_path, capsys,
+                                                                     line):
+        """The flag overrides the file's value, even an equal one."""
         data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("top-k = 3\n")
+        cfg.write_text(line + "\n")
         assert main(["stats", "--data", data, "--config", str(cfg), "--top-k", "0",
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert one_error_line(capsys) == "error: top_k must be >= 1, got 0"
@@ -840,6 +842,8 @@ class TestTrainEvalCommand:
         ("embedding-dim = 0", "embedding_dim must be >= 1"),
         ("mlp-hidden = -1", "mlp_hidden must be >= 1"),
         ("max-epochs = 0", "max_epochs must be >= 1"),
+        ("batch-size = 0", "batch_size must be >= 1"),
+        ("lr0 = -1", "lr0 must be positive and finite, got -1.0"),
     ])
     def test_a_config_value_the_model_refuses_names_the_file(self, tmp_path, capsys, line,
                                                             refused):
