@@ -14,8 +14,12 @@ range of its rows from training to prediction; audit-sample encodes into
 the same form with the checkpoint vocabulary. Outputs are
 written to a temp file and promoted atomically. A key=value config file
 can preset any flag of a subcommand; explicit flags win. HYPONLI_OUT_DIR
-sets the default output directory. --scheme (a preset or 2-3 label names)
-is the one label scheme flag; audit-sample takes the checkpoint's.
+sets the default output directory. --format (native or snli for JSONL;
+tsv or role=column pairs for TSV) is the one input layout flag, and
+--scheme (a preset or 2-3 label names) the one label scheme flag;
+audit-sample takes the checkpoint's scheme. Each command resolves both
+before it reads any input, and refuses a bad value as a ConfigError that
+names the option, and the --config file when that set it.
 """
 
 from __future__ import annotations
@@ -36,40 +40,48 @@ def _resolve_scheme(value: str) -> corpus.LabelScheme:
     """The --scheme preset, or a scheme of the comma-separated names."""
     if value in corpus.SCHEME_PRESETS:
         return corpus.SCHEME_PRESETS[value]
-    return corpus.LabelScheme(tuple(n.strip() for n in value.split(",") if n.strip()), "custom")
+    try:
+        return corpus.LabelScheme(tuple(n.strip() for n in value.split(",") if n.strip()),
+                                  "custom")
+    except corpus.ConfigError as exc:
+        raise corpus.ConfigError(f"--scheme {value!r}: {exc}", "scheme") from None
 
 
-def label_scheme(value: str) -> str:
-    """--scheme's type: the value, once it names a scheme; ValueError if not."""
-    _resolve_scheme(value)
-    return value
+def _resolve_format(value: str):
+    """(reader, role map) of --format: native or snli for JSONL, tsv or role=column
+    pairs for TSV; the reader is looked up per run, so a patched one is called."""
+    if value in corpus.FIELD_MAP_PRESETS:
+        return corpus.read_jsonl, corpus.FIELD_MAP_PRESETS[value]
+    roles, kwargs = [f.name for f in dataclasses.fields(corpus.RoleMap)], {}
+    pairs = "premise=0,hypothesis=1,label=2" if value == "tsv" else value
+    # blank pairs are skipped, but a value with no pair at all is refused
+    for part in [part.strip() for part in pairs.split(",") if part.strip()] or [value]:
+        key, _, column = (s.strip() for s in part.partition("="))
+        if key not in roles or key in kwargs or not column.isdecimal():  # int() takes any digit
+            raise corpus.ConfigError(f"--format {value!r}: {part!r} is not native, snli, tsv or "
+                                     f"role=column, with each role among {', '.join(roles)} "
+                                     f"once and a non-negative integer column", "format")
+        kwargs[key] = int(column)
+    return corpus.read_tsv, corpus.RoleMap(**kwargs)
 
 
-def _parse_tsv_columns(spec: str) -> corpus.RoleMap:
-    roles = [f.name for f in dataclasses.fields(corpus.RoleMap)]
-    kwargs = {}
-    for part in filter(str.strip, spec.split(",")):
-        key, _, value = (s.strip() for s in part.partition("="))
-        if key not in roles or not value.isdecimal():  # int() takes every decimal digit
-            raise corpus.ConfigError(f"--tsv-columns: {part.strip()!r} is not role=column, "
-                                     f"with a role among {', '.join(roles)} and a "
-                                     f"non-negative integer column", "tsv_columns")
-        if key in kwargs:
-            raise corpus.ConfigError(f"--tsv-columns: role {key!r} is given twice", "tsv_columns")
-        kwargs[key] = int(value)
-    return corpus.RoleMap(**kwargs)
-
-
-def _read_corpus(path, args, scheme, split=None):
+def _read_corpus(path, read_format, scheme, args, split=None):
     """(corpus, records skipped) of one file; naming the split makes an empty one an error."""
-    read, roles = ((corpus.read_tsv, _parse_tsv_columns(args.tsv_columns))
-                   if args.format == "tsv"
-                   else (corpus.read_jsonl, corpus.FIELD_MAP_PRESETS[args.format]))
+    read, roles = read_format
     data, skipped = read(path, roles, scheme, args.remap_ordinal)
     if split and not len(data):
         raise corpus.IngestError(f"{path}: the {split} split is empty "
                                  f"({skipped} records skipped at ingest)")
     return data, skipped
+
+
+def _predict(rows, tokens, params, what):
+    """model.predict_batch; an overflow, which finite weights can still give, is one error."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return model.predict_batch(rows, tokens, params)
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} overflows ({exc})") from None
 
 
 def _config_lines(args) -> list[str]:
@@ -82,12 +94,11 @@ def _add_data_flags(parser, roles, scheme_flags=True):
     for role in roles:
         parser.add_argument(f"--{role}", required=True, metavar="PATH",
                             help=f"{role} corpus file")
-    parser.add_argument("--format", choices=["native", "snli", "tsv"], default="native",
-                        help="input format preset")
-    parser.add_argument("--tsv-columns", default="premise=0,hypothesis=1,label=2",
-                        help="role=column pairs for --format tsv")
+    parser.add_argument("--format", default="native",
+                        help="native or snli (JSONL); tsv (premise=0,hypothesis=1,label=2) "
+                             "or role=column pairs (TSV)")
     if scheme_flags:
-        parser.add_argument("--scheme", type=label_scheme, default="3way",
+        parser.add_argument("--scheme", default="3way",
                             help="3way, 2way or 2-3 comma-separated label names")
     parser.add_argument("--remap-ordinal", action="store_true",
                         help="map 1-5 ordinal ratings onto the 3-way labels")
@@ -103,8 +114,8 @@ def _add_common_flags(parser, seed=True):
 
 
 def cmd_stats(args) -> int:
-    scheme = _resolve_scheme(args.scheme)
-    data, skipped = _read_corpus(args.data, args, scheme, "data")
+    scheme, read_format = _resolve_scheme(args.scheme), _resolve_format(args.format)
+    data, skipped = _read_corpus(args.data, read_format, scheme, args, "data")
     counts = stats.count_corpus(data.hypotheses, data.labels, scheme)
     giveaways = stats.giveaway_words(counts, min_freq=args.min_freq, top_k=args.top_k)
     labels = range(len(scheme))
@@ -158,10 +169,10 @@ def _build_model(args, scheme, vocab, seed):
 
 
 def cmd_train_eval(args) -> int:
-    scheme = _resolve_scheme(args.scheme)
-    splits = {name: _read_corpus(path, args, scheme, name)[0]  # only --test is optional
+    scheme, read_format = _resolve_scheme(args.scheme), _resolve_format(args.format)
+    splits = {name: _read_corpus(path, read_format, scheme, args, name)[0]
               for name, path in (("train", args.train), ("dev", args.dev), ("test", args.test))
-              if path}
+              if path}  # only --test is optional
     # one CSR token corpus of every hypothesis, train first, then dev, then
     # test; each split is its range of rows
     vocab, ids, indptr = text.intern([h for data in splits.values() for h in data.hypotheses])
@@ -188,7 +199,8 @@ def cmd_train_eval(args) -> int:
     maj = corpus.majority_label(examples["train"][1])
     reports = []
     for name in list(splits)[1:]:  # dev, then test if given
-        pred = model.predict_batch(examples[name][0], tokens, best_params)
+        pred = _predict(examples[name][0], tokens, best_params,
+                        f"{getattr(args, name)}: predicting the {name} split")
         reports.append(evaluate.build_report(name, pred, splits[name].labels,
                                              splits[name].groups, scheme, maj))
 
@@ -207,7 +219,10 @@ def cmd_synth(args) -> int:
     if args.n < 1:
         raise corpus.ConfigError(f"--n {args.n} is below 1")
     spec = synth.read_spec(args.spec_file)
-    data = synth.generate(spec, args.n)
+    try:
+        data = synth.generate(spec, args.n)
+    except MemoryError:
+        raise ValueError(f"{args.spec_file}: {args.n} instances do not fit in memory") from None
     bayes = synth.bayes_accuracy(spec)
     out = args.out_dir
     corpus.write_jsonl(data, os.path.join(out, "corpus.jsonl"), spec.scheme)
@@ -219,14 +234,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_audit_sample(args) -> int:
+    read_format = _resolve_format(args.format)
     params = model.load_checkpoint(args.checkpoint)
-    data, _ = _read_corpus(args.data, args, params.scheme)
-    try:  # finite weights can still overflow
-        with np.errstate(over="raise", invalid="raise"):
-            pred = model.predict_batch(np.arange(len(data)),
-                                       params.vocab.encode(data.hypotheses), params)
-    except FloatingPointError as exc:
-        raise ValueError(f"{args.checkpoint}: predicting {args.data} overflows ({exc})") from None
+    data, _ = _read_corpus(args.data, read_format, params.scheme, args)
+    pred = _predict(np.arange(len(data)), params.vocab.encode(data.hypotheses), params,
+                    f"{args.checkpoint}: predicting {args.data}")
     cells = evaluate.confusion_sample(pred, data.labels, args.n_per_cell, args.seed)
     text_out = evaluate.confusion_sample_text(cells, params.scheme, data.ids, data.hypotheses)
     atomic_write_text(os.path.join(args.out_dir, "audit_sample.txt"), text_out)
@@ -241,8 +253,8 @@ def cmd_split(args) -> int:
     except ValueError:
         raise corpus.ConfigError(f"--ratios {args.ratios!r} is not a comma-separated "
                                  f"list of numbers", "ratios") from None
-    scheme = _resolve_scheme(args.scheme)
-    data, _ = _read_corpus(args.data, args, scheme)
+    scheme, read_format = _resolve_scheme(args.scheme), _resolve_format(args.format)
+    data, _ = _read_corpus(args.data, read_format, scheme, args, "data")
     parts = dict(zip(("train", "dev", "test"),
                      corpus.random_split(data, ratios=ratios, seed=args.seed)))
     for name, part in parts.items():
@@ -321,7 +333,8 @@ def _apply_config_file(parser, subcommands, argv):
     if not getattr(args, "config", None):
         return args, ()
     sub = subcommands[args.command]
-    actions = {action.dest: action for action in sub._actions}
+    actions = {action.dest: action for action in sub._actions
+               if action.dest not in ("help", "config")}
     coerced = {}
     for _, line in numbered_lines(args.config):
         line = line.strip()
@@ -372,6 +385,8 @@ def main(argv=None) -> int:
     try:
         args, from_file = _apply_config_file(parser, subcommands, argv)
         _check_out_dir(args.out_dir)  # before any input is read
+        if getattr(args, "seed", 0) < 0:
+            raise corpus.ConfigError(f"--seed {args.seed} is below 0", "seed")
         return args.func(args)
     except (ValueError, OSError) as exc:  # ingest, config and embedding errors included
         # a refused value that the config file set is the file's error

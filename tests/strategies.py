@@ -99,15 +99,17 @@ specs = mutated(
          "sentence_length": [1, 2], "seed": 0}]).map(dict),
     odd_json, drop_key, SPEC_KEYS)
 
-# stats options, a dashed and an unknown key, and the values their
-# conversions and checks treat differently, --scheme values among them
-CONFIG_KEYS = ("format", "tsv-columns", "scheme", "remap-ordinal", "seed", "split-name",
-               "min-freq", "top_k", "grid-step", "per-label-threshold", "compare-to", "")
+# stats options, a dashed and an unknown key, the two subcommand actions
+# that are not options (help, config), and the values their conversions and
+# checks treat differently, --format and --scheme values among them
+CONFIG_KEYS = ("format", "scheme", "remap-ordinal", "seed", "split-name", "min-freq", "top_k",
+               "grid-step", "per-label-threshold", "compare-to", "help", "config", "")
 config_values = st.sampled_from([
     "", "0", "1", "-1", "2.5", "0.3", "nan", "inf", "1e-7", "10" * 12, "yes", "Off", "maybe",
     "native", "snli", "tsv", "xml", "3way", "2way", "4way", "a,b", "a", "a,a", "a,b,c,d", ",",
     "entailment,neutral,contradiction", "premise=0,hypothesis=1,label=2", "hypothesis=x",
-    "premise=0,hypothesis=1,label=2,label=3", "= 3", "caf\u00e9"])
+    "premise=0,hypothesis=1,label=2,label=3", "premise=0,hypothesis=1,ordinal=2",
+    "hypothesis=0,label=1", "premise=0,hypothesis=1,label=2,", "= 3", "caf\u00e9"])
 config_lines = st.lists(
     st.one_of(st.tuples(st.sampled_from(CONFIG_KEYS), config_values).map(
                   lambda pair: f"{pair[0]} = {pair[1]}"),

@@ -54,6 +54,81 @@ def test_out_dir_under_a_file_fails_before_any_input_is_read(tmp_path, capsys, m
     assert reads == []
 
 
+def test_each_subcommand_has_exactly_these_options():
+    """Every option of every subcommand, by dest, so that a new knob is a
+    visible change here."""
+    _, subcommands = cli.build_parser()
+    data, common = ["format", "scheme", "remap_ordinal"], ["seed", "out_dir", "config"]
+    assert {name: [a.dest for a in sub._actions if a.dest != "help"]
+            for name, sub in subcommands.items()} == {
+        "stats": ["data", *data, *common, "split_name", "min_freq", "top_k", "grid_step",
+                  "per_label_threshold"],
+        "train-eval": ["train", "dev", *data, "test", *common, "encoder", "embeddings",
+                       "embedding_dim", "hidden_dim", "mlp_hidden", "finetune_embeddings",
+                       "lr0", "decay", "divide_on_decline", "lr_floor", "max_epochs",
+                       "batch_size"],
+        "synth": ["out_dir", "config", "spec_file", "n"],
+        "audit-sample": ["data", "format", "remap_ordinal", *common, "checkpoint",
+                         "n_per_cell"],
+        "split": ["data", *data, *common, "ratios"],
+    }
+
+
+BAD_VALUES = [
+    ("format", "xml", "'xml' is not native, snli, tsv or role=column, with each role among "
+                      "premise, hypothesis, label, group, ordinal, id once and a non-negative "
+                      "integer column"),
+    ("format", "premise=0,hypothesis=one", "'hypothesis=one' is not native"),
+    ("scheme", "a,a", "scheme 'custom' has duplicate label names"),
+]
+BAD_SETTINGS = [(command, *bad) for command in ("stats", "train-eval", "split", "audit-sample")
+                for bad in BAD_VALUES
+                if (command, bad[0]) != ("audit-sample", "scheme")]  # it has no --scheme
+
+
+@pytest.mark.parametrize("command, option, value, reason", BAD_SETTINGS,
+                         ids=[f"{c}-{o}={v}" for c, o, v, _ in BAD_SETTINGS])
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+def test_a_bad_format_or_scheme_is_one_line_before_any_input_is_read(
+        tmp_path, capsys, monkeypatch, command, option, value, reason, from_file):
+    """--format and --scheme refuse a bad value alike: exit 1 and one line
+    naming the value and the reason, and the --config file that set it."""
+    data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
+    reads = []
+    for module, name in ((corpus, "read_jsonl"), (corpus, "read_tsv"),
+                         (model, "load_checkpoint")):
+        monkeypatch.setattr(module, name, lambda *a, **k: reads.append(a))
+    inputs = {"stats": ["--data", data], "split": ["--data", data],
+              "train-eval": ["--train", data, "--dev", data, "--test", data],
+              "audit-sample": ["--data", data, "--checkpoint", data]}[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {value}\n")
+    setting = ["--config", str(cfg)] if from_file else [f"--{option}", value]
+    assert main([command, *inputs, *setting, "--out-dir", str(tmp_path / "out")]) == 1
+    where = f"{cfg}: " if from_file else ""
+    assert one_error_line(capsys).startswith(f"error: {where}--{option} {value!r}: {reason}")
+    assert reads == []
+
+
+@pytest.mark.parametrize("command, seed, from_file", [
+    ("split", "-1", False), ("split", "-1", True), ("train-eval", "-2", False),
+    ("stats", "-3", True),
+])
+def test_a_negative_seed_is_one_line_naming_it(tmp_path, capsys, monkeypatch, command, seed,
+                                               from_file):
+    data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
+    reads = []
+    monkeypatch.setattr(corpus, "read_jsonl", lambda *a, **k: reads.append(a))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = {seed}\n")
+    setting = ["--config", str(cfg)] if from_file else ["--seed", seed]
+    inputs = ["--train", data, "--dev", data] if command == "train-eval" else ["--data", data]
+    assert main([command, *inputs, *setting, "--out-dir", str(tmp_path / "out")]) == 1
+    where = f"{cfg}: " if from_file else ""
+    assert one_error_line(capsys) == f"error: {where}--seed {seed} is below 0"
+    assert reads == []
+
+
 NESTED = b"[" * 100_000 + b"]" * 100_000
 
 
@@ -111,8 +186,8 @@ def test_a_mutated_corpus_is_read_or_one_line_naming_it(tmp_path_factory, kind, 
     path = work / f"d.{kind}"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     assert_read_or_one_line(
-        ["stats", "--data", str(path), "--out-dir", str(work / "out"), "--format", kind,
-         "--min-freq", "1", *(["--tsv-columns", TSV_COLUMNS] if kind == "tsv" else []),
+        ["stats", "--data", str(path), "--out-dir", str(work / "out"),
+         "--format", TSV_COLUMNS if kind == "tsv" else kind, "--min-freq", "1",
          *(["--remap-ordinal"] if remap else [])],
         f"error: {path}:")
 
@@ -356,6 +431,21 @@ class TestSynthCommand:
         assert one_error_line(capsys) == f"error: --n {n} is below 1"
         assert not out.exists()
 
+    def test_a_corpus_too_large_for_memory_is_one_line(self, tmp_path, synth_spec_file,
+                                                       capsys, monkeypatch):
+        """A huge sentence_length or --n ends in one line naming the spec;
+        generate is patched to fail, so that nothing large is allocated."""
+        def generate(spec, n):
+            raise MemoryError("Unable to allocate 2.16 TiB")
+
+        monkeypatch.setattr(synth, "generate", generate)
+        out = tmp_path / "out"
+        assert main(["synth", "--spec-file", synth_spec_file, "--n", "1000000000",
+                     "--out-dir", str(out)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: {synth_spec_file}: 1000000000 instances do not fit in memory")
+        assert not out.exists()
+
     def test_seed_flag_is_rejected(self, tmp_path, synth_spec_file, capsys):
         """The spec's seed governs synth, so the parser refuses --seed."""
         with pytest.raises(SystemExit) as info:
@@ -401,6 +491,14 @@ class TestSplitCommand:
         rc = main(["split", "--data", data, "--out-dir", str(out), "--ratios", ratios])
         assert rc == 1
         one_error_line(capsys)
+        assert not out.exists()
+
+    def test_empty_data_file_is_one_line_naming_it(self, tmp_path, capsys):
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "out"
+        empty.write_text("")
+        assert main(["split", "--data", str(empty), "--out-dir", str(out)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: {empty}: the data split is empty (0 records skipped at ingest)")
         assert not out.exists()
 
     def test_ratios_that_are_not_numbers_are_one_line(self, tmp_path, capsys):
@@ -465,13 +563,13 @@ class TestStatsCommand:
         ("premise=0,hypothesis=one,label=2", "hypothesis=one"),
         ("premise=0,hypothesis=-1,label=2", "hypothesis=-1"),
         ("premise=0,hypothesis=1,label=", "label="),
-        ("premise=0,hypothesis=1,label=2,label=3", "role 'label' is given twice"),
+        ("premise=0,hypothesis=1,label=2,label=3", "'label=3' is not"),
     ])
     def test_bad_tsv_columns_is_one_line(self, tmp_path, capsys, columns, named):
         path = tmp_path / "d.tsv"
         path.write_text("p1\tthe hyp\tneutral\n")
-        rc = main(["stats", "--data", str(path), "--format", "tsv",
-                   "--tsv-columns", columns, "--out-dir", str(tmp_path / "out")])
+        rc = main(["stats", "--data", str(path), "--format", columns,
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert named in one_error_line(capsys)
 
@@ -514,7 +612,7 @@ class TestStatsCommand:
         (["top-k = 0"], "top_k must be >= 1, got 0"),
         (["min-freq = -1"], "min_freq must be >= 1"),
         (["grid-step = nan"], "grid_step must lie in [0.0001, 0.5], got nan"),
-        (["format = tsv", "tsv-columns = premise=x"], "--tsv-columns: 'premise=x'"),
+        (["format = premise=x"], "--format 'premise=x': 'premise=x' is not"),
     ])
     def test_a_config_value_the_command_refuses_names_the_file(self, tmp_path, capsys, lines,
                                                               refused):
@@ -546,8 +644,9 @@ class TestStatsCommand:
         assert one_error_line(capsys) == "error: top_k must be >= 1, got 0"
 
     @pytest.mark.parametrize("line, named", [
-        ("format = xml", "format='xml'"),
-        ("scheme = 4way", "scheme='4way'"),
+        ("format = xml", "--format 'xml': 'xml' is not native, snli, tsv or role=column"),
+        ("scheme = 4way", "--scheme '4way': scheme 'custom' must have 2 or 3 labels"),
+        ("scheme = a,a", "--scheme 'a,a': scheme 'custom' has duplicate label names"),
         ("per-label-threshold = maybe", "per_label_threshold='maybe'"),
         ("top-k = 2.5", "top_k='2.5'"),
     ])
@@ -608,6 +707,26 @@ class TestStatsCommand:
             if name == "stats_digest.md":
                 expected = expected.replace(b"\n    format=native\n", b"\n    format=tsv\n")
             assert (tmp_path / "out" / name).read_bytes() == expected, name
+
+
+    def test_tsv_is_its_default_columns(self, tmp_path):
+        """--format tsv and the role=column pairs it stands for give the same
+        files; the digest differs only in the format line."""
+        path = tmp_path / "d.tsv"
+        path.write_text("".join(f"p\tw{i % 4} w{i % 3}\t{corpus.THREE_WAY.names[i % 3]}\n"
+                                for i in range(30)), encoding="utf-8")
+        outs = []
+        for fmt in ("tsv", "premise=0,hypothesis=1,label=2"):
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert main(["stats", "--data", str(path), "--format", fmt, "--min-freq", "1",
+                         "--out-dir", str(outs[-1])]) == 0
+        for name in ("giveaways.csv", "coverage.csv", "counts_summary.csv",
+                     "stats_digest.md"):
+            expected = (outs[0] / name).read_text()
+            if name == "stats_digest.md":
+                expected = expected.replace("\n    format=tsv\n",
+                                            "\n    format=premise=0,hypothesis=1,label=2\n")
+            assert (outs[1] / name).read_text() == expected, name
 
 
 class TestTrainEvalCommand:
@@ -770,6 +889,28 @@ class TestTrainEvalCommand:
         assert len(err) == 1 and err[0].startswith("training aborted: epoch 0: "), err
         assert (out / "train_abort.csv").read_text() == "epoch,lr,train_loss,dev_acc\n"
 
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_report_prediction_overflow_is_one_line(self, tmp_path, capsys, encoder):
+        """A word only the test split has, with a vector near the float
+        maximum, overflows the report's prediction: one line naming the test
+        file, and no artifact."""
+        paths = synth_corpus_files(tmp_path)
+        test = write_corpus(tmp_path / "zz_test.jsonl", make_corpus(
+            [("zz", "neutral"), ("zz give0", "entailment"), ("w001 zz", "contradiction")]))
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("<unk> 0 0 0 0\nzz 1.7e308 -1.7e308 -1.7e308 1.7e308\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                       "--test", test, "--embeddings", str(vecs), "--embedding-dim", "4",
+                       "--encoder", encoder, "--max-epochs", "1", "--out-dir", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: {test}: predicting the test split overflows "
+            f"(overflow encountered in matmul)")
+        assert not out.exists()
+
     def test_all_skipped_test_file_is_one_line(self, tmp_path, capsys):
         paths = synth_corpus_files(tmp_path)
         test = tmp_path / "dash_test.jsonl"
@@ -820,12 +961,10 @@ class TestTrainEvalCommand:
     @pytest.mark.parametrize("value", ["4way", "a", "a,a", "a,b,c,d", ","])
     def test_a_value_that_names_no_scheme_is_refused(self, tmp_path, capsys, value):
         data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
-        with pytest.raises(SystemExit) as exc:
-            main(["stats", "--data", data, "--scheme", value,
-                  "--out-dir", str(tmp_path / "out")])
-        assert exc.value.code == 2
-        assert f"argument --scheme: invalid label_scheme value: {value!r}" in \
-            capsys.readouterr().err
+        assert main(["stats", "--data", data, "--scheme", value,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        reason = "has duplicate label names" if value == "a,a" else "must have 2 or 3 labels"
+        assert one_error_line(capsys) == f"error: --scheme {value!r}: scheme 'custom' {reason}"
 
     def test_all_skipped_stats_file_is_one_line(self, tmp_path, capsys):
         # 3-way labels read under the 2-way scheme are all skipped
@@ -899,13 +1038,19 @@ class TestTrainEvalCommand:
         assert one_error_line(capsys) == (
             f"error: {cfg}: max_epochs='abc' is not of type int")
 
-    def test_unknown_config_key_errors(self, tmp_path):
+    def test_unknown_config_key_errors(self, tmp_path, capsys):
+        """help and config are actions of the subcommand, but not options a
+        config file can set."""
         paths = synth_corpus_files(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("no-such-flag = 1\n")
-        rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
-                   "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
-        assert rc == 1
+        for key, value in (("no-such-flag", "1"), ("help", "yes"), ("config", "other.cfg")):
+            cfg.write_text(f"{key} = {value}\n")
+            rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                       "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+            assert rc == 1
+            assert one_error_line(capsys) == (
+                f"error: {cfg}: unknown option {key.replace('-', '_')!r}")
+        assert not (tmp_path / "o").exists()
 
 
 class TestAuditSampleCommand:
@@ -1180,8 +1325,8 @@ class TestRemapOrdinal:
         path = tmp_path / "ordinals.tsv"
         path.write_text("p\ta b\t1\np\tb c\t5\np\tc d\t3\n", encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["stats", "--data", str(path), "--format", "tsv",
-                     "--tsv-columns", "premise=0,hypothesis=1,ordinal=2", "--remap-ordinal",
+        assert main(["stats", "--data", str(path), "--format",
+                     "premise=0,hypothesis=1,ordinal=2", "--remap-ordinal",
                      "--out-dir", str(out)]) == 0
         digest = (out / "stats_digest.md").read_text()
         assert "- sentences: 3 (skipped at ingest: 0)" in digest
@@ -1192,7 +1337,7 @@ class TestRemapOrdinal:
                                            ("snli", '{"sentence1": "p", "sentence2": "a b", '
                                                     '"gold_label": "-", "ordinal": 1}\n')])
     def test_role_map_without_an_ordinal_is_one_line(self, tmp_path, capsys, fmt, line):
-        """The default --tsv-columns and --format snli map no ordinal, so they
+        """--format tsv and --format snli map no ordinal, so they
         are refused before any line is read."""
         path = tmp_path / f"ordinals.{fmt}"
         path.write_text(line, encoding="utf-8")
