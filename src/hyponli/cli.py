@@ -41,10 +41,10 @@ def _resolve_scheme(value: str) -> corpus.LabelScheme:
     if value in corpus.SCHEME_PRESETS:
         return corpus.SCHEME_PRESETS[value]
     try:
-        return corpus.LabelScheme(tuple(n.strip() for n in value.split(",") if n.strip()),
-                                  "custom")
+        return corpus.LabelScheme(tuple(n.strip() for n in value.split(",") if n.strip()))
     except corpus.ConfigError as exc:
-        raise corpus.ConfigError(f"--scheme {value!r}: {exc}", "scheme") from None
+        raise corpus.ConfigError(f"--scheme {value!r}: schemes are 3way, 2way or 2-3 "
+                                 f"distinct label names; {exc}", "scheme") from None
 
 
 def _resolve_format(value: str):
@@ -157,15 +157,23 @@ def _build_model(args, scheme, vocab, seed):
         embedding_dim=args.embedding_dim,
         hidden_dim=args.hidden_dim,
         mlp_hidden=args.mlp_hidden,
-        n_labels=len(scheme),
         seed=seed + 2,
         finetune_embeddings=args.finetune_embeddings,
     )
-    if args.embeddings:
-        emb = text.load_embeddings(args.embeddings, vocab, args.embedding_dim)
-    else:
-        emb = text.seeded_random_embeddings(vocab, args.embedding_dim, seed + 1)
-    return model.ModelParameters.init(config, emb, vocab, scheme)
+    try:
+        if args.embeddings:
+            emb = text.load_embeddings(args.embeddings, vocab, args.embedding_dim)
+        else:
+            emb = text.seeded_random_embeddings(vocab, args.embedding_dim, seed + 1)
+        return model.ModelParameters.init(config, emb, vocab, scheme)
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, corpus.IngestError):  # a line of the --embeddings file
+            raise
+        # numpy: ValueError for a shape past its size limit, else MemoryError
+        dims = (f"--embedding-dim {args.embedding_dim}, --hidden-dim {args.hidden_dim}, "
+                f"--mlp-hidden {args.mlp_hidden}")
+        raise ValueError(f"{dims}: the model's arrays cannot be allocated "
+                         f"({str(exc) or type(exc).__name__})") from None
 
 
 def cmd_train_eval(args) -> int:

@@ -36,19 +36,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class LabelScheme:
-    """An ordered set of 2 or 3 class label names; label i is names[i]."""
+    """2 or 3 distinct, nonempty class label names; label i is names[i]."""
 
     names: tuple[str, ...]
-    scheme_id: str
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= len(self.names) <= 3:
-            raise ConfigError(f"scheme {self.scheme_id!r} must have 2 or 3 labels")
+            raise ConfigError(f"labels {list(self.names)} are not 2 or 3 names")
         if not all(isinstance(name, str) and name for name in self.names):
-            raise ConfigError(f"scheme {self.scheme_id!r} label names must be nonempty")
-        if len(set(self.names)) != len(self.names):
-            raise ConfigError(f"scheme {self.scheme_id!r} has duplicate label names")
+            raise ConfigError(f"labels {list(self.names)} are not all nonempty strings")
+        repeated = [name for i, name in enumerate(self.names) if name in self.names[:i]]
+        if repeated:
+            raise ConfigError(f"labels {list(self.names)} repeat {repeated[0]!r}")
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.names)})
 
     def __len__(self) -> int:
@@ -59,8 +59,8 @@ class LabelScheme:
         return self._index[name]
 
 
-THREE_WAY = LabelScheme(("entailment", "neutral", "contradiction"), "3way")
-TWO_WAY = LabelScheme(("entailed", "not-entailed"), "2way")
+THREE_WAY = LabelScheme(("entailment", "neutral", "contradiction"))
+TWO_WAY = LabelScheme(("entailed", "not-entailed"))
 
 SCHEME_PRESETS = {"3way": THREE_WAY, "2way": TWO_WAY}
 
@@ -162,8 +162,7 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
                           f"{', '.join(unset)}")
     if remap_ordinal and scheme.names != THREE_WAY.names:
         raise ConfigError(f"{path}: 1-5 ordinals remap onto the 3-way labels "
-                          f"{', '.join(THREE_WAY.names)}; scheme {scheme.scheme_id!r} has "
-                          f"{', '.join(scheme.names)}")
+                          f"{list(THREE_WAY.names)}, not {list(scheme.names)}")
     required = [(role, getattr(roles, role)) for role in mandatory]
     # an unset role is None, which is never a key of a record
     premise_key, hypothesis_key, label_key = roles.premise, roles.hypothesis, roles.label

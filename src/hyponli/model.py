@@ -82,11 +82,12 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The encoder and its sizes; the label count is that of the model's scheme."""
+
     encoder_kind: str
     embedding_dim: int
     hidden_dim: int = 64
     mlp_hidden: int = 64
-    n_labels: int = 3
     seed: int = 0
     finetune_embeddings: bool = False
 
@@ -96,15 +97,13 @@ class ModelConfig:
         dims = (self.embedding_dim, self.hidden_dim, self.mlp_hidden)
         # bool is a subclass of int, so True would pass for the integer 1
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (*dims, self.n_labels, self.seed)):
-            raise ValueError("dimensions, n_labels and seed must be integers")
+                   for v in (*dims, self.seed)):
+            raise ValueError("dimensions and seed must be integers")
         if not isinstance(self.finetune_embeddings, bool):
             raise ValueError("finetune_embeddings must be true or false")
         for name, dim in zip(("embedding_dim", "hidden_dim", "mlp_hidden"), dims):
             if dim < 1:
                 raise ConfigError(f"{name} must be >= 1", name)
-        if self.n_labels not in (2, 3):
-            raise ValueError("n_labels must be 2 or 3")
 
     @property
     def encoding_dim(self) -> int:
@@ -126,8 +125,6 @@ class ModelParameters:
 
     def __init__(self, config: ModelConfig, scheme: LabelScheme,
                  vocab: Vocabulary, arrays: dict[str, np.ndarray]):
-        if len(scheme) != config.n_labels:
-            raise ValueError("scheme size does not match config.n_labels")
         self.config = config
         self.scheme = scheme
         self.vocab = vocab
@@ -146,7 +143,7 @@ class ModelParameters:
                              f"({len(vocab) + 1}, {config.embedding_dim})")
         rng = np.random.default_rng(config.seed)
         arrays: dict[str, np.ndarray] = {"emb": embeddings}
-        for name, shape in _array_shapes(config, len(vocab))[1:]:
+        for name, shape in _array_shapes(config, len(vocab), len(scheme))[1:]:
             if len(shape) == 2:  # a bias takes the bound of the matrix before it
                 bound = 1.0 / np.sqrt(shape[1])
             arrays[name] = rng.uniform(-bound, bound, shape)
@@ -407,14 +404,14 @@ def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
 
 
 CHECKPOINT_MAGIC = "hyponli-checkpoint"
-CHECKPOINT_VERSION = 1
-_HEADER_KEYS = frozenset({"format", "version", "config", "scheme", "vocab", "arrays"})
+CHECKPOINT_VERSION = 2
+_HEADER_KEYS = frozenset({"format", "version", "config", "labels", "vocab", "arrays"})
 
 
-def _array_shapes(config: ModelConfig, n_vocab: int) -> list[tuple[str, tuple[int, ...]]]:
+def _array_shapes(config: ModelConfig, n_vocab: int,
+                  n_labels: int) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter array, in checkpoint order."""
-    d, H, m, n = (config.embedding_dim, config.hidden_dim,
-                  config.mlp_hidden, config.n_labels)
+    d, H, m, n = config.embedding_dim, config.hidden_dim, config.mlp_hidden, n_labels
     shapes = [("emb", (n_vocab + 1, d))]
     if config.encoder_kind == "birnn-maxpool":
         lstm = [(4 * H, d), (4 * H, H), (4 * H,)]
@@ -424,9 +421,9 @@ def _array_shapes(config: ModelConfig, n_vocab: int) -> list[tuple[str, tuple[in
 
 
 def save_checkpoint(params: ModelParameters, path) -> None:
-    """Write config + scheme + vocab + flat arrays, atomically.
+    """Write config + labels + vocab + flat arrays, atomically.
 
-    Layout: one UTF-8 JSON header line describing config, scheme, vocab,
+    Layout: one UTF-8 JSON header line holding config, label names, vocab,
     and an array manifest (name, shape), followed by each array's raw
     little-endian float64 bytes in manifest order. Byte-identical for
     identical parameters.
@@ -436,7 +433,7 @@ def save_checkpoint(params: ModelParameters, path) -> None:
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
-        "scheme": {"id": params.scheme.scheme_id, "labels": params.scheme.names},
+        "labels": params.scheme.names,
         "vocab": params.vocab.tokens,
         "arrays": [{"name": n, "shape": list(params.array(n).shape)} for n in names],
     }
@@ -452,29 +449,32 @@ def load_checkpoint(path) -> ModelParameters:
 
     Raises ValueError naming the path and the reason when the header line
     is not UTF-8 JSON (util.parse_json) or not the expected object, the
-    version is not 1, the labels or the vocab are not a list of strings, a
-    vocabulary token repeats, the manifest does not match the shapes the
-    config implies, an array is cut short, or bytes follow the last array.
+    version is not 2, the labels or the vocab are not a list of strings,
+    the labels are not a LabelScheme's, a vocabulary token repeats, the
+    manifest does not match the shapes the config and labels imply, an
+    array is cut short, or bytes follow the last array.
     """
     with open(path, "rb") as fh:
         header = parse_json(fh.readline(), f"{path}: checkpoint header")
+        # the version before the keys: another version's header has other keys
+        if (isinstance(header, dict)
+                and header.get("version", CHECKPOINT_VERSION) != CHECKPOINT_VERSION):
+            raise ValueError(f"{path}: checkpoint version {header['version']!r} is not "
+                             f"{CHECKPOINT_VERSION}")
         if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
             raise ValueError(f"{path}: checkpoint header is not an object with keys "
                              f"{', '.join(sorted(_HEADER_KEYS))}")
         if header["format"] != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} file")
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: checkpoint version {header['version']!r} is not "
-                             f"{CHECKPOINT_VERSION}")
         try:
-            labels, tokens = header["scheme"]["labels"], header["vocab"]
+            labels, tokens = header["labels"], header["vocab"]
             if not all(isinstance(strings, list) and all(isinstance(s, str) for s in strings)
                        for strings in (labels, tokens)):
                 raise ValueError("the labels and the vocab must be lists of strings")
             config = ModelConfig(**header["config"])
-            scheme = LabelScheme(tuple(labels), header["scheme"]["id"])
+            scheme = LabelScheme(tuple(labels))
             vocab = Vocabulary(tokens)
-            expected = _array_shapes(config, len(vocab))
+            expected = _array_shapes(config, len(vocab), len(scheme))
         except (TypeError, ValueError, KeyError) as exc:
             raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
         if header["arrays"] != [{"name": n, "shape": list(s)} for n, s in expected]:

@@ -71,7 +71,7 @@ class LabelWordCounts:
         The first call in each mode computes every label's array.
         """
         if not 0 <= label < len(self.scheme):
-            raise ValueError(f"label {label} is not a label index of {self.scheme.scheme_id!r}")
+            raise ValueError(f"label {label} is not a label index of {list(self.scheme.names)}")
         by_label = self._sorted_maxima.get(per_label)
         if by_label is None:
             occ, golds = self.occ, range(len(self.scheme))

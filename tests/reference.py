@@ -207,7 +207,7 @@ def encode(rows, params):
 def logits(batch, params):
     """The MLP head's logits (B, n_labels) of each sentence, one
     matrix-vector product at a time."""
-    out = np.empty((len(batch), params.config.n_labels))
+    out = np.empty((len(batch), len(params.scheme)))
     for k, rows in enumerate(batch):
         h1 = np.tanh(params.array("mlp_w1") @ encode(rows, params) + params.array("mlp_b1"))
         out[k] = params.array("mlp_w2") @ h1 + params.array("mlp_b2")

@@ -130,21 +130,25 @@ vector_lines = st.lists(
 
 DROP = object()  # a change that deletes its field instead of setting it
 
+# the checkpoint header's fields, as paths of object keys and of indices
+# into the label names
+CHECKPOINT_FIELDS = [
+    ("format",), ("version",), ("config",), ("labels",), ("vocab",), ("arrays",),
+    *(("config", key) for key in ("encoder_kind", "embedding_dim", "hidden_dim", "mlp_hidden",
+                                   "seed", "finetune_embeddings", "extra")),
+    ("labels", 0), ("labels", 1), ("labels", 2)]
+
 
 @st.composite
 def checkpoint_damage(draw):
     """An edit of a checkpoint: (header path, value or DROP) pairs for up
-    to two header fields, up to two (offset, bytes) writes into the array
-    bytes, the offset a fraction of their length, and a length change of
-    -1, 0 or 1 bytes."""
-    paths = [("format",), ("version",), ("config",), ("scheme",), ("vocab",), ("arrays",),
-             *(("config", key) for key in ("encoder_kind", "embedding_dim", "hidden_dim",
-                                            "mlp_hidden", "n_labels", "seed",
-                                            "finetune_embeddings", "extra")),
-             ("scheme", "id"), ("scheme", "labels")]
-    fields = draw(st.lists(st.tuples(st.sampled_from(paths),
+    to two CHECKPOINT_FIELDS, up to two (offset, bytes) writes into the
+    array bytes, the offset a fraction of their length, and a length change
+    of -1, 0 or 1 bytes. A label may become another label's name."""
+    fields = draw(st.lists(st.tuples(st.sampled_from(CHECKPOINT_FIELDS),
                                      st.one_of(st.just(DROP), odd_json,
-                                               st.sampled_from(["birnn-maxpool", "bag"]))),
+                                               st.sampled_from(["birnn-maxpool", "bag",
+                                                                "neutral"]))),
                            max_size=2))
     floats = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e150, 0.0, -0.0,
                               5e-324]).map(lambda x: struct.pack("<d", x))

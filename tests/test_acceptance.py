@@ -157,7 +157,7 @@ def _desk_scale_params(encoder, seed):
     vocab = text.Vocabulary(f"t{i}" for i in range(10))
     table = text.seeded_random_embeddings(vocab, 8, seed=seed)
     cfg = model.ModelConfig(encoder, embedding_dim=8, hidden_dim=4, mlp_hidden=8,
-                            n_labels=3, seed=seed, finetune_embeddings=True)
+                            seed=seed, finetune_embeddings=True)
     return model.ModelParameters.init(cfg, table, vocab, corpus.THREE_WAY)
 
 
@@ -266,7 +266,7 @@ def _train_bag(tr, dv, scheme):
     vocab = text.intern(tr.hypotheses + dv.hypotheses)[0]
     table = text.seeded_random_embeddings(vocab, 16, seed=7)
     cfg = model.ModelConfig("bag", embedding_dim=16, hidden_dim=4, mlp_hidden=64,
-                            n_labels=3, seed=8, finetune_embeddings=True)
+                            seed=8, finetune_embeddings=True)
     params = model.ModelParameters.init(cfg, table, vocab, scheme)
     tcfg = train.TrainConfig(lr0=0.1, batch_size=64, seed=9)
     tokens, (tr_examples, dv_examples) = _examples(vocab, tr, dv)
@@ -474,7 +474,7 @@ def test_criterion_9_snli_checks():
         vocab = text.intern(subset.hypotheses + dev_data.hypotheses)[0]
         table = text.seeded_random_embeddings(vocab, 50, seed=1)
         cfg = model.ModelConfig("bag", embedding_dim=50, hidden_dim=4,
-                                mlp_hidden=64, n_labels=3, seed=2,
+                                mlp_hidden=64, seed=2,
                                 finetune_embeddings=True)
         params = model.ModelParameters.init(cfg, table, vocab, scheme)
         tcfg = train.TrainConfig(batch_size=64, seed=3)

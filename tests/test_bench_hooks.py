@@ -10,7 +10,8 @@ each, in argument order. Every command line bench/run.py builds must
 parse, so each flag it passes (--seed to stats included) must stay. A
 traced stats run, a traced bag run and a traced BiLSTM run must keep the
 count rules bench/run.py checks, and the step count launch.py reads from
-lstm_forward's first argument.
+lstm_forward's first argument. bench/checks.py reads each model.ckpt
+without hyponli, so the checkpoint's layout must stay what it parses.
 """
 
 import importlib
@@ -21,9 +22,10 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
-from hyponli import cli, corpus
+from hyponli import cli, corpus, model, text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -191,3 +193,40 @@ def test_traced_birnn_run_keeps_the_benchmark_count_rules(tmp_path):
     # launch.py counts a call's steps as len(args[0]), so z must stay the
     # first argument; each hypothesis "a b{i}" is 2 tokens
     assert layers["kernels.lstm_forward"][3] == 2 * 2 * examples
+
+
+@pytest.mark.parametrize("encoder", model.ENCODER_KINDS)
+def test_the_benchmark_reads_a_checkpoint_as_hyponli_does(tmp_path, monkeypatch, encoder):
+    """bench/checks.py parses model.ckpt on its own and recomputes every
+    prediction from it: read_checkpoint's arrays must be load_checkpoint's
+    bit for bit, and predict_labels reads config.encoder_kind and the vocab
+    from the header. Were that layout to break, every benchmark operation
+    would fail its output check."""
+    monkeypatch.syspath_prepend(BENCH)  # checks.py imports gen by name
+    spec = importlib.util.spec_from_file_location("bench_checks",
+                                                  os.path.join(BENCH, "checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    names = ("entailment", "neutral", "contradiction")
+    data = write_records(tmp_path / "d.jsonl", [names[i % 3] for i in range(9)])
+    out = tmp_path / "out"
+    assert cli.main(["train-eval", "--train", data, "--dev", data, "--out-dir", str(out),
+                     "--encoder", encoder, "--embedding-dim", "4", "--hidden-dim", "3",
+                     "--mlp-hidden", "4", "--max-epochs", "1"]) == 0
+    header, arrays = checks.read_checkpoint(out / "model.ckpt")
+    params = model.load_checkpoint(out / "model.ckpt")
+    assert header["config"]["encoder_kind"] == params.config.encoder_kind == encoder
+    assert header["vocab"] == params.vocab.tokens
+    assert list(arrays) == params.array_names()
+    for name, array in arrays.items():
+        assert array.dtype == params.array(name).dtype
+        assert array.shape == params.array(name).shape
+        assert array.tobytes() == params.array(name).tobytes(), name
+    # predict_labels runs on what it read, and agrees with hyponli
+    dev, _ = corpus.read_jsonl(data, corpus.FIELD_MAP_PRESETS["native"], params.scheme)
+    vocab, ids, indptr = text.intern(dev.hypotheses)
+    recomputed = checks.predict_labels(header, arrays, checks.Split("dev", indptr, ids,
+                                                                    dev.labels), vocab.tokens)
+    rows = np.arange(len(dev))
+    assert recomputed.tolist() == model.predict_batch(
+        rows, params.vocab.encode(dev.hypotheses), params).tolist()

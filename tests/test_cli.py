@@ -18,8 +18,8 @@ from hyponli.model import load_checkpoint, predict_batch, save_checkpoint
 
 from helpers import make_corpus
 from strategies import (
-    DROP, TSV_COLUMNS, checkpoint_damage, config_lines, jsonl_lines, specs, tsv_lines,
-    vector_lines,
+    CHECKPOINT_FIELDS, DROP, TSV_COLUMNS, checkpoint_damage, config_lines, jsonl_lines, specs,
+    tsv_lines, vector_lines,
 )
 
 
@@ -79,7 +79,8 @@ BAD_VALUES = [
                       "premise, hypothesis, label, group, ordinal, id once and a non-negative "
                       "integer column"),
     ("format", "premise=0,hypothesis=one", "'hypothesis=one' is not native"),
-    ("scheme", "a,a", "scheme 'custom' has duplicate label names"),
+    ("scheme", "a,a", "schemes are 3way, 2way or 2-3 distinct label names; labels ['a', 'a'] "
+                      "repeat 'a'"),
 ]
 BAD_SETTINGS = [(command, *bad) for command in ("stats", "train-eval", "split", "audit-sample")
                 for bad in BAD_VALUES
@@ -259,12 +260,14 @@ def damaged(blob, damage):
         owner = header
         for key in path[:-1]:
             owner = owner.get(key) if isinstance(owner, dict) else None
-        if not isinstance(owner, dict):
-            continue  # an earlier edit replaced the field's parent
-        if value is DROP:
-            owner.pop(path[-1], None)
-        else:
-            owner[path[-1]] = value
+        key = path[-1]
+        if isinstance(owner, list) and isinstance(key, int) and key < len(owner):
+            owner[key:key + 1] = [] if value is DROP else [value]  # a label entry
+        elif isinstance(owner, dict) and value is DROP:
+            owner.pop(key, None)
+        elif isinstance(owner, dict):
+            owner[key] = value
+        # otherwise an earlier edit replaced the field's parent
     body = bytearray(body)
     for at, data in writes:
         start = int(at * len(body))
@@ -284,6 +287,22 @@ def test_a_damaged_checkpoint_is_read_or_one_line_naming_it(tmp_path_factory,
     ckpt.write_bytes(damaged(blobs[encoder], damage))
     assert_read_or_one_line(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
                              "--out-dir", str(work / "out")], f"error: {ckpt}:")
+
+
+@pytest.mark.parametrize("path", CHECKPOINT_FIELDS, ids=lambda path: ".".join(map(str, path)))
+def test_each_damaged_checkpoint_field_is_read_or_one_line(tmp_path_factory, small_checkpoints,
+                                                          path):
+    """The property test above draws only some of the fields; each one is
+    dropped or set to a value of each kind here, in both encoders'
+    checkpoints."""
+    blobs, data = small_checkpoints
+    work = tmp_path_factory.mktemp("field")
+    ckpt = work / "model.ckpt"
+    for blob in blobs.values():
+        for value in (DROP, None, True, "x", "neutral", -1, 2, 2 ** 63, 2.5, [0, 1], {}):
+            ckpt.write_bytes(damaged(blob, ([(path, value)], [], 0)))
+            assert_read_or_one_line(["audit-sample", "--checkpoint", str(ckpt), "--data",
+                                     data, "--out-dir", str(work / "out")], f"error: {ckpt}:")
 
 
 @pytest.fixture
@@ -645,8 +664,10 @@ class TestStatsCommand:
 
     @pytest.mark.parametrize("line, named", [
         ("format = xml", "--format 'xml': 'xml' is not native, snli, tsv or role=column"),
-        ("scheme = 4way", "--scheme '4way': scheme 'custom' must have 2 or 3 labels"),
-        ("scheme = a,a", "--scheme 'a,a': scheme 'custom' has duplicate label names"),
+        ("scheme = 4way", "--scheme '4way': schemes are 3way, 2way or 2-3 distinct label "
+                          "names; labels ['4way'] are not 2 or 3 names"),
+        ("scheme = a,a", "--scheme 'a,a': schemes are 3way, 2way or 2-3 distinct label "
+                         "names; labels ['a', 'a'] repeat 'a'"),
         ("per-label-threshold = maybe", "per_label_threshold='maybe'"),
         ("top-k = 2.5", "top_k='2.5'"),
     ])
@@ -963,8 +984,10 @@ class TestTrainEvalCommand:
         data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
         assert main(["stats", "--data", data, "--scheme", value,
                      "--out-dir", str(tmp_path / "out")]) == 1
-        reason = "has duplicate label names" if value == "a,a" else "must have 2 or 3 labels"
-        assert one_error_line(capsys) == f"error: --scheme {value!r}: scheme 'custom' {reason}"
+        names = [n.strip() for n in value.split(",") if n.strip()]
+        reason = "repeat 'a'" if value == "a,a" else "are not 2 or 3 names"
+        assert one_error_line(capsys) == (f"error: --scheme {value!r}: schemes are 3way, 2way "
+                                          f"or 2-3 distinct label names; labels {names} {reason}")
 
     def test_all_skipped_stats_file_is_one_line(self, tmp_path, capsys):
         # 3-way labels read under the 2-way scheme are all skipped
@@ -1051,6 +1074,51 @@ class TestTrainEvalCommand:
             assert one_error_line(capsys) == (
                 f"error: {cfg}: unknown option {key.replace('-', '_')!r}")
         assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def allocation_error(embedding_dim=8, hidden_dim=64, mlp_hidden=16):
+        """The error line's prefix for run_train's dimensions."""
+        return (f"error: --embedding-dim {embedding_dim}, --hidden-dim {hidden_dim}, "
+                f"--mlp-hidden {mlp_hidden}: the model's arrays cannot be allocated (")
+
+    @pytest.mark.parametrize("flag, vectors", [
+        ("--embedding-dim", False), ("--embedding-dim", True), ("--hidden-dim", False),
+        ("--mlp-hidden", False)])
+    def test_a_dimension_numpy_refuses_is_one_line(self, tmp_path, capsys, flag, vectors):
+        """numpy refuses a 10**30 dimension with a bare ValueError before it
+        allocates anything; the line names the dimension flags instead."""
+        extra = [flag, str(10 ** 30), "--encoder", "birnn-maxpool"]
+        if vectors:
+            (tmp_path / "vecs.txt").write_text("give0 0.5 0.5\n")
+            extra += ["--embeddings", str(tmp_path / "vecs.txt")]
+        out = tmp_path / "out"
+        assert self.run_train(tmp_path, out, extra=extra) == 1
+        dims = {"embedding_dim": 8, "hidden_dim": 64, "mlp_hidden": 16,
+                flag[2:].replace("-", "_"): 10 ** 30}
+        assert one_error_line(capsys).startswith(self.allocation_error(**dims))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("allocator", ["seeded_random_embeddings", "load_embeddings",
+                                           "init"])
+    def test_an_allocation_that_fails_is_one_line(self, tmp_path, capsys, monkeypatch,
+                                                  allocator):
+        """A MemoryError from the embedding matrix or the parameter arrays,
+        as numpy raises for a shape that fits its limits but not the
+        machine; raised here by a stand-in, as a real one could succeed."""
+        reason = "Unable to allocate 14.9 GiB for an array with shape (40000000, 50)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(reason)
+
+        owner = model.ModelParameters if allocator == "init" else text
+        monkeypatch.setattr(owner, allocator, fail)
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("give0" + " 0.5" * 8 + "\n")
+        extra = ["--embeddings", str(vecs)] if allocator == "load_embeddings" else []
+        out = tmp_path / "out"
+        assert self.run_train(tmp_path, out, extra=extra) == 1
+        assert one_error_line(capsys) == self.allocation_error() + reason + ")"
+        assert not out.exists()
 
 
 class TestAuditSampleCommand:
@@ -1154,7 +1222,7 @@ class TestAuditSampleCommand:
     def ordinal_corpus(tmp_path, scheme):
         pairs = [(f"w{i % 4} x", scheme.names[i % len(scheme)]) for i in range(30)]
         data = make_corpus(pairs, scheme, ordinals=[1 + i % 5 for i in range(30)])
-        return write_corpus(tmp_path / f"{scheme.scheme_id}.jsonl", data, scheme)
+        return write_corpus(tmp_path / f"{len(scheme)}way.jsonl", data, scheme)
 
     def train_small(self, data, out, *flags):
         assert main(["train-eval", "--train", data, "--dev", data, "--out-dir", str(out),
@@ -1170,8 +1238,8 @@ class TestAuditSampleCommand:
                    "--remap-ordinal", "--out-dir", str(audit_out)])
         assert rc == 1
         assert one_error_line(capsys) == (
-            f"error: {data}: 1-5 ordinals remap onto the 3-way labels entailment, "
-            f"neutral, contradiction; scheme '2way' has entailed, not-entailed")
+            f"error: {data}: 1-5 ordinals remap onto the 3-way labels ['entailment', "
+            f"'neutral', 'contradiction'], not ['entailed', 'not-entailed']")
         assert not audit_out.exists()
 
     def test_remap_ordinal_gold_follows_the_ordinals(self, tmp_path):
@@ -1186,6 +1254,47 @@ class TestAuditSampleCommand:
         assert sorted(iid for iid, _, _, _ in rows) == sorted(f"i{k}" for k in range(30))
         for iid, gold, _, _ in rows:
             assert gold == corpus.JOCI_ORDINAL_TO_LABEL[1 + int(iid[1:]) % 5]
+
+    def test_a_custom_scheme_round_trips_through_the_checkpoint(self, tmp_path, capsys):
+        """The checkpoint keeps the label names and nothing else of the
+        scheme: audit-sample names its cells by them, and --remap-ordinal
+        on it is refused naming them."""
+        scheme = corpus.LabelScheme(("a", "b"))
+        data = self.ordinal_corpus(tmp_path, scheme)
+        self.train_small(data, tmp_path / "out", "--scheme", "a,b")
+        ckpt, audit_out = tmp_path / "out" / "model.ckpt", tmp_path / "audit"
+        assert json.loads(ckpt.read_bytes().partition(b"\n")[0])["labels"] == ["a", "b"]
+        assert load_checkpoint(ckpt).scheme == scheme
+        assert main(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
+                     "--out-dir", str(audit_out)]) == 0
+        text_out = (audit_out / "audit_sample.txt").read_text()
+        cells = [line.split() for line in text_out.splitlines() if line.startswith("# cell")]
+        assert cells and {gold for _, _, gold, _, _ in cells} == {"gold=a", "gold=b"}
+        assert {pred for *_, pred, _ in cells} <= {"predicted=a", "predicted=b"}
+        capsys.readouterr()
+        audit_out = tmp_path / "audit-remap"
+        assert main(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
+                     "--remap-ordinal", "--out-dir", str(audit_out)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: {data}: 1-5 ordinals remap onto the 3-way labels ['entailment', "
+            f"'neutral', 'contradiction'], not ['a', 'b']")
+        assert not audit_out.exists()
+
+    def test_a_version_1_checkpoint_is_one_line_naming_it(self, tmp_path, capsys):
+        """The layout before the label names replaced the scheme id and
+        config.n_labels."""
+        def to_version_1(header):
+            header["version"] = 1
+            header["config"]["n_labels"] = len(header["labels"])
+            header["scheme"] = {"id": "3way", "labels": header.pop("labels")}
+
+        ckpt, data = self.damaged_checkpoint(tmp_path, to_version_1)
+        capsys.readouterr()
+        audit_out = tmp_path / "audit"
+        assert main(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
+                     "--out-dir", str(audit_out)]) == 1
+        assert one_error_line(capsys) == f"error: {ckpt}: checkpoint version 1 is not 2"
+        assert not audit_out.exists()
 
     @staticmethod
     def damaged_checkpoint(tmp_path, damage):
@@ -1213,8 +1322,8 @@ class TestAuditSampleCommand:
                    "--out-dir", str(audit_out)])
         assert rc == 1
         assert one_error_line(capsys) == (
-            f"error: {ckpt}: malformed checkpoint header (ValueError('dimensions, "
-            f"n_labels and seed must be integers'))")
+            f"error: {ckpt}: malformed checkpoint header (ValueError('dimensions "
+            f"and seed must be integers'))")
         assert not audit_out.exists()
 
     def test_manifest_larger_than_the_file_is_one_line(self, tmp_path, capsys):
@@ -1358,9 +1467,10 @@ class TestRemapOrdinal:
             else ["--data", str(path)]
         assert main([command, *inputs, "--remap-ordinal", "--scheme", scheme,
                      "--out-dir", str(out)]) == 1
-        assert one_error_line(capsys).startswith(
-            f"error: {path}: 1-5 ordinals remap onto the 3-way labels entailment, neutral, "
-            f"contradiction; scheme ")
+        names = ["entailed", "not-entailed"] if scheme == "2way" else ["a", "b"]
+        assert one_error_line(capsys) == (
+            f"error: {path}: 1-5 ordinals remap onto the 3-way labels ['entailment', "
+            f"'neutral', 'contradiction'], not {names}")
         assert not out.exists()
 
     def test_the_three_way_names_are_the_three_way_scheme(self, tmp_path):

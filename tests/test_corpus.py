@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,15 +36,15 @@ class TestSchemes:
 
     def test_size_bounds(self):
         with pytest.raises(ConfigError):
-            LabelScheme(("a",), "one")
+            LabelScheme(("a",))
         with pytest.raises(ConfigError):
-            LabelScheme(tuple(f"l{i}" for i in range(4)), "four")
+            LabelScheme(tuple(f"l{i}" for i in range(4)))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigError):
-            LabelScheme(("a", "a"), "dup")
+            LabelScheme(("a", "a"))
         with pytest.raises(ConfigError):
-            LabelScheme(("a", ""), "blank")
+            LabelScheme(("a", ""))
 
     def test_instance_validation(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -456,14 +457,15 @@ class TestJociRemap:
         with pytest.raises(IngestError, match="ordinal 6 outside"):
             read_jsonl(path, NATIVE, THREE_WAY, remap_ordinal=True)
 
-    @pytest.mark.parametrize("scheme", [TWO_WAY, LabelScheme(("a", "b", "c"), "custom")])
+    @pytest.mark.parametrize("scheme", [TWO_WAY, LabelScheme(("a", "b", "c"))])
     def test_needs_the_three_way_names_before_any_line_is_read(self, tmp_path, scheme):
         """The ordinals map onto the THREE_WAY names; another scheme raised a
         bare KeyError at the first kept record."""
         path = tmp_path / "d.jsonl"
         path.write_text("{\n", encoding="utf-8")  # any line read would fail as JSON
         with pytest.raises(ConfigError, match=rf"^{path}: 1-5 ordinals remap onto the "
-                                              rf"3-way labels .*; scheme '{scheme.scheme_id}'"):
+                                              rf"3-way labels .*, not "
+                                              rf"{re.escape(str(list(scheme.names)))}$"):
             read_jsonl(path, NATIVE, scheme, remap_ordinal=True)
 
     def test_idempotent(self, tmp_path):

@@ -163,7 +163,7 @@ def trained_params(seed=0):
     vocab = intern(["alpha beta gamma delta epsilon"])[0]
     table = seeded_random_embeddings(vocab, 6, seed=seed)
     cfg = ModelConfig("bag", embedding_dim=6, hidden_dim=2, mlp_hidden=4,
-                      n_labels=3, seed=seed)
+                      seed=seed)
     return ModelParameters.init(cfg, table, vocab, THREE_WAY)
 
 

@@ -20,7 +20,7 @@ def tiny_params(seed=0):
     vocab = TINY_VOCAB
     table = seeded_random_embeddings(vocab, 4, seed=seed)
     cfg = ModelConfig("bag", embedding_dim=4, hidden_dim=2, mlp_hidden=4,
-                      n_labels=3, seed=seed)
+                      seed=seed)
     return ModelParameters.init(cfg, table, vocab, THREE_WAY)
 
 
