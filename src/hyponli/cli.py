@@ -1,25 +1,20 @@
-"""Command-line entry point.
+"""Command-line entry point: stats, train-eval, synth, audit-sample, split.
 
-Subcommands: stats, train-eval, synth, audit-sample, split. Every run is
-deterministic under its --seed: all randomness flows from that one value
-through fixed per-component offsets (embeddings seed+1, model init seed+2,
-epoch shuffling seed+3), so repeated invocations produce byte-identical
-artifacts; synth has no --seed, as it takes its seed from the spec file.
-Each input file is read once into a corpus.Corpus, and each
-command passes on only the columns it uses: hypotheses and labels to the
-statistics and the model, ids to the audit sample, groups to the report;
-premises are only ever written back out (synth, split). train-eval
-interns all its hypotheses once into one CSR token corpus, each split a
-range of its rows from training to prediction; audit-sample encodes into
-the same form with the checkpoint vocabulary. Outputs are
-written to a temp file and promoted atomically. A key=value config file
-can preset any flag of a subcommand; explicit flags win. HYPONLI_OUT_DIR
-sets the default output directory. --format (native or snli for JSONL;
-tsv or role=column pairs for TSV) is the one input layout flag, and
---scheme (a preset or 2-3 label names) the one label scheme flag;
-audit-sample takes the checkpoint's scheme. Each command resolves both
-before it reads any input, and refuses a bad value as a ConfigError that
-names the option, and the --config file when that set it.
+Every run is deterministic under its --seed: all randomness flows from it
+through fixed offsets (embeddings seed+1, model init seed+2, epoch shuffling
+seed+3); synth takes its seed from the spec file. Each input file is read
+once into a corpus.Corpus, and outputs are promoted atomically from temp files.
+
+Each option is one row of _OPTIONS, which builds the argparse subparsers,
+reads a key=value --config file and gives the "Run configuration" block. A
+flag wins over a --config line, which wins over the row's default
+(HYPONLI_OUT_DIR, read per run, for --out-dir). Before any input is read,
+checkpoint and spec included, a command resolves one frozen Run: --format to
+a reader and RoleMap, --scheme to a LabelScheme (audit-sample takes the
+checkpoint's), --ratios to numbers, the model and training options to a
+ModelConfig and a TrainConfig, and each other value through the library's
+own check. A refused value is one ConfigError line that names the option,
+and the --config file when that set it.
 """
 
 from __future__ import annotations
@@ -65,10 +60,156 @@ def _resolve_format(value: str):
     return corpus.read_tsv, corpus.RoleMap(**kwargs)
 
 
-def _read_corpus(path, read_format, scheme, args, split=None):
+def _resolve_ratios(value: str) -> tuple:
+    """--ratios as numbers, checked as corpus.random_split checks them."""
+    try:
+        ratios = tuple(float(r) for r in value.split(","))
+    except ValueError:
+        raise corpus.ConfigError(f"--ratios {value!r} is not a comma-separated "
+                                 f"list of numbers", "ratios") from None
+    return corpus.check_ratios(ratios)
+
+
+def _resolve_out_dir(path):
+    """path (by default HYPONLI_OUT_DIR or ".") if its nearest existing ancestor, itself
+    included, is a directory; nothing is created, so a failed run leaves no directory."""
+    path = os.environ.get("HYPONLI_OUT_DIR", ".") if path is None else path
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise corpus.ConfigError(f"--out-dir {path}: {probe} is not a directory", "out_dir")
+    return path
+
+
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    """A row of the option table: type is bool for a switch, a value below low is refused,
+    resolve checks a value or turns it into what the command uses, flags go to argparse."""
+
+    dest: str
+    commands: str
+    default: object = None
+    type: type = str
+    help: str | None = None
+    resolve: object = None
+    low: int | None = None
+    flags: dict = dataclasses.field(default_factory=dict)
+    SWITCH = {"1": True, "0": False, "true": True, "false": False,
+              "yes": True, "no": False, "on": True, "off": False}
+
+    def from_text(self, text: str, path):
+        """A --config line's value; ConfigError naming the file if it is not one."""
+        choices = self.SWITCH if self.type is bool else self.flags.get("choices")
+        try:
+            value = text.lower() if self.type is bool else self.type(text)
+        except ValueError:
+            raise corpus.ConfigError(f"{path}: {self.dest}={text!r} is not "
+                                     f"of type {self.type.__name__}") from None
+        if choices is not None and value not in choices:
+            raise corpus.ConfigError(f"{path}: {self.dest}={value!r} is not one of "
+                                     f"{', '.join(map(str, choices))}")
+        return self.SWITCH[value] if self.type is bool else value
+
+
+_CORPUS = "stats train-eval audit-sample split"  # the subcommands that read a corpus
+_ALL = _CORPUS + " synth"
+_PATH, _GIVEN = {"metavar": "PATH"}, {"metavar": "PATH", "required": True}
+# one row per option, in the order of each subcommand's options
+_OPTIONS = (
+    _Option("data", "stats audit-sample split", help="data corpus file", flags=_GIVEN),
+    _Option("train", "train-eval", help="train corpus file", flags=_GIVEN),
+    _Option("dev", "train-eval", help="dev corpus file", flags=_GIVEN),
+    _Option("format", _CORPUS, "native", resolve=_resolve_format, help="native or snli "
+            "(JSONL); tsv (premise=0,hypothesis=1,label=2) or role=column pairs (TSV)"),
+    _Option("scheme", "stats train-eval split", "3way", resolve=_resolve_scheme,
+            help="3way, 2way or 2-3 comma-separated label names"),
+    _Option("remap_ordinal", _CORPUS, False, bool, "map 1-5 ordinal ratings onto the 3-way labels"),
+    _Option("test", "train-eval", help="optional test corpus file", flags=_PATH),
+    _Option("seed", _CORPUS, 0, int, "global seed", low=0),
+    _Option("out_dir", _ALL, None, str, "output directory (env HYPONLI_OUT_DIR)", _resolve_out_dir),
+    _Option("config", _ALL, help="key=value file presetting flags of this subcommand", flags=_PATH),
+    _Option("split_name", "stats", "dev", help="label for the digest"),
+    _Option("min_freq", "stats", 5, int, "candidate frequency floor", stats.check_min_freq),
+    _Option("top_k", "stats", 10, int, "list length per label", stats.check_top_k),
+    _Option("grid_step", "stats", 0.01, float, "coverage grid step", stats.check_grid_step),
+    _Option("per_label_threshold", "stats", False, bool,
+            "threshold p(label|w) instead of max over labels"),
+    _Option("encoder", "train-eval", "bag", flags={"choices": model.ENCODER_KINDS}),
+    _Option("embeddings", "train-eval", help="word-vector text file (default: seeded random "
+            "vectors)", flags=_PATH),
+    # ModelConfig and TrainConfig check these
+    _Option("embedding_dim", "train-eval", 50, int),
+    _Option("hidden_dim", "train-eval", 64, int),
+    _Option("mlp_hidden", "train-eval", 64, int),
+    _Option("finetune_embeddings", "train-eval", False, bool),
+    _Option("lr0", "train-eval", 0.1, float),
+    _Option("decay", "train-eval", 0.99, float),
+    _Option("divide_on_decline", "train-eval", 5.0, float),
+    _Option("lr_floor", "train-eval", 1e-5, float),
+    _Option("max_epochs", "train-eval", 20, int),
+    _Option("batch_size", "train-eval", 64, int),
+    _Option("spec_file", "synth", help="JSON generator spec", flags=_GIVEN),
+    _Option("n", "synth", None, int, "number of instances", low=1, flags={"required": True}),
+    _Option("checkpoint", "audit-sample", flags=_GIVEN),
+    _Option("n_per_cell", "audit-sample", 50, int, resolve=evaluate.check_n_per_cell),
+    _Option("ratios", "split", "0.8,0.1,0.1", str, "train,dev,test ratios", _resolve_ratios),
+)
+
+
+class Run:
+    """A command's options, resolved before any input is read: one attribute per dest, plus
+    model_config and train_config for train-eval and lines, the run configuration. Frozen."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Run is frozen: cannot set {name!r}")
+
+
+def _resolve(command: str, given: dict) -> Run:
+    """The command's Run: each value given, else its default, checked in table order."""
+    values, run = {"command": command}, {}
+    for option in (option for option in _OPTIONS if command in option.commands.split()):
+        value = values[option.dest] = given.get(option.dest, option.default)
+        if option.low is not None and value < option.low:
+            raise corpus.ConfigError(f"--{option.dest} {value} is below {option.low}",
+                                     option.dest)
+        run[option.dest] = option.resolve(value) if option.resolve else value
+    if command == "train-eval":
+        run["model_config"] = model.ModelConfig(
+            encoder_kind=run["encoder"], embedding_dim=run["embedding_dim"],
+            hidden_dim=run["hidden_dim"], mlp_hidden=run["mlp_hidden"], seed=run["seed"] + 2,
+            finetune_embeddings=run["finetune_embeddings"])
+        run["train_config"] = train.TrainConfig(
+            lr0=run["lr0"], decay=run["decay"], divide_on_decline=run["divide_on_decline"],
+            lr_floor=run["lr_floor"], max_epochs=run["max_epochs"],
+            batch_size=run["batch_size"], seed=run["seed"] + 3)
+    # out_dir left out, so that artifacts do not depend on where they are written
+    lines = [f"{k}={v}" for k, v in sorted(values.items()) if k not in ("config", "out_dir")]
+    return Run(lines=lines, **run)
+
+
+def _read_config(path, command: str) -> dict:
+    """{dest: value} of the key=value lines of a --config file for command."""
+    options = {o.dest: o for o in _OPTIONS if command in o.commands.split() and o.dest != "config"}
+    values = {}
+    for _, line in numbered_lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, value = (part.strip() for part in line.partition("="))
+            key = key.replace("-", "_")
+            if key not in options:
+                raise corpus.ConfigError(f"{path}: unknown option {key!r}")
+            values[key] = options[key].from_text(value, path)
+    return values
+
+
+def _read_corpus(path, read_format, scheme, remap_ordinal, split=None):
     """(corpus, records skipped) of one file; naming the split makes an empty one an error."""
     read, roles = read_format
-    data, skipped = read(path, roles, scheme, args.remap_ordinal)
+    data, skipped = read(path, roles, scheme, remap_ordinal)
     if split and not len(data):
         raise corpus.IngestError(f"{path}: the {split} split is empty "
                                  f"({skipped} records skipped at ingest)")
@@ -84,46 +225,17 @@ def _predict(rows, tokens, params, what):
         raise ValueError(f"{what} overflows ({exc})") from None
 
 
-def _config_lines(args) -> list[str]:
-    # out_dir excluded so artifacts do not depend on where they are written
-    skip = {"func", "config", "out_dir"}
-    return [f"{key}={getattr(args, key)}" for key in sorted(vars(args)) if key not in skip]
-
-
-def _add_data_flags(parser, roles, scheme_flags=True):
-    for role in roles:
-        parser.add_argument(f"--{role}", required=True, metavar="PATH",
-                            help=f"{role} corpus file")
-    parser.add_argument("--format", default="native",
-                        help="native or snli (JSONL); tsv (premise=0,hypothesis=1,label=2) "
-                             "or role=column pairs (TSV)")
-    if scheme_flags:
-        parser.add_argument("--scheme", default="3way",
-                            help="3way, 2way or 2-3 comma-separated label names")
-    parser.add_argument("--remap-ordinal", action="store_true",
-                        help="map 1-5 ordinal ratings onto the 3-way labels")
-
-
-def _add_common_flags(parser, seed=True):
-    if seed:
-        parser.add_argument("--seed", type=int, default=0, help="global seed")
-    parser.add_argument("--out-dir", default=os.environ.get("HYPONLI_OUT_DIR", "."),
-                        help="output directory (env HYPONLI_OUT_DIR)")
-    parser.add_argument("--config", default=None, metavar="PATH",
-                        help="key=value file presetting flags of this subcommand")
-
-
-def cmd_stats(args) -> int:
-    scheme, read_format = _resolve_scheme(args.scheme), _resolve_format(args.format)
-    data, skipped = _read_corpus(args.data, read_format, scheme, args, "data")
+def cmd_stats(run: Run) -> int:
+    scheme = run.scheme
+    data, skipped = _read_corpus(run.data, run.format, scheme, run.remap_ordinal, "data")
     counts = stats.count_corpus(data.hypotheses, data.labels, scheme)
-    giveaways = stats.giveaway_words(counts, min_freq=args.min_freq, top_k=args.top_k)
+    giveaways = stats.giveaway_words(counts, min_freq=run.min_freq, top_k=run.top_k)
     labels = range(len(scheme))
-    curves = [stats.coverage_curve(counts, label, grid_step=args.grid_step,
-                                   per_label=args.per_label_threshold)
+    curves = [stats.coverage_curve(counts, label, grid_step=run.grid_step,
+                                   per_label=run.per_label_threshold)
               for label in labels]
     digest = ["# Word statistics digest", "",
-              f"- source: {args.data} (split label: {args.split_name})",
+              f"- source: {run.data} (split label: {run.split_name})",
               f"- sentences: {counts.n_sentences} (skipped at ingest: {skipped})"]
     digest += [f"- {scheme.names[label]}: {counts.count_l(label)} sentences" for label in labels]
     for label in labels:
@@ -135,11 +247,11 @@ def cmd_stats(args) -> int:
     thresholds = (0.5, 0.75, 1.0)
     digest += markdown_table(
         ["Label", *(f"y({x})" for x in thresholds)],
-        ([scheme.names[label], *(stats.coverage_count(counts, label, x, args.per_label_threshold)
+        ([scheme.names[label], *(stats.coverage_count(counts, label, x, run.per_label_threshold)
                                  for x in thresholds)] for label in labels))
-    digest += ["", *config_block(_config_lines(args))]
+    digest += ["", *config_block(run.lines)]
 
-    out = args.out_dir
+    out = run.out_dir
     atomic_write_text(os.path.join(out, "giveaways.csv"),
                       stats.giveaways_to_csv(giveaways, scheme))
     atomic_write_text(os.path.join(out, "coverage.csv"), stats.curves_to_csv(curves, scheme))
@@ -150,36 +262,27 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _build_model(args, scheme, vocab, seed):
-    # the config first, so that a bad dimension is refused as its option
-    config = model.ModelConfig(
-        encoder_kind=args.encoder,
-        embedding_dim=args.embedding_dim,
-        hidden_dim=args.hidden_dim,
-        mlp_hidden=args.mlp_hidden,
-        seed=seed + 2,
-        finetune_embeddings=args.finetune_embeddings,
-    )
+def _build_model(run: Run, vocab):
+    config = run.model_config
     try:
-        if args.embeddings:
-            emb = text.load_embeddings(args.embeddings, vocab, args.embedding_dim)
+        if run.embeddings:
+            emb = text.load_embeddings(run.embeddings, vocab, config.embedding_dim)
         else:
-            emb = text.seeded_random_embeddings(vocab, args.embedding_dim, seed + 1)
-        return model.ModelParameters.init(config, emb, vocab, scheme)
+            emb = text.seeded_random_embeddings(vocab, config.embedding_dim, run.seed + 1)
+        return model.ModelParameters.init(config, emb, vocab, run.scheme)
     except (MemoryError, ValueError) as exc:
         if isinstance(exc, corpus.IngestError):  # a line of the --embeddings file
             raise
         # numpy: ValueError for a shape past its size limit, else MemoryError
-        dims = (f"--embedding-dim {args.embedding_dim}, --hidden-dim {args.hidden_dim}, "
-                f"--mlp-hidden {args.mlp_hidden}")
-        raise ValueError(f"{dims}: the model's arrays cannot be allocated "
-                         f"({str(exc) or type(exc).__name__})") from None
+        dims = ("embedding_dim", "hidden_dim", "mlp_hidden")
+        flags = ", ".join(f"--{dim.replace('_', '-')} {getattr(config, dim)}" for dim in dims)
+        raise corpus.ConfigError(f"{flags}: the model's arrays cannot be allocated "
+                                 f"({str(exc) or type(exc).__name__})", *dims) from None
 
 
-def cmd_train_eval(args) -> int:
-    scheme, read_format = _resolve_scheme(args.scheme), _resolve_format(args.format)
-    splits = {name: _read_corpus(path, read_format, scheme, args, name)[0]
-              for name, path in (("train", args.train), ("dev", args.dev), ("test", args.test))
+def cmd_train_eval(run: Run) -> int:
+    splits = {name: _read_corpus(path, run.format, run.scheme, run.remap_ordinal, name)[0]
+              for name, path in (("train", run.train), ("dev", run.dev), ("test", run.test))
               if path}  # only --test is optional
     # one CSR token corpus of every hypothesis, train first, then dev, then
     # test; each split is its range of rows
@@ -188,16 +291,11 @@ def cmd_train_eval(args) -> int:
     ends = np.cumsum([len(data) for data in splits.values()])
     examples = {name: (np.arange(end - len(data), end), data.labels)
                 for (name, data), end in zip(splits.items(), ends)}
-    params = _build_model(args, scheme, vocab, args.seed)
-    train_config = train.TrainConfig(
-        lr0=args.lr0, decay=args.decay, divide_on_decline=args.divide_on_decline,
-        lr_floor=args.lr_floor, max_epochs=args.max_epochs,
-        batch_size=args.batch_size, seed=args.seed + 3,
-    )
-    out = args.out_dir
+    params = _build_model(run, vocab)
+    out = run.out_dir
     try:
         best_params, state = train.fit(examples["train"], examples["dev"], tokens, params,
-                                       train_config)
+                                       run.train_config)
     except train.TrainAbort as exc:
         dump = os.path.join(out, "train_abort.csv")
         atomic_write_text(dump, exc.state.log_csv())
@@ -208,14 +306,14 @@ def cmd_train_eval(args) -> int:
     reports = []
     for name in list(splits)[1:]:  # dev, then test if given
         pred = _predict(examples[name][0], tokens, best_params,
-                        f"{getattr(args, name)}: predicting the {name} split")
+                        f"{getattr(run, name)}: predicting the {name} split")
         reports.append(evaluate.build_report(name, pred, splits[name].labels,
-                                             splits[name].groups, scheme, maj))
+                                             splits[name].groups, run.scheme, maj))
 
     atomic_write_text(os.path.join(out, "train_log.csv"), state.log_csv())
     model.save_checkpoint(best_params, os.path.join(out, "model.ckpt"))
     atomic_write_text(os.path.join(out, "report.md"),
-                      evaluate.report_markdown(reports, _config_lines(args)))
+                      evaluate.report_markdown(reports, run.lines))
     atomic_write_text(os.path.join(out, "report.csv"), evaluate.report_csv(reports))
     dev_rep = reports[0]
     print(f"train-eval: dev hyp-only {evaluate.fmt2(dev_rep.hyp_only_acc)} "
@@ -223,182 +321,82 @@ def cmd_train_eval(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    if args.n < 1:
-        raise corpus.ConfigError(f"--n {args.n} is below 1")
-    spec = synth.read_spec(args.spec_file)
+def cmd_synth(run: Run) -> int:
+    spec = synth.read_spec(run.spec_file)
     try:
-        data = synth.generate(spec, args.n)
+        data = synth.generate(spec, run.n)
     except MemoryError:
-        raise ValueError(f"{args.spec_file}: {args.n} instances do not fit in memory") from None
+        raise ValueError(f"{run.spec_file}: {run.n} instances do not fit in memory") from None
     bayes = synth.bayes_accuracy(spec)
-    out = args.out_dir
+    out = run.out_dir
     corpus.write_jsonl(data, os.path.join(out, "corpus.jsonl"), spec.scheme)
-    meta = {"spec": dataclasses.asdict(spec), "n": args.n, "bayes_accuracy": bayes}
+    meta = {"spec": dataclasses.asdict(spec), "n": run.n, "bayes_accuracy": bayes}
     atomic_write_text(os.path.join(out, "corpus.meta.json"),
                       json.dumps(meta, indent=2) + "\n")
-    print(f"synth: {args.n} instances, bayes accuracy {bayes:.2f} -> {out}")
+    print(f"synth: {run.n} instances, bayes accuracy {bayes:.2f} -> {out}")
     return 0
 
 
-def cmd_audit_sample(args) -> int:
-    read_format = _resolve_format(args.format)
-    params = model.load_checkpoint(args.checkpoint)
-    data, _ = _read_corpus(args.data, read_format, params.scheme, args)
+def cmd_audit_sample(run: Run) -> int:
+    params = model.load_checkpoint(run.checkpoint)
+    data, _ = _read_corpus(run.data, run.format, params.scheme, run.remap_ordinal)
     pred = _predict(np.arange(len(data)), params.vocab.encode(data.hypotheses), params,
-                    f"{args.checkpoint}: predicting {args.data}")
-    cells = evaluate.confusion_sample(pred, data.labels, args.n_per_cell, args.seed)
+                    f"{run.checkpoint}: predicting {run.data}")
+    cells = evaluate.confusion_sample(pred, data.labels, run.n_per_cell, run.seed)
     text_out = evaluate.confusion_sample_text(cells, params.scheme, data.ids, data.hypotheses)
-    atomic_write_text(os.path.join(args.out_dir, "audit_sample.txt"), text_out)
+    atomic_write_text(os.path.join(run.out_dir, "audit_sample.txt"), text_out)
     total = sum(len(v) for v in cells.values())
-    print(f"audit-sample: {total} rows across {len(cells)} cells -> {args.out_dir}")
+    print(f"audit-sample: {total} rows across {len(cells)} cells -> {run.out_dir}")
     return 0
 
 
-def cmd_split(args) -> int:
-    try:
-        ratios = tuple(float(r) for r in args.ratios.split(","))
-    except ValueError:
-        raise corpus.ConfigError(f"--ratios {args.ratios!r} is not a comma-separated "
-                                 f"list of numbers", "ratios") from None
-    scheme, read_format = _resolve_scheme(args.scheme), _resolve_format(args.format)
-    data, _ = _read_corpus(args.data, read_format, scheme, args, "data")
+def cmd_split(run: Run) -> int:
+    data, _ = _read_corpus(run.data, run.format, run.scheme, run.remap_ordinal, "data")
     parts = dict(zip(("train", "dev", "test"),
-                     corpus.random_split(data, ratios=ratios, seed=args.seed)))
+                     corpus.random_split(data, ratios=run.ratios, seed=run.seed)))
     for name, part in parts.items():
-        corpus.write_jsonl(part, os.path.join(args.out_dir, f"{name}.jsonl"), scheme)
+        corpus.write_jsonl(part, os.path.join(run.out_dir, f"{name}.jsonl"), run.scheme)
     sizes = ", ".join(f"{name}={len(part)}" for name, part in parts.items())
-    print(f"split: {sizes} -> {args.out_dir}")
+    print(f"split: {sizes} -> {run.out_dir}")
     return 0
+
+
+_COMMANDS = {
+    "stats": (cmd_stats, "give-away words, coverage curves, counts"),
+    "train-eval": (cmd_train_eval, "train a hypothesis-only model and report gaps"),
+    "synth": (cmd_synth, "generate a synthetic biased corpus"),
+    "audit-sample": (cmd_audit_sample, "stratified confusion-cell sample"),
+    "split": (cmd_split, "random 80:10:10 split of one corpus file"),
+}
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="hyponli",
-        description="Hypothesis-only diagnostics for NLI datasets",
-    )
+    """(the parser, {subcommand: its parser}), built from the option table."""
+    parser = argparse.ArgumentParser(prog="hyponli",
+                                     description="Hypothesis-only diagnostics for NLI datasets")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = subparsers.add_parser("stats", help="give-away words, coverage curves, counts")
-    _add_data_flags(p, ["data"])
-    _add_common_flags(p)
-    p.add_argument("--split-name", default="dev", help="label for the digest")
-    p.add_argument("--min-freq", type=int, default=5, help="candidate frequency floor")
-    p.add_argument("--top-k", type=int, default=10, help="list length per label")
-    p.add_argument("--grid-step", type=float, default=0.01, help="coverage grid step")
-    p.add_argument("--per-label-threshold", action="store_true",
-                   help="threshold p(label|w) instead of max over labels")
-    p.set_defaults(func=cmd_stats)
-
-    p = subparsers.add_parser("train-eval", help="train a hypothesis-only model and report gaps")
-    _add_data_flags(p, ["train", "dev"])
-    p.add_argument("--test", default=None, metavar="PATH", help="optional test corpus file")
-    _add_common_flags(p)
-    p.add_argument("--encoder", choices=list(model.ENCODER_KINDS), default="bag")
-    p.add_argument("--embeddings", default=None, metavar="PATH",
-                   help="word-vector text file (default: seeded random vectors)")
-    p.add_argument("--embedding-dim", type=int, default=50)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--mlp-hidden", type=int, default=64)
-    p.add_argument("--finetune-embeddings", action="store_true")
-    p.add_argument("--lr0", type=float, default=0.1)
-    p.add_argument("--decay", type=float, default=0.99)
-    p.add_argument("--divide-on-decline", type=float, default=5.0)
-    p.add_argument("--lr-floor", type=float, default=1e-5)
-    p.add_argument("--max-epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.set_defaults(func=cmd_train_eval)
-
-    p = subparsers.add_parser("synth", help="generate a synthetic biased corpus")
-    _add_common_flags(p, seed=False)  # the spec's "seed" governs
-    p.add_argument("--spec-file", required=True, metavar="PATH", help="JSON generator spec")
-    p.add_argument("--n", type=int, required=True, help="number of instances")
-    p.set_defaults(func=cmd_synth)
-
-    p = subparsers.add_parser("audit-sample", help="stratified confusion-cell sample")
-    _add_data_flags(p, ["data"], scheme_flags=False)
-    _add_common_flags(p)
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.add_argument("--n-per-cell", type=int, default=50)
-    p.set_defaults(func=cmd_audit_sample)
-
-    p = subparsers.add_parser("split", help="random 80:10:10 split of one corpus file")
-    _add_data_flags(p, ["data"])
-    _add_common_flags(p)
-    p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,dev,test ratios")
-    p.set_defaults(func=cmd_split)
-
+    for name, (_, help_text) in _COMMANDS.items():
+        subparsers.add_parser(name, help=help_text)
+    for option in _OPTIONS:
+        kind = {"action": "store_true"} if option.type is bool else {"type": option.type}
+        for name in option.commands.split():  # SUPPRESS: args hold only the flags given
+            subparsers.choices[name].add_argument(f"--{option.dest.replace('_', '-')}", **kind,
+                                                  default=argparse.SUPPRESS, help=option.help,
+                                                  **option.flags)
     return parser, subparsers.choices
 
 
-_BOOLEAN_WORDS = {"1": True, "0": False, "true": True, "false": False,
-                  "yes": True, "no": False, "on": True, "off": False}
-
-
-def _apply_config_file(parser, subcommands, argv):
-    """(args, the dests whose values came from the --config file)."""
-    args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args, ()
-    sub = subcommands[args.command]
-    actions = {action.dest: action for action in sub._actions
-               if action.dest not in ("help", "config")}
-    coerced = {}
-    for _, line in numbered_lines(args.config):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = (part.strip() for part in line.partition("="))
-        key = key.replace("-", "_")
-        action = actions.get(key)
-        if action is None:
-            raise corpus.ConfigError(f"{args.config}: unknown option {key!r}")
-        flag = isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction))
-        if flag:
-            value = value.lower()
-        elif action.type is not None:
-            try:
-                value = action.type(value)
-            except ValueError:
-                raise corpus.ConfigError(f"{args.config}: {key}={value!r} is not "
-                                         f"of type {action.type.__name__}") from None
-        choices = _BOOLEAN_WORDS if flag else action.choices
-        if choices is not None and value not in choices:
-            raise corpus.ConfigError(f"{args.config}: {key}={value!r} is not one of "
-                                     f"{', '.join(map(str, choices))}")
-        coerced[key] = _BOOLEAN_WORDS[value] if flag else value
-    marker = object()  # each file option's default, until a command-line flag replaces it
-    sub.set_defaults(**dict.fromkeys(coerced, marker))
-    args = parser.parse_args(argv)
-    from_file = {key for key in coerced if getattr(args, key) is marker}
-    for key in from_file:
-        setattr(args, key, coerced[key])
-    return args, from_file
-
-
-def _check_out_dir(path) -> None:
-    """Raise ConfigError unless path is a directory or could be made one:
-    its nearest existing ancestor, itself included, must be a directory.
-    Nothing is created, so a run that fails later leaves no directory."""
-    probe = os.path.abspath(path)
-    while not os.path.exists(probe):
-        probe = os.path.dirname(probe)
-    if not os.path.isdir(probe):
-        raise corpus.ConfigError(f"--out-dir {path}: {probe} is not a directory", "out_dir")
-
-
 def main(argv=None) -> int:
-    parser, subcommands = build_parser()
-    from_file = ()
+    parser, _ = build_parser()
+    given = vars(parser.parse_args(argv))
+    command, path, from_file = given.pop("command"), given.get("config"), {}
     try:
-        args, from_file = _apply_config_file(parser, subcommands, argv)
-        _check_out_dir(args.out_dir)  # before any input is read
-        if getattr(args, "seed", 0) < 0:
-            raise corpus.ConfigError(f"--seed {args.seed} is below 0", "seed")
-        return args.func(args)
+        from_file = _read_config(path, command) if path else {}
+        return _COMMANDS[command][0](_resolve(command, {**from_file, **given}))
     except (ValueError, OSError) as exc:  # ingest, config and embedding errors included
-        # a refused value that the config file set is the file's error
-        where = f"{args.config}: " if getattr(exc, "option", None) in from_file else ""
+        # a refused value that the config file set, and no flag replaced, is the file's error
+        set_by_file = from_file.keys() - given.keys()
+        where = f"{path}: " if set_by_file.intersection(getattr(exc, "options", ())) else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 

@@ -27,11 +27,11 @@ from .util import IngestError, as_integer, atomic_open, numbered_lines, parse_js
 
 class ConfigError(ValueError):
     """A flag, --config line, role map, scheme, synth spec key or run parameter
-    that cannot be used; option names the parameter at fault as its flag's dest."""
+    that cannot be used; options names the parameters at fault by their flags' dests."""
 
-    def __init__(self, message: str, option: str | None = None):
+    def __init__(self, message: str, *options: str):
         super().__init__(message)
-        self.option = option
+        self.options = options
 
 
 @dataclass(frozen=True)
@@ -288,6 +288,16 @@ def write_jsonl(data: Corpus, path, scheme: LabelScheme) -> None:
             fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
+def check_ratios(ratios) -> tuple:
+    """ratios, when random_split takes them; ConfigError otherwise."""
+    # a comparison with nan is False, so nan fails; each ratio <= 1 also rules out inf
+    if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise ConfigError(f"ratios {ratios} are not three non-negative train, dev "
+                          f"and test shares that sum to 1", "ratios")
+    return ratios
+
+
 def random_split(data: Corpus, ratios=(0.8, 0.1, 0.1), seed: int = 0):
     """Partition a corpus into (train, dev, test) corpora at the given ratios.
 
@@ -298,11 +308,7 @@ def random_split(data: Corpus, ratios=(0.8, 0.1, 0.1), seed: int = 0):
     """
     if not len(data):
         raise ValueError("cannot split an empty corpus")
-    # a comparison with nan is False, so nan fails; each ratio <= 1 also rules out inf
-    if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios)
-            or abs(sum(ratios) - 1.0) > 1e-9):
-        raise ConfigError(f"ratios {ratios} are not three non-negative train, dev "
-                          f"and test shares that sum to 1", "ratios")
+    check_ratios(ratios)
     n = len(data)
     n_train = int(n * ratios[0])
     n_dev = int(n * ratios[1])

@@ -57,6 +57,13 @@ def delta_report(hyp_acc: float, maj_acc: float):
     return abs_delta, pct_delta
 
 
+def check_n_per_cell(n_per_cell: int) -> int:
+    """n_per_cell, when confusion_sample takes it; ConfigError otherwise."""
+    if n_per_cell < 1:
+        raise ConfigError("n_per_cell must be >= 1", "n_per_cell")
+    return n_per_cell
+
+
 def confusion_sample(pred, gold, n_per_cell: int,
                      seed: int) -> dict[tuple[int, int], list[int]]:
     """Deterministic stratified sample for manual audits: the row positions
@@ -67,8 +74,7 @@ def confusion_sample(pred, gold, n_per_cell: int,
     Cells are visited in (gold, predicted) index order and keep the input
     order of their rows; each over-full cell takes one rng.choice draw.
     """
-    if n_per_cell < 1:
-        raise ConfigError("n_per_cell must be >= 1", "n_per_cell")
+    check_n_per_cell(n_per_cell)
     pred, gold = _aligned(pred, gold)
     rng = np.random.default_rng(seed)
     cells = {}

@@ -115,6 +115,20 @@ class GiveawayEntry:
     frequency: int
 
 
+def check_min_freq(min_freq: int) -> int:
+    """min_freq, when giveaway_words takes it; ConfigError otherwise."""
+    if min_freq < 1:
+        raise ConfigError("min_freq must be >= 1", "min_freq")
+    return min_freq
+
+
+def check_top_k(top_k: int) -> int:
+    """top_k, when giveaway_words takes it; ConfigError otherwise."""
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}", "top_k")
+    return top_k
+
+
 def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
                    top_k: int = 10) -> dict[int, list[GiveawayEntry]]:
     """Most label-specific words per label index.
@@ -124,10 +138,8 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
     frequency descending (ties: score descending, then token), cut to
     top_k.
     """
-    if min_freq < 1:
-        raise ConfigError("min_freq must be >= 1", "min_freq")
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}", "top_k")
+    check_min_freq(min_freq)
+    check_top_k(top_k)
     occ = counts.occ
     freq = occ.sum(axis=1)
     candidates = np.flatnonzero(freq >= min_freq)
@@ -177,6 +189,13 @@ def coverage_count(counts: LabelWordCounts, label: int, x: float,
     return int(maxima.size - np.searchsorted(maxima, x, side="left"))
 
 
+def check_grid_step(grid_step: float) -> float:
+    """grid_step, when coverage_curve takes it; ConfigError otherwise."""
+    if not 1e-4 <= grid_step <= 0.5:  # 1e-4: the resolution of curves_to_csv's x column
+        raise ConfigError(f"grid_step must lie in [0.0001, 0.5], got {grid_step}", "grid_step")
+    return grid_step
+
+
 def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
                    per_label: bool = False) -> CoverageCurve:
     """Coverage per threshold on the grid {0, step, ..., 1}.
@@ -185,9 +204,7 @@ def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
     max_l p(l|w) >= x (or p(label|w) >= x with per_label). y(0) equals the
     label's sentence count and y is non-increasing in x.
     """
-    if not 1e-4 <= grid_step <= 0.5:  # 1e-4: the resolution of curves_to_csv's x column
-        raise ConfigError(f"grid_step must lie in [0.0001, 0.5], got {grid_step}", "grid_step")
-    grid = _threshold_grid(grid_step)
+    grid = _threshold_grid(check_grid_step(grid_step))
     maxima = counts.sorted_maxima(label, per_label)
     y = maxima.size - np.searchsorted(maxima, grid, side="left")
     return CoverageCurve(label, grid, y.tolist())

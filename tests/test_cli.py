@@ -54,6 +54,22 @@ def test_out_dir_under_a_file_fails_before_any_input_is_read(tmp_path, capsys, m
     assert reads == []
 
 
+def test_hyponli_out_dir_is_the_default_output_directory(tmp_path, monkeypatch):
+    """With no --out-dir, outputs land in HYPONLI_OUT_DIR, read at each
+    run; an --out-dir flag or an out-dir line of a --config file wins."""
+    data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
+    for name in ("env1", "env2"):  # set after import, and changed between runs
+        monkeypatch.setenv("HYPONLI_OUT_DIR", str(tmp_path / name))
+        assert main(["stats", "--data", data]) == 0
+        assert (tmp_path / name / "stats_digest.md").exists()
+    assert main(["stats", "--data", data, "--out-dir", str(tmp_path / "flag")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out-dir = {tmp_path / 'file'}\n")
+    assert main(["stats", "--data", data, "--config", str(cfg)]) == 0
+    for name in ("flag", "file"):
+        assert (tmp_path / name / "stats_digest.md").exists()
+
+
 def test_each_subcommand_has_exactly_these_options():
     """Every option of every subcommand, by dest, so that a new knob is a
     visible change here."""
@@ -74,40 +90,66 @@ def test_each_subcommand_has_exactly_these_options():
     }
 
 
+FORMAT_REFUSAL = ("is not native, snli, tsv or role=column, with each role among premise, "
+                  "hypothesis, label, group, ordinal, id once and a non-negative integer column")
+READERS = ("stats", "train-eval", "split", "audit-sample")
+TRAIN_EVAL = ("train-eval",)
+# one refused value of each checked option: the subcommands that take it,
+# the option, the value and the refusal
 BAD_VALUES = [
-    ("format", "xml", "'xml' is not native, snli, tsv or role=column, with each role among "
-                      "premise, hypothesis, label, group, ordinal, id once and a non-negative "
-                      "integer column"),
-    ("format", "premise=0,hypothesis=one", "'hypothesis=one' is not native"),
-    ("scheme", "a,a", "schemes are 3way, 2way or 2-3 distinct label names; labels ['a', 'a'] "
-                      "repeat 'a'"),
+    (READERS, "format", "xml", f"--format 'xml': 'xml' {FORMAT_REFUSAL}"),
+    (READERS, "format", "premise=0,hypothesis=one",
+     f"--format 'premise=0,hypothesis=one': 'hypothesis=one' {FORMAT_REFUSAL}"),
+    (("stats", "train-eval", "split"), "scheme", "a,a",
+     "--scheme 'a,a': schemes are 3way, 2way or 2-3 distinct label names; "
+     "labels ['a', 'a'] repeat 'a'"),
+    (("stats",), "min_freq", "0", "min_freq must be >= 1"),
+    (("stats",), "top_k", "0", "top_k must be >= 1, got 0"),
+    (("stats",), "grid_step", "0", "grid_step must lie in [0.0001, 0.5], got 0.0"),
+    (("audit-sample",), "n_per_cell", "0", "n_per_cell must be >= 1"),
+    (("split",), "ratios", "0.5,0.5",
+     "ratios (0.5, 0.5) are not three non-negative train, dev and test shares that sum to 1"),
+    (("split",), "ratios", "a,b,c", "--ratios 'a,b,c' is not a comma-separated list of numbers"),
+    (("audit-sample",), "seed", "-1", "--seed -1 is below 0"),
+    (TRAIN_EVAL, "embedding_dim", "0", "embedding_dim must be >= 1"),
+    (TRAIN_EVAL, "hidden_dim", "0", "hidden_dim must be >= 1"),
+    (TRAIN_EVAL, "mlp_hidden", "0", "mlp_hidden must be >= 1"),
+    (TRAIN_EVAL, "lr0", "nan", "lr0 must be positive and finite, got nan"),
+    (TRAIN_EVAL, "decay", "0", "decay must lie in (0, 1]"),
+    (TRAIN_EVAL, "divide_on_decline", "1", "divide_on_decline must be > 1 and finite, got 1.0"),
+    (TRAIN_EVAL, "lr_floor", "0", "lr_floor must be positive and finite, got 0.0"),
+    (TRAIN_EVAL, "max_epochs", "0", "max_epochs must be >= 1"),
+    (TRAIN_EVAL, "batch_size", "0", "batch_size must be >= 1"),
 ]
-BAD_SETTINGS = [(command, *bad) for command in ("stats", "train-eval", "split", "audit-sample")
-                for bad in BAD_VALUES
-                if (command, bad[0]) != ("audit-sample", "scheme")]  # it has no --scheme
+BAD_SETTINGS = [(command, option, value, refusal) for commands, option, value, refusal
+                in BAD_VALUES for command in commands]
 
 
-@pytest.mark.parametrize("command, option, value, reason", BAD_SETTINGS,
+@pytest.mark.parametrize("command, option, value, refusal", BAD_SETTINGS,
                          ids=[f"{c}-{o}={v}" for c, o, v, _ in BAD_SETTINGS])
 @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
 def test_a_bad_format_or_scheme_is_one_line_before_any_input_is_read(
-        tmp_path, capsys, monkeypatch, command, option, value, reason, from_file):
-    """--format and --scheme refuse a bad value alike: exit 1 and one line
-    naming the value and the reason, and the --config file that set it."""
+        tmp_path, capsys, monkeypatch, command, option, value, refusal, from_file):
+    """Every checked option refuses a bad value alike, whether a flag or a
+    --config line set it: exit 1 and one line with the refusal, prefixed by
+    the --config file exactly when that set the value, before any input
+    (corpus, checkpoint, spec or word vectors) is read."""
     data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
     reads = []
     for module, name in ((corpus, "read_jsonl"), (corpus, "read_tsv"),
-                         (model, "load_checkpoint")):
+                         (model, "load_checkpoint"), (synth, "read_spec"),
+                         (text, "load_embeddings")):
         monkeypatch.setattr(module, name, lambda *a, **k: reads.append(a))
     inputs = {"stats": ["--data", data], "split": ["--data", data],
-              "train-eval": ["--train", data, "--dev", data, "--test", data],
+              "train-eval": ["--train", data, "--dev", data, "--test", data,
+                             "--embeddings", data],
               "audit-sample": ["--data", data, "--checkpoint", data]}[command]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{option} = {value}\n")
-    setting = ["--config", str(cfg)] if from_file else [f"--{option}", value]
+    cfg.write_text(f"{option.replace('_', '-')} = {value}\n")
+    setting = ["--config", str(cfg)] if from_file else [f"--{option.replace('_', '-')}", value]
     assert main([command, *inputs, *setting, "--out-dir", str(tmp_path / "out")]) == 1
     where = f"{cfg}: " if from_file else ""
-    assert one_error_line(capsys).startswith(f"error: {where}--{option} {value!r}: {reason}")
+    assert one_error_line(capsys) == f"error: {where}{refusal}"
     assert reads == []
 
 
@@ -443,12 +485,14 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_n_below_one_is_one_line_naming_the_flag(self, tmp_path, synth_spec_file,
-                                                     capsys, n):
+                                                     capsys, monkeypatch, n):
+        reads = []
+        monkeypatch.setattr(synth, "read_spec", lambda *a: reads.append(a))
         out = tmp_path / "o"
         rc = main(["synth", "--spec-file", synth_spec_file, "--n", n, "--out-dir", str(out)])
         assert rc == 1
         assert one_error_line(capsys) == f"error: --n {n} is below 1"
-        assert not out.exists()
+        assert not out.exists() and reads == []
 
     def test_a_corpus_too_large_for_memory_is_one_line(self, tmp_path, synth_spec_file,
                                                        capsys, monkeypatch):
@@ -791,6 +835,22 @@ class TestTrainEvalCommand:
         for name in ("train_log.csv", "model.ckpt", "report.md", "report.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_run_configuration_of_a_default_run(self, tmp_path, monkeypatch):
+        """report.md's run-configuration block of a run with every option at
+        its default, line for line, so that a key drifting in or out shows."""
+        synth_corpus_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train-eval", "--train", "train.jsonl", "--dev", "dev.jsonl",
+                     "--out-dir", "out"]) == 0
+        report = (tmp_path / "out" / "report.md").read_text()
+        block = report[report.index("## Run configuration\n\n"):].splitlines()[2:]
+        assert block == [f"    {line}" for line in [
+            "batch_size=64", "command=train-eval", "decay=0.99", "dev=dev.jsonl",
+            "divide_on_decline=5.0", "embedding_dim=50", "embeddings=None", "encoder=bag",
+            "finetune_embeddings=False", "format=native", "hidden_dim=64", "lr0=0.1",
+            "lr_floor=1e-05", "max_epochs=20", "mlp_hidden=64", "remap_ordinal=False",
+            "scheme=3way", "seed=0", "test=None", "train=train.jsonl"]]
+
     def test_config_file_presets_flags(self, tmp_path):
         paths = synth_corpus_files(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -1083,15 +1143,27 @@ class TestTrainEvalCommand:
 
     @pytest.mark.parametrize("flag, vectors", [
         ("--embedding-dim", False), ("--embedding-dim", True), ("--hidden-dim", False),
-        ("--mlp-hidden", False)])
+        ("--mlp-hidden", False), ("--hidden-dim", "config")])
     def test_a_dimension_numpy_refuses_is_one_line(self, tmp_path, capsys, flag, vectors):
         """numpy refuses a 10**30 dimension with a bare ValueError before it
-        allocates anything; the line names the dimension flags instead."""
+        allocates anything; the line names the dimension flags instead, and
+        the --config file when that set one of them (vectors "config": a
+        BiLSTM of default sizes whose hidden-dim comes from the file)."""
+        out = tmp_path / "out"
+        if vectors == "config":
+            paths = synth_corpus_files(tmp_path)
+            cfg = tmp_path / "dim.cfg"
+            cfg.write_text(f"hidden-dim = {10 ** 30}\nencoder = birnn-maxpool\n")
+            assert main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
+                         "--config", str(cfg), "--out-dir", str(out)]) == 1
+            dims = self.allocation_error(50, 10 ** 30, 64).removeprefix("error: ")
+            assert one_error_line(capsys).startswith(f"error: {cfg}: {dims}")
+            assert not out.exists()
+            return
         extra = [flag, str(10 ** 30), "--encoder", "birnn-maxpool"]
         if vectors:
             (tmp_path / "vecs.txt").write_text("give0 0.5 0.5\n")
             extra += ["--embeddings", str(tmp_path / "vecs.txt")]
-        out = tmp_path / "out"
         assert self.run_train(tmp_path, out, extra=extra) == 1
         dims = {"embedding_dim": 8, "hidden_dim": 64, "mlp_hidden": 16,
                 flag[2:].replace("-", "_"): 10 ** 30}

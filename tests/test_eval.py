@@ -208,6 +208,11 @@ class TestConfusionSample:
         b = confusion_sample(preds, gold, n_per_cell=10, seed=9)
         assert a == b
 
+    def test_n_per_cell_below_one_rejected(self):
+        with pytest.raises(corpus.ConfigError) as err:
+            confusion_sample([E], [E], n_per_cell=0, seed=0)
+        assert (str(err.value), err.value.options) == ("n_per_cell must be >= 1", ("n_per_cell",))
+
     def test_cells_partition_correctly(self):
         preds, gold = self.big_inputs()
         cells = confusion_sample(preds, gold, n_per_cell=25, seed=3)

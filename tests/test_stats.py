@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyponli import stats
-from hyponli.corpus import THREE_WAY, TWO_WAY
+from hyponli.corpus import THREE_WAY, TWO_WAY, ConfigError
 from hyponli.evaluate import build_report
 from hyponli.stats import coverage_count, coverage_curve, giveaway_words
 from hyponli.text import tokenize
@@ -185,6 +185,14 @@ class TestGiveawayWords:
         tokens = {e.token for entries in result.values() for e in entries}
         assert "rare" not in tokens
         assert "common" in tokens
+
+    @pytest.mark.parametrize("option, refusal", [
+        ({"min_freq": 0}, "min_freq must be >= 1"), ({"top_k": 0}, "top_k must be >= 1, got 0")])
+    def test_bad_option_rejected(self, option, refusal):
+        counts = count_corpus(make_corpus([("a", "neutral")]))
+        with pytest.raises(ConfigError) as err:
+            giveaway_words(counts, **option)
+        assert (str(err.value), err.value.options) == (refusal, tuple(option))
 
     def test_token_in_at_most_one_list(self):
         rng = np.random.default_rng(11)

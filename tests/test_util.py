@@ -113,3 +113,13 @@ def test_text_inputs_are_opened_and_parsed_only_in_util():
     # (bare open() calls, json.load/loads calls) of each other module
     assert {name: n for name, n in found.items() if n != (0, 0)} == {"model.py": (1, 0)}
     assert 'open(path, "rb")' in inspect.getsource(model.load_checkpoint)
+
+
+def test_options_use_only_the_public_argparse_api():
+    """The option table builds the parsers and reads --config files without
+    argparse internals: no module reads a parser's actions or names an
+    argparse attribute that starts with an underscore."""
+    found = {path.name: [name for name in ("._actions", "argparse._")
+                         if name in path.read_text(encoding="utf-8")]
+             for path in sorted(Path(hyponli.__file__).parent.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
