@@ -5,16 +5,16 @@ through fixed offsets (embeddings seed+1, model init seed+2, epoch shuffling
 seed+3); synth takes its seed from the spec file. Each input file is read
 once into a corpus.Corpus, and outputs are promoted atomically from temp files.
 
-Each option is one row of _OPTIONS, which builds the argparse subparsers,
-reads a key=value --config file and gives the "Run configuration" block. A
-flag wins over a --config line, which wins over the row's default
-(HYPONLI_OUT_DIR, read per run, for --out-dir). Before any input is read,
-checkpoint and spec included, a command resolves one frozen Run: --format to
-a reader and RoleMap, --scheme to a LabelScheme (audit-sample takes the
-checkpoint's), --ratios to numbers, the model and training options to a
-ModelConfig and a TrainConfig, and each other value through the library's
-own check. A refused value is one ConfigError line that names the option,
-and the --config file when that set it.
+Each option is one row of _OPTIONS, which builds the argparse subparsers, reads a
+key=value --config file and gives the "Run configuration" block. argparse only splits
+argv (switches, --help, unknown flags); the row's from_text turns a flag's or a --config
+line's text into its value. A flag wins over a --config line, which wins over the row's
+default (HYPONLI_OUT_DIR, read per run, for --out-dir); a row without one must be given.
+Before any input is read, checkpoint and spec included, a command resolves one frozen Run:
+--format to a reader and RoleMap, --scheme to a LabelScheme (audit-sample takes the
+checkpoint's), --ratios to numbers, the model and training options to a ModelConfig and a
+TrainConfig, and each other value through the library's own check. A refused value is one
+ConfigError line that names the option, and the --config file when that set it.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _resolve_out_dir(path):
 @dataclasses.dataclass(frozen=True)
 class _Option:
     """A row of the option table: type is bool for a switch, a value below low is refused,
-    resolve checks a value or turns it into what the command uses, flags go to argparse."""
+    resolve checks a value or turns it into what the command uses."""
 
     dest: str
     commands: str
@@ -94,50 +94,48 @@ class _Option:
     help: str | None = None
     resolve: object = None
     low: int | None = None
-    flags: dict = dataclasses.field(default_factory=dict)
+    metavar: str | None = None
     SWITCH = {"1": True, "0": False, "true": True, "false": False,
               "yes": True, "no": False, "on": True, "off": False}
 
-    def from_text(self, text: str, path):
-        """A --config line's value; ConfigError naming the file if it is not one."""
-        choices = self.SWITCH if self.type is bool else self.flags.get("choices")
+    def from_text(self, text: str, where: str = ""):
+        """A flag's or --config line's text as a value, else a ConfigError prefixed by where."""
+        switch = self.type is bool
         try:
-            value = text.lower() if self.type is bool else self.type(text)
-        except ValueError:
-            raise corpus.ConfigError(f"{path}: {self.dest}={text!r} is not "
-                                     f"of type {self.type.__name__}") from None
-        if choices is not None and value not in choices:
-            raise corpus.ConfigError(f"{path}: {self.dest}={value!r} is not one of "
-                                     f"{', '.join(map(str, choices))}")
-        return self.SWITCH[value] if self.type is bool else value
+            return self.SWITCH[text.lower()] if switch else self.type(text)
+        except (KeyError, ValueError):
+            refusal = (f"{text.lower()!r} is not one of {', '.join(self.SWITCH)}" if switch
+                       else f"{text!r} is not of type {self.type.__name__}")
+            raise corpus.ConfigError(f"{where}{self.dest}={refusal}", self.dest) from None
 
 
 _CORPUS = "stats train-eval audit-sample split"  # the subcommands that read a corpus
 _ALL = _CORPUS + " synth"
-_PATH, _GIVEN = {"metavar": "PATH"}, {"metavar": "PATH", "required": True}
+_REQUIRED = object()  # the default of an option that a flag or a --config line must give
 # one row per option, in the order of each subcommand's options
 _OPTIONS = (
-    _Option("data", "stats audit-sample split", help="data corpus file", flags=_GIVEN),
-    _Option("train", "train-eval", help="train corpus file", flags=_GIVEN),
-    _Option("dev", "train-eval", help="dev corpus file", flags=_GIVEN),
+    _Option("data", "stats audit-sample split", _REQUIRED, help="data corpus file", metavar="PATH"),
+    _Option("train", "train-eval", _REQUIRED, help="train corpus file", metavar="PATH"),
+    _Option("dev", "train-eval", _REQUIRED, help="dev corpus file", metavar="PATH"),
     _Option("format", _CORPUS, "native", resolve=_resolve_format, help="native or snli "
             "(JSONL); tsv (premise=0,hypothesis=1,label=2) or role=column pairs (TSV)"),
     _Option("scheme", "stats train-eval split", "3way", resolve=_resolve_scheme,
             help="3way, 2way or 2-3 comma-separated label names"),
     _Option("remap_ordinal", _CORPUS, False, bool, "map 1-5 ordinal ratings onto the 3-way labels"),
-    _Option("test", "train-eval", help="optional test corpus file", flags=_PATH),
+    _Option("test", "train-eval", help="optional test corpus file", metavar="PATH"),
     _Option("seed", _CORPUS, 0, int, "global seed", low=0),
     _Option("out_dir", _ALL, None, str, "output directory (env HYPONLI_OUT_DIR)", _resolve_out_dir),
-    _Option("config", _ALL, help="key=value file presetting flags of this subcommand", flags=_PATH),
+    _Option("config", _ALL, help="key=value file presetting flags of this subcommand",
+            metavar="PATH"),
     _Option("split_name", "stats", "dev", help="label for the digest"),
     _Option("min_freq", "stats", 5, int, "candidate frequency floor", stats.check_min_freq),
     _Option("top_k", "stats", 10, int, "list length per label", stats.check_top_k),
     _Option("grid_step", "stats", 0.01, float, "coverage grid step", stats.check_grid_step),
     _Option("per_label_threshold", "stats", False, bool,
             "threshold p(label|w) instead of max over labels"),
-    _Option("encoder", "train-eval", "bag", flags={"choices": model.ENCODER_KINDS}),
+    _Option("encoder", "train-eval", "bag", help="bag or birnn-maxpool"),
     _Option("embeddings", "train-eval", help="word-vector text file (default: seeded random "
-            "vectors)", flags=_PATH),
+            "vectors)", metavar="PATH"),
     # ModelConfig and TrainConfig check these
     _Option("embedding_dim", "train-eval", 50, int),
     _Option("hidden_dim", "train-eval", 64, int),
@@ -149,9 +147,9 @@ _OPTIONS = (
     _Option("lr_floor", "train-eval", 1e-5, float),
     _Option("max_epochs", "train-eval", 20, int),
     _Option("batch_size", "train-eval", 64, int),
-    _Option("spec_file", "synth", help="JSON generator spec", flags=_GIVEN),
-    _Option("n", "synth", None, int, "number of instances", low=1, flags={"required": True}),
-    _Option("checkpoint", "audit-sample", flags=_GIVEN),
+    _Option("spec_file", "synth", _REQUIRED, help="JSON generator spec", metavar="PATH"),
+    _Option("n", "synth", _REQUIRED, int, "number of instances", low=1),
+    _Option("checkpoint", "audit-sample", _REQUIRED, metavar="PATH"),
     _Option("n_per_cell", "audit-sample", 50, int, resolve=evaluate.check_n_per_cell),
     _Option("ratios", "split", "0.8,0.1,0.1", str, "train,dev,test ratios", _resolve_ratios),
 )
@@ -169,13 +167,15 @@ class Run:
 
 
 def _resolve(command: str, given: dict) -> Run:
-    """The command's Run: each value given, else its default, checked in table order."""
+    """The command's Run: each value given, else its default, converted and checked in order."""
     values, run = {"command": command}, {}
     for option in (option for option in _OPTIONS if command in option.commands.split()):
-        value = values[option.dest] = given.get(option.dest, option.default)
+        value = given.get(option.dest, option.default)
+        if value is _REQUIRED:
+            raise corpus.ConfigError(f"--{option.dest.replace('_', '-')} is required", option.dest)
+        value = values[option.dest] = option.from_text(value) if isinstance(value, str) else value
         if option.low is not None and value < option.low:
-            raise corpus.ConfigError(f"--{option.dest} {value} is below {option.low}",
-                                     option.dest)
+            raise corpus.ConfigError(f"--{option.dest} {value} is below {option.low}", option.dest)
         run[option.dest] = option.resolve(value) if option.resolve else value
     if command == "train-eval":
         run["model_config"] = model.ModelConfig(
@@ -192,7 +192,7 @@ def _resolve(command: str, given: dict) -> Run:
 
 
 def _read_config(path, command: str) -> dict:
-    """{dest: value} of the key=value lines of a --config file for command."""
+    """{dest: value} of the key=value lines of a --config file for command, each converted."""
     options = {o.dest: o for o in _OPTIONS if command in o.commands.split() and o.dest != "config"}
     values = {}
     for _, line in numbered_lines(path):
@@ -202,7 +202,7 @@ def _read_config(path, command: str) -> dict:
             key = key.replace("-", "_")
             if key not in options:
                 raise corpus.ConfigError(f"{path}: unknown option {key!r}")
-            values[key] = options[key].from_text(value, path)
+            values[key] = options[key].from_text(value, f"{path}: ")
     return values
 
 
@@ -378,11 +378,10 @@ def build_parser():
     for name, (_, help_text) in _COMMANDS.items():
         subparsers.add_parser(name, help=help_text)
     for option in _OPTIONS:
-        kind = {"action": "store_true"} if option.type is bool else {"type": option.type}
+        kind = {"action": "store_true"} if option.type is bool else {"metavar": option.metavar}
         for name in option.commands.split():  # SUPPRESS: args hold only the flags given
             subparsers.choices[name].add_argument(f"--{option.dest.replace('_', '-')}", **kind,
-                                                  default=argparse.SUPPRESS, help=option.help,
-                                                  **option.flags)
+                                                  default=argparse.SUPPRESS, help=option.help)
     return parser, subparsers.choices
 
 

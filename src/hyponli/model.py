@@ -93,7 +93,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.encoder_kind not in ENCODER_KINDS:
-            raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
+            raise ConfigError(f"encoder={self.encoder_kind!r} is not one of "
+                              f"{', '.join(ENCODER_KINDS)}", "encoder")
         dims = (self.embedding_dim, self.hidden_dim, self.mlp_hidden)
         # bool is a subclass of int, so True would pass for the integer 1
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)

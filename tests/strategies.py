@@ -5,9 +5,10 @@ differently.
 jsonl_lines and tsv_lines each draw the lines of one corpus file: valid
 JSONL records and TSV rows with up to two fields dropped or replaced, and
 now and then a blank or malformed line. specs draws a synth spec object,
-config_lines the lines of a stats --config file, vector_lines the lines
-of a word-vector file, and checkpoint_damage an edit of a checkpoint's
-header and its array bytes.
+config_lines the lines of a stats --config file, stats_flag_values the
+same values given as stats flags, vector_lines the lines of a word-vector
+file, and checkpoint_damage an edit of a checkpoint's header and its array
+bytes.
 """
 
 import json
@@ -114,6 +115,12 @@ config_lines = st.lists(
     st.one_of(st.tuples(st.sampled_from(CONFIG_KEYS), config_values).map(
                   lambda pair: f"{pair[0]} = {pair[1]}"),
               st.sampled_from(["", "# a comment", "top-k", "=", "scheme"])),
+    max_size=4)
+# the same values given to stats' value flags, other than its input, output
+# and config paths, as (flag, value) argv pairs
+stats_flag_values = st.lists(
+    st.tuples(st.sampled_from(["--format", "--scheme", "--seed", "--split-name", "--min-freq",
+                               "--top-k", "--grid-step"]), config_values),
     max_size=4)
 
 # the lines of a 4-dimensional vector file over the words a, b and c; a

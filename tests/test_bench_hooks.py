@@ -59,7 +59,8 @@ def test_only_the_known_stale_layers_do_not_resolve(layers):
 
 def test_every_benchmark_command_line_parses(monkeypatch):
     """Bench.argv, run on each workload of bench/run.py's WORKLOADS with
-    stand-in input paths, gives a command line cli's parser accepts."""
+    stand-in input paths, gives a command line cli's parser accepts and
+    its option table resolves: every value converts and passes its check."""
     monkeypatch.syspath_prepend(BENCH)  # run.py imports its sibling modules by name
     spec = importlib.util.spec_from_file_location("bench_run", os.path.join(BENCH, "run.py"))
     run = importlib.util.module_from_spec(spec)
@@ -69,8 +70,11 @@ def test_every_benchmark_command_line_parses(monkeypatch):
     for name, workload in run.WORKLOADS.items():
         bench = types.SimpleNamespace(spec=workload, seed=7,
                                       paths={split: f"{split}.jsonl" for split in workload.sizes})
-        args = parser.parse_args(run.Bench.argv(bench, "out"))
-        assert (args.command, args.seed, args.out_dir) == (workload.command, 7, "out"), name
+        given = vars(parser.parse_args(run.Bench.argv(bench, "out")))
+        command = given.pop("command")
+        resolved = cli._resolve(command, given)
+        assert (command, resolved.seed, resolved.out_dir) == (workload.command, 7, "out"), name
+        assert type(resolved.seed) is int, name
 
 
 def write_records(path, labels):

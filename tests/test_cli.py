@@ -19,7 +19,7 @@ from hyponli.model import load_checkpoint, predict_batch, save_checkpoint
 from helpers import make_corpus
 from strategies import (
     CHECKPOINT_FIELDS, DROP, TSV_COLUMNS, checkpoint_damage, config_lines, jsonl_lines, specs,
-    tsv_lines, vector_lines,
+    stats_flag_values, tsv_lines, vector_lines,
 )
 
 
@@ -120,6 +120,24 @@ BAD_VALUES = [
     (TRAIN_EVAL, "lr_floor", "0", "lr_floor must be positive and finite, got 0.0"),
     (TRAIN_EVAL, "max_epochs", "0", "max_epochs must be >= 1"),
     (TRAIN_EVAL, "batch_size", "0", "batch_size must be >= 1"),
+    # text that is no value of the option: refused alike as a flag and as a
+    # --config line, where argparse once refused the flag with a usage block
+    (READERS, "seed", "x", "seed='x' is not of type int"),
+    (("stats",), "min_freq", "1.5", "min_freq='1.5' is not of type int"),
+    (("stats",), "top_k", "x", "top_k='x' is not of type int"),
+    (("stats",), "grid_step", "x", "grid_step='x' is not of type float"),
+    (("audit-sample",), "n_per_cell", "", "n_per_cell='' is not of type int"),
+    (TRAIN_EVAL, "embedding_dim", "5e1", "embedding_dim='5e1' is not of type int"),
+    (TRAIN_EVAL, "hidden_dim", "x", "hidden_dim='x' is not of type int"),
+    (TRAIN_EVAL, "mlp_hidden", "0x40", "mlp_hidden='0x40' is not of type int"),
+    (TRAIN_EVAL, "max_epochs", "abc", "max_epochs='abc' is not of type int"),
+    (TRAIN_EVAL, "batch_size", "6 4", "batch_size='6 4' is not of type int"),
+    (("synth",), "n", "ten", "n='ten' is not of type int"),
+    (TRAIN_EVAL, "lr0", "x", "lr0='x' is not of type float"),
+    (TRAIN_EVAL, "decay", "1,0", "decay='1,0' is not of type float"),
+    (TRAIN_EVAL, "divide_on_decline", "five", "divide_on_decline='five' is not of type float"),
+    (TRAIN_EVAL, "lr_floor", "1e", "lr_floor='1e' is not of type float"),
+    (TRAIN_EVAL, "encoder", "lstm", "encoder='lstm' is not one of bag, birnn-maxpool"),
 ]
 BAD_SETTINGS = [(command, option, value, refusal) for commands, option, value, refusal
                 in BAD_VALUES for command in commands]
@@ -133,7 +151,8 @@ def test_a_bad_format_or_scheme_is_one_line_before_any_input_is_read(
     """Every checked option refuses a bad value alike, whether a flag or a
     --config line set it: exit 1 and one line with the refusal, prefixed by
     the --config file exactly when that set the value, before any input
-    (corpus, checkpoint, spec or word vectors) is read."""
+    (corpus, checkpoint, spec or word vectors) is read. A value the option's
+    type cannot take is one such refusal too."""
     data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
     reads = []
     for module, name in ((corpus, "read_jsonl"), (corpus, "read_tsv"),
@@ -143,7 +162,8 @@ def test_a_bad_format_or_scheme_is_one_line_before_any_input_is_read(
     inputs = {"stats": ["--data", data], "split": ["--data", data],
               "train-eval": ["--train", data, "--dev", data, "--test", data,
                              "--embeddings", data],
-              "audit-sample": ["--data", data, "--checkpoint", data]}[command]
+              "audit-sample": ["--data", data, "--checkpoint", data],
+              "synth": ["--spec-file", data]}[command]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{option.replace('_', '-')} = {value}\n")
     setting = ["--config", str(cfg)] if from_file else [f"--{option.replace('_', '-')}", value]
@@ -170,6 +190,52 @@ def test_a_negative_seed_is_one_line_naming_it(tmp_path, capsys, monkeypatch, co
     where = f"{cfg}: " if from_file else ""
     assert one_error_line(capsys) == f"error: {where}--seed {seed} is below 0"
     assert reads == []
+
+
+# each option that has no default, by the subcommands that require it
+REQUIRED = {"stats": ("data",), "split": ("data",), "audit-sample": ("data", "checkpoint"),
+            "train-eval": ("train", "dev"), "synth": ("spec_file", "n")}
+MISSING = [(command, option) for command, options in REQUIRED.items() for option in options]
+
+
+def as_flag(option):
+    return f"--{option.replace('_', '-')}"
+
+
+@pytest.mark.parametrize("command, missing", MISSING, ids=[f"{c}-{o}" for c, o in MISSING])
+@pytest.mark.parametrize("from_file", [False, True], ids=["flags", "config"])
+def test_a_required_option_given_neither_way_is_one_line(tmp_path, capsys, monkeypatch,
+                                                         command, missing, from_file):
+    """A required option that neither a flag nor a --config line gives is
+    one line naming its flag, whichever way the others came, before any
+    input is read or the output directory is made."""
+    data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
+    reads = []
+    for module, name in ((corpus, "read_jsonl"), (corpus, "read_tsv"),
+                         (model, "load_checkpoint"), (synth, "read_spec")):
+        monkeypatch.setattr(module, name, lambda *a, **k: reads.append(a))
+    given = {option: "5" if option == "n" else data
+             for option in REQUIRED[command] if option != missing}
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in given.items()))
+    setting = (["--config", str(cfg)] if from_file else
+               [arg for key, value in given.items() for arg in (as_flag(key), value)])
+    assert main([command, *setting, "--out-dir", str(out)]) == 1
+    assert one_error_line(capsys) == f"error: {as_flag(missing)} is required"
+    assert reads == [] and not out.exists()
+
+
+def test_a_config_file_may_give_a_required_option(tmp_path, monkeypatch):
+    """A --config line gives --data as it gives any option, and a flag wins
+    over it."""
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path / "a.jsonl", make_corpus([("a b", "neutral")] * 3))
+    write_corpus(tmp_path / "b.jsonl", make_corpus([("a b", "neutral")] * 5))
+    (tmp_path / "c.cfg").write_text("data = b.jsonl\n")
+    for flags, name, n in (([], "b.jsonl", 5), (["--data", "a.jsonl"], "a.jsonl", 3)):
+        assert main(["stats", "--config", "c.cfg", *flags, "--out-dir", f"out-{name}"]) == 0
+        digest = (tmp_path / f"out-{name}" / "stats_digest.md").read_text().splitlines()
+        assert f"    data={name}" in digest and f"- sentences: {n} (skipped at ingest: 0)" in digest
 
 
 NESTED = b"[" * 100_000 + b"]" * 100_000
@@ -264,6 +330,17 @@ def test_a_mutated_config_is_read_or_one_line_naming_it(tmp_path_factory, lines)
     assert_read_or_one_line(["stats", "--data", data, "--config", str(cfg),
                              "--out-dir", str(work / "out")],
                             f"error: {cfg}:", f"error: {data}:")
+
+
+@given(flags=stats_flag_values)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_a_mutated_flag_is_read_or_one_line(tmp_path_factory, flags):
+    """The values of the mutated-config test, given as stats' own flags:
+    cli.main returns 0, or 1 with one error line and no usage block."""
+    work = tmp_path_factory.mktemp("flags")
+    data = small_corpus(work / "d.jsonl")
+    assert_read_or_one_line(["stats", "--data", data, *(arg for flag in flags for arg in flag),
+                             "--out-dir", str(work / "out")], "error: ")
 
 
 @given(lines=vector_lines)

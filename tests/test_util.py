@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyponli
-from hyponli import model
+from hyponli import cli, model
 from hyponli.util import (
     IngestError, atomic_open, atomic_write_text, config_block, csv_text, markdown_table,
     numbered_lines, parse_json,
@@ -123,3 +123,13 @@ def test_options_use_only_the_public_argparse_api():
                          if name in path.read_text(encoding="utf-8")]
              for path in sorted(Path(hyponli.__file__).parent.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_argparse_only_splits_argv():
+    """No option hands argparse a type, choices or requiredness: a flag's
+    text reaches the option table as a --config line's does, and the table
+    converts, checks and requires every value."""
+    _, subcommands = cli.build_parser()
+    handed = [(name, action.dest) for name, sub in subcommands.items() for action in sub._actions
+              if (action.type, action.choices, action.required) != (None, None, False)]
+    assert handed == []
