@@ -5,16 +5,17 @@ through fixed offsets (embeddings seed+1, model init seed+2, epoch shuffling
 seed+3); synth takes its seed from the spec file. Each input file is read
 once into a corpus.Corpus, and outputs are promoted atomically from temp files.
 
-Each option is one row of _OPTIONS, which builds the argparse subparsers, reads a
-key=value --config file and gives the "Run configuration" block. argparse only splits
-argv (switches, --help, unknown flags); the row's from_text turns a flag's or a --config
-line's text into its value. A flag wins over a --config line, which wins over the row's
-default (HYPONLI_OUT_DIR, read per run, for --out-dir); a row without one must be given.
-Before any input is read, checkpoint and spec included, a command resolves one frozen Run:
---format to a reader and RoleMap, --scheme to a LabelScheme (audit-sample takes the
-checkpoint's), --ratios to numbers, the model and training options to a ModelConfig and a
-TrainConfig, and each other value through the library's own check. A refused value is one
-ConfigError line that names the option, and the --config file when that set it.
+Each option is one row of _OPTIONS, which builds the argparse subparsers, reads a key=value
+--config file and gives the "Run configuration" block; the model and schedule options are the
+fields of model.ModelConfig and train.TrainConfig, defaults and types included. argparse only
+splits argv (switches, --help, unknown flags); the row's from_text turns a flag's or a
+--config line's text into its value, and a path option refuses empty text. A flag wins over a
+--config line, which wins over the row's default (a non-empty HYPONLI_OUT_DIR, read per run,
+for --out-dir); a row without one must be given. Before any input is read, checkpoint and spec
+included, a command resolves one frozen Run: --format to a reader and RoleMap, --scheme to a
+LabelScheme (audit-sample takes the checkpoint's), --ratios to numbers, the model and schedule
+options to their two configs, and each other value through the library's own check. A refused
+value is one ConfigError line that names the option, and the --config file when that set it.
 """
 
 from __future__ import annotations
@@ -71,9 +72,11 @@ def _resolve_ratios(value: str) -> tuple:
 
 
 def _resolve_out_dir(path):
-    """path (by default HYPONLI_OUT_DIR or ".") if its nearest existing ancestor, itself
-    included, is a directory; nothing is created, so a failed run leaves no directory."""
-    path = os.environ.get("HYPONLI_OUT_DIR", ".") if path is None else path
+    """path (by default a non-empty HYPONLI_OUT_DIR, else ".") if its nearest existing ancestor,
+    itself included, is a directory; nothing is created, so a failed run leaves no directory."""
+    path = (os.environ.get("HYPONLI_OUT_DIR") or ".") if path is None else path
+    if not path:
+        raise corpus.ConfigError("--out-dir '' names no directory", "out_dir")
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -82,19 +85,25 @@ def _resolve_out_dir(path):
     return path
 
 
+def path(text: str) -> str:
+    """The type of a file option: any text but the empty one, which names no file."""
+    if not text:
+        raise ValueError("an empty path")
+    return text
+
+
 @dataclasses.dataclass(frozen=True)
 class _Option:
-    """A row of the option table: type is bool for a switch, a value below low is refused,
-    resolve checks a value or turns it into what the command uses."""
+    """A row of the option table: type turns text into the value (bool: a switch, path: a
+    file), a value below low is refused, resolve checks it or makes what the command uses."""
 
     dest: str
     commands: str
     default: object = None
-    type: type = str
+    type: object = str
     help: str | None = None
     resolve: object = None
     low: int | None = None
-    metavar: str | None = None
     SWITCH = {"1": True, "0": False, "true": True, "false": False,
               "yes": True, "no": False, "on": True, "off": False}
 
@@ -114,19 +123,18 @@ _ALL = _CORPUS + " synth"
 _REQUIRED = object()  # the default of an option that a flag or a --config line must give
 # one row per option, in the order of each subcommand's options
 _OPTIONS = (
-    _Option("data", "stats audit-sample split", _REQUIRED, help="data corpus file", metavar="PATH"),
-    _Option("train", "train-eval", _REQUIRED, help="train corpus file", metavar="PATH"),
-    _Option("dev", "train-eval", _REQUIRED, help="dev corpus file", metavar="PATH"),
+    _Option("data", "stats audit-sample split", _REQUIRED, path, "data corpus file"),
+    _Option("train", "train-eval", _REQUIRED, path, "train corpus file"),
+    _Option("dev", "train-eval", _REQUIRED, path, "dev corpus file"),
     _Option("format", _CORPUS, "native", resolve=_resolve_format, help="native or snli "
             "(JSONL); tsv (premise=0,hypothesis=1,label=2) or role=column pairs (TSV)"),
     _Option("scheme", "stats train-eval split", "3way", resolve=_resolve_scheme,
             help="3way, 2way or 2-3 comma-separated label names"),
     _Option("remap_ordinal", _CORPUS, False, bool, "map 1-5 ordinal ratings onto the 3-way labels"),
-    _Option("test", "train-eval", help="optional test corpus file", metavar="PATH"),
+    _Option("test", "train-eval", None, path, "optional test corpus file"),
     _Option("seed", _CORPUS, 0, int, "global seed", low=0),
     _Option("out_dir", _ALL, None, str, "output directory (env HYPONLI_OUT_DIR)", _resolve_out_dir),
-    _Option("config", _ALL, help="key=value file presetting flags of this subcommand",
-            metavar="PATH"),
+    _Option("config", _ALL, None, path, "key=value file presetting flags of this subcommand"),
     _Option("split_name", "stats", "dev", help="label for the digest"),
     _Option("min_freq", "stats", 5, int, "candidate frequency floor", stats.check_min_freq),
     _Option("top_k", "stats", 10, int, "list length per label", stats.check_top_k),
@@ -134,22 +142,15 @@ _OPTIONS = (
     _Option("per_label_threshold", "stats", False, bool,
             "threshold p(label|w) instead of max over labels"),
     _Option("encoder", "train-eval", "bag", help="bag or birnn-maxpool"),
-    _Option("embeddings", "train-eval", help="word-vector text file (default: seeded random "
-            "vectors)", metavar="PATH"),
-    # ModelConfig and TrainConfig check these
-    _Option("embedding_dim", "train-eval", 50, int),
-    _Option("hidden_dim", "train-eval", 64, int),
-    _Option("mlp_hidden", "train-eval", 64, int),
-    _Option("finetune_embeddings", "train-eval", False, bool),
-    _Option("lr0", "train-eval", 0.1, float),
-    _Option("decay", "train-eval", 0.99, float),
-    _Option("divide_on_decline", "train-eval", 5.0, float),
-    _Option("lr_floor", "train-eval", 1e-5, float),
-    _Option("max_epochs", "train-eval", 20, int),
-    _Option("batch_size", "train-eval", 64, int),
-    _Option("spec_file", "synth", _REQUIRED, help="JSON generator spec", metavar="PATH"),
+    _Option("embeddings", "train-eval", None, path,
+            "word-vector text file (default: seeded random vectors)"),
+    # the configs' fields, but those that --encoder and --seed set; __post_init__ checks them
+    *(_Option(f.name, "train-eval", f.default, type(f.default))
+      for config in (model.ModelConfig, train.TrainConfig) for f in dataclasses.fields(config)
+      if f.name not in ("encoder_kind", "seed")),
+    _Option("spec_file", "synth", _REQUIRED, path, "JSON generator spec"),
     _Option("n", "synth", _REQUIRED, int, "number of instances", low=1),
-    _Option("checkpoint", "audit-sample", _REQUIRED, metavar="PATH"),
+    _Option("checkpoint", "audit-sample", _REQUIRED, path),
     _Option("n_per_cell", "audit-sample", 50, int, resolve=evaluate.check_n_per_cell),
     _Option("ratios", "split", "0.8,0.1,0.1", str, "train,dev,test ratios", _resolve_ratios),
 )
@@ -178,23 +179,22 @@ def _resolve(command: str, given: dict) -> Run:
             raise corpus.ConfigError(f"--{option.dest} {value} is below {option.low}", option.dest)
         run[option.dest] = option.resolve(value) if option.resolve else value
     if command == "train-eval":
-        run["model_config"] = model.ModelConfig(
-            encoder_kind=run["encoder"], embedding_dim=run["embedding_dim"],
-            hidden_dim=run["hidden_dim"], mlp_hidden=run["mlp_hidden"], seed=run["seed"] + 2,
-            finetune_embeddings=run["finetune_embeddings"])
-        run["train_config"] = train.TrainConfig(
-            lr0=run["lr0"], decay=run["decay"], divide_on_decline=run["divide_on_decline"],
-            lr_floor=run["lr_floor"], max_epochs=run["max_epochs"],
-            batch_size=run["batch_size"], seed=run["seed"] + 3)
+        def config(cls, **fixed):  # every other field is the option of its name
+            return cls(**fixed, **{f.name: run[f.name] for f in dataclasses.fields(cls)
+                                   if f.name not in fixed})
+        run["model_config"] = config(model.ModelConfig, encoder_kind=run["encoder"],
+                                     seed=run["seed"] + 2)
+        run["train_config"] = config(train.TrainConfig, seed=run["seed"] + 3)
     # out_dir left out, so that artifacts do not depend on where they are written
     lines = [f"{k}={v}" for k, v in sorted(values.items()) if k not in ("config", "out_dir")]
     return Run(lines=lines, **run)
 
 
-def _read_config(path, command: str) -> dict:
-    """{dest: value} of the key=value lines of a --config file for command, each converted."""
-    options = {o.dest: o for o in _OPTIONS if command in o.commands.split() and o.dest != "config"}
-    values = {}
+def _read_config(text: str, command: str) -> dict:
+    """{dest: value} of the key=value lines of the --config file for command, each converted;
+    its path converts first, so an empty --config is refused, not skipped."""
+    options = {o.dest: o for o in _OPTIONS if command in o.commands.split()}
+    path, values = options.pop("config").from_text(text), {}
     for _, line in numbered_lines(path):
         line = line.strip()
         if line and not line.startswith("#"):
@@ -241,7 +241,7 @@ def cmd_stats(run: Run) -> int:
     for label in labels:
         digest += ["", f"## Top give-away words: {scheme.names[label]}", ""]
         digest += markdown_table(["Word", "Score", "Freq"],
-                                 ([entry.token, f"{entry.score:.2f}", entry.frequency]
+                                 ([entry.token, evaluate.fmt2(entry.score), entry.frequency]
                                   for entry in giveaways[label]))
     digest += ["", "## Coverage at selected thresholds", ""]
     thresholds = (0.5, 0.75, 1.0)
@@ -333,7 +333,7 @@ def cmd_synth(run: Run) -> int:
     meta = {"spec": dataclasses.asdict(spec), "n": run.n, "bayes_accuracy": bayes}
     atomic_write_text(os.path.join(out, "corpus.meta.json"),
                       json.dumps(meta, indent=2) + "\n")
-    print(f"synth: {run.n} instances, bayes accuracy {bayes:.2f} -> {out}")
+    print(f"synth: {run.n} instances, bayes accuracy {evaluate.fmt2(bayes)} -> {out}")
     return 0
 
 
@@ -378,7 +378,7 @@ def build_parser():
     for name, (_, help_text) in _COMMANDS.items():
         subparsers.add_parser(name, help=help_text)
     for option in _OPTIONS:
-        kind = {"action": "store_true"} if option.type is bool else {"metavar": option.metavar}
+        kind = {bool: {"action": "store_true"}, path: {"metavar": "PATH"}}.get(option.type, {})
         for name in option.commands.split():  # SUPPRESS: args hold only the flags given
             subparsers.choices[name].add_argument(f"--{option.dest.replace('_', '-')}", **kind,
                                                   default=argparse.SUPPRESS, help=option.help)
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     given = vars(parser.parse_args(argv))
     command, path, from_file = given.pop("command"), given.get("config"), {}
     try:
-        from_file = _read_config(path, command) if path else {}
+        from_file = _read_config(path, command) if path is not None else {}
         return _COMMANDS[command][0](_resolve(command, {**from_file, **given}))
     except (ValueError, OSError) as exc:  # ingest, config and embedding errors included
         # a refused value that the config file set, and no flag replaced, is the file's error

@@ -82,10 +82,11 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """The encoder and its sizes; the label count is that of the model's scheme."""
+    """The encoder and its sizes; the label count is that of the model's scheme. The defaults
+    are train-eval's: each field but encoder_kind and seed is the option of its name."""
 
     encoder_kind: str
-    embedding_dim: int
+    embedding_dim: int = 50
     hidden_dim: int = 64
     mlp_hidden: int = 64
     seed: int = 0

@@ -35,6 +35,9 @@ from .util import csv_text
 
 @dataclass
 class TrainConfig:
+    """fit's schedule, as the module docstring describes it. The defaults, InferSent's (Conneau
+    et al. 2017), are train-eval's: each field but seed is the option of its name."""
+
     lr0: float = 0.1
     decay: float = 0.99
     divide_on_decline: float = 5.0

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -36,6 +37,10 @@ def one_error_line(capsys) -> str:
 def write_corpus(path, data, scheme=corpus.THREE_WAY):
     corpus.write_jsonl(data, path, scheme)
     return str(path)
+
+
+def as_flag(option):
+    return f"--{option.replace('_', '-')}"
 
 
 @pytest.mark.parametrize("command", ["stats", "train-eval"])
@@ -92,32 +97,70 @@ def test_each_subcommand_has_exactly_these_options():
 
 FORMAT_REFUSAL = ("is not native, snli, tsv or role=column, with each role among premise, "
                   "hypothesis, label, group, ordinal, id once and a non-negative integer column")
+SCHEME_REFUSAL = "schemes are 3way, 2way or 2-3 distinct label names; labels"
+RATIOS_REFUSAL = "are not three non-negative train, dev and test shares that sum to 1"
+SWITCH_REFUSAL = "is not one of 1, 0, true, false, yes, no, on, off"
 READERS = ("stats", "train-eval", "split", "audit-sample")
+ALL = (*READERS, "synth")
 TRAIN_EVAL = ("train-eval",)
-# one refused value of each checked option: the subcommands that take it,
-# the option, the value and the refusal
+# one row per refused value: the subcommands that take the option, the
+# option, the value and the whole refusal
 BAD_VALUES = [
     (READERS, "format", "xml", f"--format 'xml': 'xml' {FORMAT_REFUSAL}"),
     (READERS, "format", "premise=0,hypothesis=one",
      f"--format 'premise=0,hypothesis=one': 'hypothesis=one' {FORMAT_REFUSAL}"),
+    (("stats",), "format", "premise=x", f"--format 'premise=x': 'premise=x' {FORMAT_REFUSAL}"),
+    (("stats",), "format", "premise=0,hyp=1,label=2",
+     f"--format 'premise=0,hyp=1,label=2': 'hyp=1' {FORMAT_REFUSAL}"),
+    (("stats",), "format", "premise=0,hypothesis=-1,label=2",
+     f"--format 'premise=0,hypothesis=-1,label=2': 'hypothesis=-1' {FORMAT_REFUSAL}"),
+    (("stats",), "format", "premise=0,hypothesis=1,label=",
+     f"--format 'premise=0,hypothesis=1,label=': 'label=' {FORMAT_REFUSAL}"),
+    (("stats",), "format", "premise=0,hypothesis=1,label=2,label=3",
+     f"--format 'premise=0,hypothesis=1,label=2,label=3': 'label=3' {FORMAT_REFUSAL}"),
     (("stats", "train-eval", "split"), "scheme", "a,a",
-     "--scheme 'a,a': schemes are 3way, 2way or 2-3 distinct label names; "
-     "labels ['a', 'a'] repeat 'a'"),
+     f"--scheme 'a,a': {SCHEME_REFUSAL} ['a', 'a'] repeat 'a'"),
+    (("stats",), "scheme", "4way",
+     f"--scheme '4way': {SCHEME_REFUSAL} ['4way'] are not 2 or 3 names"),
+    (("stats",), "scheme", "a", f"--scheme 'a': {SCHEME_REFUSAL} ['a'] are not 2 or 3 names"),
+    (("stats",), "scheme", "a,b,c,d",
+     f"--scheme 'a,b,c,d': {SCHEME_REFUSAL} ['a', 'b', 'c', 'd'] are not 2 or 3 names"),
+    (("stats",), "scheme", ",", f"--scheme ',': {SCHEME_REFUSAL} [] are not 2 or 3 names"),
     (("stats",), "min_freq", "0", "min_freq must be >= 1"),
+    (("stats",), "min_freq", "-1", "min_freq must be >= 1"),
     (("stats",), "top_k", "0", "top_k must be >= 1, got 0"),
+    (("stats",), "top_k", "-1", "top_k must be >= 1, got -1"),
+    # steps below 0.0001, the resolution of coverage.csv's x column, are
+    # refused before a grid of 1/step points is built
     (("stats",), "grid_step", "0", "grid_step must lie in [0.0001, 0.5], got 0.0"),
+    (("stats",), "grid_step", "0.6", "grid_step must lie in [0.0001, 0.5], got 0.6"),
+    (("stats",), "grid_step", "nan", "grid_step must lie in [0.0001, 0.5], got nan"),
+    (("stats",), "grid_step", "1e-7", "grid_step must lie in [0.0001, 0.5], got 1e-07"),
     (("audit-sample",), "n_per_cell", "0", "n_per_cell must be >= 1"),
-    (("split",), "ratios", "0.5,0.5",
-     "ratios (0.5, 0.5) are not three non-negative train, dev and test shares that sum to 1"),
+    (("split",), "ratios", "0.5,0.5", f"ratios (0.5, 0.5) {RATIOS_REFUSAL}"),
+    (("split",), "ratios", "0.5,0.5,0.5,-0.5", f"ratios (0.5, 0.5, 0.5, -0.5) {RATIOS_REFUSAL}"),
+    (("split",), "ratios", "1.2,-0.1,-0.1", f"ratios (1.2, -0.1, -0.1) {RATIOS_REFUSAL}"),
+    (("split",), "ratios", "0.8,0.1,nan", f"ratios (0.8, 0.1, nan) {RATIOS_REFUSAL}"),
     (("split",), "ratios", "a,b,c", "--ratios 'a,b,c' is not a comma-separated list of numbers"),
-    (("audit-sample",), "seed", "-1", "--seed -1 is below 0"),
+    (READERS, "seed", "-1", "--seed -1 is below 0"),
+    (("synth",), "n", "0", "--n 0 is below 1"),
+    (("synth",), "n", "-5", "--n -5 is below 1"),
     (TRAIN_EVAL, "embedding_dim", "0", "embedding_dim must be >= 1"),
     (TRAIN_EVAL, "hidden_dim", "0", "hidden_dim must be >= 1"),
     (TRAIN_EVAL, "mlp_hidden", "0", "mlp_hidden must be >= 1"),
+    (TRAIN_EVAL, "mlp_hidden", "-1", "mlp_hidden must be >= 1"),
     (TRAIN_EVAL, "lr0", "nan", "lr0 must be positive and finite, got nan"),
+    (TRAIN_EVAL, "lr0", "inf", "lr0 must be positive and finite, got inf"),
+    (TRAIN_EVAL, "lr0", "0", "lr0 must be positive and finite, got 0.0"),
+    (TRAIN_EVAL, "lr0", "-0.1", "lr0 must be positive and finite, got -0.1"),
+    (TRAIN_EVAL, "lr0", "-1", "lr0 must be positive and finite, got -1.0"),
     (TRAIN_EVAL, "decay", "0", "decay must lie in (0, 1]"),
     (TRAIN_EVAL, "divide_on_decline", "1", "divide_on_decline must be > 1 and finite, got 1.0"),
+    (TRAIN_EVAL, "divide_on_decline", "inf", "divide_on_decline must be > 1 and finite, got inf"),
+    (TRAIN_EVAL, "divide_on_decline", "nan", "divide_on_decline must be > 1 and finite, got nan"),
     (TRAIN_EVAL, "lr_floor", "0", "lr_floor must be positive and finite, got 0.0"),
+    (TRAIN_EVAL, "lr_floor", "inf", "lr_floor must be positive and finite, got inf"),
+    (TRAIN_EVAL, "lr_floor", "nan", "lr_floor must be positive and finite, got nan"),
     (TRAIN_EVAL, "max_epochs", "0", "max_epochs must be >= 1"),
     (TRAIN_EVAL, "batch_size", "0", "batch_size must be >= 1"),
     # text that is no value of the option: refused alike as a flag and as a
@@ -125,6 +168,7 @@ BAD_VALUES = [
     (READERS, "seed", "x", "seed='x' is not of type int"),
     (("stats",), "min_freq", "1.5", "min_freq='1.5' is not of type int"),
     (("stats",), "top_k", "x", "top_k='x' is not of type int"),
+    (("stats",), "top_k", "2.5", "top_k='2.5' is not of type int"),
     (("stats",), "grid_step", "x", "grid_step='x' is not of type float"),
     (("audit-sample",), "n_per_cell", "", "n_per_cell='' is not of type int"),
     (TRAIN_EVAL, "embedding_dim", "5e1", "embedding_dim='5e1' is not of type int"),
@@ -138,68 +182,79 @@ BAD_VALUES = [
     (TRAIN_EVAL, "divide_on_decline", "five", "divide_on_decline='five' is not of type float"),
     (TRAIN_EVAL, "lr_floor", "1e", "lr_floor='1e' is not of type float"),
     (TRAIN_EVAL, "encoder", "lstm", "encoder='lstm' is not one of bag, birnn-maxpool"),
+    # a switch flag takes no value, so these are --config lines only
+    (READERS, "remap_ordinal", "maybe", f"remap_ordinal='maybe' {SWITCH_REFUSAL}"),
+    (("stats",), "per_label_threshold", "maybe", f"per_label_threshold='maybe' {SWITCH_REFUSAL}"),
+    (TRAIN_EVAL, "finetune_embeddings", "2", f"finetune_embeddings='2' {SWITCH_REFUSAL}"),
+    # an empty path names no file; a --config file cannot name another, so
+    # config's row is a flag only
+    (("stats", "split", "audit-sample"), "data", "", "data='' is not of type path"),
+    (TRAIN_EVAL, "train", "", "train='' is not of type path"),
+    (TRAIN_EVAL, "dev", "", "dev='' is not of type path"),
+    (TRAIN_EVAL, "test", "", "test='' is not of type path"),
+    (TRAIN_EVAL, "embeddings", "", "embeddings='' is not of type path"),
+    (("synth",), "spec_file", "", "spec_file='' is not of type path"),
+    (("audit-sample",), "checkpoint", "", "checkpoint='' is not of type path"),
+    (ALL, "config", "", "config='' is not of type path"),
+    (ALL, "out_dir", "", "--out-dir '' names no directory"),
 ]
-BAD_SETTINGS = [(command, option, value, refusal) for commands, option, value, refusal
-                in BAD_VALUES for command in commands]
+SWITCHES = {row.dest for row in cli._OPTIONS if row.type is bool}
+BAD_SETTINGS = [(command, option, value, refusal, from_file)
+                for commands, option, value, refusal in BAD_VALUES for command in commands
+                for from_file in (False, True)
+                if not (from_file and option == "config" or not from_file and option in SWITCHES)]
 
 
-@pytest.mark.parametrize("command, option, value, refusal", BAD_SETTINGS,
-                         ids=[f"{c}-{o}={v}" for c, o, v, _ in BAD_SETTINGS])
-@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
-def test_a_bad_format_or_scheme_is_one_line_before_any_input_is_read(
+@pytest.mark.parametrize("command, option, value, refusal, from_file", BAD_SETTINGS,
+                         ids=[f"{c}-{o}={v}-{'config' if f else 'flag'}"
+                              for c, o, v, _, f in BAD_SETTINGS])
+def test_a_bad_value_is_one_line_before_any_input_is_read(
         tmp_path, capsys, monkeypatch, command, option, value, refusal, from_file):
     """Every checked option refuses a bad value alike, whether a flag or a
-    --config line set it: exit 1 and one line with the refusal, prefixed by
-    the --config file exactly when that set the value, before any input
-    (corpus, checkpoint, spec or word vectors) is read. A value the option's
-    type cannot take is one such refusal too."""
+    --config line set it: exit 1 and one line with the whole refusal,
+    prefixed by the --config file exactly when that set the value, before
+    any input (corpus, checkpoint, spec or word vectors) is read and before
+    any output is written or the output directory is made."""
+    monkeypatch.chdir(tmp_path)  # where an empty --out-dir would write
+    monkeypatch.delenv("HYPONLI_OUT_DIR", raising=False)
     data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
     reads = []
     for module, name in ((corpus, "read_jsonl"), (corpus, "read_tsv"),
                          (model, "load_checkpoint"), (synth, "read_spec"),
                          (text, "load_embeddings")):
         monkeypatch.setattr(module, name, lambda *a, **k: reads.append(a))
-    inputs = {"stats": ["--data", data], "split": ["--data", data],
-              "train-eval": ["--train", data, "--dev", data, "--test", data,
-                             "--embeddings", data],
-              "audit-sample": ["--data", data, "--checkpoint", data],
-              "synth": ["--spec-file", data]}[command]
+    inputs = {"stats": {"data": data}, "split": {"data": data},
+              "train-eval": {"train": data, "dev": data, "test": data, "embeddings": data},
+              "audit-sample": {"data": data, "checkpoint": data},
+              "synth": {"spec_file": data, "n": "5"}}[command]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{option.replace('_', '-')} = {value}\n")
-    setting = ["--config", str(cfg)] if from_file else [f"--{option.replace('_', '-')}", value]
-    assert main([command, *inputs, *setting, "--out-dir", str(tmp_path / "out")]) == 1
+    flags = {**inputs, "out_dir": str(tmp_path / "out")}
+    flags.pop(option, None)  # a flag wins over the --config line
+    setting = ["--config", str(cfg)] if from_file else [as_flag(option), value]
+    assert main([command, *(arg for dest, v in flags.items() for arg in (as_flag(dest), v)),
+                 *setting]) == 1
     where = f"{cfg}: " if from_file else ""
     assert one_error_line(capsys) == f"error: {where}{refusal}"
-    assert reads == []
+    assert reads == [] and sorted(os.listdir(tmp_path)) == ["d.jsonl", "run.cfg"]
 
 
-@pytest.mark.parametrize("command, seed, from_file", [
-    ("split", "-1", False), ("split", "-1", True), ("train-eval", "-2", False),
-    ("stats", "-3", True),
-])
-def test_a_negative_seed_is_one_line_naming_it(tmp_path, capsys, monkeypatch, command, seed,
-                                               from_file):
-    data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
-    reads = []
-    monkeypatch.setattr(corpus, "read_jsonl", lambda *a, **k: reads.append(a))
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"seed = {seed}\n")
-    setting = ["--config", str(cfg)] if from_file else ["--seed", seed]
-    inputs = ["--train", data, "--dev", data] if command == "train-eval" else ["--data", data]
-    assert main([command, *inputs, *setting, "--out-dir", str(tmp_path / "out")]) == 1
-    where = f"{cfg}: " if from_file else ""
-    assert one_error_line(capsys) == f"error: {where}--seed {seed} is below 0"
-    assert reads == []
+def test_each_option_that_can_refuse_a_value_has_a_bad_value():
+    """Under each subcommand, every option row that can refuse a value has a
+    BAD_VALUES row: one of a type other than str (a switch refuses --config
+    words), with a resolver or a lower bound, or that a config checks."""
+    config_fields = {"encoder"} | {f.name for config in (model.ModelConfig, train.TrainConfig)
+                                   for f in dataclasses.fields(config)}
+    refusing = {(command, row.dest) for row in cli._OPTIONS for command in row.commands.split()
+                if row.type is not str or row.resolve or row.low is not None
+                or row.dest in config_fields}
+    assert refusing - {(command, option) for command, option, *_ in BAD_SETTINGS} == set()
 
 
 # each option that has no default, by the subcommands that require it
 REQUIRED = {"stats": ("data",), "split": ("data",), "audit-sample": ("data", "checkpoint"),
             "train-eval": ("train", "dev"), "synth": ("spec_file", "n")}
 MISSING = [(command, option) for command, options in REQUIRED.items() for option in options]
-
-
-def as_flag(option):
-    return f"--{option.replace('_', '-')}"
 
 
 @pytest.mark.parametrize("command, missing", MISSING, ids=[f"{c}-{o}" for c, o in MISSING])
@@ -560,17 +615,6 @@ class TestSynthCommand:
         assert main(["synth", "--spec-file", str(path), "--n", "3",
                      "--out-dir", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize("n", ["0", "-5"])
-    def test_n_below_one_is_one_line_naming_the_flag(self, tmp_path, synth_spec_file,
-                                                     capsys, monkeypatch, n):
-        reads = []
-        monkeypatch.setattr(synth, "read_spec", lambda *a: reads.append(a))
-        out = tmp_path / "o"
-        rc = main(["synth", "--spec-file", synth_spec_file, "--n", n, "--out-dir", str(out)])
-        assert rc == 1
-        assert one_error_line(capsys) == f"error: --n {n} is below 1"
-        assert not out.exists() and reads == []
-
     def test_a_corpus_too_large_for_memory_is_one_line(self, tmp_path, synth_spec_file,
                                                        capsys, monkeypatch):
         """A huge sentence_length or --n ends in one line naming the spec;
@@ -622,17 +666,6 @@ class TestSplitCommand:
         assert (sizes["train"], sizes["dev"], sizes["test"]) == (83, 10, 10)
         assert len(ids) == 103
 
-    @pytest.mark.parametrize("ratios", ["0.5,0.5", "0.5,0.5,0.5,-0.5", "1.2,-0.1,-0.1",
-                                        "0.8,0.1,nan"])
-    def test_bad_ratios_are_one_line(self, tmp_path, capsys, ratios):
-        data = write_corpus(tmp_path / "all.jsonl",
-                            make_corpus([(f"hyp {i}", "neutral") for i in range(10)]))
-        out = tmp_path / "out"
-        rc = main(["split", "--data", data, "--out-dir", str(out), "--ratios", ratios])
-        assert rc == 1
-        one_error_line(capsys)
-        assert not out.exists()
-
     def test_empty_data_file_is_one_line_naming_it(self, tmp_path, capsys):
         empty, out = tmp_path / "empty.jsonl", tmp_path / "out"
         empty.write_text("")
@@ -640,14 +673,6 @@ class TestSplitCommand:
         assert one_error_line(capsys) == (
             f"error: {empty}: the data split is empty (0 records skipped at ingest)")
         assert not out.exists()
-
-    def test_ratios_that_are_not_numbers_are_one_line(self, tmp_path, capsys):
-        """--ratios is parsed before the corpus is read; the data file is absent."""
-        rc = main(["split", "--data", str(tmp_path / "absent.jsonl"), "--ratios", "a,b,c",
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == 1
-        assert one_error_line(capsys) == ("error: --ratios 'a,b,c' is not a comma-separated "
-                                          "list of numbers")
 
 
 class TestStatsCommand:
@@ -686,7 +711,7 @@ class TestStatsCommand:
                    "--out-dir", str(tmp_path)])
         assert rc == 1
 
-    def test_tsv_ingestion(self, tmp_path):
+    def test_tsv_ingestion(self, tmp_path, capsys):
         path = tmp_path / "d.tsv"
         path.write_text("p1\tthe hyp\tneutral\np2\tother hyp\tentailment\n")
         out = tmp_path / "out"
@@ -695,23 +720,12 @@ class TestStatsCommand:
         assert rc == 0
         summary = (out / "counts_summary.csv").read_text()
         assert "TOTAL,2," in summary
-
-
-    @pytest.mark.parametrize("columns, named", [
-        ("premise=0,hyp=1,label=2", "hyp=1"),
-        ("premise=0,hypothesis=1", "label"),
-        ("premise=0,hypothesis=one,label=2", "hypothesis=one"),
-        ("premise=0,hypothesis=-1,label=2", "hypothesis=-1"),
-        ("premise=0,hypothesis=1,label=", "label="),
-        ("premise=0,hypothesis=1,label=2,label=3", "'label=3' is not"),
-    ])
-    def test_bad_tsv_columns_is_one_line(self, tmp_path, capsys, columns, named):
-        path = tmp_path / "d.tsv"
-        path.write_text("p1\tthe hyp\tneutral\n")
-        rc = main(["stats", "--data", str(path), "--format", columns,
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == 1
-        assert named in one_error_line(capsys)
+        # a role map without a label column is the reader's refusal, since
+        # --remap-ordinal would take the label from an ordinal column
+        assert main(["stats", "--data", str(path), "--format", "premise=0,hypothesis=1",
+                     "--out-dir", str(tmp_path / "out2")]) == 1
+        assert one_error_line(capsys) == (
+            f"error: {path}: the role map has no field or column for label")
 
     def test_non_string_hypothesis_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "d.jsonl"
@@ -725,43 +739,6 @@ class TestStatsCommand:
         assert one_error_line(capsys) == (
             f"error: {path}: line 2: instance 'bad': hypothesis is not a string")
         assert not out.exists()
-
-    @pytest.mark.parametrize("top_k", ["0", "-1"])
-    def test_bad_top_k_is_one_line(self, tmp_path, capsys, top_k):
-        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
-        rc = main(["stats", "--data", data, "--top-k", top_k,
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == 1
-        assert "top_k" in one_error_line(capsys)
-
-    @pytest.mark.parametrize("step", ["0", "0.6", "nan", "1e-7"])
-    def test_bad_grid_step_is_one_line(self, tmp_path, capsys, step):
-        # steps below 0.0001, the resolution of coverage.csv's x column, are
-        # refused before a grid of 1/step points is built
-        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
-        out = tmp_path / "out"
-        rc = main(["stats", "--data", data, "--grid-step", step, "--out-dir", str(out)])
-        assert rc == 1
-        assert one_error_line(capsys) == (
-            f"error: grid_step must lie in [0.0001, 0.5], got {float(step)}")
-        assert not out.exists()
-
-    # found by the mutated-config test: the command's own refusal of a
-    # value from the config file did not name the file
-    @pytest.mark.parametrize("lines, refused", [
-        (["top-k = 0"], "top_k must be >= 1, got 0"),
-        (["min-freq = -1"], "min_freq must be >= 1"),
-        (["grid-step = nan"], "grid_step must lie in [0.0001, 0.5], got nan"),
-        (["format = premise=x"], "--format 'premise=x': 'premise=x' is not"),
-    ])
-    def test_a_config_value_the_command_refuses_names_the_file(self, tmp_path, capsys, lines,
-                                                              refused):
-        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(line + "\n" for line in lines))
-        assert main(["stats", "--data", data, "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "out")]) == 1
-        assert one_error_line(capsys).startswith(f"error: {cfg}: {refused}")
 
     def test_every_config_line_is_checked(self, tmp_path, capsys):
         """A later line for the same option does not hide a bad earlier one."""
@@ -783,25 +760,6 @@ class TestStatsCommand:
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert one_error_line(capsys) == "error: top_k must be >= 1, got 0"
 
-    @pytest.mark.parametrize("line, named", [
-        ("format = xml", "--format 'xml': 'xml' is not native, snli, tsv or role=column"),
-        ("scheme = 4way", "--scheme '4way': schemes are 3way, 2way or 2-3 distinct label "
-                          "names; labels ['4way'] are not 2 or 3 names"),
-        ("scheme = a,a", "--scheme 'a,a': schemes are 3way, 2way or 2-3 distinct label "
-                         "names; labels ['a', 'a'] repeat 'a'"),
-        ("per-label-threshold = maybe", "per_label_threshold='maybe'"),
-        ("top-k = 2.5", "top_k='2.5'"),
-    ])
-    def test_bad_config_value_is_one_line(self, tmp_path, capsys, line, named):
-        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        rc = main(["stats", "--data", data, "--config", str(cfg),
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == 1
-        err = one_error_line(capsys)
-        assert err.startswith(f"error: {cfg}: ") and named in err
-
     @pytest.mark.parametrize("value, expected", [("Off", False), ("yes", True)])
     def test_boolean_config_words(self, tmp_path, value, expected):
         data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
@@ -810,6 +768,16 @@ class TestStatsCommand:
         out = tmp_path / "out"
         assert main(["stats", "--data", data, "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert f"per_label_threshold={expected}" in (out / "stats_digest.md").read_text()
+
+    def test_a_score_on_a_tie_rounds_as_the_report_does(self, tmp_path):
+        """A word seen 8 times, 5 of them under one label, scores 5/8 = 0.625:
+        the digest shows 0.63, as evaluate.fmt2 rounds report.md's figures,
+        where format(0.625, ".2f") rounds half to even, to 0.62."""
+        pairs = [("w", "neutral")] * 5 + [("w", "entailment")] * 3
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus(pairs))
+        out = tmp_path / "out"
+        assert main(["stats", "--data", data, "--out-dir", str(out)]) == 0
+        assert "| w | 0.63 | 8 |" in (out / "stats_digest.md").read_text().splitlines()
 
     def test_golden_outputs(self, tmp_path, monkeypatch):
         """Outputs on a fixed corpus, byte for byte. The corpus has a
@@ -973,18 +941,6 @@ class TestTrainEvalCommand:
         assert sorted(calls) == sorted(hypotheses)
 
     @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
-    @pytest.mark.parametrize("flag, value", [
-        ("--lr0", "inf"), ("--lr0", "nan"), ("--lr0", "0"), ("--lr0", "-0.1"),
-        ("--divide-on-decline", "inf"), ("--divide-on-decline", "nan"),
-        ("--lr-floor", "inf"), ("--lr-floor", "nan"),
-    ])
-    def test_bad_training_setting_is_one_line(self, tmp_path, capsys, encoder, flag, value):
-        rc = self.run_train(tmp_path, tmp_path / "out",
-                            extra=["--encoder", encoder, "--max-epochs", "1", flag, value])
-        assert rc == 1
-        assert flag[2:].replace("-", "_") in one_error_line(capsys)
-
-    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
     @pytest.mark.parametrize("lr0, trains", [("100", True), ("1e300", False)])
     def test_large_lr0_trains_or_aborts_in_one_line(self, tmp_path, capsys, encoder, lr0,
                                                     trains):
@@ -1116,16 +1072,6 @@ class TestTrainEvalCommand:
         assert "- a: 4 sentences" in digest and "- b: 3 sentences" in digest
         assert "    scheme= a, b" in digest and "labels=" not in digest
 
-    @pytest.mark.parametrize("value", ["4way", "a", "a,a", "a,b,c,d", ","])
-    def test_a_value_that_names_no_scheme_is_refused(self, tmp_path, capsys, value):
-        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b c", "neutral")] * 8))
-        assert main(["stats", "--data", data, "--scheme", value,
-                     "--out-dir", str(tmp_path / "out")]) == 1
-        names = [n.strip() for n in value.split(",") if n.strip()]
-        reason = "repeat 'a'" if value == "a,a" else "are not 2 or 3 names"
-        assert one_error_line(capsys) == (f"error: --scheme {value!r}: schemes are 3way, 2way "
-                                          f"or 2-3 distinct label names; labels {names} {reason}")
-
     def test_all_skipped_stats_file_is_one_line(self, tmp_path, capsys):
         # 3-way labels read under the 2-way scheme are all skipped
         data = write_corpus(tmp_path / "d.jsonl",
@@ -1136,22 +1082,6 @@ class TestTrainEvalCommand:
         assert one_error_line(capsys) == (
             f"error: {data}: the data split is empty (6 records skipped at ingest)")
         assert not out.exists()
-
-    @pytest.mark.parametrize("line, refused", [
-        ("embedding-dim = 0", "embedding_dim must be >= 1"),
-        ("mlp-hidden = -1", "mlp_hidden must be >= 1"),
-        ("max-epochs = 0", "max_epochs must be >= 1"),
-        ("batch-size = 0", "batch_size must be >= 1"),
-        ("lr0 = -1", "lr0 must be positive and finite, got -1.0"),
-    ])
-    def test_a_config_value_the_model_refuses_names_the_file(self, tmp_path, capsys, line,
-                                                            refused):
-        paths = synth_corpus_files(tmp_path, n_train=30, n_dev=10)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        assert main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
-                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg)]) == 1
-        assert one_error_line(capsys) == f"error: {cfg}: {refused}"
 
     def test_compare_to_is_an_unknown_config_option(self, tmp_path, capsys):
         paths = synth_corpus_files(tmp_path)
@@ -1187,16 +1117,6 @@ class TestTrainEvalCommand:
                            timeout=120)
             checkpoints.append((out / "model.ckpt").read_bytes())
         assert checkpoints[0] == checkpoints[1]
-
-    def test_config_value_of_the_wrong_type_names_the_key(self, tmp_path, capsys):
-        paths = synth_corpus_files(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("max-epochs = abc\n")
-        rc = main(["train-eval", "--train", paths["train"], "--dev", paths["dev"],
-                   "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
-        assert rc == 1
-        assert one_error_line(capsys) == (
-            f"error: {cfg}: max_epochs='abc' is not of type int")
 
     def test_unknown_config_key_errors(self, tmp_path, capsys):
         """help and config are actions of the subcommand, but not options a
