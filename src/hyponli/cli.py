@@ -73,7 +73,9 @@ def _resolve_ratios(value: str) -> tuple:
 
 def _resolve_out_dir(path):
     """path (by default a non-empty HYPONLI_OUT_DIR, else ".") if its nearest existing ancestor,
-    itself included, is a directory; nothing is created, so a failed run leaves no directory."""
+    itself included, is a directory; nothing is created, so a failed run leaves no directory.
+    A refusal names HYPONLI_OUT_DIR when that gave the path."""
+    name = "--out-dir" if path is not None else "HYPONLI_OUT_DIR"
     path = (os.environ.get("HYPONLI_OUT_DIR") or ".") if path is None else path
     if not path:
         raise corpus.ConfigError("--out-dir '' names no directory", "out_dir")
@@ -81,7 +83,7 @@ def _resolve_out_dir(path):
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
-        raise corpus.ConfigError(f"--out-dir {path}: {probe} is not a directory", "out_dir")
+        raise corpus.ConfigError(f"{name} {path}: {probe} is not a directory", "out_dir")
     return path
 
 
@@ -228,12 +230,10 @@ def _predict(rows, tokens, params, what):
 def cmd_stats(run: Run) -> int:
     scheme = run.scheme
     data, skipped = _read_corpus(run.data, run.format, scheme, run.remap_ordinal, "data")
-    counts = stats.count_corpus(data.hypotheses, data.labels, scheme)
+    counts = stats.count_corpus(data.hypotheses, data.labels, scheme, run.per_label_threshold)
     giveaways = stats.giveaway_words(counts, min_freq=run.min_freq, top_k=run.top_k)
     labels = range(len(scheme))
-    curves = [stats.coverage_curve(counts, label, grid_step=run.grid_step,
-                                   per_label=run.per_label_threshold)
-              for label in labels]
+    curves = [stats.coverage_curve(counts, label, grid_step=run.grid_step) for label in labels]
     digest = ["# Word statistics digest", "",
               f"- source: {run.data} (split label: {run.split_name})",
               f"- sentences: {counts.n_sentences} (skipped at ingest: {skipped})"]
@@ -247,8 +247,8 @@ def cmd_stats(run: Run) -> int:
     thresholds = (0.5, 0.75, 1.0)
     digest += markdown_table(
         ["Label", *(f"y({x})" for x in thresholds)],
-        ([scheme.names[label], *(stats.coverage_count(counts, label, x, run.per_label_threshold)
-                                 for x in thresholds)] for label in labels))
+        ([scheme.names[label], *(stats.coverage_count(counts, label, x) for x in thresholds)]
+         for label in labels))
     digest += ["", *config_block(run.lines)]
 
     out = run.out_dir

@@ -87,17 +87,22 @@ def confusion_sample(pred, gold, n_per_cell: int,
     return cells
 
 
+_FIELD_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def confusion_sample_text(cells: dict[tuple[int, int], list[int]], scheme: LabelScheme,
                           instance_ids, hypotheses) -> str:
     """One tab-separated row per sampled row (id, gold, predicted,
     hypothesis), grouped by cell, for manual annotation; ids and
-    hypotheses are indexed by row position."""
+    hypotheses are indexed by row position. Each field writes a backslash,
+    tab, LF and CR as \\\\, \\t, \\n and \\r, so a row is one line of four fields."""
     lines = []
     for (gold, pred), rows in cells.items():
         gold_name, pred_name = scheme.names[gold], scheme.names[pred]
         lines.append(f"# cell gold={gold_name} predicted={pred_name} n={len(rows)}")
         for i in rows:
-            lines.append(f"{instance_ids[i]}\t{gold_name}\t{pred_name}\t{hypotheses[i]}")
+            fields = (instance_ids[i], gold_name, pred_name, hypotheses[i])
+            lines.append("\t".join(str(field).translate(_FIELD_ESCAPES) for field in fields))
     return "\n".join(lines) + "\n"
 
 

@@ -9,13 +9,14 @@ sufficiently label-specific word. The table is computed from two columns
 of a corpus, its hypotheses and its label array, interned once into
 text.intern's vocabulary and CSR token corpus: the token ids of all
 hypotheses end to end, and each sentence's offset into them. Each
-sentence's best token score is computed once per coverage mode, by one
-np.maximum.reduceat over all sentences (one per label with per-label
-thresholds), and kept on the counts sorted by gold label, so every curve
-and every coverage count is a binary search. The give-away words are
-picked with array operations; only the few candidates at a label's top_k
-cut are sorted in Python. Labels are label indices in and out; the CSV
-writers alone look up their names in the scheme.
+sentence's best token score is computed once, at counting, in the one
+coverage mode count_corpus is given, by one np.maximum.reduceat over all
+sentences, and kept on the counts sorted by gold label, so every curve
+and every coverage count is a binary search; the CSR corpus is not kept.
+The give-away words are picked with array operations; only the few
+candidates at a label's top_k cut are sorted in Python. Labels are label
+indices in and out; the CSV writers alone look up their names in the
+scheme.
 """
 
 from __future__ import annotations
@@ -32,79 +33,64 @@ from .util import csv_text
 class LabelWordCounts:
     """Co-occurrence counts between hypothesis tokens and labels, as arrays.
 
-    The corpus itself is kept in CSR form: sentence i has the token ids
-    ids[indptr[i]:indptr[i + 1]] and the label index sentence_labels[i].
     occ[w, l] counts occurrences of token id w in sentences of label l,
-    and label_sentences[l] the sentences of label l. Rows of occ follow
-    vocab, which holds exactly the tokens of the corpus. sorted_maxima
-    keeps what it computes, one list of arrays per coverage mode.
+    freq[w] all occurrences of w, and label_sentences[l] the sentences of
+    label l. Rows of occ follow vocab, which holds exactly the tokens of
+    the corpus. Each sentence's best token score is computed here, once,
+    in the one coverage mode of per_label, and kept per gold label, sorted
+    and read-only; the corpus itself is not kept.
     """
 
     def __init__(self, scheme: LabelScheme, vocab: Vocabulary, indptr: np.ndarray,
-                 ids: np.ndarray, sentence_labels: np.ndarray):
+                 ids: np.ndarray, sentence_labels: np.ndarray, per_label: bool = False):
         self.scheme = scheme
         self.vocab = vocab
-        self.indptr = indptr
-        self.ids = ids
-        self.sentence_labels = sentence_labels
         n_labels, n_vocab = len(scheme), len(vocab)
         self.label_sentences = np.bincount(sentence_labels, minlength=n_labels)
         # the joint key word * L + label, with the labels repeated per token as
         # bytes and added in place, so that counting holds one int64 copy of ids
+        token_labels = np.repeat(sentence_labels.astype(np.uint8), np.diff(indptr))
         key = ids * n_labels
-        key += np.repeat(sentence_labels.astype(np.uint8), np.diff(indptr))
+        key += token_labels
         self.occ = np.bincount(key, minlength=n_vocab * n_labels).reshape(n_vocab, n_labels)
-        self._sorted_maxima: dict[bool, list[np.ndarray]] = {}
+        del key
+        self.freq = self.occ.sum(axis=1)
+        # a token scores p(l|w) for the gold label l of its sentence with per_label, else
+        # max_l p(l|w); reduceat over the starts of the non-empty sentences only: each then
+        # spans exactly its own tokens, and one with none keeps 0.0, counted only at 0
+        p = self.occ / self.freq[:, None]
+        score = p[ids, token_labels] if per_label else p.max(axis=1)[ids]
+        nonempty = np.flatnonzero(np.diff(indptr))
+        best = np.zeros(len(sentence_labels))
+        if nonempty.size:
+            best[nonempty] = np.maximum.reduceat(score, indptr[nonempty])
+        self._maxima = [best[sentence_labels == gold] for gold in range(n_labels)]
+        for gold_maxima in self._maxima:
+            gold_maxima.sort()
+            gold_maxima.flags.writeable = False  # shared by every coverage call
 
     @property
     def n_sentences(self) -> int:
-        return len(self.sentence_labels)
+        return int(self.label_sentences.sum())
 
     def count_l(self, label: int) -> int:
         return int(self.label_sentences[label])
 
-    def sorted_maxima(self, label: int, per_label: bool) -> np.ndarray:
-        """The best token score of each sentence of the gold label, ascending.
-
-        Score of a token is max_l p(l|w), or p(label|w) when per_label is set.
-        Sentences with no tokens get 0.0 so they count only at threshold 0.
-        The first call in each mode computes every label's array.
-        """
+    def sorted_maxima(self, label: int) -> np.ndarray:
+        """The best token score of each sentence of the gold label, ascending."""
         if not 0 <= label < len(self.scheme):
             raise ValueError(f"label {label} is not a label index of {list(self.scheme.names)}")
-        by_label = self._sorted_maxima.get(per_label)
-        if by_label is None:
-            occ, golds = self.occ, range(len(self.scheme))
-            freq = occ.sum(axis=1)
-            # reduceat over the starts of the non-empty sentences only: each
-            # then spans exactly its own tokens, as the empty ones between hold none
-            nonempty = np.flatnonzero(np.diff(self.indptr))
-            starts = self.indptr[nonempty]
-
-            def maxima(score):
-                out = np.zeros(self.n_sentences)
-                if nonempty.size:
-                    out[nonempty] = np.maximum.reduceat(score[self.ids], starts)
-                return out
-
-            if per_label:
-                by_label = [maxima(occ[:, gold] / freq)[self.sentence_labels == gold]
-                            for gold in golds]
-            else:
-                best = maxima(occ.max(axis=1) / freq)
-                by_label = [best[self.sentence_labels == gold] for gold in golds]
-            for gold_maxima in by_label:
-                gold_maxima.sort()
-                gold_maxima.flags.writeable = False  # shared by every later call
-            self._sorted_maxima[per_label] = by_label
-        return by_label[label]
+        return self._maxima[label]
 
 
-def count_corpus(hypotheses, labels, scheme: LabelScheme) -> LabelWordCounts:
+def count_corpus(hypotheses, labels, scheme: LabelScheme,
+                 per_label: bool = False) -> LabelWordCounts:
     """Count over hypothesis tokens only: hypotheses is a sequence of
-    strings and labels their label indices."""
+    strings and labels their label indices; per_label picks the coverage
+    mode, p(label|w) instead of max_l p(l|w)."""
     vocab, ids, indptr = intern(hypotheses)
-    return LabelWordCounts(scheme, vocab, indptr, ids, np.asarray(labels, dtype=np.int64))
+    return LabelWordCounts(scheme, vocab, indptr, ids, np.asarray(labels, dtype=np.int64),
+                           per_label)
 
 
 @dataclass(frozen=True)
@@ -140,8 +126,7 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
     """
     check_min_freq(min_freq)
     check_top_k(top_k)
-    occ = counts.occ
-    freq = occ.sum(axis=1)
+    occ, freq = counts.occ, counts.freq
     candidates = np.flatnonzero(freq >= min_freq)
     best = occ[candidates].argmax(axis=1)  # ties resolve to the lowest label index
     freq = freq[candidates]
@@ -182,10 +167,9 @@ def _threshold_grid(step: float) -> list[float]:
     return grid
 
 
-def coverage_count(counts: LabelWordCounts, label: int, x: float,
-                   per_label: bool = False) -> int:
+def coverage_count(counts: LabelWordCounts, label: int, x: float) -> int:
     """Sentences of the gold label containing >= 1 token scoring >= x."""
-    maxima = counts.sorted_maxima(label, per_label)
+    maxima = counts.sorted_maxima(label)
     return int(maxima.size - np.searchsorted(maxima, x, side="left"))
 
 
@@ -196,16 +180,16 @@ def check_grid_step(grid_step: float) -> float:
     return grid_step
 
 
-def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float = 0.01,
-                   per_label: bool = False) -> CoverageCurve:
+def coverage_curve(counts: LabelWordCounts, label: int,
+                   grid_step: float = 0.01) -> CoverageCurve:
     """Coverage per threshold on the grid {0, step, ..., 1}.
 
     y(x) counts the label's sentences containing at least one token w with
-    max_l p(l|w) >= x (or p(label|w) >= x with per_label). y(0) equals the
-    label's sentence count and y is non-increasing in x.
+    max_l p(l|w) >= x (or p(label|w) >= x when counted per_label). y(0)
+    equals the label's sentence count and y is non-increasing in x.
     """
     grid = _threshold_grid(check_grid_step(grid_step))
-    maxima = counts.sorted_maxima(label, per_label)
+    maxima = counts.sorted_maxima(label)
     y = maxima.size - np.searchsorted(maxima, grid, side="left")
     return CoverageCurve(label, grid, y.tolist())
 

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 from contextlib import contextmanager
 
 
@@ -24,15 +25,16 @@ class IngestError(ValueError):
 
 
 def numbered_lines(path):
-    """(line number, line) pairs of a UTF-8 text file, numbered from 1. A
-    byte sequence that is not UTF-8 raises IngestError naming its line."""
-    with open(path, encoding="utf-8") as fh:
+    """(line number, line) pairs of a UTF-8 text file, numbered from 1; a
+    byte-order mark at its start is read as no content. A byte sequence
+    that is not UTF-8 raises IngestError naming its line."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError as exc:
             # text files decode in chunks, so a second pass finds the line;
             # surrogateescape turns each undecodable byte into U+DC80..U+DCFF
-            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+            with open(path, encoding="utf-8-sig", errors="surrogateescape") as again:
                 lineno = next((n for n, line in enumerate(again, start=1)
                                if any("\udc80" <= ch <= "\udcff" for ch in line)), "?")
             raise IngestError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
@@ -87,8 +89,13 @@ def csv_text(header, rows) -> str:
 
 
 def markdown_table(header, rows) -> list[str]:
-    """Lines of a pipe table: the header, the | --- | rule, one per row."""
-    return [f"| {' | '.join(map(str, row))} |"
+    """Lines of a pipe table: the header, the | --- | rule, one per row. A
+    cell writes | as \\| and a line break as <br>, so that each row is one
+    line with the header's columns."""
+    def cell(value):  # a backslash right before a | is doubled, so it cannot escape the \|
+        return re.sub(r"\r\n?|\n", "<br>", re.sub(r"(\\*)\|", r"\1\1\\|", str(value)))
+
+    return [f"| {' | '.join(map(cell, row))} |"
             for row in (header, ["---"] * len(header), *rows)]
 
 

@@ -20,7 +20,8 @@ BiLSTM half of loss_and_gradients, agree with these to rounding.
 
 The statistics and ingest oracles are the loops the array code replaced:
 giveaway_words builds an entry for every candidate before sorting,
-sentence_maxima runs one reduceat per call, and read_jsonl and read_tsv
+sentence_maxima interns and counts the hypotheses itself, with np.add.at,
+and runs one reduceat per call, and read_jsonl and read_tsv
 run the record loop that formatted every error location up front. The
 faster code must give the same values, and the same exception class and
 message.
@@ -344,16 +345,19 @@ def giveaway_words(counts, min_freq=5, top_k=10):
     return buckets
 
 
-def sentence_maxima(counts, label, per_label):
+def sentence_maxima(hypotheses, labels, scheme, label, per_label):
     """Per sentence of the gold label, in corpus order, the best token
-    score, from one reduceat over all sentences."""
-    occ = counts.occ
+    score, from one reduceat over all sentences, interned and counted here."""
+    vocab, ids, indptr = text.intern(hypotheses)
+    labels = np.asarray(labels, dtype=np.int64)
+    occ = np.zeros((len(vocab), len(scheme)), dtype=np.int64)
+    np.add.at(occ, (ids, np.repeat(labels, np.diff(indptr))), 1)
     score = (occ[:, label] if per_label else occ.max(axis=1)) / occ.sum(axis=1)
-    maxima = np.zeros(counts.n_sentences)
-    nonempty = np.flatnonzero(np.diff(counts.indptr))
+    maxima = np.zeros(len(labels))
+    nonempty = np.flatnonzero(np.diff(indptr))
     if nonempty.size:
-        maxima[nonempty] = np.maximum.reduceat(score[counts.ids], counts.indptr[nonempty])
-    return maxima[counts.sentence_labels == label]
+        maxima[nonempty] = np.maximum.reduceat(score[ids], indptr[nonempty])
+    return maxima[labels == label]
 
 
 def _read(path, roles, scheme, parse, remap_ordinal):

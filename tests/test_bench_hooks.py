@@ -129,17 +129,19 @@ def traced_layers(tmp_path, argv):
     return json.loads(stamp.read_text(encoding="utf-8"))["layers"]
 
 
-def test_traced_stats_run_keeps_the_benchmark_count_rules(tmp_path):
+@pytest.mark.parametrize("flags", [[], ["--per-label-threshold"]], ids=["max", "per-label"])
+def test_traced_stats_run_keeps_the_benchmark_count_rules(tmp_path, flags):
     """bench/run.py checks text.tokenize.calls = sentences and
     stats.coverage.calls = 4 x labels (3 coverage_curve and 9
     coverage_count calls over 3 labels), so tokenize must run once per
     hypothesis through the module attribute, and cmd_stats must keep
-    calling both coverage functions through the stats module."""
+    calling both coverage functions through the stats module, in either
+    coverage mode."""
     names = ("entailment", "neutral", "contradiction")
     data = write_records(tmp_path / "d.jsonl", [names[i % 3] for i in range(11)]
                          + ["-"])  # a skipped record is never tokenized
     layers = traced_layers(tmp_path, ["stats", "--data", data, "--out-dir",
-                                      str(tmp_path / "out"), "--min-freq", "1"])
+                                      str(tmp_path / "out"), "--min-freq", "1", *flags])
     assert layers["text.tokenize"][2] == 11
     assert layers["stats.coverage"][2] == 4 * len(names)
     assert layers["corpus.read_jsonl"][2] == layers["stats.count_corpus"][2] == 1

@@ -17,6 +17,7 @@ from hyponli import cli, corpus, model, stats, synth, text, train
 from hyponli.cli import main
 from hyponli.model import load_checkpoint, predict_batch, save_checkpoint
 
+import reference
 from helpers import make_corpus
 from strategies import (
     CHECKPOINT_FIELDS, DROP, TSV_COLUMNS, checkpoint_damage, config_lines, jsonl_lines, specs,
@@ -43,9 +44,12 @@ def as_flag(option):
     return f"--{option.replace('_', '-')}"
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
 @pytest.mark.parametrize("command", ["stats", "train-eval"])
 def test_out_dir_under_a_file_fails_before_any_input_is_read(tmp_path, capsys, monkeypatch,
-                                                              command):
+                                                              command, source):
+    """The error names where the directory came from: the flag, the --config
+    file's line, or HYPONLI_OUT_DIR when neither gave one."""
     data = write_corpus(tmp_path / "d.jsonl", make_corpus([("a b", "neutral")] * 3))
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -54,8 +58,13 @@ def test_out_dir_under_a_file_fails_before_any_input_is_read(tmp_path, capsys, m
     monkeypatch.setattr(corpus, "read_jsonl", lambda *a, **k: reads.append(a))
     inputs = (["--data", data] if command == "stats"
               else ["--train", data, "--dev", data, "--test", data])
-    assert main([command, *inputs, "--out-dir", out]) == 1
-    assert one_error_line(capsys) == f"error: --out-dir {out}: {blocker} is not a directory"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out-dir = {out}\n")
+    monkeypatch.setenv("HYPONLI_OUT_DIR", out if source == "env" else "")
+    given = {"flag": ["--out-dir", out], "config": ["--config", str(cfg)], "env": []}[source]
+    assert main([command, *inputs, *given]) == 1
+    where = {"flag": "--out-dir", "config": f"{cfg}: --out-dir", "env": "HYPONLI_OUT_DIR"}[source]
+    assert one_error_line(capsys) == f"error: {where} {out}: {blocker} is not a directory"
     assert reads == []
 
 
@@ -769,6 +778,34 @@ class TestStatsCommand:
         assert main(["stats", "--data", data, "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert f"per_label_threshold={expected}" in (out / "stats_digest.md").read_text()
 
+    @pytest.mark.parametrize("per_label", [False, True])
+    def test_coverage_in_each_mode_matches_the_reference(self, tmp_path, per_label):
+        """coverage.csv and the digest's coverage table, with and without
+        --per-label-threshold, against tests/reference.py's maxima. The
+        contradiction sentence "b c" scores 2/3 over all labels but 1/3 per
+        label, so the two modes differ at 0.5."""
+        scheme = corpus.THREE_WAY
+        data = make_corpus([("a b", "neutral"), ("b", "neutral"), ("b c", "contradiction"),
+                            ("c", "entailment"), ("c d", "entailment"), (" ", "contradiction")])
+        out = tmp_path / "out"
+        flags = ["--per-label-threshold"] if per_label else []
+        assert main(["stats", "--data", write_corpus(tmp_path / "d.jsonl", data), *flags,
+                     "--grid-step", "0.125", "--out-dir", str(out)]) == 0  # x exact in binary
+        maxima = [reference.sentence_maxima(data.hypotheses, data.labels, scheme, label, per_label)
+                  for label in range(len(scheme))]
+        covered = lambda label, x: int(np.count_nonzero(maxima[label] >= x))
+        assert covered(scheme.index("contradiction"), 0.5) == (0 if per_label else 1)
+        with open(out / "coverage.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9 * len(scheme)
+        for row in rows:
+            assert int(row["y"]) == covered(scheme.index(row["label"]), float(row["x"]))
+        digest = (out / "stats_digest.md").read_text().splitlines()
+        start = digest.index("## Coverage at selected thresholds") + 4  # past header and rule
+        assert digest[start:start + len(scheme)] == [
+            f"| {name} | {' | '.join(str(covered(label, x)) for x in (0.5, 0.75, 1.0))} |"
+            for label, name in enumerate(scheme.names)]
+
     def test_a_score_on_a_tie_rounds_as_the_report_does(self, tmp_path):
         """A word seen 8 times, 5 of them under one label, scores 5/8 = 0.625:
         the digest shows 0.63, as evaluate.fmt2 rounds report.md's figures,
@@ -778,6 +815,12 @@ class TestStatsCommand:
         out = tmp_path / "out"
         assert main(["stats", "--data", data, "--out-dir", str(out)]) == 0
         assert "| w | 0.63 | 8 |" in (out / "stats_digest.md").read_text().splitlines()
+
+    def test_a_pipe_token_keeps_its_digest_row(self, tmp_path):
+        data = write_corpus(tmp_path / "d.jsonl", make_corpus([("| x", "neutral")] * 3))
+        out = tmp_path / "out"
+        assert main(["stats", "--data", data, "--out-dir", str(out), "--min-freq", "1"]) == 0
+        assert "| \\| | 1.00 | 3 |" in (out / "stats_digest.md").read_text().splitlines()
 
     def test_golden_outputs(self, tmp_path, monkeypatch):
         """Outputs on a fixed corpus, byte for byte. The corpus has a

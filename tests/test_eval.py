@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,26 @@ class TestConfusionSample:
             for i in members:
                 assert (gold[i], preds[i]) == (g, p)
 
+    @given(rows=st.lists(st.tuples(st.text(alphabet="a \\\t\n\r", max_size=5),
+                                   st.text(alphabet="b \\\t\n\r", max_size=5)),
+                         min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_each_row_is_one_line_of_four_fields(self, rows):
+        """A backslash, tab or line break in an id or a hypothesis is
+        escaped, so each row splits into the four fields it was written from."""
+        rows = [*rows, ("i", "a b\tc"), ("j", "line\nbreak")]
+        ids, hypotheses = [i for i, _ in rows], [h for _, h in rows]
+        gold = np.array([E, N] * len(rows))[:len(rows)]
+        cells = confusion_sample(gold, gold, n_per_cell=len(rows), seed=0)
+        lines = confusion_sample_text(cells, THREE_WAY, ids, hypotheses).split("\n")
+        assert lines.pop() == "" and not any("\r" in line for line in lines)
+        written = [line.split("\t") for line in lines if not line.startswith("# cell")]
+        unescape = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+        assert [[re.sub(r"\\(.)", lambda m: unescape[m[1]], field) for field in fields]
+                for fields in written] == [
+            [ids[i], THREE_WAY.names[g], THREE_WAY.names[g], hypotheses[i]]
+            for (g, _), members in cells.items() for i in members]
+
 
 class TestFmt2:
     @pytest.mark.parametrize("value,expected", [
@@ -281,6 +302,13 @@ class TestReports:
         assert hyp == 50.0 and maj == 100.0
         hyp, maj, pct = rep.per_group["moved"]
         assert hyp == 100.0 and maj == 100.0 and pct == 0.0
+
+    def test_a_group_key_with_a_pipe_or_a_line_break_keeps_its_row(self):
+        rep = build_report("dev", [E, N, N, N], np.array([E, E, N, N]),
+                           ["a|b", "a|b", "c\nd", "c\nd"], THREE_WAY, train_majority=E)
+        lines = report_markdown([rep], []).splitlines()
+        assert lines[-2:] == ["| c<br>d | 100.00 | 100.00 | 0.00 |",
+                              "| a\\|b | 50.00 | 100.00 | -50.00 |"]
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "report_golden")

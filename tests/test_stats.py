@@ -16,8 +16,8 @@ import reference
 from helpers import make_corpus, random_corpus
 
 
-def count_corpus(data, scheme=THREE_WAY):
-    return stats.count_corpus(data.hypotheses, data.labels, scheme)
+def count_corpus(data, scheme=THREE_WAY, per_label=False):
+    return stats.count_corpus(data.hypotheses, data.labels, scheme, per_label)
 
 
 def occ_wl(counts, token, label):
@@ -281,12 +281,12 @@ class TestCoverageCurve:
     def test_per_label_variant(self):
         # "a" always neutral; "b" is 2/3 neutral, 1/3 contradiction
         pairs = [("a b", "neutral"), ("b", "neutral"), ("b", "contradiction")]
-        counts = count_corpus(make_corpus(pairs))
+        data = make_corpus(pairs)
         contra = THREE_WAY.index("contradiction")
         # max-over-labels: the contradiction sentence contains b with max p = 2/3
-        assert coverage_count(counts, contra, 0.5) == 1
+        assert coverage_count(count_corpus(data), contra, 0.5) == 1
         # per-label threshold: p(contradiction|b) = 1/3 < 0.5
-        assert coverage_count(counts, contra, 0.5, per_label=True) == 0
+        assert coverage_count(count_corpus(data, per_label=True), contra, 0.5) == 0
 
 
 # Hypotheses over a few types, so that frequencies and scores tie often;
@@ -327,35 +327,40 @@ class TestAgainstReference:
         assert [e.token for e in top] == ["x", "y", "a"]
 
     @given(data=labelled(), grid_step=st.sampled_from([0.3, 0.05, 0.5, 0.01]),
-           order=st.permutations([False, True]),
            extra=st.lists(st.floats(-0.5, 1.5), max_size=4))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_every_curve_and_count(self, data, grid_step, order, extra):
-        """Both modes on one counts object, in either order, so that the
-        maxima kept for one mode never answer for the other; thresholds on
-        and off the grid (0.75 is off the 0.3 grid)."""
-        counts = stats.count_corpus(*data, THREE_WAY)
-        for per_label in order:
+    def test_every_curve_and_count(self, data, grid_step, extra):
+        """Each mode on its own counts object, so that the maxima of one
+        mode can never answer for the other; thresholds on and off the grid
+        (0.75 is off the 0.3 grid)."""
+        for per_label in (False, True):
+            counts = stats.count_corpus(*data, THREE_WAY, per_label)
             for label in range(len(THREE_WAY)):
-                maxima = reference.sentence_maxima(counts, label, per_label)
-                curve = coverage_curve(counts, label, grid_step, per_label)
+                maxima = reference.sentence_maxima(*data, THREE_WAY, label, per_label)
+                curve = coverage_curve(counts, label, grid_step)
                 assert curve.y == [int(np.count_nonzero(maxima >= x)) for x in curve.grid]
                 for x in [0.0, 0.5, 0.75, 1.0, 1.0 + 1e-9, *curve.grid[::7], *extra]:
-                    assert (coverage_count(counts, label, x, per_label)
-                            == np.count_nonzero(maxima >= x))
+                    assert coverage_count(counts, label, x) == np.count_nonzero(maxima >= x)
 
-    def test_maxima_are_kept_and_read_only(self):
-        counts = count_corpus(make_corpus([("a b", "neutral"), ("b", "entailment")]))
-        kept = counts.sorted_maxima(THREE_WAY.index("neutral"), per_label=True)
-        assert counts.sorted_maxima(THREE_WAY.index("neutral"), per_label=True) is kept
-        assert not kept.flags.writeable
+    @pytest.mark.parametrize("per_label", [False, True])
+    def test_maxima_are_kept_and_read_only(self, per_label):
+        counts = count_corpus(make_corpus([("a b", "neutral"), ("b", "entailment")]),
+                              per_label=per_label)
+        attributes = set(vars(counts))
+        for label in range(len(THREE_WAY)):
+            kept = counts.sorted_maxima(label)
+            assert counts.sorted_maxima(label) is kept and not kept.flags.writeable
+        # counting computed everything: reading the maxima sets nothing, and the
+        # corpus (ids, indptr, sentence labels) is not kept
+        assert set(vars(counts)) == attributes
+        assert attributes == {"scheme", "vocab", "label_sentences", "occ", "freq", "_maxima"}
 
+    @pytest.mark.parametrize("per_label", [False, True])
     @pytest.mark.parametrize("label", [-1, 3])
-    def test_a_label_outside_the_scheme_is_refused(self, label):
-        counts = count_corpus(make_corpus([("a", "neutral")]))
-        for per_label in (False, True):
-            with pytest.raises(ValueError, match="not a label index"):
-                coverage_count(counts, label, 0.5, per_label)
+    def test_a_label_outside_the_scheme_is_refused(self, label, per_label):
+        counts = count_corpus(make_corpus([("a", "neutral")]), per_label=per_label)
+        with pytest.raises(ValueError, match="not a label index"):
+            coverage_count(counts, label, 0.5)
 
 
 def majority_accuracy(data, maj, scheme=THREE_WAY):

@@ -1,3 +1,4 @@
+import codecs
 import inspect
 import json
 import os
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyponli
-from hyponli import cli, model
+from hyponli import cli, corpus, model, synth, text
 from hyponli.util import (
     IngestError, atomic_open, atomic_write_text, config_block, csv_text, markdown_table,
     numbered_lines, parse_json,
 )
+
+from helpers import columns
 
 
 def mode(path):
@@ -52,6 +55,23 @@ class TestTables:
         assert markdown_table(["Word", "Freq"], [["a", 3], ["b", 1]]) == [
             "| Word | Freq |", "| --- | --- |", "| a | 3 |", "| b | 1 |"]
         assert markdown_table(["A", "B", "C"], []) == ["| A | B | C |", "| --- | --- | --- |"]
+
+    def test_markdown_table_escapes_pipes_and_line_breaks(self):
+        assert markdown_table(["Word", "Freq"], [["|", 3], ["a\r\nb\nc\rd", 1], ["x\\|", 2]]) == [
+            "| Word | Freq |", "| --- | --- |", "| \\| | 3 |", "| a<br>b<br>c<br>d | 1 |",
+            "| x\\\\\\| | 2 |"]
+
+    @given(rows=st.lists(st.lists(st.text(alphabet="a |\\\r\n", max_size=6), min_size=3,
+                                  max_size=3), max_size=4))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_markdown_row_keeps_the_header_columns(self, rows):
+        """Each row is one line, split into columns as GitHub-flavoured
+        markdown splits it: at each | that no backslash escapes."""
+        lines = markdown_table(["A", "B", "C"], rows)
+        assert len(lines) == 2 + len(rows)
+        for line in lines:
+            assert "\n" not in line and "\r" not in line
+            assert re.sub(r"\\.", "", line).count("|") - 1 == 3, line
 
     def test_config_block_indents_each_line(self):
         assert config_block(["seed=0", "top_k=5"]) == [
@@ -98,6 +118,36 @@ def test_numbered_lines_counts_from_one(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes("a\n\ncafé".encode("utf-8"))
     assert list(numbered_lines(path)) == [(1, "a\n"), (2, "\n"), (3, "café")]
+
+
+def read_corpus(read, roles):
+    return lambda path: (lambda data, skipped: (columns(data), skipped))(
+        *read(path, roles, corpus.THREE_WAY))
+
+
+# each text input: a file's content, and what reading the file gives
+TEXT_INPUTS = {
+    "jsonl": ('{"premise": "p", "hypothesis": "a b", "label": "neutral"}\n',
+              read_corpus(corpus.read_jsonl, corpus.FIELD_MAP_PRESETS["native"])),
+    "tsv": ("neutral\tp\ta b\nentailment\tq\tc\n",  # the label first
+            read_corpus(corpus.read_tsv, corpus.RoleMap(premise=1, hypothesis=2, label=0))),
+    "config": ("min_freq = 2\n", lambda path: cli._read_config(str(path), "stats")),
+    "vectors": ("a 1.0 2.0\nb 3.0 4.0\n",
+                lambda path: text.load_embeddings(path, text.Vocabulary(["a", "b"]), 2).tolist()),
+    "spec": (json.dumps({"n_labels": 2, "label_prior": [0.5, 0.5], "vocab_size": 10,
+                         "sentence_length": [2, 4], "seed": 0}), synth.read_spec),
+}
+
+
+@pytest.mark.parametrize("kind", TEXT_INPUTS)
+def test_a_byte_order_mark_reads_as_no_content(tmp_path, kind):
+    """A UTF-8 byte-order mark does not reach the first field, key or word:
+    each text input with one reads exactly as without."""
+    content, read = TEXT_INPUTS[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(content, encoding="utf-8")
+    marked.write_bytes(codecs.BOM_UTF8 + content.encode("utf-8"))
+    assert read(marked) == read(plain)
 
 
 def test_text_inputs_are_opened_and_parsed_only_in_util():
