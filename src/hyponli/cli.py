@@ -208,11 +208,11 @@ def _read_config(text: str, command: str) -> dict:
     return values
 
 
-def _read_corpus(path, read_format, scheme, remap_ordinal, split=None):
-    """(corpus, records skipped) of one file; naming the split makes an empty one an error."""
+def _read_corpus(path, read_format, scheme, remap_ordinal, split):
+    """(corpus, records skipped) of one file; an empty one is an error naming its split."""
     read, roles = read_format
     data, skipped = read(path, roles, scheme, remap_ordinal)
-    if split and not len(data):
+    if not len(data):
         raise corpus.IngestError(f"{path}: the {split} split is empty "
                                  f"({skipped} records skipped at ingest)")
     return data, skipped
@@ -339,7 +339,7 @@ def cmd_synth(run: Run) -> int:
 
 def cmd_audit_sample(run: Run) -> int:
     params = model.load_checkpoint(run.checkpoint)
-    data, _ = _read_corpus(run.data, run.format, params.scheme, run.remap_ordinal)
+    data, _ = _read_corpus(run.data, run.format, params.scheme, run.remap_ordinal, "data")
     pred = _predict(np.arange(len(data)), params.vocab.encode(data.hypotheses), params,
                     f"{run.checkpoint}: predicting {run.data}")
     cells = evaluate.confusion_sample(pred, data.labels, run.n_per_cell, run.seed)

@@ -25,7 +25,12 @@ and runs one reduceat per call, and read_jsonl and read_tsv
 run the record loop that formatted every error location up front. The
 faster code must give the same values, and the same exception class and
 message.
+
+bayes_accuracy enumerates every give-away presence pattern of a synth
+spec; synth.bayes_accuracy's closed form agrees with it to rounding.
 """
+
+import itertools
 
 import numpy as np
 
@@ -358,6 +363,25 @@ def sentence_maxima(hypotheses, labels, scheme, label, per_label):
     if nonempty.size:
         maxima[nonempty] = np.maximum.reduceat(score[ids], indptr[nonempty])
     return maxima[labels == label]
+
+
+def bayes_accuracy(spec):
+    """Sum, over every give-away presence pattern, the largest joint
+    probability p(pattern, label)."""
+    total = 0.0
+    for pattern in itertools.product((False, True), repeat=len(spec.giveaway)):
+        best = 0.0
+        for label in range(spec.n_labels):
+            p = spec.label_prior[label]
+            for present, (_, target, rate) in zip(pattern, spec.giveaway):
+                if target == label:
+                    p *= rate if present else 1.0 - rate
+                elif present:
+                    p = 0.0
+                    break
+            best = max(best, p)
+        total += best
+    return 100.0 * total
 
 
 def _read(path, roles, scheme, parse, remap_ordinal):

@@ -11,7 +11,9 @@ parse, so each flag it passes (--seed to stats included) must stay. A
 traced stats run, a traced bag run and a traced BiLSTM run must keep the
 count rules bench/run.py checks, and the step count launch.py reads from
 lstm_forward's first argument. bench/checks.py reads each model.ckpt
-without hyponli, so the checkpoint's layout must stay what it parses.
+without hyponli, so the checkpoint's layout must stay what it parses, and
+bounds accuracy with bench/gen.py's own Bayes ceiling, which synth's
+closed form must give for the same prior and give-aways.
 """
 
 import importlib
@@ -25,7 +27,7 @@ import types
 import numpy as np
 import pytest
 
-from hyponli import cli, corpus, model, text
+from hyponli import cli, corpus, model, synth, text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -236,3 +238,16 @@ def test_the_benchmark_reads_a_checkpoint_as_hyponli_does(tmp_path, monkeypatch,
     rows = np.arange(len(dev))
     assert recomputed.tolist() == model.predict_batch(
         rows, params.vocab.encode(dev.hypotheses), params).tolist()
+
+
+def test_the_closed_form_bayes_ceiling_matches_the_benchmark_enumeration(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(BENCH, "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_gen", gen)  # its dataclasses look it up
+    spec.loader.exec_module(gen)
+    synth_spec = synth.SynthSpec(
+        n_labels=len(gen.PRIOR), label_prior=gen.PRIOR, vocab_size=10, sentence_length=(1, 3),
+        giveaway=[(f"g{i}", target, rate) for i, (target, rate) in enumerate(gen.GIVEAWAYS)],
+        seed=0)
+    assert gen.bayes_accuracy() == pytest.approx(87.825, abs=1e-12)
+    assert abs(synth.bayes_accuracy(synth_spec) - gen.bayes_accuracy()) <= 1e-12

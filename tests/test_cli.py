@@ -624,6 +624,23 @@ class TestSynthCommand:
         assert main(["synth", "--spec-file", str(path), "--n", "3",
                      "--out-dir", str(tmp_path / "o")]) == 0
 
+    def test_more_than_twenty_giveaways_generate(self, tmp_path, synth_spec_file):
+        """25 give-aways of rate 0.2, 9, 8 and 8 per label: a label-l
+        sentence holds none with probability q_l = 0.8^k_l."""
+        with open(synth_spec_file, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec["giveaway"] = [[f"give{i}", i % 3, 0.2] for i in range(25)]
+        path, out = tmp_path / "many.json", tmp_path / "o"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["synth", "--spec-file", str(path), "--n", "30",
+                     "--out-dir", str(out)]) == 0
+        assert (out / "corpus.jsonl").read_text().count("\n") == 30
+        meta = json.loads((out / "corpus.meta.json").read_text())
+        assert meta["bayes_accuracy"] == synth.bayes_accuracy(synth.read_spec(path))
+        none = [p * 0.8 ** k for p, k in zip(spec["label_prior"], (9, 8, 8))]
+        assert meta["bayes_accuracy"] == pytest.approx(100 * (1 - sum(none) + max(none)),
+                                                       abs=1e-12)
+
     def test_a_corpus_too_large_for_memory_is_one_line(self, tmp_path, synth_spec_file,
                                                        capsys, monkeypatch):
         """A huge sentence_length or --n ends in one line naming the spec;
@@ -1313,13 +1330,28 @@ class TestAuditSampleCommand:
                      "--out-dir", str(out), "--encoder", encoder,
                      "--embedding-dim", "8", "--mlp-hidden", "16",
                      "--max-epochs", "1"]) == 0
-        empty = tmp_path / "empty.jsonl"
+        empty, audit_out = tmp_path / "empty.jsonl", tmp_path / "audit"
         empty.write_text("")
         capsys.readouterr()
         rc = main(["audit-sample", "--checkpoint", str(out / "model.ckpt"),
-                   "--data", str(empty), "--out-dir", str(tmp_path / "audit")])
-        assert rc == 0
-        assert "0 rows across 0 cells" in capsys.readouterr().out
+                   "--data", str(empty), "--out-dir", str(audit_out)])
+        assert rc == 1
+        assert one_error_line(capsys) == (
+            f"error: {empty}: the data split is empty (0 records skipped at ingest)")
+        assert not audit_out.exists()
+
+    def test_a_data_file_of_other_labels_is_empty(self, tmp_path, capsys):
+        """A 2-way checkpoint skips every record of a 3-way file."""
+        self.train_small(self.ordinal_corpus(tmp_path, corpus.TWO_WAY), tmp_path / "out",
+                         "--scheme", "2way")
+        data = self.ordinal_corpus(tmp_path, corpus.THREE_WAY)
+        capsys.readouterr()
+        audit_out = tmp_path / "audit"
+        assert main(["audit-sample", "--checkpoint", str(tmp_path / "out" / "model.ckpt"),
+                     "--data", data, "--out-dir", str(audit_out)]) == 1
+        assert one_error_line(capsys) == (
+            f"error: {data}: the data split is empty (30 records skipped at ingest)")
+        assert not audit_out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--scheme", "2way"), ("--scheme", "a,b")])
     def test_scheme_flags_are_refused(self, tmp_path, capsys, flag, value):

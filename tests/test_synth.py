@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyponli import corpus, stats
 from hyponli.synth import SynthSpec, bayes_accuracy, generate, read_spec
 from hyponli.text import tokenize
 
+import reference
 from helpers import columns
 
 
@@ -159,6 +162,26 @@ class TestBayesAccuracy:
             spec = basic_spec(giveaway=(("g0", 0, float(rate)),))
             values.append(bayes_accuracy(spec))
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def bayes_specs(draw):
+    """2- and 3-label specs with 0-12 give-aways; rates 0 and 1 come often."""
+    n_labels = draw(st.sampled_from((2, 3)))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n_labels, max_size=n_labels)
+                   .filter(any))
+    rates = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+    giveaway = draw(st.lists(st.tuples(st.integers(0, n_labels - 1), rates), max_size=12))
+    return SynthSpec(n_labels=n_labels, label_prior=[w / sum(weights) for w in weights],
+                     vocab_size=10, sentence_length=(1, 3),
+                     giveaway=[(f"g{i}", target, rate)
+                               for i, (target, rate) in enumerate(giveaway)], seed=0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bayes_specs())
+def test_closed_form_matches_pattern_enumeration(spec):
+    assert abs(bayes_accuracy(spec) - reference.bayes_accuracy(spec)) <= 1e-12
 
 
 class TestGiveawayRecovery:

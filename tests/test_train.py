@@ -274,3 +274,24 @@ class TestValidationAndLog:
             fit(train, dev, tokens, params, TrainConfig(max_epochs=2))
         assert info.value.state.stop_reason == "numerical-error"
         assert info.value.state.log_csv() == "epoch,lr,train_loss,dev_acc\n"
+
+    def test_abort_after_a_completed_epoch_keeps_its_row(self):
+        """An error in epoch 2's dev evaluation keeps epoch 1 in the
+        history, and so in the train_abort.csv that train-eval writes."""
+        train, dev, tokens = tiny_splits()
+        accs = iter([40.0, 50.0])
+
+        def dev_eval(params):
+            for acc in accs:
+                return acc
+            raise FloatingPointError("overflow encountered in matmul")
+
+        with pytest.raises(TrainAbort, match=r"^epoch 2: ") as info:
+            fit(train, dev, tokens, tiny_params(), TrainConfig(max_epochs=5, batch_size=4),
+                dev_eval=dev_eval)
+        state = info.value.state
+        assert state.stop_reason == "numerical-error"
+        header, *rows = state.log_csv().splitlines()
+        assert header == "epoch,lr,train_loss,dev_acc"
+        assert [row.split(",")[::3] for row in rows] == [["1", "50.000000"]]
+
