@@ -39,22 +39,24 @@ def _resolve_scheme(value: str) -> corpus.LabelScheme:
     try:
         return corpus.LabelScheme(tuple(n.strip() for n in value.split(",") if n.strip()))
     except corpus.ConfigError as exc:
-        raise corpus.ConfigError(f"--scheme {value!r}: schemes are 3way, 2way or 2-3 "
-                                 f"distinct label names; {exc}", "scheme") from None
+        raise corpus.ConfigError(f"--scheme {value!r}: schemes are "
+                                 f"{', '.join(corpus.SCHEME_PRESETS)} or 2-3 distinct label "
+                                 f"names; {exc}", "scheme") from None
 
 
 def _resolve_format(value: str):
-    """(reader, role map) of --format: native or snli for JSONL, tsv or role=column
-    pairs for TSV; the reader is looked up per run, so a patched one is called."""
+    """(reader, role map) of --format: a FIELD_MAP_PRESETS name (JSONL), a _TSV_PRESETS name or
+    role=column pairs (TSV); the reader is looked up per run, so a patched one is called."""
     if value in corpus.FIELD_MAP_PRESETS:
         return corpus.read_jsonl, corpus.FIELD_MAP_PRESETS[value]
     roles, kwargs = [f.name for f in dataclasses.fields(corpus.RoleMap)], {}
-    pairs = "premise=0,hypothesis=1,label=2" if value == "tsv" else value
+    pairs = _TSV_PRESETS.get(value, value)
     # blank pairs are skipped, but a value with no pair at all is refused
     for part in [part.strip() for part in pairs.split(",") if part.strip()] or [value]:
         key, _, column = (s.strip() for s in part.partition("="))
         if key not in roles or key in kwargs or not column.isdecimal():  # int() takes any digit
-            raise corpus.ConfigError(f"--format {value!r}: {part!r} is not native, snli, tsv or "
+            presets = ", ".join([*corpus.FIELD_MAP_PRESETS, *_TSV_PRESETS])
+            raise corpus.ConfigError(f"--format {value!r}: {part!r} is not {presets} or "
                                      f"role=column, with each role among {', '.join(roles)} "
                                      f"once and a non-negative integer column", "format")
         kwargs[key] = int(column)
@@ -123,15 +125,18 @@ class _Option:
 _CORPUS = "stats train-eval audit-sample split"  # the subcommands that read a corpus
 _ALL = _CORPUS + " synth"
 _REQUIRED = object()  # the default of an option that a flag or a --config line must give
+_TSV_PRESETS = {"tsv": "premise=0,hypothesis=1,label=2"}  # --format names of role=column pairs
 # one row per option, in the order of each subcommand's options
 _OPTIONS = (
     _Option("data", "stats audit-sample split", _REQUIRED, path, "data corpus file"),
     _Option("train", "train-eval", _REQUIRED, path, "train corpus file"),
     _Option("dev", "train-eval", _REQUIRED, path, "dev corpus file"),
-    _Option("format", _CORPUS, "native", resolve=_resolve_format, help="native or snli "
-            "(JSONL); tsv (premise=0,hypothesis=1,label=2) or role=column pairs (TSV)"),
+    _Option("format", _CORPUS, "native", resolve=_resolve_format,
+            help=f"{' or '.join(corpus.FIELD_MAP_PRESETS)} (JSONL); "
+                 + "".join(f"{name} ({pairs}) or " for name, pairs in _TSV_PRESETS.items())
+                 + "role=column pairs (TSV)"),
     _Option("scheme", "stats train-eval split", "3way", resolve=_resolve_scheme,
-            help="3way, 2way or 2-3 comma-separated label names"),
+            help=f"{', '.join(corpus.SCHEME_PRESETS)} or 2-3 comma-separated label names"),
     _Option("remap_ordinal", _CORPUS, False, bool, "map 1-5 ordinal ratings onto the 3-way labels"),
     _Option("test", "train-eval", None, path, "optional test corpus file"),
     _Option("seed", _CORPUS, 0, int, "global seed", low=0),
@@ -143,7 +148,7 @@ _OPTIONS = (
     _Option("grid_step", "stats", 0.01, float, "coverage grid step", stats.check_grid_step),
     _Option("per_label_threshold", "stats", False, bool,
             "threshold p(label|w) instead of max over labels"),
-    _Option("encoder", "train-eval", "bag", help="bag or birnn-maxpool"),
+    _Option("encoder", "train-eval", "bag", help=" or ".join(model.ENCODER_KINDS)),
     _Option("embeddings", "train-eval", None, path,
             "word-vector text file (default: seeded random vectors)"),
     # the configs' fields, but those that --encoder and --seed set; __post_init__ checks them
@@ -366,7 +371,7 @@ _COMMANDS = {
     "train-eval": (cmd_train_eval, "train a hypothesis-only model and report gaps"),
     "synth": (cmd_synth, "generate a synthetic biased corpus"),
     "audit-sample": (cmd_audit_sample, "stratified confusion-cell sample"),
-    "split": (cmd_split, "random 80:10:10 split of one corpus file"),
+    "split": (cmd_split, "random train, dev and test split of one corpus file"),
 }
 
 

@@ -298,7 +298,7 @@ def check_ratios(ratios) -> tuple:
     return ratios
 
 
-def random_split(data: Corpus, ratios=(0.8, 0.1, 0.1), seed: int = 0):
+def random_split(data: Corpus, ratios, seed: int):
     """Partition a corpus into (train, dev, test) corpora at the given ratios.
 
     The ratios are three finite, non-negative numbers that sum to 1. Sizes
@@ -310,10 +310,8 @@ def random_split(data: Corpus, ratios=(0.8, 0.1, 0.1), seed: int = 0):
         raise ValueError("cannot split an empty corpus")
     check_ratios(ratios)
     n = len(data)
-    n_train = int(n * ratios[0])
-    n_dev = int(n * ratios[1])
-    n_test = int(n * ratios[2])
-    n_train += n - (n_train + n_dev + n_test)
+    n_dev, n_test = int(n * ratios[1]), int(n * ratios[2])
+    n_train = n - n_dev - n_test
     order = np.random.default_rng(seed).permutation(n)
     parts = np.split(order, [n_train, n_train + n_dev])
     return tuple(data.take(part) for part in parts)

@@ -22,6 +22,7 @@ scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -96,7 +97,6 @@ def count_corpus(hypotheses, labels, scheme: LabelScheme,
 @dataclass(frozen=True)
 class GiveawayEntry:
     token: str
-    label: int
     score: float
     frequency: int
 
@@ -115,8 +115,8 @@ def check_top_k(top_k: int) -> int:
     return top_k
 
 
-def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
-                   top_k: int = 10) -> dict[int, list[GiveawayEntry]]:
+def giveaway_words(counts: LabelWordCounts, min_freq: int,
+                   top_k: int) -> dict[int, list[GiveawayEntry]]:
     """Most label-specific words per label index.
 
     A token with count_w >= min_freq is a candidate for its argmax label
@@ -140,7 +140,7 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int = 5,
             cut = mine[order[-top_k]]
             mine = mine[(freq[mine] > freq[cut])
                         | ((freq[mine] == freq[cut]) & (score[mine] >= score[cut]))]
-        entries = [GiveawayEntry(counts.vocab.token(w), label, s, f) for w, s, f in
+        entries = [GiveawayEntry(counts.vocab.token(w), s, f) for w, s, f in
                    zip(candidates[mine].tolist(), score[mine].tolist(), freq[mine].tolist())]
         entries.sort(key=lambda e: (-e.frequency, -e.score, e.token))
         buckets[label] = entries[:top_k]
@@ -155,16 +155,8 @@ class CoverageCurve:
 
 
 def _threshold_grid(step: float) -> list[float]:
-    grid = []
-    k = 0
-    while True:
-        x = k * step
-        if x >= 1.0 - 1e-12:
-            break
-        grid.append(x)
-        k += 1
-    grid.append(1.0)
-    return grid
+    """k * step for k = 0, 1, ... while below 1 - 1e-12, then 1.0."""
+    return [*takewhile(lambda x: x < 1.0 - 1e-12, (k * step for k in count())), 1.0]
 
 
 def coverage_count(counts: LabelWordCounts, label: int, x: float) -> int:
@@ -180,8 +172,7 @@ def check_grid_step(grid_step: float) -> float:
     return grid_step
 
 
-def coverage_curve(counts: LabelWordCounts, label: int,
-                   grid_step: float = 0.01) -> CoverageCurve:
+def coverage_curve(counts: LabelWordCounts, label: int, grid_step: float) -> CoverageCurve:
     """Coverage per threshold on the grid {0, step, ..., 1}.
 
     y(x) counts the label's sentences containing at least one token w with

@@ -99,55 +99,61 @@ def intern(texts) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
             np.cumsum(lengths, dtype=np.int64))
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
     """The (len(vocab) + 1, dimension) embedding matrix from a word-vector
-    text file ("word v1 ... vd" per line).
-
-    Only vocab words are kept; a word given twice keeps its last vector.
-    The final row, and the row of every vocab word the file lacks, is the
-    OOV vector: the row named "<unk>" if there is one, else the mean of the
-    loaded vectors in first-seen file order, else zeros. A line with the
-    wrong number of values, or with a value that is not a finite number,
-    raises util.IngestError naming the path and line, as does a byte that
-    is not UTF-8; so does a mean that overflows, naming the path.
+    text file: per line, a word (GloVe's may hold spaces) and its values,
+    the last d whitespace-separated fields. Only vocab words are kept; a
+    word given twice keeps its last vector. The final row, and the row of
+    every vocab word the file lacks, is the OOV vector: the row named
+    "<unk>" if there is one, else the mean of the loaded vectors in
+    first-seen file order, else zeros. A line of d fields or fewer or of
+    more than d values (a number before the last d), a value that is not
+    a finite number and a byte that is not UTF-8 raise util.IngestError
+    naming the path and line; so does a mean that overflows, naming the path.
     """
     matrix = np.zeros((len(vocab) + 1, dimension), dtype=np.float64)
     loaded: dict[int, None] = {}  # vocab ids in first-seen file order
-    designated_oov = None
+    oov = None  # the vector of the "<unk>" line, if there is one
     for lineno, line in numbered_lines(path):
         parts = line.split()
         if not parts:
             continue
-        word, values = parts[0], parts[1:]
-        if len(values) != dimension:
+        if len(parts) <= dimension or (len(parts) > dimension + 1
+                                       and _is_number(parts[-dimension - 1])):
             raise IngestError(
-                f"{path}: line {lineno}: expected {dimension} values, got {len(values)}")
+                f"{path}: line {lineno}: expected {dimension} values, got {len(parts) - 1}")
         try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
+            vec = np.array([float(v) for v in parts[-dimension:]], dtype=np.float64)
         except ValueError as exc:
             raise IngestError(f"{path}: line {lineno}: non-numeric value") from exc
         if not np.isfinite(vec).all():
             raise IngestError(f"{path}: line {lineno}: non-finite value")
+        word = parts[0] if len(parts) == dimension + 1 else line.rsplit(None, dimension)[0].strip()
         if word == OOV_TOKEN:
-            designated_oov = vec
+            oov = vec
             continue
         idx = vocab.get(word)
         if idx is not None:
             matrix[idx] = vec
             loaded.setdefault(idx)
-    if designated_oov is not None:
-        oov = designated_oov
-    elif loaded:
+    if oov is None and loaded:
         with np.errstate(over="ignore", invalid="ignore"):
             oov = matrix[list(loaded)].mean(axis=0)
         if not np.isfinite(oov).all():
             raise IngestError(f"{path}: the mean of the loaded vectors, the default "
                               f"OOV vector, is not finite; add a {OOV_TOKEN!r} line")
-    else:
-        oov = np.zeros(dimension, dtype=np.float64)
-    missing = np.ones(len(matrix), dtype=bool)
-    missing[list(loaded)] = False
-    matrix[missing] = oov
+    if oov is not None:  # else the rows the file did not fill keep their zeros
+        missing = np.ones(len(matrix), dtype=bool)
+        missing[list(loaded)] = False
+        matrix[missing] = oov
     return matrix
 
 

@@ -334,7 +334,7 @@ def report_tally(pred, gold, groups, train_majority):
     }
 
 
-def giveaway_words(counts, min_freq=5, top_k=10):
+def giveaway_words(counts, min_freq, top_k):
     """stats.giveaway_words with one GiveawayEntry per candidate, each
     label's whole list sorted, then cut."""
     buckets = {i: [] for i in range(len(counts.scheme))}
@@ -342,7 +342,7 @@ def giveaway_words(counts, min_freq=5, top_k=10):
     best = counts.occ.argmax(axis=1)
     for w in np.flatnonzero(freq >= min_freq):
         idx, cw = int(best[w]), int(freq[w])
-        buckets[idx].append(stats.GiveawayEntry(counts.vocab.token(w), idx,
+        buckets[idx].append(stats.GiveawayEntry(counts.vocab.token(w),
                                                 int(counts.occ[w, idx]) / cw, cw))
     for entries in buckets.values():
         entries.sort(key=lambda e: (-e.frequency, -e.score, e.token))

@@ -409,6 +409,11 @@ def test_criterion_7_premise_invariance(tmp_path, monkeypatch):
 # --------------------------------------------------------------------------
 
 def test_criterion_8_cli_determinism(tmp_path):
+    """Byte-identical checkpoints hold for one numpy build, one BLAS kernel
+    and one thread count, as both runs here share them. Across thread
+    counts they need not: at the default dimensions and batch 64, one and
+    two OpenBLAS threads gave different bytes in every array of a BiLSTM
+    checkpoint."""
     with criterion(8, "two identical train-eval runs are byte-identical"):
         spec = dataclasses.replace(RECOVERY_SPEC, seed=900)
         files = {}

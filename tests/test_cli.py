@@ -104,6 +104,13 @@ def test_each_subcommand_has_exactly_these_options():
     }
 
 
+def test_a_resolved_run_is_frozen():
+    run = cli._resolve("split", {"data": "d.jsonl"})
+    with pytest.raises(AttributeError, match="^a Run is frozen: cannot set 'seed'$"):
+        run.seed = 1
+    assert run.seed == 0
+
+
 FORMAT_REFUSAL = ("is not native, snli, tsv or role=column, with each role among premise, "
                   "hypothesis, label, group, ordinal, id once and a non-negative integer column")
 SCHEME_REFUSAL = "schemes are 3way, 2way or 2-3 distinct label names; labels"
@@ -718,7 +725,7 @@ class TestStatsCommand:
         read, _ = corpus.read_jsonl(data, corpus.FIELD_MAP_PRESETS["native"],
                                     corpus.THREE_WAY)
         counts = stats.count_corpus(read.hypotheses, read.labels, corpus.THREE_WAY)
-        expected = stats.giveaways_to_csv(stats.giveaway_words(counts, min_freq=2),
+        expected = stats.giveaways_to_csv(stats.giveaway_words(counts, min_freq=2, top_k=10),
                                           corpus.THREE_WAY)
         assert (out / "giveaways.csv").read_text() == expected
 
@@ -1040,6 +1047,27 @@ class TestTrainEvalCommand:
         assert rc == 1
         assert one_error_line(capsys) == f"error: {vecs}: line 2: non-finite value"
 
+    def test_words_holding_spaces_train_as_if_absent(self, tmp_path, capsys):
+        """GloVe has words such as ". . ."; such a line loads and matches no
+        token, so the checkpoint is that of the file without it."""
+        give0 = "give0" + " 0.5" * 8 + "\n"
+        for name, text in (("spaces", f". . .{' 0.3' * 8}\n{give0}a\u00a0b{' 0.4' * 8}\n"),
+                           ("plain", give0)):
+            vecs = tmp_path / f"{name}.txt"
+            vecs.write_text(text, encoding="utf-8")
+            assert self.run_train(tmp_path, tmp_path / name,
+                                  extra=["--embeddings", str(vecs), "--max-epochs", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        assert ((tmp_path / "spaces" / "model.ckpt").read_bytes()
+                == (tmp_path / "plain" / "model.ckpt").read_bytes())
+
+    def test_one_value_too_many_is_refused_at_the_first_line(self, tmp_path, capsys):
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text("".join(f"{word}{' 0.5' * 9}\n" for word in ("give0", "w001")))
+        rc = self.run_train(tmp_path, tmp_path / "out", extra=["--embeddings", str(vecs)])
+        assert rc == 1
+        assert one_error_line(capsys) == f"error: {vecs}: line 1: expected 8 values, got 9"
+
     def test_overflowing_oov_mean_is_one_line(self, tmp_path, capsys):
         """Without an <unk> line the OOV vector is the mean of the loaded
         vectors; a mean that overflows is a file error, with no warning."""
@@ -1160,7 +1188,14 @@ class TestTrainEvalCommand:
         """One OpenBLAS thread and the default pool give the same bytes. The
         sizes (about 70 tokens x 50 x 256 for the BiLSTM's batch products,
         64 x 128 x 128 for the bag's) are above the size from which
-        OpenBLAS splits a product across threads on a multi-core machine."""
+        OpenBLAS splits a product across threads on a multi-core machine.
+
+        It holds for one numpy build and one BLAS kernel, and at these
+        sizes only: at the default dimensions and batch 64, one and two
+        OpenBLAS threads gave different bytes in every array of a BiLSTM
+        checkpoint (by up to 2e-16 of each array's largest value), since
+        the weight-gradient products reduce over a batch's tokens and
+        OpenBLAS splits that reduction by thread count."""
         paths = synth_corpus_files(tmp_path)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = {k: v for k, v in os.environ.items()

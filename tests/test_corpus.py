@@ -478,26 +478,29 @@ class TestJociRemap:
         assert once.labels.tolist() == [2, 1, 0]
 
 
+EIGHTY_TEN_TEN = (0.8, 0.1, 0.1)  # train, dev and test shares
+
+
 class TestRandomSplit:
     def test_exact_ratios(self):
         data = make_corpus([(f"h{i}", "neutral") for i in range(10)])
-        sizes = tuple(len(part) for part in random_split(data, seed=0))
+        sizes = tuple(len(part) for part in random_split(data, ratios=EIGHTY_TEN_TEN, seed=0))
         assert sizes == (8, 1, 1)
 
     def test_n103_regression(self):
         # floor sizes (82, 10, 10), remainder 1 to train
         data = make_corpus([(f"h{i}", "neutral") for i in range(103)])
-        sizes = tuple(len(part) for part in random_split(data, seed=1))
+        sizes = tuple(len(part) for part in random_split(data, ratios=EIGHTY_TEN_TEN, seed=1))
         assert sizes == (83, 10, 10)
 
     def test_same_seed_identical(self):
         data = make_corpus([(f"h{i}", "neutral") for i in range(37)])
-        assert ([columns(part) for part in random_split(data, seed=9)]
-                == [columns(part) for part in random_split(data, seed=9)])
+        assert ([columns(part) for part in random_split(data, ratios=EIGHTY_TEN_TEN, seed=9)]
+                == [columns(part) for part in random_split(data, ratios=EIGHTY_TEN_TEN, seed=9)])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            random_split(make_corpus([]), seed=0)
+            random_split(make_corpus([]), ratios=EIGHTY_TEN_TEN, seed=0)
 
     def test_bad_ratios_rejected(self):
         data = make_corpus([("h", "neutral")])
@@ -508,7 +511,7 @@ class TestRandomSplit:
     @settings(max_examples=60, deadline=None)
     def test_partition(self, n, seed):
         data = make_corpus([(f"h{i}", "neutral") for i in range(n)])
-        ids = [i for part in random_split(data, seed=seed) for i in part.ids]
+        ids = [i for part in random_split(data, ratios=EIGHTY_TEN_TEN, seed=seed) for i in part.ids]
         assert len(ids) == n
         assert set(ids) == {f"i{i}" for i in range(n)}
 

@@ -62,6 +62,14 @@ def predict_one(rows, params):
     return int(predict_batch(*as_csr([rows]), params)[0])
 
 
+class TestInit:
+    def test_an_embedding_matrix_of_the_wrong_shape_is_refused(self):
+        cfg = ModelConfig("bag", embedding_dim=8)
+        with pytest.raises(ValueError,
+                           match=r"^embedding matrix shape \(10, 8\) is not \(11, 8\)$"):
+            ModelParameters.init(cfg, np.zeros((10, 8)), small_vocab(), THREE_WAY)
+
+
 class TestEncodeBag:
     def test_single_token_is_its_vector(self):
         vocab = small_vocab(3)
@@ -279,6 +287,12 @@ class TestLossAndGradients:
                 fd = (lp - lm) / (2 * step)
                 denom = max(abs(fd), abs(gflat[i]), 1e-6)
                 assert abs(fd - gflat[i]) / denom < 1e-4, (name, i)
+
+    def test_a_non_finite_loss_is_a_numerical_error(self):
+        params = make_params("bag")
+        params.array("mlp_b2")[0] = np.nan  # after the constructor's finiteness check
+        with pytest.raises(model.NumericalError, match="^non-finite loss$"):
+            loss_and_gradients(*as_csr([lookup(params.vocab, ["t0"])]), np.array([1]), params)
 
     def test_frozen_embeddings_have_no_gradient(self):
         params = make_params("bag", finetune=False)

@@ -191,7 +191,7 @@ class TestGiveawayWords:
     def test_bad_option_rejected(self, option, refusal):
         counts = count_corpus(make_corpus([("a", "neutral")]))
         with pytest.raises(ConfigError) as err:
-            giveaway_words(counts, **option)
+            giveaway_words(counts, **{"min_freq": 5, "top_k": 10, **option})
         assert (str(err.value), err.value.options) == (refusal, tuple(option))
 
     def test_token_in_at_most_one_list(self):
@@ -238,7 +238,7 @@ class TestCoverageCurve:
         rng = np.random.default_rng(3)
         counts = count_corpus(random_corpus(rng, 30))
         for label in range(len(THREE_WAY)):
-            curve = coverage_curve(counts, label)
+            curve = coverage_curve(counts, label, grid_step=0.01)
             assert all(a >= b for a, b in zip(curve.y, curve.y[1:]))
 
     def test_matches_brute_force_rescan(self):
@@ -394,7 +394,7 @@ class TestSerialization:
     def test_giveaways_csv(self):
         pairs = [("sleep", "contradiction")] * 6
         counts = count_corpus(make_corpus(pairs))
-        text = stats.giveaways_to_csv(giveaway_words(counts), THREE_WAY)
+        text = stats.giveaways_to_csv(giveaway_words(counts, min_freq=5, top_k=10), THREE_WAY)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["label", "token", "score", "freq"]
         assert ["contradiction", "sleep", "1.000000", "6"] in rows

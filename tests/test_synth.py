@@ -51,6 +51,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             basic_spec(sentence_length=(5, 3))
 
+    @pytest.mark.parametrize("overrides, refusal", [
+        ({"n_labels": 4}, "synth spec key 'n_labels': 4 is not 2 or 3"),
+        ({"label_prior": (0.5, 0.5)}, "synth spec key 'label_prior': has 2 entries for 3 labels"),
+        ({"vocab_size": 0}, "synth spec key 'vocab_size': 0 is below 1"),
+        ({"giveaway": (("g", 3, 0.5),)},
+         "synth spec key 'giveaway': entry ('g', 3, 0.5): label 3 outside label range"),
+    ], ids=["four-labels", "prior-length", "empty-vocabulary", "giveaway-label-range"])
+    def test_refusal_names_the_key(self, overrides, refusal):
+        with pytest.raises(ValueError) as err:
+            basic_spec(**overrides)
+        assert str(err.value) == refusal
+
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
             basic_spec(giveaway=(("g", 0, 1.5),))
@@ -213,6 +225,12 @@ class TestSpecSerialization:
         data["giveaway"] = [["g0", "entailed", 0.5]]
         spec = read_spec(write_spec(tmp_path / "s.json", data))
         assert spec.giveaway == (("g0", 0, 0.5),)
+
+    def test_a_spec_that_is_not_an_object_is_refused(self, tmp_path):
+        path = write_spec(tmp_path / "s.json", [])
+        with pytest.raises(corpus.ConfigError) as err:
+            read_spec(path)
+        assert str(err.value) == f"{path}: synth spec must be a JSON object"
 
     def test_giveaway_key_is_optional(self, tmp_path):
         data = dataclasses.asdict(basic_spec())

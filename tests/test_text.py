@@ -151,6 +151,30 @@ class TestLoadEmbeddings:
         with pytest.raises(IngestError, match="line 2"):
             load_embeddings(path, Vocabulary(["a", "b"]), 3)
 
+    def test_words_holding_spaces_load_and_match_no_token(self, tmp_path):
+        # GloVe has words such as ". . ."; U+00A0 is whitespace to str.split
+        lines = ["a 1 2", ". . . 0.3 0.4", "a\u00a0b 0.3 0.4", "  b 3 4"]
+        vocab = Vocabulary(["a", "b", ".", "c"])
+        emb = load_embeddings(self.write(tmp_path, lines), vocab, 2)
+        without = load_embeddings(self.write(tmp_path, [lines[0], lines[3]]), vocab, 2)
+        assert emb.tobytes() == without.tobytes()
+        assert np.array_equal(emb, [[1, 2], [3, 4], [2, 3], [2, 3], [2, 3]])
+
+    @pytest.mark.parametrize("line, got", [("a 0.1 0.2 0.3", 3), ("a b 1 0.2 0.3", 4),
+                                           ("a 0.1", 1), ("0.1 0.2", 1)],
+                             ids=["one-too-many", "two-too-many", "one-too-few", "no-word"])
+    def test_a_line_of_too_many_or_too_few_values_is_refused(self, tmp_path, line, got):
+        """More than d values when the field before the last d reads as a
+        number, fewer when the line has d fields or fewer."""
+        path = self.write(tmp_path, ["b 1 2", line])
+        with pytest.raises(IngestError, match=f"^{path}: line 2: expected 2 values, got {got}$"):
+            load_embeddings(path, Vocabulary(["a", "b"]), 2)
+
+    def test_a_numeric_word_is_a_word(self, tmp_path):
+        path = self.write(tmp_path, ["1 0.5 0.25", "nan 0.1 0.2"])
+        emb = load_embeddings(path, Vocabulary(["1", "nan"]), 2)
+        assert emb[:2].tolist() == [[0.5, 0.25], [0.1, 0.2]]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_value_names_line(self, tmp_path, value):
         path = self.write(tmp_path, ["a 1 2", f"zzz 1 {value}"])
