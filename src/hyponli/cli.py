@@ -7,9 +7,10 @@ once into a corpus.Corpus, and outputs are promoted atomically from temp files.
 
 Each option is one row of _OPTIONS, which builds the argparse subparsers, reads a key=value
 --config file and gives the "Run configuration" block; the model and schedule options are the
-fields of model.ModelConfig and train.TrainConfig, defaults and types included. argparse only
-splits argv (switches, --help, unknown flags); the row's from_text turns a flag's or a
---config line's text into its value, and a path option refuses empty text. A flag wins over a
+fields of model.ModelConfig and train.TrainConfig, defaults, types and helps included. Each
+--help line ends in its row's default, unless the option is required, a switch or has none.
+argparse only splits argv (switches, --help, unknown flags); the row's from_text turns a flag's
+or a --config line's text into its value, and a path option refuses empty text. A flag wins over a
 --config line, which wins over the row's default (a non-empty HYPONLI_OUT_DIR, read per run,
 for --out-dir); a row without one must be given. Before any input is read, checkpoint and spec
 included, a command resolves one frozen Run: --format to a reader and RoleMap, --scheme to a
@@ -152,13 +153,14 @@ _OPTIONS = (
     _Option("embeddings", "train-eval", None, path,
             "word-vector text file (default: seeded random vectors)"),
     # the configs' fields, but those that --encoder and --seed set; __post_init__ checks them
-    *(_Option(f.name, "train-eval", f.default, type(f.default))
+    *(_Option(f.name, "train-eval", f.default, type(f.default), f.metadata["help"])
       for config in (model.ModelConfig, train.TrainConfig) for f in dataclasses.fields(config)
       if f.name not in ("encoder_kind", "seed")),
     _Option("spec_file", "synth", _REQUIRED, path, "JSON generator spec"),
     _Option("n", "synth", _REQUIRED, int, "number of instances", low=1),
-    _Option("checkpoint", "audit-sample", _REQUIRED, path),
-    _Option("n_per_cell", "audit-sample", 50, int, resolve=evaluate.check_n_per_cell),
+    _Option("checkpoint", "audit-sample", _REQUIRED, path, "model.ckpt file of train-eval"),
+    _Option("n_per_cell", "audit-sample", 50, int, "rows drawn per (gold, predicted) cell, "
+            "at most", evaluate.check_n_per_cell),
     _Option("ratios", "split", "0.8,0.1,0.1", str, "train,dev,test ratios", _resolve_ratios),
 )
 
@@ -323,6 +325,9 @@ def cmd_train_eval(run: Run) -> int:
     dev_rep = reports[0]
     print(f"train-eval: dev hyp-only {evaluate.fmt2(dev_rep.hyp_only_acc)} "
           f"vs maj {evaluate.fmt2(dev_rep.maj_acc)} -> {out}")
+    if not (run.embeddings or run.finetune_embeddings):
+        print("note: trained on frozen, seeded random word vectors, which no run of the paper "
+              "used; give --embeddings or --finetune-embeddings", file=sys.stderr)
     return 0
 
 
@@ -384,9 +389,12 @@ def build_parser():
         subparsers.add_parser(name, help=help_text)
     for option in _OPTIONS:
         kind = {bool: {"action": "store_true"}, path: {"metavar": "PATH"}}.get(option.type, {})
+        help_text = option.help
+        if option.default not in (_REQUIRED, None) and option.type is not bool:
+            help_text += f" (default: {option.default})"
         for name in option.commands.split():  # SUPPRESS: args hold only the flags given
             subparsers.choices[name].add_argument(f"--{option.dest.replace('_', '-')}", **kind,
-                                                  default=argparse.SUPPRESS, help=option.help)
+                                                  default=argparse.SUPPRESS, help=help_text)
     return parser, subparsers.choices
 
 

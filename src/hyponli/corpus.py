@@ -22,16 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import IngestError, as_integer, atomic_open, numbered_lines, parse_json
-
-
-class ConfigError(ValueError):
-    """A flag, --config line, role map, scheme, synth spec key or run parameter
-    that cannot be used; options names the parameters at fault by their flags' dests."""
-
-    def __init__(self, message: str, *options: str):
-        super().__init__(message)
-        self.options = options
+from .util import ConfigError, IngestError, as_integer, atomic_open, numbered_lines, parse_json
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ corpus's label column, and groups its group column), and reports key
 their classes by index; label names are looked up in the scheme only
 where text is written. Every breakdown of a report (per class, per
 group, the split's mode, whether the predictions are constant) is read
-off a (gold, predicted) confusion table counted by one np.bincount.
+off (gold, predicted) confusion tables, one per group, from one np.bincount.
 Reported gaps follow the hyp-only-vs-majority convention: the absolute
 delta in percentage points and the relative delta as a percentage of the
 majority accuracy. Formatted values round half away from zero to two
@@ -15,12 +15,12 @@ decimals.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ConfigError, LabelScheme
-from .util import config_block, csv_text, markdown_table
+from .corpus import LabelScheme
+from .util import ConfigError, config_block, csv_text, markdown_table
 
 
 def fmt2(value: float | None) -> str:
@@ -117,9 +117,8 @@ class EvalReport:
     per_class: dict[int, tuple[float, float]]  # label index -> (hyp-only, class share)
     constant_prediction: bool
     maj_label: int  # the train-majority label index
-    per_group: dict[str, tuple[float, float, float | None]] | None = None
-    split_mode_acc: float | None = None  # eval split's own most-frequent-class rate
-    notes: list[str] = field(default_factory=list)
+    per_group: dict[str, tuple[float, float, float | None]]  # key -> (hyp-only, MAJ, pct delta)
+    notes: list[str]
 
 
 def build_report(split_name: str, pred, gold, groups, scheme: LabelScheme,
@@ -127,46 +126,48 @@ def build_report(split_name: str, pred, gold, groups, scheme: LabelScheme,
     """Assemble the gap report for one split from its predicted and gold
     label indices and its group column (None where a row has no group).
 
-    Every rate is read off (gold, predicted) confusion tables: one for the
-    split, and one per group from a single np.bincount over (group, gold,
-    predicted) keys. MAJ defaults to the train-majority label index scored
-    on the split; when the split's own most frequent class (lowest index
-    on ties) differs, both rates are included and the discrepancy is noted
-    rather than resolved. A group's MAJ scores the group's own most
-    frequent gold class.
+    Every rate is read off (gold, predicted) confusion tables, one per
+    group and one for the rows without a group, from a single np.bincount
+    over (group, gold, predicted) keys; the split's table is their sum.
+    MAJ defaults to the train-majority label index scored on the split;
+    when the split's own most frequent class (lowest index on ties)
+    differs, the note gives its rate rather than resolving the
+    discrepancy. A group's MAJ scores the group's own most frequent gold
+    class.
     """
     pred, gold, groups = _aligned(pred, gold, groups)
-    hyp = accuracy(pred, gold)  # rejects an empty split
     n, n_labels = gold.size, len(scheme)
+    if not n:
+        raise ValueError("cannot score empty inputs")
     if min(pred.min(), gold.min()) < 0 or max(pred.max(), gold.max()) >= n_labels:
         raise ValueError(f"label indices outside the {n_labels} labels of the scheme")
-    table = np.bincount(gold * n_labels + pred,
-                        minlength=n_labels * n_labels).reshape(n_labels, n_labels)
+    keyed = np.array([k is not None for k in groups], dtype=bool)
+    keys, member = np.unique(groups[keyed], return_inverse=True)
+    slot = np.full(n, keys.size)  # the rows without a group share the last slot
+    slot[keyed] = member
+    tables = np.bincount((slot * n_labels + gold) * n_labels + pred,
+                         minlength=(keys.size + 1) * n_labels * n_labels
+                         ).reshape(keys.size + 1, n_labels, n_labels)
+    table = tables.sum(axis=0)
     totals = table.sum(axis=1)
+    hyp = 100.0 * int(np.trace(table)) / n
     maj = 100.0 * int(totals[train_majority]) / n
-    split_mode = int(totals.argmax())
-    split_mode_acc = 100.0 * int(totals[split_mode]) / n
     abs_delta, pct_delta = delta_report(hyp, maj)
     per_class = {c: (100.0 * int(table[c, c]) / int(totals[c]), 100.0 * int(totals[c]) / n)
                  for c in np.flatnonzero(totals).tolist()}
-    per_group = None
-    keyed = np.array([k is not None for k in groups], dtype=bool)
-    if keyed.any():
-        keys, member = np.unique(groups[keyed], return_inverse=True)
-        tables = np.bincount((member * n_labels + gold[keyed]) * n_labels + pred[keyed],
-                             minlength=keys.size * n_labels * n_labels)
-        per_group = {}
-        for key, t in zip(keys.tolist(), tables.reshape(keys.size, n_labels, n_labels)):
-            size = int(t.sum())
-            group_hyp = 100.0 * int(np.trace(t)) / size
-            group_maj = 100.0 * int(t.sum(axis=1).max()) / size
-            per_group[key] = (group_hyp, group_maj, delta_report(group_hyp, group_maj)[1])
+    per_group = {}
+    for key, t in zip(keys.tolist(), tables[:-1]):
+        size = int(t.sum())
+        group_hyp = 100.0 * int(np.trace(t)) / size
+        group_maj = 100.0 * int(t.sum(axis=1).max()) / size
+        per_group[key] = (group_hyp, group_maj, delta_report(group_hyp, group_maj)[1])
+    split_mode = int(totals.argmax())
     notes = []
     if split_mode != train_majority:
         notes.append(
             f"train-majority label {scheme.names[train_majority]!r} is not the split's own "
             f"most frequent class ({scheme.names[split_mode]!r}, "
-            f"{fmt2(split_mode_acc)}); MAJ above uses the train majority"
+            f"{fmt2(100.0 * int(totals[split_mode]) / n)}); MAJ above uses the train majority"
         )
     return EvalReport(
         split=split_name,
@@ -179,7 +180,6 @@ def build_report(split_name: str, pred, gold, groups, scheme: LabelScheme,
         constant_prediction=bool(np.count_nonzero(table.sum(axis=0)) == 1),
         maj_label=train_majority,
         per_group=per_group,
-        split_mode_acc=split_mode_acc,
         notes=notes,
     )
 
@@ -219,7 +219,7 @@ def report_csv(reports: list[EvalReport]) -> str:
                      str(rep.constant_prediction).lower()])
         rows += [[rep.split, "class", rep.scheme.names[label], fmt2(h), fmt2(m), "", "", ""]
                  for label, (h, m) in rep.per_class.items()]
-        for key in sorted(rep.per_group or ()):
+        for key in sorted(rep.per_group):
             h, m, pct = rep.per_group[key]
             rows.append([rep.split, "group", key, fmt2(h), fmt2(m), "", fmt2(pct), ""])
     return csv_text(["split", "scope", "key", "hyp_only", "maj", "abs_delta", "pct_delta",

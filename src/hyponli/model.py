@@ -64,14 +64,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .corpus import ConfigError, LabelScheme
+from .corpus import LabelScheme
 from .text import Vocabulary
-from .util import atomic_open, parse_json
+from .util import ConfigError, atomic_open, parse_json
 
 ENCODER_KINDS = ("bag", "birnn-maxpool")
 
@@ -83,14 +83,16 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class ModelConfig:
     """The encoder and its sizes; the label count is that of the model's scheme. The defaults
-    are train-eval's: each field but encoder_kind and seed is the option of its name."""
+    are train-eval's: each field but encoder_kind and seed is the option of its name, and its
+    metadata's help is that option's help."""
 
     encoder_kind: str
-    embedding_dim: int = 50
-    hidden_dim: int = 64
-    mlp_hidden: int = 64
+    embedding_dim: int = field(default=50, metadata={"help": "word-vector size"})
+    hidden_dim: int = field(default=64, metadata={"help": "BiLSTM state size per direction"})
+    mlp_hidden: int = field(default=64, metadata={"help": "MLP hidden layer size"})
     seed: int = 0
-    finetune_embeddings: bool = False
+    finetune_embeddings: bool = field(default=False, metadata={
+        "help": "train the word vectors too; without it they stay fixed"})
 
     def __post_init__(self):
         if self.encoder_kind not in ENCODER_KINDS:

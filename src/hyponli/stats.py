@@ -26,9 +26,9 @@ from itertools import count, takewhile
 
 import numpy as np
 
-from .corpus import ConfigError, LabelScheme
+from .corpus import LabelScheme
 from .text import Vocabulary, intern
-from .util import csv_text
+from .util import ConfigError, csv_text
 
 
 class LabelWordCounts:

@@ -16,9 +16,9 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .corpus import THREE_WAY, TWO_WAY, ConfigError, Corpus
+from .corpus import THREE_WAY, TWO_WAY, Corpus
 from .text import tokenize
-from .util import as_integer, numbered_lines, parse_json
+from .util import ConfigError, as_integer, numbered_lines, parse_json
 
 
 def _finite(value) -> float:

@@ -25,25 +25,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ConfigError
 from .evaluate import accuracy
 from .model import (
     ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch,
 )
-from .util import csv_text
+from .util import ConfigError, csv_text
 
 
 @dataclass
 class TrainConfig:
     """fit's schedule, as the module docstring describes it. The defaults, InferSent's (Conneau
-    et al. 2017), are train-eval's: each field but seed is the option of its name."""
+    et al. 2017), are train-eval's: each field but seed is the option of its name, and its
+    metadata's help is that option's help."""
 
-    lr0: float = 0.1
-    decay: float = 0.99
-    divide_on_decline: float = 5.0
-    lr_floor: float = 1e-5
-    max_epochs: int = 20
-    batch_size: int = 64
+    lr0: float = field(default=0.1, metadata={
+        "help": "SGD learning rate of epoch 1; the schedule's defaults are InferSent's"})
+    decay: float = field(default=0.99, metadata={"help": "rate factor after each epoch"})
+    divide_on_decline: float = field(default=5.0, metadata={
+        "help": "further rate divisor after an epoch whose dev accuracy fell"})
+    lr_floor: float = field(default=1e-5, metadata={"help": "stop once the rate is below this"})
+    max_epochs: int = field(default=20, metadata={"help": "epoch bound"})
+    batch_size: int = field(default=64, metadata={"help": "minibatch size"})
     seed: int = 0
 
     def __post_init__(self):
@@ -66,13 +68,12 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    epoch: int = 0
+    """fit's trace: the rate after the last epoch, the untrained model's dev accuracy, one
+    (epoch, lr used, mean train loss, dev accuracy) row per epoch run, and why it stopped."""
+
     lr: float = 0.0
     baseline_dev_acc: float = 0.0
-    best_dev_acc: float = float("-inf")
-    last_dev_acc: float = 0.0
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
-    best_params: ModelParameters | None = None
     stop_reason: str = ""
 
     def log_csv(self) -> str:
@@ -137,12 +138,12 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
         def dev_eval(params):
             return accuracy(predict_batch(dev[0], tokens, params), dev[1])
 
-    state = TrainState()
-    state.lr = config.lr0
+    state = TrainState(lr=config.lr0)
+    best_params, best_dev_acc = None, -math.inf
     epoch = 0  # the untrained model's dev evaluation
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            state.baseline_dev_acc = state.last_dev_acc = dev_eval(params)
+            state.baseline_dev_acc = last_dev_acc = dev_eval(params)
             for epoch in range(1, config.max_epochs + 1):
                 order = np.random.default_rng(config.seed + epoch).permutation(n)
                 loss_sum = 0.0
@@ -152,15 +153,13 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
                     sgd_step(params, grads, state.lr)
                     loss_sum += loss * len(idx)
                 dev_acc = dev_eval(params)
-                if dev_acc > state.best_dev_acc:
-                    state.best_dev_acc = dev_acc
-                    state.best_params = params.clone()
-                state.epoch = epoch
+                if dev_acc > best_dev_acc:
+                    best_params, best_dev_acc = params.clone(), dev_acc
                 state.history.append((epoch, state.lr, loss_sum / n, dev_acc))
                 state.lr *= config.decay
-                if dev_acc < state.last_dev_acc:
+                if dev_acc < last_dev_acc:
                     state.lr /= config.divide_on_decline
-                state.last_dev_acc = dev_acc
+                last_dev_acc = dev_acc
                 if state.lr < config.lr_floor:
                     state.stop_reason = "lr_floor"
                     break
@@ -169,4 +168,4 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
     except (FloatingPointError, NumericalError) as exc:
         state.stop_reason = "numerical-error"
         raise TrainAbort(f"epoch {epoch}: {exc}", state) from exc
-    return state.best_params, state
+    return best_params, state

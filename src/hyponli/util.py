@@ -1,5 +1,6 @@
-"""Small shared helpers: the one input reader, integer parsing, atomic
-file writes, and the one table format every output uses.
+"""Small shared helpers: the two refusals (IngestError for an input,
+ConfigError for a setting), the one input reader, integer parsing,
+atomic file writes, and the one table format every output uses.
 
 numbered_lines reads every text input (a corpus, a word-vector file, a
 --config file, a synth spec) and parse_json every JSON text (a corpus
@@ -24,6 +25,15 @@ class IngestError(ValueError):
     """A line or record of an input file that cannot be read."""
 
 
+class ConfigError(ValueError):
+    """A flag, --config line, role map, scheme, synth spec key or run parameter
+    that cannot be used; options names the parameters at fault by their flags' dests."""
+
+    def __init__(self, message: str, *options: str):
+        super().__init__(message)
+        self.options = options
+
+
 def numbered_lines(path):
     """(line number, line) pairs of a UTF-8 text file, numbered from 1; a
     byte-order mark at its start is read as no content. A byte sequence
@@ -42,29 +52,40 @@ def numbered_lines(path):
 
 # json.loads's own scanner: one JSON value from a position in a str
 _scan_json = json.JSONDecoder().scan_once
+# a \u escape in U+D800..U+DFFF, the one way to a surrogate in a text decoded strictly
+_surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
 
 
 def parse_json(text, where=None):
     """The value of one JSON text, given as a str or as UTF-8 bytes. Text
-    that is not JSON, bytes that are not UTF-8 and nesting too deep to
-    parse raise IngestError, prefixed by where when it is given.
+    that is not JSON, bytes that are not UTF-8, nesting too deep to parse
+    and a \\u escape of a lone surrogate (which no UTF-8 text can hold)
+    raise IngestError, prefixed by where when it is given.
 
-    A str that is one value, then at most a newline (a corpus line), is
-    scanned without json.loads's wrapper; any other text, and every text
-    the scan refuses, goes through json.loads, so the value or the error
-    is always json.loads's."""
+    A str that is one value, then at most a newline (a corpus line), and
+    that holds no surrogate escape is scanned without json.loads's
+    wrapper; any other text, and every text the scan refuses, goes through
+    json.loads, so the value or the error is always json.loads's. A
+    surrogate escape is refused when the value holds it unpaired."""
     if type(text) is str:
         try:
             value, end = _scan_json(text, 0)
         except (StopIteration, ValueError, RecursionError):  # json.loads gives the reason
             end = None
         if end == len(text) or end == len(text) - 1 and text[end] == "\n":
-            return value
+            if "\\" not in text or not _surrogate_escape(text):  # a backslash is found fastest
+                return value
     try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
-        message = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        value = json.loads(text)
+        if _surrogate_escape(text):  # the UTF-8 encoder refuses a lone surrogate
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError) as exc:  # JSON and Unicode errors are ValueErrors
+        message = (f"\\u{ord(exc.object[exc.start]):04x} escapes a lone surrogate, which is "
+                   f"not a character" if isinstance(exc, UnicodeEncodeError)
+                   else f"invalid JSON ({getattr(exc, 'msg', exc)})")
         raise IngestError(message if where is None else f"{where}: {message}") from exc
+    return value
 
 
 def as_integer(value) -> int:

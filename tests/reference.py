@@ -328,8 +328,7 @@ def report_tally(pred, gold, groups, train_majority):
                       for c in sorted(rows)],
         "constant_prediction": len(set(pred)) == 1,
         "maj_label": train_majority,
-        "per_group": per_group or None,
-        "split_mode_acc": 100.0 * rows[mode] / n,
+        "per_group": per_group,
         "notes": int(mode != train_majority),
     }
 

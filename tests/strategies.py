@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from hyponli.corpus import THREE_WAY
 
 # the values ingest treats differently: null, bools, containers, NaN, an
-# integer past int64, empty and blank strings, labels in and out of the scheme
+# integer past int64, empty and blank strings, a lone surrogate (which
+# json.dumps escapes), labels in and out of the scheme
 odd_values = st.sampled_from([None, True, False, [], ["a", "b"], ["a", 1], {}, {"k": 1},
                               math.nan, math.inf, 2 ** 63, 10 ** 20, 1e308, 2.5, 4.0, 0, 3,
-                              6, "", " ", "x", "a b", "-", "3", " 4 ", "neutral",
+                              6, "", " ", "x", "a b", "a \ud800", "-", "3", " 4 ", "neutral",
                               "entailment", "contradiction"])
 odd_cells = st.sampled_from(["", " ", "p", "a b", "neutral", "entailment", "-", "nan", "3",
                              "5", "7", "9223372036854775808", "true", "1.0", " 4", "x7"])
@@ -71,7 +72,8 @@ valid_records = st.fixed_dictionaries(
 jsonl_lines = corpus_lines(
     mutated(valid_records, odd_values, drop_key).map(
         lambda record: json.dumps({KEYS[k]: v for k, v in sorted(record.items())})),
-    st.sampled_from(["", "   ", "{", "[1]", "null", '"text"', "NaN"]))
+    st.sampled_from(["", "   ", "{", "[1]", "null", '"text"', "NaN",
+                     '{"premise": "p", "hypothesis": "a \\udfff", "label": "neutral"}']))
 valid_rows = st.fixed_dictionaries(
     {0: st.just("p"), 1: st.sampled_from(["a b", "c"]),
      2: st.sampled_from([*THREE_WAY.names, "-"]), 3: st.sampled_from(["g", ""]),
@@ -81,12 +83,13 @@ tsv_lines = corpus_lines(
         lambda row: "\t".join(row[c] for c in sorted(row))),
     st.sampled_from(["", "   ", "p", "p\tq"]))
 
-# JSON values a spec or checkpoint reader treats differently
+# JSON values a spec or checkpoint reader treats differently, lone surrogates among them
 odd_json = st.sampled_from([None, True, False, [], {}, "", "x", "3", 0, -1, 1, 2, 3, 2.5,
                             1e308, math.nan, math.inf, 2 ** 63, 10 ** 20, [1], [0, 1], [3, 1],
                             [1, 2 ** 63], [0.5, 0.5], [0.4, 0.35, 0.25], [1.5, -0.5, 0.0],
                             ["a", "b"], [["w001", 0, 0.5]], [["give", 5, 0.5]],
-                            [["give", "neutral", 2.0]], [["a b", 0, 0.5]],
+                            [["give", "neutral", 2.0]], [["a b", 0, 0.5]], "x\ud800",
+                            [["x\ud800", 0, 0.5]],
                             [["give", 0, 0.5], ["give", 1, 0.5]], {"k": 1}])
 
 SPEC_KEYS = ("n_labels", "label_prior", "vocab_size", "sentence_length", "giveaway", "seed",

@@ -224,7 +224,7 @@ def test_criterion_5_schedule_trace():
         # strictly increasing: all 20 epochs, lr after epoch e = 0.1 * 0.99^e
         _, state = train.fit(tr, dv, tokens, params_proto.clone(), config,
                              dev_eval=_scripted([float(i) for i in range(21)]))
-        assert state.epoch == 20
+        assert len(state.history) == 20
         assert state.stop_reason == "max_epochs"
         lr = 0.1
         for epoch, lr_used, _, _ in state.history:
@@ -235,7 +235,7 @@ def test_criterion_5_schedule_trace():
         # strictly decreasing: stops at epoch 6 with lr < 1e-5
         _, state = train.fit(tr, dv, tokens, params_proto.clone(), config,
                              dev_eval=_scripted([float(100 - i) for i in range(21)]))
-        assert state.epoch == 6
+        assert len(state.history) == 6
         assert state.stop_reason == "lr_floor"
         assert state.lr < 1e-5
         lr = 0.1

@@ -104,6 +104,23 @@ def test_each_subcommand_has_exactly_these_options():
     }
 
 
+def test_each_flag_says_what_it_sets_and_shows_its_default():
+    """Every flag has a help text, which ends in its row's default unless the option is
+    required, a switch or has no default; the default shown reads back as that default."""
+    _, subcommands = cli.build_parser()
+    options = {option.dest: option for option in cli._OPTIONS}
+    for name, sub in subcommands.items():
+        for action in (a for a in sub._actions if a.dest != "help"):
+            option = options[action.dest]
+            assert action.help, (name, action.dest)
+            shown = f" (default: {option.default})"
+            if option.default in (cli._REQUIRED, None) or option.type is bool:
+                assert not action.help.endswith(shown), action.help
+            else:
+                assert action.help.endswith(shown), action.help
+                assert option.from_text(str(option.default)) == option.default, action.help
+
+
 def test_a_resolved_run_is_frozen():
     run = cli._resolve("split", {"data": "d.jsonl"})
     with pytest.raises(AttributeError, match="^a Run is frozen: cannot set 'seed'$"):
@@ -333,6 +350,52 @@ def test_malformed_input_is_one_line_naming_it(tmp_path, capsys, command, flag, 
     assert one_error_line(capsys).startswith(f"error: {bad}: ")
 
 
+LONE_SURROGATE = "\\ud800 escapes a lone surrogate, which is not a character"
+
+
+def corpus_after(path, first_line):
+    """small_corpus's records after first_line, as the file at path."""
+    records = open(small_corpus(path.with_suffix(".ok.jsonl")), encoding="utf-8").read()
+    path.write_text(first_line + "\n" + records, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["stats", "train-eval", "split"])
+def test_an_escaped_lone_surrogate_is_refused_at_its_line(tmp_path, capsys, command):
+    """A JSON escape of a lone surrogate cannot be written as UTF-8, so ingest refuses it,
+    naming the file and the line, before any training and before any output is written."""
+    data = str(corpus_after(tmp_path / "d.jsonl", '{"premise": "p", "hypothesis": '
+                                                  '"a b \\ud800x", "label": "entailment"}'))
+    inputs = {"stats": ["--data", data, "--min-freq", "1"], "split": ["--data", data],
+              "train-eval": ["--train", data, "--dev", data, "--max-epochs", "2"]}[command]
+    assert main([command, *inputs, "--out-dir", str(tmp_path / "out")]) == 1
+    assert one_error_line(capsys) == f"error: {data}: line 1: {LONE_SURROGATE}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_escaped_surrogate_pair_is_one_character(tmp_path):
+    data = str(corpus_after(tmp_path / "d.jsonl", '{"premise": "p", "hypothesis": '
+                                                  '"a b \\ud83d\\ude00x", "label": "neutral"}'))
+    out = tmp_path / "out"
+    assert main(["split", "--data", data, "--out-dir", str(out)]) == 0
+    hypotheses = [h for name in ("train", "dev", "test")
+                  for h in corpus.read_jsonl(out / f"{name}.jsonl",
+                                             corpus.FIELD_MAP_PRESETS["native"],
+                                             corpus.THREE_WAY)[0].hypotheses]
+    assert len(hypotheses) == 10 and "a b \U0001f600x" in hypotheses
+
+
+def test_an_escaped_lone_surrogate_in_a_spec_is_one_line_naming_it(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_labels": 2, "label_prior": [0.5, 0.5], "vocab_size": 10,
+                                "sentence_length": [1, 2], "giveaway": [["x\ud800", 0, 0.5]],
+                                "seed": 0}), encoding="utf-8")
+    assert main(["synth", "--spec-file", str(spec), "--n", "5",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert one_error_line(capsys) == f"error: {spec}: {LONE_SURROGATE}"
+    assert not (tmp_path / "out").exists()
+
+
 def run_strictly(argv):
     """cli.main's exit code and stderr lines, under numpy warnings and
     floating-point errors, underflow included, raised as errors."""
@@ -493,6 +556,17 @@ def test_each_damaged_checkpoint_field_is_read_or_one_line(tmp_path_factory, sma
             ckpt.write_bytes(damaged(blob, ([(path, value)], [], 0)))
             assert_read_or_one_line(["audit-sample", "--checkpoint", str(ckpt), "--data",
                                      data, "--out-dir", str(work / "out")], f"error: {ckpt}:")
+
+
+def test_an_escaped_lone_surrogate_in_a_checkpoint_header_is_one_line(tmp_path, capsys,
+                                                                      small_checkpoints):
+    blobs, data = small_checkpoints
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(damaged(blobs["bag"], ([(("labels", 0), "x\ud800")], [], 0)))
+    assert main(["audit-sample", "--checkpoint", str(ckpt), "--data", data,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert one_error_line(capsys) == f"error: {ckpt}: checkpoint header: {LONE_SURROGATE}"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
@@ -931,6 +1005,22 @@ class TestTrainEvalCommand:
                        if line.startswith("dev,overall"))
         hyp_acc = float(dev_row.split(",")[3])
         assert hyp_acc >= 95.0
+
+    @pytest.mark.parametrize("flags", [[], ["--finetune-embeddings"], ["--embeddings", "v.txt"]],
+                             ids=["default", "finetune", "vectors"])
+    def test_frozen_random_vectors_are_noted_after_the_outputs(self, tmp_path, capsys,
+                                                               monkeypatch, flags):
+        """Only a run on frozen, seeded random vectors, which no run of the paper used, ends
+        in one stderr note naming both flags, after its outputs are written."""
+        monkeypatch.chdir(tmp_path)
+        data = small_corpus(tmp_path / "d.jsonl")
+        (tmp_path / "v.txt").write_text("a 0.1 0.2\nb 0.3 0.4\n", encoding="utf-8")
+        assert main(["train-eval", "--train", data, "--dev", data, "--embedding-dim", "2",
+                     "--max-epochs", "1", "--out-dir", "out", *flags]) == 0
+        assert (tmp_path / "out" / "report.csv").exists()
+        assert capsys.readouterr().err.splitlines() == ([
+            "note: trained on frozen, seeded random word vectors, which no run of the paper "
+            "used; give --embeddings or --finetune-embeddings"] if not flags else [])
 
     def test_checkpoint_loads_and_predicts(self, tmp_path):
         out = tmp_path / "out"

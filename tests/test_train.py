@@ -144,7 +144,7 @@ class TestSchedule:
         # epoch 0 baseline plus 20 epoch evaluations, strictly increasing
         accs = [10.0 + e for e in range(21)]
         _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
-        assert state.epoch == 20
+        assert len(state.history) == 20
         assert state.stop_reason == "max_epochs"
         # lr used during epoch e is lr0 * decay^(e-1); after epoch e it is lr0 * decay^e
         expected = 0.1
@@ -158,7 +158,7 @@ class TestSchedule:
         config = TrainConfig(max_epochs=20, batch_size=4, seed=1)
         accs = [90.0 - 2 * e for e in range(21)]
         _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
-        assert state.epoch == 6
+        assert len(state.history) == 6
         assert state.stop_reason == "lr_floor"
         assert state.lr < 1e-5
         # every epoch declined: lr after epoch e is lr0 * (decay/5)^e
@@ -175,7 +175,6 @@ class TestSchedule:
         config = TrainConfig(max_epochs=1, batch_size=4, seed=1)
         _, state = fit(train, dev, tokens, tiny_params(), config,
                        dev_eval=scripted([50.0, 10.0]))
-        assert state.epoch == 1
         assert len(state.history) == 1
 
     def test_constant_accuracy_never_divides(self):
@@ -183,7 +182,7 @@ class TestSchedule:
         config = TrainConfig(max_epochs=5, batch_size=4, seed=1)
         _, state = fit(train, dev, tokens, tiny_params(), config,
                        dev_eval=scripted([50.0] * 6))
-        assert state.epoch == 5
+        assert len(state.history) == 5
         assert state.lr == pytest.approx(0.1 * 0.99**5, rel=0, abs=0)
 
     def test_single_decline_divides_once(self):
@@ -223,8 +222,16 @@ class TestBestParams:
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=4, batch_size=4, seed=3)
         accs = [10.0, 50.0, 80.0, 30.0, 40.0]
-        _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
-        assert state.best_dev_acc == max(acc for _, _, _, acc in state.history)
+        scores, snapshots = scripted(accs), []
+
+        def dev_eval(params):  # epoch e's parameters are snapshots[e]
+            snapshots.append(params.clone())
+            return scores(params)
+
+        best, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=dev_eval)
+        assert max(acc for _, _, _, acc in state.history) == 80.0
+        for name in best.array_names():
+            assert np.array_equal(best.array(name), snapshots[2].array(name))
 
     def test_returned_params_achieve_history_max(self):
         train, dev, tokens = tiny_splits(n_train=30, n_dev=12)
@@ -232,7 +239,6 @@ class TestBestParams:
         best, state = fit(train, dev, tokens, tiny_params(seed=4), config)
         acc = accuracy(predict_batch(dev[0], tokens, best), dev[1])
         assert acc == max(a for _, _, _, a in state.history)
-        assert acc == state.best_dev_acc
 
 
 class TestDeterminism:

@@ -87,6 +87,22 @@ def test_parse_json_errors_name_where():
             parse_json(text, "f: line 3")
 
 
+def test_parse_json_refuses_an_escaped_lone_surrogate():
+    """A lone surrogate has no UTF-8 form, so a \\u escape of one is refused on
+    a corpus line, a CRLF line, in a key and in bytes; an escaped pair is one
+    character, and an escaped backslash escapes nothing."""
+    for escape in ("\\ud800", "\\uDFFF", "\\ude00\\ud83d", "\\ud83d x"):
+        code = escape[2:6].lower()
+        for text in (f'{{"h": "a{escape}"}}\n', f'{{"h": "a{escape}"}}\r\n',
+                     f'{{"a{escape}": 1}}', f'["a{escape}"]'.encode()):
+            with pytest.raises(IngestError, match=rf"^f: line 3: \\u{code} escapes a lone "
+                                                  rf"surrogate, which is not a character$"):
+                parse_json(text, "f: line 3")
+    assert parse_json('{"h": "a\\ud83d\\ude00"}\n') == {"h": "a\U0001f600"}
+    assert parse_json(b'["\\\\ud800"]') == parse_json('["\\\\ud800"]\n') == ["\\ud800"]
+    assert parse_json('["\\u00e9"]\n') == ["\u00e9"]
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
