@@ -244,7 +244,8 @@ def cmd_stats(run: Run) -> int:
     digest = ["# Word statistics digest", "",
               f"- source: {run.data} (split label: {run.split_name})",
               f"- sentences: {counts.n_sentences} (skipped at ingest: {skipped})"]
-    digest += [f"- {scheme.names[label]}: {counts.count_l(label)} sentences" for label in labels]
+    digest += [f"- {name}: {count} sentences"
+               for name, count in zip(scheme.names, counts.label_sentences.tolist())]
     for label in labels:
         digest += ["", f"## Top give-away words: {scheme.names[label]}", ""]
         digest += markdown_table(["Word", "Score", "Freq"],
@@ -288,9 +289,10 @@ def _build_model(run: Run, vocab):
 
 
 def cmd_train_eval(run: Run) -> int:
-    splits = {name: _read_corpus(path, run.format, run.scheme, run.remap_ordinal, name)[0]
-              for name, path in (("train", run.train), ("dev", run.dev), ("test", run.test))
-              if path}  # only --test is optional
+    read = {name: _read_corpus(path, run.format, run.scheme, run.remap_ordinal, name)
+            for name, path in (("train", run.train), ("dev", run.dev), ("test", run.test))
+            if path}  # only --test is optional
+    splits = {name: data for name, (data, _) in read.items()}
     # one CSR token corpus of every hypothesis, train first, then dev, then
     # test; each split is its range of rows
     vocab, ids, indptr = text.intern([h for data in splits.values() for h in data.hypotheses])
@@ -320,7 +322,9 @@ def cmd_train_eval(run: Run) -> int:
     atomic_write_text(os.path.join(out, "train_log.csv"), state.log_csv())
     model.save_checkpoint(best_params, os.path.join(out, "model.ckpt"))
     atomic_write_text(os.path.join(out, "report.md"),
-                      evaluate.report_markdown(reports, run.lines))
+                      evaluate.report_markdown(reports, run.lines, [
+                          f"- {name}: {len(data)} records (skipped at ingest: {skipped})"
+                          for name, (data, skipped) in read.items()]))
     atomic_write_text(os.path.join(out, "report.csv"), evaluate.report_csv(reports))
     dev_rep = reports[0]
     print(f"train-eval: dev hyp-only {evaluate.fmt2(dev_rep.hyp_only_acc)} "

@@ -27,10 +27,11 @@ from .util import ConfigError, IngestError, as_integer, atomic_open, numbered_li
 
 @dataclass(frozen=True)
 class LabelScheme:
-    """2 or 3 distinct, nonempty class label names; label i is names[i]."""
+    """2 or 3 distinct, nonempty class label names, read by its fields: names,
+    label i at names[i], and index, each name's label index."""
 
     names: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= len(self.names) <= 3:
@@ -40,14 +41,10 @@ class LabelScheme:
         repeated = [name for i, name in enumerate(self.names) if name in self.names[:i]]
         if repeated:
             raise ConfigError(f"labels {list(self.names)} repeat {repeated[0]!r}")
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.names)})
+        object.__setattr__(self, "index", {name: i for i, name in enumerate(self.names)})
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def index(self, name: str) -> int:
-        """The label index of name; KeyError when the scheme lacks it."""
-        return self._index[name]
 
 
 THREE_WAY = LabelScheme(("entailment", "neutral", "contradiction"))
@@ -158,7 +155,7 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
     # an unset role is None, which is never a key of a record
     premise_key, hypothesis_key, label_key = roles.premise, roles.hypothesis, roles.label
     group_key, ordinal_key, id_key = roles.group, roles.ordinal, roles.id
-    label_index = scheme._index
+    label_index = scheme.index
 
     def where(lineno, instance_id=None):
         at = f"{path}: line {lineno}"
@@ -209,7 +206,7 @@ def _read(path, roles: RoleMap, scheme: LabelScheme, parse, remap_ordinal: bool)
         premises.append(premise if type(premise) is str
                         else _join_premise(premise, where(lineno, instance_id)))
         hypotheses.append(hypothesis)
-        labels.append(scheme.index(JOCI_ORDINAL_TO_LABEL[ordinal]) if remap_ordinal
+        labels.append(label_index[JOCI_ORDINAL_TO_LABEL[ordinal]] if remap_ordinal
                       else label)
         ids.append(instance_id)
         group = record.get(group_key)

@@ -27,7 +27,8 @@ def fmt2(value: float | None) -> str:
     """Two decimals, ties away from zero; None renders as 'n/a'."""
     if value is None:
         return "n/a"
-    quantized = decimal.Decimal(repr(value)).quantize(
+    # the repr of a Python float: numpy 2's repr of a numpy float names its type
+    quantized = decimal.Decimal(repr(float(value))).quantize(
         decimal.Decimal("0.01"), rounding=decimal.ROUND_HALF_UP)
     return str(quantized)
 
@@ -184,9 +185,13 @@ def build_report(split_name: str, pred, gold, groups, scheme: LabelScheme,
     )
 
 
-def report_markdown(reports: list[EvalReport], config_lines: list[str] | None = None) -> str:
-    """Human-readable report shaped like the accuracy table."""
+def report_markdown(reports: list[EvalReport], config_lines: list[str] | None = None,
+                    input_lines=()) -> str:
+    """Human-readable report shaped like the accuracy table; the input lines,
+    one per file read, come before it."""
     out = ["# Hypothesis-only evaluation", ""]
+    if input_lines:
+        out += [*input_lines, ""]
     out += markdown_table(["Split", "Hyp-Only", "MAJ", "abs delta", "pct delta"],
                           ([rep.split, *map(fmt2, (rep.hyp_only_acc, rep.maj_acc,
                                                    rep.abs_delta, rep.pct_delta))]

@@ -4,59 +4,30 @@ Two sentence encoders feed one MLP head: a bag of embeddings (mean of the
 token vectors) and a bidirectional LSTM whose forward and backward states
 are each max-pooled over time into [forward; backward]. The classification
 path takes only hypothesis tokens; premises are unreachable by
-construction. Labels are label indices into the scheme: predict_batch
-returns an int64 array of them, and loss_and_gradients takes one.
+construction. Labels are label indices into the scheme.
 
 Sentences come as a CSR token corpus tokens = (ids, indptr) from
 text.intern or Vocabulary.encode: sentence r is ids[indptr[r]:indptr[r+1]].
 A batch, or a split to predict, is an int64 array of row indices into
 it, in any order.
 
-The bag encoder runs batched: one forward and backward pass per
-minibatch, and one forward pass over a whole split for prediction. Its
-sums are ordered so that every result is bitwise equal to the
-one-sentence-at-a-time computation. Each sentence's mean starts from 0.0
+The bag encoder runs batched, and its results are bitwise equal to the
+one-sentence-at-a-time computation: each sentence's sum starts from 0.0
 and adds its embedding rows in token order, as numpy's axis-0 reduction in
 emb[rows].mean(axis=0) does (np.add.reduceat does not). With a single
 embedding column numpy sums pairwise instead, so there the two agree only
 to rounding.
 
-The embedding gradient of both encoders is a RowGradient: the rows the
-batch touched and their summed values, added token by token in batch
-order, exactly as np.add.at into a dense zero matrix adds them. SGD then
-writes only those rows.
-
-Each encoder sits behind one pair of functions: _encode gives a batch's
-encodings and a cache, and _encode_backward turns the encodings' gradient
-into a per-token embedding gradient. So loss_and_gradients runs one path
-for both encoders, and predict_batch is the head's argmax over the
-encodings of one _encode call for the bag, or of one per PREDICT_CHUNK
-rows for the BiLSTM.
-
-The BiLSTM runs everything but its recurrence once per direction per
-batch: the input projection and its halving for the kernels' tanh-form
-gates, the routing of d_enc, the local derivatives, and every weight
-gradient and dx; the embedding gather, the states' finiteness check and
-the max-pooling run once for both directions. Every array is in token
-order in both directions: row r is token r. The recurrence has two forms,
-which leave the same h, c, tc and gates to rounding:
-
-- prediction runs it time-major (kernels.lstm_forward_packed): the
-  sentences sorted longest first, step t is one (n_t, H) @ (H, 4H)
-  product over the n_t sentences longer than t, one loop per direction;
-- training (loss_and_gradients) runs it one sentence at a time through
-  kernels.lstm_forward and lstm_backward, on slices of the batch's arrays
-  (reversed views, [::-1], for the backward direction). The benchmark's
-  traced run checks kernels.lstm_forward.calls = 2 x (examples +
-  model.predict.calls) and lstm_backward.calls = 2 x examples, so
-  training keeps these kernels until that rule is rewritten in terms of
-  tokens; then it moves onto the time-major loop as well.
-
-The kernels leave the floating-point error state alone, and the
-projection, computed here, is the one place an overflow can arise.
-Batched products round differently from per-sentence ones, so BiLSTM
-results depend on which sentences share a batch, and on the recurrence's
-form, in their last bits.
+The BiLSTM recurrence runs time-major over a batch in prediction, but
+one sentence at a time (kernels.lstm_forward and lstm_backward) in
+loss_and_gradients: the benchmark's traced run checks
+kernels.lstm_forward.calls = 2 x (examples + model.predict.calls) and
+lstm_backward.calls = 2 x examples, so training keeps these kernels until
+that rule is rewritten in terms of tokens. The kernels leave the
+floating-point error state alone, and the projection, computed here, is
+the one place an overflow can arise. Batched products round differently
+from per-sentence ones, so BiLSTM results depend on which sentences share
+a batch, and on the recurrence's form, in their last bits.
 """
 
 from __future__ import annotations
@@ -64,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -120,20 +91,23 @@ _LSTM_ARRAYS = ("wf_x", "wf_h", "wf_b", "wb_x", "wb_h", "wb_b")
 _MLP_ARRAYS = ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")
 
 
+@dataclass(frozen=True, eq=False)
 class ModelParameters:
-    """All weights of one model, plus its config, scheme, and vocabulary.
+    """All weights of one model, read by its fields: config, scheme, vocab and
+    arrays, the name-to-array dict in checkpoint order that train.sgd_step
+    updates in place.
 
-    The embedding matrix has one row per vocabulary token and a final OOV
-    row; it is trained only when config.finetune_embeddings is set.
+    The embedding matrix arrays["emb"] has one row per vocabulary token and a
+    final OOV row; it is trained only when config.finetune_embeddings is set.
     """
 
-    def __init__(self, config: ModelConfig, scheme: LabelScheme,
-                 vocab: Vocabulary, arrays: dict[str, np.ndarray]):
-        self.config = config
-        self.scheme = scheme
-        self.vocab = vocab
-        self._arrays = arrays
-        for name, arr in arrays.items():
+    config: ModelConfig
+    scheme: LabelScheme
+    vocab: Vocabulary
+    arrays: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        for name, arr in self.arrays.items():
             if not np.isfinite(arr).all():
                 raise NumericalError(f"parameter array {name!r} is not finite")
 
@@ -153,15 +127,8 @@ class ModelParameters:
             arrays[name] = rng.uniform(-bound, bound, shape)
         return cls(config, scheme, vocab, arrays)
 
-    def array(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def array_names(self) -> list[str]:
-        return list(self._arrays.keys())
-
     def clone(self) -> "ModelParameters":
-        arrays = {name: arr.copy() for name, arr in self._arrays.items()}
-        return ModelParameters(self.config, self.scheme, self.vocab, arrays)
+        return replace(self, arrays={name: arr.copy() for name, arr in self.arrays.items()})
 
 
 @dataclass(frozen=True)
@@ -223,8 +190,8 @@ def _encode_bag(ids: np.ndarray, lengths: np.ndarray, emb: np.ndarray) -> np.nda
 
 def _mlp_head(enc: np.ndarray, params: ModelParameters):
     """(hidden activations, logits) of the MLP on a batch of encodings."""
-    h1 = np.tanh(enc @ params.array("mlp_w1").T + params.array("mlp_b1"))
-    return h1, h1 @ params.array("mlp_w2").T + params.array("mlp_b2")
+    h1 = np.tanh(enc @ params.arrays["mlp_w1"].T + params.arrays["mlp_b1"])
+    return h1, h1 @ params.arrays["mlp_w2"].T + params.arrays["mlp_b2"]
 
 
 def _packed_rows(lengths: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -259,7 +226,7 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters,
     its first. Both leave the same arrays. One check then covers both
     directions' states (the forward direction's first), and one
     max-pooling pools them over each sentence."""
-    emb = params.array("emb")
+    emb = params.arrays["emb"]
     if params.config.encoder_kind == "bag":
         return _encode_bag(ids, lengths, emb), lengths
     H = params.config.hidden_dim
@@ -275,7 +242,7 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters,
     h, c, tc = np.empty((3, 2, ids.size, H))
     gates = []
     for j, step in enumerate((1, -1)):  # step -1: each sentence runs from its last token
-        wx, wh, b = map(params.array, _LSTM_ARRAYS[3 * j:3 * j + 3])
+        wx, wh, b = (params.arrays[name] for name in _LSTM_ARRAYS[3 * j:3 * j + 3])
         z = x @ wx.T
         z += b
         wh = kernels.halve_ifo(z, wh)
@@ -331,7 +298,7 @@ def _encode_backward(cache, d_enc: np.ndarray, params: ModelParameters,
     # each direction's step, and the token each sentence's recurrence starts at
     for j, (step, origin) in enumerate(((1, firsts), (-1, firsts + counts - 1))):
         name_x, name_h, name_b = _LSTM_ARRAYS[3 * j:3 * j + 3]
-        wx, wh = params.array(name_x), params.array(name_h)
+        wx, wh = params.arrays[name_x], params.arrays[name_h]
         dh = np.zeros((N, H))
         dh[first[j], np.arange(H)] = d_enc[:, j]
         later = np.flatnonzero(rows != np.repeat(origin, counts))  # the tokens with a previous step
@@ -398,10 +365,10 @@ def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
     d_logits[np.arange(B), y] -= 1.0
     d_logits /= B
     grads = {"mlp_w2": d_logits.T @ h1, "mlp_b2": d_logits.sum(axis=0)}
-    d_a1 = (d_logits @ params.array("mlp_w2")) * (1.0 - h1 * h1)
+    d_a1 = (d_logits @ params.arrays["mlp_w2"]) * (1.0 - h1 * h1)
     grads["mlp_w1"] = d_a1.T @ enc
     grads["mlp_b1"] = d_a1.sum(axis=0)
-    d_x = _encode_backward(cache, d_a1 @ params.array("mlp_w1"), params, grads)
+    d_x = _encode_backward(cache, d_a1 @ params.arrays["mlp_w1"], params, grads)
     if params.config.finetune_embeddings:
         grads["emb"] = _row_gradient(ids, d_x)
     return loss, grads
@@ -432,20 +399,19 @@ def save_checkpoint(params: ModelParameters, path) -> None:
     little-endian float64 bytes in manifest order. Byte-identical for
     identical parameters.
     """
-    names = params.array_names()
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "labels": params.scheme.names,
         "vocab": params.vocab.tokens,
-        "arrays": [{"name": n, "shape": list(params.array(n).shape)} for n in names],
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in params.arrays.items()],
     }
     with atomic_open(path) as fh:
         fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         fh.write(b"\n")
-        for name in names:
-            fh.write(np.ascontiguousarray(params.array(name), dtype="<f8").tobytes())
+        for arr in params.arrays.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParameters:

@@ -31,51 +31,27 @@ from .text import Vocabulary, intern
 from .util import ConfigError, csv_text
 
 
+@dataclass(frozen=True, eq=False)
 class LabelWordCounts:
-    """Co-occurrence counts between hypothesis tokens and labels, as arrays.
-
-    occ[w, l] counts occurrences of token id w in sentences of label l,
-    freq[w] all occurrences of w, and label_sentences[l] the sentences of
-    label l. Rows of occ follow vocab, which holds exactly the tokens of
-    the corpus. Each sentence's best token score is computed here, once,
-    in the one coverage mode of per_label, and kept per gold label, sorted
-    and read-only; the corpus itself is not kept.
+    """Co-occurrence counts between hypothesis tokens and labels, read by their
+    fields: scheme, vocab, which holds exactly the tokens of the corpus,
+    label_sentences, label l's sentence count at [l], occ, the occurrences of
+    token id w in sentences of label l at [w, l], and freq, all occurrences of w
+    at [w]. count_corpus builds them, and keeps each sentence's best token score
+    in its one coverage mode, per gold label, sorted and read-only, for
+    sorted_maxima; the corpus itself is not kept.
     """
 
-    def __init__(self, scheme: LabelScheme, vocab: Vocabulary, indptr: np.ndarray,
-                 ids: np.ndarray, sentence_labels: np.ndarray, per_label: bool = False):
-        self.scheme = scheme
-        self.vocab = vocab
-        n_labels, n_vocab = len(scheme), len(vocab)
-        self.label_sentences = np.bincount(sentence_labels, minlength=n_labels)
-        # the joint key word * L + label, with the labels repeated per token as
-        # bytes and added in place, so that counting holds one int64 copy of ids
-        token_labels = np.repeat(sentence_labels.astype(np.uint8), np.diff(indptr))
-        key = ids * n_labels
-        key += token_labels
-        self.occ = np.bincount(key, minlength=n_vocab * n_labels).reshape(n_vocab, n_labels)
-        del key
-        self.freq = self.occ.sum(axis=1)
-        # a token scores p(l|w) for the gold label l of its sentence with per_label, else
-        # max_l p(l|w); reduceat over the starts of the non-empty sentences only: each then
-        # spans exactly its own tokens, and one with none keeps 0.0, counted only at 0
-        p = self.occ / self.freq[:, None]
-        score = p[ids, token_labels] if per_label else p.max(axis=1)[ids]
-        nonempty = np.flatnonzero(np.diff(indptr))
-        best = np.zeros(len(sentence_labels))
-        if nonempty.size:
-            best[nonempty] = np.maximum.reduceat(score, indptr[nonempty])
-        self._maxima = [best[sentence_labels == gold] for gold in range(n_labels)]
-        for gold_maxima in self._maxima:
-            gold_maxima.sort()
-            gold_maxima.flags.writeable = False  # shared by every coverage call
+    scheme: LabelScheme
+    vocab: Vocabulary
+    label_sentences: np.ndarray
+    occ: np.ndarray
+    freq: np.ndarray
+    _maxima: list[np.ndarray]
 
     @property
     def n_sentences(self) -> int:
         return int(self.label_sentences.sum())
-
-    def count_l(self, label: int) -> int:
-        return int(self.label_sentences[label])
 
     def sorted_maxima(self, label: int) -> np.ndarray:
         """The best token score of each sentence of the gold label, ascending."""
@@ -90,8 +66,31 @@ def count_corpus(hypotheses, labels, scheme: LabelScheme,
     strings and labels their label indices; per_label picks the coverage
     mode, p(label|w) instead of max_l p(l|w)."""
     vocab, ids, indptr = intern(hypotheses)
-    return LabelWordCounts(scheme, vocab, indptr, ids, np.asarray(labels, dtype=np.int64),
-                           per_label)
+    sentence_labels = np.asarray(labels, dtype=np.int64)
+    n_labels, n_vocab = len(scheme), len(vocab)
+    label_sentences = np.bincount(sentence_labels, minlength=n_labels)
+    # the joint key word * L + label, with the labels repeated per token as
+    # bytes and added in place, so that counting holds one int64 copy of ids
+    token_labels = np.repeat(sentence_labels.astype(np.uint8), np.diff(indptr))
+    key = ids * n_labels
+    key += token_labels
+    occ = np.bincount(key, minlength=n_vocab * n_labels).reshape(n_vocab, n_labels)
+    del key
+    freq = occ.sum(axis=1)
+    # a token scores p(l|w) for the gold label l of its sentence with per_label, else
+    # max_l p(l|w); reduceat over the starts of the non-empty sentences only: each then
+    # spans exactly its own tokens, and one with none keeps 0.0, counted only at 0
+    p = occ / freq[:, None]
+    score = p[ids, token_labels] if per_label else p.max(axis=1)[ids]
+    nonempty = np.flatnonzero(np.diff(indptr))
+    best = np.zeros(len(sentence_labels))
+    if nonempty.size:
+        best[nonempty] = np.maximum.reduceat(score, indptr[nonempty])
+    maxima = [best[sentence_labels == gold] for gold in range(n_labels)]
+    for gold_maxima in maxima:
+        gold_maxima.sort()
+        gold_maxima.flags.writeable = False  # shared by every coverage call
+    return LabelWordCounts(scheme, vocab, label_sentences, occ, freq, maxima)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def giveaway_words(counts: LabelWordCounts, min_freq: int,
             cut = mine[order[-top_k]]
             mine = mine[(freq[mine] > freq[cut])
                         | ((freq[mine] == freq[cut]) & (score[mine] >= score[cut]))]
-        entries = [GiveawayEntry(counts.vocab.token(w), s, f) for w, s, f in
+        entries = [GiveawayEntry(counts.vocab.tokens[w], s, f) for w, s, f in
                    zip(candidates[mine].tolist(), score[mine].tolist(), freq[mine].tolist())]
         entries.sort(key=lambda e: (-e.frequency, -e.score, e.token))
         buckets[label] = entries[:top_k]
@@ -202,7 +201,7 @@ def curves_to_csv(curves: list[CoverageCurve], scheme: LabelScheme) -> str:
 def counts_summary_csv(counts: LabelWordCounts) -> str:
     """Per-label sentence and token-occurrence totals."""
     occ_totals = counts.occ.sum(axis=0)
-    rows = [[name, counts.count_l(label), int(occ_totals[label]),
+    rows = [[name, int(counts.label_sentences[label]), int(occ_totals[label]),
              np.count_nonzero(counts.occ[:, label])]
             for label, name in enumerate(counts.scheme.names)]
     rows.append(["TOTAL", counts.n_sentences, int(occ_totals.sum()), len(counts.vocab)])

@@ -95,7 +95,7 @@ class SynthSpec:
                 raise ValueError(f"token {token!r} collides with background vocabulary")
             if isinstance(target, str) and target not in names:
                 raise ValueError(f"label {target!r} is not one of {', '.join(names)}")
-            index = self.scheme.index(target) if isinstance(target, str) else as_integer(target)
+            index = self.scheme.index[target] if isinstance(target, str) else as_integer(target)
             if not 0 <= index < self.n_labels:
                 raise ValueError(f"label {target!r} outside label range")
             if not 0.0 <= (rate := _finite(rate)) <= 1.0:

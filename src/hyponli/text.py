@@ -44,34 +44,25 @@ def tokenize(text: str) -> list[str]:
 
 
 class Vocabulary:
-    """Immutable bijective token/index map with contiguous indices from 0."""
+    """A bijective token/index map, built once and read by its fields: tokens,
+    the tuple of tokens, token i at tokens[i], and index, each token's position."""
 
     def __init__(self, tokens):
-        self._tokens = list(tokens)
-        self._index = {tok: i for i, tok in enumerate(self._tokens)}
-        if len(self._index) != len(self._tokens):
-            dup = next(tok for i, tok in enumerate(self._tokens) if self._index[tok] != i)
+        self.tokens = tuple(tokens)
+        self.index = {tok: i for i, tok in enumerate(self.tokens)}
+        if len(self.index) != len(self.tokens):
+            dup = next(tok for i, tok in enumerate(self.tokens) if self.index[tok] != i)
             raise ValueError(f"vocabulary repeats token {dup!r}")
 
     def __len__(self) -> int:
-        return len(self._tokens)
-
-    def get(self, token: str, default: int | None = None) -> int | None:
-        return self._index.get(token, default)
-
-    def token(self, index: int) -> str:
-        return self._tokens[index]
-
-    @property
-    def tokens(self) -> list[str]:
-        return list(self._tokens)
+        return len(self.tokens)
 
     def encode(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """The CSR token corpus (ids, indptr) of texts, as intern gives it,
         with len(self) (the OOV row) for tokens outside the vocabulary."""
         local, ids, indptr = intern(texts)
-        oov = len(self._tokens)
-        known = np.array([self._index.get(tok, oov) for tok in local._tokens], dtype=np.int64)
+        oov = len(self.tokens)
+        known = np.array([self.index.get(tok, oov) for tok in local.tokens], dtype=np.int64)
         return known[ids], indptr
 
 
@@ -93,7 +84,7 @@ def intern(texts) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
         words = tokenize(text)
         lengths.append(len(words))
         ids.extend(map(index.__getitem__, words))
-    tokens = list(index)
+    tokens = tuple(index)
     del index  # so that peak memory holds one token map, not two
     return (Vocabulary(tokens), np.frombuffer(ids, dtype=np.int64),
             np.cumsum(lengths, dtype=np.int64))
@@ -140,7 +131,7 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
         if word == OOV_TOKEN:
             oov = vec
             continue
-        idx = vocab.get(word)
+        idx = vocab.index.get(word)
         if idx is not None:
             matrix[idx] = vec
             loaded.setdefault(idx)

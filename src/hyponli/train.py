@@ -103,7 +103,7 @@ def sgd_step(params: ModelParameters, gradients: dict, lr: float) -> ModelParame
     if lr <= 0.0:
         raise ValueError("lr must be positive")
     for name, grad in gradients.items():
-        arr = params.array(name)
+        arr = params.arrays[name]
         rows, shape = Ellipsis, arr.shape
         if isinstance(grad, RowGradient):
             if not (np.diff(grad.rows) > 0).all():

@@ -12,7 +12,7 @@ def make_corpus(pairs, scheme=THREE_WAY, premise="p", groups=None, ordinals=None
     """Build a corpus from (hypothesis, label_name) pairs; row k has id ik."""
     n = len(pairs)
     return Corpus(premises=[premise] * n, hypotheses=[hyp for hyp, _ in pairs],
-                  labels=np.array([scheme.index(name) for _, name in pairs], dtype=np.int64),
+                  labels=np.array([scheme.index[name] for _, name in pairs], dtype=np.int64),
                   ids=[f"i{k}" for k in range(n)], groups=groups or [None] * n,
                   ordinals=ordinals or [None] * n)
 

@@ -61,7 +61,7 @@ def lookup(vocab, tokens):
     """Ids of a token list, one dict lookup per token, with len(vocab) (the
     OOV row) for unknown ones."""
     oov = len(vocab)
-    return np.array([vocab.get(tok, oov) for tok in tokens], dtype=np.int64)
+    return np.array([vocab.index.get(tok, oov) for tok in tokens], dtype=np.int64)
 
 
 def sentences(rows, tokens):
@@ -184,7 +184,7 @@ def lstm_backward(x, wx, wh, h, c, gates, tc, dh_out):
 def trainable_names(params):
     """Names of the arrays SGD updates: "emb" first when the embeddings
     are fine-tuned, then every other array in checkpoint order."""
-    names = [n for n in params.array_names() if n != "emb"]
+    names = [n for n in params.arrays if n != "emb"]
     if params.config.finetune_embeddings:
         names = ["emb"] + names
     return names
@@ -193,10 +193,10 @@ def trainable_names(params):
 def birnn_states(rows, params):
     """(x, forward pass, backward pass, per-timestep [forward; backward]
     states (T, 2H)) of one nonempty sentence's embedding rows."""
-    x = params.array("emb")[rows]
-    fwd = lstm_forward(x, params.array("wf_x"), params.array("wf_h"), params.array("wf_b"))
-    bwd = lstm_forward(x[::-1], params.array("wb_x"), params.array("wb_h"),
-                       params.array("wb_b"))
+    x = params.arrays["emb"][rows]
+    fwd = lstm_forward(x, params.arrays["wf_x"], params.arrays["wf_h"], params.arrays["wf_b"])
+    bwd = lstm_forward(x[::-1], params.arrays["wb_x"], params.arrays["wb_h"],
+                       params.arrays["wb_b"])
     return x, fwd, bwd, np.concatenate([fwd[0], bwd[0][::-1]], axis=1)
 
 
@@ -204,7 +204,7 @@ def encode(rows, params):
     """One sentence's encoding from its token ids alone: the bag mean, or
     the max over its per-step [forward; backward] states (zero if empty)."""
     if params.config.encoder_kind == "bag":
-        return encode_bag_rows(rows, params.array("emb"))
+        return encode_bag_rows(rows, params.arrays["emb"])
     if rows.size == 0:
         return np.zeros(params.config.encoding_dim)
     return birnn_states(rows, params)[3].max(axis=0)
@@ -215,8 +215,8 @@ def logits(batch, params):
     matrix-vector product at a time."""
     out = np.empty((len(batch), len(params.scheme)))
     for k, rows in enumerate(batch):
-        h1 = np.tanh(params.array("mlp_w1") @ encode(rows, params) + params.array("mlp_b1"))
-        out[k] = params.array("mlp_w2") @ h1 + params.array("mlp_b2")
+        h1 = np.tanh(params.arrays["mlp_w1"] @ encode(rows, params) + params.arrays["mlp_b1"])
+        out[k] = params.arrays["mlp_w2"] @ h1 + params.arrays["mlp_b2"]
     return out
 
 
@@ -224,7 +224,7 @@ def loss_and_gradients(batch, y, params):
     """(loss, dense gradients) of model.loss_and_gradients, one sentence at
     a time."""
     cfg = params.config
-    emb = params.array("emb")
+    emb = params.arrays["emb"]
     B = len(batch)
     enc = np.zeros((B, cfg.encoding_dim))
     caches = []
@@ -240,8 +240,8 @@ def loss_and_gradients(batch, y, params):
             enc[k] = h_cat.max(axis=0)
             caches.append((rows, x, fwd, bwd, np.argmax(h_cat, axis=0)))
 
-    w1, b1 = params.array("mlp_w1"), params.array("mlp_b1")
-    w2, b2 = params.array("mlp_w2"), params.array("mlp_b2")
+    w1, b1 = params.arrays["mlp_w1"], params.arrays["mlp_b1"]
+    w2, b2 = params.arrays["mlp_w2"], params.arrays["mlp_b2"]
     h1 = np.tanh(enc @ w1.T + b1)
     logits = h1 @ w2.T + b2
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -250,7 +250,7 @@ def loss_and_gradients(batch, y, params):
     probs = e / total
     loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(B), y]))
 
-    grads = {name: np.zeros_like(params.array(name)) for name in trainable_names(params)}
+    grads = {name: np.zeros_like(params.arrays[name]) for name in trainable_names(params)}
     d_logits = probs.copy()
     d_logits[np.arange(B), y] -= 1.0
     d_logits /= B
@@ -282,9 +282,9 @@ def loss_and_gradients(batch, y, params):
         np.add.at(dh_f, (amax[:H], cols), d_enc[k, :H])
         np.add.at(dh_b_rev, (T - 1 - amax[H:], cols), d_enc[k, H:])
         gfx, gfh, gfb, dxf = lstm_backward(
-            x, params.array("wf_x"), params.array("wf_h"), *fwd, dh_f)
+            x, params.arrays["wf_x"], params.arrays["wf_h"], *fwd, dh_f)
         gbx, gbh, gbb, dxb = lstm_backward(
-            x[::-1], params.array("wb_x"), params.array("wb_h"), *bwd, dh_b_rev)
+            x[::-1], params.arrays["wb_x"], params.arrays["wb_h"], *bwd, dh_b_rev)
         for name, g in zip(("wf_x", "wf_h", "wf_b", "wb_x", "wb_h", "wb_b"),
                            (gfx, gfh, gfb, gbx, gbh, gbb)):
             grads[name] += g
@@ -341,7 +341,7 @@ def giveaway_words(counts, min_freq, top_k):
     best = counts.occ.argmax(axis=1)
     for w in np.flatnonzero(freq >= min_freq):
         idx, cw = int(best[w]), int(freq[w])
-        buckets[idx].append(stats.GiveawayEntry(counts.vocab.token(w),
+        buckets[idx].append(stats.GiveawayEntry(counts.vocab.tokens[w],
                                                 int(counts.occ[w, idx]) / cw, cw))
     for entries in buckets.values():
         entries.sort(key=lambda e: (-e.frequency, -e.score, e.token))
@@ -426,7 +426,7 @@ def _read(path, roles, scheme, parse, remap_ordinal):
         name = corpus.JOCI_ORDINAL_TO_LABEL[ordinal] if remap_ordinal else label_field
         premises.append(corpus._join_premise(record[roles.premise], where))
         hypotheses.append(hypothesis)
-        labels.append(scheme.index(name))
+        labels.append(scheme.index[name])
         ids.append(instance_id)
         groups.append(None if group is None else corpus._key_text(group, "group", where))
         ordinals.append(ordinal)

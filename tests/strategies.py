@@ -22,12 +22,13 @@ from hyponli.corpus import THREE_WAY
 # the values ingest treats differently: null, bools, containers, NaN, an
 # integer past int64, empty and blank strings, a lone surrogate (which
 # json.dumps escapes), labels in and out of the scheme
-odd_values = st.sampled_from([None, True, False, [], ["a", "b"], ["a", 1], {}, {"k": 1},
-                              math.nan, math.inf, 2 ** 63, 10 ** 20, 1e308, 2.5, 4.0, 0, 3,
-                              6, "", " ", "x", "a b", "a \ud800", "-", "3", " 4 ", "neutral",
-                              "entailment", "contradiction"])
-odd_cells = st.sampled_from(["", " ", "p", "a b", "neutral", "entailment", "-", "nan", "3",
-                             "5", "7", "9223372036854775808", "true", "1.0", " 4", "x7"])
+ODD_VALUES = [None, True, False, [], ["a", "b"], ["a", 1], {}, {"k": 1}, math.nan, math.inf,
+              2 ** 63, 10 ** 20, 1e308, 2.5, 4.0, 0, 3, 6, "", " ", "x", "a b", "a \ud800", "-",
+              "3", " 4 ", "neutral", "entailment", "contradiction"]
+ODD_CELLS = ["", " ", "p", "a b", "neutral", "entailment", "-", "nan", "3", "5", "7",
+             "9223372036854775808", "true", "1.0", " 4", "x7"]
+odd_values = st.sampled_from(ODD_VALUES)
+odd_cells = st.sampled_from(ODD_CELLS)
 # the roles by position: the key of a JSONL record, the column of a TSV row
 KEYS = ("premise", "hypothesis", "label", "group", "ordinal", "id")
 TSV_COLUMNS = ",".join(f"{role}={column}" for column, role in enumerate(KEYS))
@@ -84,24 +85,22 @@ tsv_lines = corpus_lines(
     st.sampled_from(["", "   ", "p", "p\tq"]))
 
 # JSON values a spec or checkpoint reader treats differently, lone surrogates among them
-odd_json = st.sampled_from([None, True, False, [], {}, "", "x", "3", 0, -1, 1, 2, 3, 2.5,
-                            1e308, math.nan, math.inf, 2 ** 63, 10 ** 20, [1], [0, 1], [3, 1],
-                            [1, 2 ** 63], [0.5, 0.5], [0.4, 0.35, 0.25], [1.5, -0.5, 0.0],
-                            ["a", "b"], [["w001", 0, 0.5]], [["give", 5, 0.5]],
-                            [["give", "neutral", 2.0]], [["a b", 0, 0.5]], "x\ud800",
-                            [["x\ud800", 0, 0.5]],
-                            [["give", 0, 0.5], ["give", 1, 0.5]], {"k": 1}])
+ODD_JSON = [None, True, False, [], {}, "", "x", "3", 0, -1, 1, 2, 3, 2.5, 1e308, math.nan,
+            math.inf, 2 ** 63, 10 ** 20, [1], [0, 1], [3, 1], [1, 2 ** 63], [0.5, 0.5],
+            [0.4, 0.35, 0.25], [1.5, -0.5, 0.0], ["a", "b"], [["w001", 0, 0.5]],
+            [["give", 5, 0.5]], [["give", "neutral", 2.0]], [["a b", 0, 0.5]], "x\ud800",
+            [["x\ud800", 0, 0.5]], [["give", 0, 0.5], ["give", 1, 0.5]], {"k": 1}]
+odd_json = st.sampled_from(ODD_JSON)
 
 SPEC_KEYS = ("n_labels", "label_prior", "vocab_size", "sentence_length", "giveaway", "seed",
              "extra")
-specs = mutated(
-    st.sampled_from([
-        {"n_labels": 3, "label_prior": [0.4, 0.35, 0.25], "vocab_size": 12,
-         "sentence_length": [3, 6], "giveaway": [["give0", 0, 0.9], ["give1", "neutral", 0.5]],
-         "seed": 4},
-        {"n_labels": 2, "label_prior": [0.5, 0.5], "vocab_size": 1000,
-         "sentence_length": [1, 2], "seed": 0}]).map(dict),
-    odd_json, drop_key, SPEC_KEYS)
+VALID_SPECS = [
+    {"n_labels": 3, "label_prior": [0.4, 0.35, 0.25], "vocab_size": 12,
+     "sentence_length": [3, 6], "giveaway": [["give0", 0, 0.9], ["give1", "neutral", 0.5]],
+     "seed": 4},
+    {"n_labels": 2, "label_prior": [0.5, 0.5], "vocab_size": 1000,
+     "sentence_length": [1, 2], "seed": 0}]
+specs = mutated(st.sampled_from(VALID_SPECS).map(dict), odd_json, drop_key, SPEC_KEYS)
 
 # stats options, a dashed and an unknown key, the two subcommand actions
 # that are not options (help, config), and the values their conversions and

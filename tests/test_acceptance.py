@@ -123,7 +123,7 @@ def test_criterion_2_brute_force_equivalence(corpora_100):
             counts = count_corpus(data, scheme)
             occ, _ = brute_counts(data)
             for tok in counts.vocab.tokens:
-                row = counts.occ[counts.vocab.get(tok)]
+                row = counts.occ[counts.vocab.index[tok]]
                 for label in range(len(scheme)):
                     expected = brute_p(occ, tok, label, len(scheme))
                     assert int(row[label]) / int(row.sum()) == expected
@@ -144,7 +144,7 @@ def test_criterion_3_coverage_invariants(corpora_100):
             for label in range(len(scheme)):
                 curve = stats.coverage_curve(counts, label, grid_step=0.05)
                 assert all(a >= b for a, b in zip(curve.y, curve.y[1:]))
-                assert curve.y[0] == counts.count_l(label)
+                assert curve.y[0] == counts.label_sentences[label]
                 assert stats.coverage_count(counts, label, 1.0 + 1e-9) == 0
 
 
@@ -178,8 +178,8 @@ def test_criterion_4_gradient_correctness():
                 y = np.array(y)
                 _, grads = model.loss_and_gradients(rows, tokens, y, params)
                 for name in trainable_names(params):
-                    flat = params.array(name).reshape(-1)
-                    gflat = dense(grads[name], params.array(name)).reshape(-1)
+                    flat = params.arrays[name].reshape(-1)
+                    gflat = dense(grads[name], params.arrays[name]).reshape(-1)
                     for i in range(flat.size):
                         orig = flat[i]
                         flat[i] = orig + step
@@ -468,7 +468,7 @@ def test_criterion_9_snli_checks():
         assert abs(maj_acc - 33.82) <= 0.05
 
         counts = count_corpus(dev_data, scheme)
-        contra = scheme.index("contradiction")
+        contra = scheme.index["contradiction"]
         lists = stats.giveaway_words(counts, min_freq=5, top_k=50)
         by_token = {e.token: e for e in lists[contra]}
         for token in ("sleeping", "Nobody"):

@@ -224,12 +224,12 @@ def test_the_benchmark_reads_a_checkpoint_as_hyponli_does(tmp_path, monkeypatch,
     header, arrays = checks.read_checkpoint(out / "model.ckpt")
     params = model.load_checkpoint(out / "model.ckpt")
     assert header["config"]["encoder_kind"] == params.config.encoder_kind == encoder
-    assert header["vocab"] == params.vocab.tokens
-    assert list(arrays) == params.array_names()
+    assert header["vocab"] == list(params.vocab.tokens)
+    assert list(arrays) == list(params.arrays)
     for name, array in arrays.items():
-        assert array.dtype == params.array(name).dtype
-        assert array.shape == params.array(name).shape
-        assert array.tobytes() == params.array(name).tobytes(), name
+        assert array.dtype == params.arrays[name].dtype
+        assert array.shape == params.arrays[name].shape
+        assert array.tobytes() == params.arrays[name].tobytes(), name
     # predict_labels runs on what it read, and agrees with hyponli
     dev, _ = corpus.read_jsonl(data, corpus.FIELD_MAP_PRESETS["native"], params.scheme)
     vocab, ids, indptr = text.intern(dev.hypotheses)

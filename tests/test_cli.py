@@ -20,8 +20,9 @@ from hyponli.model import load_checkpoint, predict_batch, save_checkpoint
 import reference
 from helpers import make_corpus
 from strategies import (
-    CHECKPOINT_FIELDS, DROP, TSV_COLUMNS, checkpoint_damage, config_lines, jsonl_lines, specs,
-    stats_flag_values, tsv_lines, vector_lines,
+    CHECKPOINT_FIELDS, DROP, KEYS, ODD_CELLS, ODD_JSON, ODD_VALUES, SPEC_KEYS, TSV_COLUMNS,
+    VALID_SPECS, checkpoint_damage, config_lines, jsonl_lines, specs, stats_flag_values,
+    tsv_lines, vector_lines,
 )
 
 
@@ -433,6 +434,46 @@ def test_a_mutated_corpus_is_read_or_one_line_naming_it(tmp_path_factory, kind, 
          "--format", TSV_COLUMNS if kind == "tsv" else kind, "--min-freq", "1",
          *(["--remap-ordinal"] if remap else [])],
         f"error: {path}:")
+
+
+# A valid record with every role set. The derandomized property tests above need not draw
+# the rarer values, such as a lone surrogate, so the cases below name each value of
+# tests/strategies.py in each role, column and spec key, one at a time.
+VALID_RECORD = {"premise": "p", "hypothesis": "a b", "label": "neutral", "group": "g",
+                "ordinal": 3, "id": "x7"}
+
+
+@pytest.mark.parametrize("value", ODD_VALUES, ids=json.dumps)
+@pytest.mark.parametrize("role", KEYS)
+def test_each_odd_value_in_each_role_is_read_or_one_line_naming_it(tmp_path, role, value):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps({**VALID_RECORD, role: value}) + "\n", encoding="utf-8")
+    assert_read_or_one_line(["stats", "--data", str(path), "--out-dir", str(tmp_path / "stats"),
+                             "--min-freq", "1"], f"error: {path}:")
+    # split writes every role back out, so a value that reads but cannot be written shows
+    assert_read_or_one_line(["split", "--data", str(path), "--out-dir", str(tmp_path / "split")],
+                            f"error: {path}:")
+
+
+@pytest.mark.parametrize("cell", ODD_CELLS, ids=repr)
+@pytest.mark.parametrize("column", range(len(KEYS)), ids=KEYS.__getitem__)
+def test_each_odd_cell_in_each_column_is_read_or_one_line_naming_it(tmp_path, column, cell):
+    row = [str(value) for value in VALID_RECORD.values()]
+    row[column] = cell
+    path = tmp_path / "d.tsv"
+    path.write_text("\t".join(row) + "\n", encoding="utf-8")
+    assert_read_or_one_line(["stats", "--data", str(path), "--out-dir", str(tmp_path / "out"),
+                             "--format", TSV_COLUMNS, "--min-freq", "1"], f"error: {path}:")
+
+
+@pytest.mark.parametrize("value", ODD_JSON, ids=json.dumps)
+@pytest.mark.parametrize("key", SPEC_KEYS)
+def test_each_odd_value_under_each_spec_key_is_read_or_one_line_naming_it(tmp_path, key, value):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**VALID_SPECS[0], key: value}), encoding="utf-8")
+    # 50 rows: in 5, a give-away at rate 0.5 on one label may never be written
+    assert_read_or_one_line(["synth", "--spec-file", str(path), "--n", "50",
+                             "--out-dir", str(tmp_path / "out")], f"error: {path}:")
 
 
 def small_corpus(path):
@@ -892,12 +933,12 @@ class TestStatsCommand:
         maxima = [reference.sentence_maxima(data.hypotheses, data.labels, scheme, label, per_label)
                   for label in range(len(scheme))]
         covered = lambda label, x: int(np.count_nonzero(maxima[label] >= x))
-        assert covered(scheme.index("contradiction"), 0.5) == (0 if per_label else 1)
+        assert covered(scheme.index["contradiction"], 0.5) == (0 if per_label else 1)
         with open(out / "coverage.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 9 * len(scheme)
         for row in rows:
-            assert int(row["y"]) == covered(scheme.index(row["label"]), float(row["x"]))
+            assert int(row["y"]) == covered(scheme.index[row["label"]], float(row["x"]))
         digest = (out / "stats_digest.md").read_text().splitlines()
         start = digest.index("## Coverage at selected thresholds") + 4  # past header and rule
         assert digest[start:start + len(scheme)] == [
@@ -1036,6 +1077,27 @@ class TestTrainEvalCommand:
         assert self.run_train(tmp_path, out_b) == 0
         for name in ("train_log.csv", "model.ckpt", "report.md", "report.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("with_test", [False, True])
+    def test_report_names_each_file_read_and_its_skipped_records(self, tmp_path, with_test):
+        """report.md opens with one line per split file read, train, dev and test if given,
+        like stats_digest.md's: its records and the records skipped at ingest."""
+        data = small_corpus(tmp_path / "d.jsonl")
+        skipping = tmp_path / "s.jsonl"
+        skipped = [{"premise": "p", "hypothesis": "a", "label": label} for label in ("-", "x")]
+        skipping.write_text((tmp_path / "d.jsonl").read_text(encoding="utf-8")
+                            + "".join(json.dumps(record) + "\n" for record in skipped),
+                            encoding="utf-8")
+        test = ["--test", str(skipping)] if with_test else []
+        assert main(["train-eval", "--train", str(skipping), "--dev", data, *test,
+                     "--embedding-dim", "2", "--max-epochs", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "report.md").read_text(encoding="utf-8").splitlines()
+        inputs = ["- train: 9 records (skipped at ingest: 2)",
+                  "- dev: 9 records (skipped at ingest: 0)"]
+        inputs += ["- test: 9 records (skipped at ingest: 2)"] if with_test else []
+        assert report[:len(inputs) + 4] == ["# Hypothesis-only evaluation", "", *inputs, "",
+                                            "| Split | Hyp-Only | MAJ | abs delta | pct delta |"]
 
     def test_run_configuration_of_a_default_run(self, tmp_path, monkeypatch):
         """report.md's run-configuration block of a run with every option at
@@ -1623,8 +1685,8 @@ class TestAuditSampleCommand:
                      "--max-epochs", "1"]) == 0
         ckpt = out / "model.ckpt"
         params = load_checkpoint(ckpt)
-        params.array("emb")[:] = 1.0
-        params.array("mlp_w1")[:] = 1e308
+        params.arrays["emb"][:] = 1.0
+        params.arrays["mlp_w1"][:] = 1e308
         save_checkpoint(params, ckpt)
         capsys.readouterr()
         audit_out = tmp_path / "audit"

@@ -29,10 +29,10 @@ def write_lines(path, lines):
 
 class TestSchemes:
     def test_by_name_and_index(self):
-        assert THREE_WAY.index("neutral") == 1
+        assert THREE_WAY.index["neutral"] == 1
         assert THREE_WAY.names[2] == "contradiction"
         with pytest.raises(KeyError, match="'-'"):
-            THREE_WAY.index("-")
+            THREE_WAY.index["-"]
 
     def test_size_bounds(self):
         with pytest.raises(ConfigError):
@@ -72,7 +72,7 @@ class TestReadJsonl:
         assert data.premises == ["a"]
         assert data.hypotheses == ["b"]
         assert data.labels.dtype == np.int64
-        assert data.labels.tolist() == [THREE_WAY.index("entailment")] == [0]
+        assert data.labels.tolist() == [THREE_WAY.index["entailment"]] == [0]
 
     def test_no_consensus_label_skipped(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -545,13 +545,13 @@ class TestMajorityLabel:
     def test_simple(self):
         data = make_corpus([("a", "entailment"), ("b", "entailment"),
                                     ("c", "neutral")])
-        assert majority_label(labels_of(data)) == THREE_WAY.index("entailment")
+        assert majority_label(labels_of(data)) == THREE_WAY.index["entailment"]
 
     def test_tie_takes_lowest_index(self):
         data = make_corpus([("a", "entailment"), ("b", "neutral")])
-        assert majority_label(labels_of(data)) == THREE_WAY.index("entailment")
+        assert majority_label(labels_of(data)) == THREE_WAY.index["entailment"]
         data = make_corpus([("a", "contradiction"), ("b", "neutral")])
-        assert majority_label(labels_of(data)) == THREE_WAY.index("neutral")
+        assert majority_label(labels_of(data)) == THREE_WAY.index["neutral"]
 
     def test_counted_on_generated_prior(self):
         rng = np.random.default_rng(42)

@@ -247,6 +247,7 @@ class TestFmt2:
     @pytest.mark.parametrize("value,expected", [
         (0.005, "0.01"), (-0.005, "-0.01"), (2.675, "2.68"),
         (32.081, "32.08"), (104.524, "104.52"), (None, "n/a"), (0.0, "0.00"),
+        (np.float64(2.675), "2.68"), (np.float64(-0.005), "-0.01"),
     ])
     def test_round_half_away_from_zero(self, value, expected):
         assert fmt2(value) == expected
@@ -324,9 +325,9 @@ def test_report_golden():
     data, _ = corpus.read_jsonl(os.path.join(GOLDEN_DIR, "corpus.jsonl"),
                                 corpus.FIELD_MAP_PRESETS["native"], THREE_WAY)
     with open(os.path.join(GOLDEN_DIR, "predictions.txt"), encoding="utf-8") as fh:
-        pred = np.array([THREE_WAY.index(line.strip()) for line in fh])
+        pred = np.array([THREE_WAY.index[line.strip()] for line in fh])
     rep = build_report("dev", pred, data.labels, data.groups, THREE_WAY,
-                       THREE_WAY.index("entailment"))
+                       THREE_WAY.index["entailment"])
     cells = confusion_sample(pred, data.labels, n_per_cell=5, seed=3)
     written = {
         "report.md": report_markdown([rep], ["train_majority=entailment"]),

@@ -118,8 +118,8 @@ def test_reversed_views_of_batch_slices_match_reversed_copies(s):
 
 def test_projection_overflow_raises():
     params = make_params("birnn-maxpool")
-    params.array("emb")[...] = 1e200
-    params.array("wf_x")[...] = 1e200
+    params.arrays["emb"][...] = 1e200
+    params.arrays["wf_x"][...] = 1e200
     rows, tokens = as_csr([np.array([0, 1])])
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
         model.loss_and_gradients(rows, tokens, np.array([0]), params)

@@ -74,7 +74,7 @@ class TestEncodeBag:
     def test_single_token_is_its_vector(self):
         vocab = small_vocab(3)
         emb = seeded_random_embeddings(vocab, 5, seed=0)
-        assert np.array_equal(bag_mean(["t1"], vocab, emb), emb[vocab.get("t1")])
+        assert np.array_equal(bag_mean(["t1"], vocab, emb), emb[vocab.index["t1"]])
 
     def test_permutation_invariant(self):
         vocab = small_vocab(4)
@@ -105,12 +105,12 @@ class TestEncodeBirnn:
     def test_length_one_equals_single_state(self):
         params = make_params("birnn-maxpool")
         rows = lookup(params.vocab, ["t3"])
-        x = params.array("emb")[rows]
+        x = params.arrays["emb"][rows]
         states = []
         for wx, wh, b in (("wf_x", "wf_h", "wf_b"), ("wb_x", "wb_h", "wb_b")):
-            z = x @ params.array(wx).T + params.array(b)
+            z = x @ params.arrays[wx].T + params.arrays[b]
             h, c, tc = np.empty((3, 1, params.config.hidden_dim))
-            kernels.lstm_forward(z, kernels.halve_ifo(z, params.array(wh)), h, c, tc)
+            kernels.lstm_forward(z, kernels.halve_ifo(z, params.arrays[wh]), h, c, tc)
             states.append(h[0])
         assert np.array_equal(encode_birnn_maxpool(rows, params), np.concatenate(states))
 
@@ -169,13 +169,13 @@ class TestEncodeBirnn:
                 states.append(list(h))
             return states
 
-        emb = params.array("emb")
+        emb = params.arrays["emb"]
         rows = lookup(params.vocab, tokens)
         xs = [emb[r].tolist() for r in rows]
-        fwd = scalar_lstm(xs, params.array("wf_x").tolist(),
-                          params.array("wf_h").tolist(), params.array("wf_b").tolist())
-        bwd = scalar_lstm(xs[::-1], params.array("wb_x").tolist(),
-                          params.array("wb_h").tolist(), params.array("wb_b").tolist())
+        fwd = scalar_lstm(xs, params.arrays["wf_x"].tolist(),
+                          params.arrays["wf_h"].tolist(), params.arrays["wf_b"].tolist())
+        bwd = scalar_lstm(xs[::-1], params.arrays["wb_x"].tolist(),
+                          params.arrays["wb_h"].tolist(), params.arrays["wb_b"].tolist())
         bwd_aligned = bwd[::-1]
         cat = [fwd[t] + bwd_aligned[t] for t in range(len(tokens))]
         expected = [max(cat[t][j] for t in range(len(tokens))) for j in range(2 * H)]
@@ -187,17 +187,17 @@ class TestClassify:
     def zero_params(self):
         params = make_params("bag", dim=2, mlp=2)
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
-            params.array(name)[...] = 0.0
+            params.arrays[name][...] = 0.0
         return params
 
     def tiny_params(self):
         params = make_params("bag", dim=2, mlp=2, n_labels=2)
-        params.array("mlp_w1")[...] = [[1.0, 0.0], [0.0, 1.0]]
-        params.array("mlp_b1")[...] = 0.0
-        params.array("mlp_w2")[...] = [[1.0, 0.0], [0.0, 1.0]]
-        params.array("mlp_b2")[...] = 0.0
+        params.arrays["mlp_w1"][...] = [[1.0, 0.0], [0.0, 1.0]]
+        params.arrays["mlp_b1"][...] = 0.0
+        params.arrays["mlp_w2"][...] = [[1.0, 0.0], [0.0, 1.0]]
+        params.arrays["mlp_b2"][...] = 0.0
         # token t0 embeds to (0.5, -0.5), so the logits are tanh(0.5), tanh(-0.5)
-        params.array("emb")[0] = [0.5, -0.5]
+        params.arrays["emb"][0] = [0.5, -0.5]
         return params
 
     def test_zero_weights_uniform(self):
@@ -211,7 +211,7 @@ class TestClassify:
         params = make_params("bag", dim=2, mlp=4)
         (rows, tokens), y = as_csr([lookup(params.vocab, ["t0", "t4"])]), np.array([2])
         loss, grads = loss_and_gradients(rows, tokens, y, params)
-        params.array("mlp_b2")[...] += 17.0
+        params.arrays["mlp_b2"][...] += 17.0
         shifted_loss, shifted_grads = loss_and_gradients(rows, tokens, y, params)
         assert shifted_loss == pytest.approx(loss, abs=1e-12)
         assert np.allclose(shifted_grads["mlp_b2"], grads["mlp_b2"])
@@ -237,7 +237,7 @@ class TestClassify:
         # softmax(logits) - onehot(y) sums to 0; logits up to ~1e3 stay finite
         rng = np.random.default_rng(seed)
         params = make_params("bag", dim=2, mlp=2)
-        params.array("mlp_b2")[...] = rng.normal(scale=10 ** rng.integers(0, 4), size=3)
+        params.arrays["mlp_b2"][...] = rng.normal(scale=10 ** rng.integers(0, 4), size=3)
         loss, grads = loss_and_gradients(*as_csr([lookup(params.vocab, ["t1"])]),
                                          rng.integers(0, 3, 1), params)
         assert np.isfinite(loss) and loss >= 0.0
@@ -248,7 +248,7 @@ class TestLossAndGradients:
     def test_uniform_model_loss_is_ln3(self):
         params = make_params("bag")
         for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
-            params.array(name)[...] = 0.0
+            params.arrays[name][...] = 0.0
         rows, tokens = as_csr([lookup(params.vocab, ["t0"]), lookup(params.vocab, ["t1"])])
         loss, _ = loss_and_gradients(rows, tokens, np.array([0, 2]), params)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
@@ -275,8 +275,8 @@ class TestLossAndGradients:
         _, grads = loss_and_gradients(rows, tokens, y, params)
         step = 1e-4
         for name in trainable_names(params):
-            flat = params.array(name).reshape(-1)
-            gflat = dense(grads[name], params.array(name)).reshape(-1)
+            flat = params.arrays[name].reshape(-1)
+            gflat = dense(grads[name], params.arrays[name]).reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
@@ -290,7 +290,7 @@ class TestLossAndGradients:
 
     def test_a_non_finite_loss_is_a_numerical_error(self):
         params = make_params("bag")
-        params.array("mlp_b2")[0] = np.nan  # after the constructor's finiteness check
+        params.arrays["mlp_b2"][0] = np.nan  # after the constructor's finiteness check
         with pytest.raises(model.NumericalError, match="^non-finite loss$"):
             loss_and_gradients(*as_csr([lookup(params.vocab, ["t0"])]), np.array([1]), params)
 
@@ -307,7 +307,7 @@ class TestNonFiniteHiddenState:
 
     def params_with_nan(self):
         params = make_params("birnn-maxpool", seed=9, finetune=True)
-        params.array("emb")[params.vocab.get("t4")] = np.nan
+        params.arrays["emb"][params.vocab.index["t4"]] = np.nan
         return params
 
     def test_loss_and_predict_name_the_first_bad_token(self):
@@ -383,7 +383,7 @@ def assert_matches_reference(rows, tokens, y, params):
             assert (np.diff(grad.rows) > 0).all()
             assert np.array_equal(grad.rows, np.unique(np.concatenate(batch)))
             assert grad.size == grad.values.size == grad.rows.size * params.config.embedding_dim
-        assert same(dense(grad, params.array(name)), ref_grads[name]), name
+        assert same(dense(grad, params.arrays[name]), ref_grads[name]), name
 
 
 @st.composite
@@ -411,7 +411,7 @@ class TestBatchedMatchesReference:
             # in token order, as the reference's np.add.at routing does
             ties = params.clone()
             for name in model._LSTM_ARRAYS:
-                ties.array(name)[...] = 0.0
+                ties.arrays[name][...] = 0.0
             cases.append(ties)
         rng = np.random.default_rng(31)
         for case in cases:
@@ -444,7 +444,7 @@ class TestBatchedMatchesReference:
     @pytest.mark.parametrize("negative_zeros", [False, True])
     def test_bag_encoding_equals_per_sentence_mean(self, negative_zeros):
         params = make_params("bag", seed=33, dim=50, finetune=True)
-        emb = params.array("emb")
+        emb = params.arrays["emb"]
         if negative_zeros:  # numpy's mean sums from 0.0, so -0.0 alone gives 0.0
             emb[[2, len(params.vocab)], ::2] = -0.0
         rng = np.random.default_rng(33)
@@ -459,7 +459,7 @@ class TestBatchedMatchesReference:
         # which numpy sums pairwise; the batched encoder always sums in
         # token order. Equality is bitwise from two columns on.
         params = make_params("bag", seed=34, dim=1)
-        emb = params.array("emb")
+        emb = params.arrays["emb"]
         batch = ragged_batches(params)[0] + [np.arange(11).repeat(3)]
         enc = model._encode_bag(*model._gather(*as_csr(batch)), emb)
         for k, rows in enumerate(batch):
@@ -488,7 +488,7 @@ class TestTimeMajorMatchesPerSentence:
         params = make_params("birnn-maxpool", seed=37)
         ties = params.clone()
         for name in model._LSTM_ARRAYS:
-            ties.array(name)[...] = 0.0
+            ties.arrays[name][...] = 0.0
         for case in (params, ties):
             for batch in ragged_batches(case) + [[np.array([3]), np.array([3, 3, 3])]]:
                 assert_recurrences_agree(*as_csr(batch), case)
@@ -516,7 +516,7 @@ def bag_labels(batch, params) -> list[int]:
     """The bag's labels of a batch, exactly: the head over the stacked
     per-sentence means (the batched head's rows depend, in the last bits,
     on the batch size)."""
-    enc = np.stack([encode_bag_rows(s, params.array("emb")) for s in batch])
+    enc = np.stack([encode_bag_rows(s, params.arrays["emb"]) for s in batch])
     return np.argmax(model._mlp_head(enc, params)[1], axis=1).tolist()
 
 
@@ -590,8 +590,8 @@ class TestDeterminism:
             return params
 
         a, b = run(), run()
-        for name in a.array_names():
-            assert np.array_equal(a.array(name), b.array(name))
+        for name in a.arrays:
+            assert np.array_equal(a.arrays[name], b.arrays[name])
 
 
 class TestCheckpoint:
@@ -603,8 +603,8 @@ class TestCheckpoint:
         assert back.config == params.config
         assert back.scheme == params.scheme
         assert back.vocab.tokens == params.vocab.tokens
-        for name in params.array_names():
-            assert np.array_equal(back.array(name), params.array(name))
+        for name in params.arrays:
+            assert np.array_equal(back.arrays[name], params.arrays[name])
 
     def test_resave_byte_identical(self, tmp_path):
         params = make_params("bag", seed=4)

@@ -21,11 +21,11 @@ def count_corpus(data, scheme=THREE_WAY, per_label=False):
 
 
 def occ_wl(counts, token, label):
-    return int(counts.occ[counts.vocab.get(token), label])
+    return int(counts.occ[counts.vocab.index[token], label])
 
 
 def p_label_given_word(counts, token, label):
-    row = counts.occ[counts.vocab.get(token)]
+    row = counts.occ[counts.vocab.index[token]]
     return int(row[label]) / int(row.sum())
 
 
@@ -98,17 +98,17 @@ def brute_coverage(data, scheme, label, grid):
 class TestCountCorpus:
     def test_single_sentence_definitions(self):
         counts = count_corpus(make_corpus([("a a b", "entailment")]))
-        e = THREE_WAY.index("entailment")
+        e = THREE_WAY.index["entailment"]
         assert occ_wl(counts, "a", e) == 2
         assert occ_wl(counts, "b", e) == 1
-        assert counts.occ[counts.vocab.get("a")].sum() == 2
-        assert counts.count_l(e) == 1
+        assert counts.occ[counts.vocab.index["a"]].sum() == 2
+        assert counts.label_sentences[e] == 1
         assert counts.n_sentences == 1
 
     def test_empty_corpus(self):
         counts = stats.count_corpus([], [], THREE_WAY)
         assert counts.n_sentences == 0
-        assert all(counts.count_l(lab) == 0 for lab in range(len(THREE_WAY)))
+        assert all(counts.label_sentences[lab] == 0 for lab in range(len(THREE_WAY)))
 
     def test_six_sentence_fixture_matches_tally(self):
         pairs = [
@@ -121,13 +121,13 @@ class TestCountCorpus:
         for (tok, li), n in occ.items():
             assert occ_wl(counts, tok, li) == n
         for li, n in label_sent.items():
-            assert counts.count_l(li) == n
+            assert counts.label_sentences[li] == n
 
     def test_premises_untouched(self):
         counts = count_corpus(make_corpus([("hyp only", "neutral")],
                                           premise="premise words here"))
-        assert counts.vocab.get("premise") is None
-        assert counts.occ[counts.vocab.get("hyp")].sum() == 1
+        assert "premise" not in counts.vocab.index
+        assert counts.occ[counts.vocab.index["hyp"]].sum() == 1
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
@@ -143,18 +143,18 @@ class TestCountCorpus:
 class TestPLabelGivenWord:
     def test_degenerate_distribution(self):
         counts = count_corpus(make_corpus([("w", "contradiction")] * 4))
-        assert p_label_given_word(counts, "w", THREE_WAY.index("contradiction")) == 1.0
+        assert p_label_given_word(counts, "w", THREE_WAY.index["contradiction"]) == 1.0
 
     def test_hand_arithmetic(self):
         pairs = [("w", "contradiction")] * 3 + [("w", "neutral")]
         counts = count_corpus(make_corpus(pairs))
-        assert p_label_given_word(counts, "w", THREE_WAY.index("contradiction")) == 0.75
-        assert p_label_given_word(counts, "w", THREE_WAY.index("neutral")) == 0.25
-        assert p_label_given_word(counts, "w", THREE_WAY.index("entailment")) == 0.0
+        assert p_label_given_word(counts, "w", THREE_WAY.index["contradiction"]) == 0.75
+        assert p_label_given_word(counts, "w", THREE_WAY.index["neutral"]) == 0.25
+        assert p_label_given_word(counts, "w", THREE_WAY.index["entailment"]) == 0.0
 
     def test_unseen_token_has_no_row(self):
         counts = count_corpus(make_corpus([("a", "neutral")]))
-        assert counts.vocab.get("zzz") is None
+        assert "zzz" not in counts.vocab.index
         assert counts.occ.shape == (1, len(THREE_WAY))
 
     @given(seed=st.integers(0, 10_000))
@@ -173,7 +173,7 @@ class TestGiveawayWords:
         pairs = [("sleep x", "contradiction")] * 9 + [("sleep x", "neutral")]
         counts = count_corpus(make_corpus(pairs))
         result = giveaway_words(counts, min_freq=5, top_k=10)
-        contra = result[THREE_WAY.index("contradiction")]
+        contra = result[THREE_WAY.index["contradiction"]]
         entry = next(e for e in contra if e.token == "sleep")
         assert entry.score == 0.9
         assert entry.frequency == 10
@@ -228,11 +228,11 @@ class TestCoverageCurve:
         for label in range(len(THREE_WAY)):
             curve = coverage_curve(counts, label, grid_step=0.1)
             assert curve.grid[0] == 0.0
-            assert curve.y[0] == counts.count_l(label)
+            assert curve.y[0] == counts.label_sentences[label]
 
     def test_zero_beyond_one(self):
         counts = count_corpus(make_corpus([("a", "neutral")]))
-        assert coverage_count(counts, THREE_WAY.index("neutral"), 1.0 + 1e-9) == 0
+        assert coverage_count(counts, THREE_WAY.index["neutral"], 1.0 + 1e-9) == 0
 
     def test_non_increasing(self):
         rng = np.random.default_rng(3)
@@ -263,13 +263,13 @@ class TestCoverageCurve:
             curve = coverage_curve(counts, label, grid_step=0.05)
             # an empty sentence scores 0.0: covered at threshold 0 only,
             # where the oracle, which needs a token, does not count it
-            assert curve.y[0] == counts.count_l(label)
+            assert curve.y[0] == counts.label_sentences[label]
             assert curve.y[1:] == brute_coverage(data, THREE_WAY, label,
                                                  curve.grid)[1:]
 
     def test_grid_ends_at_one(self):
         counts = count_corpus(make_corpus([("a", "neutral")]))
-        curve = coverage_curve(counts, THREE_WAY.index("neutral"), grid_step=0.3)
+        curve = coverage_curve(counts, THREE_WAY.index["neutral"], grid_step=0.3)
         assert curve.grid[-1] == 1.0
         assert curve.y[-1] == 1  # "a" occurs only under neutral, max p = 1.0
 
@@ -282,7 +282,7 @@ class TestCoverageCurve:
         # "a" always neutral; "b" is 2/3 neutral, 1/3 contradiction
         pairs = [("a b", "neutral"), ("b", "neutral"), ("b", "contradiction")]
         data = make_corpus(pairs)
-        contra = THREE_WAY.index("contradiction")
+        contra = THREE_WAY.index["contradiction"]
         # max-over-labels: the contradiction sentence contains b with max p = 2/3
         assert coverage_count(count_corpus(data), contra, 0.5) == 1
         # per-label threshold: p(contradiction|b) = 1/3 < 0.5
@@ -322,8 +322,8 @@ class TestAgainstReference:
             for top_k in (1, 2, 3, 4, 8, 9):
                 got = giveaway_words(counts, min_freq, top_k)
                 assert got == reference.giveaway_words(counts, min_freq, top_k)
-                assert got[THREE_WAY.index("neutral")] == []
-        top = giveaway_words(counts, min_freq=2, top_k=3)[THREE_WAY.index("entailment")]
+                assert got[THREE_WAY.index["neutral"]] == []
+        top = giveaway_words(counts, min_freq=2, top_k=3)[THREE_WAY.index["entailment"]]
         assert [e.token for e in top] == ["x", "y", "a"]
 
     @given(data=labelled(), grid_step=st.sampled_from([0.3, 0.05, 0.5, 0.01]),
@@ -371,7 +371,7 @@ def majority_accuracy(data, maj, scheme=THREE_WAY):
 class TestMajorityAccuracy:
     def test_simple(self):
         data = make_corpus([("a", "entailment"), ("b", "entailment"), ("c", "neutral")])
-        acc = majority_accuracy(data, THREE_WAY.index("entailment"))
+        acc = majority_accuracy(data, THREE_WAY.index["entailment"])
         assert acc == pytest.approx(66.6667, abs=1e-3)
 
     def test_counted_on_synthetic_prior(self):
@@ -380,7 +380,7 @@ class TestMajorityAccuracy:
         names = ["entailed", "not-entailed"]
         data = make_corpus([(f"h{i}", names[d]) for i, d in enumerate(draws)],
                            scheme=TWO_WAY)
-        maj = TWO_WAY.index("entailed")
+        maj = TWO_WAY.index["entailed"]
         expected = 100.0 * int(np.sum(draws == 0)) / 10_000
         assert majority_accuracy(data, maj, TWO_WAY) == expected
         assert abs(expected - 60.0) < 2.0  # sanity: near the prior
@@ -401,7 +401,7 @@ class TestSerialization:
 
     def test_curves_csv(self):
         counts = count_corpus(make_corpus([("a", "neutral")]))
-        curve = coverage_curve(counts, THREE_WAY.index("neutral"), grid_step=0.5)
+        curve = coverage_curve(counts, THREE_WAY.index["neutral"], grid_step=0.5)
         text = stats.curves_to_csv([curve], THREE_WAY)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["label", "x", "y"]

@@ -78,9 +78,9 @@ class TestTokenize:
 class TestVocabulary:
     def test_bijective_and_contiguous(self):
         vocab = Vocabulary(["a", "b", "c"])
-        assert [vocab.get(t) for t in ("a", "b", "c")] == [0, 1, 2]
-        assert [vocab.token(i) for i in range(3)] == ["a", "b", "c"]
-        assert len(vocab) == 3 and vocab.tokens == ["a", "b", "c"]
+        assert [vocab.index[t] for t in ("a", "b", "c")] == [0, 1, 2]
+        assert [vocab.tokens[i] for i in range(3)] == ["a", "b", "c"]
+        assert len(vocab) == 3 and vocab.tokens == ("a", "b", "c")
 
     def test_repeated_token_rejected(self):
         with pytest.raises(ValueError, match="repeats token 'a'"):
@@ -90,7 +90,7 @@ class TestVocabulary:
 class TestIntern:
     def test_first_occurrence_order(self):
         vocab, ids, indptr = intern(["b a.", "", "a c b"])
-        assert vocab.tokens == ["b", "a", ".", "c"]
+        assert vocab.tokens == ("b", "a", ".", "c")
         assert ids.tolist() == [0, 1, 2, 1, 3, 0]
         assert indptr.tolist() == [0, 3, 3, 6]
         assert ids.dtype == indptr.dtype == np.int64
@@ -105,10 +105,10 @@ class TestIntern:
     def test_ids_decode_to_tokens(self, sentences):
         texts = [" ".join(s) for s in sentences]
         vocab, ids, indptr = intern(texts)
-        assert vocab.tokens == list(dict.fromkeys(tok for text in texts for tok in tokenize(text)))
+        assert vocab.tokens == tuple(dict.fromkeys(tok for text in texts for tok in tokenize(text)))
         assert len(indptr) == len(texts) + 1 and indptr[-1] == ids.size
         for sentence, row in zip(texts, reference.sentences(range(len(texts)), (ids, indptr))):
-            assert [vocab.token(i) for i in row] == tokenize(sentence)
+            assert [vocab.tokens[i] for i in row] == tokenize(sentence)
 
     def test_encode_maps_unknown_to_oov_row(self):
         vocab = Vocabulary(["a", "b"])

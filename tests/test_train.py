@@ -46,26 +46,26 @@ def scripted(values):
 class TestSgdStep:
     def test_zero_gradients_unchanged(self):
         params = tiny_params()
-        before = {n: params.array(n).copy() for n in params.array_names()}
-        grads = {n: np.zeros_like(params.array(n)) for n in trainable_names(params)}
+        before = {n: params.arrays[n].copy() for n in params.arrays}
+        grads = {n: np.zeros_like(params.arrays[n]) for n in trainable_names(params)}
         sgd_step(params, grads, 0.1)
-        for name in params.array_names():
-            assert np.array_equal(params.array(name), before[name])
+        for name in params.arrays:
+            assert np.array_equal(params.arrays[name], before[name])
 
     def test_lr_one_gradient_equals_params(self):
         params = tiny_params()
-        grads = {n: params.array(n).copy() for n in trainable_names(params)}
+        grads = {n: params.arrays[n].copy() for n in trainable_names(params)}
         sgd_step(params, grads, 1.0)
         for name in trainable_names(params):
-            assert np.array_equal(params.array(name), np.zeros_like(params.array(name)))
+            assert np.array_equal(params.arrays[name], np.zeros_like(params.arrays[name]))
 
     def test_scalar_case(self):
         params = tiny_params()
-        params.array("mlp_b2")[...] = 0.5
-        grads = {n: np.zeros_like(params.array(n)) for n in trainable_names(params)}
+        params.arrays["mlp_b2"][...] = 0.5
+        grads = {n: np.zeros_like(params.arrays[n]) for n in trainable_names(params)}
         grads["mlp_b2"][...] = 0.2
         sgd_step(params, grads, 0.1)
-        assert np.allclose(params.array("mlp_b2"), 0.48)
+        assert np.allclose(params.arrays["mlp_b2"], 0.48)
 
     def test_shape_mismatch_rejected(self):
         params = tiny_params()
@@ -82,12 +82,12 @@ class TestSgdStepRowGradient:
     def params_and_gradient(self, rows):
         params = tiny_params(seed=4)
         rng = np.random.default_rng(4)
-        values = rng.normal(size=(len(rows), params.array("emb").shape[1]))
+        values = rng.normal(size=(len(rows), params.arrays["emb"].shape[1]))
         return params, RowGradient(np.array(rows, dtype=np.int64), values)
 
     def test_equals_dense_update_bitwise(self):
         params, grad = self.params_and_gradient([0, 2, 4])
-        emb = params.array("emb")
+        emb = params.arrays["emb"]
         dense = np.zeros_like(emb)
         dense[grad.rows] = grad.values
         expected = emb.copy()
@@ -99,9 +99,9 @@ class TestSgdStepRowGradient:
 
     def test_no_rows_is_no_update(self):
         params, grad = self.params_and_gradient([])
-        before = params.array("emb").copy()
+        before = params.arrays["emb"].copy()
         sgd_step(params, {"emb": grad}, 0.5)
-        assert np.array_equal(params.array("emb"), before)
+        assert np.array_equal(params.arrays["emb"], before)
 
     @pytest.mark.parametrize("shape", [(2, 4), (4, 4), (3, 3), (3,), (3, 4, 1)])
     def test_values_shape_mismatch_rejected(self, shape):
@@ -112,10 +112,10 @@ class TestSgdStepRowGradient:
     @pytest.mark.parametrize("rows", [[2, 2, 4], [4, 2, 0]])
     def test_rows_not_strictly_increasing_rejected(self, rows):
         params, grad = self.params_and_gradient(rows)
-        before = params.array("emb").copy()
+        before = params.arrays["emb"].copy()
         with pytest.raises(ValueError, match="strictly increasing"):
             sgd_step(params, {"emb": grad}, 0.1)
-        assert np.array_equal(params.array("emb"), before)
+        assert np.array_equal(params.arrays["emb"], before)
 
 
 class TestConfigValidation:
@@ -230,8 +230,8 @@ class TestBestParams:
 
         best, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=dev_eval)
         assert max(acc for _, _, _, acc in state.history) == 80.0
-        for name in best.array_names():
-            assert np.array_equal(best.array(name), snapshots[2].array(name))
+        for name in best.arrays:
+            assert np.array_equal(best.arrays[name], snapshots[2].arrays[name])
 
     def test_returned_params_achieve_history_max(self):
         train, dev, tokens = tiny_splits(n_train=30, n_dev=12)
@@ -248,8 +248,8 @@ class TestDeterminism:
         best_a, state_a = fit(train, dev, tokens, tiny_params(seed=5), config)
         best_b, state_b = fit(train, dev, tokens, tiny_params(seed=5), config)
         assert state_a.history == state_b.history
-        for name in best_a.array_names():
-            assert np.array_equal(best_a.array(name), best_b.array(name))
+        for name in best_a.arrays:
+            assert np.array_equal(best_a.arrays[name], best_b.arrays[name])
 
 
 class TestValidationAndLog:
@@ -275,7 +275,7 @@ class TestValidationAndLog:
         warning printed and an empty history."""
         train, dev, tokens = tiny_splits()
         params = tiny_params()
-        params.array("emb")[[TINY_VOCAB.get("b"), TINY_VOCAB.get("d")]] = 1.7e308  # dev: "b d"
+        params.arrays["emb"][[TINY_VOCAB.index["b"], TINY_VOCAB.index["d"]]] = 1.7e308  # dev: "b d"
         with pytest.raises(TrainAbort, match=r"^epoch 0: overflow") as info:
             fit(train, dev, tokens, params, TrainConfig(max_epochs=2))
         assert info.value.state.stop_reason == "numerical-error"
