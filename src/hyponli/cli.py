@@ -300,11 +300,10 @@ def cmd_train_eval(run: Run) -> int:
     ends = np.cumsum([len(data) for data in splits.values()])
     examples = {name: (np.arange(end - len(data), end), data.labels)
                 for (name, data), end in zip(splits.items(), ends)}
-    params = _build_model(run, vocab)
     out = run.out_dir
-    try:
-        best_params, state = train.fit(examples["train"], examples["dev"], tokens, params,
-                                       run.train_config)
+    try:  # no name holds the trained parameters, so they go once fit returns its snapshot
+        best_params, state = train.fit(examples["train"], examples["dev"], tokens,
+                                       _build_model(run, vocab), run.train_config)
     except train.TrainAbort as exc:
         dump = os.path.join(out, "train_abort.csv")
         atomic_write_text(dump, exc.state.log_csv())

@@ -98,7 +98,7 @@ class ModelParameters:
     updates in place.
 
     The embedding matrix arrays["emb"] has one row per vocabulary token and a
-    final OOV row; it is trained only when config.finetune_embeddings is set.
+    final OOV row; trains says which arrays training writes.
     """
 
     config: ModelConfig
@@ -339,10 +339,19 @@ def predict_batch(rows: np.ndarray, tokens, params: ModelParameters) -> np.ndarr
     return np.argmax(_mlp_head(enc, params)[1], axis=1).astype(np.int64, copy=False)
 
 
+def trains(config: ModelConfig, name: str) -> bool:
+    """Whether training writes the array of this name: every array but "emb",
+    which it writes only under config.finetune_embeddings. loss_and_gradients
+    gives a gradient for exactly these arrays, and train.fit's best-epoch
+    snapshot shares the others with the parameters it trains."""
+    return name != "emb" or config.finetune_embeddings
+
+
 def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
     """Mean negative log-likelihood of the label indices y given the rows
-    of the token corpus, with backpropagated gradients for every trainable
-    array; the embedding gradient is a RowGradient over the batch's ids.
+    of the token corpus, with backpropagated gradients for the arrays that
+    training writes (trains); the embedding gradient is a RowGradient over
+    the batch's ids.
 
     The loss is log(sum(exp(shifted))) - shifted[y] for the max-shifted
     logits, finite whenever the logits are.
@@ -369,7 +378,7 @@ def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
     grads["mlp_w1"] = d_a1.T @ enc
     grads["mlp_b1"] = d_a1.sum(axis=0)
     d_x = _encode_backward(cache, d_a1 @ params.arrays["mlp_w1"], params, grads)
-    if params.config.finetune_embeddings:
+    if trains(params.config, "emb"):
         grads["emb"] = _row_gradient(ids, d_x)
     return loss, grads
 
@@ -397,7 +406,9 @@ def save_checkpoint(params: ModelParameters, path) -> None:
     Layout: one UTF-8 JSON header line holding config, label names, vocab,
     and an array manifest (name, shape), followed by each array's raw
     little-endian float64 bytes in manifest order. Byte-identical for
-    identical parameters.
+    identical parameters. Each array is written from its own buffer, copied
+    only if it is not C-contiguous little-endian float64, so saving makes
+    no copy of a model's arrays.
     """
     header = {
         "format": CHECKPOINT_MAGIC,
@@ -411,7 +422,7 @@ def save_checkpoint(params: ModelParameters, path) -> None:
         fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         fh.write(b"\n")
         for arr in params.arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
 
 
 def load_checkpoint(path) -> ModelParameters:
@@ -423,6 +434,11 @@ def load_checkpoint(path) -> ModelParameters:
     the labels are not a LabelScheme's, a vocabulary token repeats, the
     manifest does not match the shapes the config and labels imply, an
     array is cut short, or bytes follow the last array.
+
+    Each array is read straight into the array returned, so loading holds
+    each one once. It is allocated only once the bytes left in the file
+    cover it, so a manifest that names a huge array is refused as cut
+    short without allocating it.
     """
     with open(path, "rb") as fh:
         header = parse_json(fh.readline(), f"{path}: checkpoint header")
@@ -452,12 +468,13 @@ def load_checkpoint(path) -> ModelParameters:
         arrays = {}
         for name, shape in expected:
             size = 8 * math.prod(shape)
-            # read no more than the file holds: a read allocates all it asks for
-            buf = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
-            if len(buf) != size:
+            got = min(size, os.fstat(fh.fileno()).st_size - fh.tell())
+            if got == size:  # else allocating it could ask for more than the file holds
+                arrays[name] = np.empty(shape, dtype="<f8")
+                got = fh.readinto(arrays[name])
+            if got != size:
                 raise ValueError(f"{path}: array {name!r} is truncated "
-                                 f"({len(buf)} of {size} bytes)")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                                 f"({got} of {size} bytes)")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
     try:

@@ -104,11 +104,17 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
     the last d whitespace-separated fields. Only vocab words are kept; a
     word given twice keeps its last vector. The final row, and the row of
     every vocab word the file lacks, is the OOV vector: the row named
-    "<unk>" if there is one, else the mean of the loaded vectors in
-    first-seen file order, else zeros. A line of d fields or fewer or of
-    more than d values (a number before the last d), a value that is not
-    a finite number and a byte that is not UTF-8 raise util.IngestError
-    naming the path and line; so does a mean that overflows, naming the path.
+    "<unk>" if there is one, else the mean of the loaded vectors, else
+    zeros. A line of d fields or fewer or of more than d values (a number
+    before the last d), a value that is not a finite number and a byte
+    that is not UTF-8 raise util.IngestError naming the path and line; so
+    does a mean that overflows, naming the path.
+
+    The mean adds the loaded rows one by one, in first-seen file order,
+    into one accumulator and divides it by their count, so the matrix is
+    the only array of its size that loading makes. For d >= 2 this is
+    numpy's order for the rows' mean over axis 0, bit for bit; at d = 1
+    numpy sums pairwise instead, which can differ in the last bits.
     """
     matrix = np.zeros((len(vocab) + 1, dimension), dtype=np.float64)
     loaded: dict[int, None] = {}  # vocab ids in first-seen file order
@@ -136,8 +142,11 @@ def load_embeddings(path, vocab: Vocabulary, dimension: int) -> np.ndarray:
             matrix[idx] = vec
             loaded.setdefault(idx)
     if oov is None and loaded:
+        oov = np.zeros(dimension)
         with np.errstate(over="ignore", invalid="ignore"):
-            oov = matrix[list(loaded)].mean(axis=0)
+            for idx in loaded:
+                oov += matrix[idx]
+            oov /= len(loaded)
         if not np.isfinite(oov).all():
             raise IngestError(f"{path}: the mean of the loaded vectors, the default "
                               f"OOV vector, is not finite; add a {OOV_TOKEN!r} line")

@@ -21,13 +21,13 @@ is a slice of the shuffled train rows, handed to the model as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .evaluate import accuracy
 from .model import (
-    ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch,
+    ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch, trains,
 )
 from .util import ConfigError, csv_text
 
@@ -124,7 +124,13 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
     callable(params) -> accuracy; it exists so tests can script dev
     accuracies. Returns (best_params, state); the
     best parameters are the snapshot from the epoch with the highest dev
-    accuracy (ties keep the earliest epoch).
+    accuracy (ties keep the earliest epoch). params is trained in place.
+
+    The snapshot is made once, at the first improving epoch: it copies the
+    arrays that training writes (model.trains) and shares the others, and
+    later improving epochs refresh its copies in place. So a trained array
+    exists twice and a frozen one once: the returned parameters share "emb"
+    with params unless the embeddings are fine-tuned.
 
     The untrained model's dev evaluation (epoch 0) and every epoch run
     with numpy's overflow, invalid-operation and divide-by-zero errors
@@ -139,6 +145,7 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
             return accuracy(predict_batch(dev[0], tokens, params), dev[1])
 
     state = TrainState(lr=config.lr0)
+    trained = [name for name in params.arrays if trains(params.config, name)]
     best_params, best_dev_acc = None, -math.inf
     epoch = 0  # the untrained model's dev evaluation
     try:
@@ -154,7 +161,14 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
                     loss_sum += loss * len(idx)
                 dev_acc = dev_eval(params)
                 if dev_acc > best_dev_acc:
-                    best_params, best_dev_acc = params.clone(), dev_acc
+                    best_dev_acc = dev_acc
+                    if best_params is None:
+                        best_params = replace(params, arrays={
+                            name: arr.copy() if name in trained else arr
+                            for name, arr in params.arrays.items()})
+                    else:
+                        for name in trained:
+                            np.copyto(best_params.arrays[name], params.arrays[name])
                 state.history.append((epoch, state.lr, loss_sum / n, dev_acc))
                 state.lr *= config.decay
                 if dev_acc < last_dev_acc:

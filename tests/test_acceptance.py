@@ -438,6 +438,41 @@ def test_criterion_8_cli_determinism(tmp_path):
             assert contents[0][name] == contents[1][name], name
 
 
+@pytest.mark.parametrize("vectors", ["seeded", "file"])
+def test_reruns_on_frozen_vectors_are_byte_identical(tmp_path, vectors):
+    """Criterion 8's rerun on the frozen runs, whose best-epoch snapshot
+    shares the embedding matrix with the trained parameters: the default
+    seeded random vectors, and --embeddings from a file of every other
+    corpus token and no "<unk>" line, so its OOV row is the loaded rows'
+    mean."""
+    spec = dataclasses.replace(RECOVERY_SPEC, seed=900)
+    files, hypotheses = {}, []
+    for name, n, s in (("train", 2000, 900), ("dev", 400, 901), ("test", 400, 902)):
+        data = synth.generate(dataclasses.replace(spec, seed=s), n)
+        hypotheses += data.hypotheses
+        files[name] = tmp_path / f"{name}.jsonl"
+        corpus.write_jsonl(data, files[name], spec.scheme)
+    args = ["train-eval", "--train", str(files["train"]), "--dev", str(files["dev"]),
+            "--test", str(files["test"]), "--seed", "5", "--encoder", "bag",
+            "--embedding-dim", "16", "--mlp-hidden", "32", "--max-epochs", "8",
+            "--batch-size", "64"]
+    if vectors == "file":
+        tokens = text.intern(hypotheses)[0].tokens[::2]
+        values = np.random.default_rng(903).standard_normal((len(tokens), 16)).tolist()
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(f"{token} {' '.join(map(repr, row))}\n"
+                                for token, row in zip(tokens, values)), encoding="utf-8")
+        args += ["--embeddings", str(path)]
+    artifacts = ("train_log.csv", "model.ckpt", "report.md", "report.csv")
+    contents = []
+    for run in ("runA", "runB"):
+        out = tmp_path / run
+        assert cli.main([*args, "--out-dir", str(out)]) == 0
+        contents.append({name: (out / name).read_bytes() for name in artifacts})
+    for name in artifacts:
+        assert contents[0][name] == contents[1][name], name
+
+
 # --------------------------------------------------------------------------
 # Criterion 9 (optional, dataset-dependent): checks against supplied
 # SNLI-format files; skipped when the files are absent.

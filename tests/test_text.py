@@ -197,6 +197,44 @@ class TestLoadEmbeddings:
         assert (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3 == (0.2 + 0.3 + 0.1) / 3
         assert emb[3:, 0].tolist() == [(0.1 + 0.2 + 0.3) / 3] * 2
 
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_oov_row_is_numpys_mean_of_the_loaded_rows_in_first_seen_order(
+            self, tmp_path_factory, dimension, seed):
+        """For d >= 2 the sequential sum is numpy's own order for the mean
+        over axis 0: random files of vocabulary and other words, repeats
+        included, give the OOV row bit for bit."""
+        rng = np.random.default_rng(seed)
+        vocab = Vocabulary(f"v{i}" for i in range(int(rng.integers(1, 30))))
+        words = [*vocab.tokens, "x0", "x1"]
+        lines = [vocab.tokens[0], *rng.choice(words, int(rng.integers(0, 60)))]
+        vectors = rng.standard_normal((len(lines), dimension))
+        vectors *= 10.0 ** rng.integers(-3, 4, vectors.shape)
+        vectors[rng.random(vectors.shape) < 0.05] = -0.0
+        path = tmp_path_factory.mktemp("vecs") / "vecs.txt"
+        path.write_text("".join(f"{word} {' '.join(map(repr, vec))}\n"
+                                for word, vec in zip(lines, vectors.tolist())), encoding="utf-8")
+        emb = load_embeddings(path, vocab, dimension)
+        rows = dict(zip(lines, vectors))  # each word's last vector, in first-seen order
+        loaded = [vocab.index[word] for word in rows if word in vocab.index]
+        assert np.array_equal(emb[loaded], [rows[vocab.tokens[i]] for i in loaded])
+        assert emb[-1].tobytes() == emb[loaded].mean(axis=0).tobytes()
+        missing = sorted(set(range(len(vocab))) - set(loaded))
+        assert (emb[missing] == emb[-1]).all()
+
+    def test_one_dimensional_oov_row_is_the_sequential_sum(self, tmp_path):
+        """At d = 1 numpy's mean sums pairwise; the OOV row adds the 100
+        loaded values one by one in first-seen file order, as Python's
+        floats do, which here differs in its last bits."""
+        values = np.random.default_rng(3).standard_normal(100).tolist()
+        path = self.write(tmp_path, [f"w{i} {value!r}" for i, value in enumerate(values)])
+        emb = load_embeddings(path, Vocabulary(f"w{i}" for i in range(100)), 1)
+        total = 0.0
+        for value in values:
+            total += value
+        assert emb[-1, 0] == total / 100
+        assert emb[-1, 0] != np.mean(values)
+
     def test_designated_unk_vector(self, tmp_path):
         path = self.write(tmp_path, ["a 1 1", "<unk> 9 9"])
         vocab = Vocabulary(["a", "<unk>", "b"])
