@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,12 +93,13 @@ _MLP_ARRAYS = ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")
 
 @dataclass(frozen=True, eq=False)
 class ModelParameters:
-    """All weights of one model, read by its fields: config, scheme, vocab and
-    arrays, the name-to-array dict in checkpoint order that train.sgd_step
-    updates in place.
+    """All weights of one model, read by its fields: config, scheme, vocab and arrays, the
+    name-to-array dict in checkpoint order that train.sgd_step updates in place.
 
-    The embedding matrix arrays["emb"] has one row per vocabulary token and a
-    final OOV row; trains says which arrays training writes.
+    The embedding matrix arrays["emb"] has one row per vocabulary token and a final OOV row;
+    trains says which arrays training writes. Construction refuses a non-finite array by its
+    min and max, which carry a NaN through and show an infinity: the check reads each array
+    twice and allocates nothing. train.fit's best-epoch snapshot is the only copy src makes.
     """
 
     config: ModelConfig
@@ -108,7 +109,7 @@ class ModelParameters:
 
     def __post_init__(self):
         for name, arr in self.arrays.items():
-            if not np.isfinite(arr).all():
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise NumericalError(f"parameter array {name!r} is not finite")
 
     @classmethod
@@ -126,9 +127,6 @@ class ModelParameters:
                 bound = 1.0 / np.sqrt(shape[1])
             arrays[name] = rng.uniform(-bound, bound, shape)
         return cls(config, scheme, vocab, arrays)
-
-    def clone(self) -> "ModelParameters":
-        return replace(self, arrays={name: arr.copy() for name, arr in self.arrays.items()})
 
 
 @dataclass(frozen=True)

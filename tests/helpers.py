@@ -1,7 +1,9 @@
 """Plain helpers the test files import: corpora built from pairs or at
-random, a corpus's columns, CSR token corpora, arrays equal to rounding,
-and labels checked against reference logits away from near-ties. The
-fixtures stay in conftest.py."""
+random, a corpus's columns, CSR token corpora, a copy of a model's
+parameters (clone), arrays equal to rounding, and labels checked against
+reference logits away from near-ties. The fixtures stay in conftest.py."""
+
+import dataclasses
 
 import numpy as np
 
@@ -42,6 +44,12 @@ def as_csr(sentences):
     np.cumsum([len(s) for s in sentences], out=indptr[1:])
     ids = np.concatenate([np.empty(0, np.int64), *sentences]).astype(np.int64)
     return np.arange(len(sentences)), (ids, indptr)
+
+
+def clone(params):
+    """The parameters with each array copied; config, scheme and vocab shared."""
+    return dataclasses.replace(params, arrays={name: arr.copy()
+                                               for name, arr in params.arrays.items()})
 
 
 def close(a, b):

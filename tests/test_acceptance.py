@@ -17,7 +17,7 @@ import pytest
 
 from hyponli import cli, corpus, evaluate, kernels, model, stats, synth, text, train
 
-from helpers import as_csr, make_corpus
+from helpers import as_csr, clone, make_corpus
 from reference import dense, lookup, trainable_names
 from test_stats import brute_coverage, brute_giveaways, brute_p, brute_counts, count_corpus
 
@@ -222,7 +222,7 @@ def test_criterion_5_schedule_trace():
         config = train.TrainConfig(max_epochs=20, batch_size=4, seed=0)
 
         # strictly increasing: all 20 epochs, lr after epoch e = 0.1 * 0.99^e
-        _, state = train.fit(tr, dv, tokens, params_proto.clone(), config,
+        _, state = train.fit(tr, dv, tokens, clone(params_proto), config,
                              dev_eval=_scripted([float(i) for i in range(21)]))
         assert len(state.history) == 20
         assert state.stop_reason == "max_epochs"
@@ -233,7 +233,7 @@ def test_criterion_5_schedule_trace():
         assert state.lr == lr
 
         # strictly decreasing: stops at epoch 6 with lr < 1e-5
-        _, state = train.fit(tr, dv, tokens, params_proto.clone(), config,
+        _, state = train.fit(tr, dv, tokens, clone(params_proto), config,
                              dev_eval=_scripted([float(100 - i) for i in range(21)]))
         assert len(state.history) == 6
         assert state.stop_reason == "lr_floor"

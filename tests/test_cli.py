@@ -489,7 +489,7 @@ def test_a_mutated_spec_is_read_or_one_line_naming_it(tmp_path_factory, spec):
     work = tmp_path_factory.mktemp("spec")
     path = work / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    assert_read_or_one_line(["synth", "--spec-file", str(path), "--n", "5",
+    assert_read_or_one_line(["synth", "--spec-file", str(path), "--n", "50",
                              "--out-dir", str(work / "out")], f"error: {path}:")
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hyponli.model import (
 from hyponli.text import Vocabulary, intern, seeded_random_embeddings
 
 import reference
-from helpers import as_csr, assert_labels_away_from_ties, close
+from helpers import as_csr, assert_labels_away_from_ties, clone, close
 from reference import dense, encode_bag_rows, lookup, trainable_names
 
 
@@ -68,6 +70,58 @@ class TestInit:
         with pytest.raises(ValueError,
                            match=r"^embedding matrix shape \(10, 8\) is not \(11, 8\)$"):
             ModelParameters.init(cfg, np.zeros((10, 8)), small_vocab(), THREE_WAY)
+
+
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                                     ids=["nan", "inf", "-inf"])
+ERROR_STATES = pytest.mark.parametrize("state", [contextlib.nullcontext,
+                                                 lambda: np.errstate(all="raise")],
+                                       ids=["plain", "errstate-raise"])
+
+
+def spoiled_at(arr, value):
+    """Copies of arr with value at its first, a middle and its last element."""
+    for k in (0, arr.size // 2, arr.size - 1):
+        bad = arr.copy()
+        bad.flat[k] = value
+        yield bad
+
+
+class TestNonFiniteParameters:
+    """Construction refuses a NaN or an infinity anywhere in any array, with the same text
+    whether floating-point errors are ignored or raised; an empty array passes."""
+
+    @NON_FINITE
+    @ERROR_STATES
+    def test_each_array_is_refused_by_name(self, value, state):
+        params = make_params("birnn-maxpool", seed=6)
+        assert len(params.arrays) == 11
+        for name, arr in params.arrays.items():
+            for bad in spoiled_at(arr, value):
+                with state(), pytest.raises(model.NumericalError,
+                                            match=rf"^parameter array {name!r} is not finite$"):
+                    ModelParameters(params.config, params.scheme, params.vocab,
+                                    {**params.arrays, name: bad})
+
+    @NON_FINITE
+    def test_load_checkpoint_names_the_path_and_the_array(self, tmp_path, value):
+        path, header, body = valid_checkpoint(tmp_path, "birnn-maxpool")
+        offset = 0
+        for spec in header["arrays"]:
+            size = math.prod(spec["shape"])
+            arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)
+            for bad in spoiled_at(arr, value):
+                rewrite(path, header, body[:offset] + bad.tobytes() + body[offset + 8 * size:])
+                message = f"{path}: parameter array {spec['name']!r} is not finite"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    load_checkpoint(path)
+            offset += 8 * size
+
+    def test_an_empty_array_passes(self):
+        params = make_params("bag")
+        back = ModelParameters(params.config, params.scheme, params.vocab,
+                               {**params.arrays, "emb": np.empty((0, 8))})
+        assert back.arrays["emb"].size == 0
 
 
 class TestEncodeBag:
@@ -409,7 +463,7 @@ class TestBatchedMatchesReference:
             # zero LSTM weights make every hidden state exactly 0, so every
             # unit ties at every step: the pool must pick the earliest step
             # in token order, as the reference's np.add.at routing does
-            ties = params.clone()
+            ties = clone(params)
             for name in model._LSTM_ARRAYS:
                 ties.arrays[name][...] = 0.0
             cases.append(ties)
@@ -486,7 +540,7 @@ class TestTimeMajorMatchesPerSentence:
         batch, and zero LSTM weights, under which every state is 0 and
         every unit ties at every step."""
         params = make_params("birnn-maxpool", seed=37)
-        ties = params.clone()
+        ties = clone(params)
         for name in model._LSTM_ARRAYS:
             ties.arrays[name][...] = 0.0
         for case in (params, ties):

@@ -10,7 +10,7 @@ from hyponli.text import intern, seeded_random_embeddings
 from hyponli.train import TrainAbort, TrainConfig, TrainState, fit, sgd_step
 
 from reference import trainable_names
-from helpers import make_corpus
+from helpers import clone, make_corpus
 
 
 TINY_VOCAB = intern(["a b c d"])[0]
@@ -225,7 +225,7 @@ class TestBestParams:
         scores, snapshots = scripted(accs), []
 
         def dev_eval(params):  # epoch e's parameters are snapshots[e]
-            snapshots.append(params.clone())
+            snapshots.append(clone(params))
             return scores(params)
 
         best, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=dev_eval)
