@@ -5,6 +5,10 @@ through fixed offsets (embeddings seed+1, model init seed+2, epoch shuffling
 seed+3); synth takes its seed from the spec file. Each input file is read
 once into a corpus.Corpus, and outputs are promoted atomically from temp files.
 
+train-eval keeps the best epoch on disk, not in memory: train.fit writes it to a checkpoint in a
+temporary directory under Python's TMPDIR (on a tmpfs its pages count as shared memory, not as
+the process's RSS), and the reports and model.ckpt come from that file, loaded once fit returns.
+
 Each option is one row of _OPTIONS, which builds the argparse subparsers, reads a key=value
 --config file and gives the "Run configuration" block; the model and schedule options are the
 fields of model.ModelConfig and train.TrainConfig, defaults, types and helps included. Each
@@ -26,6 +30,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -301,14 +306,18 @@ def cmd_train_eval(run: Run) -> int:
     examples = {name: (np.arange(end - len(data), end), data.labels)
                 for (name, data), end in zip(splits.items(), ends)}
     out = run.out_dir
-    try:  # no name holds the trained parameters, so they go once fit returns its snapshot
-        best_params, state = train.fit(examples["train"], examples["dev"], tokens,
-                                       _build_model(run, vocab), run.train_config)
-    except train.TrainAbort as exc:
-        dump = os.path.join(out, "train_abort.csv")
-        atomic_write_text(dump, exc.state.log_csv())
-        print(f"training aborted: {exc}; state dump at {dump}", file=sys.stderr)
-        return 1
+    with tempfile.TemporaryDirectory() as tmp:  # the best epoch, until the run succeeds
+        best = os.path.join(tmp, "model.ckpt")
+        try:  # no name holds the trained parameters, so they go once fit returns
+            state = train.fit(examples["train"], examples["dev"], tokens,
+                              _build_model(run, vocab), run.train_config,
+                              lambda params: model.save_checkpoint(params, best))
+        except train.TrainAbort as exc:
+            dump = os.path.join(out, "train_abort.csv")
+            atomic_write_text(dump, exc.state.log_csv())
+            print(f"training aborted: {exc}; state dump at {dump}", file=sys.stderr)
+            return 1
+        best_params = model.load_checkpoint(best)
 
     maj = corpus.majority_label(examples["train"][1])
     reports = []

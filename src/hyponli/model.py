@@ -96,10 +96,11 @@ class ModelParameters:
     """All weights of one model, read by its fields: config, scheme, vocab and arrays, the
     name-to-array dict in checkpoint order that train.sgd_step updates in place.
 
-    The embedding matrix arrays["emb"] has one row per vocabulary token and a final OOV row;
-    trains says which arrays training writes. Construction refuses a non-finite array by its
-    min and max, which carry a NaN through and show an infinity: the check reads each array
-    twice and allocates nothing. train.fit's best-epoch snapshot is the only copy src makes.
+    The embedding matrix arrays["emb"] has one row per vocabulary token and a final OOV row.
+    Construction refuses a non-finite array by its min and max, which carry a NaN through and
+    show an infinity: the check reads each array twice and allocates nothing. src makes no copy
+    of a model: train.fit updates one in place, and train-eval keeps its best epoch in its
+    checkpoint file, not in memory.
     """
 
     config: ModelConfig
@@ -337,19 +338,11 @@ def predict_batch(rows: np.ndarray, tokens, params: ModelParameters) -> np.ndarr
     return np.argmax(_mlp_head(enc, params)[1], axis=1).astype(np.int64, copy=False)
 
 
-def trains(config: ModelConfig, name: str) -> bool:
-    """Whether training writes the array of this name: every array but "emb",
-    which it writes only under config.finetune_embeddings. loss_and_gradients
-    gives a gradient for exactly these arrays, and train.fit's best-epoch
-    snapshot shares the others with the parameters it trains."""
-    return name != "emb" or config.finetune_embeddings
-
-
 def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
     """Mean negative log-likelihood of the label indices y given the rows
-    of the token corpus, with backpropagated gradients for the arrays that
-    training writes (trains); the embedding gradient is a RowGradient over
-    the batch's ids.
+    of the token corpus, with backpropagated gradients for every array but
+    "emb", which gets one only under config.finetune_embeddings, as a
+    RowGradient over the batch's ids.
 
     The loss is log(sum(exp(shifted))) - shifted[y] for the max-shifted
     logits, finite whenever the logits are.
@@ -376,7 +369,7 @@ def loss_and_gradients(rows: np.ndarray, tokens, y, params: ModelParameters):
     grads["mlp_w1"] = d_a1.T @ enc
     grads["mlp_b1"] = d_a1.sum(axis=0)
     d_x = _encode_backward(cache, d_a1 @ params.arrays["mlp_w1"], params, grads)
-    if trains(params.config, "emb"):
+    if params.config.finetune_embeddings:
         grads["emb"] = _row_gradient(ids, d_x)
     return loss, grads
 

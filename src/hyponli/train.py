@@ -5,8 +5,10 @@ apply SGD updates at the current learning rate, evaluate dev accuracy,
 then multiply the rate by the decay factor and additionally divide it by
 divide_on_decline when dev accuracy strictly decreased versus the previous
 evaluation. Training stops when the rate falls below the floor or the
-epoch bound is reached; the parameters from the best dev epoch are
-returned.
+epoch bound is reached. fit keeps no copy of the parameters: it hands
+them to its on_best callable at each epoch whose dev accuracy beats every
+earlier one, and the best epoch lives wherever that callable puts it
+(train-eval writes it to its checkpoint).
 
 The dev accuracy of the untrained model is evaluated once before epoch 1
 and serves as the first comparison reference, so a first-epoch decline
@@ -21,14 +23,12 @@ is a slice of the shuffled train rows, handed to the model as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .evaluate import accuracy
-from .model import (
-    ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch, trains,
-)
+from .model import ModelParameters, NumericalError, RowGradient, loss_and_gradients, predict_batch
 from .util import ConfigError, csv_text
 
 
@@ -115,22 +115,18 @@ def sgd_step(params: ModelParameters, gradients: dict, lr: float) -> ModelParame
     return params
 
 
-def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_eval=None):
-    """Train params on the train split, stopping per the schedule.
+def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, on_best,
+        dev_eval=None) -> TrainState:
+    """Train params in place on the train split, stopping per the schedule; returns the state.
 
     train and dev are (rows, y) pairs: int64 row indices into the CSR
     token corpus tokens = (ids, indptr) and their int64 label indices, as
     loss_and_gradients takes them. dev_eval, when given, must be a
     callable(params) -> accuracy; it exists so tests can script dev
-    accuracies. Returns (best_params, state); the
-    best parameters are the snapshot from the epoch with the highest dev
-    accuracy (ties keep the earliest epoch). params is trained in place.
-
-    The snapshot is made once, at the first improving epoch: it copies the
-    arrays that training writes (model.trains) and shares the others, and
-    later improving epochs refresh its copies in place. So a trained array
-    exists twice and a frozen one once: the returned parameters share "emb"
-    with params unless the embeddings are fine-tuned.
+    accuracies. on_best(params) is called at each epoch whose dev accuracy
+    beats every earlier epoch's (ties keep the earliest), while params
+    hold that epoch's values; it is the only place the best epoch is kept,
+    since later epochs overwrite params.
 
     The untrained model's dev evaluation (epoch 0) and every epoch run
     with numpy's overflow, invalid-operation and divide-by-zero errors
@@ -145,8 +141,7 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
             return accuracy(predict_batch(dev[0], tokens, params), dev[1])
 
     state = TrainState(lr=config.lr0)
-    trained = [name for name in params.arrays if trains(params.config, name)]
-    best_params, best_dev_acc = None, -math.inf
+    best_dev_acc = -math.inf
     epoch = 0  # the untrained model's dev evaluation
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -162,13 +157,7 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
                 dev_acc = dev_eval(params)
                 if dev_acc > best_dev_acc:
                     best_dev_acc = dev_acc
-                    if best_params is None:
-                        best_params = replace(params, arrays={
-                            name: arr.copy() if name in trained else arr
-                            for name, arr in params.arrays.items()})
-                    else:
-                        for name in trained:
-                            np.copyto(best_params.arrays[name], params.arrays[name])
+                    on_best(params)
                 state.history.append((epoch, state.lr, loss_sum / n, dev_acc))
                 state.lr *= config.decay
                 if dev_acc < last_dev_acc:
@@ -182,4 +171,4 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, dev_ev
     except (FloatingPointError, NumericalError) as exc:
         state.stop_reason = "numerical-error"
         raise TrainAbort(f"epoch {epoch}: {exc}", state) from exc
-    return best_params, state
+    return state

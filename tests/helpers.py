@@ -1,7 +1,8 @@
 """Plain helpers the test files import: corpora built from pairs or at
 random, a corpus's columns, CSR token corpora, a copy of a model's
-parameters (clone), arrays equal to rounding, and labels checked against
-reference logits away from near-ties. The fixtures stay in conftest.py."""
+parameters (clone), train.fit's on_best callables (discard, BestEpoch),
+arrays equal to rounding, and labels checked against reference logits away
+from near-ties. The fixtures stay in conftest.py."""
 
 import dataclasses
 
@@ -50,6 +51,20 @@ def clone(params):
     """The parameters with each array copied; config, scheme and vocab shared."""
     return dataclasses.replace(params, arrays={name: arr.copy()
                                                for name, arr in params.arrays.items()})
+
+
+def discard(params):
+    """A train.fit on_best that keeps nothing."""
+
+
+class BestEpoch:
+    """A train.fit on_best that keeps a clone of the parameters it was last given, so once fit
+    returns, .params are those of the best dev epoch."""
+
+    params = None
+
+    def __call__(self, params):
+        self.params = clone(params)
 
 
 def close(a, b):

@@ -4,11 +4,11 @@ differently.
 
 jsonl_lines and tsv_lines each draw the lines of one corpus file: valid
 JSONL records and TSV rows with up to two fields dropped or replaced, and
-now and then a blank or malformed line. specs draws a synth spec object,
-config_lines the lines of a stats --config file, stats_flag_values the
-same values given as stats flags, vector_lines the lines of a word-vector
-file, and checkpoint_damage an edit of a checkpoint's header and its array
-bytes.
+now and then a blank or malformed line. specs draws a synth spec object
+with keys, or fields of its giveaway entries, replaced; config_lines the
+lines of a stats --config file, stats_flag_values the same values given as
+stats flags, vector_lines the lines of a word-vector file, and
+checkpoint_damage an edit of a checkpoint's header and its array bytes.
 """
 
 import json
@@ -100,7 +100,25 @@ VALID_SPECS = [
      "seed": 4},
     {"n_labels": 2, "label_prior": [0.5, 0.5], "vocab_size": 1000,
      "sentence_length": [1, 2], "seed": 0}]
-specs = mutated(st.sampled_from(VALID_SPECS).map(dict), odd_json, drop_key, SPEC_KEYS)
+# the values a giveaway entry's token, label or rate may take instead, a lone surrogate among them
+GIVEAWAY_FIELDS = ["x\ud800", "\udfff", "", " ", "a b", "w001", "give1", "neutral", None, 0, 3,
+                   -1, 2.5, 1.0, math.nan, [1]]
+
+
+@st.composite
+def giveaway_mutated(draw, spec):
+    """The spec, with up to two fields of its giveaway entries (token, label or
+    rate) replaced, when its giveaway is a list of lists."""
+    entries = spec.get("giveaway")
+    if isinstance(entries, list) and entries and all(isinstance(e, list) for e in entries):
+        entries = spec["giveaway"] = [list(entry) for entry in entries]  # unshare them
+        for entry in draw(st.lists(st.sampled_from(entries), max_size=2)):
+            entry[draw(st.integers(0, len(entry) - 1))] = draw(st.sampled_from(GIVEAWAY_FIELDS))
+    return spec
+
+
+specs = mutated(st.sampled_from(VALID_SPECS).map(dict), odd_json, drop_key, SPEC_KEYS).flatmap(
+    giveaway_mutated)
 
 # stats options, a dashed and an unknown key, the two subcommand actions
 # that are not options (help, config), and the values their conversions and

@@ -17,7 +17,7 @@ import pytest
 
 from hyponli import cli, corpus, evaluate, kernels, model, stats, synth, text, train
 
-from helpers import as_csr, clone, make_corpus
+from helpers import BestEpoch, as_csr, clone, discard, make_corpus
 from reference import dense, lookup, trainable_names
 from test_stats import brute_coverage, brute_giveaways, brute_p, brute_counts, count_corpus
 
@@ -222,8 +222,8 @@ def test_criterion_5_schedule_trace():
         config = train.TrainConfig(max_epochs=20, batch_size=4, seed=0)
 
         # strictly increasing: all 20 epochs, lr after epoch e = 0.1 * 0.99^e
-        _, state = train.fit(tr, dv, tokens, clone(params_proto), config,
-                             dev_eval=_scripted([float(i) for i in range(21)]))
+        state = train.fit(tr, dv, tokens, clone(params_proto), config, discard,
+                          dev_eval=_scripted([float(i) for i in range(21)]))
         assert len(state.history) == 20
         assert state.stop_reason == "max_epochs"
         lr = 0.1
@@ -233,8 +233,8 @@ def test_criterion_5_schedule_trace():
         assert state.lr == lr
 
         # strictly decreasing: stops at epoch 6 with lr < 1e-5
-        _, state = train.fit(tr, dv, tokens, clone(params_proto), config,
-                             dev_eval=_scripted([float(100 - i) for i in range(21)]))
+        state = train.fit(tr, dv, tokens, clone(params_proto), config, discard,
+                          dev_eval=_scripted([float(100 - i) for i in range(21)]))
         assert len(state.history) == 6
         assert state.stop_reason == "lr_floor"
         assert state.lr < 1e-5
@@ -270,8 +270,9 @@ def _train_bag(tr, dv, scheme):
     params = model.ModelParameters.init(cfg, table, vocab, scheme)
     tcfg = train.TrainConfig(lr0=0.1, batch_size=64, seed=9)
     tokens, (tr_examples, dv_examples) = _examples(vocab, tr, dv)
-    best, state = train.fit(tr_examples, dv_examples, tokens, params, tcfg)
-    return best, state
+    best = BestEpoch()
+    state = train.fit(tr_examples, dv_examples, tokens, params, tcfg, best)
+    return best.params, state
 
 
 @pytest.fixture(scope="module")
@@ -519,7 +520,8 @@ def test_criterion_9_snli_checks():
         params = model.ModelParameters.init(cfg, table, vocab, scheme)
         tcfg = train.TrainConfig(batch_size=64, seed=3)
         tokens, (train_examples, dev_examples) = _examples(vocab, subset, dev_data)
-        best, _ = train.fit(train_examples, dev_examples, tokens, params, tcfg)
-        preds = model.predict_batch(dev_examples[0], tokens, best)
+        best = BestEpoch()
+        train.fit(train_examples, dev_examples, tokens, params, tcfg, best)
+        preds = model.predict_batch(dev_examples[0], tokens, best.params)
         acc = evaluate.accuracy(preds, dev_examples[1])
         assert acc >= 55.0

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -1264,6 +1265,46 @@ class TestTrainEvalCommand:
             f"error: {test}: predicting the test split overflows "
             f"(overflow encountered in matmul)")
         assert not out.exists()
+
+    @pytest.mark.parametrize("case, written", [
+        ("bag", ["model.ckpt", "report.csv", "report.md", "train_log.csv"]),
+        ("birnn-maxpool", ["model.ckpt", "report.csv", "report.md", "train_log.csv"]),
+        ("abort", ["train_abort.csv"]),
+        ("overflow", None),  # no out dir
+    ])
+    def test_no_temporary_file_outlives_a_run(self, tmp_path, capsys, monkeypatch, case,
+                                              written):
+        """The best epoch's checkpoint lives in a directory under tempfile's, which each run
+        removes, whether it succeeds, aborts or fails on its report; the failures are those
+        of the tests run here, writing to tmp_path / "out"."""
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        out = tmp_path / "out"
+        if case == "overflow":
+            self.test_report_prediction_overflow_is_one_line(tmp_path, capsys, "bag")
+        elif case == "abort":
+            self.test_large_lr0_trains_or_aborts_in_one_line(tmp_path, capsys, "bag", "1e300",
+                                                             False)
+        else:
+            assert self.run_train(tmp_path, out,
+                                  extra=["--max-epochs", "3", "--encoder", case]) == 0
+        assert list(temp.iterdir()) == []
+        if written is None:
+            assert not out.exists()
+        else:
+            assert sorted(path.name for path in out.iterdir()) == written
+
+    def test_a_temporary_directory_that_cannot_be_made_is_one_line(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        missing = tmp_path / "missing"
+        monkeypatch.setattr(tempfile, "tempdir", str(missing))
+        out = tmp_path / "out"
+        assert self.run_train(tmp_path, out, extra=["--max-epochs", "1"]) == 1
+        line = one_error_line(capsys)
+        assert line.startswith("error: [Errno 2] No such file or directory: ")
+        assert str(missing) in line
+        assert not out.exists() and not missing.exists()
 
     def test_all_skipped_test_file_is_one_line(self, tmp_path, capsys):
         paths = synth_corpus_files(tmp_path)

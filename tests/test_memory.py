@@ -5,14 +5,15 @@ over a call bounds what the call held at once. Each case runs on a bag model
 whose embedding matrix, 8 MB, dwarfs every other array, and bounds the peak
 in units of the matrix's size: a bound below 1 says the call makes no copy
 of it, a bound below 2 that it makes one. The measured peaks are 0.004
-(init), 0.02 (frozen fit), 1.03 (fine-tuned fit), 0.04 (save_checkpoint),
-1.07 (load_checkpoint) and 1.04 (load_embeddings). The bounds of the calls
-that construct ModelParameters lie between that peak and the peak plus an
-eighth of the matrix, which a bool mask of it, as a finiteness check by
-np.isfinite(arr).all() builds, would add: 0.06 (init), 0.08 (frozen fit),
-1.08 (fine-tuned fit) and 1.13 (load_checkpoint). The others lie about
-halfway between the peak and the peak plus one matrix, which one more copy
-would add.
+(init), 0.02 (frozen fit), 0.03 (fine-tuned fit), 0.04 (save_checkpoint),
+1.07 (load_checkpoint) and 1.04 (load_embeddings). fit keeps no copy of the
+arrays it trains, fine-tuned or not: the best epoch is its on_best's to
+keep. The bounds of the calls that construct ModelParameters or train lie
+between that peak and the peak plus an eighth of the matrix, which a bool
+mask of it, as a finiteness check by np.isfinite(arr).all() builds, would
+add: 0.06 (init), 0.08 (frozen and fine-tuned fit) and 1.13
+(load_checkpoint). The others lie about halfway between the peak and the
+peak plus one matrix, which one more copy would add.
 """
 
 import tracemalloc
@@ -22,9 +23,9 @@ import numpy as np
 from hyponli.corpus import THREE_WAY
 from hyponli.model import ModelConfig, ModelParameters, load_checkpoint, save_checkpoint
 from hyponli.text import Vocabulary, load_embeddings, seeded_random_embeddings
-from hyponli.train import TrainConfig, fit
+from hyponli.train import TrainConfig, TrainState, fit
 
-from helpers import make_corpus
+from helpers import discard, make_corpus
 
 N_TOKENS, DIM = 3999, 250  # with the OOV row, 4,000 x 250 float64: 8 MB
 VOCAB = Vocabulary(f"w{i}" for i in range(N_TOKENS))
@@ -58,35 +59,33 @@ def test_init_takes_the_matrix_uncopied():
 
 def improving_fit(params):
     """fit over three epochs whose scripted dev accuracies each improve, so
-    each takes a new best-epoch snapshot."""
+    each is a new best epoch, handed to an on_best that keeps nothing."""
     names = THREE_WAY.names
     train = make_corpus([(f"w{i} w{i + 1} w{i + 2}", names[i % 3]) for i in range(12)])
     dev = make_corpus([("w7 w8", names[i % 3]) for i in range(3)])
     tokens = VOCAB.encode(train.hypotheses + dev.hypotheses)
     accuracies = iter([0.0, 10.0, 20.0, 30.0])
     return fit((np.arange(12), train.labels), (np.arange(12, 15), dev.labels), tokens,
-               params, TrainConfig(max_epochs=3, batch_size=4, seed=1),
+               params, TrainConfig(max_epochs=3, batch_size=4, seed=1), discard,
                dev_eval=lambda params: next(accuracies))
 
 
-def test_fine_tuned_fit_holds_one_snapshot_of_the_matrix():
+def test_fine_tuned_fit_copies_no_array():
     params = bag_params(finetune=True)
-    (best, state), peak = peak_in_matrices(improving_fit, params)
+    state, peak = peak_in_matrices(improving_fit, params)
     assert [acc for *_, acc in state.history] == [10.0, 20.0, 30.0]
-    assert not np.shares_memory(best.arrays["emb"], params.arrays["emb"])
-    assert np.array_equal(best.arrays["emb"], params.arrays["emb"])
-    assert peak < 1.08
+    assert isinstance(state, TrainState)  # fit returns no arrays
+    assert peak < 0.08
 
 
-def test_frozen_fit_shares_the_matrix_with_its_snapshot():
+def test_frozen_fit_copies_no_array():
     params = bag_params()
     emb = params.arrays["emb"].copy()
-    (best, state), peak = peak_in_matrices(improving_fit, params)
+    state, peak = peak_in_matrices(improving_fit, params)
     assert peak < 0.08
     assert len(state.history) == 3
-    assert np.shares_memory(best.arrays["emb"], params.arrays["emb"])
-    assert np.array_equal(best.arrays["emb"], emb)
-    assert not np.shares_memory(best.arrays["mlp_w1"], params.arrays["mlp_w1"])
+    assert isinstance(state, TrainState)  # fit returns no arrays
+    assert np.array_equal(params.arrays["emb"], emb)
 
 
 def test_save_checkpoint_writes_the_arrays_uncopied(tmp_path):

@@ -17,7 +17,7 @@ from hyponli.model import (
 from hyponli.text import Vocabulary, intern, seeded_random_embeddings
 
 import reference
-from helpers import as_csr, assert_labels_away_from_ties, clone, close
+from helpers import as_csr, assert_labels_away_from_ties, clone, close, discard
 from reference import dense, encode_bag_rows, lookup, trainable_names
 
 
@@ -383,7 +383,7 @@ class TestNonFiniteHiddenState:
         train, dev = (rows[:2], np.array([0, 1])), (rows[2:], np.array([1, 2]))
         with pytest.raises(TrainAbort,
                            match=r"^epoch 1: non-finite hidden state at token index 1$"):
-            fit(train, dev, tokens, params, TrainConfig(max_epochs=1, batch_size=4))
+            fit(train, dev, tokens, params, TrainConfig(max_epochs=1, batch_size=4), discard)
 
 
 class TestPredict:

@@ -10,7 +10,7 @@ from hyponli.text import intern, seeded_random_embeddings
 from hyponli.train import TrainAbort, TrainConfig, TrainState, fit, sgd_step
 
 from reference import trainable_names
-from helpers import clone, make_corpus
+from helpers import BestEpoch, clone, discard, make_corpus
 
 
 TINY_VOCAB = intern(["a b c d"])[0]
@@ -143,7 +143,7 @@ class TestSchedule:
         config = TrainConfig(max_epochs=20, batch_size=4, seed=1)
         # epoch 0 baseline plus 20 epoch evaluations, strictly increasing
         accs = [10.0 + e for e in range(21)]
-        _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
+        state = fit(train, dev, tokens, tiny_params(), config, discard, dev_eval=scripted(accs))
         assert len(state.history) == 20
         assert state.stop_reason == "max_epochs"
         # lr used during epoch e is lr0 * decay^(e-1); after epoch e it is lr0 * decay^e
@@ -157,7 +157,7 @@ class TestSchedule:
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=20, batch_size=4, seed=1)
         accs = [90.0 - 2 * e for e in range(21)]
-        _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
+        state = fit(train, dev, tokens, tiny_params(), config, discard, dev_eval=scripted(accs))
         assert len(state.history) == 6
         assert state.stop_reason == "lr_floor"
         assert state.lr < 1e-5
@@ -173,23 +173,23 @@ class TestSchedule:
     def test_max_epochs_one(self):
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=1, batch_size=4, seed=1)
-        _, state = fit(train, dev, tokens, tiny_params(), config,
-                       dev_eval=scripted([50.0, 10.0]))
+        state = fit(train, dev, tokens, tiny_params(), config, discard,
+                    dev_eval=scripted([50.0, 10.0]))
         assert len(state.history) == 1
 
     def test_constant_accuracy_never_divides(self):
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=5, batch_size=4, seed=1)
-        _, state = fit(train, dev, tokens, tiny_params(), config,
-                       dev_eval=scripted([50.0] * 6))
+        state = fit(train, dev, tokens, tiny_params(), config, discard,
+                    dev_eval=scripted([50.0] * 6))
         assert len(state.history) == 5
         assert state.lr == pytest.approx(0.1 * 0.99**5, rel=0, abs=0)
 
     def test_single_decline_divides_once(self):
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=3, batch_size=4, seed=1)
-        _, state = fit(train, dev, tokens, tiny_params(), config,
-                       dev_eval=scripted([50.0, 60.0, 55.0, 70.0]))
+        state = fit(train, dev, tokens, tiny_params(), config, discard,
+                    dev_eval=scripted([50.0, 60.0, 55.0, 70.0]))
         # declines only at epoch 2
         lr = 0.1 * 0.99            # after epoch 1
         lr = lr * 0.99 / 5.0       # after epoch 2 (decline)
@@ -200,8 +200,8 @@ class TestSchedule:
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=3, batch_size=4, seed=1)
         # epoch 3 (62) is below the best (70) but above epoch 2 (55): no division
-        _, state = fit(train, dev, tokens, tiny_params(), config,
-                       dev_eval=scripted([50.0, 70.0, 55.0, 62.0]))
+        state = fit(train, dev, tokens, tiny_params(), config, discard,
+                    dev_eval=scripted([50.0, 70.0, 55.0, 62.0]))
         lr = 0.1 * 0.99
         lr = lr * 0.99 / 5.0
         lr = lr * 0.99
@@ -211,13 +211,33 @@ class TestSchedule:
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=10, batch_size=4, seed=2)
         accs = [50.0, 60.0, 55.0, 58.0, 40.0, 39.0, 70.0, 71.0, 20.0, 30.0, 31.0]
-        _, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=scripted(accs))
+        state = fit(train, dev, tokens, tiny_params(), config, discard, dev_eval=scripted(accs))
         lrs = [lr for _, lr, _, _ in state.history]
         assert all(lr > 0 for lr in lrs)
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
 
 class TestBestParams:
+    @pytest.mark.parametrize("accs, best_epochs", [
+        ([10.0, 50.0, 80.0, 30.0, 40.0], [1, 2]),
+        ([10.0, 50.0, 50.0, 80.0, 80.0], [1, 3]),  # a tie keeps the earlier epoch
+    ])
+    def test_on_best_runs_at_each_improving_epoch_only(self, accs, best_epochs):
+        train, dev, tokens = tiny_splits()
+        config = TrainConfig(max_epochs=4, batch_size=4, seed=3)
+        params, evaluated, calls = tiny_params(), [], []
+
+        def dev_eval(params):
+            evaluated.append(params)
+            return accs[len(evaluated) - 1]
+
+        # each call records the epoch whose dev evaluation ran last, and what it was given
+        state = fit(train, dev, tokens, params, config,
+                    lambda best: calls.append((len(evaluated) - 1, best)), dev_eval=dev_eval)
+        assert len(state.history) == 4
+        assert [epoch for epoch, _ in calls] == best_epochs
+        assert all(best is params for _, best in calls)
+
     def test_best_dev_acc_is_history_max(self):
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=4, batch_size=4, seed=3)
@@ -228,16 +248,18 @@ class TestBestParams:
             snapshots.append(clone(params))
             return scores(params)
 
-        best, state = fit(train, dev, tokens, tiny_params(), config, dev_eval=dev_eval)
+        best = BestEpoch()
+        state = fit(train, dev, tokens, tiny_params(), config, best, dev_eval=dev_eval)
         assert max(acc for _, _, _, acc in state.history) == 80.0
-        for name in best.arrays:
-            assert np.array_equal(best.arrays[name], snapshots[2].arrays[name])
+        for name in best.params.arrays:
+            assert np.array_equal(best.params.arrays[name], snapshots[2].arrays[name])
 
     def test_returned_params_achieve_history_max(self):
         train, dev, tokens = tiny_splits(n_train=30, n_dev=12)
         config = TrainConfig(max_epochs=6, batch_size=8, seed=4, lr0=0.2)
-        best, state = fit(train, dev, tokens, tiny_params(seed=4), config)
-        acc = accuracy(predict_batch(dev[0], tokens, best), dev[1])
+        best = BestEpoch()
+        state = fit(train, dev, tokens, tiny_params(seed=4), config, best)
+        acc = accuracy(predict_batch(dev[0], tokens, best.params), dev[1])
         assert acc == max(a for _, _, _, a in state.history)
 
 
@@ -245,11 +267,12 @@ class TestDeterminism:
     def test_identical_runs_bit_identical(self):
         train, dev, tokens = tiny_splits(n_train=24, n_dev=9)
         config = TrainConfig(max_epochs=4, batch_size=8, seed=5)
-        best_a, state_a = fit(train, dev, tokens, tiny_params(seed=5), config)
-        best_b, state_b = fit(train, dev, tokens, tiny_params(seed=5), config)
+        best_a, best_b = BestEpoch(), BestEpoch()
+        state_a = fit(train, dev, tokens, tiny_params(seed=5), config, best_a)
+        state_b = fit(train, dev, tokens, tiny_params(seed=5), config, best_b)
         assert state_a.history == state_b.history
-        for name in best_a.arrays:
-            assert np.array_equal(best_a.arrays[name], best_b.arrays[name])
+        for name in best_a.params.arrays:
+            assert np.array_equal(best_a.params.arrays[name], best_b.params.arrays[name])
 
 
 class TestValidationAndLog:
@@ -257,14 +280,14 @@ class TestValidationAndLog:
         train, dev, tokens = tiny_splits()
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            fit(empty, dev, tokens, tiny_params(), TrainConfig())
+            fit(empty, dev, tokens, tiny_params(), TrainConfig(), discard)
         with pytest.raises(ValueError):
-            fit(train, empty, tokens, tiny_params(), TrainConfig())
+            fit(train, empty, tokens, tiny_params(), TrainConfig(), discard)
 
     def test_log_csv_shape(self):
         train, dev, tokens = tiny_splits()
         config = TrainConfig(max_epochs=2, batch_size=4, seed=6)
-        _, state = fit(train, dev, tokens, tiny_params(), config)
+        state = fit(train, dev, tokens, tiny_params(), config, discard)
         lines = state.log_csv().strip().split("\n")
         assert lines[0] == "epoch,lr,train_loss,dev_acc"
         assert len(lines) == 3
@@ -277,7 +300,7 @@ class TestValidationAndLog:
         params = tiny_params()
         params.arrays["emb"][[TINY_VOCAB.index["b"], TINY_VOCAB.index["d"]]] = 1.7e308  # dev: "b d"
         with pytest.raises(TrainAbort, match=r"^epoch 0: overflow") as info:
-            fit(train, dev, tokens, params, TrainConfig(max_epochs=2))
+            fit(train, dev, tokens, params, TrainConfig(max_epochs=2), discard)
         assert info.value.state.stop_reason == "numerical-error"
         assert info.value.state.log_csv() == "epoch,lr,train_loss,dev_acc\n"
 
@@ -294,7 +317,7 @@ class TestValidationAndLog:
 
         with pytest.raises(TrainAbort, match=r"^epoch 2: ") as info:
             fit(train, dev, tokens, tiny_params(), TrainConfig(max_epochs=5, batch_size=4),
-                dev_eval=dev_eval)
+                discard, dev_eval=dev_eval)
         state = info.value.state
         assert state.stop_reason == "numerical-error"
         header, *rows = state.log_csv().splitlines()
