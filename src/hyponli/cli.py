@@ -6,8 +6,9 @@ seed+3); synth takes its seed from the spec file. Each input file is read
 once into a corpus.Corpus, and outputs are promoted atomically from temp files.
 
 train-eval keeps the best epoch on disk, not in memory: train.fit writes it to a checkpoint in a
-temporary directory under Python's TMPDIR (on a tmpfs its pages count as shared memory, not as
-the process's RSS), and the reports and model.ckpt come from that file, loaded once fit returns.
+temporary directory under Python's TMPDIR (on a tmpfs its pages count as shared memory, not RSS).
+The dev report is the best epoch's own dev evaluation in fit; the test report and model.ckpt
+come from that file, loaded once fit returns.
 
 Each option is one row of _OPTIONS, which builds the argparse subparsers, reads a key=value
 --config file and gives the "Run configuration" block; the model and schedule options are the
@@ -305,13 +306,16 @@ def cmd_train_eval(run: Run) -> int:
     ends = np.cumsum([len(data) for data in splits.values()])
     examples = {name: (np.arange(end - len(data), end), data.labels)
                 for (name, data), end in zip(splits.items(), ends)}
-    out = run.out_dir
+    out, preds = run.out_dir, {}  # the predictions of dev, then of test if given
     with tempfile.TemporaryDirectory() as tmp:  # the best epoch, until the run succeeds
         best = os.path.join(tmp, "model.ckpt")
+
+        def on_best(params, dev_pred):  # raw float64: model.ckpt gives dev_pred back exactly
+            model.save_checkpoint(params, best)
+            preds["dev"] = dev_pred
         try:  # no name holds the trained parameters, so they go once fit returns
             state = train.fit(examples["train"], examples["dev"], tokens,
-                              _build_model(run, vocab), run.train_config,
-                              lambda params: model.save_checkpoint(params, best))
+                              _build_model(run, vocab), run.train_config, on_best)
         except train.TrainAbort as exc:
             dump = os.path.join(out, "train_abort.csv")
             atomic_write_text(dump, exc.state.log_csv())
@@ -319,13 +323,12 @@ def cmd_train_eval(run: Run) -> int:
             return 1
         best_params = model.load_checkpoint(best)
 
+    if run.test:
+        preds["test"] = _predict(examples["test"][0], tokens, best_params,
+                                 f"{run.test}: predicting the test split")
     maj = corpus.majority_label(examples["train"][1])
-    reports = []
-    for name in list(splits)[1:]:  # dev, then test if given
-        pred = _predict(examples[name][0], tokens, best_params,
-                        f"{getattr(run, name)}: predicting the {name} split")
-        reports.append(evaluate.build_report(name, pred, splits[name].labels,
-                                             splits[name].groups, run.scheme, maj))
+    reports = [evaluate.build_report(name, pred, splits[name].labels, splits[name].groups,
+                                     run.scheme, maj) for name, pred in preds.items()]
 
     atomic_write_text(os.path.join(out, "train_log.csv"), state.log_csv())
     model.save_checkpoint(best_params, os.path.join(out, "model.ckpt"))

@@ -6,9 +6,9 @@ then multiply the rate by the decay factor and additionally divide it by
 divide_on_decline when dev accuracy strictly decreased versus the previous
 evaluation. Training stops when the rate falls below the floor or the
 epoch bound is reached. fit keeps no copy of the parameters: it hands
-them to its on_best callable at each epoch whose dev accuracy beats every
-earlier one, and the best epoch lives wherever that callable puts it
-(train-eval writes it to its checkpoint).
+them and their dev predictions to its on_best callable at each epoch whose
+dev accuracy beats every earlier one, and the best epoch lives wherever
+that callable puts it (train-eval: its checkpoint and its dev report).
 
 The dev accuracy of the untrained model is evaluated once before epoch 1
 and serves as the first comparison reference, so a first-epoch decline
@@ -116,17 +116,15 @@ def sgd_step(params: ModelParameters, gradients: dict, lr: float) -> ModelParame
 
 
 def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, on_best,
-        dev_eval=None) -> TrainState:
+        predict=predict_batch) -> TrainState:
     """Train params in place on the train split, stopping per the schedule; returns the state.
 
-    train and dev are (rows, y) pairs: int64 row indices into the CSR
-    token corpus tokens = (ids, indptr) and their int64 label indices, as
-    loss_and_gradients takes them. dev_eval, when given, must be a
-    callable(params) -> accuracy; it exists so tests can script dev
-    accuracies. on_best(params) is called at each epoch whose dev accuracy
-    beats every earlier epoch's (ties keep the earliest), while params
-    hold that epoch's values; it is the only place the best epoch is kept,
-    since later epochs overwrite params.
+    train and dev are (rows, y) pairs: int64 row indices into the CSR token corpus tokens =
+    (ids, indptr) and their int64 label indices, as loss_and_gradients takes them. Each dev
+    evaluation scores predict(dev[0], tokens, params), which tests script, on dev[1]. At each
+    epoch whose dev accuracy beats every earlier one (ties keep the earliest), on_best(params,
+    predictions) gets the live params, which hold that epoch's values, and the very array
+    predict returned: on_best alone keeps the best epoch, since later epochs overwrite params.
 
     The untrained model's dev evaluation (epoch 0) and every epoch run
     with numpy's overflow, invalid-operation and divide-by-zero errors
@@ -136,16 +134,14 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, on_bes
     n = len(y)
     if not n or not len(dev[1]):
         raise ValueError("train and dev splits must both be nonempty")
-    if dev_eval is None:
-        def dev_eval(params):
-            return accuracy(predict_batch(dev[0], tokens, params), dev[1])
 
     state = TrainState(lr=config.lr0)
     best_dev_acc = -math.inf
     epoch = 0  # the untrained model's dev evaluation
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            state.baseline_dev_acc = last_dev_acc = dev_eval(params)
+            pred = predict(dev[0], tokens, params)
+            state.baseline_dev_acc = last_dev_acc = accuracy(pred, dev[1])
             for epoch in range(1, config.max_epochs + 1):
                 order = np.random.default_rng(config.seed + epoch).permutation(n)
                 loss_sum = 0.0
@@ -154,10 +150,11 @@ def fit(train, dev, tokens, params: ModelParameters, config: TrainConfig, on_bes
                     loss, grads = loss_and_gradients(rows[idx], tokens, y[idx], params)
                     sgd_step(params, grads, state.lr)
                     loss_sum += loss * len(idx)
-                dev_acc = dev_eval(params)
+                pred = predict(dev[0], tokens, params)
+                dev_acc = accuracy(pred, dev[1])
                 if dev_acc > best_dev_acc:
                     best_dev_acc = dev_acc
-                    on_best(params)
+                    on_best(params, pred)
                 state.history.append((epoch, state.lr, loss_sum / n, dev_acc))
                 state.lr *= config.decay
                 if dev_acc < last_dev_acc:

@@ -1,6 +1,8 @@
 """Plain helpers the test files import: corpora built from pairs or at
 random, a corpus's columns, CSR token corpora, a copy of a model's
-parameters (clone), train.fit's on_best callables (discard, BestEpoch),
+parameters (clone), train.fit's on_best callables (discard, BestEpoch) and
+a predict stub that scripts its dev accuracies (scripted_predictions, on
+SCRIPTED_DEV),
 arrays equal to rounding, and labels checked against reference logits away
 from near-ties. The fixtures stay in conftest.py."""
 
@@ -9,6 +11,7 @@ import dataclasses
 import numpy as np
 
 from hyponli.corpus import THREE_WAY, Corpus
+from hyponli.evaluate import accuracy
 
 
 def make_corpus(pairs, scheme=THREE_WAY, premise="p", groups=None, ordinals=None):
@@ -53,18 +56,40 @@ def clone(params):
                                                for name, arr in params.arrays.items()})
 
 
-def discard(params):
+def discard(params, predictions):
     """A train.fit on_best that keeps nothing."""
 
 
 class BestEpoch:
-    """A train.fit on_best that keeps a clone of the parameters it was last given, so once fit
-    returns, .params are those of the best dev epoch."""
+    """A train.fit on_best that keeps a clone of the parameters and the predictions it was last
+    given, so once fit returns, .params and .predictions are those of the best dev epoch."""
 
-    params = None
+    params = predictions = None
 
-    def __call__(self, params):
-        self.params = clone(params)
+    def __call__(self, params, predictions):
+        self.params, self.predictions = clone(params), predictions
+
+
+# the dev split of a scripted fit: 100 labels, on which every whole percentage is an exact
+# accuracy, and rows that scripted_predictions ignores
+SCRIPTED_DEV = (np.arange(100), np.arange(100) % 3)
+
+
+def scripted_predictions(gold, accuracies):
+    """A train.fit predict stub: whatever rows, tokens and parameters it is given, its k-th call
+    returns a new array whose accuracy on gold is exactly accuracies[k], gold with its first rows
+    moved to the next label index. On 100 rows every whole percentage is exact."""
+    scripted = iter(accuracies)
+
+    def predict(rows, tokens, params):
+        acc = next(scripted)
+        pred = gold.copy()
+        pred[:round(len(gold) * (100.0 - acc) / 100.0)] += 1
+        if accuracy(pred, gold) != acc:
+            raise ValueError(f"{acc}% is not an accuracy on {len(gold)} rows")
+        return pred
+
+    return predict
 
 
 def close(a, b):

@@ -17,7 +17,9 @@ import pytest
 
 from hyponli import cli, corpus, evaluate, kernels, model, stats, synth, text, train
 
-from helpers import BestEpoch, as_csr, clone, discard, make_corpus
+from helpers import (
+    SCRIPTED_DEV, BestEpoch, as_csr, clone, discard, make_corpus, scripted_predictions,
+)
 from reference import dense, lookup, trainable_names
 from test_stats import brute_coverage, brute_giveaways, brute_p, brute_counts, count_corpus
 
@@ -207,23 +209,18 @@ def _examples(vocab, *splits):
                     for data, end in zip(splits, ends)]
 
 
-def _scripted(values):
-    it = iter(values)
-    return lambda params: next(it)
-
-
 def test_criterion_5_schedule_trace():
     with criterion(5, "scripted schedules give the exact lr trajectories"):
         params_proto = _desk_scale_params("bag", seed=0)
-        tokens, (tr, dv) = _examples(
+        tokens, (tr,) = _examples(
             params_proto.vocab,
-            make_corpus([("a b", corpus.THREE_WAY.names[i % 3]) for i in range(12)]),
-            make_corpus([("b a", corpus.THREE_WAY.names[i % 3]) for i in range(6)]))
+            make_corpus([("a b", corpus.THREE_WAY.names[i % 3]) for i in range(12)]))
         config = train.TrainConfig(max_epochs=20, batch_size=4, seed=0)
 
         # strictly increasing: all 20 epochs, lr after epoch e = 0.1 * 0.99^e
-        state = train.fit(tr, dv, tokens, clone(params_proto), config, discard,
-                          dev_eval=_scripted([float(i) for i in range(21)]))
+        state = train.fit(tr, SCRIPTED_DEV, tokens, clone(params_proto), config, discard,
+                          predict=scripted_predictions(
+                              SCRIPTED_DEV[1], [float(i) for i in range(21)]))
         assert len(state.history) == 20
         assert state.stop_reason == "max_epochs"
         lr = 0.1
@@ -233,8 +230,9 @@ def test_criterion_5_schedule_trace():
         assert state.lr == lr
 
         # strictly decreasing: stops at epoch 6 with lr < 1e-5
-        state = train.fit(tr, dv, tokens, clone(params_proto), config, discard,
-                          dev_eval=_scripted([float(100 - i) for i in range(21)]))
+        state = train.fit(tr, SCRIPTED_DEV, tokens, clone(params_proto), config, discard,
+                          predict=scripted_predictions(
+                              SCRIPTED_DEV[1], [float(100 - i) for i in range(21)]))
         assert len(state.history) == 6
         assert state.stop_reason == "lr_floor"
         assert state.lr < 1e-5

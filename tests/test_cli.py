@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyponli import cli, corpus, model, stats, synth, text, train
+from hyponli import cli, corpus, evaluate, model, stats, synth, text, train
 from hyponli.cli import main
 from hyponli.model import load_checkpoint, predict_batch, save_checkpoint
 
@@ -1265,6 +1265,57 @@ class TestTrainEvalCommand:
             f"error: {test}: predicting the test split overflows "
             f"(overflow encountered in matmul)")
         assert not out.exists()
+
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_after_fit_only_the_test_split_is_predicted(self, tmp_path, monkeypatch, encoder):
+        """The dev report takes the best epoch's own dev predictions from fit, so once fit
+        returns, train-eval predicts only the test rows, once. fit's own dev predictions,
+        counted through the accuracy that scores them, number one per epoch and one for the
+        untrained model."""
+        predicted, scored, states = [], [], []
+        predict_batch, fit, accuracy = model.predict_batch, train.fit, train.accuracy
+
+        def counted_predict(rows, tokens, params):  # as cli._predict looks it up
+            predicted.append((len(states), rows.tolist()))
+            return predict_batch(rows, tokens, params)
+
+        def counted_fit(*args, **kwargs):
+            states.append(fit(*args, **kwargs))
+            return states[-1]
+
+        def counted_accuracy(pred, gold):
+            scored.append(len(gold))
+            return accuracy(pred, gold)
+
+        monkeypatch.setattr(model, "predict_batch", counted_predict)
+        monkeypatch.setattr(train, "fit", counted_fit)
+        monkeypatch.setattr(train, "accuracy", counted_accuracy)
+        assert self.run_train(tmp_path, tmp_path / "out",
+                              extra=["--encoder", encoder, "--max-epochs", "3"]) == 0
+        n_train, n_dev, n_test = 300, 60, 60  # synth_corpus_files' splits
+        test_rows = list(range(n_train + n_dev, n_train + n_dev + n_test))
+        assert predicted == [(1, test_rows)]
+        assert scored == [n_dev] * (len(states[0].history) + 1)
+
+    @pytest.mark.parametrize("encoder", ["bag", "birnn-maxpool"])
+    def test_reports_agree_with_the_checkpoint(self, tmp_path, encoder):
+        """report.csv's dev and test rows are those of model.ckpt's predictions, although
+        the dev ones come from fit's evaluation of the best epoch, not from the file."""
+        out = tmp_path / "out"
+        assert self.run_train(tmp_path, out, extra=["--encoder", encoder, "--max-epochs", "4"]) == 0
+        params = load_checkpoint(out / "model.ckpt")
+        train_data = corpus.read_jsonl(tmp_path / "train.jsonl",
+                                       corpus.FIELD_MAP_PRESETS["native"], corpus.THREE_WAY)[0]
+        reports = []
+        for name in ("dev", "test"):
+            data = corpus.read_jsonl(tmp_path / f"{name}.jsonl",
+                                     corpus.FIELD_MAP_PRESETS["native"], corpus.THREE_WAY)[0]
+            pred = predict_batch(np.arange(len(data)), params.vocab.encode(data.hypotheses),
+                                 params)
+            reports.append(evaluate.build_report(name, pred, data.labels, data.groups,
+                                                 corpus.THREE_WAY,
+                                                 corpus.majority_label(train_data.labels)))
+        assert (out / "report.csv").read_text(encoding="utf-8") == evaluate.report_csv(reports)
 
     @pytest.mark.parametrize("case, written", [
         ("bag", ["model.ckpt", "report.csv", "report.md", "train_log.csv"]),

@@ -25,7 +25,7 @@ from hyponli.model import ModelConfig, ModelParameters, load_checkpoint, save_ch
 from hyponli.text import Vocabulary, load_embeddings, seeded_random_embeddings
 from hyponli.train import TrainConfig, TrainState, fit
 
-from helpers import discard, make_corpus
+from helpers import SCRIPTED_DEV, discard, make_corpus, scripted_predictions
 
 N_TOKENS, DIM = 3999, 250  # with the OOV row, 4,000 x 250 float64: 8 MB
 VOCAB = Vocabulary(f"w{i}" for i in range(N_TOKENS))
@@ -62,12 +62,9 @@ def improving_fit(params):
     each is a new best epoch, handed to an on_best that keeps nothing."""
     names = THREE_WAY.names
     train = make_corpus([(f"w{i} w{i + 1} w{i + 2}", names[i % 3]) for i in range(12)])
-    dev = make_corpus([("w7 w8", names[i % 3]) for i in range(3)])
-    tokens = VOCAB.encode(train.hypotheses + dev.hypotheses)
-    accuracies = iter([0.0, 10.0, 20.0, 30.0])
-    return fit((np.arange(12), train.labels), (np.arange(12, 15), dev.labels), tokens,
+    return fit((np.arange(12), train.labels), SCRIPTED_DEV, VOCAB.encode(train.hypotheses),
                params, TrainConfig(max_epochs=3, batch_size=4, seed=1), discard,
-               dev_eval=lambda params: next(accuracies))
+               predict=scripted_predictions(SCRIPTED_DEV[1], [0.0, 10.0, 20.0, 30.0]))
 
 
 def test_fine_tuned_fit_copies_no_array():

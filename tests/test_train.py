@@ -10,7 +10,7 @@ from hyponli.text import intern, seeded_random_embeddings
 from hyponli.train import TrainAbort, TrainConfig, TrainState, fit, sgd_step
 
 from reference import trainable_names
-from helpers import BestEpoch, clone, discard, make_corpus
+from helpers import SCRIPTED_DEV, BestEpoch, clone, discard, make_corpus, scripted_predictions
 
 
 TINY_VOCAB = intern(["a b c d"])[0]
@@ -34,13 +34,8 @@ def tiny_splits(n_train=12, n_dev=6):
 
 
 def scripted(values):
-    """Dev-eval stub yielding a fixed sequence (first call = epoch 0)."""
-    it = iter(values)
-
-    def evaluate(params):
-        return next(it)
-
-    return evaluate
+    """Predict stub whose dev accuracies on SCRIPTED_DEV are values (first call = epoch 0)."""
+    return scripted_predictions(SCRIPTED_DEV[1], values)
 
 
 class TestSgdStep:
@@ -139,11 +134,12 @@ class TestConfigValidation:
 
 class TestSchedule:
     def test_increasing_accuracies_run_all_epochs(self):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=20, batch_size=4, seed=1)
         # epoch 0 baseline plus 20 epoch evaluations, strictly increasing
         accs = [10.0 + e for e in range(21)]
-        state = fit(train, dev, tokens, tiny_params(), config, discard, dev_eval=scripted(accs))
+        state = fit(train, SCRIPTED_DEV, tokens, tiny_params(), config, discard,
+                    predict=scripted(accs))
         assert len(state.history) == 20
         assert state.stop_reason == "max_epochs"
         # lr used during epoch e is lr0 * decay^(e-1); after epoch e it is lr0 * decay^e
@@ -154,10 +150,11 @@ class TestSchedule:
         assert state.lr == expected
 
     def test_decreasing_accuracies_stop_at_epoch_6(self):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=20, batch_size=4, seed=1)
         accs = [90.0 - 2 * e for e in range(21)]
-        state = fit(train, dev, tokens, tiny_params(), config, discard, dev_eval=scripted(accs))
+        state = fit(train, SCRIPTED_DEV, tokens, tiny_params(), config, discard,
+                    predict=scripted(accs))
         assert len(state.history) == 6
         assert state.stop_reason == "lr_floor"
         assert state.lr < 1e-5
@@ -171,25 +168,25 @@ class TestSchedule:
         assert state.lr == trace[-1]
 
     def test_max_epochs_one(self):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=1, batch_size=4, seed=1)
-        state = fit(train, dev, tokens, tiny_params(), config, discard,
-                    dev_eval=scripted([50.0, 10.0]))
+        state = fit(train, SCRIPTED_DEV, tokens, tiny_params(), config, discard,
+                    predict=scripted([50.0, 10.0]))
         assert len(state.history) == 1
 
     def test_constant_accuracy_never_divides(self):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=5, batch_size=4, seed=1)
-        state = fit(train, dev, tokens, tiny_params(), config, discard,
-                    dev_eval=scripted([50.0] * 6))
+        state = fit(train, SCRIPTED_DEV, tokens, tiny_params(), config, discard,
+                    predict=scripted([50.0] * 6))
         assert len(state.history) == 5
         assert state.lr == pytest.approx(0.1 * 0.99**5, rel=0, abs=0)
 
     def test_single_decline_divides_once(self):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=3, batch_size=4, seed=1)
-        state = fit(train, dev, tokens, tiny_params(), config, discard,
-                    dev_eval=scripted([50.0, 60.0, 55.0, 70.0]))
+        state = fit(train, SCRIPTED_DEV, tokens, tiny_params(), config, discard,
+                    predict=scripted([50.0, 60.0, 55.0, 70.0]))
         # declines only at epoch 2
         lr = 0.1 * 0.99            # after epoch 1
         lr = lr * 0.99 / 5.0       # after epoch 2 (decline)
@@ -197,21 +194,22 @@ class TestSchedule:
         assert state.lr == lr
 
     def test_decline_is_against_the_previous_epoch(self):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=3, batch_size=4, seed=1)
         # epoch 3 (62) is below the best (70) but above epoch 2 (55): no division
-        state = fit(train, dev, tokens, tiny_params(), config, discard,
-                    dev_eval=scripted([50.0, 70.0, 55.0, 62.0]))
+        state = fit(train, SCRIPTED_DEV, tokens, tiny_params(), config, discard,
+                    predict=scripted([50.0, 70.0, 55.0, 62.0]))
         lr = 0.1 * 0.99
         lr = lr * 0.99 / 5.0
         lr = lr * 0.99
         assert state.lr == lr
 
     def test_lr_positive_and_non_increasing(self):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=10, batch_size=4, seed=2)
         accs = [50.0, 60.0, 55.0, 58.0, 40.0, 39.0, 70.0, 71.0, 20.0, 30.0, 31.0]
-        state = fit(train, dev, tokens, tiny_params(), config, discard, dev_eval=scripted(accs))
+        state = fit(train, SCRIPTED_DEV, tokens, tiny_params(), config, discard,
+                    predict=scripted(accs))
         lrs = [lr for _, lr, _, _ in state.history]
         assert all(lr > 0 for lr in lrs)
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
@@ -223,33 +221,36 @@ class TestBestParams:
         ([10.0, 50.0, 50.0, 80.0, 80.0], [1, 3]),  # a tie keeps the earlier epoch
     ])
     def test_on_best_runs_at_each_improving_epoch_only(self, accs, best_epochs):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=4, batch_size=4, seed=3)
         params, evaluated, calls = tiny_params(), [], []
+        scores = scripted(accs)
 
-        def dev_eval(params):
-            evaluated.append(params)
-            return accs[len(evaluated) - 1]
+        def predict(rows, tokens, given):  # evaluated[e]: epoch e's predictions
+            evaluated.append(scores(rows, tokens, given))
+            return evaluated[-1]
 
         # each call records the epoch whose dev evaluation ran last, and what it was given
-        state = fit(train, dev, tokens, params, config,
-                    lambda best: calls.append((len(evaluated) - 1, best)), dev_eval=dev_eval)
+        state = fit(train, SCRIPTED_DEV, tokens, params, config,
+                    lambda best, pred: calls.append((len(evaluated) - 1, best, pred)),
+                    predict=predict)
         assert len(state.history) == 4
-        assert [epoch for epoch, _ in calls] == best_epochs
-        assert all(best is params for _, best in calls)
+        assert [epoch for epoch, _, _ in calls] == best_epochs
+        assert all(best is params for _, best, _ in calls)
+        assert all(pred is evaluated[epoch] for epoch, _, pred in calls)
 
     def test_best_dev_acc_is_history_max(self):
-        train, dev, tokens = tiny_splits()
+        train, _, tokens = tiny_splits()
         config = TrainConfig(max_epochs=4, batch_size=4, seed=3)
         accs = [10.0, 50.0, 80.0, 30.0, 40.0]
         scores, snapshots = scripted(accs), []
 
-        def dev_eval(params):  # epoch e's parameters are snapshots[e]
+        def predict(rows, tokens, params):  # epoch e's parameters are snapshots[e]
             snapshots.append(clone(params))
-            return scores(params)
+            return scores(rows, tokens, params)
 
         best = BestEpoch()
-        state = fit(train, dev, tokens, tiny_params(), config, best, dev_eval=dev_eval)
+        state = fit(train, SCRIPTED_DEV, tokens, tiny_params(), config, best, predict=predict)
         assert max(acc for _, _, _, acc in state.history) == 80.0
         for name in best.params.arrays:
             assert np.array_equal(best.params.arrays[name], snapshots[2].arrays[name])
@@ -259,8 +260,9 @@ class TestBestParams:
         config = TrainConfig(max_epochs=6, batch_size=8, seed=4, lr0=0.2)
         best = BestEpoch()
         state = fit(train, dev, tokens, tiny_params(seed=4), config, best)
-        acc = accuracy(predict_batch(dev[0], tokens, best.params), dev[1])
-        assert acc == max(a for _, _, _, a in state.history)
+        pred = predict_batch(dev[0], tokens, best.params)
+        assert np.array_equal(best.predictions, pred)
+        assert accuracy(pred, dev[1]) == max(a for _, _, _, a in state.history)
 
 
 class TestDeterminism:
@@ -307,17 +309,18 @@ class TestValidationAndLog:
     def test_abort_after_a_completed_epoch_keeps_its_row(self):
         """An error in epoch 2's dev evaluation keeps epoch 1 in the
         history, and so in the train_abort.csv that train-eval writes."""
-        train, dev, tokens = tiny_splits()
-        accs = iter([40.0, 50.0])
+        train, _, tokens = tiny_splits()
+        scores, calls = scripted([40.0, 50.0]), []
 
-        def dev_eval(params):
-            for acc in accs:
-                return acc
-            raise FloatingPointError("overflow encountered in matmul")
+        def predict(rows, tokens, params):
+            calls.append(params)
+            if len(calls) > 2:
+                raise FloatingPointError("overflow encountered in matmul")
+            return scores(rows, tokens, params)
 
         with pytest.raises(TrainAbort, match=r"^epoch 2: ") as info:
-            fit(train, dev, tokens, tiny_params(), TrainConfig(max_epochs=5, batch_size=4),
-                discard, dev_eval=dev_eval)
+            fit(train, SCRIPTED_DEV, tokens, tiny_params(),
+                TrainConfig(max_epochs=5, batch_size=4), discard, predict=predict)
         state = info.value.state
         assert state.stop_reason == "numerical-error"
         header, *rows = state.log_csv().splitlines()
