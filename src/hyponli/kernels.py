@@ -3,27 +3,27 @@
 Only the recurrence runs here. lstm_forward_packed runs it over a whole
 batch time-major, one step of every sentence still running per loop
 iteration; prediction uses it. lstm_forward and lstm_backward run it one
-sentence at a time; training uses them, because the benchmark's traced
-run checks their call counts against the examples trained, until that
-check is rewritten in terms of tokens. model.py does the rest once per
-direction per batch: the input projection z = x @ wx.T + b and its
-halving (halve_ifo) before either forward kernel, the per-token local
-derivatives (local_derivatives, over all of a batch's rows at once)
-before lstm_backward, and every weight gradient and dx from the dz that
-lstm_backward writes.
+sentence at a time; training uses them, for the reason model.py gives.
+model.py does the rest once per direction per batch: the input projection
+z = x @ wx.T + b and its halving (halve_ifo) before either forward kernel,
+the per-token local derivatives (local_derivatives, over all of a batch's
+rows at once) before lstm_backward, and every weight gradient and dx from
+the dz that lstm_backward writes.
 
 Gate layout inside the stacked weight matrices is [input, forget,
 candidate, output].
 
 The sigmoid gates take the tanh form sigmoid(v) = 1/2 + 1/2 tanh(v/2).
 Each step runs one np.tanh over its whole 4H pre-activation row, then
-scales it by [1/2, 1/2, 1, 1/2] and shifts it by [1/2, 1/2, 0, 1/2], one
-value per gate. So the i, f and o pre-activations must arrive halved:
-halve_ifo halves those columns of z and those rows of wh once per batch,
-exactly, since the factor is a power of two. tanh cannot overflow, so the
-kernels leave the floating-point error state alone; the projection, the
-one place an overflow can arise, is computed in model.py under the
-caller's error state.
+scales and shifts it by _tanh_form's per-gate values. So the i, f and o
+pre-activations must arrive halved: halve_ifo halves those columns of z
+and those rows of wh once per batch, exactly, since the factor is a power
+of two. The form holds a gate to a few ulps of 1/2, not of the gate: one
+near 5e-6 (a pre-activation near -12) is off by about 1e-11 relative, and
+so are the h and the gradients it scales, where 1/(1 + exp(-v)) would be
+off by ulps. tanh cannot overflow, so the kernels leave the floating-point
+error state alone; the projection, the one place an overflow can arise,
+is computed in model.py under the caller's error state.
 
 The kernels write into arrays their caller allocates once per direction
 per batch: lstm_forward into per-sentence slices of h, c and tc,
@@ -51,13 +51,11 @@ def _tanh_form(H):
 
 def halve_ifo(z, wh):
     """Halve the i, f and o columns of the projections z (N, 4H) in place,
-    and return a copy of wh (4H, H) with its i, f and o rows halved: the
-    operands lstm_forward takes."""
-    H = wh.shape[1]
-    z *= _tanh_form(H)[0]
-    half = wh * 0.5
-    half[2 * H:3 * H] = wh[2 * H:3 * H]
-    return half
+    and return a copy of wh (4H, H) with its i, f and o rows halved, by
+    _tanh_form's factors: the operands lstm_forward takes."""
+    scale = _tanh_form(wh.shape[1])[0]
+    z *= scale
+    return wh * scale[:, None]
 
 
 def lstm_forward(z, wh, h, c, tc):

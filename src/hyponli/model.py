@@ -11,14 +11,15 @@ text.intern or Vocabulary.encode: sentence r is ids[indptr[r]:indptr[r+1]].
 A batch, or a split to predict, is an int64 array of row indices into
 it, in any order.
 
-The bag encoder runs batched, and its results are bitwise equal to the
+A batch is walked in the one order _packed_rows gives: time-major,
+longest sentence first. The bag's results are bitwise equal to the
 one-sentence-at-a-time computation: each sentence's sum starts from 0.0
 and adds its embedding rows in token order, as numpy's axis-0 reduction in
 emb[rows].mean(axis=0) does (np.add.reduceat does not). With a single
 embedding column numpy sums pairwise instead, so there the two agree only
 to rounding.
 
-The BiLSTM recurrence runs time-major over a batch in prediction, but
+The BiLSTM recurrence runs in that order over a batch in prediction, but
 one sentence at a time (kernels.lstm_forward and lstm_backward) in
 loss_and_gradients: the benchmark's traced run checks
 kernels.lstm_forward.calls = 2 x (examples + model.predict.calls) and
@@ -164,23 +165,32 @@ def _gather(rows: np.ndarray, tokens) -> tuple[np.ndarray, np.ndarray]:
     return ids[np.arange(shift.size) + shift], lengths
 
 
-def _longest_first(lengths: np.ndarray):
-    """(the sentences in order of length, longest first and stable; for
-    each step t below the longest length, how many are longer than t)."""
-    longer_than = lengths.size - np.cumsum(np.bincount(lengths))
-    return np.argsort(-lengths, kind="stable"), longer_than[:-1]
+def _packed_rows(lengths: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(longest_first, forward rows, backward rows, batch_sizes) of the
+    time-major packed order: longest_first sorts the sentences longest
+    first (stable), step t holds the batch_sizes[t] (a list) of them longer
+    than t, and its forward rows are their token rows starts + t, its
+    backward rows ends - 1 - t."""
+    longest_first = np.argsort(-lengths, kind="stable")
+    batch_sizes = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
+    step = np.repeat(np.arange(batch_sizes.size), batch_sizes)
+    rank = np.arange(step.size) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
+    sentence = longest_first[rank]
+    return longest_first, starts[sentence] + step, ends[sentence] - 1 - step, batch_sizes.tolist()
 
 
 def _encode_bag(ids: np.ndarray, lengths: np.ndarray, emb: np.ndarray) -> np.ndarray:
     """Mean embedding row of each sentence (B, d); empty sentences encode
-    to zero. Sentences are sorted longest first, and step t adds token t of
-    the leading ones still that long, so each sum runs from 0.0 in token
-    order, as emb[rows].mean(axis=0) sums."""
-    longest_first, longer_than = _longest_first(lengths)
-    starts = (np.cumsum(lengths) - lengths)[longest_first]
+    to zero. Step t of _packed_rows' forward rows adds token t of the
+    leading n_t sentences, so each sum runs from 0.0 in token order, as
+    emb[rows].mean(axis=0) sums."""
+    ends = np.cumsum(lengths)
+    longest_first, forward, _, batch_sizes = _packed_rows(lengths, ends - lengths, ends)
     total = np.zeros((lengths.size, emb.shape[1]))
-    for t, n in enumerate(longer_than):
-        total[:n] += emb[ids[starts[:n] + t]]
+    start = 0
+    for n in batch_sizes:
+        total[:n] += emb[ids[forward[start:start + n]]]
+        start += n
     enc = np.empty_like(total)
     enc[longest_first] = total
     enc /= np.maximum(lengths, 1)[:, None]
@@ -191,18 +201,6 @@ def _mlp_head(enc: np.ndarray, params: ModelParameters):
     """(hidden activations, logits) of the MLP on a batch of encodings."""
     h1 = np.tanh(enc @ params.arrays["mlp_w1"].T + params.arrays["mlp_b1"])
     return h1, h1 @ params.arrays["mlp_w2"].T + params.arrays["mlp_b2"]
-
-
-def _packed_rows(lengths: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """(forward rows, backward rows, batch_sizes) of the time-major packed
-    order: the sentences sorted longest first (stable), step t holds the
-    batch_sizes[t] of them longer than t, and its forward rows are their
-    token rows starts + t, its backward rows ends - 1 - t."""
-    longest_first, batch_sizes = _longest_first(lengths)
-    step = np.repeat(np.arange(batch_sizes.size), batch_sizes)
-    rank = np.arange(step.size) - np.repeat(np.cumsum(batch_sizes) - batch_sizes, batch_sizes)
-    sentence = longest_first[rank]
-    return starts[sentence] + step, ends[sentence] - 1 - step, batch_sizes.tolist()
 
 
 def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters,
@@ -236,7 +234,7 @@ def _encode(ids: np.ndarray, lengths: np.ndarray, params: ModelParameters,
     if per_sentence:
         spans = [slice(s, e) for s, e in zip(firsts.tolist(), ends[nonempty].tolist())]
     else:
-        *packed, batch_sizes = _packed_rows(lengths, starts, ends)
+        _, *packed, batch_sizes = _packed_rows(lengths, starts, ends)
     x = emb[ids]
     h, c, tc = np.empty((3, 2, ids.size, H))
     gates = []

@@ -74,8 +74,33 @@ MUTANTS = (
            "                dev_acc = accuracy(pred, dev[1])\n",
            "                dev_acc = accuracy(predict(dev[0], tokens, params), dev[1])\n",
            ("tests/test_train.py::TestBestParams::test_on_best_runs_at_each_improving_epoch_only",
+            "tests/test_train.py::TestBestParams::test_returned_params_achieve_history_max",
             "tests/test_cli.py::TestTrainEvalCommand::test_reports_agree_with_the_checkpoint"),
            "- Each dev prediction is made once."),
+    Mutant("corpus-property-misses-a-lone-surrogate", "src/hyponli/util.py",
+           '            json.dumps(value, ensure_ascii=False).encode("utf-8")\n',
+           "            pass\n",
+           ("tests/test_cli.py::test_a_mutated_corpus_is_read_or_one_line_naming_it",),
+           "- MENDED: the derandomized property tests", known_survivor=True),
+    Mutant("bag-adds-a-steps-block-reversed", "src/hyponli/model.py",
+           "total[:n] += emb[ids[forward[start:start + n]]]",
+           "total[:n] += emb[ids[forward[start:start + n]]][::-1]",
+           ("tests/test_model.py::TestBatchedMatchesReference"
+            "::test_bag_encoding_equals_per_sentence_mean",
+            "tests/test_model.py::TestBatchedMatchesReference::test_ragged_batches",
+            "tests/test_model.py::TestLossAndGradients::test_gradients_match_finite_differences"),
+           "- One packed order and one gate-factor vector."),
+    Mutant("bag-sums-each-sentence-last-token-first", "src/hyponli/model.py",
+           "longest_first, forward, _, batch_sizes = _packed_rows(",
+           "longest_first, _, forward, batch_sizes = _packed_rows(",
+           ("tests/test_model.py::TestBatchedMatchesReference"
+            "::test_bag_encoding_equals_per_sentence_mean",),
+           "- One packed order and one gate-factor vector."),
+    Mutant("halve-ifo-halves-the-g-rows-too", "src/hyponli/kernels.py",
+           "    return wh * scale[:, None]\n", "    return wh * 0.5\n",
+           ("tests/test_kernels.py::test_matches_per_step_reference",
+            "tests/test_model.py::TestBatchedMatchesReference::test_ragged_batches"),
+           "- One packed order and one gate-factor vector."),
 )
 
 

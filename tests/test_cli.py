@@ -130,6 +130,19 @@ def test_a_resolved_run_is_frozen():
     assert run.seed == 0
 
 
+def test_the_paper_config_resolves_to_infersents_sizes():
+    """configs/paper.cfg sets InferSent's encoder and sizes and no other option; resolving it
+    allocates no model and reads no corpus, so the named inputs need not exist."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "paper.cfg")
+    given = cli._read_config(path, "train-eval")
+    assert set(given) == {"encoder", "embedding_dim", "hidden_dim", "mlp_hidden"}
+    run = cli._resolve("train-eval", {**given, "train": "t.jsonl", "dev": "d.jsonl"})
+    assert run.model_config == model.ModelConfig("birnn-maxpool", embedding_dim=300,
+                                                 hidden_dim=2048, mlp_hidden=512, seed=2)
+    assert run.model_config.encoding_dim == 4096
+    assert run.train_config == train.TrainConfig(seed=3)
+
+
 FORMAT_REFUSAL = ("is not native, snli, tsv or role=column, with each role among premise, "
                   "hypothesis, label, group, ordinal, id once and a non-negative integer column")
 SCHEME_REFUSAL = "schemes are 3way, 2way or 2-3 distinct label names; labels"

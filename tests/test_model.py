@@ -560,7 +560,9 @@ class TestTimeMajorMatchesPerSentence:
         longer than 1, step 2 the one of length 3."""
         lengths = np.array([2, 0, 3, 1])
         ends = np.cumsum(lengths)
-        forward, backward, batch_sizes = model._packed_rows(lengths, ends - lengths, ends)
+        longest_first, forward, backward, batch_sizes = model._packed_rows(
+            lengths, ends - lengths, ends)
+        assert longest_first.tolist() == [2, 0, 3, 1]
         assert batch_sizes == [3, 2, 1]
         assert forward.tolist() == [2, 0, 5, 3, 1, 4]
         assert backward.tolist() == [4, 1, 5, 3, 0, 2]

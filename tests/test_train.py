@@ -33,6 +33,19 @@ def tiny_splits(n_train=12, n_dev=6):
             (np.arange(n_train, n_train + n_dev), dev.labels), tokens)
 
 
+def labelled_by_word(n_train):
+    """Splits labelled by the one word of a, b and c in each sentence (d carries no label):
+    n_train training rows cycling through the labels, and 12 distinct dev sentences."""
+    names, shapes = THREE_WAY.names, ("{0}", "{0} d", "d {0}", "{0} {0}")
+    train = make_corpus([(shapes[i % 4].format("abc"[i % 3]), names[i % 3])
+                         for i in range(n_train)])
+    dev = make_corpus([(shape.format(w), names[k]) for shape in shapes
+                       for k, w in enumerate("abc")])
+    tokens = TINY_VOCAB.encode(train.hypotheses + dev.hypotheses)
+    return ((np.arange(n_train), train.labels),
+            (np.arange(n_train, n_train + 12), dev.labels), tokens)
+
+
 def scripted(values):
     """Predict stub whose dev accuracies on SCRIPTED_DEV are values (first call = epoch 0)."""
     return scripted_predictions(SCRIPTED_DEV[1], values)
@@ -256,11 +269,13 @@ class TestBestParams:
             assert np.array_equal(best.params.arrays[name], snapshots[2].arrays[name])
 
     def test_returned_params_achieve_history_max(self):
-        train, dev, tokens = tiny_splits(n_train=30, n_dev=12)
-        config = TrainConfig(max_epochs=6, batch_size=8, seed=4, lr0=0.2)
+        train, dev, tokens = labelled_by_word(n_train=60)
+        config = TrainConfig(max_epochs=6, batch_size=4, seed=4, lr0=1.0)
         best = BestEpoch()
         state = fit(train, dev, tokens, tiny_params(seed=4), config, best)
         pred = predict_batch(dev[0], tokens, best.params)
+        # the best epoch predicts dev otherwise than the untrained model
+        assert not np.array_equal(pred, predict_batch(dev[0], tokens, tiny_params(seed=4)))
         assert np.array_equal(best.predictions, pred)
         assert accuracy(pred, dev[1]) == max(a for _, _, _, a in state.history)
 
